@@ -9,13 +9,10 @@ use polite_wifi_sensing::keystroke::{detect_keystrokes, KeystrokeDetectorConfig}
 use polite_wifi_sensing::segment::{segment, SegmenterConfig};
 
 fn series(n: usize) -> Vec<f64> {
-    let mut ch = CsiChannel::new(1);
-    (0..n)
-        .map(|i| {
-            ch.sample(if i % 100 < 30 { 0.6 } else { 0.0 })
-                .amplitude(17)
-        })
-        .collect()
+    let intensities: Vec<f64> = (0..n)
+        .map(|i| if i % 100 < 30 { 0.6 } else { 0.0 })
+        .collect();
+    CsiChannel::new(1).sample_amplitudes(&intensities, 17)
 }
 
 fn bench_csi_generation(c: &mut Criterion) {
@@ -23,6 +20,10 @@ fn bench_csi_generation(c: &mut Criterion) {
     g.throughput(Throughput::Elements(1));
     let mut ch = CsiChannel::new(2);
     g.bench_function("sample_56_subcarriers", |b| b.iter(|| ch.sample(0.3)));
+    let mut ch = CsiChannel::new(2);
+    g.bench_function("sample_amplitudes_1_of_56", |b| {
+        b.iter(|| ch.sample_amplitudes(&[0.3], 17))
+    });
     g.finish();
 }
 

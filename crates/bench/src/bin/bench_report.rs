@@ -211,13 +211,10 @@ use polite_wifi_phy::rate::BitRate;
 
 /// The criterion CSI series: 45 s at 150 Hz, bursts every 100 samples.
 fn csi_series(n: usize) -> Vec<f64> {
-    let mut ch = polite_wifi_phy::csi::CsiChannel::new(1);
-    (0..n)
-        .map(|i| {
-            ch.sample(if i % 100 < 30 { 0.6 } else { 0.0 })
-                .amplitude(17)
-        })
-        .collect()
+    let intensities: Vec<f64> = (0..n)
+        .map(|i| if i % 100 < 30 { 0.6 } else { 0.0 })
+        .collect();
+    polite_wifi_phy::csi::CsiChannel::new(1).sample_amplitudes(&intensities, 17)
 }
 
 fn run_codec(report: &mut Report, quick: bool) {

@@ -14,7 +14,7 @@ use polite_wifi_phy::csi::{CsiChannel, CsiConfig};
 use polite_wifi_sensing::keystroke::{
     detect_keystrokes, score_detections, KeystrokeDetectorConfig,
 };
-use polite_wifi_sensing::{filter, CsiSeries, MotionScript};
+use polite_wifi_sensing::{filter, sample_rate_hz, MotionScript};
 use polite_wifi_sim::{FaultProfile, SimConfig, Simulator};
 use serde::{Deserialize, Serialize};
 
@@ -127,27 +127,20 @@ impl KeystrokeAttack {
 
         // Sample the CSI channel at each ACK, driven by the ground-truth
         // motion. The channel's AR(1) memory is calibrated near 150 Hz —
-        // the rate this attack produces. All ACKs render in one batched
-        // pass (bit-identical to the per-ACK loop).
+        // the rate this attack produces. All ACKs render the reported
+        // subcarrier in one pass (bit-identical to the per-ACK loop).
         let intensities: Vec<f64> = ack_times
             .iter()
             .map(|&t| self.script.intensity_at(t))
             .collect();
         let mut channel = CsiChannel::with_config(self.seed, CsiConfig::default());
-        let csi = channel.sample_batch(&intensities);
-        let mut series = CsiSeries::new();
-        for (j, &t) in ack_times.iter().enumerate() {
-            series.push(t, csi.snapshot(j));
-        }
-
-        let raw = csi.subcarrier_amplitudes(self.subcarrier);
+        let raw = channel.sample_amplitudes(&intensities, self.subcarrier);
         let amplitudes = filter::condition(&raw);
 
         // Per-phase stats.
         let mut phase_stats = Vec::new();
         for phase in &self.script.phases {
-            let idx: Vec<usize> = series
-                .times_us
+            let idx: Vec<usize> = ack_times
                 .iter()
                 .enumerate()
                 .filter(|(_, &t)| t >= phase.start_us && t < phase.end_us)
@@ -170,13 +163,13 @@ impl KeystrokeAttack {
         }
 
         // Keystroke detection inside the typing phase.
-        let keystroke_score = self.score_keystrokes(&series, &amplitudes);
+        let keystroke_score = self.score_keystrokes(&ack_times, &amplitudes);
 
         KeystrokeAttackResult {
             fakes_sent,
             acks_measured: ack_times.len() as u64,
-            sample_rate_hz: series.sample_rate_hz(),
-            times_us: series.times_us.clone(),
+            sample_rate_hz: sample_rate_hz(&ack_times),
+            times_us: ack_times,
             amplitudes,
             phase_stats,
             keystroke_score,
@@ -184,7 +177,7 @@ impl KeystrokeAttack {
         }
     }
 
-    fn score_keystrokes(&self, series: &CsiSeries, amplitudes: &[f64]) -> (usize, usize, usize) {
+    fn score_keystrokes(&self, times_us: &[u64], amplitudes: &[f64]) -> (usize, usize, usize) {
         if self.script.keystrokes_us.is_empty() {
             return (0, 0, 0);
         }
@@ -195,8 +188,7 @@ impl KeystrokeAttack {
             .iter()
             .find(|p| p.label == "typing")
             .expect("script has keystrokes but no typing phase");
-        let idx: Vec<usize> = series
-            .times_us
+        let idx: Vec<usize> = times_us
             .iter()
             .enumerate()
             .filter(|(_, &t)| t >= typing.start_us && t < typing.end_us)
@@ -220,8 +212,7 @@ impl KeystrokeAttack {
             .keystrokes_us
             .iter()
             .filter_map(|&k| {
-                series
-                    .times_us
+                times_us
                     .iter()
                     .position(|&t| t >= k)
                     .map(|i| i.saturating_sub(first))

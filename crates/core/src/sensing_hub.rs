@@ -115,9 +115,10 @@ impl SensingHub {
         // Attribute ACKs to targets temporally: the hub knows what it
         // injected last (ACKs carry no source address). Gather each
         // target's (timestamp, intensity) stream first, then render the
-        // CSI in one `sample_batch` call per target — each channel owns
-        // its RNG, so the per-channel draw order (and hence every float)
-        // is identical to the old interleaved per-ACK sampling.
+        // sensed subcarrier in one `sample_amplitudes` call per target —
+        // each channel owns its RNG, so the per-channel draw order (and
+        // hence every float) is identical to the old interleaved per-ACK
+        // sampling.
         let mut per_target_times: Vec<Vec<u64>> = vec![Vec::new(); targets.len()];
         let mut per_target_intensity: Vec<Vec<f64>> = vec![Vec::new(); targets.len()];
         let mut last_target: Option<usize> = None;
@@ -139,8 +140,8 @@ impl SensingHub {
         let mut results = Vec::new();
         for (i, times) in per_target_times.iter().enumerate() {
             let mut channel = CsiChannel::new(self.seed ^ (i as u64 + 1));
-            let batch = channel.sample_batch(&per_target_intensity[i]);
-            let amplitudes = filter::condition(&batch.subcarrier_amplitudes(self.subcarrier));
+            let raw = channel.sample_amplitudes(&per_target_intensity[i], self.subcarrier);
+            let amplitudes = filter::condition(&raw);
             let segs = segment(&amplitudes, &SegmenterConfig::default());
             let motion_windows_us = segs
                 .iter()
@@ -172,8 +173,8 @@ impl SensingHub {
 /// Where [`SensingHub`] drives the full MAC simulator per neighbour,
 /// this front-end assumes the injection already succeeded at a steady
 /// `rate_pps` per link (the regime the paper's §4.3 requires anyway) and
-/// spends its time where a 1k-link deployment would: rendering per-link
-/// CSI (`CsiChannel::sample_batch`), conditioning whole
+/// spends its time where a 1k-link deployment would: rendering each
+/// link's sensed subcarrier (`CsiChannel::sample_amplitudes`), conditioning whole
 /// [`SeriesBatch`]es of links at once, and segmenting the results. Links
 /// are processed in row batches of `links_per_batch`; work fans out
 /// across workers per batch and merges in batch order, so the report and
@@ -275,8 +276,8 @@ impl BatchSensingHub {
             let hi = ((b + 1) * per_batch).min(self.links);
             let mut batch_obs = Obs::new();
 
-            // Render each link's CSI in one batched pass, then gather
-            // the sensed subcarrier into one row-per-link SeriesBatch.
+            // Render each link's sensed subcarrier in one pass into one
+            // row-per-link SeriesBatch.
             let mut rows = SeriesBatch::with_capacity(self.samples_per_link, hi - lo);
             let mut intensities = vec![0.0f64; self.samples_per_link];
             for link in lo..hi {
@@ -286,9 +287,9 @@ impl BatchSensingHub {
                 }
                 let mut channel =
                     CsiChannel::with_config(derive_trial_seed(self.seed, link as u64), self.csi);
-                let csi = channel.sample_batch(&intensities);
-                rows.push_row(&csi.subcarrier_amplitudes(self.subcarrier));
-                batch_obs.add(names::SENSING_CSI_SAMPLES, csi.len() as u64);
+                let amplitudes = channel.sample_amplitudes(&intensities, self.subcarrier);
+                rows.push_row(&amplitudes);
+                batch_obs.add(names::SENSING_CSI_SAMPLES, amplitudes.len() as u64);
             }
 
             let conditioned = batch::condition_batch(&rows);

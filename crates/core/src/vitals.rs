@@ -9,7 +9,7 @@ use polite_wifi_mac::StationConfig;
 use polite_wifi_phy::csi::CsiChannel;
 use polite_wifi_phy::rate::BitRate;
 use polite_wifi_sensing::breathing::{estimate_breathing_rate, BreathingEstimate};
-use polite_wifi_sensing::{CsiSeries, MotionScript};
+use polite_wifi_sensing::{sample_rate_hz, MotionScript};
 use polite_wifi_sim::{FaultProfile, SimConfig, Simulator};
 use serde::{Deserialize, Serialize};
 
@@ -79,24 +79,23 @@ impl VitalSignsAttack {
         sim.run_until(self.duration_us + 100_000);
 
         let script = MotionScript::breathing(self.duration_us, self.true_bpm);
-        let mut series = CsiSeries::new();
+        let mut times_us = Vec::new();
         let mut intensities = Vec::new();
         for cf in sim.node(attacker).capture.frames() {
             if matches!(&cf.frame, Frame::Ctrl(ControlFrame::Ack { ra }) if *ra == MacAddr::FAKE) {
-                series.times_us.push(cf.ts_us);
+                times_us.push(cf.ts_us);
                 intensities.push(script.intensity_at(cf.ts_us));
             }
         }
-        // One batched render of the whole ACK stream (bit-identical to
-        // the per-ACK sampling loop it replaced).
+        // One render of the sensed subcarrier over the whole ACK stream
+        // (bit-identical to the per-ACK sampling loop it replaced).
         let mut channel = CsiChannel::new(self.seed);
-        let csi = channel.sample_batch(&intensities);
+        let amplitudes = channel.sample_amplitudes(&intensities, self.subcarrier);
 
-        let amplitudes = csi.subcarrier_amplitudes(self.subcarrier);
-        let sample_rate_hz = series.sample_rate_hz();
+        let sample_rate_hz = sample_rate_hz(&times_us);
         VitalSignsResult {
             true_bpm: self.true_bpm,
-            samples: csi.len(),
+            samples: amplitudes.len(),
             sample_rate_hz,
             estimate: estimate_breathing_rate(&amplitudes, sample_rate_hz),
         }

@@ -17,7 +17,7 @@
 //! mid-scale fluctuations.
 
 use crate::complex::Complex;
-use crate::fading::cn;
+use crate::fading::{cn, skip_cn};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -48,8 +48,8 @@ impl CsiSnapshot {
     }
 }
 
-/// A flat structure-of-arrays batch of CSI snapshots — the batched
-/// sensing pipeline's native representation (DESIGN.md §12).
+/// A flat structure-of-arrays batch of full CSI snapshots (DESIGN.md
+/// §12), for callers that need every subcarrier.
 ///
 /// Layout is sample-major: element `s * subcarriers + k` is subcarrier
 /// `k` of sample `s`, matching the order the channel generates values
@@ -154,13 +154,18 @@ impl Default for CsiConfig {
 ///
 /// Call [`CsiChannel::sample`] once per received ACK, passing the motion
 /// intensity at that instant; the returned snapshot is what the attacker's
-/// radio would report.
+/// radio would report. A caller that reads one subcarrier renders the
+/// whole ACK stream with [`CsiChannel::sample_amplitudes`] instead.
 #[derive(Debug, Clone)]
 pub struct CsiChannel {
     config: CsiConfig,
     rng: ChaCha8Rng,
     /// Static tap gains — the room's geometry.
     static_taps: Vec<Complex>,
+    /// Per-tap innovation std at full motion,
+    /// `scatter_scale·√(1−ρ²)·max(|aᵢ|, 0.05)`: a pure function of the
+    /// config and the static taps, so it is fixed at construction.
+    drive_sigma: Vec<f64>,
     /// Motion-driven scattered components, AR(1)-evolved.
     scatter: Vec<Complex>,
     /// Tap delays in units of the sample period (fractional allowed).
@@ -198,6 +203,11 @@ impl CsiChannel {
         for t in &mut static_taps {
             *t = t.scale(scale);
         }
+        let innovation_sigma = config.scatter_scale * (1.0 - config.rho * config.rho).sqrt();
+        let drive_sigma = static_taps
+            .iter()
+            .map(|t| innovation_sigma * t.abs().max(0.05))
+            .collect();
         let scatter = vec![Complex::ZERO; config.taps];
         let n = config.subcarriers;
         let mut rot = Vec::with_capacity(n * config.taps);
@@ -216,6 +226,7 @@ impl CsiChannel {
             config,
             rng,
             static_taps,
+            drive_sigma,
             scatter,
             delays,
             rot,
@@ -237,12 +248,10 @@ impl CsiChannel {
     /// toward zero, excited by motion-scaled innovations.
     fn advance(&mut self, motion_intensity: f64) {
         let m = motion_intensity.clamp(0.0, 1.0);
-        let cfg = self.config;
-        let innovation_sigma = cfg.scatter_scale * (1.0 - cfg.rho * cfg.rho).sqrt();
-        for (i, s) in self.scatter.iter_mut().enumerate() {
-            let tap_weight = self.static_taps[i].abs().max(0.05);
-            let drive = cn(&mut self.rng, innovation_sigma * tap_weight * m);
-            *s = s.scale(cfg.rho) + drive;
+        let rho = self.config.rho;
+        for (s, &sigma) in self.scatter.iter_mut().zip(&self.drive_sigma) {
+            let drive = cn(&mut self.rng, sigma * m);
+            *s = s.scale(rho) + drive;
         }
         for (g, (st, sc)) in self
             .gains
@@ -253,20 +262,25 @@ impl CsiChannel {
         }
     }
 
+    /// The noiseless response of subcarrier `k` at the current state.
+    fn response(&self, k: usize) -> Complex {
+        let taps = self.config.taps;
+        let mut h = Complex::ZERO;
+        for (gain, rot) in self.gains.iter().zip(&self.rot[k * taps..(k + 1) * taps]) {
+            h += *gain * *rot;
+        }
+        h
+    }
+
     /// Renders the current channel state (plus fresh measurement noise)
     /// into per-subcarrier amplitude/phase slices of length
     /// `config.subcarriers`.
     fn render_into(&mut self, amplitudes: &mut [f64], phases: &mut [f64]) {
         let n = self.config.subcarriers;
-        let taps = self.config.taps;
         let noise_std = self.config.noise_std;
         debug_assert_eq!(amplitudes.len(), n);
         for k in 0..n {
-            let rot_row = &self.rot[k * taps..(k + 1) * taps];
-            let mut h = Complex::ZERO;
-            for (gain, rot) in self.gains.iter().zip(rot_row) {
-                h += *gain * *rot;
-            }
+            let h = self.response(k);
             let noise = cn(&mut self.rng, noise_std);
             let observed = h + noise;
             amplitudes[k] = observed.abs();
@@ -310,17 +324,44 @@ impl CsiChannel {
         batch
     }
 
-    /// Convenience: samples `n` snapshots at a constant motion intensity
-    /// and returns one subcarrier's amplitude series.
+    /// Advances the channel once per entry of `intensities` and returns
+    /// the amplitude series of one subcarrier — the render every sensing
+    /// caller needs.
+    ///
+    /// Bit-for-bit `sample_batch(intensities).subcarrier_amplitudes(subcarrier)`,
+    /// leaving the channel in the same state: the other subcarriers'
+    /// noise draws are consumed ([`skip_cn`]), not computed, and no
+    /// phase is taken. Pinned by the `sample_batch_matches_sample_loop`
+    /// proptest.
+    pub fn sample_amplitudes(&mut self, intensities: &[f64], subcarrier: usize) -> Vec<f64> {
+        let n = self.config.subcarriers;
+        assert!(subcarrier < n, "subcarrier out of range");
+        let noise_std = self.config.noise_std;
+        let mut out = Vec::with_capacity(intensities.len());
+        for &m in intensities {
+            self.advance(m);
+            for _ in 0..subcarrier {
+                skip_cn(&mut self.rng);
+            }
+            let h = self.response(subcarrier);
+            let noise = cn(&mut self.rng, noise_std);
+            out.push((h + noise).abs());
+            for _ in subcarrier + 1..n {
+                skip_cn(&mut self.rng);
+            }
+        }
+        out
+    }
+
+    /// Convenience: samples `n` times at a constant motion intensity and
+    /// returns one subcarrier's amplitude series.
     pub fn amplitude_series(
         &mut self,
         n: usize,
         motion_intensity: f64,
         subcarrier: usize,
     ) -> Vec<f64> {
-        (0..n)
-            .map(|_| self.sample(motion_intensity).amplitude(subcarrier))
-            .collect()
+        self.sample_amplitudes(&vec![motion_intensity; n], subcarrier)
     }
 }
 
@@ -480,6 +521,20 @@ mod tests {
         all.extend(&tail);
         assert_eq!(all.len(), 4);
         assert_eq!(all.snapshot(3), tail.snapshot(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "subcarrier out of range")]
+    fn batch_column_out_of_range_panics() {
+        CsiChannel::new(14)
+            .sample_batch(&[0.5])
+            .subcarrier_amplitudes(DEFAULT_SUBCARRIERS);
+    }
+
+    #[test]
+    #[should_panic(expected = "subcarrier out of range")]
+    fn sample_amplitudes_out_of_range_panics() {
+        CsiChannel::new(14).sample_amplitudes(&[0.5], DEFAULT_SUBCARRIERS);
     }
 
     #[test]

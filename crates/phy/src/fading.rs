@@ -1,12 +1,12 @@
 //! Small-scale fading: Rayleigh and Rician channel gains.
 
 use crate::complex::Complex;
-use rand::Rng;
+use rand::{Rng, RngCore};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 /// Draws a standard normal via Box–Muller (keeps us off `rand_distr`).
-pub fn randn(rng: &mut ChaCha8Rng) -> f64 {
+pub fn randn<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
     loop {
         let u1: f64 = rng.gen::<f64>();
         if u1 <= f64::MIN_POSITIVE {
@@ -18,8 +18,19 @@ pub fn randn(rng: &mut ChaCha8Rng) -> f64 {
 }
 
 /// A circularly-symmetric complex Gaussian with per-component std `sigma`.
-pub fn cn(rng: &mut ChaCha8Rng, sigma: f64) -> Complex {
+pub fn cn<R: RngCore + ?Sized>(rng: &mut R, sigma: f64) -> Complex {
     Complex::new(randn(rng) * sigma, randn(rng) * sigma)
+}
+
+/// Consumes exactly the draws one [`cn`] call would — two [`randn`]s,
+/// each `u1` (re-drawn while it fails the same rejection test) then
+/// `u2` — without the `ln`/`sqrt`/`cos`. Keeps an RNG stream aligned
+/// when a caller discards the value.
+pub fn skip_cn<R: RngCore + ?Sized>(rng: &mut R) {
+    for _ in 0..2 {
+        while rng.gen::<f64>() <= f64::MIN_POSITIVE {}
+        let _u2: f64 = rng.gen::<f64>();
+    }
 }
 
 /// Small-scale fading statistics for a link.
@@ -110,6 +121,40 @@ mod tests {
             assert_eq!(Fading::None.sample(&mut r), Complex::ONE);
         }
         assert_eq!(Fading::None.faded_power_dbm(-50.0, &mut r), -50.0);
+    }
+
+    /// Replays a fixed word script and counts the words handed out.
+    struct Scripted {
+        words: Vec<u64>,
+        taken: usize,
+    }
+
+    impl RngCore for Scripted {
+        fn next_u32(&mut self) -> u32 {
+            self.next_u64() as u32
+        }
+        fn next_u64(&mut self) -> u64 {
+            let w = self.words[self.taken];
+            self.taken += 1;
+            w
+        }
+    }
+
+    #[test]
+    fn skip_cn_consumes_what_cn_does_including_rejections() {
+        // Words below 2^11 map to u1 = 0.0 and are rejected; 0x800 is
+        // the smallest accepted u1 (2^-53).
+        let words = vec![0, 0x7ff, 0x800, u64::MAX, 0, 1 << 40, 3 << 60, 0xdead_beef];
+        let mut drawn = Scripted {
+            words: words.clone(),
+            taken: 0,
+        };
+        let mut skipped = Scripted { words, taken: 0 };
+        let z = cn(&mut drawn, 1.0);
+        skip_cn(&mut skipped);
+        assert!(z.re.is_finite() && z.im.is_finite());
+        assert_eq!(drawn.taken, 7, "two randn draws plus three rejected u1s");
+        assert_eq!(skipped.taken, drawn.taken);
     }
 
     #[test]

@@ -16,6 +16,27 @@ fn arb_band() -> impl Strategy<Value = Band> {
     prop_oneof![Just(Band::Ghz2), Just(Band::Ghz5)]
 }
 
+/// The default channel, or a small one with drawn dynamics.
+fn arb_csi_config() -> impl Strategy<Value = CsiConfig> {
+    let shape = (1usize..12, 1usize..6);
+    let dynamics = (0.0f64..0.99, 0.0f64..1.0, 0.0f64..0.1);
+    let small =
+        (shape, dynamics).prop_map(|((subcarriers, taps), (rho, scatter_scale, noise_std))| {
+            CsiConfig {
+                subcarriers,
+                taps,
+                rho,
+                scatter_scale,
+                noise_std,
+            }
+        });
+    prop_oneof![Just(CsiConfig::default()), small]
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
 proptest! {
     #[test]
     fn airtime_monotone_in_length(rate in arb_rate(), len in 0usize..3000, extra in 1usize..500) {
@@ -108,7 +129,9 @@ proptest! {
 
     #[test]
     fn sample_batch_matches_sample_loop(seed in any::<u64>(),
-                                        intensities in proptest::collection::vec(-0.5f64..1.5, 1..80)) {
+                                        intensities in proptest::collection::vec(-0.5f64..1.5, 1..80),
+                                        config in arb_csi_config(),
+                                        pick in (0usize..3, any::<usize>())) {
         // The batched SoA path must be bit-for-bit the AoS sequence: same
         // RNG draw order, same float op order (out-of-range intensities
         // included, which exercise the clamp).
@@ -122,6 +145,21 @@ proptest! {
         }
         // And the channels end in identical states.
         prop_assert_eq!(aos.sample(0.3), soa.sample(0.3));
+
+        // The one-subcarrier render is bit-for-bit the batch's column —
+        // first, last or any subcarrier — and leaves the same state.
+        let n = config.subcarriers;
+        let k = match pick.0 {
+            0 => 0,
+            1 => n - 1,
+            _ => pick.1 % n,
+        };
+        let mut full = CsiChannel::with_config(seed, config);
+        let mut one = CsiChannel::with_config(seed, config);
+        let want = full.sample_batch(&intensities).subcarrier_amplitudes(k);
+        let got = one.sample_amplitudes(&intensities, k);
+        prop_assert_eq!(bits(&got), bits(&want), "subcarrier {} of {}", k, n);
+        prop_assert_eq!(one.sample(0.3), full.sample(0.3));
     }
 
     #[test]

@@ -90,13 +90,11 @@ pub fn run(spec: &ScenarioSpec, args: RunArgs) -> std::io::Result<i32> {
         },
     ];
     // 150 Hz CSI stream for the script.
-    let mut ch = CsiChannel::new(77);
-    let mut amplitudes = Vec::new();
-    let mut t = 0u64;
-    while t < duration {
-        amplitudes.push(ch.sample(script.intensity_at(t)).amplitude(17));
-        t += 6_667;
-    }
+    let intensities: Vec<f64> = (0..duration)
+        .step_by(6_667)
+        .map(|t| script.intensity_at(t))
+        .collect();
+    let amplitudes = CsiChannel::new(77).sample_amplitudes(&intensities, 17);
     let intervals = detect_occupancy(&amplitudes, &OccupancyConfig::default());
     let mut truth = Vec::new();
     let mut detected = Vec::new();

@@ -44,9 +44,10 @@ fn generate_session_raw(
     seed: u64,
     subcarrier: usize,
 ) -> Vec<f64> {
-    let mut channel = CsiChannel::new(seed);
+    // The intensity script draws from its own stream, so scripting the
+    // whole session before rendering leaves every channel draw in place.
     let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x4441_5441); // "DATA"
-    let mut out = Vec::with_capacity(len_samples);
+    let mut intensities = Vec::with_capacity(len_samples);
     // Typing burst state: keystrokes every ~30-60 samples, 10-14 long.
     let mut burst_left = 0usize;
     let mut until_burst = rng.gen_range(20..50usize);
@@ -69,13 +70,9 @@ fn generate_session_raw(
             }
             ActivityClass::Motion => 0.75 + rng.gen_range(-0.2..0.25),
         };
-        out.push(
-            channel
-                .sample(intensity.clamp(0.0, 1.0))
-                .amplitude(subcarrier),
-        );
+        intensities.push(intensity.clamp(0.0, 1.0));
     }
-    out
+    CsiChannel::new(seed).sample_amplitudes(&intensities, subcarrier)
 }
 
 /// Generates `sessions_per_class` sessions for every class and slices

@@ -7,7 +7,7 @@
 //!
 //! * [`script`] — ground-truth motion timelines (the Figure 5 scenario,
 //!   breathing, walking) that drive the PHY's CSI channel,
-//! * [`series`] — time-aligned CSI amplitude matrices,
+//! * [`series`] — sample-rate estimation from ACK capture timestamps,
 //! * [`filter`] — Hampel outlier removal and moving-average smoothing,
 //! * [`features`] — sliding-window statistics (std, MAD, peak-to-peak,
 //!   mean-crossing rate, spectral energy),
@@ -41,4 +41,4 @@ pub use breathing::{estimate_breathing_rate, BreathingEstimate};
 pub use classify::{ActivityClass, KnnClassifier, ThresholdClassifier};
 pub use occupancy::{detect_occupancy, OccupancyConfig, OccupancyInterval};
 pub use script::{MotionScript, Phase};
-pub use series::CsiSeries;
+pub use series::sample_rate_hz;

@@ -1,115 +1,37 @@
-//! Time-aligned CSI series.
+//! Capture-timestamp helpers for a CSI sample stream.
 
-use polite_wifi_phy::csi::CsiSnapshot;
-use serde::{Deserialize, Serialize};
-
-/// A sequence of CSI snapshots with their capture timestamps — what the
-/// attacker accumulates from the victim's ACK stream.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct CsiSeries {
-    /// Capture timestamps in microseconds, ascending.
-    pub times_us: Vec<u64>,
-    /// One snapshot per timestamp.
-    pub snapshots: Vec<CsiSnapshot>,
-}
-
-impl CsiSeries {
-    /// An empty series.
-    pub fn new() -> CsiSeries {
-        CsiSeries::default()
+/// Mean sampling rate in Hz of ascending capture timestamps (the paper
+/// injects at 150 fake frames/s, so a healthy attack yields ≈150 Hz).
+pub fn sample_rate_hz(times_us: &[u64]) -> f64 {
+    if times_us.len() < 2 {
+        return 0.0;
     }
-
-    /// Appends a snapshot captured at `t_us`.
-    pub fn push(&mut self, t_us: u64, snapshot: CsiSnapshot) {
-        debug_assert!(self.times_us.last().map_or(true, |&last| t_us >= last));
-        self.times_us.push(t_us);
-        self.snapshots.push(snapshot);
+    let span_us = (times_us[times_us.len() - 1] - times_us[0]) as f64;
+    if span_us <= 0.0 {
+        return 0.0;
     }
-
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.times_us.len()
-    }
-
-    /// True when no samples are present.
-    pub fn is_empty(&self) -> bool {
-        self.times_us.is_empty()
-    }
-
-    /// Amplitude time series of one subcarrier.
-    pub fn subcarrier_amplitudes(&self, subcarrier: usize) -> Vec<f64> {
-        self.snapshots
-            .iter()
-            .map(|s| s.amplitude(subcarrier))
-            .collect()
-    }
-
-    /// Mean sampling rate in Hz (the paper injects at 150 fake frames/s,
-    /// so a healthy attack yields ≈150 Hz here).
-    pub fn sample_rate_hz(&self) -> f64 {
-        if self.times_us.len() < 2 {
-            return 0.0;
-        }
-        let span_us = (self.times_us[self.times_us.len() - 1] - self.times_us[0]) as f64;
-        if span_us <= 0.0 {
-            return 0.0;
-        }
-        (self.times_us.len() - 1) as f64 * 1e6 / span_us
-    }
-
-    /// Samples whose timestamps fall within `[from_us, to_us)`.
-    pub fn window(&self, from_us: u64, to_us: u64) -> CsiSeries {
-        let mut out = CsiSeries::new();
-        for (i, &t) in self.times_us.iter().enumerate() {
-            if t >= from_us && t < to_us {
-                out.push(t, self.snapshots[i].clone());
-            }
-        }
-        out
-    }
+    (times_us.len() - 1) as f64 * 1e6 / span_us
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polite_wifi_phy::csi::CsiChannel;
 
-    fn series(n: usize, gap_us: u64) -> CsiSeries {
-        let mut ch = CsiChannel::new(1);
-        let mut s = CsiSeries::new();
-        for i in 0..n {
-            s.push(i as u64 * gap_us, ch.sample(0.2));
-        }
-        s
-    }
-
-    #[test]
-    fn push_and_extract() {
-        let s = series(10, 6_667);
-        assert_eq!(s.len(), 10);
-        assert!(!s.is_empty());
-        assert_eq!(s.subcarrier_amplitudes(17).len(), 10);
+    fn times(n: usize, gap_us: u64) -> Vec<u64> {
+        (0..n as u64).map(|i| i * gap_us).collect()
     }
 
     #[test]
     fn sample_rate_estimation() {
         // 150 Hz → 6667 µs gaps.
-        let s = series(151, 6_667);
-        let rate = s.sample_rate_hz();
+        let rate = sample_rate_hz(&times(151, 6_667));
         assert!((149.0..151.0).contains(&rate), "rate {rate}");
     }
 
     #[test]
     fn sample_rate_degenerate_cases() {
-        assert_eq!(CsiSeries::new().sample_rate_hz(), 0.0);
-        assert_eq!(series(1, 100).sample_rate_hz(), 0.0);
-    }
-
-    #[test]
-    fn window_selects_half_open_range() {
-        let s = series(10, 1_000);
-        let w = s.window(2_000, 5_000);
-        assert_eq!(w.len(), 3);
-        assert_eq!(w.times_us, vec![2_000, 3_000, 4_000]);
+        assert_eq!(sample_rate_hz(&[]), 0.0);
+        assert_eq!(sample_rate_hz(&times(1, 100)), 0.0);
+        assert_eq!(sample_rate_hz(&[5, 5]), 0.0);
     }
 }

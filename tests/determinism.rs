@@ -344,9 +344,11 @@ fn calendar_queue_matches_legacy_heap() {
 }
 
 /// The batched sensing pipeline's determinism contract: a 1k-link hub
-/// run over the batched kernels — per-link `sample_batch` rendering,
-/// `SeriesBatch` conditioning/segmentation, `hub.*` counters — produces
-/// a byte-identical envelope at 1, 4 and 8 workers. A lean CSI channel
+/// run over the batched kernels — per-link one-subcarrier
+/// `sample_amplitudes` rendering (the other subcarriers' noise draws
+/// consumed, not computed), `SeriesBatch` conditioning/segmentation,
+/// `hub.*` counters — produces a byte-identical envelope at 1, 4 and 8
+/// workers. A lean CSI channel
 /// keeps the debug-mode run fast; the full-width channel is the
 /// `time.macro.sensing_hub_1k` bench.
 #[test]
