@@ -43,8 +43,9 @@
 //!                                   #   tripping on ns-scale codec noise
 //! ```
 //!
-//! The baseline is parsed with `polite_wifi_obs::json::parse` (the
-//! vendored serde_json is write-only by design).
+//! The report is rendered and the baseline parsed with
+//! `polite_wifi_obs::json` (the vendored serde_json is write-only by
+//! design).
 
 use polite_wifi_frame::{builder, fcs, Frame, MacAddr};
 use polite_wifi_mac::StationConfig;
@@ -301,7 +302,7 @@ fn run_exchange_sim(report: &mut Report) -> f64 {
 }
 
 fn run_csi_pipeline(report: &mut Report, quick: bool) {
-    use polite_wifi_sensing::batch::{self, BatchPolicy};
+    use polite_wifi_sensing::batch;
     use polite_wifi_sensing::features;
     use polite_wifi_sensing::segment::{segment, SegmenterConfig};
 
@@ -331,25 +332,15 @@ fn run_csi_pipeline(report: &mut Report, quick: bool) {
     );
 
     // Per-stage breakdown of the conditioning chain, timed through the
-    // same kernels the active `BatchPolicy` dispatches to — so the trend
-    // job can see *which* stage regressed, not just the chain total.
-    let policy = BatchPolicy::active();
-    let hampel_ns = if policy == BatchPolicy::Scalar {
-        time_ns(iters, || filter::hampel(&s, 5, 3.0))
-    } else {
-        time_ns(iters, || batch::hampel_exact(&s, 5, 3.0))
-    };
-    report.timing("time.csi.hampel_45s", hampel_ns / 1e6, "ms");
-    let despiked = if policy == BatchPolicy::Scalar {
-        filter::hampel(&s, 5, 3.0)
-    } else {
-        batch::hampel_exact(&s, 5, 3.0)
-    };
-    let ma_ns = if policy == BatchPolicy::Reassociated {
-        time_ns(iters, || batch::moving_average_reassoc(&despiked, 2))
-    } else {
-        time_ns(iters, || filter::moving_average(&despiked, 2))
-    };
+    // same kernels `filter::condition` runs — so the trend job can see
+    // *which* stage regressed, not just the chain total.
+    report.timing(
+        "time.csi.hampel_45s",
+        time_ns(iters, || batch::hampel_exact(&s, 5, 3.0)) / 1e6,
+        "ms",
+    );
+    let despiked = batch::hampel_exact(&s, 5, 3.0);
+    let ma_ns = time_ns(iters, || filter::moving_average(&despiked, 2));
     report.timing("time.csi.moving_average_45s", ma_ns / 1e6, "ms");
     report.timing(
         "time.csi.features_45s",
@@ -1002,7 +993,7 @@ fn main() {
 
     if args.from.is_none() {
         let json = report.to_json(args.quick, args.label.as_deref());
-        let report_path = match polite_wifi_harness::write_json(REPORT_SLUG, &RawJson(&json)) {
+        let report_path = match polite_wifi_harness::write_text(REPORT_SLUG, &json) {
             Ok(path) => path,
             Err(err) => {
                 eprintln!("failed to write report: {err}");
@@ -1074,39 +1065,5 @@ fn main() {
                 std::process::exit(1);
             }
         }
-    }
-}
-
-/// Lets pre-rendered JSON ride through `write_json` (which serialises
-/// with the vendored serde) without re-encoding.
-struct RawJson<'a>(&'a str);
-
-impl serde::Serialize for RawJson<'_> {
-    fn to_value(&self) -> serde_json::Value {
-        // The harness writer pretty-prints a Value; hand it the parsed
-        // tree so the committed report stays valid JSON.
-        raw_to_serde(&parse(self.0).expect("report JSON is well-formed"))
-    }
-}
-
-fn raw_to_serde(v: &JsonValue) -> serde_json::Value {
-    match v {
-        JsonValue::Null => serde_json::Value::Null,
-        JsonValue::Bool(b) => serde_json::Value::Bool(*b),
-        JsonValue::Num(n) => {
-            if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 {
-                serde_json::Value::UInt(*n as u64)
-            } else {
-                serde_json::Value::Float(*n)
-            }
-        }
-        JsonValue::Str(s) => serde_json::Value::String(s.clone()),
-        JsonValue::Arr(items) => serde_json::Value::Array(items.iter().map(raw_to_serde).collect()),
-        JsonValue::Obj(fields) => serde_json::Value::Object(
-            fields
-                .iter()
-                .map(|(k, v)| (k.clone(), raw_to_serde(v)))
-                .collect(),
-        ),
     }
 }

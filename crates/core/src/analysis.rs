@@ -1,5 +1,5 @@
 //! The "why is Polite WiFi unpreventable" analysis (paper §2.2),
-//! packaged for the `exp_sifs_timing` harness.
+//! packaged for the `sifs_timing` scenario.
 
 use polite_wifi_phy::band::Band;
 use polite_wifi_phy::timing::{

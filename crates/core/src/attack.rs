@@ -138,8 +138,8 @@ impl Attack for DeauthFlood {
 }
 
 /// A NAV-stuffing RTS flood: oversized `duration_us` reservations that
-/// freeze every honest contender (the exp_ext_nav_dos attacker as a
-/// reusable struct).
+/// freeze every honest contender (the `ext_nav_dos` scenario's attacker
+/// as a reusable struct).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NavRtsFlood {
     /// The station whose CTS the attacker elicits.

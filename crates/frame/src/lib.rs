@@ -43,8 +43,6 @@
 pub mod addr;
 pub mod builder;
 pub mod control;
-#[deprecated(note = "merged into `control`; import `crate::control::ControlFrame` instead")]
-pub mod ctrl;
 pub mod data;
 pub mod error;
 pub mod fcs;

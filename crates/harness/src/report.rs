@@ -24,8 +24,7 @@ use serde::Serialize;
 use serde_json::Value;
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 thread_local! {
@@ -57,19 +56,25 @@ pub fn results_dir() -> PathBuf {
         .unwrap_or_else(|_| PathBuf::from("results"))
 }
 
-/// Serialises a value to `results/<name>.json`, creating the directory
-/// if needed. Returns the path written.
+/// Serialises a value to `results/<name>.json` through [`write_text`].
+/// Returns the path written.
+pub fn write_json<T: Serialize + ?Sized>(name: &str, value: &T) -> io::Result<PathBuf> {
+    let json = serde_json::to_string_pretty(value).map_err(io::Error::other)?;
+    write_text(name, &json)
+}
+
+/// Writes already-rendered JSON text to `results/<name>.json`, creating
+/// the directory if needed. Returns the path written.
 ///
 /// The write is atomic (temp file in the same directory, then rename):
 /// a run killed mid-write — or two runs racing on the same slug — never
 /// leaves a truncated half-document where consumers expect JSON.
-pub fn write_json<T: Serialize + ?Sized>(name: &str, value: &T) -> io::Result<PathBuf> {
+pub fn write_text(name: &str, text: &str) -> io::Result<PathBuf> {
     let dir = results_dir();
     std::fs::create_dir_all(&dir)?;
     let path = dir.join(format!("{name}.json"));
-    let json = serde_json::to_string_pretty(value).map_err(io::Error::other)?;
     let tmp = dir.join(format!(".{name}.{}.tmp", std::process::id()));
-    std::fs::write(&tmp, json)?;
+    std::fs::write(&tmp, text)?;
     match std::fs::rename(&tmp, &path) {
         Ok(()) => Ok(path),
         Err(e) => {
@@ -338,7 +343,7 @@ impl Experiment {
     {
         let inject = self.args.inject_trial_panic;
         let total = self.args.trials;
-        let done = AtomicUsize::new(0);
+        let done = Mutex::new(0usize);
         let sinks = &self.sinks;
         let (results, failures) =
             self.runner()
@@ -355,9 +360,14 @@ impl Experiment {
                         panic!("injected trial panic (--inject-trial-panic {})", ctx.index);
                     }
                     let out = trial(ctx);
-                    let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
+                    // Count and report under one lock, so sinks see
+                    // completions in `done` order and the last report
+                    // carries the final count. A plain counter is valid
+                    // after any panic, so a poisoned lock is recovered.
+                    let mut finished = done.lock().unwrap_or_else(|e| e.into_inner());
+                    *finished += 1;
                     for sink in sinks {
-                        sink.trial_finished(finished, total);
+                        sink.trial_finished(*finished, total);
                     }
                     out
                 });
@@ -508,25 +518,6 @@ mod tests {
     use crate::runner::derive_trial_seed;
     use polite_wifi_sim::FaultProfile;
 
-    struct ResultsDirGuard(Option<String>);
-
-    impl ResultsDirGuard {
-        fn set(dir: &std::path::Path) -> ResultsDirGuard {
-            let old = std::env::var("POLITE_WIFI_RESULTS").ok();
-            std::env::set_var("POLITE_WIFI_RESULTS", dir);
-            ResultsDirGuard(old)
-        }
-    }
-
-    impl Drop for ResultsDirGuard {
-        fn drop(&mut self) {
-            match &self.0 {
-                Some(old) => std::env::set_var("POLITE_WIFI_RESULTS", old),
-                None => std::env::remove_var("POLITE_WIFI_RESULTS"),
-            }
-        }
-    }
-
     #[derive(Serialize)]
     struct Payload {
         acks: u64,
@@ -536,7 +527,7 @@ mod tests {
     fn finish_writes_unified_envelope() {
         let dir = std::env::temp_dir().join("polite-wifi-harness-report-test");
         let _ = std::fs::remove_dir_all(&dir);
-        let _guard = ResultsDirGuard::set(&dir);
+        set_thread_results_dir(Some(dir.clone()));
 
         let args = RunArgs {
             trials: 3,
@@ -576,7 +567,7 @@ mod tests {
     fn injected_panic_degrades_into_the_envelope_and_exit_status() {
         let dir = std::env::temp_dir().join("polite-wifi-harness-degrade-test");
         let _ = std::fs::remove_dir_all(&dir);
-        let _guard = ResultsDirGuard::set(&dir);
+        set_thread_results_dir(Some(dir.clone()));
 
         let run = |allow_partial: bool, max_trial_failures: Option<usize>| {
             let args = RunArgs {
@@ -628,7 +619,7 @@ mod tests {
     fn quarantined_targets_fail_the_run_unless_partial_is_allowed() {
         let dir = std::env::temp_dir().join("polite-wifi-harness-quarantine-test");
         let _ = std::fs::remove_dir_all(&dir);
-        let _guard = ResultsDirGuard::set(&dir);
+        set_thread_results_dir(Some(dir.clone()));
 
         let run = |allow_partial: bool, quarantined: u64| {
             let args = RunArgs {
@@ -650,7 +641,7 @@ mod tests {
     fn write_json_leaves_no_tmp_files_behind() {
         let dir = std::env::temp_dir().join("polite-wifi-harness-atomic-test");
         let _ = std::fs::remove_dir_all(&dir);
-        let _guard = ResultsDirGuard::set(&dir);
+        set_thread_results_dir(Some(dir.clone()));
 
         write_json("atomic", &Payload { acks: 1 }).unwrap();
         let names: Vec<String> = std::fs::read_dir(&dir)
@@ -682,7 +673,7 @@ mod tests {
     fn trace_out_writes_a_chrome_trace() {
         let dir = std::env::temp_dir().join("polite-wifi-harness-trace-test");
         let _ = std::fs::remove_dir_all(&dir);
-        let _guard = ResultsDirGuard::set(&dir);
+        set_thread_results_dir(Some(dir.clone()));
         let trace_path = dir.join("trace.json");
 
         let args = RunArgs {

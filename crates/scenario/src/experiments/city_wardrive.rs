@@ -10,8 +10,9 @@
 //!
 //! Scale knobs:
 //!
-//! - `POLITE_WIFI_CITY_DEVICES=1000000` overrides the 100,000-device
-//!   default (the million-device run).
+//! - `"params": {"devices": 1000000}` in the spec overrides the
+//!   100,000-device default (the million-device run). The param is part
+//!   of the hashed canonical spec, so the daemon's cache keys on it.
 //! - `--quick` shrinks the per-segment dwell, **not** the device count —
 //!   the city stays city-sized, each neighbourhood is just visited more
 //!   briefly.
@@ -24,17 +25,33 @@ use crate::support::compare;
 use polite_wifi_core::CityWardrive;
 use polite_wifi_harness::{Experiment, RunArgs};
 use polite_wifi_obs::Obs;
+use std::io;
 
-pub fn run(spec: &ScenarioSpec, args: RunArgs) -> std::io::Result<i32> {
+/// The city size when the spec sets no `params.devices`.
+const DEFAULT_DEVICES: usize = 100_000;
+/// The largest documented run.
+const MAX_DEVICES: usize = 1_000_000;
+
+/// The spec's `params.devices`, or [`DEFAULT_DEVICES`]. Specs arrive
+/// from outside (the daemon), so a bad value is an `InvalidInput` error,
+/// not a panic.
+fn devices(spec: &ScenarioSpec) -> io::Result<usize> {
+    let set = spec.params.iter().any(|(k, _)| k == "devices");
+    match spec.param_num("devices") {
+        Some(n) if n.fract() == 0.0 && (1.0..=MAX_DEVICES as f64).contains(&n) => Ok(n as usize),
+        None if !set => Ok(DEFAULT_DEVICES),
+        _ => Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("`params.devices` must be a whole number in 1..={MAX_DEVICES}"),
+        )),
+    }
+}
+
+pub fn run(spec: &ScenarioSpec, args: RunArgs) -> io::Result<i32> {
+    let devices = devices(spec)?;
     let mut exp = Experiment::start_with(&spec.name, &spec.paper_ref, args);
     let args = exp.args();
 
-    let devices = match std::env::var("POLITE_WIFI_CITY_DEVICES") {
-        Ok(raw) => raw
-            .parse::<usize>()
-            .unwrap_or_else(|_| panic!("POLITE_WIFI_CITY_DEVICES: invalid value `{raw}`")),
-        Err(_) => 100_000,
-    };
     let drive = CityWardrive {
         seed: exp.seed(),
         devices,
@@ -113,4 +130,35 @@ pub fn run(spec: &ScenarioSpec, args: RunArgs) -> std::io::Result<i32> {
         },
         &report,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn city(params: &str) -> ScenarioSpec {
+        ScenarioSpec::parse(&format!(
+            r#"{{"name": "C", "paper_ref": "ref", "slug": "c", "runner": "city_wardrive",
+                "run": {{"seed": 1, "trials": 1, "workers": 1}}{params}}}"#
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn devices_param_sizes_the_city_and_the_cache_key() {
+        let default = city("");
+        let million = city(r#", "params": {"devices": 1000000}"#);
+        assert_eq!(devices(&default).unwrap(), DEFAULT_DEVICES);
+        assert_eq!(devices(&million).unwrap(), 1_000_000);
+        assert_ne!(default.canonical_hash(), million.canonical_hash());
+    }
+
+    #[test]
+    fn bad_devices_are_rejected_not_panicked_on() {
+        for bad in ["0", "1.5", "2000000", "-3", "\"many\""] {
+            let spec = city(&format!(r#", "params": {{"devices": {bad}}}"#));
+            let err = devices(&spec).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{bad}");
+        }
+    }
 }

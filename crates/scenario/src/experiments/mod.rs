@@ -1,7 +1,7 @@
-//! The ported paper experiments, one module per historical `exp_*`
-//! binary. Each exposes `run(spec, args)` with the exact pre-port
-//! stdout and envelope bytes; the spec supplies identity (name,
-//! paper_ref, slug) and run defaults, the module the logic.
+//! The ported paper experiments, one module per bespoke runner. Each
+//! exposes `run(spec, args)` with the exact pre-port stdout and
+//! envelope bytes; the spec supplies identity (name, paper_ref, slug),
+//! run defaults and params, the module the logic.
 
 pub mod ablation_validate;
 pub mod battery_life;

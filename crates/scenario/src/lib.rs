@@ -4,9 +4,8 @@
 //! scenario is one JSON file under `scenarios/` composing population,
 //! topology, fault profile, attacker strategies, defender probes,
 //! pass/fail assertions, trials and seed (grammar: [`spec`], DESIGN.md
-//! §13). `exp_run SCENARIO.json` executes any of them; the historical
-//! `exp_*` binaries are thin wrappers that embed their scenario file
-//! and dispatch through the same [`registry`].
+//! §13). `exp_run SCENARIO.json` executes any of them, dispatching
+//! through the [`registry`].
 //!
 //! Two kinds of runner exist:
 //!

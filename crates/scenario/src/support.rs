@@ -1,36 +1,14 @@
 //! Display/IO helpers shared by every ported experiment.
-//!
-//! These lived in `polite-wifi-bench` while each experiment owned its
-//! own `main`; they moved here with the experiment bodies. The bench
-//! crate re-exports them, so `polite_wifi_bench::compare` et al. keep
-//! working.
 
-use serde::Serialize;
 use std::io;
 use std::path::PathBuf;
 
-/// Directory experiment JSON results are written to (workspace-relative,
-/// `POLITE_WIFI_RESULTS` overrides). Not created by this call — use
-/// [`ensure_results_dir`] before writing into it directly.
-pub fn results_dir() -> PathBuf {
-    polite_wifi_harness::results_dir()
-}
-
 /// Creates the results directory (and parents) if missing and returns
-/// its path. For artifacts written next to the JSON (pcaps, CSVs).
+/// its path. For artifacts written next to the JSON envelope (pcaps).
 pub fn ensure_results_dir() -> io::Result<PathBuf> {
-    let dir = results_dir();
+    let dir = polite_wifi_harness::results_dir();
     std::fs::create_dir_all(&dir)?;
     Ok(dir)
-}
-
-/// Serialises an experiment result to `results/<name>.json`, creating
-/// the directory if needed. Prefer `Experiment::finish`, which wraps the
-/// payload in the unified envelope; this remains for bare payloads.
-pub fn write_json<T: Serialize>(name: &str, value: &T) -> io::Result<PathBuf> {
-    let path = polite_wifi_harness::write_json(name, value)?;
-    println!("\n[result JSON written to {}]", path.display());
-    Ok(path)
 }
 
 /// Prints a paper-vs-measured comparison row.

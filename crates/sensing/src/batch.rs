@@ -1,14 +1,10 @@
-//! Batched, allocation-light sensing kernels and the policy knob that
-//! governs when they may deviate from the scalar reference path.
+//! Batched, allocation-light sensing kernels — the production sensing
+//! path.
 //!
 //! The scalar pipeline in [`crate::filter`] / [`crate::features`] is the
-//! *reference semantics*: every fast kernel here is either bit-for-bit
-//! identical to it (the default, [`BatchPolicy::Exact`]) or explicitly
-//! opted into float reassociation ([`BatchPolicy::Reassociated`]) with a
-//! tolerance pinned by proptests. Setting `POLITE_WIFI_FORCE_SCALAR=1`
-//! (or `POLITE_WIFI_BATCH_POLICY=scalar`) routes every dispatching entry
-//! point back through the reference path — CI runs the sensing suite both
-//! ways and diffs the outputs.
+//! *reference semantics*, kept as the test oracle: every kernel here is
+//! bit-for-bit identical to it, pinned by unit tests and the
+//! `proptest_batch` suite.
 //!
 //! Why the exact kernels are fast anyway: the scalar Hampel filter
 //! allocates and sorts three times per sample; the exact kernel maintains
@@ -27,51 +23,11 @@
 
 use crate::features::FeatureVector;
 use crate::segment::{segment_from_features, Segment, SegmenterConfig};
-use std::sync::OnceLock;
 
 /// Lane width, in f64 elements, for the manually chunked loops. Eight
 /// lanes cover one AVX-512 register or two AVX2 registers; LLVM splits
 /// the chunk to whatever the target offers.
 pub const LANES: usize = 8;
-
-/// How the batched kernels are allowed to treat floating point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatchPolicy {
-    /// Fast kernels constrained to bit-identical results: no sum
-    /// reorderings, order statistics selected rather than re-derived.
-    #[default]
-    Exact,
-    /// Additionally permits reassociated reductions (prefix-sum moving
-    /// averages); results may differ from scalar by accumulated rounding,
-    /// bounded by the `reassociated_close_to_scalar` proptest.
-    Reassociated,
-    /// The scalar reference path, verbatim. What CI's equivalence leg and
-    /// `POLITE_WIFI_FORCE_SCALAR=1` select.
-    Scalar,
-}
-
-static ACTIVE_POLICY: OnceLock<BatchPolicy> = OnceLock::new();
-
-impl BatchPolicy {
-    /// The process-wide policy, resolved once from the environment:
-    /// `POLITE_WIFI_FORCE_SCALAR=1` forces [`BatchPolicy::Scalar`];
-    /// otherwise `POLITE_WIFI_BATCH_POLICY` ∈ {`exact`, `reassociated`,
-    /// `scalar`} (default `exact`).
-    pub fn active() -> BatchPolicy {
-        *ACTIVE_POLICY.get_or_init(BatchPolicy::from_env)
-    }
-
-    fn from_env() -> BatchPolicy {
-        if std::env::var_os("POLITE_WIFI_FORCE_SCALAR").is_some_and(|v| v == "1") {
-            return BatchPolicy::Scalar;
-        }
-        match std::env::var("POLITE_WIFI_BATCH_POLICY").as_deref() {
-            Ok("scalar") => BatchPolicy::Scalar,
-            Ok("reassociated") => BatchPolicy::Reassociated,
-            _ => BatchPolicy::Exact,
-        }
-    }
-}
 
 /// A dense row-major batch of equal-length amplitude series — one row per
 /// link. The SoA counterpart of `Vec<Vec<f64>>`, so batched kernels walk
@@ -455,7 +411,7 @@ pub fn median_select(values: &[f64]) -> f64 {
 // ---------------------------------------------------------------------------
 
 /// First-difference magnitudes `|x[i+1] − x[i]|`, lane-chunked so LLVM
-/// autovectorizes. Purely elementwise, hence exact under every policy.
+/// autovectorizes. Purely elementwise, hence exact.
 pub fn abs_diff(series: &[f64]) -> Vec<f64> {
     if series.len() < 2 {
         return Vec::new();
@@ -479,52 +435,15 @@ pub fn abs_diff(series: &[f64]) -> Vec<f64> {
     out
 }
 
-/// Centred moving average via a prefix-sum — O(n) but *reassociated*:
-/// each output is a difference of running sums rather than the reference
-/// left-to-right window sum. Only reachable under
-/// [`BatchPolicy::Reassociated`].
-pub fn moving_average_reassoc(series: &[f64], half_window: usize) -> Vec<f64> {
-    let n = series.len();
-    let mut prefix = Vec::with_capacity(n + 1);
-    let mut acc = 0.0;
-    prefix.push(0.0);
-    for &v in series {
-        acc += v;
-        prefix.push(acc);
-    }
-    (0..n)
-        .map(|i| {
-            let lo = i.saturating_sub(half_window);
-            let hi = (i + half_window + 1).min(n);
-            (prefix[hi] - prefix[lo]) / (hi - lo) as f64
-        })
-        .collect()
-}
-
 // ---------------------------------------------------------------------------
-// Policy-dispatched pipeline stages.
+// Batched pipeline stages.
 // ---------------------------------------------------------------------------
 
-/// The standard conditioning chain (Hampel ±5 @ 3σ, then moving average
-/// ±2) under an explicit policy. [`crate::filter::condition`] forwards
-/// here with [`BatchPolicy::active`].
-pub fn condition_with_policy(series: &[f64], policy: BatchPolicy) -> Vec<f64> {
-    match policy {
-        BatchPolicy::Scalar => crate::filter::condition_scalar(series),
-        // The ±2 moving average keeps the reference summation order (it
-        // is 5 adds per output); only the Hampel stage needed the fast
-        // kernel to hit the bench target.
-        BatchPolicy::Exact => crate::filter::moving_average(&hampel_exact(series, 5, 3.0), 2),
-        BatchPolicy::Reassociated => moving_average_reassoc(&hampel_exact(series, 5, 3.0), 2),
-    }
-}
-
-/// Conditions every row of a batch in one pass, under the active policy.
+/// Conditions every row of a batch in one pass.
 pub fn condition_batch(batch: &SeriesBatch) -> SeriesBatch {
-    let policy = BatchPolicy::active();
     let mut out = SeriesBatch::with_capacity(batch.cols(), batch.rows());
     for row in batch.iter_rows() {
-        out.push_row(&condition_with_policy(row, policy));
+        out.push_row(&crate::filter::condition(row));
     }
     out
 }
@@ -575,8 +494,7 @@ pub fn extract_fast(window: &[f64], scratch: &mut Vec<f64>) -> FeatureVector {
 }
 
 /// Sliding-window features with a shared scratch buffer — what
-/// [`crate::features::sliding_features`] dispatches to under the fast
-/// policies.
+/// [`crate::features::sliding_features`] runs.
 pub fn sliding_features_fast(
     series: &[f64],
     window_len: usize,
@@ -691,22 +609,9 @@ mod tests {
     }
 
     #[test]
-    fn condition_exact_policy_matches_scalar() {
+    fn condition_matches_scalar() {
         let s = bursty_series(400);
-        assert_eq!(
-            condition_with_policy(&s, BatchPolicy::Exact),
-            condition_with_policy(&s, BatchPolicy::Scalar),
-        );
-    }
-
-    #[test]
-    fn condition_reassociated_is_close() {
-        let s = bursty_series(400);
-        let exact = condition_with_policy(&s, BatchPolicy::Exact);
-        let reassoc = condition_with_policy(&s, BatchPolicy::Reassociated);
-        for (a, b) in exact.iter().zip(&reassoc) {
-            assert!((a - b).abs() <= 1e-9 * a.abs().max(1.0), "{a} vs {b}");
-        }
+        assert_eq!(filter::condition(&s), filter::condition_scalar(&s));
     }
 
     #[test]
@@ -763,7 +668,6 @@ mod tests {
         assert!(abs_diff(&[]).is_empty());
         assert!(abs_diff(&[1.0]).is_empty());
         assert_eq!(median_select(&[]), 0.0);
-        assert!(moving_average_reassoc(&[], 2).is_empty());
         let empty = SeriesBatch::new(0);
         assert_eq!(empty.rows(), 0);
         assert!(condition_batch(&empty).is_empty());

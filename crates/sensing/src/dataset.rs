@@ -7,9 +7,9 @@
 //! train/test session separation (no window from a test session ever
 //! appears in training).
 
-use crate::batch::{condition_batch, sliding_features_batch, BatchPolicy, SeriesBatch};
+use crate::batch::{condition_batch, sliding_features_batch, SeriesBatch};
 use crate::classify::{ActivityClass, ConfusionMatrix, KnnClassifier};
-use crate::features::{sliding_features, FeatureVector};
+use crate::features::FeatureVector;
 use crate::filter;
 use polite_wifi_phy::csi::CsiChannel;
 use rand::{Rng, SeedableRng};
@@ -95,22 +95,8 @@ pub fn generate_dataset(
         })
         .collect();
 
-    if BatchPolicy::active() == BatchPolicy::Scalar {
-        // Scalar reference path: one session at a time, verbatim.
-        return specs
-            .iter()
-            .map(|&(class, session_seed)| {
-                let series = generate_session(class, session_len, session_seed, subcarrier);
-                sliding_features(&series, window_len, hop)
-                    .into_iter()
-                    .map(|(_, features)| LabelledWindow { class, features })
-                    .collect()
-            })
-            .collect();
-    }
-
-    // Batched path: every session is a row of one SoA matrix, so
-    // conditioning and feature extraction walk contiguous memory.
+    // Every session is a row of one SoA matrix, so conditioning and
+    // feature extraction walk contiguous memory.
     let mut raw = SeriesBatch::with_capacity(session_len, specs.len());
     for &(class, session_seed) in &specs {
         raw.push_row(&generate_session_raw(
@@ -193,6 +179,7 @@ pub fn mean_std_of_class(sessions: &[Vec<LabelledWindow>], class: ActivityClass)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::features::sliding_features_scalar;
 
     #[test]
     fn class_variability_ordering_holds_on_generated_data() {
@@ -227,17 +214,17 @@ mod tests {
 
     #[test]
     fn batched_dataset_is_bit_identical_to_per_session_reference() {
-        // The batched path must not change a single bit versus running
-        // generate_session + sliding_features one session at a time
-        // (which is what the Scalar policy branch does).
+        // The batched path must not change a single bit versus the
+        // scalar reference chain run one session at a time.
         let (spc, len, win, hop, seed, sc) = (3, 600, 45, 15, 9, 17);
         let got = generate_dataset(spc, len, win, hop, seed, sc);
         let mut want = Vec::new();
         for (ci, &class) in ActivityClass::ALL.iter().enumerate() {
             for s in 0..spc {
                 let session_seed = seed ^ ((ci as u64) << 32) ^ (s as u64 + 1);
-                let series = generate_session(class, len, session_seed, sc);
-                let windows: Vec<LabelledWindow> = sliding_features(&series, win, hop)
+                let raw = generate_session_raw(class, len, session_seed, sc);
+                let series = filter::condition_scalar(&raw);
+                let windows: Vec<LabelledWindow> = sliding_features_scalar(&series, win, hop)
                     .into_iter()
                     .map(|(_, features)| LabelledWindow { class, features })
                     .collect();

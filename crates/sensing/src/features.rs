@@ -74,21 +74,18 @@ pub fn extract(window: &[f64]) -> FeatureVector {
 
 /// Splits `series` into consecutive windows of `window_len` samples
 /// (hopping by `hop`) and extracts features from each. Returns
-/// `(window_start_index, features)` pairs. Dispatches to the one-sort
-/// batched extractor unless the active [`crate::batch::BatchPolicy`] is
-/// `Scalar`; both paths are bit-identical.
+/// `(window_start_index, features)` pairs. Runs the one-sort batched
+/// extractor, bit-identical to [`sliding_features_scalar`].
 pub fn sliding_features(
     series: &[f64],
     window_len: usize,
     hop: usize,
 ) -> Vec<(usize, FeatureVector)> {
-    match crate::batch::BatchPolicy::active() {
-        crate::batch::BatchPolicy::Scalar => sliding_features_scalar(series, window_len, hop),
-        _ => crate::batch::sliding_features_fast(series, window_len, hop),
-    }
+    crate::batch::sliding_features_fast(series, window_len, hop)
 }
 
-/// The scalar reference sliding-window extractor.
+/// The scalar reference sliding-window extractor, kept as the test
+/// oracle.
 pub fn sliding_features_scalar(
     series: &[f64],
     window_len: usize,

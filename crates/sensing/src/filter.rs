@@ -69,15 +69,16 @@ pub fn moving_average(series: &[f64], half_window: usize) -> Vec<f64> {
 }
 
 /// The standard conditioning chain: Hampel (±5 samples, 3σ) then a
-/// moving average (±2 samples). Dispatches to the batched kernels under
-/// the active [`crate::batch::BatchPolicy`]; the default `Exact` policy
-/// is bit-identical to [`condition_scalar`].
+/// moving average (±2 samples). The Hampel stage runs the exact kernel
+/// [`crate::batch::hampel_exact`]; the ±2 moving average keeps the
+/// reference summation order (5 adds per output). Bit-identical to
+/// [`condition_scalar`].
 pub fn condition(series: &[f64]) -> Vec<f64> {
-    crate::batch::condition_with_policy(series, crate::batch::BatchPolicy::active())
+    moving_average(&crate::batch::hampel_exact(series, 5, 3.0), 2)
 }
 
-/// The scalar reference conditioning chain, kept verbatim as the
-/// semantics the batched kernels are pinned against.
+/// The scalar reference conditioning chain, kept verbatim as the test
+/// oracle the batched kernels are pinned against.
 pub fn condition_scalar(series: &[f64]) -> Vec<f64> {
     moving_average(&hampel(series, 5, 3.0), 2)
 }
@@ -162,10 +163,6 @@ mod tests {
         let series: Vec<f64> = (0..300)
             .map(|i| 5.0 + ((i * 2654435761u64 % 1000) as f64 / 1000.0 - 0.5))
             .collect();
-        // Under the default Exact policy the dispatching entry point must
-        // be bit-identical to the scalar chain.
-        if crate::batch::BatchPolicy::active() != crate::batch::BatchPolicy::Reassociated {
-            assert_eq!(condition(&series), condition_scalar(&series));
-        }
+        assert_eq!(condition(&series), condition_scalar(&series));
     }
 }

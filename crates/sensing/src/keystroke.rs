@@ -46,26 +46,14 @@ pub fn detect_keystrokes(series: &[f64], config: &KeystrokeDetectorConfig) -> Ve
     if series.len() < 8 {
         return Vec::new();
     }
-    // Burst score: smoothed magnitude of the first difference. Under the
-    // fast policies the diff uses the lane-chunked kernel (elementwise,
-    // exact) and the threshold median is selected in O(n) instead of
-    // sorted — same values either way.
-    let scalar = crate::batch::BatchPolicy::active() == crate::batch::BatchPolicy::Scalar;
+    // Burst score: smoothed magnitude of the first difference. The diff
+    // uses the lane-chunked kernel (elementwise, exact) and the threshold
+    // median is selected in O(n) instead of sorted — the same values as
+    // the scalar chain.
     let conditioned = filter::condition(series);
-    let diffs: Vec<f64> = if scalar {
-        conditioned
-            .windows(2)
-            .map(|w| (w[1] - w[0]).abs())
-            .collect()
-    } else {
-        crate::batch::abs_diff(&conditioned)
-    };
+    let diffs = crate::batch::abs_diff(&conditioned);
     let score = filter::moving_average(&diffs, config.smooth_half_window);
-    let median = if scalar {
-        filter::median(&score)
-    } else {
-        crate::batch::median_select(&score)
-    };
+    let median = crate::batch::median_select(&score);
     let threshold = median.max(1e-9) * config.threshold_factor;
 
     // Peak-pick above threshold with a refractory period.

@@ -15,8 +15,8 @@
 //! * [`classify`] — threshold and 1-NN activity classifiers,
 //! * [`keystroke`] — typing-burst detection on the filtered series,
 //!
-//! * [`batch`] — batched SoA kernels behind a [`batch::BatchPolicy`]
-//!   knob (the scalar modules above stay the reference semantics),
+//! * [`batch`] — batched SoA kernels, the production path (the scalar
+//!   modules above stay the reference semantics and test oracle),
 //!
 //! plus two of the paper's explicitly-posed open questions, answered on
 //! the synthetic channel:
@@ -36,7 +36,7 @@ pub mod script;
 pub mod segment;
 pub mod series;
 
-pub use batch::{BatchPolicy, SeriesBatch};
+pub use batch::SeriesBatch;
 pub use breathing::{estimate_breathing_rate, BreathingEstimate};
 pub use classify::{ActivityClass, KnnClassifier, ThresholdClassifier};
 pub use occupancy::{detect_occupancy, OccupancyConfig, OccupancyInterval};

@@ -1,10 +1,10 @@
-//! Property tests pinning the batched kernels to the scalar reference —
-//! the `BatchPolicy` contract: `Exact` is value-identical (`==`, no
-//! tolerance) and `Reassociated` stays within the documented bound.
+//! Property tests pinning the batched kernels — the production sensing
+//! path — to the scalar reference: value-identical (`==`, no tolerance).
 
-use polite_wifi_sensing::batch::{self, BatchPolicy, SeriesBatch};
+use polite_wifi_sensing::batch::{self, SeriesBatch};
 use polite_wifi_sensing::features;
 use polite_wifi_sensing::filter;
+use polite_wifi_sensing::keystroke::{detect_keystrokes, KeystrokeDetectorConfig, KeystrokeEvent};
 use polite_wifi_sensing::segment::{segment, segment_from_features, SegmenterConfig};
 use proptest::prelude::*;
 
@@ -27,6 +27,44 @@ fn arb_series(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
     )
 }
 
+/// The keystroke detector spelled out on the scalar reference stages:
+/// `condition_scalar`, a `windows(2)` first difference, the moving
+/// average and a sorted-median threshold, then the same peak picking.
+fn scalar_keystrokes(series: &[f64], config: &KeystrokeDetectorConfig) -> Vec<KeystrokeEvent> {
+    if series.len() < 8 {
+        return Vec::new();
+    }
+    let conditioned = filter::condition_scalar(series);
+    let diffs: Vec<f64> = conditioned
+        .windows(2)
+        .map(|w| (w[1] - w[0]).abs())
+        .collect();
+    let score = filter::moving_average(&diffs, config.smooth_half_window);
+    let threshold = filter::median(&score).max(1e-9) * config.threshold_factor;
+    let mut events = Vec::new();
+    let mut i = 0;
+    while i < score.len() {
+        if score[i] < threshold {
+            i += 1;
+            continue;
+        }
+        let mut peak = i;
+        let mut j = i;
+        while j < score.len() && score[j] >= threshold {
+            if score[j] > score[peak] {
+                peak = j;
+            }
+            j += 1;
+        }
+        events.push(KeystrokeEvent {
+            index: peak,
+            score: score[peak],
+        });
+        i = (peak + config.refractory).max(j);
+    }
+    events
+}
+
 proptest! {
     #[test]
     fn hampel_exact_is_bit_identical(series in arb_series(200), hw in 0usize..8) {
@@ -42,27 +80,20 @@ proptest! {
     }
 
     #[test]
-    fn conditioning_exact_matches_scalar(series in arb_series(300)) {
-        prop_assert_eq!(
-            batch::condition_with_policy(&series, BatchPolicy::Exact),
-            batch::condition_with_policy(&series, BatchPolicy::Scalar)
-        );
+    fn conditioning_matches_scalar(series in arb_series(300)) {
+        prop_assert_eq!(filter::condition(&series), filter::condition_scalar(&series));
     }
 
     #[test]
-    fn conditioning_reassociated_within_tolerance(series in arb_series(300)) {
-        // The documented Reassociated bound: prefix-sum moving averages
-        // accumulate rounding across the running sum; relative error
-        // stays far below 1e-9 for amplitude-scale inputs.
-        let exact = batch::condition_with_policy(&series, BatchPolicy::Exact);
-        let reassoc = batch::condition_with_policy(&series, BatchPolicy::Reassociated);
-        prop_assert_eq!(exact.len(), reassoc.len());
-        for (a, b) in exact.iter().zip(&reassoc) {
-            prop_assert!(
-                (a - b).abs() <= 1e-9 * a.abs().max(1.0),
-                "exact {} vs reassociated {}", a, b
-            );
-        }
+    fn keystroke_detection_matches_scalar_chain(series in arb_series(300),
+                                                smooth_half_window in 0usize..6,
+                                                threshold_factor in 1.0f64..6.0,
+                                                refractory in 0usize..40) {
+        let config = KeystrokeDetectorConfig { smooth_half_window, threshold_factor, refractory };
+        prop_assert_eq!(
+            detect_keystrokes(&series, &config),
+            scalar_keystrokes(&series, &config)
+        );
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! A pocket-sized wardriving survey (§3): drive past a neighbourhood of
 //! the Table 2 city and verify that every discovered device ACKs fakes.
 //!
-//! The full 5,328-device survey lives in the bench harness
-//! (`cargo run --release -p polite-wifi-bench --bin exp_table2_wardrive`);
+//! The full 5,328-device survey is a committed scenario
+//! (`cargo run --release --bin exp_run -- scenarios/table2_wardrive.json`);
 //! this example scans a 120-device slice so it finishes in seconds.
 //!
 //! ```sh

@@ -262,7 +262,8 @@ fn mini_city() -> CityWardrive {
 /// 100k-device path — cell grid, calendar queue, SoA arena, per-segment
 /// seeds — produces a byte-identical merged envelope at 1, 4 and 8
 /// workers. Pinned here on a scaled-down city so tier-1 stays fast; the
-/// full-size run is `exp_city_wardrive` (CI's city-smoke job).
+/// full-size run is `exp_run scenarios/city_wardrive.json` (CI's
+/// city-smoke job).
 #[test]
 fn city_wardrive_envelope_is_worker_invariant() {
     let run = |workers: usize| {
