@@ -44,8 +44,7 @@
 //! ```
 //!
 //! The report is rendered and the baseline parsed with
-//! `polite_wifi_obs::json` (the vendored serde_json is write-only by
-//! design).
+//! `polite_wifi_obs::json`, the workspace's one JSON stack.
 
 use polite_wifi_frame::{builder, fcs, Frame, MacAddr};
 use polite_wifi_mac::StationConfig;

@@ -363,7 +363,14 @@ impl FollowTable {
     fn header() -> String {
         format!(
             "{:>5}  {:<18} {:>11} {:>9} {:>10} {:>9} {:>9} {:>8}  {}",
-            "seq", "event", "trials", "frames/s", "delivered", "fer_drop", "collided", "stalled",
+            "seq",
+            "event",
+            "trials",
+            "frames/s",
+            "delivered",
+            "fer_drop",
+            "collided",
+            "stalled",
             "detail"
         )
     }
@@ -630,10 +637,18 @@ mod tests {
             data: data.to_string(),
         };
 
-        let row = table.line(&event(0, "job_accepted", r#"{"seq":0,"kind":"job_accepted","job":1,"trials":8}"#));
+        let row = table.line(&event(
+            0,
+            "job_accepted",
+            r#"{"seq":0,"kind":"job_accepted","job":1,"trials":8}"#,
+        ));
         assert!(row.starts_with("    0  job_accepted"), "{row}");
 
-        table.line(&event(1, "trial_finished", r#"{"seq":1,"kind":"trial_finished","done":3,"total":8}"#));
+        table.line(&event(
+            1,
+            "trial_finished",
+            r#"{"seq":1,"kind":"trial_finished","done":3,"total":8}"#,
+        ));
         assert_eq!(table.trials_done, 3);
         assert_eq!(table.trials_total, 8);
 
@@ -648,7 +663,11 @@ mod tests {
         assert!(row.contains("1200"), "{row}");
 
         // The terminal event carries its detail through to the row.
-        let row = table.line(&event(3, "job_finished", r#"{"seq":3,"kind":"job_finished","detail":"done","cached":0}"#));
+        let row = table.line(&event(
+            3,
+            "job_finished",
+            r#"{"seq":3,"kind":"job_finished","detail":"done","cached":0}"#,
+        ));
         assert!(row.ends_with("done"), "{row}");
     }
 

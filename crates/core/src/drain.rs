@@ -11,10 +11,9 @@ use polite_wifi_mac::{Behavior, StationConfig};
 use polite_wifi_phy::rate::BitRate;
 use polite_wifi_power::{Battery, DrainProjection, PowerProfile, StateDurations};
 use polite_wifi_sim::{FaultProfile, SimConfig, Simulator};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of one drain measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatteryDrainAttack {
     /// Fake-frame rate in packets per second (0 = no attack).
     pub rate_pps: u32,
@@ -45,7 +44,7 @@ impl Default for BatteryDrainAttack {
 }
 
 /// The outcome of one drain measurement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DrainMeasurement {
     /// Attack rate.
     pub rate_pps: u32,
@@ -58,6 +57,10 @@ pub struct DrainMeasurement {
     /// ACKs the victim transmitted during the whole run.
     pub acks_sent: u64,
 }
+
+polite_wifi_obs::impl_to_json! { DrainMeasurement {
+    rate_pps, durations, average_power_mw, sleep_fraction, acks_sent
+} }
 
 impl BatteryDrainAttack {
     /// Runs the attack scenario and measures the victim.

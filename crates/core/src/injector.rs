@@ -7,10 +7,9 @@
 use polite_wifi_frame::{builder, Frame, MacAddr};
 use polite_wifi_phy::rate::BitRate;
 use polite_wifi_sim::{NodeId, Simulator};
-use serde::{Deserialize, Serialize};
 
 /// What kind of fake frame to inject.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InjectionKind {
     /// Unencrypted null-function data frames (the paper's default).
     NullData,
@@ -20,7 +19,7 @@ pub enum InjectionKind {
 }
 
 /// A planned injection stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InjectionPlan {
     /// Victim receiver address.
     pub victim: MacAddr,

@@ -16,10 +16,9 @@ use polite_wifi_sensing::keystroke::{
 };
 use polite_wifi_sensing::{filter, sample_rate_hz, MotionScript};
 use polite_wifi_sim::{FaultProfile, SimConfig, Simulator};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the keystroke-inference attack.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KeystrokeAttack {
     /// Fake-frame rate (the paper uses 150/s).
     pub rate_pps: u32,
@@ -47,7 +46,7 @@ impl KeystrokeAttack {
 }
 
 /// Per-phase summary statistics for the reported subcarrier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseStat {
     /// Phase label from the script.
     pub label: String,
@@ -63,8 +62,10 @@ pub struct PhaseStat {
     pub std_dev: f64,
 }
 
+polite_wifi_obs::impl_to_json! { PhaseStat { label, start_us, end_us, samples, mean, std_dev } }
+
 /// Everything the attack recovered.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KeystrokeAttackResult {
     /// Fake frames injected.
     pub fakes_sent: u64,

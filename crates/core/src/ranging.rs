@@ -11,10 +11,9 @@
 use polite_wifi_frame::{ControlFrame, Frame, MacAddr};
 use polite_wifi_pcap::capture::Capture;
 use polite_wifi_phy::pathloss::PathLoss;
-use serde::{Deserialize, Serialize};
 
 /// A distance estimate from elicited ACK RSSI.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RangeEstimate {
     /// Number of ACK RSSI samples used.
     pub samples: usize,

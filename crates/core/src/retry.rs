@@ -11,8 +11,6 @@
 //! and a caller-supplied key — no wall clock, no shared RNG — so retry
 //! schedules are byte-identical across worker counts and replay runs.
 
-use serde::{Deserialize, Serialize};
-
 /// Retry/backoff policy for one attack pipeline.
 ///
 /// The defaults are deliberately gentle: the first
@@ -20,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// which keeps a clean-channel run's injection schedule identical to a
 /// policy-free pipeline (paper-anchor numbers stay pinned), and backoff
 /// only shapes the long tail that a clean channel never reaches.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Attempts re-issued immediately (no backoff). Covers one nominal
     /// dwell of 250 ms injection rounds, so clean runs are unchanged.

@@ -29,7 +29,6 @@ use polite_wifi_sim::{
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// A discovery: a transmitter address, the role the sniffer *infers*
@@ -40,7 +39,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 type Discovery = (MacAddr, Role, bool);
 
 /// Scanner configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WardriveScanner {
     /// Simulation seed.
     pub seed: u64,
@@ -70,7 +69,7 @@ impl Default for WardriveScanner {
 }
 
 /// The survey's outcome — everything Table 2 reports.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScanReport {
     /// Devices whose transmissions the sniffer heard.
     pub discovered: usize,
@@ -99,6 +98,11 @@ pub struct ScanReport {
     /// Simulated survey time, µs.
     pub survey_time_us: u64,
 }
+
+polite_wifi_obs::impl_to_json! { ScanReport {
+    discovered, verified, client_counts, ap_counts, total_clients, total_aps, client_vendor_count,
+    ap_vendor_count, distinct_vendor_count, quarantined, pmf_aps, survey_time_us
+} }
 
 /// Thread 1 of the paper's pipeline, as inline state: discover devices
 /// by sniffing. Emits each transmitter address the first time it is
@@ -675,7 +679,7 @@ impl Default for CityWardrive {
 }
 
 /// What the city drive measured.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CityReport {
     /// Population size the drive covered.
     pub devices: usize,
@@ -694,6 +698,10 @@ pub struct CityReport {
     /// Simulated survey time, µs, summed over segments.
     pub survey_time_us: u64,
 }
+
+polite_wifi_obs::impl_to_json! { CityReport {
+    devices, segments, discovered, verified, events_dispatched, occupied_cells, survey_time_us
+} }
 
 /// One city segment's outcome, in emission order.
 struct CitySegmentOutcome {

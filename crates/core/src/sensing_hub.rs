@@ -9,6 +9,7 @@ use crate::injector::InjectionPlan;
 use polite_wifi_frame::{builder, ControlFrame, Frame, MacAddr};
 use polite_wifi_harness::{derive_trial_seed, Runner};
 use polite_wifi_mac::StationConfig;
+use polite_wifi_obs::json::{JsonWriter, ToJson};
 use polite_wifi_obs::{names, Obs};
 use polite_wifi_phy::csi::{CsiChannel, CsiConfig};
 use polite_wifi_phy::rate::BitRate;
@@ -16,10 +17,9 @@ use polite_wifi_sensing::batch::{self, SeriesBatch};
 use polite_wifi_sensing::segment::{segment, Segment, SegmenterConfig};
 use polite_wifi_sensing::{filter, MotionScript};
 use polite_wifi_sim::{FaultProfile, SimConfig, Simulator};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the sensing hub.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SensingHub {
     /// Fake-frame rate aimed at *each* target (the paper cites 100–1000
     /// packets/s as the sensing requirement).
@@ -44,7 +44,7 @@ impl Default for SensingHub {
 }
 
 /// What the hub sensed at one target.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TargetSensing {
     /// The unmodified neighbour polled.
     pub target: MacAddr,
@@ -54,8 +54,21 @@ pub struct TargetSensing {
     pub motion_windows_us: Vec<(u64, u64)>,
 }
 
+impl ToJson for TargetSensing {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object()
+            .key("target")
+            .value(&self.target.0)
+            .key("samples")
+            .value(&self.samples)
+            .key("motion_windows_us")
+            .value(&self.motion_windows_us)
+            .end_object();
+    }
+}
+
 /// The hub's full report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SensingReport {
     /// Devices whose software was modified (always 1 — the hub).
     pub devices_modified: usize,
@@ -64,6 +77,10 @@ pub struct SensingReport {
     /// Per-target results.
     pub targets: Vec<TargetSensing>,
 }
+
+polite_wifi_obs::impl_to_json! { SensingReport {
+    devices_modified, devices_participating, targets
+} }
 
 impl SensingHub {
     /// Runs the sensing scenario: `scripts[i]` is the ground-truth motion
@@ -179,7 +196,7 @@ impl SensingHub {
 /// are processed in row batches of `links_per_batch`; work fans out
 /// across workers per batch and merges in batch order, so the report and
 /// the absorbed [`Obs`] counters are byte-identical at any worker count.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchSensingHub {
     /// Number of sensed links.
     pub links: usize,
@@ -212,7 +229,7 @@ impl Default for BatchSensingHub {
 }
 
 /// One link's outcome in a [`BatchHubReport`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinkSensing {
     /// Link index.
     pub link: usize,
@@ -220,8 +237,10 @@ pub struct LinkSensing {
     pub motion_windows_us: Vec<(u64, u64)>,
 }
 
+polite_wifi_obs::impl_to_json! { LinkSensing { link, motion_windows_us } }
+
 /// What the batched hub sensed across all links.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchHubReport {
     /// Links sensed.
     pub links: usize,
@@ -237,6 +256,10 @@ pub struct BatchHubReport {
     /// envelope small at 1k links).
     pub detections: Vec<LinkSensing>,
 }
+
+polite_wifi_obs::impl_to_json! { BatchHubReport {
+    links, batches, samples_per_link, motion_links, motion_windows, detections
+} }
 
 impl BatchSensingHub {
     /// The deterministic ground-truth script for one link: every third

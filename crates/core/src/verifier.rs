@@ -8,10 +8,9 @@
 
 use polite_wifi_frame::{ControlFrame, Frame, MacAddr};
 use polite_wifi_pcap::capture::Capture;
-use serde::{Deserialize, Serialize};
 
 /// One verified fake→ACK exchange.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VerifiedExchange {
     /// The victim that answered.
     pub victim: MacAddr,

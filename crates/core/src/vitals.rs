@@ -6,15 +6,15 @@
 use crate::injector::{FakeFrameInjector, InjectionKind, InjectionPlan};
 use polite_wifi_frame::{ControlFrame, Frame, MacAddr};
 use polite_wifi_mac::StationConfig;
+use polite_wifi_obs::json::{JsonWriter, ToJson};
 use polite_wifi_phy::csi::CsiChannel;
 use polite_wifi_phy::rate::BitRate;
 use polite_wifi_sensing::breathing::{estimate_breathing_rate, BreathingEstimate};
 use polite_wifi_sensing::{sample_rate_hz, MotionScript};
 use polite_wifi_sim::{FaultProfile, SimConfig, Simulator};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the breathing-sensing attack.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VitalSignsAttack {
     /// Fake-frame rate (sensing needs 100–1000 pps per the paper).
     pub rate_pps: u32,
@@ -44,7 +44,7 @@ impl Default for VitalSignsAttack {
 }
 
 /// What the attack recovered.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VitalSignsResult {
     /// Ground truth.
     pub true_bpm: f64,
@@ -54,6 +54,30 @@ pub struct VitalSignsResult {
     pub sample_rate_hz: f64,
     /// The spectral estimate, if the series was long enough.
     pub estimate: Option<BreathingEstimate>,
+}
+
+impl ToJson for VitalSignsResult {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object()
+            .key("true_bpm")
+            .f64(self.true_bpm)
+            .key("samples")
+            .value(&self.samples)
+            .key("sample_rate_hz")
+            .f64(self.sample_rate_hz)
+            .key("estimate");
+        match &self.estimate {
+            Some(e) => w
+                .begin_object()
+                .key("bpm")
+                .f64(e.bpm)
+                .key("confidence")
+                .f64(e.confidence)
+                .end_object(),
+            None => w.null(),
+        };
+        w.end_object();
+    }
 }
 
 impl VitalSignsAttack {

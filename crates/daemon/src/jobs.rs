@@ -16,6 +16,7 @@
 //! the drain loop wake up.
 
 use polite_wifi_harness::{CancelToken, ChannelProgress};
+use polite_wifi_obs::json;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -118,7 +119,7 @@ impl Job {
                 "{{\"id\": {}, \"state\": \"{}\", \"key\": \"{}\", \"slug\": \"{}\", ",
                 "\"runner\": \"{}\", \"attempts\": {}, \"cached\": {}, ",
                 "\"elapsed_ms\": {}, \"trials\": {}, \"trials_done\": {}, ",
-                "\"workers\": {}, \"seed\": {}, \"events\": {}, {}\"detail\": \"{}\"}}"
+                "\"workers\": {}, \"seed\": {}, \"events\": {}, {}\"detail\": {}}}"
             ),
             self.id,
             self.state.name(),
@@ -134,26 +135,9 @@ impl Job {
             self.seed,
             self.recorder.hub().published(),
             position,
-            escape(&self.detail),
+            json::to_string(self.detail.as_str()),
         )
     }
-}
-
-/// Minimal JSON string escaping for the detail field.
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

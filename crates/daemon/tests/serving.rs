@@ -335,7 +335,10 @@ fn watch_stream_resumes_exactly_and_ends_at_job_finished() {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
         let (_, _, body) = http::request(daemon.addr(), "GET", "/jobs/1", b"").unwrap();
-        if String::from_utf8(body).unwrap().contains("\"state\": \"running\"") {
+        if String::from_utf8(body)
+            .unwrap()
+            .contains("\"state\": \"running\"")
+        {
             break;
         }
         assert!(Instant::now() < deadline, "job 1 never started");
@@ -380,7 +383,10 @@ fn watch_stream_resumes_exactly_and_ends_at_job_finished() {
     }
     let terminal = rest.last().unwrap();
     assert_eq!(terminal.event, "job_finished", "{rest:?}");
-    assert!(terminal.data.contains("\"detail\":\"done\""), "{terminal:?}");
+    assert!(
+        terminal.data.contains("\"detail\":\"done\""),
+        "{terminal:?}"
+    );
     assert_eq!(daemon.counter(names::DAEMON_WATCH_SUBSCRIBED), 2);
     assert_eq!(daemon.counter(names::DAEMON_WATCH_RESUMED), 1);
     assert!(
@@ -404,7 +410,8 @@ fn watch_stream_resumes_exactly_and_ends_at_job_finished() {
     let status_doc = poll_until_terminal(&daemon, 1);
     assert!(status_doc.contains("\"trials_done\": 60"), "{status_doc}");
     // ... and the supervisor has sampled counters into the history ring.
-    let (status, _, history) = http::request(daemon.addr(), "GET", "/metrics/history", b"").unwrap();
+    let (status, _, history) =
+        http::request(daemon.addr(), "GET", "/metrics/history", b"").unwrap();
     assert_eq!(status, 200);
     let history = String::from_utf8(history).unwrap();
     assert!(history.contains("\"windows\":[{"), "{history}");

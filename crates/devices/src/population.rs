@@ -8,7 +8,6 @@ use polite_wifi_phy::band::Band;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Table 2, left half: the top-20 client-device vendors and their counts.
@@ -72,7 +71,7 @@ pub const AP_VENDORS: u32 = 94;
 pub const TOTAL_VENDORS: u32 = 186;
 
 /// One device in the city.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceSpec {
     /// The device's MAC address (OUI attributes it to its vendor).
     pub mac: MacAddr,

@@ -2,10 +2,9 @@
 
 use polite_wifi_mac::{Behavior, Role};
 use polite_wifi_phy::band::Band;
-use serde::{Deserialize, Serialize};
 
 /// The 802.11 amendment a device speaks (as Table 1 lists it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WifiStandard {
     /// 802.11n.
     N,
@@ -24,7 +23,7 @@ impl WifiStandard {
 }
 
 /// A concrete device profile: what the survey knows about one node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceProfile {
     /// Marketing/device name.
     pub device: String,
@@ -44,7 +43,7 @@ pub struct DeviceProfile {
 
 /// The five devices of Table 1 (plus the tablet victim of Section 2's
 /// first experiment).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Table1Device {
     /// MSI GE62 laptop — Intel AC 3160, 11ac.
     MsiGe62Laptop,

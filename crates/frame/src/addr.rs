@@ -3,14 +3,13 @@
 use crate::error::FrameError;
 use core::fmt;
 use core::str::FromStr;
-use serde::{Deserialize, Serialize};
 
 /// A 48-bit IEEE 802 MAC address.
 ///
 /// The paper's attacker forges the transmitter address as
 /// `aa:bb:bb:bb:bb:bb` ([`MacAddr::FAKE`]); the only field a Polite-WiFi
 /// victim actually checks before acknowledging is the *receiver* address.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MacAddr(pub [u8; 6]);
 
 impl MacAddr {

@@ -8,10 +8,9 @@
 
 use crate::addr::MacAddr;
 use crate::error::FrameError;
-use serde::{Deserialize, Serialize};
 
 /// The 2-bit frame type from the Frame Control field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FrameType {
     /// Management frames (beacons, deauthentication, probes, ...). These can
     /// be protected by 802.11w.
@@ -86,7 +85,7 @@ pub mod data_subtype {
 
 /// The decoded Frame Control field: protocol version, type/subtype and the
 /// eight flag bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FrameControl {
     /// 2-bit protocol version; always 0 on the air today.
     pub version: u8,
@@ -221,7 +220,7 @@ impl FrameControl {
 }
 
 /// A decoded control frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ControlFrame {
     /// Request To Send: reserves the medium for `duration_us`.
     Rts {

@@ -4,10 +4,9 @@ use crate::addr::MacAddr;
 use crate::control::{data_subtype, FrameControl, FrameType};
 use crate::error::FrameError;
 use crate::seq::SequenceControl;
-use serde::{Deserialize, Serialize};
 
 /// The payload of a data frame.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DataBody {
     /// Null function (no data) — a header-only frame. This is the fake
     /// frame of Figures 1 and 2: the only valid field is the receiver
@@ -35,7 +34,7 @@ impl DataBody {
 
 /// A data frame: MAC header (3 or 4 addresses, optional QoS control) plus
 /// an optional payload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DataFrame {
     /// Frame Control field.
     pub fc: FrameControl,

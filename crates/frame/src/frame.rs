@@ -7,10 +7,9 @@ use crate::data::DataFrame;
 use crate::error::FrameError;
 use crate::fcs;
 use crate::mgmt::{ManagementBody, ManagementFrame};
-use serde::{Deserialize, Serialize};
 
 /// Any 802.11 frame this codec understands.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
     /// Management frame.
     Mgmt(ManagementFrame),

@@ -1,7 +1,6 @@
 //! Information elements (tagged parameters) in management frame bodies.
 
 use crate::error::FrameError;
-use serde::{Deserialize, Serialize};
 
 /// Well-known element ids.
 pub mod element_id {
@@ -18,7 +17,7 @@ pub mod element_id {
 
 /// A raw information element: a one-byte id, one-byte length and up to 255
 /// bytes of payload.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InformationElement {
     /// Element id.
     pub id: u8,

@@ -7,10 +7,9 @@ use crate::error::FrameError;
 use crate::ie::InformationElement;
 use crate::reason::ReasonCode;
 use crate::seq::SequenceControl;
-use serde::{Deserialize, Serialize};
 
 /// The body of a management frame, by subtype.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ManagementBody {
     /// Beacon: timestamp, beacon interval (TUs), capabilities, elements.
     Beacon {
@@ -103,7 +102,7 @@ impl ManagementBody {
 }
 
 /// A full management frame: the common 24-byte MAC header plus a typed body.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ManagementFrame {
     /// Frame Control field.
     pub fc: FrameControl,

@@ -1,7 +1,5 @@
 //! Reason and status codes carried by management frames.
 
-use serde::{Deserialize, Serialize};
-
 /// Deauthentication / disassociation reason codes (IEEE 802.11-2016
 /// Table 9-45, the subset relevant here).
 ///
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// deauthentication bursts — typically
 /// [`ReasonCode::ClassThreeFrameFromNonassociatedSta`] — while *still*
 /// acknowledging the very frames they are complaining about.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ReasonCode {
     /// 1 — Unspecified reason.
     Unspecified,

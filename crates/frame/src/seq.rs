@@ -1,7 +1,6 @@
 //! The Sequence Control field and the sequence-number counter.
 
 use crate::error::FrameError;
-use serde::{Deserialize, Serialize};
 
 /// The 16-bit Sequence Control field: a 4-bit fragment number and a 12-bit
 /// sequence number.
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// Receivers use `(transmitter, seq, frag)` tuples for duplicate detection —
 /// which is also how the paper's AP in Figure 3 keeps re-sending
 /// deauthentication frames with the *same* sequence number (retries).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct SequenceControl {
     /// 4-bit fragment number.
     pub fragment: u8,

@@ -5,8 +5,6 @@
 //! order, so the summary an experiment reports is independent of how
 //! many workers ran it.
 
-use serde::Serialize;
-
 /// One named metric: an ordered accumulator over recorded samples.
 #[derive(Debug, Clone, PartialEq)]
 struct Metric {
@@ -40,7 +38,7 @@ impl Metric {
 }
 
 /// Serializable summary of one metric, reported in result JSON.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricSummary {
     pub name: String,
     pub samples: u64,
@@ -49,6 +47,8 @@ pub struct MetricSummary {
     pub max: f64,
     pub total: f64,
 }
+
+polite_wifi_obs::impl_to_json! { MetricSummary { name, samples, mean, min, max, total } }
 
 /// Ordered, named metric accumulators.
 ///

@@ -258,8 +258,10 @@ mod tests {
     fn stderr_sink_rate_limit_suppresses_render_lazily() {
         // An hour-long interval: the first sample renders, the second
         // must be suppressed WITHOUT calling the render closure.
-        let sink =
-            StderrProgress::with_heartbeat(Heartbeat::with_interval(true, Duration::from_secs(3600)));
+        let sink = StderrProgress::with_heartbeat(Heartbeat::with_interval(
+            true,
+            Duration::from_secs(3600),
+        ));
         let rendered = AtomicU64::new(0);
         let render = || {
             rendered.fetch_add(1, Ordering::Relaxed);

@@ -15,13 +15,12 @@
 //! `payload`. Consumers (EXPERIMENTS.md tooling, plots) can rely on the
 //! envelope without knowing any experiment's payload shape.
 
-use crate::ledger::{MetricSummary, MetricsLedger};
+use crate::ledger::MetricsLedger;
 use crate::progress::{self, ProgressSample, ProgressSink, StderrProgress};
 use crate::runner::{RunArgs, Runner, TrialCtx, TrialFailure};
 use crate::sink;
+use polite_wifi_obs::json::{self, JsonWriter, ToJson};
 use polite_wifi_obs::{names, Obs, ObsConfig};
-use serde::Serialize;
-use serde_json::Value;
 use std::io;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -56,11 +55,10 @@ pub fn results_dir() -> PathBuf {
         .unwrap_or_else(|_| PathBuf::from("results"))
 }
 
-/// Serialises a value to `results/<name>.json` through [`write_text`].
-/// Returns the path written.
-pub fn write_json<T: Serialize + ?Sized>(name: &str, value: &T) -> io::Result<PathBuf> {
-    let json = serde_json::to_string_pretty(value).map_err(io::Error::other)?;
-    write_text(name, &json)
+/// Writes a value, pretty-printed, to `results/<name>.json` through
+/// [`write_text`]. Returns the path written.
+pub fn write_json<T: ToJson + ?Sized>(name: &str, value: &T) -> io::Result<PathBuf> {
+    write_text(name, &json::to_string_pretty(value))
 }
 
 /// Writes already-rendered JSON text to `results/<name>.json`, creating
@@ -82,124 +80,6 @@ pub fn write_text(name: &str, text: &str) -> io::Result<PathBuf> {
             Err(e)
         }
     }
-}
-
-/// The fixed envelope every experiment result is written in.
-#[derive(Serialize)]
-struct ReportEnvelope {
-    experiment: String,
-    paper_ref: String,
-    seed: u64,
-    trials: u64,
-    workers: u64,
-    quick: bool,
-    faults: String,
-    metrics: Vec<MetricSummary>,
-    trial_failures: Vec<TrialFailure>,
-    obs: Value,
-    payload: Value,
-}
-
-/// Lowers an observability scope into the envelope's `obs` field:
-/// counters and histograms in sorted-name order (matching
-/// [`Obs::metrics_json`], so the envelope inherits its byte-stability
-/// across worker counts).
-fn obs_value(obs: &Obs) -> Value {
-    let counters: Vec<(String, Value)> = obs
-        .counters
-        .sorted()
-        .into_iter()
-        .map(|(name, v)| (name.to_string(), Value::UInt(v)))
-        .collect();
-    let histograms: Vec<(String, Value)> = obs
-        .histograms
-        .sorted()
-        .into_iter()
-        .map(|(name, h)| {
-            let buckets: Vec<(String, Value)> = h
-                .buckets
-                .iter()
-                .enumerate()
-                .filter(|(_, n)| **n > 0)
-                .map(|(i, n)| (i.to_string(), Value::UInt(*n)))
-                .collect();
-            (
-                name.to_string(),
-                Value::Object(vec![
-                    ("count".to_string(), Value::UInt(h.count)),
-                    ("sum".to_string(), Value::UInt(h.sum)),
-                    (
-                        "min".to_string(),
-                        Value::UInt(if h.count == 0 { 0 } else { h.min }),
-                    ),
-                    ("max".to_string(), Value::UInt(h.max)),
-                    ("buckets".to_string(), Value::Object(buckets)),
-                ]),
-            )
-        })
-        .collect();
-    // Scheduler self-profiler attribution: count and *virtual-time*
-    // totals only. Wall-clock stats are machine-dependent and stay out
-    // of the envelope (they surface on stderr; see `finish_with_status`),
-    // so the byte-identical-across-workers guarantee holds.
-    let profiler: Vec<(String, Value)> = obs
-        .profiler
-        .sorted()
-        .into_iter()
-        .map(|(kind, stat)| {
-            (
-                kind.to_string(),
-                Value::Object(vec![
-                    ("count".to_string(), Value::UInt(stat.count)),
-                    ("virt_total_us".to_string(), Value::UInt(stat.virt_total_us)),
-                    ("virt_max_us".to_string(), Value::UInt(stat.virt_max_us)),
-                ]),
-            )
-        })
-        .collect();
-    // Sampled causal frame timelines (inject → tx → medium fate → SIFS
-    // response → verify), already deterministic: trace IDs are injection
-    // ordinals and sampling is a pure function of (seed, id).
-    let frame_traces: Vec<Value> = obs
-        .traces
-        .traces()
-        .iter()
-        .map(|t| {
-            let hops: Vec<Value> = t
-                .hops
-                .iter()
-                .map(|h| {
-                    Value::Object(vec![
-                        ("ts_us".to_string(), Value::UInt(h.ts_us)),
-                        ("node".to_string(), Value::UInt(h.node)),
-                        ("kind".to_string(), Value::String(h.kind.clone())),
-                        ("arg".to_string(), Value::UInt(h.arg)),
-                    ])
-                })
-                .collect();
-            Value::Object(vec![
-                ("trace_id".to_string(), Value::UInt(t.trace_id)),
-                ("group".to_string(), Value::UInt(t.group)),
-                ("hops".to_string(), Value::Array(hops)),
-            ])
-        })
-        .collect();
-    Value::Object(vec![
-        ("counters".to_string(), Value::Object(counters)),
-        ("histograms".to_string(), Value::Object(histograms)),
-        ("profiler".to_string(), Value::Object(profiler)),
-        ("frame_traces".to_string(), Value::Array(frame_traces)),
-        ("spans_dropped".to_string(), Value::UInt(obs.spans.dropped)),
-        ("events_evicted".to_string(), Value::UInt(obs.ring.evicted)),
-        (
-            "traces_dropped".to_string(),
-            Value::UInt(obs.traces.dropped_traces),
-        ),
-        (
-            "hops_dropped".to_string(),
-            Value::UInt(obs.traces.dropped_hops),
-        ),
-    ])
 }
 
 /// Lifecycle handle for one experiment run.
@@ -413,7 +293,7 @@ impl Experiment {
     /// Finishes the experiment and exits the process non-zero when the
     /// run degraded beyond what the flags allow (see
     /// [`finish_with_status`](Self::finish_with_status)).
-    pub fn finish<T: Serialize>(self, slug: &str, payload: &T) -> io::Result<()> {
+    pub fn finish<T: ToJson + ?Sized>(self, slug: &str, payload: &T) -> io::Result<()> {
         let status = self.finish_with_status(slug, payload)?;
         if status != 0 {
             std::process::exit(status);
@@ -428,21 +308,42 @@ impl Experiment {
     /// `--max-trial-failures` budget (always fatal), or when anything
     /// degraded (failed trials, quarantined targets) without
     /// `--allow-partial`.
-    pub fn finish_with_status<T: Serialize>(self, slug: &str, payload: &T) -> io::Result<i32> {
-        let envelope = ReportEnvelope {
-            experiment: self.name,
-            paper_ref: self.paper_ref,
-            seed: self.args.seed,
-            trials: self.args.trials as u64,
-            workers: self.args.workers as u64,
-            quick: self.args.quick,
-            faults: self.args.faults.name().to_string(),
-            metrics: self.metrics.summaries(),
-            trial_failures: self.trial_failures.clone(),
-            obs: obs_value(&self.obs),
-            payload: serde_json::to_value(payload).map_err(io::Error::other)?,
-        };
-        let path = write_json(slug, &envelope)?;
+    pub fn finish_with_status<T: ToJson + ?Sized>(
+        self,
+        slug: &str,
+        payload: &T,
+    ) -> io::Result<i32> {
+        // The fixed envelope every experiment result is written in. The
+        // `obs` block carries counters, histograms, the profiler's
+        // virtual-time half and the sampled frame traces; wall-clock
+        // stats stay out (they surface on stderr below), so the envelope
+        // is byte-identical across worker counts.
+        let mut w = JsonWriter::pretty();
+        w.begin_object()
+            .key("experiment")
+            .string(&self.name)
+            .key("paper_ref")
+            .string(&self.paper_ref)
+            .key("seed")
+            .u64(self.args.seed)
+            .key("trials")
+            .u64(self.args.trials as u64)
+            .key("workers")
+            .u64(self.args.workers as u64)
+            .key("quick")
+            .bool(self.args.quick)
+            .key("faults")
+            .string(self.args.faults.name())
+            .key("metrics")
+            .value(&self.metrics.summaries())
+            .key("trial_failures")
+            .value(&self.trial_failures)
+            .key("obs")
+            .value(&self.obs)
+            .key("payload")
+            .value(payload)
+            .end_object();
+        let path = write_text(slug, &w.finish())?;
         if let Some(trace_path) = &self.args.trace_out {
             if let Some(dir) = trace_path.parent().filter(|d| !d.as_os_str().is_empty()) {
                 std::fs::create_dir_all(dir)?;
@@ -518,9 +419,135 @@ mod tests {
     use crate::runner::derive_trial_seed;
     use polite_wifi_sim::FaultProfile;
 
-    #[derive(Serialize)]
     struct Payload {
         acks: u64,
+    }
+    polite_wifi_obs::impl_to_json! { Payload { acks } }
+
+    struct Pinned {
+        absent: Option<u64>,
+        present: Option<f64>,
+        nested: Vec<Vec<u32>>,
+        pair: (String, u64),
+        empty: Vec<u64>,
+        note: String,
+    }
+    polite_wifi_obs::impl_to_json! { Pinned { absent, present, nested, pair, empty, note } }
+
+    /// The exact bytes of a small envelope, as the pretty writer must
+    /// produce them: a change here changes every committed result file.
+    const PINNED_ENVELOPE: &str = r#"{
+  "experiment": "E0: pinned",
+  "paper_ref": "none",
+  "seed": 5,
+  "trials": 2,
+  "workers": 1,
+  "quick": true,
+  "faults": "clean",
+  "metrics": [
+    {
+      "name": "acks",
+      "samples": 2,
+      "mean": 1.75,
+      "min": 1.5,
+      "max": 2.0,
+      "total": 3.5
+    }
+  ],
+  "trial_failures": [
+    {
+      "trial": 1,
+      "seed": 9,
+      "kind": "panic",
+      "detail": "boom \"x\""
+    }
+  ],
+  "obs": {
+    "counters": {
+      "harness.trial_failures": 1,
+      "sim.frames_injected": 4
+    },
+    "histograms": {
+      "mac.ack_turnaround_us": {
+        "count": 1,
+        "sum": 10,
+        "min": 10,
+        "max": 10,
+        "buckets": {
+          "4": 1
+        }
+      }
+    },
+    "profiler": {
+      "arrival": {
+        "count": 1,
+        "virt_total_us": 3,
+        "virt_max_us": 3
+      }
+    },
+    "frame_traces": [],
+    "spans_dropped": 0,
+    "events_evicted": 0,
+    "traces_dropped": 0,
+    "hops_dropped": 0
+  },
+  "payload": {
+    "absent": null,
+    "present": 2.0,
+    "nested": [
+      [
+        1,
+        2
+      ],
+      []
+    ],
+    "pair": [
+      "ap",
+      3
+    ],
+    "empty": [],
+    "note": "say \"hi\""
+  }
+}"#;
+
+    #[test]
+    fn envelope_bytes_are_pinned() {
+        let dir = std::env::temp_dir().join("polite-wifi-harness-pinned-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        set_thread_results_dir(Some(dir.clone()));
+
+        let args = RunArgs {
+            trials: 2,
+            workers: 1,
+            seed: 5,
+            quick: true,
+            ..RunArgs::default()
+        };
+        let mut exp = Experiment::start_with("E0: pinned", "none", args);
+        exp.metrics.record("acks", 1.5);
+        exp.metrics.record("acks", 2.0);
+        exp.obs.add("sim.frames_injected", 4);
+        exp.obs.observe("mac.ack_turnaround_us", 10);
+        exp.obs.prof("arrival", 3, 100);
+        exp.note_trial_failures(vec![TrialFailure {
+            trial: 1,
+            seed: 9,
+            kind: "panic".into(),
+            detail: "boom \"x\"".into(),
+        }]);
+        let payload = Pinned {
+            absent: None,
+            present: Some(2.0),
+            nested: vec![vec![1, 2], vec![]],
+            pair: ("ap".into(), 3),
+            empty: vec![],
+            note: "say \"hi\"".into(),
+        };
+        exp.finish_with_status("pinned", &payload).unwrap();
+
+        let written = std::fs::read_to_string(dir.join("pinned.json")).unwrap();
+        assert_eq!(written, PINNED_ENVELOPE);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

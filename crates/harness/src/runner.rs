@@ -13,7 +13,6 @@
 use polite_wifi_sim::FaultProfile;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -27,7 +26,7 @@ pub fn derive_trial_seed(base_seed: u64, index: u64) -> u64 {
 /// One trial that panicked (or was otherwise lost) and degraded
 /// gracefully: the run continued, and this record landed in the result
 /// envelope instead of a process abort.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrialFailure {
     /// Trial index in `0..trials`.
     pub trial: u64,
@@ -38,6 +37,8 @@ pub struct TrialFailure {
     /// The panic payload, when it was a string.
     pub detail: String,
 }
+
+polite_wifi_obs::impl_to_json! { TrialFailure { trial, seed, kind, detail } }
 
 /// Renders a panic payload as text for a [`TrialFailure`].
 fn panic_message(err: Box<dyn std::any::Any + Send>) -> String {

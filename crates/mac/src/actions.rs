@@ -2,12 +2,11 @@
 
 use polite_wifi_frame::Frame;
 use polite_wifi_phy::rate::BitRate;
-use serde::{Deserialize, Serialize};
 
 /// Why the MAC's higher layers discarded a frame. In every one of these
 /// cases except `FcsFailed` and `NotForUs`, the *ACK has already been
 /// scheduled* — discarding is invisible to the transmitter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DiscardReason {
     /// FCS check failed; the PHY never surfaced the frame (and no ACK).
     FcsFailed,
@@ -50,7 +49,7 @@ impl DiscardReason {
 }
 
 /// Radio power states, consumed by the energy model (`polite-wifi-power`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RadioState {
     /// Radio powered down (power-save doze).
     Sleep,

@@ -1,9 +1,7 @@
 //! Per-device behavioural knobs observed in the paper's device study.
 
-use serde::{Deserialize, Serialize};
-
 /// Power-save parameters for battery-operated stations (ESP8266-style).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerSave {
     /// How long the radio stays awake after the last traffic before it
     /// dozes, in microseconds. ~100 ms is typical of IoT modules, and is
@@ -29,7 +27,7 @@ impl PowerSave {
 
 /// How a device reacts to traffic — every knob mirrors behaviour the paper
 /// reports. None of them can stop the ACK; that is the point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Behavior {
     /// AP profile from Figure 3: respond to fake (class-3) frames with a
     /// burst of deauthentication frames...while still ACKing the fakes.

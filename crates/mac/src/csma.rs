@@ -5,10 +5,9 @@
 //! bypass it.
 
 use polite_wifi_phy::band::Band;
-use serde::{Deserialize, Serialize};
 
 /// DCF contention-window parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CsmaConfig {
     /// Minimum contention window (CWmin), in slots. 802.11g DCF: 15.
     pub cw_min: u16,

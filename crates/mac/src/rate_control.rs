@@ -8,10 +8,9 @@
 //! experiments demonstrate by contrast.
 
 use polite_wifi_phy::rate::BitRate;
-use serde::{Deserialize, Serialize};
 
 /// ARF parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ArfConfig {
     /// Consecutive successes required to try the next rate up.
     pub up_after: u32,

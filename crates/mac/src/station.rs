@@ -11,11 +11,10 @@ use polite_wifi_frame::{
 use polite_wifi_phy::airtime;
 use polite_wifi_phy::band::Band;
 use polite_wifi_phy::rate::BitRate;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// Whether a station is a client or an access point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
     /// A client device (tablet, phone, IoT module, laptop).
     Client,
@@ -27,7 +26,7 @@ pub enum Role {
 /// (authentication → association). The security handshake (4-way) is
 /// abstracted into the final `Joined` state — Polite WiFi is orthogonal
 /// to it, which is rather the point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JoinState {
     /// Not joining anything.
     Idle,
@@ -51,7 +50,7 @@ pub enum JoinState {
 }
 
 /// Static configuration of a station.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StationConfig {
     /// The station's MAC address.
     pub mac: MacAddr,
@@ -98,7 +97,7 @@ impl StationConfig {
 }
 
 /// Counters exposed for the experiment harnesses.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StationStats {
     /// ACKs transmitted (the paper's headline measurement).
     pub acks_sent: u64,

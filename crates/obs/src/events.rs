@@ -74,10 +74,7 @@ impl ProgressEvent {
 
     /// The value of a named field, if present.
     pub fn field(&self, name: &str) -> Option<u64> {
-        self.fields
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| *v)
+        self.fields.iter().find(|(k, _)| k == name).map(|(_, v)| *v)
     }
 
     /// Canonical JSON: `seq`, `kind`, `detail` (only when non-empty),
@@ -448,7 +445,11 @@ mod tests {
                 .with("done", 2)
                 .with("total", 8),
         );
-        j.push(ProgressEvent::new("job_finished").with_detail("done").with("cached", 1));
+        j.push(
+            ProgressEvent::new("job_finished")
+                .with_detail("done")
+                .with("cached", 1),
+        );
         let json = j.to_json();
         assert_eq!(
             json,
@@ -526,10 +527,7 @@ mod tests {
 
         let json = ts.to_json();
         let doc = crate::json::parse(&json).unwrap();
-        assert_eq!(
-            doc.get("windows").unwrap().as_array().unwrap().len(),
-            3
-        );
+        assert_eq!(doc.get("windows").unwrap().as_array().unwrap().len(), 3);
         assert!(json.contains("\"at_ms\":20"));
     }
 

@@ -17,7 +17,7 @@
 //! at any `--workers` count. Storage is bounded: at most `max_traces`
 //! traces of `max_hops` hops each; overflow is counted, never stored.
 
-use crate::json::JsonWriter;
+use crate::json::{JsonWriter, ToJson};
 
 /// Hop kinds — the taxonomy DESIGN.md §10 documents.
 pub mod hop {
@@ -198,11 +198,12 @@ impl TraceLog {
             self.traces.push(t);
         }
     }
+}
 
-    /// Canonical JSON array of the stored timelines — byte-identical for
-    /// equal contents, like every other obs export.
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
+/// Canonical JSON array of the stored timelines — byte-identical for
+/// equal contents, like every other obs export.
+impl ToJson for TraceLog {
+    fn write_json(&self, w: &mut JsonWriter) {
         w.begin_array();
         for t in &self.traces {
             w.begin_object()
@@ -227,7 +228,6 @@ impl TraceLog {
             w.end_array().end_object();
         }
         w.end_array();
-        w.finish()
     }
 }
 
@@ -292,7 +292,7 @@ mod tests {
         log.begin(7);
         log.hop(7, 10, 1, hop::INJECT, 0);
         log.hop(7, 20, 1, hop::TX, 2);
-        let json = log.to_json();
+        let json = crate::json::to_string(&log);
         assert!(json.contains("\"trace_id\":7"));
         assert!(json.contains("\"kind\":\"tx\""));
         let doc = crate::json::parse(&json).unwrap();

@@ -1,11 +1,14 @@
-//! Minimal JSON support: an escape-correct writer and a small reader.
+//! The workspace's one JSON stack: an escape-correct writer, a
+//! [`ToJson`] trait for values that render themselves, and a small
+//! reader.
 //!
-//! The crate is zero-dependency by design, so both exporters build their
-//! documents through [`JsonWriter`] and tools that must *read* JSON back
-//! (the bench-regression gate reading `BENCH_baseline.json`) use
-//! [`parse`]. The reader is a strict recursive-descent parser over the
-//! subset of JSON this workspace emits: objects, arrays, strings with
-//! standard escapes, numbers, booleans and null.
+//! The crate is zero-dependency by design. Result envelopes (pretty),
+//! metrics snapshots, bench reports and progress events (compact) are
+//! built through [`JsonWriter`], and tools that must *read* JSON back (the bench-regression gate reading
+//! `BENCH_baseline.json`, the spec parser) use [`parse`]. The reader is
+//! a strict recursive-descent parser over the subset of JSON this
+//! workspace emits: objects, arrays, strings with standard escapes,
+//! numbers, booleans and null.
 
 use std::fmt::Write as _;
 
@@ -19,6 +22,8 @@ pub fn write_escaped(out: &mut String, s: &str) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
+            '\x08' => out.push_str("\\b"),
+            '\x0c' => out.push_str("\\f"),
             c if (c as u32) < 0x20 => {
                 let _ = write!(out, "\\u{:04x}", c as u32);
             }
@@ -28,84 +33,115 @@ pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Formats an `f64` the way the vendored serde_json does: integral
-/// values get a trailing `.0`, non-finite values become `null`.
+/// Appends an `f64` as a JSON number: `Display` output, with `.0`
+/// appended when it has neither a `.` nor an exponent (so a float never
+/// reads back as an integer); non-finite values become `null`.
 pub fn write_f64(out: &mut String, v: f64) {
     if !v.is_finite() {
         out.push_str("null");
-    } else if v == v.trunc() && v.abs() < 1e15 {
-        let _ = write!(out, "{:.1}", v);
-    } else {
-        let _ = write!(out, "{}", v);
+        return;
+    }
+    let start = out.len();
+    let _ = write!(out, "{v}");
+    if !out[start..].contains('.') && !out[start..].contains('e') {
+        out.push_str(".0");
     }
 }
 
 /// A comma-tracking JSON writer for building documents by hand.
 ///
 /// The caller supplies structure (`begin_object` / `end_array` pairs);
-/// the writer handles separators and escaping. Output is compact (no
-/// whitespace), so byte-identity of two documents reduces to value
-/// identity plus field order.
+/// the writer handles separators, indentation and escaping. The default
+/// output is compact (no whitespace), so byte-identity of two documents
+/// reduces to value identity plus field order; [`pretty`](Self::pretty)
+/// output indents by two spaces, puts `": "` after keys and writes empty
+/// containers as bare `{}` / `[]`.
 #[derive(Debug, Default)]
 pub struct JsonWriter {
     out: String,
-    need_comma: Vec<bool>,
+    /// Per open container: whether it holds an element yet.
+    nonempty: Vec<bool>,
+    /// A key was just written; the next write is its value.
+    after_key: bool,
+    pretty: bool,
 }
 
 impl JsonWriter {
-    /// A writer with an empty buffer.
+    /// A compact writer with an empty buffer.
     pub fn new() -> JsonWriter {
         JsonWriter::default()
     }
 
+    /// A pretty-printing writer with an empty buffer.
+    pub fn pretty() -> JsonWriter {
+        JsonWriter {
+            pretty: true,
+            ..JsonWriter::default()
+        }
+    }
+
+    fn newline(&mut self) {
+        if self.pretty {
+            self.out.push('\n');
+            for _ in 0..self.nonempty.len() {
+                self.out.push_str("  ");
+            }
+        }
+    }
+
     fn separate(&mut self) {
-        if let Some(need) = self.need_comma.last_mut() {
-            if *need {
+        if std::mem::take(&mut self.after_key) {
+            return;
+        }
+        if let Some(nonempty) = self.nonempty.last_mut() {
+            if std::mem::replace(nonempty, true) {
                 self.out.push(',');
             }
-            *need = true;
+            self.newline();
         }
+    }
+
+    fn open(&mut self, bracket: char) -> &mut Self {
+        self.separate();
+        self.out.push(bracket);
+        self.nonempty.push(false);
+        self
+    }
+
+    fn close(&mut self, bracket: char) -> &mut Self {
+        if self.nonempty.pop() == Some(true) {
+            self.newline();
+        }
+        self.out.push(bracket);
+        self
     }
 
     /// Opens `{`. Pair with [`end_object`](Self::end_object).
     pub fn begin_object(&mut self) -> &mut Self {
-        self.separate();
-        self.out.push('{');
-        self.need_comma.push(false);
-        self
+        self.open('{')
     }
 
     /// Closes `}`.
     pub fn end_object(&mut self) -> &mut Self {
-        self.need_comma.pop();
-        self.out.push('}');
-        self
+        self.close('}')
     }
 
     /// Opens `[`. Pair with [`end_array`](Self::end_array).
     pub fn begin_array(&mut self) -> &mut Self {
-        self.separate();
-        self.out.push('[');
-        self.need_comma.push(false);
-        self
+        self.open('[')
     }
 
     /// Closes `]`.
     pub fn end_array(&mut self) -> &mut Self {
-        self.need_comma.pop();
-        self.out.push(']');
-        self
+        self.close(']')
     }
 
     /// Writes `"key":` — the next write supplies the value.
     pub fn key(&mut self, key: &str) -> &mut Self {
         self.separate();
         write_escaped(&mut self.out, key);
-        self.out.push(':');
-        // The value that follows must not emit its own comma.
-        if let Some(need) = self.need_comma.last_mut() {
-            *need = false;
-        }
+        self.out.push_str(if self.pretty { ": " } else { ":" });
+        self.after_key = true;
         self
     }
 
@@ -123,7 +159,14 @@ impl JsonWriter {
         self
     }
 
-    /// Writes a float value (serde_json-compatible formatting).
+    /// Writes a signed integer value.
+    pub fn i64(&mut self, v: i64) -> &mut Self {
+        self.separate();
+        let _ = write!(self.out, "{v}");
+        self
+    }
+
+    /// Writes a float value (see [`write_f64`]).
     pub fn f64(&mut self, v: f64) -> &mut Self {
         self.separate();
         write_f64(&mut self.out, v);
@@ -137,16 +180,144 @@ impl JsonWriter {
         self
     }
 
-    /// Writes pre-rendered JSON verbatim (caller guarantees validity).
-    pub fn raw(&mut self, json: &str) -> &mut Self {
+    /// Writes `null`.
+    pub fn null(&mut self) -> &mut Self {
         self.separate();
-        self.out.push_str(json);
+        self.out.push_str("null");
+        self
+    }
+
+    /// Writes any [`ToJson`] value.
+    pub fn value<T: ToJson + ?Sized>(&mut self, v: &T) -> &mut Self {
+        v.write_json(self);
         self
     }
 
     /// Consumes the writer and returns the document.
     pub fn finish(self) -> String {
         self.out
+    }
+}
+
+/// A value that renders itself through a [`JsonWriter`].
+///
+/// Structs render as objects with fields in declaration order (see
+/// [`impl_to_json!`](crate::impl_to_json)), `Option::None` as `null`,
+/// and sequences, fixed-size arrays and tuples as arrays.
+pub trait ToJson {
+    /// Writes `self` as one JSON value.
+    fn write_json(&self, w: &mut JsonWriter);
+}
+
+/// Renders `v` as a compact document.
+pub fn to_string<T: ToJson + ?Sized>(v: &T) -> String {
+    let mut w = JsonWriter::new();
+    v.write_json(&mut w);
+    w.finish()
+}
+
+/// Renders `v` as a pretty-printed document (see [`JsonWriter::pretty`]).
+pub fn to_string_pretty<T: ToJson + ?Sized>(v: &T) -> String {
+    let mut w = JsonWriter::pretty();
+    v.write_json(&mut w);
+    w.finish()
+}
+
+/// Implements [`ToJson`] for structs as objects of the listed fields,
+/// in the order given:
+///
+/// ```
+/// struct Row { name: String, acks: u64 }
+/// polite_wifi_obs::impl_to_json! { Row { name, acks } }
+/// let row = Row { name: "ap".into(), acks: 3 };
+/// assert_eq!(polite_wifi_obs::json::to_string(&row), r#"{"name":"ap","acks":3}"#);
+/// ```
+#[macro_export]
+macro_rules! impl_to_json {
+    ($($ty:ident { $($field:ident),* $(,)? })*) => {$(
+        impl $crate::json::ToJson for $ty {
+            fn write_json(&self, w: &mut $crate::json::JsonWriter) {
+                w.begin_object();
+                $(w.key(stringify!($field)).value(&self.$field);)*
+                w.end_object();
+            }
+        }
+    )*};
+}
+
+macro_rules! to_json_via {
+    ($method:ident as $as:ty: $($t:ty),*) => {$(
+        impl ToJson for $t {
+            fn write_json(&self, w: &mut JsonWriter) {
+                w.$method(*self as $as);
+            }
+        }
+    )*};
+}
+
+to_json_via!(u64 as u64: u8, u16, u32, u64, usize);
+to_json_via!(i64 as i64: i8, i16, i32, i64, isize);
+to_json_via!(f64 as f64: f64);
+to_json_via!(bool as bool: bool);
+
+impl ToJson for str {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.string(self);
+    }
+}
+
+impl ToJson for String {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.string(self);
+    }
+}
+
+impl<T: ToJson> ToJson for Option<T> {
+    fn write_json(&self, w: &mut JsonWriter) {
+        match self {
+            Some(v) => v.write_json(w),
+            None => {
+                w.null();
+            }
+        }
+    }
+}
+
+impl<T: ToJson> ToJson for [T] {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_array();
+        for v in self {
+            v.write_json(w);
+        }
+        w.end_array();
+    }
+}
+
+impl<T: ToJson, const N: usize> ToJson for [T; N] {
+    fn write_json(&self, w: &mut JsonWriter) {
+        self.as_slice().write_json(w);
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn write_json(&self, w: &mut JsonWriter) {
+        self.as_slice().write_json(w);
+    }
+}
+
+impl<A: ToJson, B: ToJson> ToJson for (A, B) {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_array().value(&self.0).value(&self.1).end_array();
+    }
+}
+
+impl<A: ToJson, B: ToJson, C: ToJson> ToJson for (A, B, C) {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_array()
+            .value(&self.0)
+            .value(&self.1)
+            .value(&self.2)
+            .end_array();
     }
 }
 
@@ -422,6 +593,84 @@ mod tests {
             w.finish(),
             r#"{"name":"a\"b","vals":[1,2],"ok":true,"mean":2.0}"#
         );
+    }
+
+    #[test]
+    fn floats_print_with_a_point_or_exponent_and_non_finite_as_null() {
+        let render = |v: f64| {
+            let mut out = String::new();
+            write_f64(&mut out, v);
+            out
+        };
+        for (v, want) in [
+            (0.0, "0.0"),
+            (-0.0, "-0.0"),
+            (1.0, "1.0"),
+            (0.1, "0.1"),
+            (1e15, "1000000000000000.0"),
+            (1e20, "100000000000000000000.0"),
+            (-3e16, "-30000000000000000.0"),
+            (f64::NAN, "null"),
+            (f64::INFINITY, "null"),
+            (f64::NEG_INFINITY, "null"),
+        ] {
+            assert_eq!(render(v), want, "{v:?}");
+        }
+    }
+
+    #[test]
+    fn strings_escape_quotes_backslashes_and_control_characters() {
+        let mut out = String::new();
+        write_escaped(&mut out, "q\"b\\n\nr\rt\tb\x08f\x0cu\x01é");
+        assert_eq!(out, r#""q\"b\\n\nr\rt\tb\bf\fu\u0001é""#);
+    }
+
+    #[test]
+    fn pretty_shape_indents_two_spaces_with_a_space_after_keys() {
+        let mut w = JsonWriter::pretty();
+        w.begin_object()
+            .key("name")
+            .string("ack")
+            .key("count")
+            .u64(3)
+            .key("ratio")
+            .f64(1.0)
+            .key("tags")
+            .value(&[1u8, 2])
+            .end_object();
+        assert_eq!(
+            w.finish(),
+            "{\n  \"name\": \"ack\",\n  \"count\": 3,\n  \"ratio\": 1.0,\n  \"tags\": [\n    1,\n    2\n  ]\n}"
+        );
+    }
+
+    #[test]
+    fn compact_values_and_escapes() {
+        let mut w = JsonWriter::new();
+        w.begin_array()
+            .string("a\"b\\c\n")
+            .value(&None::<u8>)
+            .bool(true)
+            .end_array();
+        assert_eq!(w.finish(), "[\"a\\\"b\\\\c\\n\",null,true]");
+    }
+
+    #[test]
+    fn empty_containers_stay_bare_when_pretty() {
+        assert_eq!(to_string_pretty(&Vec::<u8>::new()), "[]");
+        let mut w = JsonWriter::pretty();
+        w.begin_object()
+            .key("a")
+            .begin_object()
+            .end_object()
+            .end_object();
+        assert_eq!(w.finish(), "{\n  \"a\": {}\n}");
+    }
+
+    #[test]
+    fn containers_options_and_tuples_render_as_arrays_and_null() {
+        let v: (Option<u8>, Vec<(String, i32)>, [u8; 2]) = (None, vec![("x".into(), -1)], [7, 8]);
+        assert_eq!(to_string(&v), r#"[null,[["x",-1]],[7,8]]"#);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!   exchanges, trials) on per-node tracks, bounded in memory.
 //! * A **ring-buffered event recorder** ([`ring`]) holding the most
 //!   recent point events in bounded memory.
-//! * Two exporters: a canonical JSON metrics snapshot
-//!   ([`Obs::metrics_json`]) merged into the harness result envelope,
+//! * Two exporters: a canonical JSON metrics snapshot (the [`Obs`]
+//!   [`ToJson`](json::ToJson) impl) embedded in the harness result envelope,
 //!   and a Chrome-trace / Perfetto span dump ([`Obs::chrome_trace_json`])
 //!   behind the shared `--trace-out` flag.
 //!
@@ -263,12 +263,32 @@ impl Obs {
             && self.profiler.is_empty()
     }
 
-    /// The canonical JSON metrics snapshot: counters and histograms in
-    /// sorted-name order, buckets keyed by log2 index (non-zero only).
-    /// Two scopes with equal contents render byte-identically, which is
-    /// exactly the property the worker-invariance tests pin.
+    /// [`ToJson`](json::ToJson) rendered compact: the canonical
+    /// metrics snapshot the result envelope embeds as `obs`.
     pub fn metrics_json(&self) -> String {
-        let mut w = json::JsonWriter::new();
+        json::to_string(self)
+    }
+
+    /// Canonical JSON array of the sampled frame timelines (see
+    /// [`TraceLog`]).
+    pub fn frame_traces_json(&self) -> String {
+        json::to_string(&self.traces)
+    }
+
+    /// Renders the span log and event ring as a Chrome-trace document
+    /// (open in `chrome://tracing` or <https://ui.perfetto.dev>).
+    pub fn chrome_trace_json(&self) -> String {
+        trace::chrome_trace_json(&self.spans, &self.ring)
+    }
+}
+
+/// The canonical metrics snapshot: counters and histograms in
+/// sorted-name order (buckets keyed by log2 index, non-zero only), the
+/// profiler's deterministic half, the sampled frame timelines and the
+/// drop counts. Two scopes with equal contents render byte-identically,
+/// which is exactly the property the worker-invariance tests pin.
+impl json::ToJson for Obs {
+    fn write_json(&self, w: &mut json::JsonWriter) {
         w.begin_object().key("counters").begin_object();
         for (name, value) in self.counters.sorted() {
             w.key(name).u64(value);
@@ -296,7 +316,9 @@ impl Obs {
         }
         w.end_object()
             .key("profiler")
-            .raw(&self.profiler.to_json())
+            .value(&self.profiler)
+            .key("frame_traces")
+            .value(&self.traces)
             .key("spans_dropped")
             .u64(self.spans.dropped)
             .key("events_evicted")
@@ -306,19 +328,6 @@ impl Obs {
             .key("hops_dropped")
             .u64(self.traces.dropped_hops)
             .end_object();
-        w.finish()
-    }
-
-    /// Canonical JSON array of the sampled frame timelines (see
-    /// [`TraceLog::to_json`]).
-    pub fn frame_traces_json(&self) -> String {
-        self.traces.to_json()
-    }
-
-    /// Renders the span log and event ring as a Chrome-trace document
-    /// (open in `chrome://tracing` or <https://ui.perfetto.dev>).
-    pub fn chrome_trace_json(&self) -> String {
-        trace::chrome_trace_json(&self.spans, &self.ring)
     }
 }
 

@@ -15,7 +15,7 @@
 //!   enters a byte-compared document. Same split `bench_report` makes
 //!   between Work and Timing metrics.
 
-use crate::json::JsonWriter;
+use crate::json::{JsonWriter, ToJson};
 
 /// Accumulated statistics for one event kind.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -125,12 +125,13 @@ impl Profiler {
         }
         out
     }
+}
 
-    /// Canonical JSON object of the **deterministic** statistics only
-    /// (count + virtual time; wall-clock deliberately excluded so the
-    /// envelope stays byte-identical across machines and worker counts).
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
+/// Canonical JSON object of the **deterministic** statistics only
+/// (count + virtual time; wall-clock deliberately excluded so the
+/// envelope stays byte-identical across machines and worker counts).
+impl ToJson for Profiler {
+    fn write_json(&self, w: &mut JsonWriter) {
         w.begin_object();
         for (name, s) in self.sorted() {
             w.key(name)
@@ -144,7 +145,6 @@ impl Profiler {
                 .end_object();
         }
         w.end_object();
-        w.finish()
     }
 }
 
@@ -179,7 +179,7 @@ mod tests {
         ab.merge(&b);
         let mut ba = b.clone();
         ba.merge(&a);
-        assert_eq!(ab.to_json(), ba.to_json());
+        assert_eq!(crate::json::to_string(&ab), crate::json::to_string(&ba));
     }
 
     #[test]
@@ -197,7 +197,7 @@ mod tests {
     fn json_excludes_wall_clock() {
         let mut p = Profiler::new();
         p.record("arrival", 10, 12_345);
-        let json = p.to_json();
+        let json = crate::json::to_string(&p);
         assert!(json.contains("\"virt_total_us\":10"));
         assert!(!json.contains("wall"));
     }

@@ -1,9 +1,7 @@
 //! Frequency bands and their MAC-timing parameters.
 
-use serde::{Deserialize, Serialize};
-
 /// An 802.11 operating band.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Band {
     /// 2.4 GHz (802.11b/g/n): SIFS = 10 µs.
     Ghz2,

@@ -5,10 +5,9 @@
 //! are implemented.
 
 use core::ops::{Add, AddAssign, Mul, Sub};
-use serde::{Deserialize, Serialize};
 
 /// A complex number in rectangular form.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Complex {
     /// Real part.
     pub re: f64,

@@ -20,7 +20,6 @@ use crate::complex::Complex;
 use crate::fading::{cn, skip_cn};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Number of usable subcarriers reported for a legacy 20 MHz channel
 /// (as the ESP32 does: 52 data + 4 pilots).
@@ -28,7 +27,7 @@ pub const DEFAULT_SUBCARRIERS: usize = 56;
 
 /// The amplitude/phase of every subcarrier at one instant — one row of
 /// Figure 5 per subcarrier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CsiSnapshot {
     /// Per-subcarrier amplitude (linear).
     pub amplitudes: Vec<f64>,
@@ -56,7 +55,7 @@ impl CsiSnapshot {
 /// in, so [`CsiChannel::sample_batch`] writes it with no scatter.
 /// Values are bit-for-bit the ones the equivalent sequence of
 /// [`CsiChannel::sample`] calls would have produced.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CsiBatch {
     /// Subcarriers per sample.
     pub subcarriers: usize,
@@ -123,7 +122,7 @@ impl CsiBatch {
 }
 
 /// Configuration of the synthetic CSI channel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CsiConfig {
     /// Number of OFDM subcarriers to report.
     pub subcarriers: usize,

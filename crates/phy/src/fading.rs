@@ -3,7 +3,6 @@
 use crate::complex::Complex;
 use rand::{Rng, RngCore};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// Draws a standard normal via Box–Muller (keeps us off `rand_distr`).
 pub fn randn<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
@@ -34,7 +33,7 @@ pub fn skip_cn<R: RngCore + ?Sized>(rng: &mut R) {
 }
 
 /// Small-scale fading statistics for a link.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Fading {
     /// No fading: the gain is always 1.
     None,

@@ -1,9 +1,7 @@
 //! Large-scale propagation: free-space and log-distance path loss.
 
-use serde::{Deserialize, Serialize};
-
 /// A large-scale path-loss model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PathLoss {
     /// Free-space (Friis) loss at `freq_mhz`.
     FreeSpace {

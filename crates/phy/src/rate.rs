@@ -4,10 +4,8 @@
 //! reason the paper measured ACK CSI with an ESP32 rather than the Intel
 //! 5300 CSI tool, which only reports HT frames.
 
-use serde::{Deserialize, Serialize};
-
 /// Modulation family of a rate, used by the SNR→BER link model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Modulation {
     /// Differential BPSK (1 Mb/s).
     Dbpsk,
@@ -26,7 +24,7 @@ pub enum Modulation {
 }
 
 /// A legacy 802.11a/b/g bit rate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum BitRate {
     /// 1 Mb/s DSSS.
     Mbps1,

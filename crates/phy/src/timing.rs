@@ -8,7 +8,6 @@
 //! how badly it violates the standard.
 
 use crate::band::Band;
-use serde::{Deserialize, Serialize};
 
 /// Lower bound on WPA2 frame decode/verify latency (µs), per the studies
 /// the paper cites [15, 17, 22].
@@ -17,7 +16,7 @@ pub const WPA2_DECODE_MIN_US: u64 = 200;
 pub const WPA2_DECODE_MAX_US: u64 = 700;
 
 /// A receiver design, for the ablation the paper argues about.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AckPolicy {
     /// Real 802.11: check FCS + receiver address, ACK at SIFS. Polite.
     AckBeforeValidate,
@@ -30,7 +29,7 @@ pub enum AckPolicy {
 }
 
 /// The verdict on whether a policy can meet the standard's deadline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SifsFeasibility {
     /// The band analysed.
     pub band: Band,

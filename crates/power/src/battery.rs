@@ -1,9 +1,7 @@
 //! Battery life under attack — the §4.2 projections.
 
-use serde::{Deserialize, Serialize};
-
 /// A battery-operated WiFi product.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Battery {
     /// Product name.
     pub name: String,
@@ -12,6 +10,8 @@ pub struct Battery {
     /// The vendor's advertised battery life in hours (for contrast).
     pub advertised_life_hours: f64,
 }
+
+polite_wifi_obs::impl_to_json! { Battery { name, capacity_mwh, advertised_life_hours } }
 
 impl Battery {
     /// Logitech Circle 2 wireless security camera: 2400 mWh, advertised
@@ -56,7 +56,7 @@ impl Battery {
 }
 
 /// The outcome of a battery-drain projection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DrainProjection {
     /// The product attacked.
     pub battery: Battery,
@@ -67,6 +67,10 @@ pub struct DrainProjection {
     /// How many times faster the battery drains than advertised.
     pub speedup: f64,
 }
+
+polite_wifi_obs::impl_to_json! { DrainProjection {
+    battery, attacked_mw, attacked_life_hours, speedup
+} }
 
 #[cfg(test)]
 mod tests {

@@ -1,10 +1,8 @@
 //! Radio power profiles and energy integration.
 
-use serde::{Deserialize, Serialize};
-
 /// Time spent in each radio state (mirrors the simulator's ledger totals;
 /// kept as its own type so this crate stays independent of the simulator).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StateDurations {
     /// Microseconds asleep.
     pub sleep_us: u64,
@@ -16,6 +14,8 @@ pub struct StateDurations {
     pub tx_us: u64,
 }
 
+polite_wifi_obs::impl_to_json! { StateDurations { sleep_us, idle_us, rx_us, tx_us } }
+
 impl StateDurations {
     /// Total covered time.
     pub fn total_us(&self) -> u64 {
@@ -24,7 +24,7 @@ impl StateDurations {
 }
 
 /// Power draw per radio state, in milliwatts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerProfile {
     /// Human-readable name.
     pub name: &'static str,

@@ -3,7 +3,6 @@
 use crate::cursor::{ReadCursor, WriteCursor};
 use crate::present_bit;
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// Errors produced while parsing radiotap headers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,7 +49,7 @@ impl fmt::Display for RadiotapError {
 impl std::error::Error for RadiotapError {}
 
 /// The radiotap `Flags` field (bit 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Flags(pub u8);
 
 impl Flags {
@@ -74,7 +73,7 @@ impl Flags {
 }
 
 /// The radiotap `Channel` field: centre frequency plus band/modulation bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChannelInfo {
     /// Centre frequency in MHz.
     pub freq_mhz: u16,
@@ -133,7 +132,7 @@ impl ChannelInfo {
 }
 
 /// The radiotap `MCS` field (bit 19) for 802.11n frames.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct McsInfo {
     /// Which sub-fields are known.
     pub known: u8,
@@ -145,7 +144,7 @@ pub struct McsInfo {
 
 /// A parsed or to-be-encoded radiotap header. Every field is optional; the
 /// presence mask is derived from which options are set.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Radiotap {
     /// TSFT: microseconds the first bit of the MPDU arrived at the MAC.
     pub tsft_us: Option<u64>,

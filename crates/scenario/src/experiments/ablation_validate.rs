@@ -14,9 +14,8 @@ use polite_wifi_frame::{builder, MacAddr};
 use polite_wifi_harness::{Experiment, RunArgs, ScenarioBuilder};
 use polite_wifi_mac::{Behavior, StationConfig};
 use polite_wifi_phy::rate::BitRate;
-use serde::Serialize;
 
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 struct AblationRow {
     decode_us: Option<u32>,
     frames_offered: u64,
@@ -25,6 +24,10 @@ struct AblationRow {
     reported_lost: u64,
     retry_amplification: f64,
 }
+
+polite_wifi_obs::impl_to_json! { AblationRow {
+    decode_us, frames_offered, transmissions, confirmed, reported_lost, retry_amplification
+} }
 
 fn run_case(
     decode_us: Option<u32>,

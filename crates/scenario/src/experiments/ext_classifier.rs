@@ -12,9 +12,7 @@ use crate::support::compare;
 use polite_wifi_harness::{Experiment, RunArgs};
 use polite_wifi_sensing::classify::ActivityClass;
 use polite_wifi_sensing::dataset::{cross_session_accuracy, generate_dataset, mean_std_of_class};
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct ClassifierResult {
     sessions_per_class: usize,
     windows_scored: u64,
@@ -22,6 +20,10 @@ struct ClassifierResult {
     confusion: Vec<Vec<u64>>,
     class_order: Vec<String>,
 }
+
+polite_wifi_obs::impl_to_json! { ClassifierResult {
+    sessions_per_class, windows_scored, accuracy, confusion, class_order
+} }
 
 pub fn run(spec: &ScenarioSpec, args: RunArgs) -> std::io::Result<i32> {
     let mut exp = Experiment::start_with(&spec.name, &spec.paper_ref, args);

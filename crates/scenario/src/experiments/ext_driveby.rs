@@ -14,10 +14,8 @@ use polite_wifi_harness::{Experiment, RunArgs, ScenarioBuilder};
 use polite_wifi_mac::StationConfig;
 use polite_wifi_phy::rate::BitRate;
 use polite_wifi_sim::NodeId;
-use serde::Serialize;
 use std::collections::{BTreeSet, HashSet};
 
-#[derive(Serialize)]
 struct DriveByResult {
     houses: usize,
     devices: usize,
@@ -26,6 +24,10 @@ struct DriveByResult {
     drive_seconds: u64,
     speed_mps: f64,
 }
+
+polite_wifi_obs::impl_to_json! { DriveByResult {
+    houses, devices, discovered, verified, drive_seconds, speed_mps
+} }
 
 pub fn run(spec: &ScenarioSpec, args: RunArgs) -> std::io::Result<i32> {
     let mut exp = Experiment::start_with(&spec.name, &spec.paper_ref, args);

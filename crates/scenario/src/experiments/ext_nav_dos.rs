@@ -15,15 +15,18 @@ use crate::support::{bar, compare};
 use polite_wifi_frame::{builder, MacAddr};
 use polite_wifi_harness::{Experiment, RunArgs, ScenarioBuilder};
 use polite_wifi_phy::rate::BitRate;
-use serde::Serialize;
 
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 struct NavDosRow {
     rts_per_second: u32,
     nav_us: u16,
     delivered_per_second: f64,
     throughput_fraction: f64,
 }
+
+polite_wifi_obs::impl_to_json! { NavDosRow {
+    rts_per_second, nav_us, delivered_per_second, throughput_fraction
+} }
 
 /// Runs a legitimate pair offering 200 frames/s for 5 s while the
 /// attacker fires `rts_pps` forged RTS at the victim with `nav_us`.

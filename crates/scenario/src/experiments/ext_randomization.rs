@@ -11,9 +11,7 @@ use crate::support::compare;
 use polite_wifi_core::WardriveScanner;
 use polite_wifi_devices::{CityPopulation, DeviceSpec};
 use polite_wifi_harness::{Experiment, RunArgs};
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct RandomizationResult {
     fraction: f64,
     discovered: usize,
@@ -21,6 +19,10 @@ struct RandomizationResult {
     unknown_clients: u32,
     apple_clients_attributed: u32,
 }
+
+polite_wifi_obs::impl_to_json! { RandomizationResult {
+    fraction, discovered, verified, unknown_clients, apple_clients_attributed
+} }
 
 pub fn run(spec: &ScenarioSpec, args: RunArgs) -> std::io::Result<i32> {
     let mut exp = Experiment::start_with(&spec.name, &spec.paper_ref, args);

@@ -9,9 +9,8 @@ use polite_wifi_core::{estimate_range, FakeFrameInjector, InjectionKind, Injecti
 use polite_wifi_frame::MacAddr;
 use polite_wifi_harness::{Experiment, RunArgs, ScenarioBuilder};
 use polite_wifi_phy::rate::BitRate;
-use serde::Serialize;
 
-#[derive(Debug, Serialize)]
+#[derive(Debug)]
 struct RangeRow {
     true_distance_m: f64,
     samples: usize,
@@ -19,6 +18,10 @@ struct RangeRow {
     estimated_m: f64,
     relative_error: f64,
 }
+
+polite_wifi_obs::impl_to_json! { RangeRow {
+    true_distance_m, samples, median_rssi_dbm, estimated_m, relative_error
+} }
 
 fn measure(
     true_distance: f64,

@@ -9,14 +9,14 @@ use polite_wifi_harness::{Experiment, RunArgs};
 use polite_wifi_phy::csi::CsiChannel;
 use polite_wifi_sensing::occupancy::{detect_occupancy, OccupancyConfig};
 use polite_wifi_sensing::MotionScript;
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct VitalsJson {
     breathing: Vec<polite_wifi_core::VitalSignsResult>,
     occupancy_truth: Vec<bool>,
     occupancy_detected: Vec<bool>,
 }
+
+polite_wifi_obs::impl_to_json! { VitalsJson { breathing, occupancy_truth, occupancy_detected } }
 
 pub fn run(spec: &ScenarioSpec, args: RunArgs) -> std::io::Result<i32> {
     let mut exp = Experiment::start_with(&spec.name, &spec.paper_ref, args);

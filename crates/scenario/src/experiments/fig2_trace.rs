@@ -14,15 +14,17 @@ use crate::support::{compare, ensure_results_dir};
 use polite_wifi_core::{AckVerifier, FakeFrameInjector, InjectionKind, InjectionPlan};
 use polite_wifi_harness::{Experiment, RunArgs};
 use polite_wifi_pcap::{trace, LinkType};
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct Fig2Result {
     fakes_sent: u64,
     acks_elicited: usize,
     ack_latency_us: Vec<u64>,
     trace_rows: Vec<[String; 4]>,
 }
+
+polite_wifi_obs::impl_to_json! { Fig2Result {
+    fakes_sent, acks_elicited, ack_latency_us, trace_rows
+} }
 
 pub fn run(spec: &ScenarioSpec, args: RunArgs) -> std::io::Result<i32> {
     let mut exp = Experiment::start_with(&spec.name, &spec.paper_ref, args);

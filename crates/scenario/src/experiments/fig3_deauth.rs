@@ -11,9 +11,7 @@ use polite_wifi_mac::{Behavior, StationConfig};
 use polite_wifi_pcap::{trace, LinkType};
 use polite_wifi_phy::rate::BitRate;
 use polite_wifi_sim::{NodeId, Simulator};
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct Fig3Result {
     phase1_acks: usize,
     phase1_deauths: usize,
@@ -21,6 +19,11 @@ struct Fig3Result {
     phase2_blocklisted_acks: usize,
     trace_rows: Vec<[String; 4]>,
 }
+
+polite_wifi_obs::impl_to_json! { Fig3Result {
+    phase1_acks, phase1_deauths, deauth_burst_shares_sequence_number, phase2_blocklisted_acks,
+    trace_rows
+} }
 
 fn run_phase(
     seed: u64,

@@ -103,7 +103,6 @@ pub fn run(spec: &ScenarioSpec, args: RunArgs) -> std::io::Result<i32> {
     }
 
     // Keep the JSON small: drop the raw series, keep phase stats + score.
-    #[derive(serde::Serialize)]
     struct Fig5Json {
         acks_measured: u64,
         sample_rate_hz: f64,
@@ -111,6 +110,9 @@ pub fn run(spec: &ScenarioSpec, args: RunArgs) -> std::io::Result<i32> {
         keystroke_score: (usize, usize, usize),
         keystrokes_truth: usize,
     }
+    polite_wifi_obs::impl_to_json! { Fig5Json {
+        acks_measured, sample_rate_hz, phase_stats, keystroke_score, keystrokes_truth
+    } }
     exp.finish_with_status(
         &spec.slug,
         &Fig5Json {

@@ -10,15 +10,17 @@ use crate::spec::ScenarioSpec;
 use crate::support::{bar, compare};
 use polite_wifi_core::{BatteryDrainAttack, DrainMeasurement};
 use polite_wifi_harness::{Experiment, RunArgs};
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct Fig6Json {
     rates_pps: Vec<u32>,
     mean_power_mw: Vec<f64>,
     mean_sleep_fraction: Vec<f64>,
     first_trial: Vec<DrainMeasurement>,
 }
+
+polite_wifi_obs::impl_to_json! { Fig6Json {
+    rates_pps, mean_power_mw, mean_sleep_fraction, first_trial
+} }
 
 pub fn run(spec: &ScenarioSpec, args: RunArgs) -> std::io::Result<i32> {
     let mut exp = Experiment::start_with(&spec.name, &spec.paper_ref, args);

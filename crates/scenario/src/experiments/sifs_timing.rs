@@ -17,15 +17,17 @@ use polite_wifi_harness::{Experiment, RunArgs, ScenarioBuilder};
 use polite_wifi_mac::{Behavior, StationConfig};
 use polite_wifi_phy::rate::BitRate;
 use polite_wifi_phy::timing::{WPA2_DECODE_MAX_US, WPA2_DECODE_MIN_US};
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct SifsResult {
     report: polite_wifi_core::analysis::SifsReport,
     worst_case_overrun: f64,
     pmf_victim_cts_count: u64,
     pmf_victim_ack_count: u64,
 }
+
+polite_wifi_obs::impl_to_json! { SifsResult {
+    report, worst_case_overrun, pmf_victim_cts_count, pmf_victim_ack_count
+} }
 
 pub fn run(spec: &ScenarioSpec, args: RunArgs) -> std::io::Result<i32> {
     let mut exp = Experiment::start_with(&spec.name, &spec.paper_ref, args);

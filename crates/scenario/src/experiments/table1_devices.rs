@@ -13,9 +13,7 @@ use polite_wifi_frame::MacAddr;
 use polite_wifi_harness::{derive_trial_seed, Experiment, RunArgs, ScenarioBuilder};
 use polite_wifi_mac::{Role, StationConfig};
 use polite_wifi_phy::rate::BitRate;
-use serde::Serialize;
 
-#[derive(Serialize)]
 struct DeviceRow {
     device: String,
     chipset: String,
@@ -24,6 +22,8 @@ struct DeviceRow {
     acks: usize,
     responds: bool,
 }
+
+polite_wifi_obs::impl_to_json! { DeviceRow { device, chipset, standard, fakes, acks, responds } }
 
 fn device_row(
     i: usize,

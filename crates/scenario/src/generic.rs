@@ -18,25 +18,26 @@ use polite_wifi_frame::builder;
 use polite_wifi_harness::{Experiment, MetricsLedger, RunArgs};
 use polite_wifi_phy::rate::BitRate;
 use polite_wifi_sim::{NodeId, Simulator};
-use serde::Serialize;
 use std::collections::BTreeMap;
 use std::io;
 
 /// One evaluated assertion, as reported in the envelope payload.
-#[derive(Serialize)]
 struct AssertionOutcome {
     check: String,
     measured: Option<f64>,
     pass: bool,
 }
 
+polite_wifi_obs::impl_to_json! { AssertionOutcome { check, measured, pass } }
+
 /// The generic runner's payload.
-#[derive(Serialize)]
 struct GenericOutcome {
     attack_frames: u64,
     assertions: Vec<AssertionOutcome>,
     verdict: String,
 }
+
+polite_wifi_obs::impl_to_json! { GenericOutcome { attack_frames, assertions, verdict } }
 
 fn rate(label: &str) -> BitRate {
     bitrate_from_label(label).expect("validated at parse time")

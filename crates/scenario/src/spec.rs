@@ -5,7 +5,7 @@
 //! (seed, trials, workers, quick, fault profile), a population/topology
 //! for [`ScenarioBuilder`], attacker strategies, defender probes, and a
 //! pass/fail assertion block. Parsing reuses the zero-dependency JSON
-//! parser from `polite-wifi-obs` — no serde — and rejects malformed
+//! parser from `polite-wifi-obs` and rejects malformed
 //! specs with **one aggregated error** listing every problem, the same
 //! contract as the harness flag parser.
 //!
@@ -16,7 +16,7 @@
 
 use polite_wifi_frame::MacAddr;
 use polite_wifi_harness::{RunArgs, ScenarioBuilder};
-use polite_wifi_obs::json::{parse as parse_json, JsonValue};
+use polite_wifi_obs::json::{self, parse as parse_json, JsonValue};
 use polite_wifi_phy::rate::BitRate;
 use polite_wifi_phy::Band;
 use polite_wifi_sim::{FaultProfile, NodeId};
@@ -1171,20 +1171,7 @@ impl Canon {
     }
 
     fn str(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        out.push('"');
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                c => out.push(c),
-            }
-        }
-        out.push('"');
-        out
+        json::to_string(s)
     }
 }
 

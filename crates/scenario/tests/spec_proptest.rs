@@ -3,6 +3,7 @@
 //! grammar pointer — never a panic, never a partial spec, never a
 //! cascade of separate errors.
 
+use polite_wifi_obs::json;
 use polite_wifi_scenario::ScenarioSpec;
 use proptest::prelude::*;
 
@@ -33,11 +34,11 @@ fn valid_slug(s: &str) -> bool {
 /// and an arbitrary extra top-level key.
 fn spec_text(slug: &str, extra_key: Option<&str>) -> String {
     let extra = extra_key
-        .map(|k| format!("  {}: 1,\n", serde_json::to_string(k).unwrap()))
+        .map(|k| format!("  {}: 1,\n", json::to_string(k)))
         .unwrap_or_default();
     format!(
         "{{\n{extra}  \"name\": \"T\",\n  \"paper_ref\": \"r\",\n  \"slug\": {},\n  \"runner\": \"sifs_timing\"\n}}",
-        serde_json::to_string(slug).unwrap()
+        json::to_string(slug)
     )
 }
 

@@ -8,10 +8,8 @@
 //! estimator detrends the series and scans that band with a Goertzel
 //! single-bin DFT, picking the dominant spectral peak.
 
-use serde::{Deserialize, Serialize};
-
 /// Result of a breathing-rate scan.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BreathingEstimate {
     /// Estimated rate in breaths per minute.
     pub bpm: f64,

@@ -1,10 +1,9 @@
 //! Activity classification from CSI features.
 
 use crate::features::FeatureVector;
-use serde::{Deserialize, Serialize};
 
 /// The activity classes of the Figure 5 scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ActivityClass {
     /// Device untouched, nobody moving nearby.
     Idle,
@@ -38,7 +37,7 @@ impl ActivityClass {
 
 /// A simple interpretable classifier: thresholds on the window standard
 /// deviation, calibrated from labelled data.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThresholdClassifier {
     /// Below this std: idle.
     pub idle_below: f64,

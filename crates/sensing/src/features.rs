@@ -1,10 +1,9 @@
 //! Sliding-window features over CSI amplitude series.
 
 use crate::filter::{mad, median};
-use serde::{Deserialize, Serialize};
 
 /// A feature vector extracted from one window of one subcarrier.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FeatureVector {
     /// Sample standard deviation.
     pub std_dev: f64,

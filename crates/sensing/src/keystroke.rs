@@ -8,10 +8,9 @@
 //! unassociated victim.
 
 use crate::filter;
-use serde::{Deserialize, Serialize};
 
 /// A detected keystroke event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KeystrokeEvent {
     /// Sample index of the burst peak.
     pub index: usize,
@@ -20,7 +19,7 @@ pub struct KeystrokeEvent {
 }
 
 /// Detector parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KeystrokeDetectorConfig {
     /// Smoothing half-window applied to the burst score.
     pub smooth_half_window: usize,

@@ -8,10 +8,9 @@
 //! fraction crosses a threshold.
 
 use crate::features::sliding_features;
-use serde::{Deserialize, Serialize};
 
 /// Verdict for one time interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OccupancyInterval {
     /// First sample index of the interval.
     pub start: usize,
@@ -24,7 +23,7 @@ pub struct OccupancyInterval {
 }
 
 /// Detector parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OccupancyConfig {
     /// Samples per verdict interval.
     pub interval_len: usize,

@@ -4,10 +4,8 @@
 //! the PHY's `CsiChannel` turns into channel dynamics. Scripts also expose
 //! their labelled phases so classifiers can be scored against truth.
 
-use serde::{Deserialize, Serialize};
-
 /// A labelled activity phase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Phase {
     /// Start time in microseconds.
     pub start_us: u64,
@@ -20,7 +18,7 @@ pub struct Phase {
 }
 
 /// A piecewise motion timeline plus optional keystroke impulses.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MotionScript {
     /// The labelled phases, in time order, non-overlapping.
     pub phases: Vec<Phase>,

@@ -5,10 +5,9 @@
 //! windows with a hysteresis threshold on the sliding standard deviation.
 
 use crate::features::sliding_features;
-use serde::{Deserialize, Serialize};
 
 /// A detected activity segment, in sample indices of the input series.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Segment {
     /// First sample of the active region.
     pub start: usize,
@@ -17,7 +16,7 @@ pub struct Segment {
 }
 
 /// Segmentation parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SegmenterConfig {
     /// Window length in samples for the sliding std.
     pub window_len: usize,

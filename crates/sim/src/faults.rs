@@ -28,7 +28,6 @@
 
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// XOR'd into the base seed for the dedicated fault RNG stream
 /// (ASCII "FAULTS"), keeping fault draws out of the propagation and
@@ -152,7 +151,7 @@ impl FaultPlan {
 
 /// A named fault profile — the `--faults` vocabulary every experiment
 /// binary shares.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FaultProfile {
     /// No faults; byte-identical to the pre-fault simulator.
     #[default]

@@ -8,7 +8,7 @@ use polite_wifi::core::{
 };
 use polite_wifi::devices::{CityPopulation, DeviceSpec};
 use polite_wifi::harness::{Experiment, RunArgs, Runner};
-use polite_wifi::obs::{Obs, ObsConfig};
+use polite_wifi::obs::{json, Obs, ObsConfig};
 use polite_wifi::sensing::MotionScript;
 use polite_wifi::sim::FaultProfile;
 
@@ -369,7 +369,7 @@ fn batch_sensing_hub_1k_envelope_is_worker_invariant() {
     let run = |workers: usize| {
         let mut obs = Obs::new();
         let report = hub.run_observed(workers, &mut obs);
-        (serde_json::to_string(&report).unwrap(), obs.metrics_json())
+        (json::to_string(&report), obs.metrics_json())
     };
     let (report1, metrics1) = run(1);
     assert!(report1.contains("\"links\":1000"), "{report1}");

@@ -11,7 +11,7 @@ use polite_wifi::devices::{CityPopulation, DeviceSpec};
 use polite_wifi::frame::{builder, MacAddr};
 use polite_wifi::harness::{derive_trial_seed, MetricsLedger, Runner, ScenarioBuilder};
 use polite_wifi::obs::metrics::Histogram;
-use polite_wifi::obs::Obs;
+use polite_wifi::obs::{json, Obs};
 use polite_wifi::phy::rate::BitRate;
 use proptest::prelude::*;
 
@@ -34,13 +34,13 @@ fn scan_report_is_byte_identical_across_worker_counts() {
     };
     let sequential = scanner.run_sharded(&city, 1);
     assert!(sequential.discovered > 0, "empty survey proves nothing");
-    let seq_json = serde_json::to_string(&sequential).unwrap();
+    let seq_json = json::to_string(&sequential);
     for workers in [2, 4, 7] {
         let parallel = scanner.run_sharded(&city, workers);
         assert_eq!(sequential, parallel, "report differs at {workers} workers");
         assert_eq!(
             seq_json,
-            serde_json::to_string(&parallel).unwrap(),
+            json::to_string(&parallel),
             "serialized report differs at {workers} workers"
         );
     }
@@ -82,7 +82,7 @@ fn trial_metrics_are_byte_identical_across_worker_counts() {
         for ledger in &ledgers {
             merged.merge(ledger);
         }
-        serde_json::to_string(&merged.summaries()).unwrap()
+        json::to_string(&merged.summaries())
     };
 
     let sequential = run_with(1);

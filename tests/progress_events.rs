@@ -51,13 +51,7 @@ fn events_are_strictly_sequence_ordered_across_worker_counts() {
             "sequence numbers must be gap-free and strictly increasing at {workers} workers"
         );
 
-        let count_of = |kind: &str| {
-            delivery
-                .events
-                .iter()
-                .filter(|e| e.kind == kind)
-                .count()
-        };
+        let count_of = |kind: &str| delivery.events.iter().filter(|e| e.kind == kind).count();
         assert_eq!(count_of("trial_started"), 24, "at {workers} workers");
         assert_eq!(count_of("trial_finished"), 24, "at {workers} workers");
         assert_eq!(sink.trials_done(), 24);
