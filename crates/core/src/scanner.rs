@@ -24,9 +24,7 @@ use polite_wifi_harness::{derive_trial_seed, Runner};
 use polite_wifi_mac::{Role, StationConfig};
 use polite_wifi_obs::{names, Obs};
 use polite_wifi_phy::rate::BitRate;
-use polite_wifi_sim::{
-    FaultProfile, MediumConfig, NodeId, PropagationMode, SchedulerKind, SimConfig, Simulator,
-};
+use polite_wifi_sim::{FaultProfile, MediumConfig, NodeId, PropagationMode, SimConfig, Simulator};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -632,9 +630,8 @@ fn plan_channel_segments(
 ///
 /// Every segment is a pure function of `seed ^ segment_index`, so
 /// reports and envelopes are byte-identical at any worker count, and the
-/// `propagation`/`scheduler` knobs let the determinism suite hold the
-/// cell grid and calendar queue against their oracle counterparts on the
-/// very same drive.
+/// `propagation` knob lets the determinism suite hold the cell grid
+/// against its all-pairs oracle on the very same drive.
 #[derive(Debug, Clone, Copy)]
 pub struct CityWardrive {
     /// Simulation seed.
@@ -657,8 +654,6 @@ pub struct CityWardrive {
     /// drive, [`PropagationMode::OracleAllPairs`] when a test wants the
     /// brute-force oracle on the same keyed draws.
     pub propagation: PropagationMode,
-    /// Scheduler backend — calendar queue by default.
-    pub scheduler: SchedulerKind,
 }
 
 impl Default for CityWardrive {
@@ -673,7 +668,6 @@ impl Default for CityWardrive {
             max_attempts: 3,
             faults: FaultProfile::Clean,
             propagation: PropagationMode::CellGrid,
-            scheduler: SchedulerKind::Calendar,
         }
     }
 }
@@ -716,14 +710,13 @@ struct CitySegmentOutcome {
 impl CityWardrive {
     /// The simulator configuration every city segment runs under: the
     /// 150 m urban propagation cutoff with the configured propagation
-    /// and scheduler backends.
+    /// backend.
     pub fn sim_config(&self) -> SimConfig {
         SimConfig {
             medium: MediumConfig {
                 max_range_m: 150.0,
                 ..MediumConfig::default()
             },
-            scheduler: self.scheduler,
             propagation: self.propagation,
         }
     }
@@ -1087,20 +1080,6 @@ mod tests {
         // Only the grid tracks occupied cells.
         assert!(grid.occupied_cells > 0);
         assert_eq!(oracle.occupied_cells, 0);
-    }
-
-    #[test]
-    fn city_calendar_queue_matches_the_heap() {
-        let mut obs_cal = Obs::new();
-        let calendar = mini_city().run_observed(1, &mut obs_cal);
-        let mut obs_heap = Obs::new();
-        let heap = CityWardrive {
-            scheduler: SchedulerKind::Heap,
-            ..mini_city()
-        }
-        .run_observed(1, &mut obs_heap);
-        assert_eq!(calendar, heap);
-        assert_eq!(obs_cal.metrics_json(), obs_heap.metrics_json());
     }
 
     #[test]

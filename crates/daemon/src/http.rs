@@ -7,6 +7,7 @@
 //! this hand-rolled keeps the workspace's zero-external-dependency
 //! stance intact.
 
+use polite_wifi_obs::json::JsonWriter;
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -150,6 +151,13 @@ impl Response {
             headers: Vec::new(),
             body: body.into_bytes(),
         }
+    }
+
+    /// An `{"error": msg}` JSON reply.
+    pub fn error(status: u16, msg: &str) -> Response {
+        let mut w = JsonWriter::pretty();
+        w.begin_object().key("error").string(msg).end_object();
+        Response::json(status, w.finish())
     }
 
     pub fn text(status: u16, body: &str) -> Response {

@@ -16,7 +16,7 @@
 //! the drain loop wake up.
 
 use polite_wifi_harness::{CancelToken, ChannelProgress};
-use polite_wifi_obs::json;
+use polite_wifi_obs::json::JsonWriter;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -110,33 +110,44 @@ impl Job {
     /// 0 = next to run), so a poller can see liveness without scraping
     /// stdout.
     pub fn status_json(&self, now: Instant, queue_position: Option<u64>) -> String {
-        let position = match queue_position {
-            Some(p) => format!("\"queue_position\": {p}, "),
-            None => String::new(),
-        };
-        format!(
-            concat!(
-                "{{\"id\": {}, \"state\": \"{}\", \"key\": \"{}\", \"slug\": \"{}\", ",
-                "\"runner\": \"{}\", \"attempts\": {}, \"cached\": {}, ",
-                "\"elapsed_ms\": {}, \"trials\": {}, \"trials_done\": {}, ",
-                "\"workers\": {}, \"seed\": {}, \"events\": {}, {}\"detail\": {}}}"
-            ),
-            self.id,
-            self.state.name(),
-            self.key,
-            self.slug,
-            self.runner,
-            self.attempts,
-            self.cached,
-            self.elapsed_ms(now),
-            self.trials,
-            self.recorder.trials_done(),
-            self.workers,
-            self.seed,
-            self.recorder.hub().published(),
-            position,
-            json::to_string(self.detail.as_str()),
-        )
+        let mut w = JsonWriter::pretty();
+        self.write_status(&mut w, now, queue_position);
+        w.finish()
+    }
+
+    /// Writes the [`status_json`](Self::status_json) document into `w`.
+    pub fn write_status(&self, w: &mut JsonWriter, now: Instant, queue_position: Option<u64>) {
+        w.begin_object()
+            .key("id")
+            .u64(self.id)
+            .key("state")
+            .string(self.state.name())
+            .key("key")
+            .string(&self.key)
+            .key("slug")
+            .string(&self.slug)
+            .key("runner")
+            .string(&self.runner)
+            .key("attempts")
+            .u64(self.attempts.into())
+            .key("cached")
+            .bool(self.cached)
+            .key("elapsed_ms")
+            .u64(self.elapsed_ms(now))
+            .key("trials")
+            .u64(self.trials)
+            .key("trials_done")
+            .u64(self.recorder.trials_done())
+            .key("workers")
+            .u64(self.workers)
+            .key("seed")
+            .u64(self.seed)
+            .key("events")
+            .u64(self.recorder.hub().published());
+        if let Some(position) = queue_position {
+            w.key("queue_position").u64(position);
+        }
+        w.key("detail").string(&self.detail).end_object();
     }
 }
 

@@ -22,7 +22,8 @@ use polite_wifi_core::retry::RetryPolicy;
 use polite_wifi_harness::progress::set_thread_progress_sink;
 use polite_wifi_harness::{cancel, CancelToken, ChannelProgress, ProgressSink};
 use polite_wifi_obs::events::{EventHub, ProgressEvent, TimeSeries};
-use polite_wifi_obs::{json, names, Obs, OpenMetricsWriter};
+use polite_wifi_obs::json::JsonWriter;
+use polite_wifi_obs::{names, Obs, OpenMetricsWriter};
 use polite_wifi_scenario::{fnv1a64, run_spec, ScenarioSpec};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io;
@@ -255,19 +256,19 @@ impl Daemon {
     fn persist_jobs(&self) -> io::Result<()> {
         let now = Instant::now();
         let st = self.shared.state.lock().unwrap();
-        let mut out = String::from("[\n");
+        let mut w = JsonWriter::pretty();
         let mut journals = Vec::new();
-        for (i, job) in st.jobs.values().enumerate() {
-            if i > 0 {
-                out.push_str(",\n");
-            }
-            out.push_str("  ");
-            out.push_str(&job.status_json(now, None));
+        w.begin_array();
+        for job in st.jobs.values() {
+            job.write_status(&mut w, now, None);
             journals.push((job.id, job.recorder.hub()));
         }
-        out.push_str("\n]\n");
+        w.end_array();
         drop(st);
-        std::fs::write(self.shared.config.state_dir.join("jobs.json"), out)?;
+        std::fs::write(
+            self.shared.config.state_dir.join("jobs.json"),
+            w.finish() + "\n",
+        )?;
         let events_dir = self.shared.config.state_dir.join("events");
         if !journals.is_empty() {
             std::fs::create_dir_all(&events_dir)?;
@@ -303,7 +304,7 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
     let req = match read_request(&mut stream) {
         Ok(req) => req,
         Err(e) => {
-            let _ = Response::json(400, format!("{{\"error\": \"{e}\"}}")).write_to(&mut stream);
+            let _ = Response::error(400, &e.to_string()).write_to(&mut stream);
             return;
         }
     };
@@ -335,8 +336,8 @@ fn route(req: &Request, shared: &Arc<Shared>) -> Response {
         }
         ("GET", path) if path.starts_with("/jobs/") => handle_job_status(path, shared),
         ("GET", path) if path.starts_with("/results/") => handle_result(path, shared),
-        ("GET" | "POST", _) => Response::json(404, "{\"error\": \"no such route\"}".to_string()),
-        _ => Response::json(405, "{\"error\": \"method not allowed\"}".to_string()),
+        ("GET" | "POST", _) => Response::error(404, "no such route"),
+        _ => Response::error(405, "method not allowed"),
     }
 }
 
@@ -350,16 +351,18 @@ fn handle_healthz(shared: &Arc<Shared>) -> Response {
     } else {
         "ok"
     };
-    Response::json(
-        200,
-        format!(
-            "{{\"status\": \"{status}\", \"uptime_secs\": {}, \"version\": \"{}\", \
-             \"subscribers\": {}}}",
-            shared.started.elapsed().as_secs(),
-            env!("CARGO_PKG_VERSION"),
-            shared.subscribers.load(Ordering::SeqCst),
-        ),
-    )
+    let mut w = JsonWriter::pretty();
+    w.begin_object()
+        .key("status")
+        .string(status)
+        .key("uptime_secs")
+        .u64(shared.started.elapsed().as_secs())
+        .key("version")
+        .string(env!("CARGO_PKG_VERSION"))
+        .key("subscribers")
+        .u64(shared.subscribers.load(Ordering::SeqCst))
+        .end_object();
+    Response::json(200, w.finish())
 }
 
 fn handle_metrics(shared: &Arc<Shared>) -> Response {
@@ -378,7 +381,7 @@ fn handle_metrics(shared: &Arc<Shared>) -> Response {
 fn handle_job_status(path: &str, shared: &Arc<Shared>) -> Response {
     let id = match path["/jobs/".len()..].parse::<u64>() {
         Ok(id) => id,
-        Err(_) => return Response::json(400, "{\"error\": \"bad job id\"}".to_string()),
+        Err(_) => return Response::error(400, "bad job id"),
     };
     let st = shared.state.lock().unwrap();
     match st.jobs.get(&id) {
@@ -392,7 +395,7 @@ fn handle_job_status(path: &str, shared: &Arc<Shared>) -> Response {
             };
             Response::json(200, job.status_json(Instant::now(), position))
         }
-        None => Response::json(404, "{\"error\": \"no such job\"}".to_string()),
+        None => Response::error(404, "no such job"),
     }
 }
 
@@ -403,7 +406,7 @@ fn handle_job_events(path: &str, shared: &Arc<Shared>) -> Response {
     let middle = &path["/jobs/".len()..path.len() - "/events".len()];
     let id = match middle.parse::<u64>() {
         Ok(id) => id,
-        Err(_) => return Response::json(400, "{\"error\": \"bad job id\"}".to_string()),
+        Err(_) => return Response::error(400, "bad job id"),
     };
     let hub = {
         let st = shared.state.lock().unwrap();
@@ -411,7 +414,7 @@ fn handle_job_events(path: &str, shared: &Arc<Shared>) -> Response {
     };
     match hub {
         Some(hub) => Response::json(200, hub.to_json()),
-        None => Response::json(404, "{\"error\": \"no such job\"}".to_string()),
+        None => Response::error(404, "no such job"),
     }
 }
 
@@ -427,8 +430,7 @@ fn handle_watch(mut stream: TcpStream, req: &Request, shared: &Arc<Shared>) {
     let id = match req.path["/watch/".len()..].parse::<u64>() {
         Ok(id) => id,
         Err(_) => {
-            let _ = Response::json(400, "{\"error\": \"bad job id\"}".to_string())
-                .write_to(&mut stream);
+            let _ = Response::error(400, "bad job id").write_to(&mut stream);
             return;
         }
     };
@@ -437,8 +439,7 @@ fn handle_watch(mut stream: TcpStream, req: &Request, shared: &Arc<Shared>) {
         st.jobs.get(&id).map(|job| job.recorder.hub())
     };
     let Some(hub) = hub else {
-        let _ =
-            Response::json(404, "{\"error\": \"no such job\"}".to_string()).write_to(&mut stream);
+        let _ = Response::error(404, "no such job").write_to(&mut stream);
         return;
     };
     // Resume point: the standard SSE `Last-Event-ID` header names the
@@ -508,7 +509,7 @@ fn stream_watch(
 fn handle_result(path: &str, shared: &Arc<Shared>) -> Response {
     let key = &path["/results/".len()..];
     if key.len() != 16 || !key.bytes().all(|b| b.is_ascii_hexdigit()) {
-        return Response::json(400, "{\"error\": \"bad result key\"}".to_string());
+        return Response::error(400, "bad result key");
     }
     match shared.store.get(key) {
         CacheRead::Hit(bytes) => Response {
@@ -517,18 +518,14 @@ fn handle_result(path: &str, shared: &Arc<Shared>) -> Response {
             headers: vec![("x-cache", "hit".to_string())],
             body: bytes,
         },
-        CacheRead::Miss => {
-            Response::json(404, "{\"error\": \"no result under this key\"}".to_string())
-        }
+        CacheRead::Miss => Response::error(404, "no result under this key"),
         CacheRead::Corrupt(why) => {
             shared.incr(names::DAEMON_CACHE_CORRUPT);
             eprintln!("polite-wifi-d: result {key} failed verification ({why}); dropping entry");
             let _ = std::fs::remove_file(shared.store.entry_path(key));
-            Response::json(
+            Response::error(
                 410,
-                format!(
-                    "{{\"error\": \"entry failed verification: {why}; resubmit to recompute\"}}"
-                ),
+                &format!("entry failed verification: {why}; resubmit to recompute"),
             )
         }
     }
@@ -540,24 +537,16 @@ fn handle_submit(req: &Request, shared: &Arc<Shared>) -> Response {
     shared.incr(names::DAEMON_SUBMIT_TOTAL);
     if shared.draining.load(Ordering::SeqCst) || shared.shutdown.load(Ordering::SeqCst) {
         shared.incr(names::DAEMON_ADMISSION_REJECTED);
-        return Response::json(
-            503,
-            "{\"error\": \"draining; not accepting work\"}".to_string(),
-        )
-        .with_header("retry-after", "1".to_string());
+        return Response::error(503, "draining; not accepting work")
+            .with_header("retry-after", "1".to_string());
     }
     let text = match std::str::from_utf8(&req.body) {
         Ok(t) => t,
-        Err(_) => return Response::json(400, "{\"error\": \"body is not UTF-8\"}".to_string()),
+        Err(_) => return Response::error(400, "body is not UTF-8"),
     };
     let spec = match ScenarioSpec::parse(text) {
         Ok(spec) => spec,
-        Err(e) => {
-            return Response::json(
-                400,
-                format!("{{\"error\": {}}}", json::to_string(e.as_str())),
-            )
-        }
+        Err(e) => return Response::error(400, &e),
     };
     let inject = req
         .param("inject_trial_panic")
@@ -579,10 +568,16 @@ fn handle_submit(req: &Request, shared: &Arc<Shared>) -> Response {
                         body: bytes,
                     }
                 } else {
-                    Response::json(
-                        200,
-                        format!("{{\"cached\": true, \"key\": \"{key}\", \"result\": \"/results/{key}\"}}"),
-                    )
+                    let mut w = JsonWriter::pretty();
+                    w.begin_object()
+                        .key("cached")
+                        .bool(true)
+                        .key("key")
+                        .string(&key)
+                        .key("result")
+                        .string(&format!("/results/{key}"))
+                        .end_object();
+                    Response::json(200, w.finish())
                 };
             }
             CacheRead::Corrupt(why) => {
@@ -613,21 +608,24 @@ fn handle_submit(req: &Request, shared: &Arc<Shared>) -> Response {
                 return if wait {
                     wait_and_respond(existing, shared)
                 } else {
-                    Response::json(
-                        202,
-                        format!("{{\"job\": {existing}, \"coalesced\": true, \"key\": \"{key}\"}}"),
-                    )
+                    let mut w = JsonWriter::pretty();
+                    w.begin_object()
+                        .key("job")
+                        .u64(existing)
+                        .key("coalesced")
+                        .bool(true)
+                        .key("key")
+                        .string(&key)
+                        .end_object();
+                    Response::json(202, w.finish())
                 };
             }
         }
         if st.queue.len() >= shared.config.queue_depth {
             drop(st);
             shared.incr(names::DAEMON_ADMISSION_REJECTED);
-            return Response::json(
-                429,
-                "{\"error\": \"queue full; back off and retry\"}".to_string(),
-            )
-            .with_header("retry-after", "1".to_string());
+            return Response::error(429, "queue full; back off and retry")
+                .with_header("retry-after", "1".to_string());
         }
         let id = st.next_id;
         st.next_id += 1;
@@ -679,10 +677,16 @@ fn handle_submit(req: &Request, shared: &Arc<Shared>) -> Response {
     if wait {
         wait_and_respond(job_id, shared)
     } else {
-        Response::json(
-            202,
-            format!("{{\"job\": {job_id}, \"state\": \"queued\", \"key\": \"{key}\"}}"),
-        )
+        let mut w = JsonWriter::pretty();
+        w.begin_object()
+            .key("job")
+            .u64(job_id)
+            .key("state")
+            .string("queued")
+            .key("key")
+            .string(&key)
+            .end_object();
+        Response::json(202, w.finish())
     }
 }
 
@@ -694,7 +698,7 @@ fn wait_and_respond(id: u64, shared: &Arc<Shared>) -> Response {
         loop {
             let job = match st.jobs.get(&id) {
                 Some(job) => job,
-                None => return Response::json(404, "{\"error\": \"job vanished\"}".to_string()),
+                None => return Response::error(404, "job vanished"),
             };
             if job.state.is_terminal() {
                 break (
@@ -729,7 +733,7 @@ fn wait_and_respond(id: u64, shared: &Arc<Shared>) -> Response {
                     headers: vec![("x-cache", "miss".to_string())],
                     body: bytes,
                 },
-                None => Response::json(500, "{\"error\": \"result file missing\"}".to_string()),
+                None => Response::error(500, "result file missing"),
             }
         }
         JobState::TimedOut => Response::json(504, status_json),

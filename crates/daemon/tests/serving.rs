@@ -5,7 +5,7 @@
 use polite_wifi_daemon::{
     corrupt_entry, http, CacheRead, Daemon, DaemonConfig, ResultStore, SseClient,
 };
-use polite_wifi_obs::names;
+use polite_wifi_obs::{json, names};
 use polite_wifi_scenario::ScenarioSpec;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -120,6 +120,34 @@ fn identical_resubmission_is_a_byte_identical_cache_hit() {
         http::request(daemon.addr(), "GET", &format!("/results/{key}"), b"").unwrap();
     assert_eq!(status, 200);
     assert_eq!(via_key, first);
+
+    daemon.drain().unwrap();
+    let _ = std::fs::remove_dir_all(state_dir);
+}
+
+#[test]
+fn status_documents_stay_valid_json_for_a_quoted_runner() {
+    let cfg = config("quoted-runner");
+    let state_dir = cfg.state_dir.clone();
+    let daemon = Daemon::start(cfg).unwrap();
+    // Parses (any runner name does), queues, then fails: no such runner.
+    let runner = "no \"such\" runner";
+    let spec = fixture(5, 1, 10).replace(
+        "\"runner\": \"generic\"",
+        &format!("\"runner\": {}", json::to_string(runner)),
+    );
+
+    let (status, _, body) = submit(&daemon, &spec, "?wait=1");
+    assert_eq!(status, 500, "{}", String::from_utf8_lossy(&body));
+    let reply = json::parse(std::str::from_utf8(&body).unwrap())
+        .unwrap_or_else(|e| panic!("failure reply is not JSON ({e})"));
+    assert_eq!(reply.get("runner").and_then(|v| v.as_str()), Some(runner));
+    let id = reply.get("id").and_then(|v| v.as_f64()).expect("job id") as u64;
+
+    let body = poll_until_terminal(&daemon, id);
+    let doc = json::parse(&body).unwrap_or_else(|e| panic!("status is not JSON ({e}): {body}"));
+    assert_eq!(doc.get("runner").and_then(|v| v.as_str()), Some(runner));
+    assert_eq!(doc.get("state").and_then(|v| v.as_str()), Some("failed"));
 
     daemon.drain().unwrap();
     let _ = std::fs::remove_dir_all(state_dir);

@@ -187,6 +187,13 @@ impl JsonWriter {
         self
     }
 
+    /// Writes `json`, a value already rendered as JSON text, verbatim.
+    pub fn raw(&mut self, json: &str) -> &mut Self {
+        self.separate();
+        self.out.push_str(json);
+        self
+    }
+
     /// Writes any [`ToJson`] value.
     pub fn value<T: ToJson + ?Sized>(&mut self, v: &T) -> &mut Self {
         v.write_json(self);

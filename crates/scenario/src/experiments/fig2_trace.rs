@@ -9,7 +9,7 @@
 //! code — the template for writing your own scenario (README has the
 //! walkthrough).
 
-use crate::spec::{bitrate_from_label, AttackSpec, ScenarioSpec};
+use crate::spec::{AttackSpec, ScenarioSpec};
 use crate::support::{compare, ensure_results_dir};
 use polite_wifi_core::{AckVerifier, FakeFrameInjector, InjectionKind, InjectionPlan};
 use polite_wifi_harness::{Experiment, RunArgs};
@@ -56,7 +56,7 @@ pub fn run(spec: &ScenarioSpec, args: RunArgs) -> std::io::Result<i32> {
         rate_pps: *rate_pps,
         start_us: *start_us,
         duration_us: *duration_us,
-        bitrate: bitrate_from_label(bitrate).expect("validated at parse time"),
+        bitrate: *bitrate,
     };
     let fakes = FakeFrameInjector::new(attacker).execute(&mut scenario.sim, &plan);
     let sim = scenario.run();

@@ -8,15 +8,14 @@
 //! checked against the recorded metric means. No experiment-specific
 //! code runs at all — related-work scenarios land purely as data files.
 
-use crate::spec::{bitrate_from_label, AttackSpec, ProbeSpec, ScenarioSpec, TopologySpec};
+use crate::spec::{AttackSpec, ProbeSpec, ScenarioSpec, TopologySpec};
 use polite_wifi_core::{
-    check_all, Assertion, Attack, AttackCtx, BlockAckParalysis, CmpOp, DeauthFlood, InjectionKind,
-    InjectionPlan, MetricAssertion, NavRtsFlood, Probe, StatKind, StationStatProbe,
+    check_all, Assertion, Attack, AttackCtx, BlockAckParalysis, DeauthFlood, InjectionKind,
+    InjectionPlan, MetricAssertion, NavRtsFlood, Probe, StationStatProbe,
 };
 use polite_wifi_core::{AckVerifier, AssociationProbe};
 use polite_wifi_frame::builder;
 use polite_wifi_harness::{Experiment, MetricsLedger, RunArgs};
-use polite_wifi_phy::rate::BitRate;
 use polite_wifi_sim::{NodeId, Simulator};
 use std::collections::BTreeMap;
 use std::io;
@@ -39,10 +38,6 @@ struct GenericOutcome {
 
 polite_wifi_obs::impl_to_json! { GenericOutcome { attack_frames, assertions, verdict } }
 
-fn rate(label: &str) -> BitRate {
-    bitrate_from_label(label).expect("validated at parse time")
-}
-
 /// Builds the core-layer attack object an [`AttackSpec`] describes,
 /// resolving node names. `QosTraffic` is not an attack (it transmits
 /// from a legitimate node) and returns `None`.
@@ -64,7 +59,7 @@ fn build_attack(spec: &AttackSpec, topo: &TopologySpec) -> Option<(String, Box<d
                 rate_pps: *rate_pps,
                 start_us: *start_us,
                 duration_us: *duration_us,
-                bitrate: rate(bitrate),
+                bitrate: *bitrate,
             }),
         )),
         AttackSpec::RtsFlood {
@@ -84,7 +79,7 @@ fn build_attack(spec: &AttackSpec, topo: &TopologySpec) -> Option<(String, Box<d
                 rate_pps: *rate_pps,
                 start_us: *start_us,
                 duration_us: *duration_us,
-                bitrate: rate(bitrate),
+                bitrate: *bitrate,
             }),
         )),
         AttackSpec::DeauthFlood {
@@ -103,7 +98,7 @@ fn build_attack(spec: &AttackSpec, topo: &TopologySpec) -> Option<(String, Box<d
                 rate_pps: *rate_pps,
                 start_us: *start_us,
                 duration_us: *duration_us,
-                bitrate: rate(bitrate),
+                bitrate: *bitrate,
             }),
         )),
         AttackSpec::BlockAckParalysis {
@@ -120,7 +115,7 @@ fn build_attack(spec: &AttackSpec, topo: &TopologySpec) -> Option<(String, Box<d
                 spoofed_peer: topo.mac_of(spoofed_peer),
                 jump_to_seq: *jump_to_seq,
                 at_us: *at_us,
-                bitrate: rate(bitrate),
+                bitrate: *bitrate,
             }),
         )),
         AttackSpec::QosTraffic { .. } => None,
@@ -158,7 +153,7 @@ fn schedule_traffic(
             start_us + i * gap,
             ids[from],
             builder::protected_qos_data(dst, src, src, i as u16, *payload_len as usize),
-            rate(bitrate),
+            *bitrate,
         );
     }
     n
@@ -174,7 +169,7 @@ fn build_probe(
         ProbeSpec::AckVerifier { attacker } => Box::new(AckVerifier::new(topo.mac_of(attacker))),
         ProbeSpec::StationStat { node, stat, metric } => Box::new(StationStatProbe {
             node: ids[node],
-            stat: StatKind::from_label(stat).expect("validated at parse time"),
+            stat: *stat,
             metric: metric.clone(),
         }),
         ProbeSpec::Association { node, peer, metric } => Box::new(AssociationProbe {
@@ -253,7 +248,7 @@ pub fn run(spec: &ScenarioSpec, args: RunArgs) -> io::Result<i32> {
         .map(|a| {
             Box::new(MetricAssertion {
                 metric: a.metric.clone(),
-                op: CmpOp::from_symbol(&a.op).expect("validated at parse time"),
+                op: a.op,
                 value: a.value,
             }) as Box<dyn Assertion>
         })

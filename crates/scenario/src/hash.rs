@@ -31,7 +31,7 @@ impl ScenarioSpec {
         normalised.run.workers = 1;
         format!(
             "{:016x}",
-            fnv1a64(normalised.to_canonical_json().as_bytes())
+            fnv1a64(normalised.into_canonical_json().as_bytes())
         )
     }
 }
@@ -97,6 +97,14 @@ mod tests {
             ..spec.clone()
         };
         assert_ne!(spec.canonical_hash(), quickened.canonical_hash());
+    }
+
+    /// Cache keys outlive builds: a change to the canonical form would
+    /// silently orphan every stored result, so one key is pinned.
+    #[test]
+    fn base_spec_hash_is_pinned() {
+        let spec = ScenarioSpec::parse(BASE).unwrap();
+        assert_eq!(spec.canonical_hash(), "0dba5c08147b7f9a");
     }
 
     #[test]

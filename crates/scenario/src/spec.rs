@@ -4,23 +4,32 @@
 //! needs: identity (envelope `name`/`paper_ref`/`slug`), run defaults
 //! (seed, trials, workers, quick, fault profile), a population/topology
 //! for [`ScenarioBuilder`], attacker strategies, defender probes, and a
-//! pass/fail assertion block. Parsing reuses the zero-dependency JSON
-//! parser from `polite-wifi-obs` and rejects malformed
-//! specs with **one aggregated error** listing every problem, the same
-//! contract as the harness flag parser.
+//! pass/fail assertion block.
 //!
-//! [`ScenarioSpec::to_canonical_json`] re-emits the spec in a fixed
-//! field order and formatting; committed `scenarios/*.json` files are
-//! kept in canonical form, so `parse → write` round-trips byte-exact
-//! (the golden tests pin this).
+//! Each section, and each attack and probe kind, has **one field list**
+//! (a `Section::fields` body; for attacks and probes, the variant's
+//! declaration), walked by two visitors:
+//!
+//! * the reader pulls typed values out of the JSON parsed by
+//!   `polite-wifi-obs`, works out the allowed keys and the node-name
+//!   references from the fields it visited, and rejects malformed specs
+//!   with **one aggregated error** listing every problem (the same
+//!   contract as the harness flag parser);
+//! * the writer re-emits the spec through
+//!   [`JsonWriter::pretty`](polite_wifi_obs::json::JsonWriter::pretty)
+//!   in field-list order ([`ScenarioSpec::to_canonical_json`]).
+//!   Committed `scenarios/*.json` files are kept in canonical form, so
+//!   `parse → write` round-trips byte-exact (the golden tests pin this).
 
+use polite_wifi_core::{CmpOp, StatKind};
 use polite_wifi_frame::MacAddr;
 use polite_wifi_harness::{RunArgs, ScenarioBuilder};
-use polite_wifi_obs::json::{self, parse as parse_json, JsonValue};
+use polite_wifi_obs::json::{self, parse as parse_json, JsonValue, JsonWriter};
 use polite_wifi_phy::rate::BitRate;
 use polite_wifi_phy::Band;
-use polite_wifi_sim::{FaultProfile, NodeId};
-use std::collections::BTreeMap;
+use polite_wifi_sim::{FaultProfile, NodeId, PropagationMode};
+use std::collections::{BTreeMap, HashSet};
+use std::fmt;
 
 /// Run-section defaults: the subset of [`RunArgs`] a scenario pins.
 /// CLI flags still override every one of them at launch.
@@ -76,25 +85,6 @@ pub enum NodeKind {
     Monitor,
 }
 
-impl NodeKind {
-    fn label(self) -> &'static str {
-        match self {
-            NodeKind::Client => "client",
-            NodeKind::Ap => "ap",
-            NodeKind::Monitor => "monitor",
-        }
-    }
-
-    fn from_label(label: &str) -> Option<NodeKind> {
-        Some(match label {
-            "client" => NodeKind::Client,
-            "ap" => NodeKind::Ap,
-            "monitor" => NodeKind::Monitor,
-            _ => return None,
-        })
-    }
-}
-
 /// One station in the population.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeSpec {
@@ -109,8 +99,8 @@ pub struct NodeSpec {
     /// Behaviour profile: `client`, `quiet_ap`, `deauthing_ap`,
     /// `iot_power_save`, `pmf`, or `validating:<decode_us>`.
     pub behavior: Option<String>,
-    /// Operating band: `2.4` or `5`.
-    pub band: Option<String>,
+    /// Operating band (`2.4` or `5` in the file).
+    pub band: Option<Band>,
     /// Channel number.
     pub channel: Option<u8>,
     /// SSID (APs only).
@@ -124,7 +114,7 @@ pub struct NodeSpec {
 }
 
 /// The population/topology section.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TopologySpec {
     /// Virtual time the scenario runs for.
     pub duration_us: u64,
@@ -140,121 +130,168 @@ pub struct TopologySpec {
     pub associations: Vec<(String, String)>,
 }
 
-/// An attacker strategy composed from the `polite-wifi-core` trait
-/// layer (plus legitimate background traffic, which shares the
-/// scheduling shape).
-#[derive(Debug, Clone, PartialEq)]
-pub enum AttackSpec {
-    /// The paper's fake null-function stream.
-    NullFlood {
-        /// Injecting node (by name).
-        attacker: String,
-        /// Target node (by name).
-        victim: String,
-        /// Frames per second.
-        rate_pps: u32,
-        /// First injection time.
-        start_us: u64,
-        /// Stream duration.
-        duration_us: u64,
-        /// Transmit bit rate label (e.g. `1`, `6`, `24`).
-        bitrate: String,
-    },
-    /// NAV-stuffing forged RTS.
-    RtsFlood {
-        /// Injecting node.
-        attacker: String,
-        /// Node whose CTS is elicited.
-        target: String,
-        /// NAV reservation per RTS, µs.
-        nav_us: u16,
-        /// Frames per second.
-        rate_pps: u32,
-        /// First injection time.
-        start_us: u64,
-        /// Stream duration.
-        duration_us: u64,
-        /// Bit rate label.
-        bitrate: String,
-    },
-    /// Forged unprotected deauthentication flood (arXiv 2602.23513).
-    DeauthFlood {
-        /// Injecting node.
-        attacker: String,
-        /// The client being kicked.
-        victim: String,
-        /// The AP whose address is forged.
-        forged_ap: String,
-        /// Frames per second.
-        rate_pps: u32,
-        /// First injection time.
-        start_us: u64,
-        /// Stream duration.
-        duration_us: u64,
-        /// Bit rate label.
-        bitrate: String,
-    },
-    /// Bl0ck-style forged BlockAckReq window jump (arXiv 2302.05899).
-    BlockAckParalysis {
-        /// Injecting node.
-        attacker: String,
-        /// The receiver whose window is jumped.
-        victim: String,
-        /// The associated peer the BAR impersonates.
-        spoofed_peer: String,
-        /// Sequence number the window floor jumps to.
-        jump_to_seq: u16,
-        /// Injection time.
-        at_us: u64,
-        /// Bit rate label.
-        bitrate: String,
-    },
-    /// Legitimate protected QoS traffic between associated stations —
-    /// the workload the attacks disrupt.
-    QosTraffic {
-        /// Sending node.
-        from: String,
-        /// Receiving node.
-        to: String,
-        /// Frames per second.
-        rate_pps: u32,
-        /// First frame time.
-        start_us: u64,
-        /// Stream duration.
-        duration_us: u64,
-        /// Ciphertext length per frame.
-        payload_len: u64,
-        /// Bit rate label.
-        bitrate: String,
-    },
+/// Declares an enum section: each variant is one `kind` tag plus one
+/// field list, every field naming the [`Visit`] method that reads and
+/// writes it (`node` for node names, `req`, or `req_if(rule)`).
+macro_rules! tagged_section {
+    ($(#[$meta:meta])* pub enum $name:ident ($noun:literal) {$(
+        $(#[$vmeta:meta])* $tag:literal => $variant:ident {$(
+            $(#[$fmeta:meta])* $field:ident: $ty:ty = $visit:ident $(($rule:expr))?,
+        )*}
+    )*}) => {
+        $(#[$meta])*
+        pub enum $name {$(
+            $(#[$vmeta])* $variant {$($(#[$fmeta])* $field: $ty,)*},
+        )*}
+
+        impl $name {
+            /// Every kind's tag with a blank variant for the reader to fill.
+            fn kinds() -> Vec<(&'static str, $name)> {
+                vec![$(($tag, $name::$variant {$($field: Blank::blank(),)*}),)*]
+            }
+        }
+
+        impl Section for $name {
+            fn blank() -> Self {
+                Self::kinds().swap_remove(0).1
+            }
+
+            fn fields<V: Visit>(&mut self, v: &mut V) {
+                if !v.kind($noun, self, &Self::kinds()) {
+                    return;
+                }
+                match self {$(
+                    $name::$variant {$($field,)*} => {$(
+                        v.$visit(stringify!($field), $field $(, $rule)?);
+                    )*}
+                )*}
+            }
+        }
+    };
 }
 
-/// A defender-side measurement.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ProbeSpec {
-    /// Temporal fake↔ACK pairing over the global capture.
-    AckVerifier {
-        /// The attacker node whose forged TA anchors pairing.
-        attacker: String,
-    },
-    /// One `StationStats` counter, recorded under `metric`.
-    StationStat {
-        /// Node to read.
-        node: String,
-        /// Counter label (see `StatKind`).
-        stat: String,
-        /// Ledger metric name.
-        metric: String,
-    },
-    /// Whether `node` is still associated with `peer` (1/0).
-    Association {
-        /// Node to inspect.
-        node: String,
-        /// Peer node (by name).
-        peer: String,
-        /// Ledger metric name.
-        metric: String,
-    },
+tagged_section! {
+    /// An attacker strategy composed from the `polite-wifi-core` trait
+    /// layer (plus legitimate background traffic, which shares the
+    /// scheduling shape).
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum AttackSpec ("attack") {
+        /// The paper's fake null-function stream.
+        "null-flood" => NullFlood {
+            /// Injecting node (by name).
+            attacker: String = node,
+            /// Target node (by name).
+            victim: String = node,
+            /// Frames per second.
+            rate_pps: u32 = req,
+            /// First injection time.
+            start_us: u64 = req,
+            /// Stream duration.
+            duration_us: u64 = req,
+            /// Transmit bit rate (written as its label, e.g. `1`, `6`, `24`).
+            bitrate: BitRate = req,
+        }
+        /// NAV-stuffing forged RTS.
+        "rts-flood" => RtsFlood {
+            /// Injecting node.
+            attacker: String = node,
+            /// Node whose CTS is elicited.
+            target: String = node,
+            /// NAV reservation per RTS, µs.
+            nav_us: u16 = req,
+            /// Frames per second.
+            rate_pps: u32 = req,
+            /// First injection time.
+            start_us: u64 = req,
+            /// Stream duration.
+            duration_us: u64 = req,
+            /// Bit rate.
+            bitrate: BitRate = req,
+        }
+        /// Forged unprotected deauthentication flood (arXiv 2602.23513).
+        "deauth-flood" => DeauthFlood {
+            /// Injecting node.
+            attacker: String = node,
+            /// The client being kicked.
+            victim: String = node,
+            /// The AP whose address is forged.
+            forged_ap: String = node,
+            /// Frames per second.
+            rate_pps: u32 = req,
+            /// First injection time.
+            start_us: u64 = req,
+            /// Stream duration.
+            duration_us: u64 = req,
+            /// Bit rate.
+            bitrate: BitRate = req,
+        }
+        /// Bl0ck-style forged BlockAckReq window jump (arXiv 2302.05899).
+        "blockack-paralysis" => BlockAckParalysis {
+            /// Injecting node.
+            attacker: String = node,
+            /// The receiver whose window is jumped.
+            victim: String = node,
+            /// The associated peer the BAR impersonates.
+            spoofed_peer: String = node,
+            /// Sequence number the window floor jumps to.
+            jump_to_seq: u16 = req_if(|seq| match seq {
+                0..=0x0fff => Ok(()),
+                _ => Err("must fit 12 bits (0..=4095)".to_string()),
+            }),
+            /// Injection time.
+            at_us: u64 = req,
+            /// Bit rate.
+            bitrate: BitRate = req,
+        }
+        /// Legitimate protected QoS traffic between associated stations —
+        /// the workload the attacks disrupt.
+        "qos-traffic" => QosTraffic {
+            /// Sending node.
+            from: String = node,
+            /// Receiving node.
+            to: String = node,
+            /// Frames per second.
+            rate_pps: u32 = req,
+            /// First frame time.
+            start_us: u64 = req,
+            /// Stream duration.
+            duration_us: u64 = req,
+            /// Ciphertext length per frame.
+            payload_len: u64 = req,
+            /// Bit rate.
+            bitrate: BitRate = req,
+        }
+    }
+}
+
+tagged_section! {
+    /// A defender-side measurement.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum ProbeSpec ("probe") {
+        /// Temporal fake↔ACK pairing over the global capture.
+        "ack-verifier" => AckVerifier {
+            /// The attacker node whose forged TA anchors pairing.
+            attacker: String = node,
+        }
+        /// One `StationStats` counter, recorded under `metric`.
+        "station-stat" => StationStat {
+            /// Node to read.
+            node: String = node,
+            /// The counter.
+            stat: StatKind = req,
+            /// Ledger metric name.
+            metric: String = req,
+        }
+        /// Whether `node` is still associated with `peer` (1/0).
+        "association" => Association {
+            /// Node to inspect.
+            node: String = node,
+            /// Peer node (by name).
+            peer: String = node,
+            /// Ledger metric name.
+            metric: String = req,
+        }
+    }
 }
 
 /// A pass/fail check over recorded metric means.
@@ -262,8 +299,8 @@ pub enum ProbeSpec {
 pub struct AssertionSpec {
     /// Metric name.
     pub metric: String,
-    /// Comparison operator symbol.
-    pub op: String,
+    /// Comparison operator.
+    pub op: CmpOp,
     /// Right-hand side.
     pub value: f64,
     /// `true`: only enforced under the clean fault profile (fault
@@ -283,7 +320,7 @@ pub enum ParamValue {
 }
 
 /// A fully parsed and validated scenario.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScenarioSpec {
     /// Envelope experiment name.
     pub name: String,
@@ -308,41 +345,78 @@ pub struct ScenarioSpec {
     pub params: Vec<(String, ParamValue)>,
 }
 
+// ===== Labels =====
+
+/// A closed set of labels, read in both directions: label → value when
+/// parsing, value → label when writing.
+struct Labels<T: 'static>(&'static [(&'static str, T)]);
+
+impl<T: Copy + PartialEq> Labels<T> {
+    fn get(&self, label: &str) -> Option<T> {
+        self.0.iter().find(|e| e.0 == label).map(|e| e.1)
+    }
+
+    fn label(&self, value: T) -> &'static str {
+        self.0
+            .iter()
+            .find(|e| e.1 == value)
+            .expect("every value in use has a label")
+            .0
+    }
+
+    /// "must be `a`, `b` or `c`, got `label`".
+    fn wrong(&self, label: &str) -> String {
+        let quoted: Vec<String> = self.0.iter().map(|e| format!("`{}`", e.0)).collect();
+        let (last, rest) = quoted.split_last().expect("a label table is non-empty");
+        format!("must be {} or {last}, got `{label}`", rest.join(", "))
+    }
+}
+
+const BIT_RATES: Labels<BitRate> = Labels(&[
+    ("1", BitRate::Mbps1),
+    ("2", BitRate::Mbps2),
+    ("5.5", BitRate::Mbps5_5),
+    ("6", BitRate::Mbps6),
+    ("9", BitRate::Mbps9),
+    ("11", BitRate::Mbps11),
+    ("12", BitRate::Mbps12),
+    ("18", BitRate::Mbps18),
+    ("24", BitRate::Mbps24),
+    ("36", BitRate::Mbps36),
+    ("48", BitRate::Mbps48),
+    ("54", BitRate::Mbps54),
+]);
+
+const BANDS: Labels<Band> = Labels(&[("2.4", Band::Ghz2), ("5", Band::Ghz5)]);
+
+const PROPAGATIONS: Labels<PropagationMode> = Labels(&[
+    ("all_pairs", PropagationMode::AllPairs),
+    ("cell_grid", PropagationMode::CellGrid),
+]);
+
+const NODE_KINDS: Labels<NodeKind> = Labels(&[
+    ("client", NodeKind::Client),
+    ("ap", NodeKind::Ap),
+    ("monitor", NodeKind::Monitor),
+]);
+
+/// An assertion's `when`; absent means `always`.
+#[derive(Clone, Copy, PartialEq)]
+enum When {
+    Clean,
+    Always,
+}
+
+const WHENS: Labels<When> = Labels(&[("clean", When::Clean), ("always", When::Always)]);
+
 /// Parses a bit-rate label (`"1"`, `"5.5"`, `"24"`, …).
 pub fn bitrate_from_label(label: &str) -> Option<BitRate> {
-    Some(match label {
-        "1" => BitRate::Mbps1,
-        "2" => BitRate::Mbps2,
-        "5.5" => BitRate::Mbps5_5,
-        "6" => BitRate::Mbps6,
-        "9" => BitRate::Mbps9,
-        "11" => BitRate::Mbps11,
-        "12" => BitRate::Mbps12,
-        "18" => BitRate::Mbps18,
-        "24" => BitRate::Mbps24,
-        "36" => BitRate::Mbps36,
-        "48" => BitRate::Mbps48,
-        "54" => BitRate::Mbps54,
-        _ => return None,
-    })
+    BIT_RATES.get(label)
 }
 
-fn band_from_label(label: &str) -> Option<Band> {
-    Some(match label {
-        "2.4" => Band::Ghz2,
-        "5" => Band::Ghz5,
-        _ => return None,
-    })
-}
-
-/// Resolves a `topology.propagation` label to the PR 6 backend.
-pub fn propagation_from_label(label: &str) -> Option<polite_wifi_sim::PropagationMode> {
-    use polite_wifi_sim::PropagationMode;
-    Some(match label {
-        "all_pairs" => PropagationMode::AllPairs,
-        "cell_grid" => PropagationMode::CellGrid,
-        _ => return None,
-    })
+/// Resolves a `topology.propagation` label to its backend.
+pub fn propagation_from_label(label: &str) -> Option<PropagationMode> {
+    PROPAGATIONS.get(label)
 }
 
 /// Resolves a behaviour-profile label.
@@ -361,765 +435,705 @@ pub fn behavior_from_label(label: &str) -> Option<polite_wifi_mac::Behavior> {
     })
 }
 
-// ===== Parsing =====
+// ===== The field lists =====
 
-struct Problems(Vec<String>);
+/// A JSON object described by one field list, which both the reader and
+/// the writer walk.
+trait Section: Sized {
+    /// The value the reader fills in.
+    fn blank() -> Self;
+    /// Every field, in canonical order.
+    fn fields<V: Visit>(&mut self, v: &mut V);
+}
 
-impl Problems {
-    fn push(&mut self, msg: String) {
-        self.0.push(msg);
+/// One direction of the codec over a section's field list.
+trait Visit {
+    /// One field. A `required` field missing from the input is a
+    /// problem; an optional one keeps the slot's current value, and is
+    /// left out of the canonical form while [`Value::omitted`]. `rule`
+    /// vets each value the reader parsed. True when the reader read a
+    /// value that passed.
+    fn field<T: Value>(
+        &mut self,
+        key: &'static str,
+        required: bool,
+        slot: &mut T,
+        rule: Rule<T>,
+    ) -> bool;
+
+    /// The node's own name, which references resolve against.
+    fn name(&mut self, key: &'static str, slot: &mut String) {
+        self.req(key, slot);
     }
 
-    fn into_error(self) -> Result<(), String> {
-        if self.0.is_empty() {
-            Ok(())
-        } else {
-            Err(format!(
-                "invalid scenario spec: {} (see DESIGN.md \u{a7}13 for the grammar)",
-                self.0.join("; ")
-            ))
-        }
+    /// A required reference to a node by name.
+    fn node(&mut self, key: &'static str, slot: &mut String) {
+        self.req(key, slot);
+    }
+
+    /// The `kind` tag of an enum section (`noun` names it in errors).
+    /// The reader swaps in the blank variant the tag names; `false`
+    /// ends the field list when there is none.
+    fn kind<T: Clone>(&mut self, noun: &str, slot: &mut T, kinds: &[(&'static str, T)]) -> bool;
+    /// A constraint across fields; `why` follows the section's path.
+    fn reject_if(&mut self, _bad: bool, _why: &str) {}
+
+    fn req<T: Value>(&mut self, key: &'static str, slot: &mut T) -> bool {
+        self.field(key, true, slot, |_| Ok(()))
+    }
+
+    fn req_if<T: Value>(&mut self, key: &'static str, slot: &mut T, rule: Rule<T>) -> bool {
+        self.field(key, true, slot, rule)
+    }
+
+    fn opt<T: Value>(&mut self, key: &'static str, slot: &mut T) -> bool {
+        self.field(key, false, slot, |_| Ok(()))
+    }
+
+    fn opt_if<T: Value>(&mut self, key: &'static str, slot: &mut T, rule: Rule<T>) -> bool {
+        self.field(key, false, slot, rule)
     }
 }
 
-fn check_keys(obj: &[(String, JsonValue)], allowed: &[&str], path: &str, p: &mut Problems) {
-    for (key, _) in obj {
-        if !allowed.contains(&key.as_str()) {
-            p.push(format!("unknown key `{key}` in {path}"));
-        }
-    }
-}
+/// A check on a parsed value; the error follows the field's path.
+type Rule<T> = fn(&T) -> Result<(), String>;
 
-fn req<'a>(
-    obj: &'a [(String, JsonValue)],
-    key: &str,
-    path: &str,
-    p: &mut Problems,
-) -> Option<&'a JsonValue> {
-    match obj.iter().find(|(k, _)| k == key) {
-        Some((_, v)) => Some(v),
-        None => {
-            p.push(format!("{path} is missing required key `{key}`"));
-            None
-        }
+impl Section for ScenarioSpec {
+    fn blank() -> Self {
+        ScenarioSpec::default()
     }
-}
 
-fn opt<'a>(obj: &'a [(String, JsonValue)], key: &str) -> Option<&'a JsonValue> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn as_str(v: &JsonValue, path: &str, p: &mut Problems) -> Option<String> {
-    match v.as_str() {
-        Some(s) => Some(s.to_string()),
-        None => {
-            p.push(format!("{path} must be a string"));
-            None
-        }
-    }
-}
-
-fn as_u64(v: &JsonValue, path: &str, p: &mut Problems) -> Option<u64> {
-    match v.as_f64() {
-        Some(n) if n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64 => Some(n as u64),
-        _ => {
-            p.push(format!("{path} must be a non-negative integer"));
-            None
-        }
-    }
-}
-
-fn as_f64(v: &JsonValue, path: &str, p: &mut Problems) -> Option<f64> {
-    match v.as_f64() {
-        Some(n) => Some(n),
-        None => {
-            p.push(format!("{path} must be a number"));
-            None
-        }
-    }
-}
-
-fn as_bool(v: &JsonValue, path: &str, p: &mut Problems) -> Option<bool> {
-    match v {
-        JsonValue::Bool(b) => Some(*b),
-        _ => {
-            p.push(format!("{path} must be a boolean"));
-            None
-        }
-    }
-}
-
-fn as_obj<'a>(v: &'a JsonValue, path: &str, p: &mut Problems) -> Option<&'a [(String, JsonValue)]> {
-    match v.as_object() {
-        Some(o) => Some(o),
-        None => {
-            p.push(format!("{path} must be an object"));
-            None
-        }
-    }
-}
-
-fn as_arr<'a>(v: &'a JsonValue, path: &str, p: &mut Problems) -> Option<&'a [JsonValue]> {
-    match v.as_array() {
-        Some(a) => Some(a),
-        None => {
-            p.push(format!("{path} must be an array"));
-            None
-        }
-    }
-}
-
-fn as_mac(v: &JsonValue, path: &str, p: &mut Problems) -> Option<MacAddr> {
-    let s = as_str(v, path, p)?;
-    match s.parse::<MacAddr>() {
-        Ok(mac) => Some(mac),
-        Err(_) => {
-            p.push(format!("{path} is not a valid MAC address: `{s}`"));
-            None
-        }
-    }
-}
-
-fn as_pair(v: &JsonValue, path: &str, p: &mut Problems) -> Option<(f64, f64)> {
-    let arr = as_arr(v, path, p)?;
-    if arr.len() != 2 {
-        p.push(format!("{path} must be a two-element [x, y] array"));
-        return None;
-    }
-    Some((
-        as_f64(&arr[0], &format!("{path}[0]"), p)?,
-        as_f64(&arr[1], &format!("{path}[1]"), p)?,
-    ))
-}
-
-fn as_name_pair(v: &JsonValue, path: &str, p: &mut Problems) -> Option<(String, String)> {
-    let arr = as_arr(v, path, p)?;
-    if arr.len() != 2 {
-        p.push(format!("{path} must be a two-element [from, to] array"));
-        return None;
-    }
-    Some((
-        as_str(&arr[0], &format!("{path}[0]"), p)?,
-        as_str(&arr[1], &format!("{path}[1]"), p)?,
-    ))
-}
-
-fn as_bitrate_label(v: &JsonValue, path: &str, p: &mut Problems) -> Option<String> {
-    let s = as_str(v, path, p)?;
-    if bitrate_from_label(&s).is_none() {
-        p.push(format!("{path} is not a known bit rate: `{s}`"));
-        return None;
-    }
-    Some(s)
-}
-
-fn parse_run(v: &JsonValue, p: &mut Problems) -> RunSpec {
-    let mut run = RunSpec::default();
-    let Some(obj) = as_obj(v, "`run`", p) else {
-        return run;
-    };
-    check_keys(
-        obj,
-        &["seed", "trials", "workers", "quick", "faults"],
-        "`run`",
-        p,
-    );
-    if let Some(v) = opt(obj, "seed") {
-        if let Some(n) = as_u64(v, "`run.seed`", p) {
-            run.seed = n;
-        }
-    }
-    if let Some(v) = opt(obj, "trials") {
-        match as_u64(v, "`run.trials`", p) {
-            Some(n) if n >= 1 => run.trials = n as usize,
-            Some(_) => p.push("`run.trials` must be at least 1".to_string()),
-            None => {}
-        }
-    }
-    if let Some(v) = opt(obj, "workers") {
-        match as_u64(v, "`run.workers`", p) {
-            Some(n) if n >= 1 => run.workers = n as usize,
-            Some(_) => p.push("`run.workers` must be at least 1".to_string()),
-            None => {}
-        }
-    }
-    if let Some(v) = opt(obj, "quick") {
-        if let Some(b) = as_bool(v, "`run.quick`", p) {
-            run.quick = b;
-        }
-    }
-    if let Some(v) = opt(obj, "faults") {
-        if let Some(s) = as_str(v, "`run.faults`", p) {
-            match s.parse::<FaultProfile>() {
-                Ok(f) => run.faults = f,
-                Err(_) => p.push(format!("`run.faults` is not a known profile: `{s}`")),
-            }
-        }
-    }
-    run
-}
-
-fn parse_node(v: &JsonValue, path: &str, p: &mut Problems) -> Option<NodeSpec> {
-    let obj = as_obj(v, path, p)?;
-    check_keys(
-        obj,
-        &[
-            "name",
-            "mac",
-            "kind",
-            "position",
-            "behavior",
-            "band",
-            "channel",
-            "ssid",
-            "beacon_interval_us",
-            "retries",
-            "velocity",
-        ],
-        path,
-        p,
-    );
-    let name = req(obj, "name", path, p).and_then(|v| as_str(v, &format!("{path}.name"), p));
-    let mac = req(obj, "mac", path, p).and_then(|v| as_mac(v, &format!("{path}.mac"), p));
-    let kind = req(obj, "kind", path, p)
-        .and_then(|v| as_str(v, &format!("{path}.kind"), p))
-        .and_then(|s| match NodeKind::from_label(&s) {
-            Some(k) => Some(k),
-            None => {
-                p.push(format!(
-                    "{path}.kind must be `client`, `ap` or `monitor`, got `{s}`"
-                ));
-                None
+    fn fields<V: Visit>(&mut self, v: &mut V) {
+        v.req("name", &mut self.name);
+        v.req("paper_ref", &mut self.paper_ref);
+        v.req_if("slug", &mut self.slug, |slug| {
+            let snake = |c: char| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_';
+            match !slug.is_empty() && slug.chars().all(snake) {
+                true => Ok(()),
+                false => Err(format!(
+                    "must be non-empty snake_case ([a-z0-9_]), got `{slug}`"
+                )),
             }
         });
-    let position =
-        req(obj, "position", path, p).and_then(|v| as_pair(v, &format!("{path}.position"), p));
-    let behavior = opt(obj, "behavior")
-        .and_then(|v| as_str(v, &format!("{path}.behavior"), p))
-        .and_then(|s| {
-            if behavior_from_label(&s).is_none() {
-                p.push(format!("{path}.behavior is not a known profile: `{s}`"));
-                None
-            } else {
-                Some(s)
-            }
-        });
-    let band = opt(obj, "band")
-        .and_then(|v| as_str(v, &format!("{path}.band"), p))
-        .and_then(|s| {
-            if band_from_label(&s).is_none() {
-                p.push(format!("{path}.band must be `2.4` or `5`, got `{s}`"));
-                None
-            } else {
-                Some(s)
-            }
-        });
-    let channel = opt(obj, "channel")
-        .and_then(|v| as_u64(v, &format!("{path}.channel"), p))
-        .map(|n| n as u8);
-    let ssid = opt(obj, "ssid").and_then(|v| as_str(v, &format!("{path}.ssid"), p));
-    let beacon_interval_us = opt(obj, "beacon_interval_us")
-        .and_then(|v| as_u64(v, &format!("{path}.beacon_interval_us"), p));
-    let retries = opt(obj, "retries").and_then(|v| as_bool(v, &format!("{path}.retries"), p));
-    let velocity = opt(obj, "velocity").and_then(|v| as_pair(v, &format!("{path}.velocity"), p));
-    let kind = kind?;
-    if kind == NodeKind::Ap && ssid.is_none() {
-        p.push(format!("{path} is an `ap` and must declare an `ssid`"));
+        v.req("runner", &mut self.runner);
+        v.opt("run", &mut self.run);
+        v.opt("topology", &mut self.topology);
+        v.opt("attacks", &mut self.attacks);
+        v.opt("probes", &mut self.probes);
+        v.opt("assertions", &mut self.assertions);
+        v.opt("params", &mut self.params);
     }
-    Some(NodeSpec {
-        name: name?,
-        mac: mac?,
-        kind,
-        position: position?,
-        behavior,
-        band,
-        channel,
-        ssid,
-        beacon_interval_us,
-        retries,
-        velocity,
-    })
 }
 
-fn parse_topology(v: &JsonValue, p: &mut Problems) -> Option<TopologySpec> {
-    let obj = as_obj(v, "`topology`", p)?;
-    check_keys(
-        obj,
-        &[
-            "duration_us",
-            "propagation",
-            "nodes",
-            "links",
-            "associations",
-        ],
-        "`topology`",
-        p,
-    );
-    let duration_us = req(obj, "duration_us", "`topology`", p)
-        .and_then(|v| as_u64(v, "`topology.duration_us`", p));
-    let propagation = opt(obj, "propagation")
-        .and_then(|v| as_str(v, "`topology.propagation`", p))
-        .and_then(|s| {
-            if propagation_from_label(&s).is_none() {
-                p.push(format!(
-                    "`topology.propagation` must be `all_pairs` or `cell_grid`, got `{s}`"
-                ));
-                None
-            } else {
-                Some(s)
-            }
+fn at_least_one(n: &usize) -> Result<(), String> {
+    match n {
+        0 => Err("must be at least 1".to_string()),
+        _ => Ok(()),
+    }
+}
+
+impl Section for RunSpec {
+    fn blank() -> Self {
+        RunSpec::default()
+    }
+
+    fn fields<V: Visit>(&mut self, v: &mut V) {
+        v.opt("seed", &mut self.seed);
+        v.opt_if("trials", &mut self.trials, at_least_one);
+        v.opt_if("workers", &mut self.workers, at_least_one);
+        v.opt("quick", &mut self.quick);
+        v.opt("faults", &mut self.faults);
+    }
+}
+
+impl Section for TopologySpec {
+    fn blank() -> Self {
+        TopologySpec::default()
+    }
+
+    fn fields<V: Visit>(&mut self, v: &mut V) {
+        v.req("duration_us", &mut self.duration_us);
+        v.opt_if("propagation", &mut self.propagation, |p| match p {
+            Some(s) if PROPAGATIONS.get(s).is_none() => Err(PROPAGATIONS.wrong(s)),
+            _ => Ok(()),
         });
-    let mut nodes = Vec::new();
-    if let Some(arr) =
-        req(obj, "nodes", "`topology`", p).and_then(|v| as_arr(v, "`topology.nodes`", p))
-    {
-        for (i, nv) in arr.iter().enumerate() {
-            if let Some(n) = parse_node(nv, &format!("`topology.nodes[{i}]`"), p) {
-                nodes.push(n);
+        v.req("nodes", &mut self.nodes);
+        v.opt("links", &mut self.links);
+        v.opt("associations", &mut self.associations);
+    }
+}
+
+impl Section for NodeSpec {
+    fn blank() -> Self {
+        NodeSpec {
+            name: String::new(),
+            mac: MacAddr::ZERO,
+            kind: NodeKind::Client,
+            position: (0.0, 0.0),
+            behavior: None,
+            band: None,
+            channel: None,
+            ssid: None,
+            beacon_interval_us: None,
+            retries: None,
+            velocity: None,
+        }
+    }
+
+    fn fields<V: Visit>(&mut self, v: &mut V) {
+        v.name("name", &mut self.name);
+        v.req("mac", &mut self.mac);
+        v.req("kind", &mut self.kind);
+        v.req("position", &mut self.position);
+        v.opt_if("behavior", &mut self.behavior, |b| match b {
+            Some(s) if behavior_from_label(s).is_none() => {
+                Err(format!("is not a known profile: `{s}`"))
+            }
+            _ => Ok(()),
+        });
+        v.opt("band", &mut self.band);
+        v.opt("channel", &mut self.channel);
+        v.opt("ssid", &mut self.ssid);
+        v.opt("beacon_interval_us", &mut self.beacon_interval_us);
+        v.opt("retries", &mut self.retries);
+        v.opt("velocity", &mut self.velocity);
+        v.reject_if(
+            self.kind == NodeKind::Ap && self.ssid.is_none(),
+            "is an `ap` and must declare an `ssid`",
+        );
+    }
+}
+
+impl Section for AssertionSpec {
+    fn blank() -> Self {
+        AssertionSpec {
+            metric: String::new(),
+            op: CmpOp::Eq,
+            value: 0.0,
+            clean_only: false,
+        }
+    }
+
+    fn fields<V: Visit>(&mut self, v: &mut V) {
+        v.req("metric", &mut self.metric);
+        v.req("op", &mut self.op);
+        v.req("value", &mut self.value);
+        let mut when = self.clean_only.then_some(When::Clean);
+        v.opt("when", &mut when);
+        self.clean_only = when == Some(When::Clean);
+    }
+}
+
+// ===== Values =====
+
+/// Where a value sits in the document, rendered only into errors:
+/// `the spec`, `` `run.seed` ``, `` `topology.nodes[0]`.position[1] ``.
+#[derive(Clone, Copy)]
+enum Path<'a> {
+    Root,
+    Field(&'a Path<'a>, &'a str),
+    /// An item of a list.
+    Index(&'a Path<'a>, usize),
+    /// One half of a two-element pair.
+    Element(&'a Path<'a>, usize),
+}
+
+impl<'a> Path<'a> {
+    fn parent(&self) -> &Path<'a> {
+        match self {
+            Path::Root => self,
+            Path::Field(up, _) | Path::Index(up, _) | Path::Element(up, _) => up,
+        }
+    }
+
+    /// The backquoted head and the tail after it: fields of a list item
+    /// and elements of a pair extend the tail, everything else the head.
+    fn parts(&self) -> (String, String) {
+        let (mut head, mut tail) = match self {
+            Path::Root => return (String::new(), String::new()),
+            _ => self.parent().parts(),
+        };
+        match *self {
+            Path::Field(up, key) if matches!(up, Path::Index(..)) || !tail.is_empty() => {
+                tail += &format!(".{key}");
+            }
+            Path::Field(_, key) if head.is_empty() => head += key,
+            Path::Field(_, key) => head += &format!(".{key}"),
+            Path::Index(_, i) if tail.is_empty() => head += &format!("[{i}]"),
+            Path::Index(_, i) | Path::Element(_, i) => tail += &format!("[{i}]"),
+            Path::Root => {}
+        }
+        (head, tail)
+    }
+}
+
+impl fmt::Display for Path<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if let Path::Root = self {
+            return f.write_str("the spec");
+        }
+        let (head, tail) = self.parts();
+        write!(f, "`{head}`{tail}")
+    }
+}
+
+/// One JSON value type: how it is read (reporting problems) and how it
+/// is written in canonical form.
+trait Value: Sized {
+    fn read(v: &JsonValue, at: &Path, r: &mut Reader) -> Option<Self>;
+    /// Takes `&mut` only because sections share their field list with
+    /// the reader.
+    fn write(&mut self, w: &mut JsonWriter);
+    /// Whether an optional field holding this value is left out.
+    fn omitted(&self) -> bool {
+        false
+    }
+}
+
+/// A placeholder for an enum section's field, which the reader
+/// overwrites.
+trait Blank {
+    fn blank() -> Self;
+}
+
+macro_rules! blanks {
+    ($($t:ty => $blank:expr),*) => {$(
+        impl Blank for $t {
+            fn blank() -> Self {
+                $blank
             }
         }
+    )*};
+}
+
+blanks!(String => String::new(), u16 => 0, u32 => 0, u64 => 0, BitRate => BitRate::Mbps1, StatKind => StatKind::AcksSent);
+
+/// Canonical number text: integral values without a decimal point.
+fn num(n: f64) -> String {
+    if n.fract() == 0.0 && n.abs() < 9e15 {
+        format!("{}", n as i64)
+    } else {
+        format!("{n}")
     }
-    let mut seen = std::collections::HashSet::new();
-    for n in &nodes {
-        if !seen.insert(n.name.clone()) {
-            p.push(format!(
-                "duplicate node name `{}` in `topology.nodes`",
-                n.name
-            ));
-        }
-    }
-    let mut links = Vec::new();
-    if let Some(arr) = opt(obj, "links").and_then(|v| as_arr(v, "`topology.links`", p)) {
-        for (i, lv) in arr.iter().enumerate() {
-            if let Some(pair) = as_name_pair(lv, &format!("`topology.links[{i}]`"), p) {
-                links.push(pair);
+}
+
+/// Values read from one JSON scalar: `read` extracts it, or the error
+/// says what the value `must be`; `write` emits it.
+macro_rules! scalar_values {
+    ($($t:ty: $read:expr, $must_be:literal, $write:expr;)*) => {$(
+        impl Value for $t {
+            fn read(v: &JsonValue, at: &Path, r: &mut Reader) -> Option<Self> {
+                let read: fn(&JsonValue) -> Option<$t> = $read;
+                read(v).or_else(|| r.problem(format!("{at} must be {}", $must_be)))
+            }
+
+            fn write(&mut self, w: &mut JsonWriter) {
+                let write: fn(&mut JsonWriter, &$t) = $write;
+                write(w, self);
             }
         }
-    }
-    let mut associations = Vec::new();
-    if let Some(arr) =
-        opt(obj, "associations").and_then(|v| as_arr(v, "`topology.associations`", p))
-    {
-        for (i, av) in arr.iter().enumerate() {
-            if let Some(pair) = as_name_pair(av, &format!("`topology.associations[{i}]`"), p) {
-                associations.push(pair);
+    )*};
+}
+
+scalar_values! {
+    String: |v| v.as_str().map(str::to_string), "a string", |w, s| { w.string(s); };
+    bool: |v| match v { JsonValue::Bool(b) => Some(*b), _ => None }, "a boolean", |w, b| { w.bool(*b); };
+    f64: JsonValue::as_f64, "a number", |w, n| { w.raw(&num(*n)); };
+}
+
+macro_rules! unsigned_values {
+    ($($t:ty),*) => {$(
+        impl Value for $t {
+            fn read(v: &JsonValue, at: &Path, r: &mut Reader) -> Option<Self> {
+                let n = match v.as_f64() {
+                    Some(n) if n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64 => n as u64,
+                    _ => return r.problem(format!("{at} must be a non-negative integer")),
+                };
+                let (bits, max) = (<$t>::BITS, <$t>::MAX);
+                <$t>::try_from(n)
+                    .ok()
+                    .or_else(|| r.problem(format!("{at} must fit {bits} bits (0..={max})")))
+            }
+
+            fn write(&mut self, w: &mut JsonWriter) {
+                w.u64(*self as u64);
             }
         }
+    )*};
+}
+
+unsigned_values!(u8, u16, u32, u64, usize);
+
+/// Values written as one string label: `parse` resolves it, `wrong`
+/// says why a label is rejected, `label` writes it back.
+macro_rules! label_values {
+    ($($t:ty: $parse:expr, $wrong:expr, $label:expr;)*) => {$(
+        impl Value for $t {
+            fn read(v: &JsonValue, at: &Path, r: &mut Reader) -> Option<Self> {
+                let (parse, wrong): (fn(&str) -> Option<$t>, fn(&str) -> String) = ($parse, $wrong);
+                let s = String::read(v, at, r)?;
+                parse(&s).or_else(|| r.problem(format!("{at} {}", wrong(&s))))
+            }
+
+            fn write(&mut self, w: &mut JsonWriter) {
+                let label: fn(&$t) -> String = $label;
+                w.string(&label(self));
+            }
+        }
+    )*};
+}
+
+label_values! {
+    MacAddr: |s| s.parse().ok(), |s| format!("is not a valid MAC address: `{s}`"), MacAddr::to_string;
+    FaultProfile: |s| s.parse().ok(), |s| format!("is not a known profile: `{s}`"), |f| f.name().to_string();
+    StatKind: StatKind::from_label, |s| format!("is not a known counter: `{s}`"), |k| k.label().to_string();
+    CmpOp: CmpOp::from_symbol, |s| format!("is not a comparison operator: `{s}`"), |op| op.symbol().to_string();
+    BitRate: |s| BIT_RATES.get(s), |s| format!("is not a known bit rate: `{s}`"), |b| BIT_RATES.label(*b).to_string();
+    Band: |s| BANDS.get(s), |s| BANDS.wrong(s), |b| BANDS.label(*b).to_string();
+    NodeKind: |s| NODE_KINDS.get(s), |s| NODE_KINDS.wrong(s), |k| NODE_KINDS.label(*k).to_string();
+    When: |s| WHENS.get(s), |s| WHENS.wrong(s), |w| WHENS.label(*w).to_string();
+}
+
+/// Reads a two-element array (`shape` names it in errors).
+fn read_pair<T: Value>(v: &JsonValue, at: &Path, r: &mut Reader, shape: &str) -> Option<(T, T)> {
+    let items = r.array(v, at)?;
+    if items.len() != 2 {
+        return r.problem(format!("{at} must be a two-element {shape} array"));
     }
-    for (section, pairs) in [("links", &links), ("associations", &associations)] {
-        for (a, b) in pairs {
-            for name in [a, b] {
-                if !seen.contains(name) {
-                    p.push(format!(
-                        "`topology.{section}` references unknown node `{name}`"
-                    ));
+    let x = T::read(&items[0], &Path::Element(at, 0), r);
+    let y = T::read(&items[1], &Path::Element(at, 1), r);
+    Some((x?, y?))
+}
+
+/// An `[x, y]` coordinate pair, written inline.
+impl Value for (f64, f64) {
+    fn read(v: &JsonValue, at: &Path, r: &mut Reader) -> Option<Self> {
+        read_pair(v, at, r, "[x, y]")
+    }
+
+    fn write(&mut self, w: &mut JsonWriter) {
+        w.raw(&format!("[{}, {}]", num(self.0), num(self.1)));
+    }
+}
+
+/// A `[from, to]` pair of node names (a link or association), written
+/// inline; both names are node references.
+impl Value for (String, String) {
+    fn read(v: &JsonValue, at: &Path, r: &mut Reader) -> Option<Self> {
+        let (from, to) = read_pair::<String>(v, at, r, "[from, to]")?;
+        for name in [&from, &to] {
+            r.refs.push((at.parent().to_string(), name.clone()));
+        }
+        Some((from, to))
+    }
+
+    fn write(&mut self, w: &mut JsonWriter) {
+        let (from, to) = (json::to_string(&self.0), json::to_string(&self.1));
+        w.raw(&format!("[{from}, {to}]"));
+    }
+}
+
+impl<T: Value> Value for Option<T> {
+    fn read(v: &JsonValue, at: &Path, r: &mut Reader) -> Option<Self> {
+        T::read(v, at, r).map(Some)
+    }
+
+    fn write(&mut self, w: &mut JsonWriter) {
+        if let Some(value) = self {
+            value.write(w);
+        }
+    }
+
+    fn omitted(&self) -> bool {
+        self.is_none()
+    }
+}
+
+impl<T: Value> Value for Vec<T> {
+    fn read(v: &JsonValue, at: &Path, r: &mut Reader) -> Option<Self> {
+        let items = r.array(v, at)?.iter().enumerate();
+        Some(
+            items
+                .filter_map(|(i, v)| T::read(v, &Path::Index(at, i), r))
+                .collect(),
+        )
+    }
+
+    fn write(&mut self, w: &mut JsonWriter) {
+        w.begin_array();
+        self.iter_mut().for_each(|item| item.write(w));
+        w.end_array();
+    }
+
+    fn omitted(&self) -> bool {
+        self.is_empty()
+    }
+}
+
+/// `params`: an object of freeform scalars, in document order.
+impl Value for Vec<(String, ParamValue)> {
+    fn read(v: &JsonValue, at: &Path, r: &mut Reader) -> Option<Self> {
+        let Some(entries) = v.as_object() else {
+            return r.problem(format!("{at} must be an object"));
+        };
+        let params = entries.iter().filter_map(|(key, value)| {
+            let value = match value {
+                JsonValue::Num(n) => ParamValue::Num(*n),
+                JsonValue::Str(s) => ParamValue::Str(s.clone()),
+                JsonValue::Bool(b) => ParamValue::Bool(*b),
+                _ => {
+                    let at = Path::Field(at, key);
+                    return r.problem(format!("{at} must be a number, string or boolean"));
                 }
-            }
-        }
-    }
-    Some(TopologySpec {
-        duration_us: duration_us?,
-        propagation,
-        nodes,
-        links,
-        associations,
-    })
-}
-
-fn parse_attack(v: &JsonValue, path: &str, p: &mut Problems) -> Option<AttackSpec> {
-    let obj = as_obj(v, path, p)?;
-    let kind = req(obj, "kind", path, p).and_then(|v| as_str(v, &format!("{path}.kind"), p))?;
-    let gs = |key: &str, p: &mut Problems| {
-        req(obj, key, path, p).and_then(|v| as_str(v, &format!("{path}.{key}"), p))
-    };
-    let gu = |key: &str, p: &mut Problems| {
-        req(obj, key, path, p).and_then(|v| as_u64(v, &format!("{path}.{key}"), p))
-    };
-    let gbr = |p: &mut Problems| {
-        req(obj, "bitrate", path, p)
-            .and_then(|v| as_bitrate_label(v, &format!("{path}.bitrate"), p))
-    };
-    match kind.as_str() {
-        "null-flood" => {
-            check_keys(
-                obj,
-                &[
-                    "kind",
-                    "attacker",
-                    "victim",
-                    "rate_pps",
-                    "start_us",
-                    "duration_us",
-                    "bitrate",
-                ],
-                path,
-                p,
-            );
-            Some(AttackSpec::NullFlood {
-                attacker: gs("attacker", p)?,
-                victim: gs("victim", p)?,
-                rate_pps: gu("rate_pps", p)? as u32,
-                start_us: gu("start_us", p)?,
-                duration_us: gu("duration_us", p)?,
-                bitrate: gbr(p)?,
-            })
-        }
-        "rts-flood" => {
-            check_keys(
-                obj,
-                &[
-                    "kind",
-                    "attacker",
-                    "target",
-                    "nav_us",
-                    "rate_pps",
-                    "start_us",
-                    "duration_us",
-                    "bitrate",
-                ],
-                path,
-                p,
-            );
-            Some(AttackSpec::RtsFlood {
-                attacker: gs("attacker", p)?,
-                target: gs("target", p)?,
-                nav_us: gu("nav_us", p)? as u16,
-                rate_pps: gu("rate_pps", p)? as u32,
-                start_us: gu("start_us", p)?,
-                duration_us: gu("duration_us", p)?,
-                bitrate: gbr(p)?,
-            })
-        }
-        "deauth-flood" => {
-            check_keys(
-                obj,
-                &[
-                    "kind",
-                    "attacker",
-                    "victim",
-                    "forged_ap",
-                    "rate_pps",
-                    "start_us",
-                    "duration_us",
-                    "bitrate",
-                ],
-                path,
-                p,
-            );
-            Some(AttackSpec::DeauthFlood {
-                attacker: gs("attacker", p)?,
-                victim: gs("victim", p)?,
-                forged_ap: gs("forged_ap", p)?,
-                rate_pps: gu("rate_pps", p)? as u32,
-                start_us: gu("start_us", p)?,
-                duration_us: gu("duration_us", p)?,
-                bitrate: gbr(p)?,
-            })
-        }
-        "blockack-paralysis" => {
-            check_keys(
-                obj,
-                &[
-                    "kind",
-                    "attacker",
-                    "victim",
-                    "spoofed_peer",
-                    "jump_to_seq",
-                    "at_us",
-                    "bitrate",
-                ],
-                path,
-                p,
-            );
-            let jump = gu("jump_to_seq", p)?;
-            if jump > 0x0fff {
-                p.push(format!("{path}.jump_to_seq must fit 12 bits (0..=4095)"));
-                return None;
-            }
-            Some(AttackSpec::BlockAckParalysis {
-                attacker: gs("attacker", p)?,
-                victim: gs("victim", p)?,
-                spoofed_peer: gs("spoofed_peer", p)?,
-                jump_to_seq: jump as u16,
-                at_us: gu("at_us", p)?,
-                bitrate: gbr(p)?,
-            })
-        }
-        "qos-traffic" => {
-            check_keys(
-                obj,
-                &[
-                    "kind",
-                    "from",
-                    "to",
-                    "rate_pps",
-                    "start_us",
-                    "duration_us",
-                    "payload_len",
-                    "bitrate",
-                ],
-                path,
-                p,
-            );
-            Some(AttackSpec::QosTraffic {
-                from: gs("from", p)?,
-                to: gs("to", p)?,
-                rate_pps: gu("rate_pps", p)? as u32,
-                start_us: gu("start_us", p)?,
-                duration_us: gu("duration_us", p)?,
-                payload_len: gu("payload_len", p)?,
-                bitrate: gbr(p)?,
-            })
-        }
-        other => {
-            p.push(format!("{path}.kind is not a known attack: `{other}`"));
-            None
-        }
-    }
-}
-
-fn parse_probe(v: &JsonValue, path: &str, p: &mut Problems) -> Option<ProbeSpec> {
-    let obj = as_obj(v, path, p)?;
-    let kind = req(obj, "kind", path, p).and_then(|v| as_str(v, &format!("{path}.kind"), p))?;
-    let gs = |key: &str, p: &mut Problems| {
-        req(obj, key, path, p).and_then(|v| as_str(v, &format!("{path}.{key}"), p))
-    };
-    match kind.as_str() {
-        "ack-verifier" => {
-            check_keys(obj, &["kind", "attacker"], path, p);
-            Some(ProbeSpec::AckVerifier {
-                attacker: gs("attacker", p)?,
-            })
-        }
-        "station-stat" => {
-            check_keys(obj, &["kind", "node", "stat", "metric"], path, p);
-            let stat = gs("stat", p)?;
-            if polite_wifi_core::StatKind::from_label(&stat).is_none() {
-                p.push(format!("{path}.stat is not a known counter: `{stat}`"));
-                return None;
-            }
-            Some(ProbeSpec::StationStat {
-                node: gs("node", p)?,
-                stat,
-                metric: gs("metric", p)?,
-            })
-        }
-        "association" => {
-            check_keys(obj, &["kind", "node", "peer", "metric"], path, p);
-            Some(ProbeSpec::Association {
-                node: gs("node", p)?,
-                peer: gs("peer", p)?,
-                metric: gs("metric", p)?,
-            })
-        }
-        other => {
-            p.push(format!("{path}.kind is not a known probe: `{other}`"));
-            None
-        }
-    }
-}
-
-fn parse_assertion(v: &JsonValue, path: &str, p: &mut Problems) -> Option<AssertionSpec> {
-    let obj = as_obj(v, path, p)?;
-    check_keys(obj, &["metric", "op", "value", "when"], path, p);
-    let metric = req(obj, "metric", path, p).and_then(|v| as_str(v, &format!("{path}.metric"), p));
-    let op = req(obj, "op", path, p)
-        .and_then(|v| as_str(v, &format!("{path}.op"), p))
-        .and_then(|s| {
-            if polite_wifi_core::CmpOp::from_symbol(&s).is_none() {
-                p.push(format!("{path}.op is not a comparison operator: `{s}`"));
-                None
-            } else {
-                Some(s)
-            }
+            };
+            Some((key.clone(), value))
         });
-    let value = req(obj, "value", path, p).and_then(|v| as_f64(v, &format!("{path}.value"), p));
-    let clean_only = match opt(obj, "when") {
-        None => false,
-        Some(v) => match as_str(v, &format!("{path}.when"), p)?.as_str() {
-            "clean" => true,
-            "always" => false,
-            other => {
-                p.push(format!(
-                    "{path}.when must be `clean` or `always`, got `{other}`"
-                ));
+        Some(params.collect())
+    }
+
+    fn write(&mut self, w: &mut JsonWriter) {
+        w.begin_object();
+        for (key, value) in self.iter() {
+            match value {
+                ParamValue::Num(n) => w.key(key).raw(&num(*n)),
+                ParamValue::Str(s) => w.key(key).string(s),
+                ParamValue::Bool(b) => w.key(key).bool(*b),
+            };
+        }
+        w.end_object();
+    }
+
+    fn omitted(&self) -> bool {
+        self.is_empty()
+    }
+}
+
+impl<T: Section> Value for T {
+    fn read(v: &JsonValue, at: &Path, r: &mut Reader) -> Option<Self> {
+        r.section(v, at)
+    }
+
+    fn write(&mut self, w: &mut JsonWriter) {
+        w.begin_object();
+        self.fields(&mut Writer(w));
+        w.end_object();
+    }
+}
+
+// ===== The reader and the writer =====
+
+/// Reader state for one document.
+#[derive(Default)]
+struct Reader {
+    problems: Vec<String>,
+    /// Every declared node name.
+    nodes: HashSet<String>,
+    /// `(site, name)` of every node reference, resolved once the whole
+    /// document is read.
+    refs: Vec<(String, String)>,
+}
+
+impl Reader {
+    /// Records a problem; `None` lets value readers bail with it.
+    fn problem<T>(&mut self, msg: String) -> Option<T> {
+        self.problems.push(msg);
+        None
+    }
+
+    fn array<'v>(&mut self, v: &'v JsonValue, at: &Path) -> Option<&'v [JsonValue]> {
+        v.as_array()
+            .or_else(|| self.problem(format!("{at} must be an array")))
+    }
+
+    /// Reads the object `v` through `T`'s field list, then reports every
+    /// key the list never asked for, ahead of the section's other
+    /// problems.
+    fn section<T: Section>(&mut self, v: &JsonValue, at: &Path) -> Option<T> {
+        let Some(obj) = v.as_object() else {
+            return self.problem(format!("{at} must be an object"));
+        };
+        let mark = self.problems.len();
+        let mut out = T::blank();
+        let mut fields = FieldReader {
+            r: self,
+            obj,
+            at,
+            asked: Vec::new(),
+            known_kind: true,
+        };
+        out.fields(&mut fields);
+        if !fields.known_kind {
+            return None;
+        }
+        let asked = fields.asked;
+        let unknown = obj
+            .iter()
+            .filter(|(key, _)| !asked.contains(&key.as_str()))
+            .map(|(key, _)| format!("unknown key `{key}` in {at}"));
+        self.problems.splice(mark..mark, unknown);
+        Some(out)
+    }
+}
+
+/// The reader's visitor over one JSON object.
+struct FieldReader<'a, 'p> {
+    r: &'a mut Reader,
+    obj: &'a [(String, JsonValue)],
+    at: &'a Path<'p>,
+    asked: Vec<&'static str>,
+    /// False once an enum section's tag names no kind; its other keys
+    /// then go unchecked.
+    known_kind: bool,
+}
+
+/// The key that tags an enum section's kind.
+const KIND: &str = "kind";
+
+impl Visit for FieldReader<'_, '_> {
+    fn field<T: Value>(
+        &mut self,
+        key: &'static str,
+        required: bool,
+        slot: &mut T,
+        rule: Rule<T>,
+    ) -> bool {
+        self.asked.push(key);
+        let Some((_, v)) = self.obj.iter().find(|(k, _)| k == key) else {
+            if required {
+                let at = self.at;
+                self.r
+                    .problems
+                    .push(format!("{at} is missing required key `{key}`"));
+            }
+            return false;
+        };
+        let at = Path::Field(self.at, key);
+        let Some(value) = T::read(v, &at, self.r) else {
+            return false;
+        };
+        *slot = value;
+        match rule(slot) {
+            Ok(()) => true,
+            Err(why) => {
+                self.r.problems.push(format!("{at} {why}"));
                 false
             }
-        },
-    };
-    Some(AssertionSpec {
-        metric: metric?,
-        op: op?,
-        value: value?,
-        clean_only,
-    })
+        }
+    }
+
+    fn name(&mut self, key: &'static str, slot: &mut String) {
+        if self.req(key, slot) && !self.r.nodes.insert(slot.clone()) {
+            let list = self.at.parent();
+            self.r
+                .problems
+                .push(format!("duplicate node name `{slot}` in {list}"));
+        }
+    }
+
+    fn node(&mut self, key: &'static str, slot: &mut String) {
+        if self.req(key, slot) {
+            self.r.refs.push((self.at.to_string(), slot.clone()));
+        }
+    }
+
+    fn kind<T: Clone>(&mut self, noun: &str, slot: &mut T, kinds: &[(&'static str, T)]) -> bool {
+        let mut tag = String::new();
+        if !self.req(KIND, &mut tag) {
+            self.known_kind = false;
+        } else if let Some((_, blank)) = kinds.iter().find(|(label, _)| *label == tag) {
+            *slot = blank.clone();
+        } else {
+            let at = Path::Field(self.at, KIND);
+            self.r
+                .problems
+                .push(format!("{at} is not a known {noun}: `{tag}`"));
+            self.known_kind = false;
+        }
+        self.known_kind
+    }
+
+    fn reject_if(&mut self, bad: bool, why: &str) {
+        if bad {
+            let at = self.at;
+            self.r.problems.push(format!("{at} {why}"));
+        }
+    }
+}
+
+/// The writer's visitor: emits each field the list visits.
+struct Writer<'w>(&'w mut JsonWriter);
+
+impl Visit for Writer<'_> {
+    fn field<T: Value>(
+        &mut self,
+        key: &'static str,
+        required: bool,
+        slot: &mut T,
+        _: Rule<T>,
+    ) -> bool {
+        if required || !slot.omitted() {
+            self.0.key(key);
+            slot.write(self.0);
+        }
+        true
+    }
+
+    fn kind<T: Clone>(&mut self, _: &str, slot: &mut T, kinds: &[(&'static str, T)]) -> bool {
+        let variant = std::mem::discriminant(slot);
+        let kind = kinds
+            .iter()
+            .find(|(_, k)| std::mem::discriminant(k) == variant);
+        self.0
+            .key(KIND)
+            .string(kind.expect("every variant has a kind").0);
+        true
+    }
 }
 
 impl ScenarioSpec {
     /// Parses and validates a scenario from JSON text, aggregating every
     /// problem into one error.
     pub fn parse(input: &str) -> Result<ScenarioSpec, String> {
-        let root = parse_json(input).map_err(|e| {
-            format!("invalid scenario spec: not valid JSON ({e}) (see DESIGN.md \u{a7}13 for the grammar)")
-        })?;
-        let mut p = Problems(Vec::new());
-        let obj = match root.as_object() {
-            Some(o) => o,
-            None => {
-                return Err(
-                    "invalid scenario spec: top level must be an object (see DESIGN.md \u{a7}13 for the grammar)"
-                        .to_string(),
-                )
-            }
+        const GRAMMAR: &str = "(see DESIGN.md \u{a7}13 for the grammar)";
+        let root = parse_json(input)
+            .map_err(|e| format!("invalid scenario spec: not valid JSON ({e}) {GRAMMAR}"))?;
+        let mut r = Reader::default();
+        let Some(spec) = r.section::<ScenarioSpec>(&root, &Path::Root) else {
+            return Err(format!(
+                "invalid scenario spec: top level must be an object {GRAMMAR}"
+            ));
         };
-        check_keys(
-            obj,
-            &[
-                "name",
-                "paper_ref",
-                "slug",
-                "runner",
-                "run",
-                "topology",
-                "attacks",
-                "probes",
-                "assertions",
-                "params",
-            ],
-            "the spec",
-            &mut p,
-        );
-        let name = req(obj, "name", "the spec", &mut p).and_then(|v| as_str(v, "`name`", &mut p));
-        let paper_ref = req(obj, "paper_ref", "the spec", &mut p)
-            .and_then(|v| as_str(v, "`paper_ref`", &mut p));
-        let slug = req(obj, "slug", "the spec", &mut p).and_then(|v| as_str(v, "`slug`", &mut p));
-        let runner =
-            req(obj, "runner", "the spec", &mut p).and_then(|v| as_str(v, "`runner`", &mut p));
-        if let Some(s) = &slug {
-            if s.is_empty()
-                || !s
-                    .chars()
-                    .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
-            {
-                p.push(format!(
-                    "`slug` must be non-empty snake_case ([a-z0-9_]), got `{s}`"
-                ));
-            }
+        for (site, name) in r.refs.iter().filter(|(_, name)| !r.nodes.contains(name)) {
+            r.problems
+                .push(format!("{site} references unknown node `{name}`"));
         }
-        let run = match opt(obj, "run") {
-            Some(v) => parse_run(v, &mut p),
-            None => RunSpec::default(),
-        };
-        let topology = opt(obj, "topology").and_then(|v| parse_topology(v, &mut p));
-        let mut attacks = Vec::new();
-        if let Some(arr) = opt(obj, "attacks").and_then(|v| as_arr(v, "`attacks`", &mut p)) {
-            for (i, av) in arr.iter().enumerate() {
-                if let Some(a) = parse_attack(av, &format!("`attacks[{i}]`"), &mut p) {
-                    attacks.push(a);
-                }
-            }
+        let mut problems = r.problems;
+        if spec.runner == "generic" && spec.topology.is_none() {
+            problems.push("`runner: generic` requires a `topology` section".to_string());
         }
-        let mut probes = Vec::new();
-        if let Some(arr) = opt(obj, "probes").and_then(|v| as_arr(v, "`probes`", &mut p)) {
-            for (i, pv) in arr.iter().enumerate() {
-                if let Some(pr) = parse_probe(pv, &format!("`probes[{i}]`"), &mut p) {
-                    probes.push(pr);
-                }
-            }
+        if spec.runner == "generic" && spec.probes.is_empty() {
+            problems.push("`runner: generic` requires at least one probe".to_string());
         }
-        let mut assertions = Vec::new();
-        if let Some(arr) = opt(obj, "assertions").and_then(|v| as_arr(v, "`assertions`", &mut p)) {
-            for (i, av) in arr.iter().enumerate() {
-                if let Some(a) = parse_assertion(av, &format!("`assertions[{i}]`"), &mut p) {
-                    assertions.push(a);
-                }
-            }
+        match problems.is_empty() {
+            true => Ok(spec),
+            false => Err(format!(
+                "invalid scenario spec: {} {GRAMMAR}",
+                problems.join("; ")
+            )),
         }
-        let mut params = Vec::new();
-        if let Some(pobj) = opt(obj, "params").and_then(|v| as_obj(v, "`params`", &mut p)) {
-            for (key, v) in pobj {
-                match v {
-                    JsonValue::Num(n) => params.push((key.clone(), ParamValue::Num(*n))),
-                    JsonValue::Str(s) => params.push((key.clone(), ParamValue::Str(s.clone()))),
-                    JsonValue::Bool(b) => params.push((key.clone(), ParamValue::Bool(*b))),
-                    _ => p.push(format!(
-                        "`params.{key}` must be a number, string or boolean"
-                    )),
-                }
-            }
-        }
-        // Cross-references: every node an attack/probe names must exist.
-        let node_names: std::collections::HashSet<&str> = topology
-            .iter()
-            .flat_map(|t| t.nodes.iter().map(|n| n.name.as_str()))
-            .collect();
-        let mut referenced: Vec<(String, String)> = Vec::new();
-        for (i, a) in attacks.iter().enumerate() {
-            let refs: Vec<&String> = match a {
-                AttackSpec::NullFlood {
-                    attacker, victim, ..
-                } => vec![attacker, victim],
-                AttackSpec::RtsFlood {
-                    attacker, target, ..
-                } => vec![attacker, target],
-                AttackSpec::DeauthFlood {
-                    attacker,
-                    victim,
-                    forged_ap,
-                    ..
-                } => {
-                    vec![attacker, victim, forged_ap]
-                }
-                AttackSpec::BlockAckParalysis {
-                    attacker,
-                    victim,
-                    spoofed_peer,
-                    ..
-                } => {
-                    vec![attacker, victim, spoofed_peer]
-                }
-                AttackSpec::QosTraffic { from, to, .. } => vec![from, to],
-            };
-            for r in refs {
-                referenced.push((format!("`attacks[{i}]`"), r.clone()));
-            }
-        }
-        for (i, pr) in probes.iter().enumerate() {
-            let refs: Vec<&String> = match pr {
-                ProbeSpec::AckVerifier { attacker } => vec![attacker],
-                ProbeSpec::StationStat { node, .. } => vec![node],
-                ProbeSpec::Association { node, peer, .. } => vec![node, peer],
-            };
-            for r in refs {
-                referenced.push((format!("`probes[{i}]`"), r.clone()));
-            }
-        }
-        for (site, name) in &referenced {
-            if !node_names.contains(name.as_str()) {
-                p.push(format!("{site} references unknown node `{name}`"));
-            }
-        }
-        if runner.as_deref() == Some("generic") {
-            if topology.is_none() {
-                p.push("`runner: generic` requires a `topology` section".to_string());
-            }
-            if probes.is_empty() {
-                p.push("`runner: generic` requires at least one probe".to_string());
-            }
-        }
-        p.into_error()?;
-        Ok(ScenarioSpec {
-            name: name.unwrap(),
-            paper_ref: paper_ref.unwrap(),
-            slug: slug.unwrap(),
-            runner: runner.unwrap(),
-            run,
-            topology,
-            attacks,
-            probes,
-            assertions,
-            params,
-        })
+    }
+
+    /// Re-emits the spec in canonical form: field-list order, two-space
+    /// indent, integral numbers without a decimal point, absent optional
+    /// fields and empty lists left out.
+    pub fn to_canonical_json(&self) -> String {
+        self.clone().into_canonical_json()
+    }
+
+    pub(crate) fn into_canonical_json(mut self) -> String {
+        let mut w = JsonWriter::pretty();
+        self.write(&mut w);
+        w.finish() + "\n"
     }
 
     /// Reads a numeric param.
@@ -1133,381 +1147,6 @@ impl ScenarioSpec {
     /// Builds the [`RunArgs`] defaults this spec pins.
     pub fn run_args(&self) -> RunArgs {
         self.run.to_run_args()
-    }
-}
-
-// ===== Canonical form =====
-
-/// Emits canonical JSON: fixed field order, two-space indent, integral
-/// numbers without a decimal point. Committed `scenarios/*.json` files
-/// are kept in this form so parse → write round-trips byte-exact.
-struct Canon {
-    out: String,
-    indent: usize,
-}
-
-impl Canon {
-    fn new() -> Canon {
-        Canon {
-            out: String::new(),
-            indent: 0,
-        }
-    }
-
-    fn line(&mut self, text: &str) {
-        for _ in 0..self.indent {
-            self.out.push_str("  ");
-        }
-        self.out.push_str(text);
-        self.out.push('\n');
-    }
-
-    fn num(n: f64) -> String {
-        if n.fract() == 0.0 && n.abs() < 9e15 {
-            format!("{}", n as i64)
-        } else {
-            format!("{n}")
-        }
-    }
-
-    fn str(s: &str) -> String {
-        json::to_string(s)
-    }
-}
-
-fn comma(last: bool) -> &'static str {
-    if last {
-        ""
-    } else {
-        ","
-    }
-}
-
-impl ScenarioSpec {
-    /// Re-emits the spec in canonical form (fixed field order,
-    /// two-space indent, minimal number formatting).
-    pub fn to_canonical_json(&self) -> String {
-        let mut c = Canon::new();
-        c.line("{");
-        c.indent += 1;
-        c.line(&format!("\"name\": {},", Canon::str(&self.name)));
-        c.line(&format!("\"paper_ref\": {},", Canon::str(&self.paper_ref)));
-        c.line(&format!("\"slug\": {},", Canon::str(&self.slug)));
-        c.line(&format!("\"runner\": {},", Canon::str(&self.runner)));
-        let mut sections: Vec<String> = Vec::new();
-        {
-            let mut c2 = Canon::new();
-            c2.indent = c.indent;
-            c2.line("\"run\": {");
-            c2.indent += 1;
-            c2.line(&format!("\"seed\": {},", self.run.seed));
-            c2.line(&format!("\"trials\": {},", self.run.trials));
-            c2.line(&format!("\"workers\": {},", self.run.workers));
-            c2.line(&format!("\"quick\": {},", self.run.quick));
-            c2.line(&format!(
-                "\"faults\": {}",
-                Canon::str(self.run.faults.name())
-            ));
-            c2.indent -= 1;
-            c2.line("}");
-            sections.push(c2.out);
-        }
-        if let Some(t) = &self.topology {
-            let mut c2 = Canon::new();
-            c2.indent = c.indent;
-            c2.line("\"topology\": {");
-            c2.indent += 1;
-            c2.line(&format!("\"duration_us\": {},", t.duration_us));
-            if let Some(prop) = &t.propagation {
-                c2.line(&format!("\"propagation\": {},", Canon::str(prop)));
-            }
-            let links_follow = !t.links.is_empty() || !t.associations.is_empty();
-            c2.line("\"nodes\": [");
-            c2.indent += 1;
-            for (i, n) in t.nodes.iter().enumerate() {
-                c2.line("{");
-                c2.indent += 1;
-                let mut fields: Vec<String> = vec![
-                    format!("\"name\": {}", Canon::str(&n.name)),
-                    format!("\"mac\": {}", Canon::str(&n.mac.to_string())),
-                    format!("\"kind\": {}", Canon::str(n.kind.label())),
-                    format!(
-                        "\"position\": [{}, {}]",
-                        Canon::num(n.position.0),
-                        Canon::num(n.position.1)
-                    ),
-                ];
-                if let Some(b) = &n.behavior {
-                    fields.push(format!("\"behavior\": {}", Canon::str(b)));
-                }
-                if let Some(b) = &n.band {
-                    fields.push(format!("\"band\": {}", Canon::str(b)));
-                }
-                if let Some(ch) = n.channel {
-                    fields.push(format!("\"channel\": {ch}"));
-                }
-                if let Some(s) = &n.ssid {
-                    fields.push(format!("\"ssid\": {}", Canon::str(s)));
-                }
-                if let Some(bi) = n.beacon_interval_us {
-                    fields.push(format!("\"beacon_interval_us\": {bi}"));
-                }
-                if let Some(r) = n.retries {
-                    fields.push(format!("\"retries\": {r}"));
-                }
-                if let Some(v) = n.velocity {
-                    fields.push(format!(
-                        "\"velocity\": [{}, {}]",
-                        Canon::num(v.0),
-                        Canon::num(v.1)
-                    ));
-                }
-                let n_fields = fields.len();
-                for (j, f) in fields.into_iter().enumerate() {
-                    c2.line(&format!("{f}{}", comma(j + 1 == n_fields)));
-                }
-                c2.indent -= 1;
-                c2.line(&format!("}}{}", comma(i + 1 == t.nodes.len())));
-            }
-            c2.indent -= 1;
-            c2.line(&format!("]{}", comma(!links_follow)));
-            if !t.links.is_empty() {
-                c2.line("\"links\": [");
-                c2.indent += 1;
-                for (i, (a, b)) in t.links.iter().enumerate() {
-                    c2.line(&format!(
-                        "[{}, {}]{}",
-                        Canon::str(a),
-                        Canon::str(b),
-                        comma(i + 1 == t.links.len())
-                    ));
-                }
-                c2.indent -= 1;
-                c2.line(&format!("]{}", comma(t.associations.is_empty())));
-            }
-            if !t.associations.is_empty() {
-                c2.line("\"associations\": [");
-                c2.indent += 1;
-                for (i, (a, b)) in t.associations.iter().enumerate() {
-                    c2.line(&format!(
-                        "[{}, {}]{}",
-                        Canon::str(a),
-                        Canon::str(b),
-                        comma(i + 1 == t.associations.len())
-                    ));
-                }
-                c2.indent -= 1;
-                c2.line("]");
-            }
-            c2.indent -= 1;
-            c2.line("}");
-            sections.push(c2.out);
-        }
-        if !self.attacks.is_empty() {
-            let mut c2 = Canon::new();
-            c2.indent = c.indent;
-            c2.line("\"attacks\": [");
-            c2.indent += 1;
-            for (i, a) in self.attacks.iter().enumerate() {
-                let fields: Vec<String> = match a {
-                    AttackSpec::NullFlood {
-                        attacker,
-                        victim,
-                        rate_pps,
-                        start_us,
-                        duration_us,
-                        bitrate,
-                    } => vec![
-                        format!("\"kind\": {}", Canon::str("null-flood")),
-                        format!("\"attacker\": {}", Canon::str(attacker)),
-                        format!("\"victim\": {}", Canon::str(victim)),
-                        format!("\"rate_pps\": {rate_pps}"),
-                        format!("\"start_us\": {start_us}"),
-                        format!("\"duration_us\": {duration_us}"),
-                        format!("\"bitrate\": {}", Canon::str(bitrate)),
-                    ],
-                    AttackSpec::RtsFlood {
-                        attacker,
-                        target,
-                        nav_us,
-                        rate_pps,
-                        start_us,
-                        duration_us,
-                        bitrate,
-                    } => vec![
-                        format!("\"kind\": {}", Canon::str("rts-flood")),
-                        format!("\"attacker\": {}", Canon::str(attacker)),
-                        format!("\"target\": {}", Canon::str(target)),
-                        format!("\"nav_us\": {nav_us}"),
-                        format!("\"rate_pps\": {rate_pps}"),
-                        format!("\"start_us\": {start_us}"),
-                        format!("\"duration_us\": {duration_us}"),
-                        format!("\"bitrate\": {}", Canon::str(bitrate)),
-                    ],
-                    AttackSpec::DeauthFlood {
-                        attacker,
-                        victim,
-                        forged_ap,
-                        rate_pps,
-                        start_us,
-                        duration_us,
-                        bitrate,
-                    } => vec![
-                        format!("\"kind\": {}", Canon::str("deauth-flood")),
-                        format!("\"attacker\": {}", Canon::str(attacker)),
-                        format!("\"victim\": {}", Canon::str(victim)),
-                        format!("\"forged_ap\": {}", Canon::str(forged_ap)),
-                        format!("\"rate_pps\": {rate_pps}"),
-                        format!("\"start_us\": {start_us}"),
-                        format!("\"duration_us\": {duration_us}"),
-                        format!("\"bitrate\": {}", Canon::str(bitrate)),
-                    ],
-                    AttackSpec::BlockAckParalysis {
-                        attacker,
-                        victim,
-                        spoofed_peer,
-                        jump_to_seq,
-                        at_us,
-                        bitrate,
-                    } => vec![
-                        format!("\"kind\": {}", Canon::str("blockack-paralysis")),
-                        format!("\"attacker\": {}", Canon::str(attacker)),
-                        format!("\"victim\": {}", Canon::str(victim)),
-                        format!("\"spoofed_peer\": {}", Canon::str(spoofed_peer)),
-                        format!("\"jump_to_seq\": {jump_to_seq}"),
-                        format!("\"at_us\": {at_us}"),
-                        format!("\"bitrate\": {}", Canon::str(bitrate)),
-                    ],
-                    AttackSpec::QosTraffic {
-                        from,
-                        to,
-                        rate_pps,
-                        start_us,
-                        duration_us,
-                        payload_len,
-                        bitrate,
-                    } => vec![
-                        format!("\"kind\": {}", Canon::str("qos-traffic")),
-                        format!("\"from\": {}", Canon::str(from)),
-                        format!("\"to\": {}", Canon::str(to)),
-                        format!("\"rate_pps\": {rate_pps}"),
-                        format!("\"start_us\": {start_us}"),
-                        format!("\"duration_us\": {duration_us}"),
-                        format!("\"payload_len\": {payload_len}"),
-                        format!("\"bitrate\": {}", Canon::str(bitrate)),
-                    ],
-                };
-                c2.line("{");
-                c2.indent += 1;
-                let n_fields = fields.len();
-                for (j, f) in fields.into_iter().enumerate() {
-                    c2.line(&format!("{f}{}", comma(j + 1 == n_fields)));
-                }
-                c2.indent -= 1;
-                c2.line(&format!("}}{}", comma(i + 1 == self.attacks.len())));
-            }
-            c2.indent -= 1;
-            c2.line("]");
-            sections.push(c2.out);
-        }
-        if !self.probes.is_empty() {
-            let mut c2 = Canon::new();
-            c2.indent = c.indent;
-            c2.line("\"probes\": [");
-            c2.indent += 1;
-            for (i, pr) in self.probes.iter().enumerate() {
-                let fields: Vec<String> = match pr {
-                    ProbeSpec::AckVerifier { attacker } => vec![
-                        format!("\"kind\": {}", Canon::str("ack-verifier")),
-                        format!("\"attacker\": {}", Canon::str(attacker)),
-                    ],
-                    ProbeSpec::StationStat { node, stat, metric } => vec![
-                        format!("\"kind\": {}", Canon::str("station-stat")),
-                        format!("\"node\": {}", Canon::str(node)),
-                        format!("\"stat\": {}", Canon::str(stat)),
-                        format!("\"metric\": {}", Canon::str(metric)),
-                    ],
-                    ProbeSpec::Association { node, peer, metric } => vec![
-                        format!("\"kind\": {}", Canon::str("association")),
-                        format!("\"node\": {}", Canon::str(node)),
-                        format!("\"peer\": {}", Canon::str(peer)),
-                        format!("\"metric\": {}", Canon::str(metric)),
-                    ],
-                };
-                c2.line("{");
-                c2.indent += 1;
-                let n_fields = fields.len();
-                for (j, f) in fields.into_iter().enumerate() {
-                    c2.line(&format!("{f}{}", comma(j + 1 == n_fields)));
-                }
-                c2.indent -= 1;
-                c2.line(&format!("}}{}", comma(i + 1 == self.probes.len())));
-            }
-            c2.indent -= 1;
-            c2.line("]");
-            sections.push(c2.out);
-        }
-        if !self.assertions.is_empty() {
-            let mut c2 = Canon::new();
-            c2.indent = c.indent;
-            c2.line("\"assertions\": [");
-            c2.indent += 1;
-            for (i, a) in self.assertions.iter().enumerate() {
-                let mut fields: Vec<String> = vec![
-                    format!("\"metric\": {}", Canon::str(&a.metric)),
-                    format!("\"op\": {}", Canon::str(&a.op)),
-                    format!("\"value\": {}", Canon::num(a.value)),
-                ];
-                if a.clean_only {
-                    fields.push(format!("\"when\": {}", Canon::str("clean")));
-                }
-                c2.line("{");
-                c2.indent += 1;
-                let n_fields = fields.len();
-                for (j, f) in fields.into_iter().enumerate() {
-                    c2.line(&format!("{f}{}", comma(j + 1 == n_fields)));
-                }
-                c2.indent -= 1;
-                c2.line(&format!("}}{}", comma(i + 1 == self.assertions.len())));
-            }
-            c2.indent -= 1;
-            c2.line("]");
-            sections.push(c2.out);
-        }
-        if !self.params.is_empty() {
-            let mut c2 = Canon::new();
-            c2.indent = c.indent;
-            c2.line("\"params\": {");
-            c2.indent += 1;
-            for (i, (k, v)) in self.params.iter().enumerate() {
-                let value = match v {
-                    ParamValue::Num(n) => Canon::num(*n),
-                    ParamValue::Str(s) => Canon::str(s),
-                    ParamValue::Bool(b) => format!("{b}"),
-                };
-                c2.line(&format!(
-                    "{}: {value}{}",
-                    Canon::str(k),
-                    comma(i + 1 == self.params.len())
-                ));
-            }
-            c2.indent -= 1;
-            c2.line("}");
-            sections.push(c2.out);
-        }
-        let n_sections = sections.len();
-        for (i, mut s) in sections.into_iter().enumerate() {
-            if i + 1 != n_sections {
-                // Splice the separating comma onto the section's closing
-                // brace/bracket line.
-                let trimmed = s.trim_end().len();
-                s.replace_range(trimmed.., ",\n");
-            }
-            c.out.push_str(&s);
-        }
-        c.indent -= 1;
-        c.line("}");
-        c.out
     }
 }
 
@@ -1526,7 +1165,6 @@ impl TopologySpec {
             .duration_us(self.duration_us)
             .faults(faults);
         let mut ids: BTreeMap<String, NodeId> = BTreeMap::new();
-        let mut macs: BTreeMap<String, MacAddr> = BTreeMap::new();
         for n in &self.nodes {
             let mut cfg = match n.kind {
                 NodeKind::Ap => StationConfig::access_point(n.mac, n.ssid.as_deref().unwrap_or("")),
@@ -1535,7 +1173,7 @@ impl TopologySpec {
             if let Some(b) = n.behavior.as_deref().and_then(behavior_from_label) {
                 cfg.behavior = b;
             }
-            if let Some(b) = n.band.as_deref().and_then(band_from_label) {
+            if let Some(b) = n.band {
                 cfg.band = b;
             }
             if let Some(c) = n.channel {
@@ -1555,13 +1193,12 @@ impl TopologySpec {
                 sb.velocity(id, v);
             }
             ids.insert(n.name.clone(), id);
-            macs.insert(n.name.clone(), n.mac);
         }
         for (a, b) in &self.links {
             sb.link(ids[a], ids[b]);
         }
         for (node, peer) in &self.associations {
-            sb.associate(ids[node], macs[peer]);
+            sb.associate(ids[node], self.mac_of(peer));
         }
         (sb, ids)
     }

@@ -1,11 +1,21 @@
 //! Property tests for the scenario parser: malformed specs must be
 //! rejected with ONE aggregated, single-line error that ends with the
 //! grammar pointer — never a panic, never a partial spec, never a
-//! cascade of separate errors.
+//! cascade of separate errors — and every valid spec must survive the
+//! canonical writer unchanged.
 
+use polite_wifi_core::{CmpOp, StatKind};
+use polite_wifi_frame::MacAddr;
 use polite_wifi_obs::json;
-use polite_wifi_scenario::ScenarioSpec;
+use polite_wifi_phy::rate::BitRate;
+use polite_wifi_phy::Band;
+use polite_wifi_scenario::{
+    AssertionSpec, AttackSpec, NodeKind, NodeSpec, ParamValue, ProbeSpec, RunSpec, ScenarioSpec,
+    TopologySpec,
+};
+use polite_wifi_sim::FaultProfile;
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
 
 const GRAMMAR_HINT: &str = "(see DESIGN.md \u{a7}13 for the grammar)";
 
@@ -145,5 +155,240 @@ proptest! {
         assert_single_aggregated_error(&err);
         prop_assert!(err.contains(&format!("unknown key `{key}`")), "{:?}", err);
         prop_assert!(err.contains("snake_case"), "{:?}", err);
+    }
+}
+
+// ===== Round trip =====
+
+fn pick<T: Clone>(rng: &mut TestRng, options: &[T]) -> T {
+    options[rng.below(options.len() as u64) as usize].clone()
+}
+
+fn coin(rng: &mut TestRng) -> bool {
+    rng.below(2) == 1
+}
+
+/// An integer JSON carries exactly (numbers are read as `f64`).
+fn int(rng: &mut TestRng) -> u64 {
+    let bits = pick(rng, &[4, 30, 53]);
+    rng.below(1 << bits)
+}
+
+/// A number of each canonical shape: integral, fractional, tiny, huge.
+fn num(rng: &mut TestRng) -> f64 {
+    let unit = rng.below(1 << 53) as f64 / (1u64 << 53) as f64;
+    match rng.below(5) {
+        0 => rng.below(2_000) as f64 - 1_000.0,
+        1 => (rng.below(4_000) as f64 - 2_000.0) / 4.0,
+        2 => (unit - 0.5) * 2e6,
+        3 => unit * 1e-7,
+        _ => -(unit + 1.0) * 1e20,
+    }
+}
+
+/// Printable text plus the characters the writer must escape.
+fn text(rng: &mut TestRng) -> String {
+    const SPECIAL: &[char] = &['"', '\\', '\n', '\t', '\u{1}', 'é', '§'];
+    (0..rng.below(12))
+        .map(|_| match rng.below(4) {
+            0 => pick(rng, SPECIAL),
+            _ => (b' ' + rng.below(95) as u8) as char,
+        })
+        .collect()
+}
+
+/// A node; `full` sets every optional field, otherwise each is a coin
+/// flip (an access point always names its network).
+fn node(rng: &mut TestRng, name: String, full: bool) -> NodeSpec {
+    let some = |rng: &mut TestRng| full || coin(rng);
+    let kind = pick(rng, &[NodeKind::Client, NodeKind::Ap, NodeKind::Monitor]);
+    let behavior = pick(
+        rng,
+        &["client", "quiet_ap", "deauthing_ap", "pmf", "validating:40"],
+    );
+    let octets = rng.next_u64().to_le_bytes();
+    NodeSpec {
+        name,
+        mac: MacAddr::new([
+            octets[0], octets[1], octets[2], octets[3], octets[4], octets[5],
+        ]),
+        kind,
+        position: (num(rng), num(rng)),
+        behavior: some(rng).then(|| behavior.to_string()),
+        band: some(rng).then(|| pick(rng, &[Band::Ghz2, Band::Ghz5])),
+        channel: some(rng).then(|| rng.below(256) as u8),
+        ssid: (kind == NodeKind::Ap || some(rng)).then(|| text(rng)),
+        beacon_interval_us: some(rng).then(|| int(rng)),
+        retries: some(rng).then(|| coin(rng)),
+        velocity: some(rng).then(|| (num(rng), num(rng))),
+    }
+}
+
+/// Attack kind `kind` (0..5) between the declared `names`.
+fn attack(rng: &mut TestRng, kind: u64, names: &[String]) -> AttackSpec {
+    let node = |rng: &mut TestRng| pick(rng, names);
+    let bitrate = pick(rng, &BitRate::ALL);
+    let (rate_pps, start_us, duration_us) = (rng.below(1 << 32) as u32, int(rng), int(rng));
+    match kind {
+        0 => AttackSpec::NullFlood {
+            attacker: node(rng),
+            victim: node(rng),
+            rate_pps,
+            start_us,
+            duration_us,
+            bitrate,
+        },
+        1 => AttackSpec::RtsFlood {
+            attacker: node(rng),
+            target: node(rng),
+            nav_us: rng.below(1 << 16) as u16,
+            rate_pps,
+            start_us,
+            duration_us,
+            bitrate,
+        },
+        2 => AttackSpec::DeauthFlood {
+            attacker: node(rng),
+            victim: node(rng),
+            forged_ap: node(rng),
+            rate_pps,
+            start_us,
+            duration_us,
+            bitrate,
+        },
+        3 => AttackSpec::BlockAckParalysis {
+            attacker: node(rng),
+            victim: node(rng),
+            spoofed_peer: node(rng),
+            jump_to_seq: rng.below(4_096) as u16,
+            at_us: start_us,
+            bitrate,
+        },
+        _ => AttackSpec::QosTraffic {
+            from: node(rng),
+            to: node(rng),
+            rate_pps,
+            start_us,
+            duration_us,
+            payload_len: int(rng),
+            bitrate,
+        },
+    }
+}
+
+/// Probe kind `kind` (0..3) over the declared `names`.
+fn probe(rng: &mut TestRng, kind: u64, names: &[String]) -> ProbeSpec {
+    let stat = pick(rng, &["acks_sent", "delivered", "ba_stale_dropped"]);
+    match kind {
+        0 => ProbeSpec::AckVerifier {
+            attacker: pick(rng, names),
+        },
+        1 => ProbeSpec::StationStat {
+            node: pick(rng, names),
+            stat: StatKind::from_label(stat).expect("a known counter"),
+            metric: text(rng),
+        },
+        _ => ProbeSpec::Association {
+            node: pick(rng, names),
+            peer: pick(rng, names),
+            metric: text(rng),
+        },
+    }
+}
+
+/// A random valid spec. Whenever it has a topology it holds every
+/// attack and probe kind, a node with every optional field set, and a
+/// param of each type; references only name declared nodes, and the
+/// `generic` runner appears only with a topology.
+fn spec(rng: &mut TestRng) -> ScenarioSpec {
+    let names: Vec<String> = (0..1 + rng.below(3))
+        .map(|i| format!("{}{i}", text(rng)))
+        .collect();
+    let pairs = |rng: &mut TestRng| -> Vec<(String, String)> {
+        (0..rng.below(3))
+            .map(|_| (pick(rng, &names), pick(rng, &names)))
+            .collect()
+    };
+    let topology = (rng.below(5) > 0).then(|| TopologySpec {
+        duration_us: int(rng),
+        propagation: coin(rng).then(|| pick(rng, &["all_pairs", "cell_grid"]).to_string()),
+        nodes: (names.iter().enumerate())
+            .map(|(i, name)| node(rng, name.clone(), i == 0))
+            .collect(),
+        links: pairs(rng),
+        associations: pairs(rng),
+    });
+    let (mut attacks, mut probes, mut params) = (Vec::new(), Vec::new(), Vec::new());
+    if topology.is_some() {
+        attacks = (0..5).map(|kind| attack(rng, kind, &names)).collect();
+        probes = (0..3).map(|kind| probe(rng, kind, &names)).collect();
+        params = vec![
+            (text(rng), ParamValue::Num(num(rng))),
+            (text(rng), ParamValue::Str(text(rng))),
+            (text(rng), ParamValue::Bool(coin(rng))),
+        ];
+    }
+    let ops = [
+        CmpOp::Ge,
+        CmpOp::Gt,
+        CmpOp::Le,
+        CmpOp::Lt,
+        CmpOp::Eq,
+        CmpOp::Ne,
+    ];
+    ScenarioSpec {
+        name: text(rng),
+        paper_ref: text(rng),
+        slug: format!("s_{}", rng.below(1_000)),
+        runner: pick(
+            rng,
+            &["sifs_timing", "generic"][..1 + topology.is_some() as usize],
+        )
+        .into(),
+        run: RunSpec {
+            seed: int(rng),
+            trials: 1 + rng.below(64) as usize,
+            workers: 1 + rng.below(8) as usize,
+            quick: coin(rng),
+            faults: pick(rng, &FaultProfile::ALL),
+        },
+        topology,
+        attacks,
+        probes,
+        assertions: (0..rng.below(3))
+            .map(|_| AssertionSpec {
+                metric: text(rng),
+                op: pick(rng, &ops),
+                value: num(rng),
+                clean_only: coin(rng),
+            })
+            .collect(),
+        params,
+    }
+}
+
+/// [`spec`] as a strategy.
+struct ArbSpec;
+
+impl Strategy for ArbSpec {
+    type Value = ScenarioSpec;
+
+    fn generate(&self, rng: &mut TestRng) -> ScenarioSpec {
+        spec(rng)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The canonical form parses back to the same spec, and re-writing
+    /// that spec reproduces it byte for byte.
+    #[test]
+    fn canonical_form_round_trips(spec in ArbSpec) {
+        let canonical = spec.to_canonical_json();
+        let reparsed = ScenarioSpec::parse(&canonical)
+            .unwrap_or_else(|e| panic!("canonical form does not parse: {e}\n{canonical}"));
+        prop_assert_eq!(&reparsed, &spec);
+        prop_assert_eq!(reparsed.to_canonical_json(), canonical);
     }
 }

@@ -136,19 +136,6 @@ impl Ord for ScheduledEvent {
     }
 }
 
-/// Which scheduler backend the simulator's event queue runs on. Both
-/// dispatch in the identical (time, seq) total order; the calendar
-/// queue is O(1) amortised per operation at city scale, the binary
-/// heap is kept as the pre-refactor reference path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// Calendar queue with a sorted overflow level (the default).
-    #[default]
-    Calendar,
-    /// The original global binary heap.
-    Heap,
-}
-
 /// Width of one calendar bucket in microseconds. Most MAC timescales
 /// (SIFS, slot times, CSMA defers, ACK timeouts) land within a few
 /// buckets of `now`.
@@ -265,18 +252,13 @@ impl Calendar {
     }
 }
 
-#[derive(Debug)]
-enum Backend {
-    Heap(BinaryHeap<ScheduledEvent>),
-    Calendar(Calendar),
-}
-
 /// A deterministic time-ordered event queue: earliest first, FIFO among
-/// equal times via the monotonic sequence number — the total order both
-/// backends dispatch in.
+/// equal times via the monotonic sequence number. A calendar queue —
+/// O(1) amortised per operation at city scale — with a heap-ordered
+/// overflow level beyond its horizon.
 #[derive(Debug)]
 pub struct EventQueue {
-    backend: Backend,
+    cal: Calendar,
     next_seq: u64,
     len: usize,
 }
@@ -288,36 +270,22 @@ impl Default for EventQueue {
 }
 
 impl EventQueue {
-    /// An empty calendar-queue-backed queue (the default backend).
+    /// An empty queue.
     pub fn new() -> EventQueue {
-        EventQueue::with_scheduler(SchedulerKind::Calendar)
-    }
-
-    /// An empty queue on the chosen backend.
-    pub fn with_scheduler(kind: SchedulerKind) -> EventQueue {
-        let backend = match kind {
-            SchedulerKind::Calendar => Backend::Calendar(Calendar::new()),
-            SchedulerKind::Heap => Backend::Heap(BinaryHeap::new()),
-        };
         EventQueue {
-            backend,
+            cal: Calendar::new(),
             next_seq: 0,
             len: 0,
         }
     }
 
     /// Schedules `event` at `at_us`. Sequence numbers are assigned at
-    /// push regardless of backend, so the dispatch order — and every
-    /// RNG draw downstream of it — is backend-invariant.
+    /// push, so ties dispatch in push order.
     pub fn push(&mut self, at_us: u64, event: Event) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.len += 1;
-        let ev = ScheduledEvent { at_us, seq, event };
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.push(ev),
-            Backend::Calendar(cal) => cal.push(ev),
-        }
+        self.cal.push(ScheduledEvent { at_us, seq, event });
     }
 
     /// Pops the earliest event, FIFO among ties.
@@ -326,32 +294,22 @@ impl EventQueue {
             return None;
         }
         self.len -= 1;
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.pop(),
-            Backend::Calendar(cal) => {
-                if cal.drain.is_empty() {
-                    cal.advance();
-                }
-                cal.drain.pop()
-            }
+        if self.cal.drain.is_empty() {
+            self.cal.advance();
         }
+        self.cal.drain.pop()
     }
 
     /// Time of the next event without removing it. `&mut` because the
-    /// calendar backend may need to roll its window forward to find it.
+    /// calendar may need to roll its window forward to find it.
     pub fn peek_time(&mut self) -> Option<u64> {
         if self.len == 0 {
             return None;
         }
-        match &mut self.backend {
-            Backend::Heap(heap) => heap.peek().map(|e| e.at_us),
-            Backend::Calendar(cal) => {
-                if cal.drain.is_empty() {
-                    cal.advance();
-                }
-                cal.drain.last().map(|e| e.at_us)
-            }
+        if self.cal.drain.is_empty() {
+            self.cal.advance();
         }
+        self.cal.drain.last().map(|e| e.at_us)
     }
 
     /// Number of pending events.
@@ -368,6 +326,7 @@ impl EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn poll(node: usize) -> Event {
         Event::Poll { node: NodeId(node) }
@@ -440,9 +399,59 @@ mod tests {
         assert!(matches!(b.event, Event::Poll { node } if node.0 == 3));
     }
 
-    /// The contract the whole determinism story rests on: both backends
-    /// dispatch any interleaving of pushes and pops in the identical
-    /// (time, seq) total order.
+    /// The reference scheduler the calendar queue is checked against:
+    /// one global binary heap, sequence-stamped at push like the queue.
+    #[derive(Default)]
+    struct HeapOracle {
+        heap: BinaryHeap<ScheduledEvent>,
+        next_seq: u64,
+    }
+
+    impl HeapOracle {
+        fn push(&mut self, at_us: u64, event: Event) {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.heap.push(ScheduledEvent { at_us, seq, event });
+        }
+    }
+
+    /// Drives the queue and the oracle through one schedule of pushes
+    /// (`Some(dt)`: due `dt` µs after the last popped time) and pops
+    /// (`None`), asserting the identical (time, seq) order throughout
+    /// and after a final drain.
+    fn assert_matches_oracle(ops: impl IntoIterator<Item = Option<u64>>) {
+        let (mut cal, mut heap) = (EventQueue::new(), HeapOracle::default());
+        let mut now = 0u64;
+        for (round, op) in ops.into_iter().enumerate() {
+            match op {
+                Some(dt) => {
+                    cal.push(now + dt, poll(round));
+                    heap.push(now + dt, poll(round));
+                }
+                None => match (cal.pop(), heap.heap.pop()) {
+                    (Some(x), Some(y)) => {
+                        assert_eq!((x.at_us, x.seq), (y.at_us, y.seq), "round {round}");
+                        assert!(x.at_us >= now, "time went backwards");
+                        now = x.at_us;
+                    }
+                    (None, None) => {}
+                    _ => panic!("one scheduler drained before the other"),
+                },
+            }
+            assert_eq!(cal.len(), heap.heap.len());
+            let oracle_next = heap.heap.peek().map(|e| e.at_us);
+            assert_eq!(cal.peek_time(), oracle_next, "round {round}");
+        }
+        while let Some(x) = cal.pop() {
+            let y = heap.heap.pop().expect("same length");
+            assert_eq!((x.at_us, x.seq), (y.at_us, y.seq));
+        }
+        assert!(heap.heap.pop().is_none());
+    }
+
+    /// The contract the whole determinism story rests on: the calendar
+    /// queue dispatches any interleaving of pushes and pops in the
+    /// heap's (time, seq) total order.
     #[test]
     fn calendar_matches_heap_on_random_interleavings() {
         // Deterministic LCG so the test needs no external RNG.
@@ -453,41 +462,41 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             state >> 33
         };
-        let mut cal = EventQueue::with_scheduler(SchedulerKind::Calendar);
-        let mut heap = EventQueue::with_scheduler(SchedulerKind::Heap);
-        let mut now = 0u64;
-        for round in 0..5_000u64 {
+        let ops = (0..5_000).map(|_| {
             let r = next();
-            if r % 3 != 0 || cal.is_empty() {
-                // Push: mostly near-future, occasionally far beyond the
-                // horizon, with plenty of exact ties.
-                let dt = match r % 7 {
-                    0 => 0,
-                    1..=4 => next() % 2_000,
-                    5 => next() % 50_000,
-                    _ => 300_000 + next() % 2_000_000_000,
-                };
-                cal.push(now + dt, poll(round as usize));
-                heap.push(now + dt, poll(round as usize));
-            } else {
-                let (a, b) = (cal.pop(), heap.pop());
-                match (&a, &b) {
-                    (Some(x), Some(y)) => {
-                        assert_eq!((x.at_us, x.seq), (y.at_us, y.seq), "round {round}");
-                        assert!(x.at_us >= now, "time went backwards");
-                        now = x.at_us;
-                    }
-                    (None, None) => {}
-                    _ => panic!("one backend drained before the other"),
-                }
-            }
-            assert_eq!(cal.len(), heap.len());
-            assert_eq!(cal.peek_time(), heap.peek_time(), "round {round}");
+            // Push: mostly near-future, occasionally far beyond the
+            // horizon, with plenty of exact ties.
+            (r % 3 != 0).then(|| match r % 7 {
+                0 => 0,
+                1..=4 => next() % 2_000,
+                5 => next() % 50_000,
+                _ => 300_000 + next() % 2_000_000_000,
+            })
+        });
+        assert_matches_oracle(ops.collect::<Vec<_>>());
+    }
+
+    /// One drawn operation: a pop, or a push `dt` µs ahead, where the
+    /// class picks a same-µs tie, a near-future time, a time within the
+    /// calendar horizon, or one far past it (the overflow level).
+    fn arb_op() -> impl Strategy<Value = Option<u64>> {
+        (0u8..6, 0u64..4_000_000_000).prop_map(|(class, x)| match class {
+            0 => None,
+            1 => Some(0),
+            2 => Some(x % 3_000),
+            3 => Some(x % 300_000),
+            _ => Some(262_144 + x),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random schedules — same-µs ties, far-future overflow and
+        /// interleaved pops — pop in the heap oracle's order.
+        #[test]
+        fn calendar_pops_in_heap_order(ops in proptest::collection::vec(arb_op(), 0..400)) {
+            assert_matches_oracle(ops);
         }
-        while let Some(x) = cal.pop() {
-            let y = heap.pop().expect("same length");
-            assert_eq!((x.at_us, x.seq), (y.at_us, y.seq));
-        }
-        assert!(heap.pop().is_none());
     }
 }

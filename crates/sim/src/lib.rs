@@ -5,8 +5,7 @@
 //! `polite-wifi-mac` [`Station`](polite_wifi_mac::Station) state machines
 //! through a shared [`medium::Medium`] with:
 //!
-//! * microsecond-resolution virtual time and a calendar-queue scheduler
-//!   (binary-heap backend still available via [`SchedulerKind::Heap`]),
+//! * microsecond-resolution virtual time and a calendar-queue scheduler,
 //! * spatial interference cells that shard propagation by channel and
 //!   position ([`PropagationMode::CellGrid`]), with the all-pairs oracle
 //!   behind a config flag,
@@ -51,7 +50,6 @@ pub mod node;
 pub mod sim;
 
 pub use arena::{CellGrid, NodeArena};
-pub use event::SchedulerKind;
 pub use faults::{FaultPlan, FaultProfile, GilbertElliott, SnrDegradation, StallSchedule};
 pub use ledger::{ActivityLedger, StateTotals};
 pub use medium::MediumConfig;

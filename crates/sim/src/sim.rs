@@ -1,7 +1,7 @@
 //! The simulator: event loop, transmissions, receptions, retries.
 
 use crate::arena::{CellGrid, NodeArena};
-use crate::event::{Event, EventQueue, SchedulerKind};
+use crate::event::{Event, EventQueue};
 use crate::faults::{FaultPlan, StallSchedule};
 use crate::medium::{Medium, MediumConfig, RxOutcome, Transmission, Tune};
 use crate::node::{AckWait, Node, NodeId, QueuedFrame};
@@ -47,8 +47,6 @@ impl PropagationMode {
 pub struct SimConfig {
     /// Radio environment.
     pub medium: MediumConfig,
-    /// Event-queue backend (identical dispatch order either way).
-    pub scheduler: SchedulerKind,
     /// Receiver-enumeration strategy.
     pub propagation: PropagationMode,
 }
@@ -110,7 +108,7 @@ impl Simulator {
         Simulator {
             config,
             now_us: 0,
-            queue: EventQueue::with_scheduler(config.scheduler),
+            queue: EventQueue::new(),
             nodes: Vec::new(),
             hot: NodeArena::new(),
             grid: (config.propagation == PropagationMode::CellGrid)

@@ -246,7 +246,7 @@ fn traced_urban_drive_run_is_worker_invariant_with_causal_chains() {
 }
 
 /// A city drive small enough for a tier-1 test but wide enough to fill
-/// many interference cells and both scheduler backends' overflow paths.
+/// many interference cells and the calendar queue's overflow level.
 fn mini_city() -> CityWardrive {
     CityWardrive {
         seed: 7,
@@ -279,69 +279,6 @@ fn city_wardrive_envelope_is_worker_invariant() {
         assert_eq!(report1, report, "city report drifts at {workers} workers");
         assert_eq!(metrics1, metrics, "city metrics drift at {workers} workers");
     }
-}
-
-/// The calendar queue is a drop-in for the legacy binary heap: same
-/// (time, seq) total order, so byte-identical results — on the new city
-/// path and on the pre-refactor seed scenario (legacy all-pairs
-/// propagation, sequential draws) alike.
-#[test]
-fn calendar_queue_matches_legacy_heap() {
-    use polite_wifi::frame::{builder, MacAddr};
-    use polite_wifi::mac::StationConfig;
-    use polite_wifi::phy::rate::BitRate;
-    use polite_wifi::sim::{SchedulerKind, SimConfig, Simulator};
-
-    // City path: calendar (the default) vs heap, everything else equal.
-    let city = |scheduler: SchedulerKind| {
-        let mut obs = Obs::new();
-        let drive = CityWardrive {
-            scheduler,
-            ..mini_city()
-        };
-        (drive.run_observed(2, &mut obs), obs.metrics_json())
-    };
-    assert_eq!(
-        city(SchedulerKind::Calendar),
-        city(SchedulerKind::Heap),
-        "calendar and heap city drives diverge"
-    );
-
-    // Pre-refactor seed scenario: a close-range fake-null exchange on
-    // the legacy all-pairs medium. The heap run reproduces exactly what
-    // the pinned results were generated with, so equality here pins the
-    // calendar queue to the pre-refactor event order.
-    let exchange = |scheduler: SchedulerKind| {
-        let victim_mac: MacAddr = "f2:6e:0b:11:22:33".parse().unwrap();
-        let cfg = SimConfig {
-            scheduler,
-            ..SimConfig::default()
-        };
-        let mut sim = Simulator::new(cfg, 2020);
-        let victim = sim.add_node(StationConfig::client(victim_mac), (0.0, 0.0));
-        let attacker = sim.add_node(StationConfig::client(MacAddr::FAKE), (5.0, 0.0));
-        sim.set_monitor(attacker, true);
-        for i in 0..200u64 {
-            sim.inject(
-                1_000 + i * 4_000,
-                attacker,
-                builder::fake_null_frame(victim_mac, MacAddr::FAKE),
-                BitRate::Mbps1,
-            );
-        }
-        sim.run_until(2_000_000);
-        (
-            sim.station(victim).stats,
-            sim.node(attacker).acks_received,
-            sim.events_dispatched(),
-            sim.take_obs().metrics_json(),
-        )
-    };
-    assert_eq!(
-        exchange(SchedulerKind::Calendar),
-        exchange(SchedulerKind::Heap),
-        "calendar and heap diverge on the legacy exchange scenario"
-    );
 }
 
 /// The batched sensing pipeline's determinism contract: a 1k-link hub
