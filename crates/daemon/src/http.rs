@@ -64,25 +64,33 @@ fn split_target(target: &str) -> (String, BTreeMap<String, String>) {
     (path.to_string(), query)
 }
 
+/// Reads one head line (LF-terminated) and charges it to `budget`. The
+/// read itself stops at the budget left, so no client can make the
+/// daemon buffer more than [`MAX_HEAD`] bytes of head, newline or not.
+fn read_head_line<R: BufRead>(reader: &mut R, budget: &mut usize) -> io::Result<String> {
+    let mut line = String::new();
+    let n = reader.take(*budget as u64).read_line(&mut line)?;
+    if !line.ends_with('\n') {
+        return Err(bad(if n == *budget {
+            "request head too large"
+        } else {
+            "connection closed mid-headers"
+        }));
+    }
+    *budget -= n;
+    Ok(line)
+}
+
 /// Reads and parses one request from the stream. Errors on malformed
 /// framing or on a request exceeding the size bounds.
-pub fn read_request(stream: &mut TcpStream) -> io::Result<Request> {
+pub fn read_request<R: Read>(stream: R) -> io::Result<Request> {
     let mut reader = BufReader::new(stream);
-    let mut head = String::new();
-    let mut request_line = String::new();
-    reader.read_line(&mut request_line)?;
+    let mut budget = MAX_HEAD;
+    let request_line = read_head_line(&mut reader, &mut budget)?;
     let mut content_length = 0usize;
     let mut headers = BTreeMap::new();
     loop {
-        let mut line = String::new();
-        let n = reader.read_line(&mut line)?;
-        if n == 0 {
-            return Err(bad("connection closed mid-headers"));
-        }
-        head.push_str(&line);
-        if head.len() + request_line.len() > MAX_HEAD {
-            return Err(bad("request head too large"));
-        }
+        let line = read_head_line(&mut reader, &mut budget)?;
         let line = line.trim_end();
         if line.is_empty() {
             break;
@@ -237,6 +245,7 @@ pub fn request(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn target_splits_into_path_and_query() {
@@ -275,5 +284,63 @@ mod tests {
         assert_eq!(status, 200);
         assert_eq!(headers.get("x-cache").map(String::as_str), Some("miss"));
         assert_eq!(body, b"{\"ok\": true}");
+    }
+
+    #[test]
+    fn a_mebibyte_without_a_newline_is_rejected_after_the_head_budget() {
+        let mut source = io::repeat(b'a').take(1 << 20);
+        let err = read_request(&mut source).unwrap_err();
+        assert_eq!(err.to_string(), "request head too large");
+        // Only the head budget plus one buffer fill was pulled off the
+        // stream, not the whole line.
+        let consumed = (1 << 20) - source.limit() as usize;
+        assert!(consumed <= 2 * MAX_HEAD, "read {consumed} bytes");
+    }
+
+    #[test]
+    fn a_head_exactly_at_the_bound_is_accepted_and_one_byte_more_is_not() {
+        let head = |filler: usize| {
+            let mut raw = b"GET / HTTP/1.1\r\nx: ".to_vec();
+            raw.resize(raw.len() + filler, b'a');
+            raw.extend_from_slice(b"\r\n\r\n");
+            raw
+        };
+        let fits = MAX_HEAD - head(0).len();
+        assert_eq!(head(fits).len(), MAX_HEAD);
+        assert!(read_request(&head(fits)[..]).is_ok());
+        let err = read_request(&head(fits + 1)[..]).unwrap_err();
+        assert_eq!(err.to_string(), "request head too large");
+    }
+
+    /// Raw request bytes: well-formed pieces, over-long lines, oversized
+    /// bodies and noise, in any order.
+    fn arb_raw_request() -> impl Strategy<Value = Vec<u8>> {
+        let piece = prop_oneof![
+            Just(b"POST /submit?wait=1&a HTTP/1.1\r\n".to_vec()),
+            Just(b"GET /healthz HTTP/1.1\n".to_vec()),
+            Just(b"host: 127.0.0.1\r\n".to_vec()),
+            Just(b"Content-Length: 4\r\n".to_vec()),
+            Just(b"content-length: 99999999\r\n".to_vec()),
+            Just(b"\r\n".to_vec()),
+            Just(b"\r\n".to_vec()),
+            (0usize..20_000).prop_map(|n| vec![b'x'; n]),
+            proptest::collection::vec(any::<u8>(), 0..32),
+        ];
+        proptest::collection::vec(piece, 0..12).prop_map(|pieces| pieces.concat())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn raw_bytes_never_panic_and_ok_requests_stay_in_bounds(raw in arb_raw_request()) {
+            if let Ok(req) = read_request(&raw[..]) {
+                let head: usize = req.method.len()
+                    + req.path.len()
+                    + req.query.iter().map(|(k, v)| k.len() + v.len()).sum::<usize>()
+                    + req.headers.iter().map(|(k, v)| k.len() + v.len()).sum::<usize>();
+                prop_assert!(head <= MAX_HEAD, "head of {head} bytes accepted");
+                prop_assert!(req.body.len() <= MAX_BODY);
+            }
+        }
     }
 }

@@ -31,7 +31,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -111,17 +111,32 @@ struct Shared {
     shutdown_requested: AtomicBool,
 }
 
+/// Locks `m`, recovering the guard when a thread panicked while holding
+/// it. A panic inside a critical section can leave that one job's entry
+/// stale, but refusing the lock would turn it into a panic on every
+/// later request.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// [`Condvar::wait_timeout`] with the same poison recovery as [`lock`].
+fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>, timeout: Duration) -> MutexGuard<'a, T> {
+    cv.wait_timeout(guard, timeout)
+        .unwrap_or_else(PoisonError::into_inner)
+        .0
+}
+
 impl Shared {
     fn incr(&self, name: &str) {
-        self.obs.lock().unwrap().incr(name);
+        lock(&self.obs).incr(name);
     }
 
     fn add(&self, name: &str, n: u64) {
-        self.obs.lock().unwrap().add(name, n);
+        lock(&self.obs).add(name, n);
     }
 
     fn observe(&self, name: &str, value: u64) {
-        self.obs.lock().unwrap().observe(name, value);
+        lock(&self.obs).observe(name, value);
     }
 
     fn uptime_ms(&self) -> u64 {
@@ -217,15 +232,10 @@ impl Daemon {
         let t0 = Instant::now();
         let inflight_at_drain;
         {
-            let mut st = self.shared.state.lock().unwrap();
+            let mut st = lock(&self.shared.state);
             inflight_at_drain = st.queue.len() + st.running;
             while !(st.queue.is_empty() && st.running == 0) {
-                let (guard, _) = self
-                    .shared
-                    .cv
-                    .wait_timeout(st, Duration::from_millis(20))
-                    .unwrap();
-                st = guard;
+                st = wait(&self.shared.cv, st, Duration::from_millis(20));
             }
         }
         self.persist_jobs()?;
@@ -255,7 +265,7 @@ impl Daemon {
     /// got there.
     fn persist_jobs(&self) -> io::Result<()> {
         let now = Instant::now();
-        let st = self.shared.state.lock().unwrap();
+        let st = lock(&self.shared.state);
         let mut w = JsonWriter::pretty();
         let mut journals = Vec::new();
         w.begin_array();
@@ -283,7 +293,7 @@ impl Daemon {
     /// Current value of one daemon counter (test/bench introspection
     /// without scraping `/metrics`).
     pub fn counter(&self, name: &str) -> u64 {
-        self.shared.obs.lock().unwrap().counters.get(name)
+        lock(&self.shared.obs).counters.get(name)
     }
 }
 
@@ -321,9 +331,7 @@ fn route(req: &Request, shared: &Arc<Shared>) -> Response {
     match (req.method.as_str(), req.path.as_str()) {
         ("POST", "/submit") => handle_submit(req, shared),
         ("GET", "/metrics") => handle_metrics(shared),
-        ("GET", "/metrics/history") => {
-            Response::json(200, shared.history.lock().unwrap().to_json())
-        }
+        ("GET", "/metrics/history") => Response::json(200, lock(&shared.history).to_json()),
         ("GET", "/healthz") => handle_healthz(shared),
         ("POST", "/shutdown") => {
             shared.shutdown_requested.store(true, Ordering::SeqCst);
@@ -366,7 +374,7 @@ fn handle_healthz(shared: &Arc<Shared>) -> Response {
 }
 
 fn handle_metrics(shared: &Arc<Shared>) -> Response {
-    let obs = shared.obs.lock().unwrap();
+    let obs = lock(&shared.obs);
     let mut writer = OpenMetricsWriter::new();
     writer.scope(&obs.counters, &obs.histograms, "");
     drop(obs);
@@ -383,7 +391,7 @@ fn handle_job_status(path: &str, shared: &Arc<Shared>) -> Response {
         Ok(id) => id,
         Err(_) => return Response::error(400, "bad job id"),
     };
-    let st = shared.state.lock().unwrap();
+    let st = lock(&shared.state);
     match st.jobs.get(&id) {
         Some(job) => {
             // Queue position only means something while queued: 0 = the
@@ -409,7 +417,7 @@ fn handle_job_events(path: &str, shared: &Arc<Shared>) -> Response {
         Err(_) => return Response::error(400, "bad job id"),
     };
     let hub = {
-        let st = shared.state.lock().unwrap();
+        let st = lock(&shared.state);
         st.jobs.get(&id).map(|job| job.recorder.hub())
     };
     match hub {
@@ -435,7 +443,7 @@ fn handle_watch(mut stream: TcpStream, req: &Request, shared: &Arc<Shared>) {
         }
     };
     let hub = {
-        let st = shared.state.lock().unwrap();
+        let st = lock(&shared.state);
         st.jobs.get(&id).map(|job| job.recorder.hub())
     };
     let Some(hub) = hub else {
@@ -593,7 +601,7 @@ fn handle_submit(req: &Request, shared: &Arc<Shared>) -> Response {
     }
 
     let job_id = {
-        let mut st = shared.state.lock().unwrap();
+        let mut st = lock(&shared.state);
         if inject.is_none() {
             if let Some(&existing) = st.inflight.get(&key) {
                 shared.incr(names::DAEMON_SUBMIT_COALESCED);
@@ -694,7 +702,7 @@ fn handle_submit(req: &Request, shared: &Arc<Shared>) -> Response {
 /// the envelope bytes on success, the status document on failure.
 fn wait_and_respond(id: u64, shared: &Arc<Shared>) -> Response {
     let (state, key, cached, status_json) = {
-        let mut st = shared.state.lock().unwrap();
+        let mut st = lock(&shared.state);
         loop {
             let job = match st.jobs.get(&id) {
                 Some(job) => job,
@@ -708,11 +716,7 @@ fn wait_and_respond(id: u64, shared: &Arc<Shared>) -> Response {
                     job.status_json(Instant::now(), None),
                 );
             }
-            let (guard, _) = shared
-                .cv
-                .wait_timeout(st, Duration::from_millis(20))
-                .unwrap();
-            st = guard;
+            st = wait(&shared.cv, st, Duration::from_millis(20));
         }
     };
     match state {
@@ -747,7 +751,7 @@ fn job_dir(shared: &Shared, id: u64) -> PathBuf {
 
 fn read_job_envelope(shared: &Shared, id: u64) -> Option<Vec<u8>> {
     let slug = {
-        let st = shared.state.lock().unwrap();
+        let st = lock(&shared.state);
         st.jobs.get(&id)?.slug.clone()
     };
     std::fs::read(job_dir(shared, id).join(format!("{slug}.json"))).ok()
@@ -758,7 +762,7 @@ fn read_job_envelope(shared: &Shared, id: u64) -> Option<Vec<u8>> {
 fn worker_loop(shared: Arc<Shared>) {
     loop {
         let job_id = {
-            let mut st = shared.state.lock().unwrap();
+            let mut st = lock(&shared.state);
             loop {
                 if let Some(id) = pop_due(&mut st) {
                     break Some(id);
@@ -768,11 +772,7 @@ fn worker_loop(shared: Arc<Shared>) {
                 }
                 // Timed wait: delayed retries become due without any
                 // notify, and shutdown must not strand a sleeper.
-                let (guard, _) = shared
-                    .cv
-                    .wait_timeout(st, Duration::from_millis(10))
-                    .unwrap();
-                st = guard;
+                st = wait(&shared.cv, st, Duration::from_millis(10));
             }
         };
         match job_id {
@@ -806,7 +806,7 @@ fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
 fn run_one(shared: &Arc<Shared>, id: u64) {
     let token = CancelToken::new();
     let (spec_json, inject, key, slug, attempt, recorder) = {
-        let mut st = shared.state.lock().unwrap();
+        let mut st = lock(&shared.state);
         st.running += 1;
         let job = st.jobs.get_mut(&id).expect("queued job exists");
         job.state = JobState::Running;
@@ -949,7 +949,7 @@ fn seal_recorder(
 /// Terminal transition: record the outcome, release the coalescing
 /// slot, wake waiters.
 fn finish(shared: &Arc<Shared>, id: u64, state: JobState, detail: String, cached: bool) {
-    let mut st = shared.state.lock().unwrap();
+    let mut st = lock(&shared.state);
     st.running -= 1;
     let key = if let Some(job) = st.jobs.get_mut(&id) {
         job.state = state;
@@ -973,7 +973,7 @@ fn finish(shared: &Arc<Shared>, id: u64, state: JobState, detail: String, cached
 
 /// Bounded-retry transition: back to the queue behind a delay gate.
 fn requeue(shared: &Arc<Shared>, id: u64, detail: String, delay: Duration) {
-    let mut st = shared.state.lock().unwrap();
+    let mut st = lock(&shared.state);
     st.running -= 1;
     if let Some(job) = st.jobs.get_mut(&id) {
         job.state = JobState::Queued;
@@ -999,7 +999,7 @@ fn supervisor_loop(shared: Arc<Shared>) {
     while !shared.shutdown.load(Ordering::SeqCst) {
         std::thread::sleep(Duration::from_millis(2));
         let now = Instant::now();
-        let mut st = shared.state.lock().unwrap();
+        let mut st = lock(&shared.state);
         for job in st.jobs.values_mut() {
             if job.state == JobState::Running {
                 if let (Some(deadline), Some(token)) = (job.deadline, &job.token) {
@@ -1029,9 +1029,66 @@ fn supervisor_loop(shared: Arc<Shared>) {
         if due {
             last_sample = Some(now);
             let at_ms = shared.uptime_ms();
-            let mut obs = shared.obs.lock().unwrap();
+            let mut obs = lock(&shared.obs);
             obs.incr(names::DAEMON_HISTORY_SAMPLES);
-            shared.history.lock().unwrap().sample(&obs.counters, at_ms);
+            lock(&shared.history).sample(&obs.counters, at_ms);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::http;
+
+    const SPEC: &str = r#"{
+  "name": "poison probe",
+  "paper_ref": "none",
+  "slug": "poison_probe",
+  "runner": "generic",
+  "run": {"seed": 3, "trials": 1, "workers": 1},
+  "topology": {
+    "duration_us": 100000,
+    "nodes": [
+      {"name": "victim", "mac": "f2:6e:0b:11:22:33", "kind": "client", "position": [0, 0]},
+      {"name": "attacker", "mac": "aa:bb:bb:bb:bb:bb", "kind": "monitor", "position": [4, 0]}
+    ]
+  },
+  "attacks": [
+    {"kind": "null-flood", "attacker": "attacker", "victim": "victim",
+     "rate_pps": 10, "start_us": 1000, "duration_us": 50000, "bitrate": "6"}
+  ],
+  "probes": [
+    {"kind": "station-stat", "node": "victim", "stat": "acks_sent", "metric": "acks_sent"}
+  ]
+}"#;
+
+    #[test]
+    fn a_panic_while_state_is_held_does_not_break_later_requests() {
+        let state_dir =
+            std::env::temp_dir().join(format!("polite-wifi-d-poison-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&state_dir);
+        let daemon = Daemon::start(DaemonConfig {
+            state_dir: state_dir.clone(),
+            ..DaemonConfig::default()
+        })
+        .unwrap();
+        let shared = Arc::clone(&daemon.shared);
+        let holder = std::thread::spawn(move || {
+            let _held = shared.state.lock().unwrap();
+            panic!("injected panic while holding the daemon state");
+        });
+        assert!(holder.join().is_err());
+        assert!(daemon.shared.state.is_poisoned());
+
+        let (status, _, _) = http::request(daemon.addr(), "GET", "/jobs/1", b"").unwrap();
+        assert_eq!(status, 404);
+        let (status, _, body) =
+            http::request(daemon.addr(), "POST", "/submit?wait=1", SPEC.as_bytes()).unwrap();
+        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+        let (status, _, _) = http::request(daemon.addr(), "GET", "/jobs/1", b"").unwrap();
+        assert_eq!(status, 200);
+        assert_eq!(daemon.drain().unwrap(), 0);
+        let _ = std::fs::remove_dir_all(&state_dir);
     }
 }

@@ -142,6 +142,14 @@ mod tests {
     }
 
     #[test]
+    fn encoded_lengths_are_pinned() {
+        let fake = fake_null_frame(victim(), MacAddr::FAKE);
+        assert_eq!(fake.encode(true).len(), 28);
+        let beacon = beacon(victim(), "PrivateNet", 6, 7, 123_456, true);
+        assert_eq!(beacon.encode(true).len(), 93);
+    }
+
+    #[test]
     fn fake_rts_solicits_cts_not_ack() {
         let f = fake_rts(victim(), MacAddr::FAKE, 248);
         assert!(f.solicits_cts());

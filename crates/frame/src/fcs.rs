@@ -92,6 +92,11 @@ mod tests {
     }
 
     #[test]
+    fn crc32_of_a_1500_byte_payload_is_pinned() {
+        assert_eq!(crc32(&[0xa5; 1500]), 0xEB13_0101);
+    }
+
+    #[test]
     fn crc32_empty_is_zero() {
         assert_eq!(crc32(&[]), 0);
     }

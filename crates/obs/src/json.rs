@@ -3,12 +3,12 @@
 //! reader.
 //!
 //! The crate is zero-dependency by design. Result envelopes (pretty),
-//! metrics snapshots, bench reports and progress events (compact) are
-//! built through [`JsonWriter`], and tools that must *read* JSON back (the bench-regression gate reading
-//! `BENCH_baseline.json`, the spec parser) use [`parse`]. The reader is
-//! a strict recursive-descent parser over the subset of JSON this
-//! workspace emits: objects, arrays, strings with standard escapes,
-//! numbers, booleans and null.
+//! metrics snapshots, benchmark reports and progress events (compact)
+//! are built through [`JsonWriter`], and tools that must *read* JSON
+//! back (the spec parser, `trace_query`, the golden tests) use
+//! [`parse`]. The reader is a strict recursive-descent parser over the
+//! subset of JSON this workspace emits: objects, arrays, strings with
+//! standard escapes, numbers, booleans and null.
 
 use std::fmt::Write as _;
 
@@ -388,6 +388,38 @@ impl JsonValue {
     }
 }
 
+/// Re-renders a parsed document. Numbers go through [`write_f64`], so an
+/// integer reads back as `3.0`; strings, field order and nesting are
+/// kept.
+impl ToJson for JsonValue {
+    fn write_json(&self, w: &mut JsonWriter) {
+        match self {
+            JsonValue::Null => {
+                w.null();
+            }
+            JsonValue::Bool(b) => {
+                w.bool(*b);
+            }
+            JsonValue::Num(n) => {
+                w.f64(*n);
+            }
+            JsonValue::Str(s) => {
+                w.string(s);
+            }
+            JsonValue::Arr(items) => {
+                w.value(items.as_slice());
+            }
+            JsonValue::Obj(fields) => {
+                w.begin_object();
+                for (key, value) in fields {
+                    w.key(key).value(value);
+                }
+                w.end_object();
+            }
+        }
+    }
+}
+
 /// Parses a JSON document. Errors carry a byte offset and description.
 pub fn parse(input: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
@@ -623,6 +655,12 @@ mod tests {
         ] {
             assert_eq!(render(v), want, "{v:?}");
         }
+    }
+
+    #[test]
+    fn a_parsed_document_renders_back_unchanged() {
+        let doc = r#"{"a":[1.5,null,true,"x\"y"],"b":{},"c":-0.25}"#;
+        assert_eq!(to_string(&parse(doc).unwrap()), doc);
     }
 
     #[test]

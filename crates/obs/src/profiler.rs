@@ -12,8 +12,8 @@
 //! * **wall-clock time** is machine- and run-dependent — it is exposed
 //!   only through explicitly non-deterministic channels (the harness's
 //!   end-of-run stderr profile, [`Weight::Wall`] flame output) and never
-//!   enters a byte-compared document. Same split `bench_report` makes
-//!   between Work and Timing metrics.
+//!   enters a byte-compared document. The benchmark package makes the
+//!   same split between its pinned work checks and its timings.
 
 use crate::json::{JsonWriter, ToJson};
 

@@ -42,3 +42,28 @@ pub use classify::{ActivityClass, KnnClassifier, ThresholdClassifier};
 pub use occupancy::{detect_occupancy, OccupancyConfig, OccupancyInterval};
 pub use script::{MotionScript, Phase};
 pub use series::sample_rate_hz;
+
+#[cfg(test)]
+mod tests {
+    use crate::filter;
+    use crate::keystroke::{detect_keystrokes, KeystrokeDetectorConfig};
+    use crate::segment::{segment, SegmenterConfig};
+    use polite_wifi_phy::csi::CsiChannel;
+
+    /// 45 s at 150 Hz of subcarrier 17, with a 30-sample burst every 100
+    /// samples, through conditioning, keystroke detection and
+    /// segmentation.
+    #[test]
+    fn pipeline_on_a_45_s_series_is_pinned() {
+        let intensities: Vec<f64> = (0..6750)
+            .map(|i| if i % 100 < 30 { 0.6 } else { 0.0 })
+            .collect();
+        let series = CsiChannel::new(1).sample_amplitudes(&intensities, 17);
+        let conditioned = filter::condition(&series);
+        let mean = conditioned.iter().sum::<f64>() / conditioned.len() as f64;
+        assert_eq!((mean * 1e6).round(), 1_324_432.0);
+        let keystrokes = detect_keystrokes(&conditioned, &KeystrokeDetectorConfig::default());
+        assert_eq!(keystrokes.len(), 97);
+        assert_eq!(segment(&conditioned, &SegmenterConfig::default()).len(), 17);
+    }
+}

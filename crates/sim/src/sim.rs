@@ -1368,6 +1368,29 @@ mod tests {
         assert!(obs.spans.is_empty());
     }
 
+    /// A thousand fake-frame exchanges on seed 7, retries off: every
+    /// frame is ACKed exactly SIFS after it ends, and the event count is
+    /// fixed.
+    #[test]
+    fn thousand_exchanges_are_pinned() {
+        let mut sim = Simulator::new(SimConfig::default(), 7);
+        sim.add_node(StationConfig::client(victim_mac()), (0.0, 0.0));
+        let attacker = sim.add_node(StationConfig::client(MacAddr::FAKE), (5.0, 0.0));
+        sim.set_retries(attacker, false);
+        for i in 0..1000 {
+            let fake = builder::fake_null_frame(victim_mac(), MacAddr::FAKE);
+            sim.inject(i * 1_000, attacker, fake, BitRate::Mbps1);
+        }
+        sim.run_until(2_000_000);
+        let obs = sim.obs();
+        assert_eq!(obs.counters.get("sim.acks_received"), 1000);
+        assert_eq!(obs.counters.get("sim.frames_txed"), 2000);
+        assert_eq!(obs.counters.get("sim.ack_timeouts"), 0);
+        let turnaround = obs.histograms.get("mac.ack_turnaround_us").unwrap();
+        assert_eq!(turnaround.mean(), Some(10.0));
+        assert_eq!(obs.counters.get("sim.events_dispatched"), 7000);
+    }
+
     #[test]
     fn take_obs_leaves_a_fresh_scope() {
         let (mut sim, _victim, attacker) = two_node_sim();

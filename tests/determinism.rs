@@ -4,13 +4,15 @@
 //! EXPERIMENTS.md quotes numbers that must regenerate bit-for-bit.
 
 use polite_wifi::core::{
-    BatchSensingHub, BatteryDrainAttack, CityWardrive, KeystrokeAttack, SensingHub, WardriveScanner,
+    BatchSensingHub, BatteryDrainAttack, CityReport, CityWardrive, KeystrokeAttack, SensingHub,
+    WardriveScanner,
 };
 use polite_wifi::devices::{CityPopulation, DeviceSpec};
 use polite_wifi::harness::{Experiment, RunArgs, Runner};
 use polite_wifi::obs::{json, Obs, ObsConfig};
 use polite_wifi::sensing::MotionScript;
 use polite_wifi::sim::FaultProfile;
+use polite_wifi_scenario::fnv1a64;
 
 #[test]
 fn drain_attack_is_deterministic() {
@@ -260,23 +262,31 @@ fn mini_city() -> CityWardrive {
 
 /// The city-scale core's determinism contract (DESIGN.md §11): the
 /// 100k-device path — cell grid, calendar queue, SoA arena, per-segment
-/// seeds — produces a byte-identical merged envelope at 1, 4 and 8
-/// workers. Pinned here on a scaled-down city so tier-1 stays fast; the
-/// full-size run is `exp_run scenarios/city_wardrive.json` (CI's
-/// city-smoke job).
+/// seeds — produces the pinned report and a byte-identical merged
+/// metrics export at 1, 4 and 8 workers. Pinned here on a scaled-down
+/// city so tier-1 stays fast; the full-size run is
+/// `exp_run scenarios/city_wardrive.json` (CI's city-smoke job).
 #[test]
 fn city_wardrive_envelope_is_worker_invariant() {
+    let pinned = CityReport {
+        devices: 1_500,
+        segments: 9,
+        discovered: 119,
+        verified: 80,
+        events_dispatched: 1_295_390,
+        occupied_cells: 144,
+        survey_time_us: 7_200_000,
+    };
     let run = |workers: usize| {
         let mut obs = Obs::new();
         let report = mini_city().run_observed(workers, &mut obs);
         (report, obs.metrics_json())
     };
     let (report1, metrics1) = run(1);
-    assert!(report1.discovered > 0, "silent mini city: {report1:?}");
-    assert!(report1.verified > 0, "{report1:?}");
+    assert_eq!(report1, pinned, "mini city drifts from its pin");
     for workers in [4, 8] {
         let (report, metrics) = run(workers);
-        assert_eq!(report1, report, "city report drifts at {workers} workers");
+        assert_eq!(report, pinned, "city report drifts at {workers} workers");
         assert_eq!(metrics1, metrics, "city metrics drift at {workers} workers");
     }
 }
@@ -285,12 +295,13 @@ fn city_wardrive_envelope_is_worker_invariant() {
 /// run over the batched kernels — per-link one-subcarrier
 /// `sample_amplitudes` rendering (the other subcarriers' noise draws
 /// consumed, not computed), `SeriesBatch` conditioning/segmentation,
-/// `hub.*` counters — produces a byte-identical envelope at 1, 4 and 8
-/// workers. A lean CSI channel
-/// keeps the debug-mode run fast; the full-width channel is the
-/// `time.macro.sensing_hub_1k` bench.
+/// `hub.*` counters — produces the pinned report (by FNV-1a-64 of its
+/// JSON) and a byte-identical metrics export at 1, 4 and 8 workers. A
+/// lean CSI channel keeps the debug-mode run fast; the full-width
+/// channel is the benchmark's `hub` workload.
 #[test]
 fn batch_sensing_hub_1k_envelope_is_worker_invariant() {
+    const PINNED: u64 = 0x0c28_8297_b634_1274;
     let hub = BatchSensingHub {
         links: 1000,
         samples_per_link: 240,
@@ -306,15 +317,21 @@ fn batch_sensing_hub_1k_envelope_is_worker_invariant() {
     let run = |workers: usize| {
         let mut obs = Obs::new();
         let report = hub.run_observed(workers, &mut obs);
-        (json::to_string(&report), obs.metrics_json())
+        (
+            fnv1a64(json::to_string(&report).as_bytes()),
+            obs.metrics_json(),
+        )
     };
     let (report1, metrics1) = run(1);
-    assert!(report1.contains("\"links\":1000"), "{report1}");
+    assert_eq!(
+        report1, PINNED,
+        "hub report digest 0x{report1:016x} drifts from its pin"
+    );
     assert!(metrics1.contains("\"hub.links\":1000"), "{metrics1}");
     assert!(metrics1.contains("\"hub.batches\":16"), "{metrics1}");
     for workers in [4, 8] {
         let (report, metrics) = run(workers);
-        assert_eq!(report1, report, "hub report drifts at {workers} workers");
+        assert_eq!(report, PINNED, "hub report drifts at {workers} workers");
         assert_eq!(metrics1, metrics, "hub metrics drift at {workers} workers");
     }
 }
