@@ -528,7 +528,7 @@ mod tests {
         exp.metrics.record("acks", 2.0);
         exp.obs.add("sim.frames_injected", 4);
         exp.obs.observe("mac.ack_turnaround_us", 10);
-        exp.obs.prof("arrival", 3, 100);
+        exp.obs.profiler.record("arrival", 3, 100);
         exp.note_trial_failures(vec![TrialFailure {
             trial: 1,
             seed: 9,

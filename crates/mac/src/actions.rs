@@ -32,18 +32,18 @@ pub enum DiscardReason {
 }
 
 impl DiscardReason {
-    /// Stable snake_case label used in observability counter names
-    /// (`mac.discard.<label>`).
-    pub fn metric_label(&self) -> &'static str {
+    /// Stable observability counter name, `mac.discard.<snake_case
+    /// label>`.
+    pub fn metric_name(&self) -> &'static str {
         match self {
-            DiscardReason::FcsFailed => "fcs_failed",
-            DiscardReason::NotForUs => "not_for_us",
-            DiscardReason::Duplicate => "duplicate",
-            DiscardReason::NotAssociated => "not_associated",
-            DiscardReason::Blocklisted => "blocklisted",
-            DiscardReason::PmfViolation => "pmf_violation",
-            DiscardReason::DecryptFailed => "decrypt_failed",
-            DiscardReason::BlockAckWindowStale => "ba_window_stale",
+            DiscardReason::FcsFailed => "mac.discard.fcs_failed",
+            DiscardReason::NotForUs => "mac.discard.not_for_us",
+            DiscardReason::Duplicate => "mac.discard.duplicate",
+            DiscardReason::NotAssociated => "mac.discard.not_associated",
+            DiscardReason::Blocklisted => "mac.discard.blocklisted",
+            DiscardReason::PmfViolation => "mac.discard.pmf_violation",
+            DiscardReason::DecryptFailed => "mac.discard.decrypt_failed",
+            DiscardReason::BlockAckWindowStale => "mac.discard.ba_window_stale",
         }
     }
 }
@@ -141,5 +141,37 @@ mod tests {
 
         let deliver = MacAction::Deliver(builder::ack(MacAddr::FAKE));
         assert!(!deliver.is_ack());
+    }
+
+    #[test]
+    fn discard_metric_names_are_pinned_and_registered() {
+        use DiscardReason::*;
+        let names = [
+            FcsFailed,
+            NotForUs,
+            Duplicate,
+            NotAssociated,
+            Blocklisted,
+            PmfViolation,
+            DecryptFailed,
+            BlockAckWindowStale,
+        ]
+        .map(|reason| reason.metric_name());
+        assert_eq!(
+            names,
+            [
+                "mac.discard.fcs_failed",
+                "mac.discard.not_for_us",
+                "mac.discard.duplicate",
+                "mac.discard.not_associated",
+                "mac.discard.blocklisted",
+                "mac.discard.pmf_violation",
+                "mac.discard.decrypt_failed",
+                "mac.discard.ba_window_stale",
+            ]
+        );
+        assert!(names
+            .iter()
+            .all(|n| polite_wifi_obs::names::is_registered(n)));
     }
 }

@@ -10,6 +10,41 @@
 use crate::actions::MacAction;
 use polite_wifi_obs::Obs;
 
+/// A response kind's metric names: the scheduled counter, the global
+/// turnaround histogram and its `.<class>` copies (`ghz2`, `ghz5`,
+/// `other`).
+type ResponseNames = (&'static str, &'static str, [&'static str; 3]);
+
+const ACK_NAMES: ResponseNames = (
+    "mac.acks_scheduled",
+    "mac.ack_turnaround_us",
+    [
+        "mac.ack_turnaround_us.ghz2",
+        "mac.ack_turnaround_us.ghz5",
+        "mac.ack_turnaround_us.other",
+    ],
+);
+
+const CTS_NAMES: ResponseNames = (
+    "mac.cts_scheduled",
+    "mac.cts_turnaround_us",
+    [
+        "mac.cts_turnaround_us.ghz2",
+        "mac.cts_turnaround_us.ghz5",
+        "mac.cts_turnaround_us.other",
+    ],
+);
+
+const RESPONSE_NAMES: ResponseNames = (
+    "mac.responses_scheduled",
+    "mac.response_turnaround_us",
+    [
+        "mac.response_turnaround_us.ghz2",
+        "mac.response_turnaround_us.ghz5",
+        "mac.response_turnaround_us.other",
+    ],
+);
+
 /// Records counters and histograms for one batch of MAC actions.
 ///
 /// `sifs_us` is the responding station's SIFS (band-dependent: 10 µs at
@@ -31,23 +66,23 @@ use polite_wifi_obs::Obs;
 /// `trace_query` can report SIFS-turnaround percentiles per class.
 pub fn observe_actions(obs: &mut Obs, sifs_us: u32, actions: &[MacAction]) {
     let class = match sifs_us {
-        10 => "ghz2",
-        16 => "ghz5",
-        _ => "other",
+        10 => 0,
+        16 => 1,
+        _ => 2,
     };
     for action in actions {
         match action {
             MacAction::Respond { delay_us, .. } => {
-                let (sched, turnaround) = if action.is_ack() {
-                    ("mac.acks_scheduled", "mac.ack_turnaround_us")
+                let (sched, turnaround, by_class) = if action.is_ack() {
+                    ACK_NAMES
                 } else if action.is_cts() {
-                    ("mac.cts_scheduled", "mac.cts_turnaround_us")
+                    CTS_NAMES
                 } else {
-                    ("mac.responses_scheduled", "mac.response_turnaround_us")
+                    RESPONSE_NAMES
                 };
                 obs.incr(sched);
                 obs.observe(turnaround, *delay_us as u64);
-                obs.observe(&format!("{turnaround}.{class}"), *delay_us as u64);
+                obs.observe(by_class[class], *delay_us as u64);
                 if *delay_us <= sifs_us {
                     obs.incr("mac.sifs_deadline_met");
                 } else {
@@ -56,9 +91,7 @@ pub fn observe_actions(obs: &mut Obs, sifs_us: u32, actions: &[MacAction]) {
             }
             MacAction::Enqueue { .. } => obs.incr("mac.enqueued"),
             MacAction::Deliver(_) => obs.incr("mac.delivered"),
-            MacAction::Discard { reason } => {
-                obs.incr(&format!("mac.discard.{}", reason.metric_label()));
-            }
+            MacAction::Discard { reason } => obs.incr(reason.metric_name()),
             MacAction::Radio(_) => {} // dwell accounting lives in the simulator
         }
     }
@@ -107,6 +140,15 @@ mod tests {
         observe_actions(&mut obs, 16, &actions);
         assert!(obs.histograms.get("mac.ack_turnaround_us.ghz5").is_some());
         assert!(obs.histograms.get("mac.ack_turnaround_us.ghz2").is_none());
+    }
+
+    #[test]
+    fn per_class_names_extend_the_global_name() {
+        for (_, turnaround, by_class) in [ACK_NAMES, CTS_NAMES, RESPONSE_NAMES] {
+            for (name, class) in by_class.iter().zip(["ghz2", "ghz5", "other"]) {
+                assert_eq!(*name, format!("{turnaround}.{class}"));
+            }
+        }
     }
 
     #[test]

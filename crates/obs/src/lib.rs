@@ -231,11 +231,6 @@ impl Obs {
         }
     }
 
-    /// Attributes one handled scheduler event to the self-profiler.
-    pub fn prof(&mut self, kind: &str, virt_us: u64, wall_ns: u64) {
-        self.profiler.record(kind, virt_us, wall_ns);
-    }
-
     /// Folds another scope into this one, tagging its spans with
     /// `group` (the absorbing side's trial index). Must be called in
     /// trial-index order for deterministic exports.

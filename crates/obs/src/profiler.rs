@@ -32,6 +32,26 @@ pub struct ProfStat {
     pub wall_max_ns: u64,
 }
 
+impl ProfStat {
+    /// Attributes one handled event.
+    pub fn record(&mut self, virt_us: u64, wall_ns: u64) {
+        self.count += 1;
+        self.virt_total_us += virt_us;
+        self.virt_max_us = self.virt_max_us.max(virt_us);
+        self.wall_total_ns += wall_ns;
+        self.wall_max_ns = self.wall_max_ns.max(wall_ns);
+    }
+
+    /// Folds another stat in (sums totals/counts, maxes maxes).
+    pub fn merge(&mut self, other: &ProfStat) {
+        self.count += other.count;
+        self.virt_total_us += other.virt_total_us;
+        self.virt_max_us = self.virt_max_us.max(other.virt_max_us);
+        self.wall_total_ns += other.wall_total_ns;
+        self.wall_max_ns = self.wall_max_ns.max(other.wall_max_ns);
+    }
+}
+
 /// Which time axis weights a collapsed-stack export.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Weight {
@@ -54,20 +74,25 @@ impl Profiler {
         Profiler::default()
     }
 
-    /// Attributes one handled event to `kind`.
-    pub fn record(&mut self, kind: &str, virt_us: u64, wall_ns: u64) {
-        let stat = match self.entries.iter_mut().find(|(n, _)| n == kind) {
-            Some((_, s)) => s,
+    fn stat_mut(&mut self, kind: &str) -> &mut ProfStat {
+        let at = match self.entries.iter().position(|(n, _)| n == kind) {
+            Some(at) => at,
             None => {
                 self.entries.push((kind.to_string(), ProfStat::default()));
-                &mut self.entries.last_mut().expect("just pushed").1
+                self.entries.len() - 1
             }
         };
-        stat.count += 1;
-        stat.virt_total_us += virt_us;
-        stat.virt_max_us = stat.virt_max_us.max(virt_us);
-        stat.wall_total_ns += wall_ns;
-        stat.wall_max_ns = stat.wall_max_ns.max(wall_ns);
+        &mut self.entries[at].1
+    }
+
+    /// Attributes one handled event to `kind`.
+    pub fn record(&mut self, kind: &str, virt_us: u64, wall_ns: u64) {
+        self.stat_mut(kind).record(virt_us, wall_ns);
+    }
+
+    /// Folds a batch of events already accumulated for `kind` in.
+    pub fn add(&mut self, kind: &str, stat: &ProfStat) {
+        self.stat_mut(kind).merge(stat);
     }
 
     /// Statistics for one kind, if recorded.
@@ -78,18 +103,7 @@ impl Profiler {
     /// Folds another profiler in (sums totals/counts, maxes maxes).
     pub fn merge(&mut self, other: &Profiler) {
         for (name, s) in &other.entries {
-            let mine = match self.entries.iter_mut().find(|(n, _)| n == name) {
-                Some((_, m)) => m,
-                None => {
-                    self.entries.push((name.clone(), ProfStat::default()));
-                    &mut self.entries.last_mut().expect("just pushed").1
-                }
-            };
-            mine.count += s.count;
-            mine.virt_total_us += s.virt_total_us;
-            mine.virt_max_us = mine.virt_max_us.max(s.virt_max_us);
-            mine.wall_total_ns += s.wall_total_ns;
-            mine.wall_max_ns = mine.wall_max_ns.max(s.wall_max_ns);
+            self.add(name, s);
         }
     }
 

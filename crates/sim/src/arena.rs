@@ -15,11 +15,13 @@
 //! consults co-channel receivers in the 3×3 cell neighbourhood around
 //! the transmitter, which covers every point within one cell edge of
 //! it. Moving nodes live on a separate always-scanned list so the
-//! static buckets never go stale.
+//! static buckets never go stale. The medium's active set buckets
+//! transmissions on the same grid (`cell_edge_m`, `cell_of`, `CellMap`).
 
 use crate::medium::Tune;
 use crate::node::{AckWait, NodeId};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Hot per-node state, structure-of-arrays.
 #[derive(Debug, Default)]
@@ -147,6 +149,61 @@ fn distance_from(a: (f64, f64), b: (f64, f64)) -> f64 {
     (a.0 - b.0).hypot(a.1 - b.1).max(0.1)
 }
 
+/// The interference cell edge for a medium whose propagation cutoff
+/// is `max_range_m`: the cutoff itself, floored at 1 m.
+pub(crate) fn cell_edge_m(max_range_m: f64) -> f64 {
+    max_range_m.max(1.0)
+}
+
+/// The interference cell containing `p` on a grid of `cell_m`-metre
+/// cells.
+pub(crate) fn cell_of(cell_m: f64, p: (f64, f64)) -> (i64, i64) {
+    ((p.0 / cell_m).floor() as i64, (p.1 / cell_m).floor() as i64)
+}
+
+/// A bucket of the interference grid: one tune in one cell.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct CellKey {
+    pub tune: Tune,
+    pub cell: (i64, i64),
+}
+
+impl Hash for CellKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(((self.tune.0 as u64) << 8) | self.tune.1 as u64);
+        state.write_u64(self.cell.0 as u64);
+        state.write_u64(self.cell.1 as u64);
+    }
+}
+
+/// A multiply-rotate hasher for [`CellKey`]s. Grid maps are only
+/// looked up and pruned, never iterated into a result, so the hash
+/// needs no DoS resistance — SipHash costs a visible share of a
+/// 9-bucket neighbourhood scan.
+#[derive(Debug, Default)]
+pub(crate) struct CellHasher(u64);
+
+impl Hasher for CellHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(26) ^ x).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        // Fold the well-mixed high half into the low bits the table
+        // indexes with.
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// A map keyed by grid bucket.
+pub(crate) type CellMap<V> = HashMap<CellKey, V, BuildHasherDefault<CellHasher>>;
+
 /// The spatial interference cell grid over static nodes, plus the
 /// always-scanned list of moving nodes.
 #[derive(Debug, Default)]
@@ -154,27 +211,28 @@ pub struct CellGrid {
     /// Cell edge length in metres (= the medium's `max_range_m`).
     cell_m: f64,
     /// Static nodes bucketed by (tune, cell) — lookups only, never
-    /// iterated, so the `HashMap` costs nothing in determinism.
-    cells: HashMap<(Tune, i64, i64), Vec<NodeId>>,
+    /// iterated into a result, so the map costs nothing in determinism.
+    cells: CellMap<Vec<NodeId>>,
     /// Nodes with nonzero velocity: checked exactly on every query.
     mobile: Vec<NodeId>,
 }
 
 impl CellGrid {
-    /// An empty grid with the given cell edge length.
-    pub fn new(cell_m: f64) -> CellGrid {
+    /// An empty grid for a medium whose propagation cutoff is
+    /// `max_range_m` (the cell edge, floored at 1 m).
+    pub fn new(max_range_m: f64) -> CellGrid {
         CellGrid {
-            cell_m: cell_m.max(1.0),
-            cells: HashMap::new(),
+            cell_m: cell_edge_m(max_range_m),
+            cells: CellMap::default(),
             mobile: Vec::new(),
         }
     }
 
-    fn cell_of(&self, p: (f64, f64)) -> (i64, i64) {
-        (
-            (p.0 / self.cell_m).floor() as i64,
-            (p.1 / self.cell_m).floor() as i64,
-        )
+    fn key(&self, tune: Tune, p: (f64, f64)) -> CellKey {
+        CellKey {
+            tune,
+            cell: cell_of(self.cell_m, p),
+        }
     }
 
     /// Registers a node at its t = 0 position.
@@ -183,8 +241,8 @@ impl CellGrid {
             self.mobile.push(id);
             return;
         }
-        let (cx, cy) = self.cell_of(position);
-        self.cells.entry((tune, cx, cy)).or_default().push(id);
+        let key = self.key(tune, position);
+        self.cells.entry(key).or_default().push(id);
     }
 
     /// Moves a static node between tune buckets on retune; moving nodes
@@ -193,11 +251,10 @@ impl CellGrid {
         if old == new || self.mobile.contains(&id) {
             return;
         }
-        let (cx, cy) = self.cell_of(position);
-        if let Some(bucket) = self.cells.get_mut(&(old, cx, cy)) {
+        if let Some(bucket) = self.cells.get_mut(&self.key(old, position)) {
             bucket.retain(|&n| n != id);
         }
-        let bucket = self.cells.entry((new, cx, cy)).or_default();
+        let bucket = self.cells.entry(self.key(new, position)).or_default();
         let pos = bucket.partition_point(|&n| n < id);
         bucket.insert(pos, id);
     }
@@ -208,15 +265,13 @@ impl CellGrid {
     pub fn set_moving(&mut self, id: NodeId, tune: Tune, position: (f64, f64), moving: bool) {
         let on_mobile = self.mobile.contains(&id);
         if moving && !on_mobile {
-            let (cx, cy) = self.cell_of(position);
-            if let Some(bucket) = self.cells.get_mut(&(tune, cx, cy)) {
+            if let Some(bucket) = self.cells.get_mut(&self.key(tune, position)) {
                 bucket.retain(|&n| n != id);
             }
             self.mobile.push(id);
         } else if !moving && on_mobile {
             self.mobile.retain(|&n| n != id);
-            let (cx, cy) = self.cell_of(position);
-            let bucket = self.cells.entry((tune, cx, cy)).or_default();
+            let bucket = self.cells.entry(self.key(tune, position)).or_default();
             let pos = bucket.partition_point(|&n| n < id);
             bucket.insert(pos, id);
         }
@@ -245,10 +300,14 @@ impl CellGrid {
         out: &mut Vec<NodeId>,
     ) {
         out.clear();
-        let (cx, cy) = self.cell_of(center);
+        let (cx, cy) = cell_of(self.cell_m, center);
         for dx in -1..=1 {
             for dy in -1..=1 {
-                let Some(bucket) = self.cells.get(&(tune, cx + dx, cy + dy)) else {
+                let key = CellKey {
+                    tune,
+                    cell: (cx + dx, cy + dy),
+                };
+                let Some(bucket) = self.cells.get(&key) else {
                     continue;
                 };
                 for &id in bucket {

@@ -5,6 +5,7 @@ use polite_wifi_frame::Frame;
 use polite_wifi_phy::rate::BitRate;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// Something that happens at a point in simulated time.
 #[derive(Debug, Clone)]
@@ -41,8 +42,11 @@ pub enum Event {
         node: NodeId,
         /// The transmitting node.
         from: NodeId,
-        /// The frame.
-        frame: Frame,
+        /// The frame, shared by every receiver of the transmission.
+        frame: Arc<Frame>,
+        /// The frame's on-air length in bytes, computed once at
+        /// transmission start.
+        psdu_len: usize,
         /// Rate it was sent at.
         rate: BitRate,
         /// Time the frame started on the air (for overlap checks).
@@ -83,19 +87,36 @@ pub enum Event {
 }
 
 impl Event {
-    /// Stable event-kind name, the scheduler self-profiler's attribution
-    /// key (and the leaf frame in collapsed-stack exports).
-    pub fn kind_name(&self) -> &'static str {
+    /// Number of event kinds.
+    pub const KINDS: usize = 9;
+
+    /// Stable event-kind names by [`kind_index`](Self::kind_index): the
+    /// scheduler self-profiler's attribution keys (and the leaf frames
+    /// in collapsed-stack exports).
+    pub const KIND_NAMES: [&'static str; Event::KINDS] = [
+        "poll",
+        "tx_attempt",
+        "response_tx",
+        "tx_end",
+        "arrival",
+        "ack_timeout",
+        "stall_start",
+        "stall_end",
+        "inject",
+    ];
+
+    /// Dense index of this event's kind, below [`KINDS`](Self::KINDS).
+    pub fn kind_index(&self) -> usize {
         match self {
-            Event::Poll { .. } => "poll",
-            Event::TxAttempt { .. } => "tx_attempt",
-            Event::ResponseTx { .. } => "response_tx",
-            Event::TxEnd { .. } => "tx_end",
-            Event::Arrival { .. } => "arrival",
-            Event::AckTimeout { .. } => "ack_timeout",
-            Event::StallStart { .. } => "stall_start",
-            Event::StallEnd { .. } => "stall_end",
-            Event::Inject { .. } => "inject",
+            Event::Poll { .. } => 0,
+            Event::TxAttempt { .. } => 1,
+            Event::ResponseTx { .. } => 2,
+            Event::TxEnd { .. } => 3,
+            Event::Arrival { .. } => 4,
+            Event::AckTimeout { .. } => 5,
+            Event::StallStart { .. } => 6,
+            Event::StallEnd { .. } => 7,
+            Event::Inject { .. } => 8,
         }
     }
 }

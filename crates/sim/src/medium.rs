@@ -1,5 +1,6 @@
 //! The shared radio medium: propagation, link quality, and collisions.
 
+use crate::arena::{cell_edge_m, cell_of, CellKey, CellMap};
 use crate::faults::{GilbertElliott, SnrDegradation, FAULT_STREAM};
 use crate::node::NodeId;
 use polite_wifi_phy::fading::Fading;
@@ -67,13 +68,188 @@ pub struct Transmission {
     pub tune: Tune,
 }
 
+/// Where a node's transmissions are held on the active set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Site {
+    /// The cell of a static node's position.
+    Cell((i64, i64)),
+    /// The always-scanned bucket: the node moves, so its cell changes.
+    Mobile,
+}
+
+/// The transmissions still held on the medium, bucketed by where an
+/// interferer can be: a scan visits only the buckets within reach of
+/// the receiver, never the whole list.
+///
+/// On a cell-indexed medium a static transmitter's entries sit in the
+/// `(tune, cell)` bucket of its position, on the grid the receiver
+/// `CellGrid` uses; a moving transmitter's sit in one always-scanned
+/// mobile bucket. Otherwise every tune has one unbounded bucket. Both
+/// scans are "any entry matches" predicates, so the order buckets are
+/// visited in cannot change an outcome.
+#[derive(Debug)]
+struct ActiveSet {
+    /// Cell edge in metres; `None` keeps one unbounded bucket per tune.
+    cell_m: Option<f64>,
+    buckets: CellMap<Vec<Transmission>>,
+    mobile: Vec<Transmission>,
+    /// Per node, the bucket its next transmission joins (cell-indexed
+    /// only; an unplaced node counts as mobile).
+    sites: Vec<Site>,
+    /// Entries held across all buckets.
+    held: usize,
+}
+
+impl ActiveSet {
+    fn new(cell_m: Option<f64>) -> ActiveSet {
+        ActiveSet {
+            cell_m,
+            buckets: CellMap::default(),
+            mobile: Vec::new(),
+            sites: Vec::new(),
+            held: 0,
+        }
+    }
+
+    fn site(&self, id: NodeId) -> Site {
+        match self.cell_m {
+            None => Site::Cell((0, 0)),
+            Some(_) => self.sites.get(id.0).copied().unwrap_or(Site::Mobile),
+        }
+    }
+
+    fn push(&mut self, tx: Transmission) {
+        self.held += 1;
+        match self.site(tx.from) {
+            Site::Cell(cell) => {
+                let key = CellKey {
+                    tune: tx.tune,
+                    cell,
+                };
+                self.buckets.entry(key).or_default().push(tx);
+            }
+            Site::Mobile => self.mobile.push(tx),
+        }
+    }
+
+    /// Records where `id` transmits from. A node that starts moving
+    /// takes its held entries to the mobile bucket, since its cell no
+    /// longer describes where it is; one that stops leaves them there
+    /// (the mobile bucket is scanned from everywhere).
+    fn place(&mut self, id: NodeId, position: (f64, f64), moving: bool) {
+        let Some(cell_m) = self.cell_m else { return };
+        if self.sites.len() <= id.0 {
+            self.sites.resize(id.0 + 1, Site::Mobile);
+        }
+        let was = std::mem::replace(
+            &mut self.sites[id.0],
+            if moving {
+                Site::Mobile
+            } else {
+                Site::Cell(cell_of(cell_m, position))
+            },
+        );
+        if moving && was != Site::Mobile {
+            let mobile = &mut self.mobile;
+            self.buckets.retain(|_, bucket| {
+                bucket.retain(|t| {
+                    let stays = t.from != id;
+                    if !stays {
+                        mobile.push(t.clone());
+                    }
+                    stays
+                });
+                !bucket.is_empty()
+            });
+        }
+    }
+
+    /// Drops every entry `keep` rejects, and the buckets it empties.
+    fn retain(&mut self, keep: impl Fn(&Transmission) -> bool) {
+        self.mobile.retain(&keep);
+        let mut held = self.mobile.len();
+        self.buckets.retain(|_, bucket| {
+            bucket.retain(&keep);
+            held += bucket.len();
+            !bucket.is_empty()
+        });
+        self.held = held;
+    }
+
+    /// The neighbourhood radius, in cells, that covers every point
+    /// within `range_m` of a cell (0 on an unbounded set; saturates for
+    /// an unbounded range).
+    fn reach(&self, range_m: f64) -> i64 {
+        match self.cell_m {
+            None => 0,
+            Some(cell_m) => {
+                let cells = (range_m / cell_m).ceil();
+                if cells < (1u64 << 31) as f64 {
+                    cells.max(0.0) as i64
+                } else {
+                    i64::MAX
+                }
+            }
+        }
+    }
+
+    /// Whether any held entry a receiver at `at` could hear on `tune`,
+    /// within `reach` cells, satisfies `hit`. Every co-tune entry whose
+    /// transmitter lies within `reach` cell edges of `at` is visited;
+    /// others may be.
+    fn any_near(
+        &self,
+        tune: Tune,
+        at: (f64, f64),
+        reach: i64,
+        mut hit: impl FnMut(&Transmission) -> bool,
+    ) -> bool {
+        if self.mobile.iter().any(&mut hit) {
+            return true;
+        }
+        let (cx, cy) = match self.cell_m {
+            Some(cell_m) => cell_of(cell_m, at),
+            None => (0, 0),
+        };
+        let side = reach.saturating_mul(2).saturating_add(1);
+        if side.saturating_mul(side) as u64 > self.buckets.len() as u64 {
+            // A wider neighbourhood than the set holds buckets: visiting
+            // every co-tune bucket is the cheaper superset.
+            return self
+                .buckets
+                .iter()
+                .filter(|(key, _)| key.tune == tune)
+                .any(|(_, bucket)| bucket.iter().any(&mut hit));
+        }
+        for dx in -reach..=reach {
+            for dy in -reach..=reach {
+                let key = CellKey {
+                    tune,
+                    cell: (cx + dx, cy + dy),
+                };
+                if let Some(bucket) = self.buckets.get(&key) {
+                    if bucket.iter().any(&mut hit) {
+                        return true;
+                    }
+                }
+            }
+        }
+        false
+    }
+}
+
 /// The shared medium. Owns the propagation RNG so link draws are
 /// reproducible.
 #[derive(Debug)]
 pub struct Medium {
     config: MediumConfig,
     rng: ChaCha8Rng,
-    active: Vec<Transmission>,
+    active: ActiveSet,
+    /// Carrier-sense reach in cells for the loudest transmit power
+    /// registered so far (`loudest_dbm`): no transmission on the set
+    /// is sensed beyond it.
+    cs_reach: i64,
+    loudest_dbm: f64,
     noise_dbm: f64,
     /// Fault decisions draw from this dedicated stream (`seed ^
     /// FAULT_STREAM`), never from `rng`, so a clean plan leaves the
@@ -119,14 +295,31 @@ pub struct RxOutcome {
 }
 
 impl Medium {
-    /// A medium with the given config, seeded deterministically.
+    /// A medium with the given config, seeded deterministically, that
+    /// holds active transmissions in one unbounded bucket per tune.
     pub fn new(config: MediumConfig, seed: u64) -> Medium {
+        Medium::with_active_set(config, seed, ActiveSet::new(None))
+    }
+
+    /// Like [`new`](Self::new), but the active set is indexed by
+    /// interference cell, on the grid of `max_range_m` cells the
+    /// cell-grid propagation mode enumerates receivers on. Call
+    /// [`place`](Self::place) for every node so its transmissions land
+    /// in the right bucket (an unplaced node counts as moving).
+    pub fn cell_indexed(config: MediumConfig, seed: u64) -> Medium {
+        let cells = ActiveSet::new(Some(cell_edge_m(config.max_range_m)));
+        Medium::with_active_set(config, seed, cells)
+    }
+
+    fn with_active_set(config: MediumConfig, seed: u64, active: ActiveSet) -> Medium {
         use rand::SeedableRng;
         Medium {
             config,
             rng: ChaCha8Rng::seed_from_u64(seed ^ 0x4d45_4449_554d), // "MEDIUM"
             noise_dbm: noise_floor_dbm(config.bandwidth_mhz, config.noise_figure_db),
-            active: Vec::new(),
+            active,
+            cs_reach: 0,
+            loudest_dbm: f64::NEG_INFINITY,
             fault_rng: ChaCha8Rng::seed_from_u64(seed ^ FAULT_STREAM),
             burst: None,
             burst_bad: false,
@@ -154,8 +347,25 @@ impl Medium {
         &self.config
     }
 
-    /// Registers a transmission on the air.
+    /// Records where node `id` transmits from: its fixed position, or
+    /// `moving` when it has a velocity. Only a cell-indexed medium
+    /// uses it. A node that starts moving takes the transmissions it
+    /// still holds to the always-scanned mobile bucket.
+    pub fn place(&mut self, id: NodeId, position: (f64, f64), moving: bool) {
+        self.active.place(id, position, moving);
+    }
+
+    /// Registers a transmission on the air, in the bucket of its
+    /// transmitter's site.
     pub fn begin_transmission(&mut self, tx: Transmission) {
+        if tx.tx_power_dbm > self.loudest_dbm {
+            self.loudest_dbm = tx.tx_power_dbm;
+            // A relative 1e-9 margin absorbs the range inverse's
+            // round-trip error, so the exact power-domain scan never
+            // senses an entry the reach leaves out.
+            let range = self.cs_range_m(tx.tx_power_dbm) * (1.0 + 1e-9);
+            self.cs_reach = self.cs_reach.max(self.active.reach(range));
+        }
         self.active.push(tx);
     }
 
@@ -165,10 +375,9 @@ impl Medium {
         self.active.retain(|t| t.end_us + 1_000 >= now_us);
     }
 
-    /// Number of transmissions still held on the active list — the
-    /// collision and carrier-sense scans are linear in this.
+    /// Number of transmissions still held, over every bucket.
     pub fn active_len(&self) -> usize {
-        self.active.len()
+        self.active.held
     }
 
     /// Mean received power at distance `d_m` from a transmitter.
@@ -176,19 +385,20 @@ impl Medium {
         self.config.path_loss.rx_power_dbm(tx_power_dbm, d_m)
     }
 
-    /// Whether a node tuned to `tune` senses the channel busy at
-    /// `now_us`. `exclude` skips the node's own transmission;
+    /// Whether a node at `at` tuned to `tune` senses the channel busy
+    /// at `now_us`. `exclude` skips the node's own transmission;
     /// `distance_to` maps an active transmitter to its distance from
-    /// the sensing node — evaluated only for transmissions actually on
-    /// the air, so the scan is O(active), not O(nodes).
+    /// the sensing node — evaluated only for transmissions held in the
+    /// buckets within carrier-sense reach of `at`, never per node.
     pub fn channel_busy(
         &self,
         now_us: u64,
         exclude: NodeId,
         tune: Tune,
+        at: (f64, f64),
         distance_to: impl Fn(NodeId) -> f64,
     ) -> bool {
-        self.active.iter().any(|t| {
+        self.active.any_near(tune, at, self.cs_reach, |t| {
             t.from != exclude
                 && t.tune == tune
                 && t.start_us <= now_us
@@ -212,25 +422,23 @@ impl Medium {
         now_us: u64,
         exclude: NodeId,
         tune: Tune,
+        at: (f64, f64),
         distance_sq_to: impl Fn(NodeId) -> f64,
     ) -> bool {
         // One inverse per distinct tx power per call — in practice every
         // transmitter runs the same power, so the transcendentals run once.
         let mut memo = (f64::NAN, 0.0); // (tx_power_dbm, cs_range²)
-        for t in &self.active {
+        self.active.any_near(tune, at, self.cs_reach, |t| {
             if t.from == exclude || t.tune != tune || t.start_us > now_us || now_us >= t.end_us {
-                continue;
+                return false;
             }
             if t.tx_power_dbm != memo.0 {
                 let r = self.cs_range_m(t.tx_power_dbm);
                 memo = (t.tx_power_dbm, r * r);
             }
             // The forward model clamps distances below at 0.1 m; mirror it.
-            if distance_sq_to(t.from).max(0.01) <= memo.1 {
-                return true;
-            }
-        }
-        false
+            distance_sq_to(t.from).max(0.01) <= memo.1
+        })
     }
 
     /// Distance within which a transmission at `tx_power_dbm` is sensed
@@ -253,7 +461,9 @@ impl Medium {
     /// Draws ride the shared sequential propagation stream: every call
     /// consumes exactly one fading draw (plus, lazily, one FER draw),
     /// so results depend on the global evaluation order. This is the
-    /// legacy all-pairs contract every pinned result rests on.
+    /// legacy all-pairs contract every pinned result rests on. It has
+    /// no interference cutoff, so the collision scan visits every
+    /// co-tune bucket.
     #[allow(clippy::too_many_arguments)]
     pub fn evaluate_rx(
         &mut self,
@@ -280,6 +490,7 @@ impl Medium {
             psdu_len,
             rate,
             tune,
+            (0.0, 0.0),
             f64::INFINITY,
             interferer_distance,
         );
@@ -296,6 +507,8 @@ impl Medium {
     /// receivers while staying draw-for-draw identical to the all-pairs
     /// oracle on the receptions both evaluate. The burst-loss fault
     /// chain still steps sequentially on the dedicated fault stream.
+    /// `at` is the receiver's position: the collision scan visits only
+    /// the buckets within the cutoff of it.
     #[allow(clippy::too_many_arguments)]
     pub fn evaluate_rx_keyed(
         &mut self,
@@ -308,6 +521,7 @@ impl Medium {
         psdu_len: usize,
         rate: BitRate,
         tune: Tune,
+        at: (f64, f64),
         interferer_distance: impl Fn(NodeId) -> f64,
     ) -> RxOutcome {
         use rand::SeedableRng;
@@ -332,6 +546,7 @@ impl Medium {
             psdu_len,
             rate,
             tune,
+            at,
             cutoff,
             interferer_distance,
         )
@@ -350,6 +565,7 @@ impl Medium {
         psdu_len: usize,
         rate: BitRate,
         tune: Tune,
+        at: (f64, f64),
         interference_cutoff_m: f64,
         interferer_distance: impl Fn(NodeId) -> f64,
     ) -> RxOutcome {
@@ -365,26 +581,24 @@ impl Medium {
 
         // Collision check: any other transmission overlapping this frame's
         // airtime whose power at the receiver is within the capture
-        // threshold corrupts the frame.
-        let mut collided = false;
-        for t in &self.active {
+        // threshold corrupts the frame. Interferers past the cutoff do
+        // not exist, so only the buckets within it of `at` are visited.
+        let reach = self.active.reach(interference_cutoff_m);
+        let collided = self.active.any_near(tune, at, reach, |t| {
             if t.from == from || t.tune != tune {
-                continue;
+                return false;
             }
             let overlaps = t.start_us < end_us && start_us < t.end_us;
             if !overlaps {
-                continue;
+                return false;
             }
             let d_i = interferer_distance(t.from);
             if d_i > interference_cutoff_m {
-                continue;
+                return false;
             }
             let interferer_power = self.rx_power_dbm(t.tx_power_dbm, d_i);
-            if faded - interferer_power < self.config.capture_threshold_db {
-                collided = true;
-                break;
-            }
-        }
+            faded - interferer_power < self.config.capture_threshold_db
+        });
 
         let fer = link::fer(psdu_len, rate, snr_db);
         // Lazy FER draw: only a frame that passed detection and
@@ -420,6 +634,7 @@ mod tests {
 
     const CH6: Tune = (polite_wifi_phy::band::Band::Ghz2, 6);
     const CH36: Tune = (polite_wifi_phy::band::Band::Ghz5, 36);
+    const ORIGIN: (f64, f64) = (0.0, 0.0);
 
     fn medium() -> Medium {
         Medium::new(MediumConfig::default(), 1)
@@ -556,8 +771,8 @@ mod tests {
             tx_power_dbm: 20.0,
             tune: CH6,
         });
-        assert!(m.channel_busy(500, NodeId(0), CH6, |_| 5.0));
-        assert!(!m.channel_busy(500, NodeId(0), CH36, |_| 5.0));
+        assert!(m.channel_busy(500, NodeId(0), CH6, ORIGIN, |_| 5.0));
+        assert!(!m.channel_busy(500, NodeId(0), CH36, ORIGIN, |_| 5.0));
     }
 
     #[test]
@@ -595,12 +810,12 @@ mod tests {
             tx_power_dbm: 20.0,
             tune: CH6,
         });
-        assert!(m.channel_busy(500, NodeId(0), CH6, |_| 5.0));
-        assert!(!m.channel_busy(500, NodeId(0), CH6, |_| 10_000.0));
+        assert!(m.channel_busy(500, NodeId(0), CH6, ORIGIN, |_| 5.0));
+        assert!(!m.channel_busy(500, NodeId(0), CH6, ORIGIN, |_| 10_000.0));
         // After the transmission ends the channel is free.
-        assert!(!m.channel_busy(1_500, NodeId(0), CH6, |_| 5.0));
+        assert!(!m.channel_busy(1_500, NodeId(0), CH6, ORIGIN, |_| 5.0));
         // A node never senses its own transmission as busy.
-        assert!(!m.channel_busy(500, NodeId(3), CH6, |_| 5.0));
+        assert!(!m.channel_busy(500, NodeId(3), CH6, ORIGIN, |_| 5.0));
     }
 
     /// The distance-domain carrier-sense scan must agree with the exact
@@ -618,15 +833,15 @@ mod tests {
         });
         for d in [0.05, 0.5, 5.0, 50.0, 114.0, 116.0, 150.0, 1_000.0] {
             assert_eq!(
-                m.channel_busy(500, NodeId(0), CH6, |_| d),
-                m.channel_busy_ranged(500, NodeId(0), CH6, |_| d * d),
+                m.channel_busy(500, NodeId(0), CH6, ORIGIN, |_| d),
+                m.channel_busy_ranged(500, NodeId(0), CH6, ORIGIN, |_| d * d),
                 "disagree at {d} m"
             );
         }
         // Same tune/time/exclusion filters as the exact scan.
-        assert!(!m.channel_busy_ranged(500, NodeId(3), CH6, |_| 25.0));
-        assert!(!m.channel_busy_ranged(500, NodeId(0), CH36, |_| 25.0));
-        assert!(!m.channel_busy_ranged(1_500, NodeId(0), CH6, |_| 25.0));
+        assert!(!m.channel_busy_ranged(500, NodeId(3), CH6, ORIGIN, |_| 25.0));
+        assert!(!m.channel_busy_ranged(500, NodeId(0), CH36, ORIGIN, |_| 25.0));
+        assert!(!m.channel_busy_ranged(1_500, NodeId(0), CH6, ORIGIN, |_| 25.0));
     }
 
     #[test]
@@ -640,9 +855,9 @@ mod tests {
             tune: CH6,
         });
         m.prune(500);
-        assert_eq!(m.active.len(), 1, "grace window keeps it");
+        assert_eq!(m.active_len(), 1, "grace window keeps it");
         m.prune(10_000);
-        assert!(m.active.is_empty());
+        assert_eq!(m.active_len(), 0);
     }
 
     #[test]
@@ -713,6 +928,7 @@ mod tests {
                 1500,
                 BitRate::Mbps54,
                 CH6,
+                ORIGIN,
                 |_| f64::INFINITY,
             )
         };
@@ -731,6 +947,288 @@ mod tests {
         let mut c = Medium::new(MediumConfig::default(), 10);
         let other: Vec<RxOutcome> = (0..20).map(|i| eval(&mut c, i * 1_000)).collect();
         assert_ne!(full, other);
+    }
+
+    /// A medium whose cell edge is two thirds of the carrier-sense
+    /// range of a 20 dBm transmitter, so that power's reach spans two
+    /// cells.
+    fn two_cell_reach_medium() -> (Medium, f64) {
+        let probe = medium();
+        let cell = probe.cs_range_m(20.0) / 1.5;
+        let cfg = MediumConfig {
+            max_range_m: cell,
+            ..MediumConfig::default()
+        };
+        (Medium::cell_indexed(cfg, 1), cell)
+    }
+
+    fn frame_from(id: usize, tx_power_dbm: f64) -> Transmission {
+        Transmission {
+            from: NodeId(id),
+            start_us: 0,
+            end_us: 1_000,
+            tx_power_dbm,
+            tune: CH6,
+        }
+    }
+
+    #[test]
+    fn carrier_sense_reaches_past_the_adjacent_cells() {
+        let (mut m, cell) = two_cell_reach_medium();
+        m.place(NodeId(3), (0.5 * cell, 0.5), false);
+        m.begin_transmission(frame_from(3, 20.0));
+        assert_eq!(m.cs_reach, 2);
+        // 1.4 cells east of the transmitter: two cell columns over.
+        let at = (1.9 * cell, 0.5);
+        let d = 1.4 * cell;
+        assert!(m.channel_busy(500, NodeId(0), CH6, at, |_| d));
+        assert!(m.channel_busy_ranged(500, NodeId(0), CH6, at, |_| d * d));
+    }
+
+    /// A transmitter that starts moving while the medium still holds
+    /// its frames takes them to the mobile bucket: they stay visible
+    /// from wherever it has moved to.
+    #[test]
+    fn held_frames_follow_a_transmitter_that_starts_moving() {
+        let (mut m, cell) = two_cell_reach_medium();
+        m.place(NodeId(3), (0.5, 0.5), false);
+        m.begin_transmission(frame_from(3, 20.0));
+        // Enough other buckets that a scan visits only its own
+        // neighbourhood rather than every bucket.
+        for i in 10..40 {
+            m.place(NodeId(i), (i as f64 * cell, -5.0 * cell), false);
+            m.begin_transmission(Transmission {
+                tune: CH36,
+                ..frame_from(i, 20.0)
+            });
+        }
+        let far = (20.0 * cell, 0.5);
+        assert!(!m.channel_busy_ranged(500, NodeId(0), CH6, far, |_| 25.0));
+        m.place(NodeId(3), (0.5, 0.5), true);
+        assert_eq!(m.active_len(), 31);
+        assert!(m.channel_busy_ranged(500, NodeId(0), CH6, far, |_| 25.0));
+        assert!(m.channel_busy(500, NodeId(0), CH6, far, |_| 5.0));
+        let out = m.evaluate_rx_keyed(
+            NodeId(1),
+            NodeId(0),
+            100,
+            600,
+            20.0,
+            5.0,
+            28,
+            BitRate::Mbps1,
+            CH6,
+            far,
+            |_| 5.0,
+        );
+        assert!(out.collided);
+        // Stopping again leaves them where every scan looks.
+        m.place(NodeId(3), (0.5, 0.5), false);
+        assert!(m.channel_busy_ranged(500, NodeId(0), CH6, far, |_| 25.0));
+        m.prune(10_000);
+        assert_eq!(m.active_len(), 0);
+    }
+
+    mod index_vs_flat {
+        use super::*;
+        use proptest::prelude::*;
+
+        const NODES: usize = 60;
+        /// Nodes from this index on move from the start.
+        const FIRST_MOBILE: usize = 52;
+        const POWERS: [f64; 3] = [0.0, 10.0, 20.0];
+        const TUNES: [Tune; 2] = [CH6, CH36];
+
+        /// Positions are drawn in cell units over a 10×10-cell area.
+        fn arb_point() -> impl Strategy<Value = (f64, f64)> {
+            (-5.0f64..5.0, -5.0f64..5.0)
+        }
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            Tx {
+                from: usize,
+                lead_us: u64,
+                dur_us: u64,
+                power: usize,
+                tune: usize,
+            },
+            Advance(u64),
+            Prune,
+            /// A node starts moving and is somewhere else at once.
+            Move {
+                node: usize,
+                to: (f64, f64),
+            },
+            Query {
+                rx: usize,
+                at: (f64, f64),
+                tune: usize,
+                from: usize,
+                back_us: u64,
+                dur_us: u64,
+            },
+        }
+
+        /// One drawn operation; the class weights transmissions and
+        /// queries 4, clock advances 2, prunes and moves 1.
+        fn arb_op() -> impl Strategy<Value = Op> {
+            (
+                0u8..12,
+                0..NODES,
+                0..NODES,
+                0u64..3_000,
+                1u64..3_000,
+                0..POWERS.len(),
+                0..TUNES.len(),
+                arb_point(),
+            )
+                .prop_map(|(class, a, b, t1, t2, power, tune, point)| match class {
+                    0..=3 => Op::Tx {
+                        from: a,
+                        lead_us: t1 % 400,
+                        dur_us: t2,
+                        power,
+                        tune,
+                    },
+                    4 | 5 => Op::Advance(t1),
+                    6 => Op::Prune,
+                    7 => Op::Move { node: a, to: point },
+                    _ => Op::Query {
+                        rx: a,
+                        at: point,
+                        tune,
+                        from: b,
+                        back_us: t1,
+                        dur_us: t2.min(2_000),
+                    },
+                })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            /// The bucketed active set answers every carrier-sense and
+            /// collision query exactly as a flat list of the same
+            /// transmissions does, across cell boundaries, a reach of
+            /// two cells, moving transmitters and pruning.
+            #[test]
+            fn cell_index_matches_a_flat_scan(
+                start in proptest::collection::vec(arb_point(), NODES..NODES + 1),
+                ops in proptest::collection::vec(arb_op(), 1..240),
+            ) {
+                let (mut indexed, cell) = two_cell_reach_medium();
+                let mut unbounded = Medium::new(*indexed.config(), 1);
+                let mut pos: Vec<(f64, f64)> =
+                    start.iter().map(|&(x, y)| (x * cell, y * cell)).collect();
+                for (i, &p) in pos.iter().enumerate() {
+                    indexed.place(NodeId(i), p, i >= FIRST_MOBILE);
+                    unbounded.place(NodeId(i), p, i >= FIRST_MOBILE);
+                }
+                let cutoff = indexed.config().max_range_m;
+                let mut flat: Vec<Transmission> = Vec::new();
+                let mut now = 0u64;
+                for op in ops {
+                    match op {
+                        Op::Tx { from, lead_us, dur_us, power, tune } => {
+                            let tx = Transmission {
+                                from: NodeId(from),
+                                start_us: now + lead_us,
+                                end_us: now + lead_us + dur_us,
+                                tx_power_dbm: POWERS[power],
+                                tune: TUNES[tune],
+                            };
+                            indexed.begin_transmission(tx.clone());
+                            unbounded.begin_transmission(tx.clone());
+                            flat.push(tx);
+                        }
+                        Op::Advance(dt) => now += dt,
+                        Op::Prune => {
+                            indexed.prune(now);
+                            unbounded.prune(now);
+                            flat.retain(|t| t.end_us + 1_000 >= now);
+                        }
+                        Op::Move { node, to } => {
+                            indexed.place(NodeId(node), pos[node], true);
+                            unbounded.place(NodeId(node), pos[node], true);
+                            pos[node] = (to.0 * cell, to.1 * cell);
+                        }
+                        Op::Query { rx, at, tune, from, back_us, dur_us } => {
+                            let at = (at.0 * cell, at.1 * cell);
+                            let tune = TUNES[tune];
+                            let dist = |n: NodeId| {
+                                let p = pos[n.0];
+                                (at.0 - p.0).hypot(at.1 - p.1).max(0.1)
+                            };
+                            let dist_sq = |n: NodeId| {
+                                let p = pos[n.0];
+                                (at.0 - p.0).powi(2) + (at.1 - p.1).powi(2)
+                            };
+                            let rx = NodeId(rx);
+                            let sensed = |t: &&Transmission| {
+                                t.from != rx
+                                    && t.tune == tune
+                                    && t.start_us <= now
+                                    && now < t.end_us
+                            };
+                            let exact = flat.iter().filter(sensed).any(|t| {
+                                indexed.rx_power_dbm(t.tx_power_dbm, dist(t.from))
+                                    >= indexed.config().cs_threshold_dbm
+                            });
+                            let ranged = flat.iter().filter(sensed).any(|t| {
+                                let r = indexed.cs_range_m(t.tx_power_dbm);
+                                dist_sq(t.from).max(0.01) <= r * r
+                            });
+                            for m in [&indexed, &unbounded] {
+                                prop_assert_eq!(m.channel_busy(now, rx, tune, at, dist), exact);
+                                prop_assert_eq!(
+                                    m.channel_busy_ranged(now, rx, tune, at, dist_sq),
+                                    ranged
+                                );
+                            }
+
+                            let from = NodeId(from);
+                            let start_us = now.saturating_sub(back_us);
+                            let end_us = start_us + dur_us;
+                            let d = dist(from);
+                            let eval = |m: &mut Medium| {
+                                m.evaluate_rx_keyed(
+                                    from, rx, start_us, end_us, 20.0, d, 100,
+                                    BitRate::Mbps1, tune, at, dist,
+                                )
+                            };
+                            let got = eval(&mut indexed);
+                            prop_assert_eq!(got, eval(&mut unbounded));
+                            // The flat collision predicate, with the faded
+                            // power recovered from the outcome; entries
+                            // within rounding of the capture edge are not
+                            // judged.
+                            let faded = got.snr_db + indexed.noise_dbm();
+                            let capture = indexed.config().capture_threshold_db;
+                            let margins: Vec<f64> = flat
+                                .iter()
+                                .filter(|t| {
+                                    t.from != from
+                                        && t.tune == tune
+                                        && t.start_us < end_us
+                                        && start_us < t.end_us
+                                        && dist(t.from) <= cutoff
+                                })
+                                .map(|t| {
+                                    faded - indexed.rx_power_dbm(t.tx_power_dbm, dist(t.from))
+                                        - capture
+                                })
+                                .collect();
+                            if margins.iter().all(|m| m.abs() > 1e-9) {
+                                prop_assert_eq!(got.collided, margins.iter().any(|&m| m < 0.0));
+                            }
+                        }
+                    }
+                    prop_assert_eq!(indexed.active_len(), flat.len());
+                    prop_assert_eq!(unbounded.active_len(), flat.len());
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,13 +8,14 @@ use crate::node::{AckWait, Node, NodeId, QueuedFrame};
 use polite_wifi_frame::{ControlFrame, Frame};
 use polite_wifi_mac::{MacAction, RadioState, Station, StationConfig};
 use polite_wifi_obs::frametrace::hop;
-use polite_wifi_obs::{names, Obs};
+use polite_wifi_obs::{names, Obs, ProfStat};
 use polite_wifi_pcap::capture::Capture;
 use polite_wifi_phy::airtime;
 use polite_wifi_phy::rate::BitRate;
 use polite_wifi_radiotap::{ChannelInfo, Radiotap};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::sync::Arc;
 
 /// How a transmission finds its receivers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -54,7 +55,7 @@ pub struct SimConfig {
 /// A frame mid-transmission at a node.
 #[derive(Debug, Clone)]
 struct CurrentTx {
-    frame: Frame,
+    frame: Arc<Frame>,
     rate: BitRate,
     is_response: bool,
     start_us: u64,
@@ -100,6 +101,9 @@ pub struct Simulator {
     next_trace_id: u64,
     /// Events handled since construction (or the last reset).
     events_dispatched: u64,
+    /// Per-kind profile of the `run_until` in progress, by
+    /// [`Event::kind_index`]; folded into `obs.profiler` on return.
+    prof: [ProfStat; Event::KINDS],
 }
 
 impl Simulator {
@@ -115,7 +119,11 @@ impl Simulator {
                 .then(|| CellGrid::new(config.medium.max_range_m)),
             scratch: Vec::new(),
             current_tx: Vec::new(),
-            medium: Medium::new(config.medium, seed),
+            medium: if config.propagation == PropagationMode::CellGrid {
+                Medium::cell_indexed(config.medium, seed)
+            } else {
+                Medium::new(config.medium, seed)
+            },
             rng: ChaCha8Rng::seed_from_u64(seed ^ 0x5349_4d55_4c41_544f), // "SIMULATO"
             global_capture: Capture::new(),
             next_token: 0,
@@ -128,6 +136,7 @@ impl Simulator {
             stall: None,
             next_trace_id: 0,
             events_dispatched: 0,
+            prof: [ProfStat::default(); Event::KINDS],
         }
     }
 
@@ -221,6 +230,7 @@ impl Simulator {
         if let Some(grid) = &mut self.grid {
             grid.insert(id, tune, position, false);
         }
+        self.medium.place(id, position, false);
         self.current_tx.push(None);
         id
     }
@@ -277,10 +287,12 @@ impl Simulator {
     /// configured position).
     pub fn set_velocity(&mut self, id: NodeId, velocity: (f64, f64)) {
         self.hot.set_velocity(id, velocity);
+        let moving = velocity != (0.0, 0.0);
+        let position = self.hot.base_position(id);
         if let Some(grid) = &mut self.grid {
-            let moving = velocity != (0.0, 0.0);
-            grid.set_moving(id, self.hot.tune(id), self.hot.base_position(id), moving);
+            grid.set_moving(id, self.hot.tune(id), position, moving);
         }
+        self.medium.place(id, position, moving);
     }
 
     /// Sets a node's transmit power in dBm.
@@ -367,6 +379,8 @@ impl Simulator {
     /// kind is attributed the virtual time it advanced the clock by
     /// (deterministic — part of canonical exports) and the wall-clock
     /// time its handler took (machine-dependent — kept out of them).
+    /// The loop accumulates per kind in a fixed array and folds the
+    /// kinds it saw into `obs.profiler` on return.
     pub fn run_until(&mut self, t_us: u64) {
         let mut dispatched = 0u64;
         while let Some(at) = self.queue.peek_time() {
@@ -375,12 +389,12 @@ impl Simulator {
             }
             let ev = self.queue.pop().expect("peeked");
             let virt_us = ev.at_us.saturating_sub(self.now_us);
-            let kind = ev.event.kind_name();
+            let kind = ev.event.kind_index();
             self.now_us = ev.at_us;
             let t0 = std::time::Instant::now();
             self.handle(ev.event);
             let wall_ns = t0.elapsed().as_nanos() as u64;
-            self.obs.prof(kind, virt_us, wall_ns);
+            self.prof[kind].record(virt_us, wall_ns);
             dispatched += 1;
             if self.now_us.saturating_sub(self.last_prune_us) > 1_000_000 {
                 self.medium.prune(self.now_us);
@@ -389,10 +403,10 @@ impl Simulator {
                 && self.medium.active_len() > 64
                 && self.now_us.saturating_sub(self.last_prune_us) > 1_000
             {
-                // City scale: the collision and carrier-sense scans are
-                // linear in the active list, so the keyed modes prune
-                // aggressively (the grace window in `Medium::prune`
-                // keeps any transmission an arrival could still need).
+                // City scale: the keyed modes prune on a 1 ms cadence
+                // to keep the scanned buckets short (the grace window in
+                // `Medium::prune` keeps any transmission an arrival could
+                // still need).
                 // The legacy mode keeps its exact 1 s cadence — prune
                 // timing is observable through long-airtime overlaps,
                 // and pinned results depend on it. Purely a function of
@@ -400,6 +414,12 @@ impl Simulator {
                 // untouched.
                 self.medium.prune(self.now_us);
                 self.last_prune_us = self.now_us;
+            }
+        }
+        for (kind, stat) in Event::KIND_NAMES.iter().zip(&mut self.prof) {
+            if stat.count > 0 {
+                self.obs.profiler.add(kind, stat);
+                *stat = ProfStat::default();
             }
         }
         self.now_us = self.now_us.max(t_us);
@@ -563,11 +583,12 @@ impl Simulator {
                 node,
                 from,
                 frame,
+                psdu_len,
                 rate,
                 start_us,
                 tune,
                 trace,
-            } => self.do_arrival(node, from, frame, rate, start_us, tune, trace),
+            } => self.do_arrival(node, from, &frame, psdu_len, rate, start_us, tune, trace),
             Event::AckTimeout { node, token } => self.do_ack_timeout(node, token),
         }
     }
@@ -705,24 +726,25 @@ impl Simulator {
             self.queue.push(at, Event::TxAttempt { node: id });
             return;
         }
-        // Carrier sense: O(active transmissions), distances on demand.
-        // The keyed modes take the distance-domain scan (no `log10` or
-        // `sqrt` per active entry); the legacy mode keeps the exact
-        // power-domain scan its pinned results were produced with.
+        // Carrier sense over the transmissions within carrier-sense
+        // reach, distances on demand. The keyed modes take the
+        // distance-domain scan (no `log10` or `sqrt` per scanned entry);
+        // the legacy mode keeps the exact power-domain scan its pinned
+        // results were produced with.
         let busy = {
             let now = self.now_us;
             let my_pos = self.hot.position_at(id, now);
+            let tune = self.hot.tune(id);
             let hot = &self.hot;
             if self.config.propagation.keyed_draws() {
                 self.medium
-                    .channel_busy_ranged(now, id, self.hot.tune(id), |other| {
+                    .channel_busy_ranged(now, id, tune, my_pos, |other| {
                         hot.distance_sq_to_point(my_pos, other, now)
                     })
             } else {
-                self.medium
-                    .channel_busy(now, id, self.hot.tune(id), |other| {
-                        hot.distance_to_point(my_pos, other, now)
-                    })
+                self.medium.channel_busy(now, id, tune, my_pos, |other| {
+                    hot.distance_to_point(my_pos, other, now)
+                })
             }
         };
         if busy {
@@ -774,7 +796,8 @@ impl Simulator {
             self.obs
                 .trace_hop(tid, self.now_us, id.0 as u64, hop::RESPONSE_TX, 0);
         }
-        let duration = airtime::frame_duration_us(frame.air_len(), rate, false) as u64;
+        let psdu_len = frame.air_len();
+        let duration = airtime::frame_duration_us(psdu_len, rate, false) as u64;
         let end = self.now_us + duration;
         let tx_power = self.hot.tx_power_dbm(id);
         self.hot.tx_busy_until[id.0] = end;
@@ -783,8 +806,11 @@ impl Simulator {
             node.tx_count += 1;
             node.ledger.begin_busy(self.now_us, RadioState::Tx);
         }
+        // One shared copy of the frame serves the transmitter's own
+        // record and every receiver's arrival.
+        let frame = Arc::new(frame);
         self.current_tx[id.0] = Some(CurrentTx {
-            frame: frame.clone(),
+            frame: Arc::clone(&frame),
             rate,
             is_response,
             start_us: self.now_us,
@@ -810,7 +836,8 @@ impl Simulator {
                 Event::Arrival {
                     node: rx,
                     from: id,
-                    frame: frame.clone(),
+                    frame: Arc::clone(&frame),
+                    psdu_len,
                     rate,
                     start_us,
                     tune,
@@ -992,7 +1019,7 @@ impl Simulator {
         let dist = |other: NodeId| hot.distance_to_point(my_pos, other, now);
         if self.config.propagation.keyed_draws() {
             self.medium.evaluate_rx_keyed(
-                from, id, start_us, now, tx_power, d, psdu_len, rate, tune, dist,
+                from, id, start_us, now, tx_power, d, psdu_len, rate, tune, my_pos, dist,
             )
         } else {
             self.medium.evaluate_rx(
@@ -1006,7 +1033,8 @@ impl Simulator {
         &mut self,
         id: NodeId,
         from: NodeId,
-        frame: Frame,
+        frame: &Frame,
+        psdu_len: usize,
         rate: BitRate,
         start_us: u64,
         tune: Tune,
@@ -1037,19 +1065,17 @@ impl Simulator {
             return;
         }
         // Half-duplex: a radio that was transmitting during any part of
-        // the frame cannot have received it.
+        // the frame cannot have received it (some transmission of ours
+        // ended after the incoming frame began).
         if self.hot.tx_busy_until[id.0] > start_us && id != from {
-            let own_tx_overlaps = self.hot.tx_busy_until[id.0] > start_us;
-            if own_tx_overlaps && self.current_or_recent_tx_overlap(id, start_us) {
-                if for_me {
-                    self.obs.incr(names::FRAME_FATE_COLLIDED);
-                    if let Some(tid) = ftrace {
-                        self.obs
-                            .trace_hop(tid, now, id.0 as u64, hop::FATE_COLLIDED, 1);
-                    }
+            if for_me {
+                self.obs.incr(names::FRAME_FATE_COLLIDED);
+                if let Some(tid) = ftrace {
+                    self.obs
+                        .trace_hop(tid, now, id.0 as u64, hop::FATE_COLLIDED, 1);
                 }
-                return;
             }
+            return;
         }
         // A dozing radio hears nothing — with one exception: the ACK for
         // the frame it just transmitted. Real radios finish the exchange
@@ -1058,11 +1084,11 @@ impl Simulator {
         if !self.nodes[id.0].station.is_awake() {
             let my_mac = self.nodes[id.0].station.mac();
             let is_my_ack = matches!(
-                &frame,
+                frame,
                 Frame::Ctrl(ControlFrame::Ack { ra }) if *ra == my_mac
             );
             if is_my_ack && self.hot.ack_wait[id.0].is_some() {
-                let outcome = self.eval_rx(from, id, start_us, frame.air_len(), rate, tune);
+                let outcome = self.eval_rx(from, id, start_us, psdu_len, rate, tune);
                 if outcome.fault_dropped {
                     self.obs.incr(names::FAULT_MEDIUM_FRAMES_DROPPED);
                 }
@@ -1105,7 +1131,7 @@ impl Simulator {
             return;
         }
 
-        let outcome = self.eval_rx(from, id, start_us, frame.air_len(), rate, tune);
+        let outcome = self.eval_rx(from, id, start_us, psdu_len, rate, tune);
         if outcome.fault_dropped {
             self.obs.incr(names::FAULT_MEDIUM_FRAMES_DROPPED);
         }
@@ -1142,7 +1168,7 @@ impl Simulator {
             );
             self.nodes[id.0]
                 .capture
-                .record_with_radiotap(now, rt, &frame);
+                .record_with_radiotap(now, rt, frame);
         }
 
         // Virtual carrier sense: frames addressed to OTHERS set this
@@ -1151,7 +1177,7 @@ impl Simulator {
         // every bystander defer (PS-Poll's Duration field is an AID and
         // is exempt).
         if outcome.fcs_ok && !for_me {
-            let nav_us = match &frame {
+            let nav_us = match frame {
                 Frame::Ctrl(ControlFrame::Rts { duration_us, .. })
                 | Frame::Ctrl(ControlFrame::Cts { duration_us, .. }) => *duration_us as u64,
                 Frame::Ctrl(_) => 0,
@@ -1169,10 +1195,10 @@ impl Simulator {
         if outcome.fcs_ok && for_me {
             let my_mac = self.nodes[id.0].station.mac();
             let is_response_to_me = matches!(
-                &frame,
+                frame,
                 Frame::Ctrl(ControlFrame::Ack { ra }) if *ra == my_mac
             ) || matches!(
-                &frame,
+                frame,
                 Frame::Ctrl(ControlFrame::Cts { ra, .. }) if *ra == my_mac
             );
             if is_response_to_me {
@@ -1187,7 +1213,7 @@ impl Simulator {
                         wait.satisfied = true;
                         completed_at = Some(wait.started_us);
                         let node = &mut self.nodes[id.0];
-                        match &frame {
+                        match frame {
                             Frame::Ctrl(ControlFrame::Ack { .. }) => node.acks_received += 1,
                             Frame::Ctrl(ControlFrame::Cts { .. }) => node.cts_received += 1,
                             _ => {}
@@ -1203,7 +1229,7 @@ impl Simulator {
                 } else {
                     // Fire-and-forget senders (retries off — the usual
                     // injection mode) still count their responses.
-                    match &frame {
+                    match frame {
                         Frame::Ctrl(ControlFrame::Ack { .. }) => {
                             self.nodes[id.0].acks_received += 1;
                             self.obs.incr("sim.acks_received");
@@ -1221,7 +1247,7 @@ impl Simulator {
                     }
                 }
                 if let Some(started_us) = completed_at {
-                    let counter = match &frame {
+                    let counter = match frame {
                         Frame::Ctrl(ControlFrame::Cts { .. }) => "sim.cts_received",
                         _ => "sim.acks_received",
                     };
@@ -1237,16 +1263,9 @@ impl Simulator {
         // the frame that provoked them.
         let actions = self.nodes[id.0]
             .station
-            .on_receive(now, &frame, outcome.fcs_ok, rate);
+            .on_receive(now, frame, outcome.fcs_ok, rate);
         self.apply_actions(id, actions, ftrace);
         self.reschedule_poll(id);
-    }
-
-    /// True when the node's own transmission overlapped `[start_us, now]`.
-    fn current_or_recent_tx_overlap(&self, id: NodeId, start_us: u64) -> bool {
-        // tx_busy_until > start_us means some transmission of ours ended
-        // after the incoming frame began.
-        self.hot.tx_busy_until[id.0] > start_us
     }
 
     fn apply_actions(&mut self, id: NodeId, actions: Vec<MacAction>, trace: Option<u64>) {
