@@ -4,8 +4,8 @@
 //! EXPERIMENTS.md quotes numbers that must regenerate bit-for-bit.
 
 use polite_wifi::core::{
-    BatchSensingHub, BatteryDrainAttack, CityReport, CityWardrive, KeystrokeAttack, SensingHub,
-    WardriveScanner,
+    BatchSensingHub, BatteryDrainAttack, CityReport, CityWardrive, KeystrokeAttack, RetryPolicy,
+    ScanReport, SensingHub, WardriveScanner,
 };
 use polite_wifi::devices::{CityPopulation, DeviceSpec};
 use polite_wifi::harness::{Experiment, RunArgs, Runner};
@@ -289,6 +289,93 @@ fn city_wardrive_envelope_is_worker_invariant() {
         assert_eq!(report, pinned, "city report drifts at {workers} workers");
         assert_eq!(metrics1, metrics, "city metrics drift at {workers} workers");
     }
+}
+
+/// The city drive's fault path, pinned exactly: the same mini city
+/// under `urban-drive` faults, so channel drops, device stalls and the
+/// `max_attempts` give-up rule all reach the pinned report and metrics.
+#[test]
+fn urban_drive_mini_city_is_pinned() {
+    let drive = CityWardrive {
+        faults: FaultProfile::UrbanDrive,
+        ..mini_city()
+    };
+    let mut obs = Obs::new();
+    let report = drive.run_observed(1, &mut obs);
+    assert_eq!(
+        report,
+        CityReport {
+            devices: 1_500,
+            segments: 9,
+            discovered: 67,
+            verified: 56,
+            events_dispatched: 1_032_208,
+            occupied_cells: 144,
+            survey_time_us: 7_200_000,
+        },
+        "urban-drive mini city drifts from its pin"
+    );
+    let digest = fnv1a64(obs.metrics_json().as_bytes());
+    assert_eq!(
+        digest, 0xaa91_15c8_dd01_714c,
+        "metrics digest 0x{digest:016x} drifts from its pin"
+    );
+}
+
+/// `CityPopulation::table2(5)`'s first `clients` clients and `aps` APs.
+fn mini_population(clients: usize, aps: usize) -> CityPopulation {
+    let full = CityPopulation::table2(5);
+    let mut devices: Vec<DeviceSpec> = Vec::new();
+    devices.extend(full.clients().take(clients).cloned());
+    devices.extend(full.aps().take(aps).cloned());
+    CityPopulation {
+        devices,
+        registry: full.registry.clone(),
+    }
+}
+
+/// The Table 2 survey's fault path, pinned exactly: a congested channel
+/// and a policy that quarantines after one failed attempt drive backoff,
+/// quarantine and the straggler extension into the pinned report and
+/// metrics.
+#[test]
+fn congested_impatient_survey_is_pinned() {
+    let scanner = WardriveScanner {
+        segment_size: 10,
+        dwell_us: 2_000_000,
+        faults: FaultProfile::Congested,
+        retry: RetryPolicy {
+            free_retries: 0,
+            quarantine_after: 1,
+            ..RetryPolicy::default()
+        },
+        ..WardriveScanner::default()
+    };
+    let mut obs = Obs::new();
+    let report = scanner.run_observed(&mini_population(10, 10), 1, &mut obs);
+    assert_eq!(
+        report,
+        ScanReport {
+            discovered: 20,
+            verified: 19,
+            client_counts: vec![("Apple".to_string(), 10)],
+            ap_counts: vec![("Hitron".to_string(), 9)],
+            total_clients: 10,
+            total_aps: 9,
+            client_vendor_count: 1,
+            ap_vendor_count: 1,
+            distinct_vendor_count: 2,
+            quarantined: 1,
+            pmf_aps: 1,
+            survey_time_us: 6_900_000,
+        },
+        "congested survey drifts from its pin"
+    );
+    let digest = fnv1a64(obs.metrics_json().as_bytes());
+    assert_eq!(
+        digest, 0x6e8a_dcd4_22d9_ff55,
+        "metrics digest 0x{digest:016x} drifts from its pin"
+    );
 }
 
 /// The batched sensing pipeline's determinism contract: a 1k-link hub
