@@ -1,23 +1,39 @@
-//! The wardriving survey pipeline (paper §3, Table 2).
+//! The wardriving survey pipeline (paper §3, Table 2): one segment
+//! engine, three drive policies.
 //!
 //! The paper's rig was a three-thread Scapy program on a laptop with an
 //! RTL8812AU dongle: thread 1 discovered nearby devices by sniffing,
 //! thread 2 injected fake frames at discovered targets, thread 3 verified
 //! the ACKs. This module reproduces that *logic* — the same role
 //! inference and temporal fake→ACK pairing, with no ground-truth
-//! peeking — but organises the work for determinism and scale: the city
-//! is partitioned into per-channel *neighbourhood segments* (the set of
-//! devices within radio range of the car at one stretch of the drive),
-//! each segment scan is a self-contained function of its own derived
-//! seed, and the segments are fanned across the experiment harness's
-//! worker pool ([`WardriveScanner::run_sharded`]).
+//! peeking — once:
 //!
-//! Every segment derives its seed as `seed ^ segment_index` and results
-//! merge in segment order, so the report is byte-identical whether one
-//! worker scanned the whole city or eight split it.
+//! * thread 1 is [`Sniffer`], thread 3 is [`AckVerifier::pairing`], and
+//!   both run over the attacker's capture in one pump;
+//! * a private segment engine builds a neighbourhood (the devices within
+//!   radio range of the car at one stretch of the drive, all on one
+//!   channel), pumps its capture in 250 ms slices and injects thread 2's
+//!   fakes on one schedule.
+//!
+//! Three drives differ only in policy:
+//!
+//! * [`WardriveScanner`] (Table 2): devices ring a parked car; thread 2
+//!   backs off and quarantines per [`RetryPolicy`], and the dwell
+//!   stretches for stragglers;
+//! * [`CityWardrive`]: devices scatter over a city square, the car drives
+//!   through at 50 km/h, and thread 2 gives up after `max_attempts`;
+//! * the `ext_driveby` scenario: one continuous street drive with
+//!   [`Sniffer`] and the same pairing, but no segments.
+//!
+//! The two segment drives partition the city into per-channel segments.
+//! Each segment scan is a self-contained function of its own derived
+//! seed (`seed ^ segment_index`), the segments fan across the experiment
+//! harness's worker pool, and results merge in segment order, so a report
+//! is byte-identical whether one worker scanned the whole city or eight
+//! split it.
 
 use crate::retry::RetryPolicy;
-use crate::verifier::AckVerifier;
+use crate::verifier::{AckPairing, AckVerifier};
 use polite_wifi_devices::{CityPopulation, DeviceSpec};
 use polite_wifi_frame::{builder, Frame, MacAddr};
 use polite_wifi_harness::{derive_trial_seed, Runner};
@@ -34,7 +50,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 /// everything else means client), and whether a beacon advertised 802.11w
 /// management-frame protection — the same inference a real wardriving
 /// rig makes, with no ground-truth peeking.
-type Discovery = (MacAddr, Role, bool);
+pub type Discovery = (MacAddr, Role, bool);
 
 /// Scanner configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -102,27 +118,29 @@ polite_wifi_obs::impl_to_json! { ScanReport {
     ap_vendor_count, distinct_vendor_count, quarantined, pmf_aps, survey_time_us
 } }
 
-/// Thread 1 of the paper's pipeline, as inline state: discover devices
-/// by sniffing. Emits each transmitter address the first time it is
-/// heard, with the role inferred from the revealing frame — beacons and
-/// probe responses come from APs; everything else is treated as a
-/// client.
-struct DiscoveryState {
+/// Thread 1 of the paper's pipeline: discover devices by sniffing.
+/// Emits each transmitter address the first time it is heard, with the
+/// role inferred from the revealing frame — beacons and probe responses
+/// come from APs; everything else is treated as a client.
+#[derive(Debug, Clone)]
+pub struct Sniffer {
     seen: HashSet<MacAddr>,
 }
 
-impl DiscoveryState {
-    fn new() -> DiscoveryState {
-        let mut seen = HashSet::new();
-        seen.insert(MacAddr::FAKE); // never target ourselves
-        DiscoveryState { seen }
+impl Sniffer {
+    /// A sniffer that never reports the attacker's own address.
+    pub fn new(attacker: MacAddr) -> Sniffer {
+        Sniffer {
+            seen: HashSet::from([attacker]),
+        }
     }
 
-    fn observe(&mut self, frame: &Frame, out: &mut Vec<Discovery>) {
+    /// Feeds one captured frame; returns the discovery it makes, if any.
+    /// A PMF beacon from an already-known AP is reported again, since the
+    /// PMF flag may arrive on a later beacon than the discovery.
+    pub fn observe(&mut self, frame: &Frame) -> Option<Discovery> {
         use polite_wifi_frame::ManagementBody;
-        let Some(ta) = frame.transmitter() else {
-            return;
-        };
+        let ta = frame.transmitter()?;
         let (role, pmf) = match frame {
             Frame::Mgmt(m) => match &m.body {
                 ManagementBody::Beacon { elements, .. } => {
@@ -136,77 +154,228 @@ impl DiscoveryState {
             },
             _ => (Role::Client, false),
         };
-        if ta.is_unicast() && self.seen.insert(ta) {
-            out.push((ta, role, pmf));
-        } else if pmf && ta.is_unicast() {
-            // PMF flag may arrive on a later beacon than the discovery;
-            // re-announce so it sticks.
-            out.push((ta, role, true));
+        if !ta.is_unicast() {
+            None
+        } else if self.seen.insert(ta) {
+            Some((ta, role, pmf))
+        } else {
+            pmf.then_some((ta, role, true))
         }
     }
 }
 
-/// Thread 3 of the paper's pipeline, as inline state: verify that
-/// targets answered, with the same temporal fake→ACK pairing as
-/// [`AckVerifier`], streaming.
-struct VerifierState {
-    verifier: AckVerifier,
-    reported: HashSet<MacAddr>,
-    /// Pairing state survives capture-slice boundaries within a segment.
-    pending: Option<(MacAddr, u64)>,
-}
+/// Both segment drives advance in slices of this length: run the
+/// simulator, pump the capture, inject the next round of fakes.
+const SLICE_US: u64 = 250_000;
 
-impl VerifierState {
-    fn new() -> VerifierState {
-        VerifierState {
-            verifier: AckVerifier::new(MacAddr::FAKE),
-            reported: HashSet::new(),
-            pending: None,
-        }
-    }
-
-    fn observe(&mut self, ts: u64, frame: &Frame, out: &mut Vec<MacAddr>) {
-        use polite_wifi_frame::ControlFrame;
-        match frame {
-            Frame::Ctrl(ControlFrame::Ack { ra }) | Frame::Ctrl(ControlFrame::Cts { ra, .. })
-                if *ra == self.verifier.attacker =>
-            {
-                if let Some((victim, fake_ts)) = self.pending.take() {
-                    if ts.saturating_sub(fake_ts) <= self.verifier.window_us
-                        && self.reported.insert(victim)
-                    {
-                        out.push(victim);
-                    }
-                }
-            }
-            other => {
-                if other.transmitter() == Some(self.verifier.attacker) {
-                    if let Some(victim) = other.receiver() {
-                        self.pending = Some((victim, ts));
-                    }
-                }
-            }
-        }
-    }
-}
+/// After the last slice a segment runs this much longer, so trailing
+/// injections and their ACKs land before the final pump.
+const TAIL_US: u64 = 300_000;
 
 /// Thread 2's per-target bookkeeping: how many times a pending target
 /// has been injected at, when it may be injected at again (backoff),
 /// and when the clock on its verify timeout started.
+#[derive(Default)]
 struct TargetRetry {
     attempts: u32,
     next_due_us: u64,
     first_attempt_us: Option<u64>,
 }
 
-/// What one self-contained segment scan produced, in emission order, so
-/// segment outcomes merge identically however they were scheduled.
+/// One neighbourhood segment mid-scan: the simulated neighbourhood, the
+/// attacker's dongle tuned to its channel, and the discover/verify state
+/// over the dongle's capture. Both segment drives build, pump and inject
+/// through it; what they inject at, and when they stop, is theirs.
+struct Segment {
+    sim: Simulator,
+    attacker: NodeId,
+    members: HashSet<MacAddr>,
+    sniffer: Sniffer,
+    pairing: AckPairing,
+    /// Capture frames already pumped.
+    pumped: usize,
+    /// Every discovery in capture order, PMF re-announcements included.
+    discovered: Vec<Discovery>,
+    /// Members heard at least once.
+    heard: HashSet<MacAddr>,
+    /// Verified targets (the first report of each ends its pending entry).
+    verified: HashSet<MacAddr>,
+    /// Targets thread 2 is injecting at, MAC-ordered so injection times
+    /// never depend on hash-map seeding.
+    pending: BTreeMap<MacAddr, TargetRetry>,
+}
+
+impl Segment {
+    /// Builds one segment (all devices share one band/channel). The
+    /// attacker's dongle starts at the origin, tuned to the first device,
+    /// in monitor mode with retries off, moving at `velocity` if given.
+    /// Each device then stands where `place` draws it; each client
+    /// probes every 400–700 ms until `probe_horizon_us`. The fault
+    /// profile goes in last: stall schedules attach to the first
+    /// monitor-mode node, the attacker's dongle.
+    fn build(
+        config: SimConfig,
+        segment: &[&DeviceSpec],
+        seed: u64,
+        velocity: Option<(f64, f64)>,
+        probe_horizon_us: u64,
+        faults: FaultProfile,
+        mut place: impl FnMut(&mut ChaCha8Rng) -> (f64, f64),
+    ) -> Segment {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut sim = Simulator::new(config, rng.gen());
+        let mut attacker_cfg = StationConfig::client(MacAddr::FAKE);
+        if let Some(first) = segment.first() {
+            attacker_cfg.band = first.band;
+            attacker_cfg.channel = first.channel;
+        }
+        let attacker = sim.add_node(attacker_cfg, (0.0, 0.0));
+        sim.set_monitor(attacker, true);
+        sim.set_retries(attacker, false);
+        if let Some(velocity) = velocity {
+            sim.set_velocity(attacker, velocity);
+        }
+
+        let mut members: HashSet<MacAddr> = HashSet::new();
+        for spec in segment {
+            let pos = place(&mut rng);
+            let mut cfg = StationConfig::client(spec.mac);
+            cfg.role = spec.role;
+            cfg.band = spec.band;
+            cfg.channel = spec.channel;
+            cfg.behavior = spec.behavior;
+            cfg.ssid = spec.ssid.clone();
+            cfg.beacon_interval_us = match spec.role {
+                Role::AccessPoint => Some(102_400),
+                Role::Client => None,
+            };
+            let id = sim.add_node(cfg, pos);
+            members.insert(spec.mac);
+            // Clients reveal themselves with periodic probe requests.
+            if spec.role == Role::Client {
+                let mut t = rng.gen_range(0..500_000u64);
+                let mut seq = 0u16;
+                while t < probe_horizon_us {
+                    sim.inject(t, id, builder::probe_request(spec.mac, seq), BitRate::Mbps1);
+                    seq = seq.wrapping_add(1);
+                    t += rng.gen_range(400_000..700_000u64);
+                }
+            }
+        }
+        sim.install_faults(&faults.plan());
+
+        Segment {
+            sim,
+            attacker,
+            members,
+            sniffer: Sniffer::new(MacAddr::FAKE),
+            pairing: AckVerifier::new(MacAddr::FAKE).pairing(),
+            pumped: 0,
+            discovered: Vec::new(),
+            heard: HashSet::new(),
+            verified: HashSet::new(),
+            pending: BTreeMap::new(),
+        }
+    }
+
+    /// Runs the segment to `until_us`, then drains the dongle's new
+    /// capture through threads 1 and 3: a discovered member that is not
+    /// verified yet becomes a pending target, and a verified target
+    /// leaves the pending set.
+    fn pump(&mut self, until_us: u64) {
+        self.sim.run_until(until_us);
+        let frames = self.sim.node(self.attacker).capture.frames();
+        for cf in &frames[self.pumped..] {
+            if let Some(discovery @ (mac, _, _)) = self.sniffer.observe(&cf.frame) {
+                if self.members.contains(&mac) {
+                    self.heard.insert(mac);
+                    if !self.verified.contains(&mac) {
+                        self.pending.entry(mac).or_default();
+                    }
+                }
+                self.discovered.push(discovery);
+            }
+            if let Some(exchange) = self.pairing.observe(cf.ts_us, &cf.frame) {
+                if self.verified.insert(exchange.victim) {
+                    self.pending.remove(&exchange.victim);
+                }
+            }
+        }
+        self.pumped = frames.len();
+    }
+
+    /// Pumps the nominal dwell slice by slice, calling `round` after each
+    /// slice to inject the next one's fakes. Returns the time reached.
+    fn dwell(&mut self, dwell_us: u64, mut round: impl FnMut(&mut Segment, u64)) -> u64 {
+        let mut now = 0;
+        while now < dwell_us {
+            now += SLICE_US;
+            self.pump(now);
+            round(self, now);
+        }
+        now
+    }
+
+    /// Lets trailing injections and their ACKs land, pumps them, and
+    /// returns the segment's end time.
+    fn flush(&mut self, now: u64) -> u64 {
+        let tail = now + TAIL_US;
+        self.pump(tail);
+        tail
+    }
+
+    /// Injects `fakes` fake null frames at each target, in order, for the
+    /// slice starting at `slice_start_us`: target `i`'s fakes start
+    /// 2 ms + i × 1.5 ms in and are spread evenly across the slice, so
+    /// the gap between them stays under a power-save victim's ~100 ms
+    /// wake window.
+    fn inject_fakes(&mut self, slice_start_us: u64, targets: &[MacAddr], fakes: u32) {
+        let hop = SLICE_US / u64::from(fakes.max(1));
+        for (i, mac) in (0u64..).zip(targets) {
+            for k in 0..u64::from(fakes) {
+                self.sim.inject(
+                    slice_start_us + 2_000 + i * 1_500 + k * hop,
+                    self.attacker,
+                    builder::fake_null_frame(*mac, MacAddr::FAKE),
+                    BitRate::Mbps1,
+                );
+            }
+        }
+    }
+}
+
+/// Plans a drive's segments (see [`plan_channel_segments`]), scans each
+/// on a `workers`-thread pool under its derived seed (`seed ^ index`),
+/// and folds every segment's observability snapshot into `obs` in
+/// segment order. Returns the outcomes in segment order, so everything
+/// merged from them is independent of the worker count.
+fn scan_segments<T: Send>(
+    population: &CityPopulation,
+    segment_size: usize,
+    seed: u64,
+    workers: usize,
+    obs: &mut Obs,
+    scan: impl Fn(&[&DeviceSpec], u64) -> (T, Obs) + Sync,
+) -> Vec<T> {
+    let segments = plan_channel_segments(population, segment_size);
+    let outcomes = Runner::new(workers).run_indexed(segments.len(), |i| {
+        scan(&segments[i], derive_trial_seed(seed, i as u64))
+    });
+    (0u64..)
+        .zip(outcomes)
+        .map(|(i, (outcome, segment_obs))| {
+            obs.absorb(&segment_obs, i);
+            outcome
+        })
+        .collect()
+}
+
+/// What one Table 2 segment scan produced.
 struct SegmentOutcome {
     discovered: Vec<Discovery>,
-    verified: Vec<MacAddr>,
+    verified: HashSet<MacAddr>,
     quarantined: Vec<MacAddr>,
     survey_time_us: u64,
-    obs: Obs,
 }
 
 impl WardriveScanner {
@@ -236,18 +405,21 @@ impl WardriveScanner {
         workers: usize,
         obs: &mut Obs,
     ) -> ScanReport {
-        let segments = self.plan_segments(population);
-        let runner = Runner::new(workers);
-        let outcomes = runner.run_indexed(segments.len(), |i| {
-            self.scan_segment(&segments[i], derive_trial_seed(self.seed, i as u64))
-        });
+        let outcomes = scan_segments(
+            population,
+            self.segment_size,
+            self.seed,
+            workers,
+            obs,
+            |segment, seed| self.scan_segment(segment, seed),
+        );
 
         // --- Merge in segment order (scheduling-independent). ---
         let mut discovered: HashMap<MacAddr, (Role, bool)> = HashMap::new();
         let mut verified: HashSet<MacAddr> = HashSet::new();
         let mut quarantined: HashSet<MacAddr> = HashSet::new();
         let mut survey_time_us = 0u64;
-        for (i, outcome) in outcomes.into_iter().enumerate() {
+        for outcome in outcomes {
             for (mac, role, pmf) in outcome.discovered {
                 let entry = discovered.entry(mac).or_insert((role, pmf));
                 entry.1 |= pmf;
@@ -255,7 +427,6 @@ impl WardriveScanner {
             verified.extend(outcome.verified);
             quarantined.extend(outcome.quarantined);
             survey_time_us += outcome.survey_time_us;
-            obs.absorb(&outcome.obs, i as u64);
         }
 
         self.aggregate(
@@ -267,146 +438,33 @@ impl WardriveScanner {
         )
     }
 
-    /// Plans the drive: radios only hear their tuned channel, so the
-    /// drive visits one channel at a time — group the city by (band,
-    /// channel) and chunk each group into neighbourhood segments. The
-    /// dongle retunes at each segment boundary, like a real wardriving
-    /// rig's hop plan.
-    fn plan_segments<'p>(&self, population: &'p CityPopulation) -> Vec<Vec<&'p DeviceSpec>> {
-        plan_channel_segments(population, self.segment_size)
-    }
-
-    /// Scans one neighbourhood (all devices share one band/channel; the
-    /// attacker's dongle is tuned to it). Self-contained: everything is
-    /// derived from the scanner config and `seed`, so segments can run
-    /// on any worker in any order.
-    fn scan_segment(&self, segment: &[&DeviceSpec], seed: u64) -> SegmentOutcome {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let rng = &mut rng;
-        let mut sim = Simulator::new(SimConfig::default(), rng.gen());
-        let mut attacker_cfg = StationConfig::client(MacAddr::FAKE);
-        if let Some(first) = segment.first() {
-            attacker_cfg.band = first.band;
-            attacker_cfg.channel = first.channel;
-        }
-        let attacker = sim.add_node(attacker_cfg, (0.0, 0.0));
-        sim.set_monitor(attacker, true);
-        sim.set_retries(attacker, false);
-
-        let mut members: HashSet<MacAddr> = HashSet::new();
-        for spec in segment {
-            let angle: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
-            let radius: f64 = rng.gen_range(3.0..25.0);
-            let pos = (radius * angle.cos(), radius * angle.sin());
-            let mut cfg = StationConfig::client(spec.mac);
-            cfg.role = spec.role;
-            cfg.band = spec.band;
-            cfg.channel = spec.channel;
-            cfg.behavior = spec.behavior;
-            cfg.ssid = spec.ssid.clone();
-            cfg.beacon_interval_us = match spec.role {
-                Role::AccessPoint => Some(102_400),
-                Role::Client => None,
-            };
-            let id = sim.add_node(cfg, pos);
-            members.insert(spec.mac);
-            // Clients reveal themselves with periodic probe requests —
-            // scheduled past the nominal dwell too, because the dwell is
-            // extended for dozing stragglers and the devices keep living
-            // their lives meanwhile.
-            if spec.role == Role::Client {
-                let mut t = rng.gen_range(0..500_000u64);
-                let mut seq = 0u16;
-                while t < 5 * self.dwell_us + 300_000 {
-                    sim.inject(t, id, builder::probe_request(spec.mac, seq), BitRate::Mbps1);
-                    seq = seq.wrapping_add(1);
-                    t += rng.gen_range(400_000..700_000u64);
-                }
-            }
-        }
-
-        // The segment runs under the scanner's fault profile. Installed
-        // after every node exists (stall schedules attach to the first
-        // monitor-mode node — the attacker's dongle); the clean profile
-        // is a no-op by construction.
-        sim.install_faults(&self.faults.plan());
-
-        // Drive the paper's pipeline in 250 ms slices. Thread 2's
-        // behaviour: keep injecting at every discovered target until it
-        // verifies (power-save targets doze and miss one-shot fakes),
-        // backing off per [`RetryPolicy`] once a target has soaked up
-        // its free retries, and quarantining it when the policy says the
-        // channel has wasted enough injection budget on it. `pending`
-        // iterates in MAC order (BTreeMap) so injection times never
-        // depend on hash-map seeding.
-        let mut discovery = DiscoveryState::new();
-        let mut verification = VerifierState::new();
-        let mut discovered: Vec<Discovery> = Vec::new();
-        let mut verified: Vec<MacAddr> = Vec::new();
-        let mut verified_set: HashSet<MacAddr> = HashSet::new();
+    /// Scans one neighbourhood: the devices ring the parked car at
+    /// 3–25 m. Thread 2 keeps injecting at every discovered target until
+    /// it verifies (power-save targets doze and miss one-shot fakes),
+    /// backing off per [`RetryPolicy`] once a target has soaked up its
+    /// free retries, and quarantining it when the policy says the channel
+    /// has wasted enough injection budget on it.
+    fn scan_segment(&self, segment: &[&DeviceSpec], seed: u64) -> (SegmentOutcome, Obs) {
+        // Clients keep probing past the nominal dwell, because the dwell
+        // is extended for stragglers and the devices keep living their
+        // lives meanwhile.
+        let mut seg = Segment::build(
+            SimConfig::default(),
+            segment,
+            seed,
+            None,
+            5 * self.dwell_us + TAIL_US,
+            self.faults,
+            |rng| {
+                let angle: f64 = rng.gen_range(0.0..std::f64::consts::TAU);
+                let radius: f64 = rng.gen_range(3.0..25.0);
+                (radius * angle.cos(), radius * angle.sin())
+            },
+        );
         let mut quarantined: Vec<MacAddr> = Vec::new();
-        let mut capture_offset = 0usize;
-        let mut pending: BTreeMap<MacAddr, TargetRetry> = BTreeMap::new();
-        let slice_us = 250_000u64;
-        let mut now = 0u64;
-
-        // Processes newly captured frames through both inline workers
-        // and refreshes the pending-target set.
-        let pump = |sim: &Simulator,
-                    offset: &mut usize,
-                    discovery: &mut DiscoveryState,
-                    verification: &mut VerifierState,
-                    discovered: &mut Vec<Discovery>,
-                    verified: &mut Vec<MacAddr>,
-                    verified_set: &mut HashSet<MacAddr>,
-                    pending: &mut BTreeMap<MacAddr, TargetRetry>| {
-            let frames = sim.node(attacker).capture.frames();
-            let mut fresh: Vec<Discovery> = Vec::new();
-            let mut fresh_verified: Vec<MacAddr> = Vec::new();
-            for cf in &frames[*offset..] {
-                discovery.observe(&cf.frame, &mut fresh);
-                verification.observe(cf.ts_us, &cf.frame, &mut fresh_verified);
-            }
-            *offset = frames.len();
-            for (mac, role, pmf) in fresh {
-                if members.contains(&mac) && !verified_set.contains(&mac) {
-                    pending.entry(mac).or_insert(TargetRetry {
-                        attempts: 0,
-                        next_due_us: 0,
-                        first_attempt_us: None,
-                    });
-                }
-                discovered.push((mac, role, pmf));
-            }
-            for mac in fresh_verified {
-                verified_set.insert(mac);
-                pending.remove(&mac);
-                verified.push(mac);
-            }
-        };
-
-        while now < self.dwell_us {
-            now += slice_us;
-            sim.run_until(now);
-            pump(
-                &sim,
-                &mut capture_offset,
-                &mut discovery,
-                &mut verification,
-                &mut discovered,
-                &mut verified,
-                &mut verified_set,
-                &mut pending,
-            );
-            self.inject_round(
-                &mut sim,
-                attacker,
-                &mut pending,
-                &mut quarantined,
-                now,
-                seed,
-            );
-        }
+        let mut now = seg.dwell(self.dwell_us, |seg, now| {
+            self.inject_round(seg, &mut quarantined, now, seed);
+        });
         // Stragglers: power-save targets doze most of the time and only
         // hear fakes in their brief wake windows, and a device whose
         // every probe collided so far has not even been *heard* yet. The
@@ -415,72 +473,38 @@ impl WardriveScanner {
         // been discovered and either verified or quarantined. (Both sets
         // only ever contain segment members, so the comparison is exact.)
         let max_extension = now + 4 * self.dwell_us;
-        while verified_set.len() + quarantined.len() < members.len() && now < max_extension {
-            self.inject_round(
-                &mut sim,
-                attacker,
-                &mut pending,
-                &mut quarantined,
-                now,
-                seed,
-            );
-            now += slice_us;
-            sim.run_until(now);
-            pump(
-                &sim,
-                &mut capture_offset,
-                &mut discovery,
-                &mut verification,
-                &mut discovered,
-                &mut verified,
-                &mut verified_set,
-                &mut pending,
-            );
+        while seg.verified.len() + quarantined.len() < seg.members.len() && now < max_extension {
+            self.inject_round(&mut seg, &mut quarantined, now, seed);
+            now += SLICE_US;
+            seg.pump(now);
         }
-
-        // Let trailing injections and their ACKs finish, then flush.
-        let tail = now + 300_000;
-        sim.run_until(tail);
-        pump(
-            &sim,
-            &mut capture_offset,
-            &mut discovery,
-            &mut verification,
-            &mut discovered,
-            &mut verified,
-            &mut verified_set,
-            &mut pending,
-        );
+        let tail = seg.flush(now);
         // A quarantined target that verified anyway (a trailing ACK beat
         // the verdict) counts as verified, not quarantined.
-        quarantined.retain(|mac| !verified_set.contains(mac));
+        quarantined.retain(|mac| !seg.verified.contains(mac));
 
-        SegmentOutcome {
-            discovered,
-            verified,
+        let outcome = SegmentOutcome {
+            discovered: std::mem::take(&mut seg.discovered),
+            verified: std::mem::take(&mut seg.verified),
             quarantined,
             survey_time_us: tail,
-            obs: sim.take_obs(),
-        }
+        };
+        (outcome, seg.sim.take_obs())
     }
 
-    /// Injects one slice's worth of fakes at every pending target whose
-    /// backoff has elapsed, spread across the upcoming slice so the
-    /// inter-fake gap stays under a power-save victim's ~100 ms wake
-    /// window — and retires targets the retry policy gives up on.
+    /// One round of thread 2: injects a slice's worth of fakes at every
+    /// pending target whose backoff has elapsed, and retires the targets
+    /// the retry policy gives up on.
     fn inject_round(
         &self,
-        sim: &mut Simulator,
-        attacker: NodeId,
-        pending: &mut BTreeMap<MacAddr, TargetRetry>,
+        seg: &mut Segment,
         quarantined: &mut Vec<MacAddr>,
         slice_start_us: u64,
         seed: u64,
     ) {
-        let hop = 250_000 / self.fakes_per_target.max(1) as u64;
+        let mut due: Vec<MacAddr> = Vec::new();
         let mut expired: Vec<MacAddr> = Vec::new();
-        let mut i = 0u64;
-        for (mac, state) in pending.iter_mut() {
+        for (mac, state) in seg.pending.iter_mut() {
             let first = state.first_attempt_us.unwrap_or(slice_start_us);
             if self
                 .retry
@@ -492,33 +516,28 @@ impl WardriveScanner {
             if slice_start_us < state.next_due_us {
                 continue; // still backing off
             }
-            for k in 0..self.fakes_per_target {
-                sim.inject(
-                    slice_start_us + 2_000 + i * 1_500 + k as u64 * hop,
-                    attacker,
-                    builder::fake_null_frame(*mac, MacAddr::FAKE),
-                    BitRate::Mbps1,
-                );
-            }
-            i += 1;
+            due.push(*mac);
             state.attempts += 1;
             state.first_attempt_us.get_or_insert(slice_start_us);
             if state.attempts > 1 {
-                sim.obs_mut().incr(names::RETRY_ATTEMPTS);
+                seg.sim.obs_mut().incr(names::RETRY_ATTEMPTS);
             }
             let delay = self.retry.delay_us(state.attempts, seed ^ mac.to_u64());
             if delay > 0 {
-                sim.obs_mut().observe(names::RETRY_BACKOFF_US, delay);
+                seg.sim.obs_mut().observe(names::RETRY_BACKOFF_US, delay);
             }
             state.next_due_us = slice_start_us + delay;
         }
+        seg.inject_fakes(slice_start_us, &due, self.fakes_per_target);
         for mac in expired {
-            pending.remove(&mac);
+            seg.pending.remove(&mac);
             quarantined.push(mac);
-            sim.obs_mut().incr(names::RETRY_QUARANTINED);
+            seg.sim.obs_mut().incr(names::RETRY_QUARANTINED);
             // Ring-buffer breadcrumb: when in the drive this target fell
             // out of the retry budget (trace_query's timeline view).
-            sim.obs_mut().event(slice_start_us, 0, "retry.quarantine");
+            seg.sim
+                .obs_mut()
+                .event(slice_start_us, 0, "retry.quarantine");
         }
     }
 
@@ -586,9 +605,11 @@ impl WardriveScanner {
     }
 }
 
-/// Groups a population by (band, channel) and chunks each group into
-/// neighbourhood segments of at most `segment_size` devices — the hop
-/// plan both the Table 2 survey and the city-scale drive share.
+/// Plans the drive: radios only hear their tuned channel, so the drive
+/// visits one channel at a time. Groups a population by (band, channel)
+/// and chunks each group into neighbourhood segments of at most
+/// `segment_size` devices; the dongle retunes at each segment boundary,
+/// like a real wardriving rig's hop plan.
 fn plan_channel_segments(
     population: &CityPopulation,
     segment_size: usize,
@@ -697,14 +718,13 @@ polite_wifi_obs::impl_to_json! { CityReport {
     devices, segments, discovered, verified, events_dispatched, occupied_cells, survey_time_us
 } }
 
-/// One city segment's outcome, in emission order.
+/// One city segment's outcome.
 struct CitySegmentOutcome {
     discovered: usize,
     verified: usize,
     events_dispatched: u64,
     occupied_cells: u64,
     survey_time_us: u64,
-    obs: Obs,
 }
 
 impl CityWardrive {
@@ -736,162 +756,74 @@ impl CityWardrive {
     /// observability snapshot into `obs` in segment order.
     pub fn run_observed(&self, workers: usize, obs: &mut Obs) -> CityReport {
         let population = CityPopulation::synthetic_city(self.devices, self.seed);
-        let segments = plan_channel_segments(&population, self.segment_size);
-        let runner = Runner::new(workers);
-        let outcomes = runner.run_indexed(segments.len(), |i| {
-            self.scan_segment(&segments[i], derive_trial_seed(self.seed, i as u64))
-        });
+        let outcomes = scan_segments(
+            &population,
+            self.segment_size,
+            self.seed,
+            workers,
+            obs,
+            |segment, seed| self.scan_segment(segment, seed),
+        );
 
         let mut report = CityReport {
             devices: self.devices,
-            segments: segments.len(),
+            segments: outcomes.len(),
             discovered: 0,
             verified: 0,
             events_dispatched: 0,
             occupied_cells: 0,
             survey_time_us: 0,
         };
-        for (i, outcome) in outcomes.into_iter().enumerate() {
+        for outcome in outcomes {
             report.discovered += outcome.discovered;
             report.verified += outcome.verified;
             report.events_dispatched += outcome.events_dispatched;
             report.occupied_cells += outcome.occupied_cells;
             report.survey_time_us += outcome.survey_time_us;
-            obs.absorb(&outcome.obs, i as u64);
         }
         report
     }
 
-    /// Scans one neighbourhood segment: all devices share one
-    /// band/channel, scattered over the full city square; the attacker
-    /// drives through the middle. Self-contained — everything derives
-    /// from the config and `seed`.
-    fn scan_segment(&self, segment: &[&DeviceSpec], seed: u64) -> CitySegmentOutcome {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let rng = &mut rng;
-        let mut sim = Simulator::new(self.sim_config(), rng.gen());
-        let mut attacker_cfg = StationConfig::client(MacAddr::FAKE);
-        if let Some(first) = segment.first() {
-            attacker_cfg.band = first.band;
-            attacker_cfg.channel = first.channel;
-        }
-        let attacker = sim.add_node(attacker_cfg, (0.0, 0.0));
-        sim.set_monitor(attacker, true);
-        sim.set_retries(attacker, false);
-        sim.set_velocity(attacker, (13.9, 0.0)); // ~50 km/h, eastbound
-
+    /// Scans one neighbourhood segment: the devices scatter over the full
+    /// city square and the car drives through the middle, injecting at
+    /// each discovered target for at most `max_attempts` rounds.
+    fn scan_segment(&self, segment: &[&DeviceSpec], seed: u64) -> (CitySegmentOutcome, Obs) {
         let half = self.area_m / 2.0;
-        let mut members: HashSet<MacAddr> = HashSet::new();
-        for spec in segment {
-            let pos = (rng.gen_range(-half..half), rng.gen_range(-half..half));
-            let mut cfg = StationConfig::client(spec.mac);
-            cfg.role = spec.role;
-            cfg.band = spec.band;
-            cfg.channel = spec.channel;
-            cfg.behavior = spec.behavior;
-            cfg.ssid = spec.ssid.clone();
-            cfg.beacon_interval_us = match spec.role {
-                Role::AccessPoint => Some(102_400),
-                Role::Client => None,
-            };
-            let id = sim.add_node(cfg, pos);
-            members.insert(spec.mac);
-            if spec.role == Role::Client {
-                let mut t = rng.gen_range(0..500_000u64);
-                let mut seq = 0u16;
-                while t < self.dwell_us + 300_000 {
-                    sim.inject(t, id, builder::probe_request(spec.mac, seq), BitRate::Mbps1);
-                    seq = seq.wrapping_add(1);
-                    t += rng.gen_range(400_000..700_000u64);
-                }
-            }
-        }
-        sim.install_faults(&self.faults.plan());
-
-        let mut discovery = DiscoveryState::new();
-        let mut verification = VerifierState::new();
-        let mut discovered: HashSet<MacAddr> = HashSet::new();
-        let mut verified: HashSet<MacAddr> = HashSet::new();
-        // MAC-ordered so injection times never depend on hash seeding.
-        let mut pending: BTreeMap<MacAddr, u32> = BTreeMap::new();
-        let mut capture_offset = 0usize;
-        let slice_us = 250_000u64;
-        let hop = slice_us / self.fakes_per_target.max(1) as u64;
-        let mut now = 0u64;
-        let mut pump = |sim: &Simulator,
-                        offset: &mut usize,
-                        discovered: &mut HashSet<MacAddr>,
-                        verified: &mut HashSet<MacAddr>,
-                        pending: &mut BTreeMap<MacAddr, u32>| {
-            let frames = sim.node(attacker).capture.frames();
-            let mut fresh: Vec<Discovery> = Vec::new();
-            let mut fresh_verified: Vec<MacAddr> = Vec::new();
-            for cf in &frames[*offset..] {
-                discovery.observe(&cf.frame, &mut fresh);
-                verification.observe(cf.ts_us, &cf.frame, &mut fresh_verified);
-            }
-            *offset = frames.len();
-            for (mac, _, _) in fresh {
-                if members.contains(&mac) && discovered.insert(mac) && !verified.contains(&mac) {
-                    pending.insert(mac, 0);
-                }
-            }
-            for mac in fresh_verified {
-                verified.insert(mac);
-                pending.remove(&mac);
-            }
-        };
-
-        while now < self.dwell_us {
-            now += slice_us;
-            sim.run_until(now);
-            pump(
-                &sim,
-                &mut capture_offset,
-                &mut discovered,
-                &mut verified,
-                &mut pending,
-            );
-            let mut i = 0u64;
-            for (mac, attempts) in pending.iter_mut() {
-                if *attempts >= self.max_attempts {
-                    continue;
-                }
-                for k in 0..self.fakes_per_target {
-                    sim.inject(
-                        now + 2_000 + i * 1_500 + u64::from(k) * hop,
-                        attacker,
-                        builder::fake_null_frame(*mac, MacAddr::FAKE),
-                        BitRate::Mbps1,
-                    );
-                }
-                *attempts += 1;
-                i += 1;
-            }
-        }
-        // Let trailing injections and their ACKs land, then flush.
-        let tail = now + 300_000;
-        sim.run_until(tail);
-        pump(
-            &sim,
-            &mut capture_offset,
-            &mut discovered,
-            &mut verified,
-            &mut pending,
+        let mut seg = Segment::build(
+            self.sim_config(),
+            segment,
+            seed,
+            Some((13.9, 0.0)), // ~50 km/h, eastbound
+            self.dwell_us + TAIL_US,
+            self.faults,
+            |rng| (rng.gen_range(-half..half), rng.gen_range(-half..half)),
         );
+        let now = seg.dwell(self.dwell_us, |seg, now| {
+            let mut due: Vec<MacAddr> = Vec::new();
+            for (mac, state) in seg.pending.iter_mut() {
+                if state.attempts < self.max_attempts {
+                    state.attempts += 1;
+                    due.push(*mac);
+                }
+            }
+            seg.inject_fakes(now, &due, self.fakes_per_target);
+        });
+        let tail = seg.flush(now);
 
-        let occupied_cells = sim.occupied_cells() as u64;
+        let occupied_cells = seg.sim.occupied_cells() as u64;
         if occupied_cells > 0 {
-            sim.obs_mut().add(names::SIM_CELLS_OCCUPIED, occupied_cells);
+            seg.sim
+                .obs_mut()
+                .add(names::SIM_CELLS_OCCUPIED, occupied_cells);
         }
-        CitySegmentOutcome {
-            discovered: discovered.len(),
-            verified: verified.len(),
-            events_dispatched: sim.events_dispatched(),
+        let outcome = CitySegmentOutcome {
+            discovered: seg.heard.len(),
+            verified: seg.verified.len(),
+            events_dispatched: seg.sim.events_dispatched(),
             occupied_cells,
             survey_time_us: tail,
-            obs: sim.take_obs(),
-        }
+        };
+        (outcome, seg.sim.take_obs())
     }
 }
 

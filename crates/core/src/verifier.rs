@@ -40,38 +40,26 @@ impl AckVerifier {
         }
     }
 
+    /// The streaming form of [`verify`](Self::verify): fed a capture
+    /// frame by frame, in as many slices as the caller likes, it yields
+    /// the same exchanges in the same order.
+    pub fn pairing(&self) -> AckPairing {
+        AckPairing {
+            verifier: self.clone(),
+            pending: None,
+        }
+    }
+
     /// Walks the capture and returns every verified exchange: a frame
     /// transmitted *by* the attacker followed within the window by an
     /// ACK (or CTS) addressed *to* the attacker.
     pub fn verify(&self, capture: &Capture) -> Vec<VerifiedExchange> {
-        let mut exchanges = Vec::new();
-        let mut pending: Option<(MacAddr, u64)> = None;
-        for cf in capture.frames() {
-            match &cf.frame {
-                Frame::Ctrl(ControlFrame::Ack { ra })
-                | Frame::Ctrl(ControlFrame::Cts { ra, .. })
-                    if *ra == self.attacker =>
-                {
-                    if let Some((victim, fake_ts)) = pending.take() {
-                        if cf.ts_us.saturating_sub(fake_ts) <= self.window_us {
-                            exchanges.push(VerifiedExchange {
-                                victim,
-                                fake_ts_us: fake_ts,
-                                ack_ts_us: cf.ts_us,
-                            });
-                        }
-                    }
-                }
-                other => {
-                    if other.transmitter() == Some(self.attacker) {
-                        if let Some(victim) = other.receiver() {
-                            pending = Some((victim, cf.ts_us));
-                        }
-                    }
-                }
-            }
-        }
-        exchanges
+        let mut pairing = self.pairing();
+        capture
+            .frames()
+            .iter()
+            .filter_map(|cf| pairing.observe(cf.ts_us, &cf.frame))
+            .collect()
     }
 
     /// Distinct victims that verifiably answered at least once.
@@ -80,6 +68,48 @@ impl AckVerifier {
         victims.sort();
         victims.dedup();
         victims
+    }
+}
+
+/// [`AckVerifier`]'s fake→ACK pairing as a state machine over a frame
+/// stream (see [`AckVerifier::pairing`]). The only state is the
+/// attacker's latest frame still awaiting its ACK, so pairing carries
+/// across capture-slice boundaries.
+#[derive(Debug, Clone)]
+pub struct AckPairing {
+    verifier: AckVerifier,
+    /// The attacker's latest frame: its receiver and when it ended, µs.
+    pending: Option<(MacAddr, u64)>,
+}
+
+impl AckPairing {
+    /// Feeds one captured frame that ended at `ts_us`. Returns the
+    /// exchange it completes: an ACK or CTS to the attacker within the
+    /// window of the attacker's latest frame, which it then consumes.
+    pub fn observe(&mut self, ts_us: u64, frame: &Frame) -> Option<VerifiedExchange> {
+        let attacker = self.verifier.attacker;
+        match frame {
+            Frame::Ctrl(ControlFrame::Ack { ra }) | Frame::Ctrl(ControlFrame::Cts { ra, .. })
+                if *ra == attacker =>
+            {
+                let (victim, fake_ts_us) = self.pending.take()?;
+                (ts_us.saturating_sub(fake_ts_us) <= self.verifier.window_us).then_some(
+                    VerifiedExchange {
+                        victim,
+                        fake_ts_us,
+                        ack_ts_us: ts_us,
+                    },
+                )
+            }
+            other => {
+                if other.transmitter() == Some(attacker) {
+                    if let Some(victim) = other.receiver() {
+                        self.pending = Some((victim, ts_us));
+                    }
+                }
+                None
+            }
+        }
     }
 }
 
@@ -173,5 +203,86 @@ mod tests {
         // attacker-sent frames.
         let ex = AckVerifier::new(MacAddr::FAKE).verify(&cap);
         assert_eq!(ex.len(), 1);
+    }
+
+    mod streaming {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::HashSet;
+
+        const VICTIMS: [[u8; 6]; 3] = [
+            [0xf2, 0x6e, 0x0b, 0x11, 0x22, 0x33],
+            [0x68, 0x02, 0xb8, 0x10, 0x00, 0x01],
+            [0xf0, 0x18, 0x98, 0x10, 0x01, 0x02],
+        ];
+        const OTHER: [u8; 6] = [0x02, 0x00, 0x00, 0x00, 0x00, 0x09];
+
+        /// One captured frame, drawn by class: fakes (null data or RTS)
+        /// from the attacker to a victim, ACK/CTS to the attacker or to
+        /// someone else, and unrelated beacons and probes.
+        fn frame_of(class: u8, victim: usize) -> Frame {
+            let victim = MacAddr::new(VICTIMS[victim]);
+            let other = MacAddr::new(OTHER);
+            match class {
+                0..=2 => builder::fake_null_frame(victim, MacAddr::FAKE),
+                3 => builder::fake_rts(victim, MacAddr::FAKE, 300),
+                4..=6 => builder::ack(MacAddr::FAKE),
+                7 => builder::cts(MacAddr::FAKE, 100),
+                8 => builder::ack(other),
+                9 => builder::cts(other, 100),
+                10 => builder::beacon(other, "X", 6, 0, 0, false),
+                _ => builder::probe_request(victim, 7),
+            }
+        }
+
+        /// Gaps cluster on both sides of the 1 ms pairing window.
+        fn arb_gap() -> impl Strategy<Value = u64> {
+            prop_oneof![0u64..999, Just(1_000u64), Just(1_001u64), 1_002u64..4_000]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Streaming the capture in arbitrary slices yields exactly
+            /// `verify`'s exchanges, and the first report per victim is
+            /// exactly `responding_victims`.
+            #[test]
+            fn streaming_pairing_matches_verify(
+                frames in proptest::collection::vec((0u8..12, 0..VICTIMS.len(), arb_gap()), 0..160),
+                cuts in proptest::collection::vec(1usize..24, 1..16),
+            ) {
+                let mut cap = Capture::new();
+                let mut ts = 0u64;
+                for &(class, victim, gap) in &frames {
+                    ts += gap;
+                    cap.record_frame(ts, &frame_of(class, victim));
+                }
+                let verifier = AckVerifier::new(MacAddr::FAKE);
+                let captured = cap.frames();
+                let mut pairing = verifier.pairing();
+                let mut streamed = Vec::new();
+                let mut first_reports = Vec::new();
+                let mut reported = HashSet::new();
+                let mut offset = 0;
+                for cut in cuts.iter().cycle() {
+                    if offset >= captured.len() {
+                        break;
+                    }
+                    let end = (offset + cut).min(captured.len());
+                    for cf in &captured[offset..end] {
+                        if let Some(ex) = pairing.observe(cf.ts_us, &cf.frame) {
+                            if reported.insert(ex.victim) {
+                                first_reports.push(ex.victim);
+                            }
+                            streamed.push(ex);
+                        }
+                    }
+                    offset = end;
+                }
+                prop_assert_eq!(&streamed, &verifier.verify(&cap));
+                first_reports.sort();
+                prop_assert_eq!(first_reports, verifier.responding_victims(&cap));
+            }
+        }
     }
 }

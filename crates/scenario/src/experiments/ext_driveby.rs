@@ -5,10 +5,13 @@
 //! drives down a street of houses at constant speed, discovering devices
 //! as they come into range, injecting at them while in range, and
 //! verifying their ACKs — one continuous simulation, no teleporting.
+//! Discovery and fake→ACK pairing are the survey rig's own
+//! ([`Sniffer`] and [`AckVerifier::pairing`]); only the street, the
+//! drive and the one-fake-per-target schedule are this experiment's.
 
 use crate::spec::ScenarioSpec;
 use crate::support::compare;
-use polite_wifi_core::AckVerifier;
+use polite_wifi_core::{AckVerifier, Sniffer};
 use polite_wifi_frame::{builder, ControlFrame, Frame, MacAddr};
 use polite_wifi_harness::{Experiment, RunArgs, ScenarioBuilder};
 use polite_wifi_mac::StationConfig;
@@ -80,12 +83,15 @@ pub fn run(spec: &ScenarioSpec, args: RunArgs) -> std::io::Result<i32> {
     }
     let member_set: HashSet<MacAddr> = members.iter().copied().collect();
 
-    // Drive: every 250 ms, discover new transmitters from the car's
-    // capture and keep injecting at in-range undiscovered/unverified ones.
-    // MAC-ordered sets so the injection schedule is deterministic.
+    // Drive: every 250 ms, pump the car's new capture through thread 1
+    // (discovery) and thread 3 (pairing), then keep injecting at
+    // discovered-but-unverified devices. MAC-ordered sets so the
+    // injection schedule is deterministic.
+    let verifier = AckVerifier::new(MacAddr::FAKE);
+    let mut sniffer = Sniffer::new(MacAddr::FAKE);
+    let mut pairing = verifier.pairing();
     let mut discovered: BTreeSet<MacAddr> = BTreeSet::new();
     let mut verified: BTreeSet<MacAddr> = BTreeSet::new();
-    let mut pending_pair: Option<(MacAddr, u64)> = None;
     let mut offset = 0usize;
     let mut now = 0u64;
     while now < drive_seconds * 1_000_000 {
@@ -93,26 +99,13 @@ pub fn run(spec: &ScenarioSpec, args: RunArgs) -> std::io::Result<i32> {
         sim.run_until(now);
         let frames = sim.node(car).capture.frames();
         for cf in &frames[offset..] {
-            // Thread 3's temporal pairing, inline.
-            match &cf.frame {
-                Frame::Ctrl(ControlFrame::Ack { ra }) if *ra == MacAddr::FAKE => {
-                    if let Some((victim, ts)) = pending_pair.take() {
-                        if cf.ts_us.saturating_sub(ts) <= 1_000 {
-                            verified.insert(victim);
-                        }
-                    }
+            if let Some((mac, _, _)) = sniffer.observe(&cf.frame) {
+                if member_set.contains(&mac) {
+                    discovered.insert(mac);
                 }
-                other => {
-                    if other.transmitter() == Some(MacAddr::FAKE) {
-                        if let Some(victim) = other.receiver() {
-                            pending_pair = Some((victim, cf.ts_us));
-                        }
-                    } else if let Some(ta) = other.transmitter() {
-                        if member_set.contains(&ta) {
-                            discovered.insert(ta);
-                        }
-                    }
-                }
+            }
+            if let Some(exchange) = pairing.observe(cf.ts_us, &cf.frame) {
+                verified.insert(exchange.victim);
             }
         }
         offset = frames.len();
@@ -127,12 +120,15 @@ pub fn run(spec: &ScenarioSpec, args: RunArgs) -> std::io::Result<i32> {
         }
     }
 
-    // Cross-check the inline pairing against the library verifier.
-    let verified_check: BTreeSet<MacAddr> = AckVerifier::new(MacAddr::FAKE)
+    // The streamed pairing must agree with a pass over the whole capture.
+    let verified_check: BTreeSet<MacAddr> = verifier
         .responding_victims(&sim.node(car).capture)
         .into_iter()
         .collect();
-    assert_eq!(verified, verified_check, "pairing implementations disagree");
+    assert_eq!(
+        verified, verified_check,
+        "streamed pairing disagrees with the whole-capture pass"
+    );
     let acks_heard = sim
         .node(car)
         .capture
