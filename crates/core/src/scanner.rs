@@ -279,19 +279,21 @@ impl Segment {
     }
 
     /// Runs the segment to `until_us`, then drains the dongle's new
-    /// capture through threads 1 and 3: a discovered member that is not
-    /// verified yet becomes a pending target, and a verified target
-    /// leaves the pending set.
+    /// capture through threads 1 and 3: a member heard for the first
+    /// time becomes a pending target unless it already verified, and a
+    /// verified target leaves the pending set. A member is queued only
+    /// once, so a later sighting (a PMF AP re-announces itself on every
+    /// beacon) never hands a quarantined target a fresh retry budget.
     fn pump(&mut self, until_us: u64) {
         self.sim.run_until(until_us);
         let frames = self.sim.node(self.attacker).capture.frames();
         for cf in &frames[self.pumped..] {
             if let Some(discovery @ (mac, _, _)) = self.sniffer.observe(&cf.frame) {
-                if self.members.contains(&mac) {
-                    self.heard.insert(mac);
-                    if !self.verified.contains(&mac) {
-                        self.pending.entry(mac).or_default();
-                    }
+                if self.members.contains(&mac)
+                    && self.heard.insert(mac)
+                    && !self.verified.contains(&mac)
+                {
+                    self.pending.insert(mac, TargetRetry::default());
                 }
                 self.discovered.push(discovery);
             }
@@ -946,6 +948,45 @@ mod tests {
         // Quarantine is a retry-budget decision, so it must also be
         // reproducible run-to-run.
         assert_eq!(report, scanner.run(&pop));
+    }
+
+    #[test]
+    fn quarantine_is_final_for_beaconing_pmf_aps() {
+        // A PMF AP re-announces itself on every beacon. Once the retry
+        // policy quarantines it, those re-announcements must not queue
+        // it again with a fresh retry budget.
+        let full = CityPopulation::table2(5);
+        let devices: Vec<DeviceSpec> = full
+            .aps()
+            .filter(|d| d.behavior.pmf)
+            .take(20)
+            .cloned()
+            .collect();
+        assert_eq!(devices.len(), 20);
+        let pop = CityPopulation {
+            devices,
+            registry: full.registry.clone(),
+        };
+        let scanner = WardriveScanner {
+            segment_size: 10,
+            dwell_us: 2_000_000,
+            faults: FaultProfile::Congested,
+            retry: crate::retry::RetryPolicy {
+                free_retries: 0,
+                quarantine_after: 1,
+                ..crate::retry::RetryPolicy::default()
+            },
+            ..WardriveScanner::default()
+        };
+        let mut obs = Obs::new();
+        let report = scanner.run_observed(&pop, 1, &mut obs);
+        let verdicts = obs.counters.get(names::RETRY_QUARANTINED);
+        assert!(verdicts > 0, "report: {report:?}");
+        assert_eq!(
+            report.quarantined as u64, verdicts,
+            "a quarantined target was queued again: {report:?}"
+        );
+        assert_eq!(report.verified + report.quarantined, 20);
     }
 
     #[test]
