@@ -207,6 +207,7 @@ mod tests {
 
     mod streaming {
         use super::*;
+        use polite_wifi_pcap::capture::CapturedFrame;
         use proptest::prelude::*;
         use std::collections::HashSet;
 
@@ -235,6 +236,41 @@ mod tests {
             }
         }
 
+        /// The pairing rule stated directly, as a test oracle: an ACK
+        /// or CTS to the attacker completes an exchange with the
+        /// attacker's latest addressed frame since the previous such
+        /// reply, if it lands within the window.
+        fn rule_pairs(frames: &[CapturedFrame], window_us: u64) -> Vec<VerifiedExchange> {
+            let is_reply = |f: &Frame| {
+                matches!(f, Frame::Ctrl(ControlFrame::Ack { ra } | ControlFrame::Cts { ra, .. })
+                    if *ra == MacAddr::FAKE)
+            };
+            let mut out = Vec::new();
+            for (j, reply) in frames.iter().enumerate() {
+                if !is_reply(&reply.frame) {
+                    continue;
+                }
+                let fake = frames[..j]
+                    .iter()
+                    .rev()
+                    .take_while(|cf| !is_reply(&cf.frame))
+                    .find(|cf| {
+                        cf.frame.transmitter() == Some(MacAddr::FAKE)
+                            && cf.frame.receiver().is_some()
+                    });
+                if let Some(fake) = fake {
+                    if reply.ts_us - fake.ts_us <= window_us {
+                        out.push(VerifiedExchange {
+                            victim: fake.frame.receiver().expect("found with a receiver"),
+                            fake_ts_us: fake.ts_us,
+                            ack_ts_us: reply.ts_us,
+                        });
+                    }
+                }
+            }
+            out
+        }
+
         /// Gaps cluster on both sides of the 1 ms pairing window.
         fn arb_gap() -> impl Strategy<Value = u64> {
             prop_oneof![0u64..999, Just(1_000u64), Just(1_001u64), 1_002u64..4_000]
@@ -244,8 +280,9 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(256))]
 
             /// Streaming the capture in arbitrary slices yields exactly
-            /// `verify`'s exchanges, and the first report per victim is
-            /// exactly `responding_victims`.
+            /// `verify`'s exchanges, which follow the pairing rule, and
+            /// the first report per victim is exactly
+            /// `responding_victims`.
             #[test]
             fn streaming_pairing_matches_verify(
                 frames in proptest::collection::vec((0u8..12, 0..VICTIMS.len(), arb_gap()), 0..160),
@@ -280,6 +317,7 @@ mod tests {
                     offset = end;
                 }
                 prop_assert_eq!(&streamed, &verifier.verify(&cap));
+                prop_assert_eq!(&streamed, &rule_pairs(captured, verifier.window_us));
                 first_reports.sort();
                 prop_assert_eq!(first_reports, verifier.responding_victims(&cap));
             }
