@@ -50,7 +50,7 @@ pub use injector::{FakeFrameInjector, InjectionKind, InjectionPlan};
 pub use keystroke::{KeystrokeAttack, KeystrokeAttackResult};
 pub use ranging::{estimate_range, RangeEstimate};
 pub use retry::RetryPolicy;
-pub use scanner::{CityReport, CityWardrive, Discovery, ScanReport, Sniffer, WardriveScanner};
+pub use scanner::{CityReport, CityWardrive, ScanReport, Sniffer, WardriveScanner};
 pub use sensing_hub::{BatchHubReport, BatchSensingHub, SensingHub, SensingReport};
-pub use verifier::{AckPairing, AckVerifier, VerifiedExchange};
+pub use verifier::{AckVerifier, VerifiedExchange};
 pub use vitals::{VitalSignsAttack, VitalSignsResult};

@@ -318,14 +318,6 @@ impl Segment {
         now
     }
 
-    /// Lets trailing injections and their ACKs land, pumps them, and
-    /// returns the segment's end time.
-    fn flush(&mut self, now: u64) -> u64 {
-        let tail = now + TAIL_US;
-        self.pump(tail);
-        tail
-    }
-
     /// Injects `fakes` fake null frames at each target, in order, for the
     /// slice starting at `slice_start_us`: target `i`'s fakes start
     /// 2 ms + i × 1.5 ms in and are spread evenly across the slice, so
@@ -480,7 +472,8 @@ impl WardriveScanner {
             now += SLICE_US;
             seg.pump(now);
         }
-        let tail = seg.flush(now);
+        let tail = now + TAIL_US;
+        seg.pump(tail);
         // A quarantined target that verified anyway (a trailing ACK beat
         // the verdict) counts as verified, not quarantined.
         quarantined.retain(|mac| !seg.verified.contains(mac));
@@ -810,7 +803,8 @@ impl CityWardrive {
             }
             seg.inject_fakes(now, &due, self.fakes_per_target);
         });
-        let tail = seg.flush(now);
+        let tail = now + TAIL_US;
+        seg.pump(tail);
 
         let occupied_cells = seg.sim.occupied_cells() as u64;
         if occupied_cells > 0 {
