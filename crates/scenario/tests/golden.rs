@@ -18,6 +18,12 @@
 //! `scenario_files_and_pins_agree` fails if a scenario file has no row
 //! in that table or a row has no file.
 //!
+//! The `faulted_goldens!` table pins the same digest, from one
+//! `--quick --workers 1` run, under the `urban-drive` and `flaky-dongle`
+//! fault profiles, so the fault paths are held exactly too. It covers
+//! every scenario whose run crosses the fake-frame stream or the ACK
+//! pairing, and leaves out the slow drives.
+//!
 //! After a deliberate change in behaviour, regenerate the table with
 //! `cargo test --release -p polite-wifi-scenario --test golden --
 //! --ignored print_golden_pins --nocapture`, paste its output over the
@@ -116,19 +122,21 @@ fn normalised_envelopes(dir: &Path) -> BTreeMap<String, JsonValue> {
     out
 }
 
-fn quick_run(slug: &str, workers: u32) -> BTreeMap<String, JsonValue> {
-    let dir = std::env::temp_dir().join(format!("polite-wifi-golden-{slug}-w{workers}"));
+/// The masked envelopes of one `--quick` run under the `faults` profile.
+fn quick_run(slug: &str, workers: u32, faults: &str) -> BTreeMap<String, JsonValue> {
+    let dir = std::env::temp_dir().join(format!("polite-wifi-golden-{slug}-{faults}-w{workers}"));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_exp_run"))
         .arg(scenarios_dir().join(format!("{slug}.json")))
         .args(["--quick", "--workers", &workers.to_string()])
+        .args(["--faults", faults])
         .env("POLITE_WIFI_RESULTS", &dir)
         .output()
         .unwrap();
     assert!(
         out.status.success(),
-        "exp_run {slug} --workers {workers} failed (exit {:?}):\n{}",
+        "exp_run {slug} --workers {workers} --faults {faults} failed (exit {:?}):\n{}",
         out.status.code(),
         String::from_utf8_lossy(&out.stderr)
     );
@@ -151,28 +159,37 @@ fn digest(envelopes: &BTreeMap<String, JsonValue>) -> u64 {
     fnv1a64(text.as_bytes())
 }
 
-/// Checks worker invariance, then the pinned digest. On a digest
-/// mismatch the masked envelopes are left in a temp directory for
-/// diffing against a run of the previous commit.
+/// Checks worker invariance, then the pinned digest.
 fn check_golden(slug: &str, pin: u64) {
-    let reference = quick_run(slug, 1);
+    let reference = quick_run(slug, 1, "clean");
     for workers in [4, 8] {
         assert_eq!(
             reference,
-            quick_run(slug, workers),
+            quick_run(slug, workers, "clean"),
             "{slug}: envelope differs between --workers 1 and --workers {workers}"
         );
     }
-    let got = digest(&reference);
+    assert_digest(slug, "clean", &reference, pin);
+}
+
+/// Checks one `--workers 1` run under `faults` against its pinned digest.
+fn check_faulted(slug: &str, faults: &str, pin: u64) {
+    assert_digest(slug, faults, &quick_run(slug, 1, faults), pin);
+}
+
+/// On a digest mismatch the masked envelopes are left in a temp
+/// directory for diffing against a run of the previous commit.
+fn assert_digest(slug: &str, faults: &str, envelopes: &BTreeMap<String, JsonValue>, pin: u64) {
+    let got = digest(envelopes);
     if got != pin {
-        let dir = std::env::temp_dir().join(format!("polite-wifi-golden-mismatch-{slug}"));
+        let dir = std::env::temp_dir().join(format!("polite-wifi-golden-mismatch-{slug}-{faults}"));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        for (name, envelope) in &reference {
+        for (name, envelope) in envelopes {
             std::fs::write(dir.join(name), json::to_string_pretty(envelope)).unwrap();
         }
         panic!(
-            "{slug}: masked envelope digest is 0x{got:016x}, pinned 0x{pin:016x}; \
+            "{slug} ({faults}): masked envelope digest is 0x{got:016x}, pinned 0x{pin:016x}; \
              the masked envelopes are in {}",
             dir.display()
         );
@@ -203,15 +220,31 @@ fn scenario_files_and_pins_agree() {
 }
 
 #[test]
-#[ignore = "runs every committed scenario; prints the replacement goldens! rows"]
+fn faulted_pins_name_committed_scenarios() {
+    let files = committed_slugs();
+    for (slug, ..) in FAULTED_PINS {
+        assert!(
+            files.contains(*slug),
+            "faulted row `{slug}` has no scenario file"
+        );
+    }
+}
+
+#[test]
+#[ignore = "runs every committed scenario; prints the replacement goldens! and faulted_goldens! rows"]
 fn print_golden_pins() {
     for slug in committed_slugs() {
-        let pin = digest(&quick_run(&slug, 1));
+        let pin = digest(&quick_run(&slug, 1, "clean"));
         let ignore = GOLDEN_PINS
             .iter()
             .find_map(|&(s, _, why)| if s == slug { why } else { None })
             .map_or(String::new(), |why| format!(", ignore = {why:?}"));
         println!("    golden_{slug}: \"{slug}\" => 0x{pin:016x}{ignore};");
+    }
+    for (slug, ..) in FAULTED_PINS {
+        let [urban, flaky] =
+            ["urban-drive", "flaky-dongle"].map(|faults| digest(&quick_run(slug, 1, faults)));
+        println!("    faulted_{slug}: \"{slug}\" => 0x{urban:016x}, 0x{flaky:016x};");
     }
 }
 
@@ -262,4 +295,40 @@ goldens! {
     golden_sifs_timing: "sifs_timing" => 0x6e81bdb33c1a8a35;
     golden_table1_devices: "table1_devices" => 0x78da9213480f396d;
     golden_table2_wardrive: "table2_wardrive" => 0x99c4c4a5f15aa78b;
+}
+
+/// One row per scenario pinned under faults: the test name, the slug,
+/// and the digest of its masked `--quick --workers 1` envelopes under
+/// `urban-drive`, then under `flaky-dongle`. Generates `FAULTED_PINS`
+/// and one test per row.
+macro_rules! faulted_goldens {
+    ($($name:ident: $slug:literal => $urban:literal, $flaky:literal;)*) => {
+        /// (slug, urban-drive digest, flaky-dongle digest) per row.
+        const FAULTED_PINS: &[(&str, u64, u64)] = &[$(($slug, $urban, $flaky)),*];
+        $(
+            #[test]
+            fn $name() {
+                check_faulted($slug, "urban-drive", $urban);
+                check_faulted($slug, "flaky-dongle", $flaky);
+            }
+        )*
+    };
+}
+
+faulted_goldens! {
+    faulted_ablation_validate: "ablation_validate" => 0x0246b90207fc9626, 0xb0d601bb80b64292;
+    faulted_battery_life: "battery_life" => 0x8ecc9b572e310b6e, 0x7507dba53f7c902c;
+    faulted_blockack_paralysis: "blockack_paralysis" => 0x42a5c381c44e1c31, 0xf75fb016e667982b;
+    faulted_ext_nav_dos: "ext_nav_dos" => 0xe87b259dff9e046e, 0x93cd0b340b374c0a;
+    faulted_ext_ranging: "ext_ranging" => 0x36fe38d0f8ec98bc, 0xe47aab765eea63d9;
+    faulted_ext_vitals: "ext_vitals" => 0xcd6101852f1849c0, 0x859935771601d90f;
+    faulted_fig2_trace: "fig2_trace" => 0x242d8f176d675780, 0xbb8b12b9ff9f5d73;
+    faulted_fig3_deauth: "fig3_deauth" => 0xfa38a2251b2e9ece, 0x102c6cdbc588341a;
+    faulted_fig5_keystroke: "fig5_keystroke" => 0x5c472961d490aa31, 0x592399bd76f01dcc;
+    faulted_fig6_power: "fig6_power" => 0x82a5354683fbb25a, 0x14cf9336a62bcf83;
+    faulted_pmf_deauth_matrix: "pmf_deauth_matrix" => 0xf319f242c1393fc6, 0x301745735b5476cd;
+    faulted_powersave_awake: "powersave_awake" => 0xa0e7d9665fd6a9fd, 0xe54ad9dd6f2296e3;
+    faulted_sensing_hub: "sensing_hub" => 0xf77fb796cdc42657, 0xdff4eb00c3557a14;
+    faulted_sifs_timing: "sifs_timing" => 0xdf39bcc5eb0ad0ad, 0x952cd42f8298cda3;
+    faulted_table1_devices: "table1_devices" => 0xa219ba3a0717b272, 0xc0b2066fcbea7ef4;
 }
