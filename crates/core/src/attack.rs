@@ -14,40 +14,27 @@
 //!   predicate, aggregating every violation into one error message
 //!   (the same contract as the harness flag parser).
 //!
-//! The paper's own fake-frame stream ([`InjectionPlan`]) implements
-//! [`Attack`] directly, and the temporal ACK pairer ([`AckVerifier`])
-//! implements [`Probe`]; the related-work attacks (deauth floods per
-//! arXiv 2602.23513, NAV reservations, Bl0ck's forged BlockAckReq per
-//! arXiv 2302.05899) live here as small standalone structs.
+//! Two attacks exist. Every paced stream, the paper's fakes and the
+//! related-work deauth (arXiv 2602.23513) and NAV floods alike, is an
+//! [`InjectionPlan`](crate::InjectionPlan); Bl0ck's one forged
+//! BlockAckReq (arXiv 2302.05899) is [`BlockAckParalysis`]. The
+//! temporal ACK pairer ([`AckVerifier`]) implements [`Probe`].
 
-use crate::injector::{FakeFrameInjector, InjectionPlan};
 use crate::verifier::AckVerifier;
-use polite_wifi_frame::{builder, ControlFrame, Frame, MacAddr};
+use polite_wifi_frame::{ControlFrame, Frame, MacAddr};
 use polite_wifi_harness::MetricsLedger;
 use polite_wifi_phy::rate::BitRate;
 use polite_wifi_sim::{NodeId, Simulator};
 
-/// Launch-time context: which node transmits the forged frames.
-#[derive(Debug, Clone, Copy)]
-pub struct AttackCtx {
-    /// The attacking node (usually a monitor-mode dongle).
-    pub attacker: NodeId,
-    /// The trial's derived seed, for attacks that need randomness.
-    pub seed: u64,
-}
-
 /// Something that schedules forged traffic into a prepared simulator.
 pub trait Attack: Send + Sync {
-    /// Stable kebab-case name (used in scenario files and logs).
-    fn name(&self) -> &'static str;
-    /// Schedule every frame of the attack. Returns frames committed.
-    fn launch(&self, sim: &mut Simulator, ctx: &AttackCtx) -> u64;
+    /// Schedules every frame of the attack, transmitted by `from`.
+    /// Returns frames committed.
+    fn launch(&self, sim: &mut Simulator, from: NodeId) -> u64;
 }
 
 /// Something that reads measurements out of a finished simulation.
 pub trait Probe: Send + Sync {
-    /// Stable kebab-case name.
-    fn name(&self) -> &'static str;
     /// Record this probe's measurements into the ledger.
     fn observe(&self, sim: &Simulator, ledger: &mut MetricsLedger);
 }
@@ -78,105 +65,6 @@ pub fn check_all(
     }
 }
 
-/// The paper's fake-frame stream is the canonical attack.
-impl Attack for InjectionPlan {
-    fn name(&self) -> &'static str {
-        match self.kind {
-            crate::injector::InjectionKind::NullData => "null-flood",
-            crate::injector::InjectionKind::Rts => "rts-flood",
-        }
-    }
-
-    fn launch(&self, sim: &mut Simulator, ctx: &AttackCtx) -> u64 {
-        FakeFrameInjector::new(ctx.attacker).execute(sim, self)
-    }
-}
-
-/// A classic deauthentication flood: forged unprotected deauth frames
-/// claiming the AP's address, aimed at a client (arXiv 2602.23513's
-/// resilience-matrix attacker). PMF-enabled victims discard them — after
-/// ACKing — and stay associated; everyone else is kicked.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DeauthFlood {
-    /// The client being kicked.
-    pub victim: MacAddr,
-    /// The AP address the attacker forges as transmitter/BSSID.
-    pub forged_ap: MacAddr,
-    /// Frames per second.
-    pub rate_pps: u32,
-    /// First injection time.
-    pub start_us: u64,
-    /// Stream duration.
-    pub duration_us: u64,
-    /// Transmit bit rate.
-    pub bitrate: BitRate,
-}
-
-impl Attack for DeauthFlood {
-    fn name(&self) -> &'static str {
-        "deauth-flood"
-    }
-
-    fn launch(&self, sim: &mut Simulator, ctx: &AttackCtx) -> u64 {
-        if self.rate_pps == 0 {
-            return 0;
-        }
-        let gap = 1_000_000 / self.rate_pps as u64;
-        let n = self.duration_us * self.rate_pps as u64 / 1_000_000;
-        for i in 0..n {
-            let frame = builder::deauth(
-                self.victim,
-                self.forged_ap,
-                self.forged_ap,
-                (i & 0x0fff) as u16,
-                polite_wifi_frame::ReasonCode::PrevAuthNotValid,
-            );
-            sim.inject(self.start_us + i * gap, ctx.attacker, frame, self.bitrate);
-        }
-        n
-    }
-}
-
-/// A NAV-stuffing RTS flood: oversized `duration_us` reservations that
-/// freeze every honest contender (the `ext_nav_dos` scenario's attacker
-/// as a reusable struct).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NavRtsFlood {
-    /// The station whose CTS the attacker elicits.
-    pub target: MacAddr,
-    /// Forged transmitter address.
-    pub forged_ta: MacAddr,
-    /// The NAV reservation each RTS claims, in microseconds.
-    pub nav_us: u16,
-    /// Frames per second.
-    pub rate_pps: u32,
-    /// First injection time.
-    pub start_us: u64,
-    /// Stream duration.
-    pub duration_us: u64,
-    /// Transmit bit rate.
-    pub bitrate: BitRate,
-}
-
-impl Attack for NavRtsFlood {
-    fn name(&self) -> &'static str {
-        "nav-rts-flood"
-    }
-
-    fn launch(&self, sim: &mut Simulator, ctx: &AttackCtx) -> u64 {
-        if self.rate_pps == 0 {
-            return 0;
-        }
-        let gap = 1_000_000 / self.rate_pps as u64;
-        let n = self.duration_us * self.rate_pps as u64 / 1_000_000;
-        for i in 0..n {
-            let frame = builder::fake_rts(self.target, self.forged_ta, self.nav_us);
-            sim.inject(self.start_us + i * gap, ctx.attacker, frame, self.bitrate);
-        }
-        n
-    }
-}
-
 /// Bl0ck-style Block-Ack paralysis (arXiv 2302.05899): a forged
 /// BlockAckReq claiming an associated peer's address slides the victim's
 /// reordering-window floor to `jump_to_seq`, and the peer's legitimate
@@ -196,11 +84,7 @@ pub struct BlockAckParalysis {
 }
 
 impl Attack for BlockAckParalysis {
-    fn name(&self) -> &'static str {
-        "blockack-paralysis"
-    }
-
-    fn launch(&self, sim: &mut Simulator, ctx: &AttackCtx) -> u64 {
+    fn launch(&self, sim: &mut Simulator, from: NodeId) -> u64 {
         let bar = Frame::Ctrl(ControlFrame::BlockAckReq {
             duration_us: 0,
             ra: self.victim,
@@ -208,7 +92,7 @@ impl Attack for BlockAckParalysis {
             control: 0x0004,
             start_seq: self.jump_to_seq << 4,
         });
-        sim.inject(self.at_us, ctx.attacker, bar, self.bitrate);
+        sim.inject(self.at_us, from, bar, self.bitrate);
         1
     }
 }
@@ -216,10 +100,6 @@ impl Attack for BlockAckParalysis {
 /// The temporal ACK pairer doubles as a probe: it records how many of
 /// the attacker's injections were verifiably acknowledged.
 impl Probe for AckVerifier {
-    fn name(&self) -> &'static str {
-        "ack-verifier"
-    }
-
     fn observe(&self, sim: &Simulator, ledger: &mut MetricsLedger) {
         let verified = self.verify(sim.global_capture());
         ledger.record("acks_elicited", verified.len() as f64);
@@ -288,10 +168,6 @@ pub struct StationStatProbe {
 }
 
 impl Probe for StationStatProbe {
-    fn name(&self) -> &'static str {
-        "station-stat"
-    }
-
     fn observe(&self, sim: &Simulator, ledger: &mut MetricsLedger) {
         let stats = &sim.station(self.node).stats;
         let value = match self.stat {
@@ -320,10 +196,6 @@ pub struct AssociationProbe {
 }
 
 impl Probe for AssociationProbe {
-    fn name(&self) -> &'static str {
-        "association"
-    }
-
     fn observe(&self, sim: &Simulator, ledger: &mut MetricsLedger) {
         let associated = sim.station(self.node).is_associated_with(self.peer);
         ledger.record(&self.metric, if associated { 1.0 } else { 0.0 });
@@ -421,6 +293,7 @@ impl Assertion for MetricAssertion {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::injector::{InjectionKind, InjectionPlan};
     use polite_wifi_mac::StationConfig;
     use polite_wifi_sim::SimConfig;
 
@@ -433,17 +306,18 @@ mod tests {
         let mut sim = Simulator::new(SimConfig::default(), 5);
         let victim = sim.add_node(StationConfig::client(victim_mac()), (0.0, 0.0));
         let attacker = sim.add_node(StationConfig::client(MacAddr::FAKE), (5.0, 0.0));
+        sim.set_retries(attacker, false);
         let plan = InjectionPlan {
             victim: victim_mac(),
             forged_ta: MacAddr::FAKE,
-            kind: crate::injector::InjectionKind::NullData,
+            kind: InjectionKind::NullData,
             rate_pps: 50,
             start_us: 0,
             duration_us: 1_000_000,
             bitrate: BitRate::Mbps1,
         };
         let attack: &dyn Attack = &plan;
-        let n = attack.launch(&mut sim, &AttackCtx { attacker, seed: 7 });
+        let n = attack.launch(&mut sim, attacker);
         assert_eq!(n, 50);
         sim.run_until(2_000_000);
         assert_eq!(sim.station(victim).stats.acks_sent, 50);
@@ -470,15 +344,16 @@ mod tests {
             let victim = sim.add_node(cfg, (0.0, 0.0));
             sim.station_mut(victim).associate(ap_mac);
             let attacker = sim.add_node(StationConfig::client(MacAddr::FAKE), (5.0, 0.0));
-            let flood = DeauthFlood {
+            let flood = InjectionPlan {
                 victim: victim_mac(),
-                forged_ap: ap_mac,
+                forged_ta: ap_mac,
+                kind: InjectionKind::Deauth,
                 rate_pps: 10,
                 start_us: 0,
                 duration_us: 500_000,
                 bitrate: BitRate::Mbps1,
             };
-            assert_eq!(flood.launch(&mut sim, &AttackCtx { attacker, seed: 1 }), 5);
+            assert_eq!(flood.launch(&mut sim, attacker), 5);
             sim.run_until(1_000_000);
             let mut ledger = MetricsLedger::new();
             AssociationProbe {

@@ -5,7 +5,8 @@
 //! the victim's doze timer and costs RX + ACK-TX energy. Above ~10
 //! packets/s the radio never sleeps again.
 
-use crate::injector::{FakeFrameInjector, InjectionKind, InjectionPlan};
+use crate::attack::Attack;
+use crate::injector::{InjectionKind, InjectionPlan};
 use polite_wifi_frame::MacAddr;
 use polite_wifi_mac::{Behavior, StationConfig};
 use polite_wifi_phy::rate::BitRate;
@@ -77,8 +78,8 @@ impl BatteryDrainAttack {
         sim.station_mut(ap).associate(victim_mac);
 
         let attacker = sim.add_node(StationConfig::client(MacAddr::FAKE), (8.0, 0.0));
+        sim.set_retries(attacker, false);
         sim.install_faults(&self.faults.plan());
-        let injector = FakeFrameInjector::new(attacker);
         let plan = InjectionPlan {
             victim: victim_mac,
             forged_ta: MacAddr::FAKE,
@@ -88,7 +89,7 @@ impl BatteryDrainAttack {
             duration_us: self.warmup_us + self.measure_us,
             bitrate: BitRate::Mbps1,
         };
-        injector.execute(&mut sim, &plan);
+        plan.launch(&mut sim, attacker);
 
         sim.run_until(self.warmup_us);
         let before = sim.node(victim).ledger.snapshot(sim.now_us());
@@ -213,7 +214,7 @@ mod tests {
         // way, and would survive even a validating MAC.
         let m = BatteryDrainAttack {
             rate_pps: 50,
-            kind: InjectionKind::Rts,
+            kind: InjectionKind::Rts { nav_us: 248 },
             warmup_us: 2_000_000,
             measure_us: 5_000_000,
             seed: 1,

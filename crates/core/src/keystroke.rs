@@ -7,8 +7,10 @@
 //! series of a single subcarrier already separates idle / pickup / hold /
 //! typing.
 
-use crate::injector::{FakeFrameInjector, InjectionPlan};
-use polite_wifi_frame::{ControlFrame, Frame, MacAddr};
+use crate::attack::Attack;
+use crate::injector::InjectionPlan;
+use crate::verifier::AckVerifier;
+use polite_wifi_frame::MacAddr;
 use polite_wifi_mac::StationConfig;
 use polite_wifi_phy::csi::{CsiChannel, CsiConfig};
 use polite_wifi_sensing::keystroke::{
@@ -104,6 +106,7 @@ impl KeystrokeAttack {
         // indoor path-loss model.
         let attacker = sim.add_node(StationConfig::client(MacAddr::FAKE), (8.0, 1.0));
         sim.set_monitor(attacker, true);
+        sim.set_retries(attacker, false);
         sim.install_faults(&self.faults.plan());
 
         let duration_us = self.script.duration_us();
@@ -111,19 +114,14 @@ impl KeystrokeAttack {
             rate_pps: self.rate_pps,
             ..InjectionPlan::keystroke_stream(victim_mac, duration_us)
         };
-        let fakes_sent = FakeFrameInjector::new(attacker).execute(&mut sim, &plan);
+        let fakes_sent = plan.launch(&mut sim, attacker);
         sim.run_until(duration_us + 100_000);
 
-        // Collect the ACK arrival times at the attacker.
-        let ack_times: Vec<u64> = sim
-            .node(attacker)
-            .capture
-            .frames()
+        // The arrival times of the ACKs the fakes elicited.
+        let ack_times: Vec<u64> = AckVerifier::new(MacAddr::FAKE)
+            .verify(&sim.node(attacker).capture)
             .iter()
-            .filter(|cf| {
-                matches!(&cf.frame, Frame::Ctrl(ControlFrame::Ack { ra }) if *ra == MacAddr::FAKE)
-            })
-            .map(|cf| cf.ts_us)
+            .map(|e| e.ack_ts_us)
             .collect();
 
         // Sample the CSI channel at each ACK, driven by the ground-truth

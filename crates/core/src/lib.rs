@@ -3,11 +3,13 @@
 //! Everything an experimenter needs to reproduce the paper sits behind
 //! this crate:
 //!
-//! * [`injector`] — the fake-frame injector (the $12 RTL8812AU dongle's
-//!   role): unicast null frames or RTS at a configurable rate,
+//! * [`injector`] — the paced fake-frame stream (the $12 RTL8812AU
+//!   dongle's role): null frames, RTS, deauths or QoS data at a fixed
+//!   rate, the one pacing rule every injection uses,
 //! * [`verifier`] — pairs injected fakes with the ACKs they elicit
 //!   (ACKs carry no transmitter address, so pairing is temporal, exactly
-//!   as the paper's third Scapy thread did),
+//!   as the paper's third Scapy thread did); every attack reads its
+//!   ACKs through it,
 //! * [`scanner`] — the three-stage wardriving pipeline of Section 3
 //!   (discover / inject / verify, the paper's three threads as inline
 //!   state), sharded across the experiment harness's worker pool with
@@ -42,11 +44,11 @@ pub mod verifier;
 pub mod vitals;
 
 pub use attack::{
-    check_all, Assertion, AssociationProbe, Attack, AttackCtx, BlockAckParalysis, CmpOp,
-    DeauthFlood, MetricAssertion, NavRtsFlood, Probe, StatKind, StationStatProbe,
+    check_all, Assertion, AssociationProbe, Attack, BlockAckParalysis, CmpOp, MetricAssertion,
+    Probe, StatKind, StationStatProbe,
 };
 pub use drain::{BatteryDrainAttack, DrainMeasurement};
-pub use injector::{FakeFrameInjector, InjectionKind, InjectionPlan};
+pub use injector::{InjectionKind, InjectionPlan};
 pub use keystroke::{KeystrokeAttack, KeystrokeAttackResult};
 pub use ranging::{estimate_range, RangeEstimate};
 pub use retry::RetryPolicy;

@@ -80,7 +80,8 @@ pub fn estimate_range(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::injector::{FakeFrameInjector, InjectionKind, InjectionPlan};
+    use crate::attack::Attack;
+    use crate::injector::{InjectionKind, InjectionPlan};
     use polite_wifi_mac::StationConfig;
     use polite_wifi_phy::rate::BitRate;
     use polite_wifi_sim::{SimConfig, Simulator};
@@ -112,6 +113,7 @@ mod tests {
         let _v = sim.add_node(StationConfig::client(victim_mac), (true_distance, 0.0));
         let attacker = sim.add_node(StationConfig::client(MacAddr::FAKE), (0.0, 0.0));
         sim.set_monitor(attacker, true);
+        sim.set_retries(attacker, false);
         let plan = InjectionPlan {
             victim: victim_mac,
             forged_ta: MacAddr::FAKE,
@@ -121,7 +123,7 @@ mod tests {
             duration_us: 3_000_000,
             bitrate: BitRate::Mbps1,
         };
-        FakeFrameInjector::new(attacker).execute(&mut sim, &plan);
+        plan.launch(&mut sim, attacker);
         sim.run_until(4_000_000);
         let model = sim.path_loss();
         estimate_range(&sim.node(attacker).capture, MacAddr::FAKE, 20.0, &model)

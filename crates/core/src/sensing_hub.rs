@@ -5,8 +5,10 @@
 //! The contrast with classical two-device sensing deployments is the
 //! point: software changes on exactly one box.
 
-use crate::injector::InjectionPlan;
-use polite_wifi_frame::{builder, ControlFrame, Frame, MacAddr};
+use crate::attack::Attack;
+use crate::injector::{InjectionKind, InjectionPlan};
+use crate::verifier::AckVerifier;
+use polite_wifi_frame::MacAddr;
 use polite_wifi_harness::{derive_trial_seed, Runner};
 use polite_wifi_mac::StationConfig;
 use polite_wifi_obs::json::{JsonWriter, ToJson};
@@ -92,6 +94,7 @@ impl SensingHub {
         let mut sim = Simulator::new(SimConfig::default(), self.seed);
         let hub = sim.add_node(StationConfig::client(hub_mac), (0.0, 0.0));
         sim.set_monitor(hub, true);
+        sim.set_retries(hub, false);
         sim.install_faults(&self.faults.plan());
 
         let mut targets = Vec::new();
@@ -109,7 +112,7 @@ impl SensingHub {
             let plan = InjectionPlan {
                 victim: target,
                 forged_ta: hub_mac,
-                kind: crate::injector::InjectionKind::NullData,
+                kind: InjectionKind::NullData,
                 rate_pps: self.rate_pps_per_target,
                 start_us: (i as u64) * 1_000_000
                     / (self.rate_pps_per_target as u64)
@@ -117,40 +120,22 @@ impl SensingHub {
                 duration_us,
                 bitrate: BitRate::Mbps1,
             };
-            sim.set_retries(hub, false);
-            for &t in &plan.schedule() {
-                sim.inject(
-                    t,
-                    hub,
-                    builder::fake_null_frame(target, hub_mac),
-                    plan.bitrate,
-                );
-            }
+            plan.launch(&mut sim, hub);
         }
         sim.run_until(duration_us + 100_000);
 
-        // Attribute ACKs to targets temporally: the hub knows what it
-        // injected last (ACKs carry no source address). Gather each
-        // target's (timestamp, intensity) stream first, then render the
-        // sensed subcarrier in one `sample_amplitudes` call per target —
-        // each channel owns its RNG, so the per-channel draw order (and
-        // hence every float) is identical to the old interleaved per-ACK
-        // sampling.
+        // Attribute each ACK to the target of the fake it answers (ACKs
+        // carry no source address). Gather each target's (timestamp,
+        // intensity) stream first, then render the sensed subcarrier in
+        // one `sample_amplitudes` call per target — each channel owns
+        // its RNG, so the per-channel draw order (and hence every float)
+        // is identical to the old interleaved per-ACK sampling.
         let mut per_target_times: Vec<Vec<u64>> = vec![Vec::new(); targets.len()];
         let mut per_target_intensity: Vec<Vec<f64>> = vec![Vec::new(); targets.len()];
-        let mut last_target: Option<usize> = None;
-        for cf in sim.global_capture().frames() {
-            match &cf.frame {
-                Frame::Data(d) if d.addr2 == hub_mac => {
-                    last_target = targets.iter().position(|&t| t == d.addr1);
-                }
-                Frame::Ctrl(ControlFrame::Ack { ra }) if *ra == hub_mac => {
-                    if let Some(i) = last_target.take() {
-                        per_target_times[i].push(cf.ts_us);
-                        per_target_intensity[i].push(scripts[i].intensity_at(cf.ts_us));
-                    }
-                }
-                _ => {}
+        for ex in AckVerifier::new(hub_mac).verify(sim.global_capture()) {
+            if let Some(i) = targets.iter().position(|&t| t == ex.victim) {
+                per_target_times[i].push(ex.ack_ts_us);
+                per_target_intensity[i].push(scripts[i].intensity_at(ex.ack_ts_us));
             }
         }
 

@@ -3,8 +3,10 @@
 //! unmodified WiFi device while a person breathes nearby; the attacker
 //! recovers the breathing rate from subcarrier amplitude.
 
-use crate::injector::{FakeFrameInjector, InjectionKind, InjectionPlan};
-use polite_wifi_frame::{ControlFrame, Frame, MacAddr};
+use crate::attack::Attack;
+use crate::injector::{InjectionKind, InjectionPlan};
+use crate::verifier::AckVerifier;
+use polite_wifi_frame::MacAddr;
 use polite_wifi_mac::StationConfig;
 use polite_wifi_obs::json::{JsonWriter, ToJson};
 use polite_wifi_phy::csi::CsiChannel;
@@ -88,6 +90,7 @@ impl VitalSignsAttack {
         let _victim = sim.add_node(StationConfig::client(victim_mac), (0.0, 0.0));
         let attacker = sim.add_node(StationConfig::client(MacAddr::FAKE), (7.0, 0.0));
         sim.set_monitor(attacker, true);
+        sim.set_retries(attacker, false);
         sim.install_faults(&self.faults.plan());
 
         let plan = InjectionPlan {
@@ -99,18 +102,16 @@ impl VitalSignsAttack {
             duration_us: self.duration_us,
             bitrate: BitRate::Mbps1,
         };
-        FakeFrameInjector::new(attacker).execute(&mut sim, &plan);
+        plan.launch(&mut sim, attacker);
         sim.run_until(self.duration_us + 100_000);
 
         let script = MotionScript::breathing(self.duration_us, self.true_bpm);
-        let mut times_us = Vec::new();
-        let mut intensities = Vec::new();
-        for cf in sim.node(attacker).capture.frames() {
-            if matches!(&cf.frame, Frame::Ctrl(ControlFrame::Ack { ra }) if *ra == MacAddr::FAKE) {
-                times_us.push(cf.ts_us);
-                intensities.push(script.intensity_at(cf.ts_us));
-            }
-        }
+        let times_us: Vec<u64> = AckVerifier::new(MacAddr::FAKE)
+            .verify(&sim.node(attacker).capture)
+            .iter()
+            .map(|e| e.ack_ts_us)
+            .collect();
+        let intensities: Vec<f64> = times_us.iter().map(|&t| script.intensity_at(t)).collect();
         // One render of the sensed subcarrier over the whole ACK stream
         // (bit-identical to the per-ACK sampling loop it replaced).
         let mut channel = CsiChannel::new(self.seed);

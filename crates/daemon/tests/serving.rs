@@ -11,8 +11,8 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 /// A generic scenario whose per-trial cost scales with `rate_pps` (a
-/// null-flood the victim politely ACKs) — `trials` × rate controls how
-/// long a job runs.
+/// null-flood the victim politely ACKs, sent fire-and-forget) —
+/// `trials` × rate controls how long a job runs.
 fn fixture(seed: u64, trials: u64, rate_pps: u64) -> String {
     let template = r#"{
   "name": "D: daemon fixture",
@@ -25,7 +25,8 @@ fn fixture(seed: u64, trials: u64, rate_pps: u64) -> String {
     "nodes": [
       {"name": "ap", "mac": "68:02:b8:00:00:01", "kind": "ap", "position": [2, 0], "ssid": "Net"},
       {"name": "victim", "mac": "f2:6e:0b:11:22:33", "kind": "client", "position": [0, 0]},
-      {"name": "attacker", "mac": "aa:bb:bb:bb:bb:bb", "kind": "monitor", "position": [4, 0]}
+      {"name": "attacker", "mac": "aa:bb:bb:bb:bb:bb", "kind": "monitor", "position": [4, 0],
+       "retries": false}
     ],
     "links": [["victim", "ap"]]
   },
@@ -333,6 +334,40 @@ fn invalid_spec_gets_the_aggregated_parser_error_as_400() {
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("missing required key"), "{body}");
     assert!(body.contains("DESIGN.md"), "{body}");
+
+    daemon.drain().unwrap();
+    let _ = std::fs::remove_dir_all(state_dir);
+}
+
+/// A null flood paced at 1,000,000 frames/s for 10^12 µs asks for 10^12
+/// frames. Scheduling them would exhaust memory and abort the whole
+/// process, so the parser must turn it away as a 400 and the daemon must
+/// keep serving.
+#[test]
+fn hostile_pace_is_a_400_and_the_daemon_keeps_serving() {
+    let cfg = config("hostile");
+    let state_dir = cfg.state_dir.clone();
+    let daemon = Daemon::start(cfg).unwrap();
+
+    let hostile = include_str!("../../../scenarios/powersave_awake.json")
+        .replace("\"rate_pps\": 10,", "\"rate_pps\": 1000000,")
+        .replace(
+            "\"duration_us\": 1500000,",
+            "\"duration_us\": 1000000000000,",
+        );
+    let (status, _, body) = submit(&daemon, &hostile, "?wait=1");
+    let body = String::from_utf8(body).unwrap();
+    assert_eq!(status, 400, "{body}");
+    assert!(
+        body.contains("paces 1000000000000 frames, above the 1000000-frame limit"),
+        "{body}"
+    );
+
+    let (status, _, body) = http::request(daemon.addr(), "GET", "/healthz", b"").unwrap();
+    assert_eq!(status, 200);
+    assert!(String::from_utf8(body)
+        .unwrap()
+        .contains("\"status\": \"ok\""));
 
     daemon.drain().unwrap();
     let _ = std::fs::remove_dir_all(state_dir);

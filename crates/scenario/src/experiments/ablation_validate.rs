@@ -10,7 +10,8 @@
 
 use crate::spec::ScenarioSpec;
 use crate::support::compare;
-use polite_wifi_frame::{builder, MacAddr};
+use polite_wifi_core::{Attack, InjectionKind, InjectionPlan};
+use polite_wifi_frame::MacAddr;
 use polite_wifi_harness::{Experiment, RunArgs, ScenarioBuilder};
 use polite_wifi_mac::{Behavior, StationConfig};
 use polite_wifi_phy::rate::BitRate;
@@ -51,15 +52,17 @@ fn run_case(
     sb.associate(victim, peer_mac);
     let mut scenario = sb.build_with_seed(seed);
 
-    let frames_offered = 50u64;
-    for i in 0..frames_offered {
-        scenario.sim.inject(
-            i * 20_000,
-            peer,
-            builder::protected_qos_data(victim_mac, peer_mac, peer_mac, i as u16, 200),
-            BitRate::Mbps24,
-        );
-    }
+    // 50 frames, one every 20 ms.
+    let traffic = InjectionPlan {
+        victim: victim_mac,
+        forged_ta: peer_mac,
+        kind: InjectionKind::QosData { payload_len: 200 },
+        rate_pps: 50,
+        start_us: 0,
+        duration_us: 1_000_000,
+        bitrate: BitRate::Mbps24,
+    };
+    let frames_offered = traffic.launch(&mut scenario.sim, peer);
     let sim = scenario.run();
 
     let node = sim.node(peer);

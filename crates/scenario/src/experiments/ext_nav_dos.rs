@@ -12,7 +12,8 @@
 
 use crate::spec::ScenarioSpec;
 use crate::support::{bar, compare};
-use polite_wifi_frame::{builder, MacAddr};
+use polite_wifi_core::{Attack, InjectionKind, InjectionPlan};
+use polite_wifi_frame::MacAddr;
 use polite_wifi_harness::{Experiment, RunArgs, ScenarioBuilder};
 use polite_wifi_phy::rate::BitRate;
 
@@ -51,28 +52,29 @@ fn run_case(
     let mut scenario = sb.build_with_seed(seed);
 
     // Legitimate offered load: 200 small frames/s from A to B.
-    for i in 0..(200 * seconds) {
-        scenario.sim.inject(
-            i * 5_000,
-            a,
-            builder::protected_qos_data(b_mac, a_mac, a_mac, i as u16, 200),
-            BitRate::Mbps24,
-        );
-    }
+    let load = InjectionPlan {
+        victim: b_mac,
+        forged_ta: a_mac,
+        kind: InjectionKind::QosData { payload_len: 200 },
+        rate_pps: 200,
+        start_us: 0,
+        duration_us: seconds * 1_000_000,
+        bitrate: BitRate::Mbps24,
+    };
+    load.launch(&mut scenario.sim, a);
     // The attack: forged RTS at the victim B with a chosen NAV, kept up
     // slightly past the measurement window (the DoS suppresses delivery
     // *while it runs*; a backlog flush afterwards is not throughput).
-    if rts_pps > 0 {
-        let gap = 1_000_000 / rts_pps as u64;
-        for i in 0..(rts_pps as u64 * (seconds + 1)) {
-            scenario.sim.inject(
-                i * gap,
-                attacker,
-                builder::fake_rts(b_mac, MacAddr::FAKE, nav_us),
-                BitRate::Mbps1,
-            );
-        }
-    }
+    let flood = InjectionPlan {
+        victim: b_mac,
+        forged_ta: MacAddr::FAKE,
+        kind: InjectionKind::Rts { nav_us },
+        rate_pps: rts_pps,
+        start_us: 0,
+        duration_us: (seconds + 1) * 1_000_000,
+        bitrate: BitRate::Mbps1,
+    };
+    flood.launch(&mut scenario.sim, attacker);
     let sim = scenario.run();
 
     let delivered = sim.node(a).acks_received as f64 / seconds as f64;

@@ -5,7 +5,7 @@
 
 use crate::spec::ScenarioSpec;
 use crate::support::compare;
-use polite_wifi_core::{estimate_range, FakeFrameInjector, InjectionKind, InjectionPlan};
+use polite_wifi_core::{estimate_range, Attack, InjectionKind, InjectionPlan};
 use polite_wifi_frame::MacAddr;
 use polite_wifi_harness::{Experiment, RunArgs, ScenarioBuilder};
 use polite_wifi_phy::rate::BitRate;
@@ -36,6 +36,7 @@ fn measure(
         .faults(faults);
     let _v = sb.client(victim_mac, (true_distance, 0.0));
     let attacker = sb.monitor(MacAddr::FAKE, (0.0, 0.0));
+    sb.retries(attacker, false);
     let mut scenario = sb.build_with_seed(seed);
     let plan = InjectionPlan {
         victim: victim_mac,
@@ -46,7 +47,7 @@ fn measure(
         duration_us,
         bitrate: BitRate::Mbps1,
     };
-    FakeFrameInjector::new(attacker).execute(&mut scenario.sim, &plan);
+    plan.launch(&mut scenario.sim, attacker);
     let sim = scenario.run();
     let model = sim.path_loss();
     let est = estimate_range(&sim.node(attacker).capture, MacAddr::FAKE, 20.0, &model)

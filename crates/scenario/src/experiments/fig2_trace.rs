@@ -9,9 +9,10 @@
 //! code — the template for writing your own scenario (README has the
 //! walkthrough).
 
-use crate::spec::{AttackSpec, ScenarioSpec};
+use crate::generic::build_attack;
+use crate::spec::ScenarioSpec;
 use crate::support::{compare, ensure_results_dir};
-use polite_wifi_core::{AckVerifier, FakeFrameInjector, InjectionKind, InjectionPlan};
+use polite_wifi_core::AckVerifier;
 use polite_wifi_harness::{Experiment, RunArgs};
 use polite_wifi_pcap::{trace, LinkType};
 
@@ -38,27 +39,13 @@ pub fn run(spec: &ScenarioSpec, args: RunArgs) -> std::io::Result<i32> {
     let attacker_mac = topo.mac_of("attacker");
     let mut scenario = sb.build_with_seed(exp.seed());
 
-    let Some(AttackSpec::NullFlood {
-        victim: flood_victim,
-        rate_pps,
-        start_us,
-        duration_us,
-        bitrate,
-        ..
-    }) = spec.attacks.first()
-    else {
-        panic!("fig2_trace spec declares a null-flood attack");
-    };
-    let plan = InjectionPlan {
-        victim: topo.mac_of(flood_victim),
-        forged_ta: attacker_mac,
-        kind: InjectionKind::NullData,
-        rate_pps: *rate_pps,
-        start_us: *start_us,
-        duration_us: *duration_us,
-        bitrate: *bitrate,
-    };
-    let fakes = FakeFrameInjector::new(attacker).execute(&mut scenario.sim, &plan);
+    let (from, flood) = build_attack(
+        spec.attacks
+            .first()
+            .expect("fig2_trace spec declares its null flood"),
+        topo,
+    );
+    let fakes = flood.launch(&mut scenario.sim, ids[from]);
     let sim = scenario.run();
 
     // Print the attack exchange only (beacons elided, like the figure).

@@ -4,8 +4,8 @@
 
 use crate::spec::ScenarioSpec;
 use crate::support::{compare, ensure_results_dir};
-use polite_wifi_core::AckVerifier;
-use polite_wifi_frame::{builder, MacAddr};
+use polite_wifi_core::{AckVerifier, Attack, InjectionKind, InjectionPlan};
+use polite_wifi_frame::MacAddr;
 use polite_wifi_harness::{derive_trial_seed, Experiment, RunArgs, ScenarioBuilder};
 use polite_wifi_mac::{Behavior, StationConfig};
 use polite_wifi_pcap::{trace, LinkType};
@@ -43,14 +43,17 @@ fn run_phase(
     if blocklist {
         scenario.sim.station_mut(ap).block_mac(MacAddr::FAKE);
     }
-    for i in 0..5u64 {
-        scenario.sim.inject(
-            10_000 + i * 100_000,
-            attacker,
-            builder::fake_null_frame(ap_mac, MacAddr::FAKE),
-            BitRate::Mbps1,
-        );
-    }
+    // 5 fakes, one every 100 ms from 10 ms.
+    let fakes = InjectionPlan {
+        victim: ap_mac,
+        forged_ta: MacAddr::FAKE,
+        kind: InjectionKind::NullData,
+        rate_pps: 10,
+        start_us: 10_000,
+        duration_us: 500_000,
+        bitrate: BitRate::Mbps1,
+    };
+    fakes.launch(&mut scenario.sim, attacker);
     scenario.run();
     (scenario.sim, ap, attacker)
 }

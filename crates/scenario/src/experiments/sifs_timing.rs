@@ -11,8 +11,8 @@
 
 use crate::spec::ScenarioSpec;
 use crate::support::{bar, compare};
-use polite_wifi_core::analysis;
-use polite_wifi_frame::{builder, MacAddr};
+use polite_wifi_core::{analysis, Attack, InjectionKind, InjectionPlan};
+use polite_wifi_frame::MacAddr;
 use polite_wifi_harness::{Experiment, RunArgs, ScenarioBuilder};
 use polite_wifi_mac::{Behavior, StationConfig};
 use polite_wifi_phy::rate::BitRate;
@@ -85,14 +85,17 @@ pub fn run(spec: &ScenarioSpec, args: RunArgs) -> std::io::Result<i32> {
     let victim = sb.station(cfg, (0.0, 0.0));
     let attacker = sb.client(MacAddr::FAKE, (5.0, 0.0));
     let mut scenario = sb.build_with_seed(exp.seed());
-    for i in 0..10u64 {
-        scenario.sim.inject(
-            i * 50_000,
-            attacker,
-            builder::fake_rts(victim_mac, MacAddr::FAKE, 248),
-            BitRate::Mbps11,
-        );
-    }
+    // 10 forged RTS, one every 50 ms.
+    let rts = InjectionPlan {
+        victim: victim_mac,
+        forged_ta: MacAddr::FAKE,
+        kind: InjectionKind::Rts { nav_us: 248 },
+        rate_pps: 20,
+        start_us: 0,
+        duration_us: 500_000,
+        bitrate: BitRate::Mbps11,
+    };
+    rts.launch(&mut scenario.sim, attacker);
     let sim = scenario.run();
     let cts = sim.station(victim).stats.cts_sent;
     compare(

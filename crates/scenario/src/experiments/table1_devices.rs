@@ -7,7 +7,7 @@
 
 use crate::spec::ScenarioSpec;
 use crate::support::compare;
-use polite_wifi_core::{AckVerifier, FakeFrameInjector, InjectionKind, InjectionPlan};
+use polite_wifi_core::{AckVerifier, Attack, InjectionKind, InjectionPlan};
 use polite_wifi_devices::Table1Device;
 use polite_wifi_frame::MacAddr;
 use polite_wifi_harness::{derive_trial_seed, Experiment, RunArgs, ScenarioBuilder};
@@ -50,6 +50,7 @@ fn device_row(
     attacker_cfg.channel = profile.band.default_channel();
     let attacker = sb.station(attacker_cfg, (5.0, 0.0));
     sb.set_monitor(attacker);
+    sb.retries(attacker, false);
     let mut scenario = sb.build_with_seed(derive_trial_seed(base_seed, i as u64));
 
     // 20 fakes over 2 s; power-save devices may doze so we expect the
@@ -68,7 +69,7 @@ fn device_row(
             BitRate::Mbps1
         },
     };
-    let fakes = FakeFrameInjector::new(attacker).execute(&mut scenario.sim, &plan);
+    let fakes = plan.launch(&mut scenario.sim, attacker);
     let sim = scenario.run();
 
     let acks = AckVerifier::new(MacAddr::FAKE)

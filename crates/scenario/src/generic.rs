@@ -10,13 +10,11 @@
 
 use crate::spec::{AttackSpec, ProbeSpec, ScenarioSpec, TopologySpec};
 use polite_wifi_core::{
-    check_all, Assertion, Attack, AttackCtx, BlockAckParalysis, DeauthFlood, InjectionKind,
-    InjectionPlan, MetricAssertion, NavRtsFlood, Probe, StationStatProbe,
+    check_all, AckVerifier, Assertion, AssociationProbe, Attack, BlockAckParalysis, InjectionKind,
+    InjectionPlan, MetricAssertion, Probe, StationStatProbe,
 };
-use polite_wifi_core::{AckVerifier, AssociationProbe};
-use polite_wifi_frame::builder;
 use polite_wifi_harness::{Experiment, MetricsLedger, RunArgs};
-use polite_wifi_sim::{NodeId, Simulator};
+use polite_wifi_sim::NodeId;
 use std::collections::BTreeMap;
 use std::io;
 
@@ -38,69 +36,44 @@ struct GenericOutcome {
 
 polite_wifi_obs::impl_to_json! { GenericOutcome { attack_frames, assertions, verdict } }
 
-/// Builds the core-layer attack object an [`AttackSpec`] describes,
-/// resolving node names. `QosTraffic` is not an attack (it transmits
-/// from a legitimate node) and returns `None`.
-fn build_attack(spec: &AttackSpec, topo: &TopologySpec) -> Option<(String, Box<dyn Attack>)> {
-    match spec {
+/// Builds the core-layer attack an [`AttackSpec`] describes and names
+/// the node that transmits it. Every paced kind, the legitimate
+/// `qos-traffic` included, is an [`InjectionPlan`].
+pub(crate) fn build_attack<'s>(
+    spec: &'s AttackSpec,
+    topo: &TopologySpec,
+) -> (&'s str, Box<dyn Attack>) {
+    // (sender, receiver, transmitter address, frame kind)
+    let (from, to, ta, kind) = match spec {
         AttackSpec::NullFlood {
-            attacker,
-            victim,
-            rate_pps,
-            start_us,
-            duration_us,
-            bitrate,
-        } => Some((
-            attacker.clone(),
-            Box::new(InjectionPlan {
-                victim: topo.mac_of(victim),
-                forged_ta: topo.mac_of(attacker),
-                kind: InjectionKind::NullData,
-                rate_pps: *rate_pps,
-                start_us: *start_us,
-                duration_us: *duration_us,
-                bitrate: *bitrate,
-            }),
-        )),
+            attacker, victim, ..
+        } => (attacker, victim, attacker, InjectionKind::NullData),
         AttackSpec::RtsFlood {
             attacker,
             target,
             nav_us,
-            rate_pps,
-            start_us,
-            duration_us,
-            bitrate,
-        } => Some((
-            attacker.clone(),
-            Box::new(NavRtsFlood {
-                target: topo.mac_of(target),
-                forged_ta: topo.mac_of(attacker),
-                nav_us: *nav_us,
-                rate_pps: *rate_pps,
-                start_us: *start_us,
-                duration_us: *duration_us,
-                bitrate: *bitrate,
-            }),
-        )),
+            ..
+        } => (
+            attacker,
+            target,
+            attacker,
+            InjectionKind::Rts { nav_us: *nav_us },
+        ),
         AttackSpec::DeauthFlood {
             attacker,
             victim,
             forged_ap,
-            rate_pps,
-            start_us,
-            duration_us,
-            bitrate,
-        } => Some((
-            attacker.clone(),
-            Box::new(DeauthFlood {
-                victim: topo.mac_of(victim),
-                forged_ap: topo.mac_of(forged_ap),
-                rate_pps: *rate_pps,
-                start_us: *start_us,
-                duration_us: *duration_us,
-                bitrate: *bitrate,
-            }),
-        )),
+            ..
+        } => (attacker, victim, forged_ap, InjectionKind::Deauth),
+        AttackSpec::QosTraffic {
+            from,
+            to,
+            payload_len,
+            ..
+        } => {
+            let payload_len = *payload_len as usize;
+            (from, to, from, InjectionKind::QosData { payload_len })
+        }
         AttackSpec::BlockAckParalysis {
             attacker,
             victim,
@@ -108,55 +81,28 @@ fn build_attack(spec: &AttackSpec, topo: &TopologySpec) -> Option<(String, Box<d
             jump_to_seq,
             at_us,
             bitrate,
-        } => Some((
-            attacker.clone(),
-            Box::new(BlockAckParalysis {
+        } => {
+            let bar = BlockAckParalysis {
                 victim: topo.mac_of(victim),
                 spoofed_peer: topo.mac_of(spoofed_peer),
                 jump_to_seq: *jump_to_seq,
                 at_us: *at_us,
                 bitrate: *bitrate,
-            }),
-        )),
-        AttackSpec::QosTraffic { .. } => None,
-    }
-}
-
-/// Schedules the legitimate QoS traffic entries directly on the
-/// simulator (sequence numbers count up from 0 per stream).
-fn schedule_traffic(
-    spec: &AttackSpec,
-    sim: &mut Simulator,
-    topo: &TopologySpec,
-    ids: &BTreeMap<String, NodeId>,
-) -> u64 {
-    let AttackSpec::QosTraffic {
-        from,
-        to,
+            };
+            return (attacker, Box::new(bar));
+        }
+    };
+    let (rate_pps, start_us, duration_us, bitrate) = spec.pace().expect("every other kind paces");
+    let plan = InjectionPlan {
+        victim: topo.mac_of(to),
+        forged_ta: topo.mac_of(ta),
+        kind,
         rate_pps,
         start_us,
         duration_us,
-        payload_len,
         bitrate,
-    } = spec
-    else {
-        return 0;
     };
-    if *rate_pps == 0 {
-        return 0;
-    }
-    let gap = 1_000_000 / *rate_pps as u64;
-    let n = duration_us * *rate_pps as u64 / 1_000_000;
-    let (src, dst) = (topo.mac_of(from), topo.mac_of(to));
-    for i in 0..n {
-        sim.inject(
-            start_us + i * gap,
-            ids[from],
-            builder::protected_qos_data(dst, src, src, i as u16, *payload_len as usize),
-            *bitrate,
-        );
-    }
-    n
+    (from, Box::new(plan))
 }
 
 /// Builds the core-layer probe object a [`ProbeSpec`] describes.
@@ -191,10 +137,17 @@ pub fn run(spec: &ScenarioSpec, args: RunArgs) -> io::Result<i32> {
         .as_ref()
         .expect("validated: generic runner requires a topology");
     let (sb, ids) = topo.builder(args.faults);
-    let attacks: Vec<(String, Box<dyn Attack>)> = spec
-        .attacks
-        .iter()
-        .filter_map(|a| build_attack(a, topo))
+    // Attacks launch before legitimate traffic, each in spec order: that
+    // is the order frames reach `Simulator::inject`, and same-time
+    // events dispatch in push order.
+    let mut launch_order: Vec<&AttackSpec> = spec.attacks.iter().collect();
+    launch_order.sort_by_key(|a| matches!(a, AttackSpec::QosTraffic { .. }));
+    let attacks: Vec<(NodeId, Box<dyn Attack>)> = launch_order
+        .into_iter()
+        .map(|a| {
+            let (from, attack) = build_attack(a, topo);
+            (ids[from], attack)
+        })
         .collect();
     let probes: Vec<Box<dyn Probe>> = spec
         .probes
@@ -204,17 +157,10 @@ pub fn run(spec: &ScenarioSpec, args: RunArgs) -> io::Result<i32> {
 
     let results = exp.run_trials(|ctx| {
         let mut scenario = sb.build_with_seed(ctx.seed);
-        let mut frames = 0u64;
-        for (attacker, attack) in &attacks {
-            let attack_ctx = AttackCtx {
-                attacker: ids[attacker],
-                seed: ctx.seed,
-            };
-            frames += attack.launch(&mut scenario.sim, &attack_ctx);
-        }
-        for t in &spec.attacks {
-            frames += schedule_traffic(t, &mut scenario.sim, topo, &ids);
-        }
+        let frames: u64 = attacks
+            .iter()
+            .map(|(from, attack)| attack.launch(&mut scenario.sim, *from))
+            .sum();
         let sim = scenario.run();
         let mut ledger = MetricsLedger::new();
         for probe in &probes {

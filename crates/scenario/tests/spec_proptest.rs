@@ -4,6 +4,7 @@
 //! cascade of separate errors — and every valid spec must survive the
 //! canonical writer unchanged.
 
+use polite_wifi_core::injector::{MAX_PAYLOAD_LEN, MAX_RATE_PPS, MAX_STREAM_FRAMES};
 use polite_wifi_core::{CmpOp, StatKind};
 use polite_wifi_frame::MacAddr;
 use polite_wifi_obs::json;
@@ -228,7 +229,11 @@ fn node(rng: &mut TestRng, name: String, full: bool) -> NodeSpec {
 fn attack(rng: &mut TestRng, kind: u64, names: &[String]) -> AttackSpec {
     let node = |rng: &mut TestRng| pick(rng, names);
     let bitrate = pick(rng, &BitRate::ALL);
-    let (rate_pps, start_us, duration_us) = (rng.below(1 << 32) as u32, int(rng), int(rng));
+    // A pace within the injector's bounds: at most MAX_RATE_PPS, and at
+    // most MAX_STREAM_FRAMES frames.
+    let rate_pps = rng.below(u64::from(MAX_RATE_PPS) + 1) as u32;
+    let longest_us = MAX_STREAM_FRAMES * 1_000_000 / u64::from(rate_pps.max(1));
+    let (start_us, duration_us) = (int(rng), int(rng).min(longest_us));
     match kind {
         0 => AttackSpec::NullFlood {
             attacker: node(rng),
@@ -270,7 +275,7 @@ fn attack(rng: &mut TestRng, kind: u64, names: &[String]) -> AttackSpec {
             rate_pps,
             start_us,
             duration_us,
-            payload_len: int(rng),
+            payload_len: rng.below(MAX_PAYLOAD_LEN as u64 + 1),
             bitrate,
         },
     }
@@ -390,5 +395,97 @@ proptest! {
             .unwrap_or_else(|e| panic!("canonical form does not parse: {e}\n{canonical}"));
         prop_assert_eq!(&reparsed, &spec);
         prop_assert_eq!(reparsed.to_canonical_json(), canonical);
+    }
+}
+
+// ===== Raw bytes =====
+
+/// Every committed scenario file, as mutation seeds.
+fn committed_scenarios() -> Vec<Vec<u8>> {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios");
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .filter(|path| path.extension().and_then(|e| e.to_str()) == Some("json"))
+        .collect();
+    files.sort();
+    files
+        .iter()
+        .map(|path| std::fs::read(path).unwrap())
+        .collect()
+}
+
+/// Parses raw bytes (decoded lossily, as a server would). Parsing must
+/// not panic; an error keeps the one-line aggregated shape, and an `Ok`
+/// spec's canonical bytes parse back to the same spec.
+fn check_raw(bytes: &[u8]) {
+    match ScenarioSpec::parse(&String::from_utf8_lossy(bytes)) {
+        Err(err) => assert_single_aggregated_error(&err),
+        Ok(spec) => {
+            let canonical = spec.to_canonical_json();
+            let reparsed = ScenarioSpec::parse(&canonical)
+                .unwrap_or_else(|e| panic!("canonical form does not parse: {e}\n{canonical}"));
+            assert_eq!(reparsed, spec);
+            assert_eq!(reparsed.to_canonical_json(), canonical);
+        }
+    }
+}
+
+/// One byte edit: overwrite, insert, delete, or copy a run of bytes
+/// from elsewhere in the file (which can duplicate keys and values).
+fn mutate(bytes: &mut Vec<u8>, op: u8, at: usize, byte: u8, len: usize) {
+    if bytes.is_empty() {
+        bytes.push(byte);
+        return;
+    }
+    let at = at % bytes.len();
+    match op % 4 {
+        0 => bytes[at] = byte,
+        1 => bytes.insert(at, byte),
+        2 => {
+            bytes.remove(at);
+        }
+        _ => {
+            let from = (at + len) % bytes.len();
+            let run: Vec<u8> = bytes[from..(from + len).min(bytes.len())].to_vec();
+            bytes.splice(at..at, run);
+        }
+    }
+}
+
+/// Bytes that matter to the grammar: JSON punctuation, digits, signs,
+/// and raw bytes above ASCII.
+fn arb_edit_byte() -> impl Strategy<Value = u8> {
+    prop_oneof![
+        proptest::sample::select(b"{}[]:,\"\\-+.0123456789eEtfn ".to_vec()),
+        any::<u8>(),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Arbitrary bytes never panic the parser.
+    #[test]
+    fn arbitrary_bytes_never_panic(bytes in proptest::collection::vec(any::<u8>(), 0..400)) {
+        check_raw(&bytes);
+    }
+
+    /// Byte mutations of the committed scenario files never panic the
+    /// parser, and whatever still parses round-trips canonically.
+    #[test]
+    fn mutated_scenario_files_never_panic(
+        file in any::<usize>(),
+        edits in proptest::collection::vec(
+            (any::<u8>(), any::<usize>(), arb_edit_byte(), 1usize..24),
+            1..6,
+        ),
+    ) {
+        let files = committed_scenarios();
+        let mut bytes = files[file % files.len()].clone();
+        for (op, at, byte, len) in edits {
+            mutate(&mut bytes, op, at, byte, len);
+        }
+        check_raw(&bytes);
     }
 }

@@ -7,6 +7,7 @@
 //! cargo run --release --example join_and_powersave
 //! ```
 
+use polite_wifi::core::{Attack, InjectionKind, InjectionPlan};
 use polite_wifi::frame::{builder, MacAddr};
 use polite_wifi::mac::{Behavior, JoinState, StationConfig};
 use polite_wifi::phy::rate::BitRate;
@@ -77,14 +78,16 @@ fn main() {
     let attacker = sim.add_node(StationConfig::client(MacAddr::FAKE), (9.0, 0.0));
     sim.set_retries(attacker, false);
     let t1 = sim.now_us();
-    for i in 0..300u64 {
-        sim.inject(
-            t1 + i * 20_000, // 50 fakes/s
-            attacker,
-            builder::fake_null_frame(iot_mac, MacAddr::FAKE),
-            BitRate::Mbps1,
-        );
-    }
+    let fakes = InjectionPlan {
+        victim: iot_mac,
+        forged_ta: MacAddr::FAKE,
+        kind: InjectionKind::NullData,
+        rate_pps: 50,
+        start_us: t1,
+        duration_us: 6_000_000,
+        bitrate: BitRate::Mbps1,
+    };
+    fakes.launch(&mut sim, attacker);
     let before = sim.node(iot).ledger.snapshot(t1);
     sim.run_until(t1 + 6_000_000);
     let after = sim.node(iot).ledger.snapshot(sim.now_us());

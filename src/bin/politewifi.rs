@@ -158,7 +158,7 @@ fn cmd_drain(args: &Args) -> Result<(), String> {
     let attack = BatteryDrainAttack {
         rate_pps: rate,
         kind: if args.has("rts") {
-            InjectionKind::Rts
+            InjectionKind::Rts { nav_us: 248 }
         } else {
             InjectionKind::NullData
         },

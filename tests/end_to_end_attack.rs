@@ -5,7 +5,7 @@
 //! reparse → verification. If any layer disagrees about the byte format
 //! or the timing, this test catches it.
 
-use polite_wifi::core::{AckVerifier, FakeFrameInjector, InjectionKind, InjectionPlan};
+use polite_wifi::core::{AckVerifier, Attack, InjectionKind, InjectionPlan};
 use polite_wifi::frame::{builder, ControlFrame, Frame, MacAddr};
 use polite_wifi::mac::{Behavior, StationConfig};
 use polite_wifi::pcap::capture::decode_capture;
@@ -24,6 +24,7 @@ fn inject_ack_capture_pcap_reparse() {
     let victim = sim.add_node(StationConfig::client(victim_mac()), (0.0, 0.0));
     let attacker = sim.add_node(StationConfig::client(MacAddr::FAKE), (5.0, 0.0));
     sim.set_monitor(attacker, true);
+    sim.set_retries(attacker, false);
 
     let plan = InjectionPlan {
         victim: victim_mac(),
@@ -34,7 +35,7 @@ fn inject_ack_capture_pcap_reparse() {
         duration_us: 1_000_000,
         bitrate: BitRate::Mbps1,
     };
-    FakeFrameInjector::new(attacker).execute(&mut sim, &plan);
+    plan.launch(&mut sim, attacker);
     sim.run_until(2_000_000);
 
     assert_eq!(sim.station(victim).stats.acks_sent, 10);
@@ -114,17 +115,18 @@ fn rts_cts_pipeline_with_pmf_victim() {
     let victim = sim.add_node(cfg, (0.0, 0.0));
     let attacker = sim.add_node(StationConfig::client(MacAddr::FAKE), (4.0, 0.0));
     sim.set_monitor(attacker, true);
+    sim.set_retries(attacker, false);
 
     let plan = InjectionPlan {
         victim: victim_mac(),
         forged_ta: MacAddr::FAKE,
-        kind: InjectionKind::Rts,
+        kind: InjectionKind::Rts { nav_us: 248 },
         rate_pps: 25,
         start_us: 0,
         duration_us: 1_000_000,
         bitrate: BitRate::Mbps11,
     };
-    FakeFrameInjector::new(attacker).execute(&mut sim, &plan);
+    plan.launch(&mut sim, attacker);
     sim.run_until(2_000_000);
 
     assert_eq!(sim.station(victim).stats.cts_sent, 25);
