@@ -1,4 +1,4 @@
-//! The common attack / probe / assertion trait layer.
+//! The common attack / probe / assertion layer.
 //!
 //! Every experiment used to wire its attacker, its measurements and its
 //! pass/fail checks straight into its `main` — the deauth, NAV-DoS,
@@ -10,18 +10,17 @@
 //!   [`Simulator`] and reports how many frames it committed to the air;
 //! * a [`Probe`] reads measurements out of a *finished* simulation into
 //!   the experiment's [`MetricsLedger`];
-//! * an [`Assertion`] checks recorded metrics against a pass/fail
-//!   predicate, aggregating every violation into one error message
-//!   (the same contract as the harness flag parser).
+//! * a [`MetricAssertion`] checks one recorded metric's mean (or
+//!   minimum) against a pass/fail predicate.
 //!
 //! Two attacks exist. Every paced stream, the paper's fakes and the
 //! related-work deauth (arXiv 2602.23513) and NAV floods alike, is an
 //! [`InjectionPlan`](crate::InjectionPlan); Bl0ck's one forged
 //! BlockAckReq (arXiv 2302.05899) is [`BlockAckParalysis`]. The
-//! temporal ACK pairer ([`AckVerifier`]) implements [`Probe`].
+//! temporal ACK pairer ([`AckVerifier`]) is read through [`AckProbe`].
 
 use crate::verifier::AckVerifier;
-use polite_wifi_frame::{ControlFrame, Frame, MacAddr};
+use polite_wifi_frame::{ControlFrame, Frame, MacAddr, ManagementBody};
 use polite_wifi_harness::MetricsLedger;
 use polite_wifi_phy::rate::BitRate;
 use polite_wifi_sim::{NodeId, Simulator};
@@ -37,32 +36,6 @@ pub trait Attack: Send + Sync {
 pub trait Probe: Send + Sync {
     /// Record this probe's measurements into the ledger.
     fn observe(&self, sim: &Simulator, ledger: &mut MetricsLedger);
-}
-
-/// A pass/fail predicate over recorded metrics.
-pub trait Assertion {
-    /// Human-readable form, e.g. `throughput_fraction <= 0.2`.
-    fn describe(&self) -> String;
-    /// Check the predicate; `lookup` resolves a metric name to its mean.
-    fn check(&self, lookup: &dyn Fn(&str) -> Option<f64>) -> Result<(), String>;
-}
-
-/// Evaluates every assertion and aggregates all violations into one
-/// error, mirroring the harness flag parser's one-aggregated-error
-/// style.
-pub fn check_all(
-    assertions: &[Box<dyn Assertion>],
-    lookup: &dyn Fn(&str) -> Option<f64>,
-) -> Result<(), String> {
-    let problems: Vec<String> = assertions
-        .iter()
-        .filter_map(|a| a.check(lookup).err())
-        .collect();
-    if problems.is_empty() {
-        Ok(())
-    } else {
-        Err(problems.join("; "))
-    }
 }
 
 /// Bl0ck-style Block-Ack paralysis (arXiv 2302.05899): a forged
@@ -97,12 +70,63 @@ impl Attack for BlockAckParalysis {
     }
 }
 
-/// The temporal ACK pairer doubles as a probe: it records how many of
-/// the attacker's injections were verifiably acknowledged.
-impl Probe for AckVerifier {
+/// Pairs the attacker's injections with the ACKs they elicited over the
+/// attacker node's own capture, and records the verified exchange count
+/// under `metric` (plus, optionally, each exchange's fake-end → ACK-end
+/// latency in µs under `latency_metric`).
+#[derive(Debug, Clone, PartialEq)]
+pub struct AckProbe {
+    /// The attacker node, whose capture is paired.
+    pub node: NodeId,
+    /// The forged transmitter address the ACKs come back to.
+    pub attacker: MacAddr,
+    /// The ledger metric the exchange count is recorded under.
+    pub metric: String,
+    /// The ledger metric each exchange's latency is recorded under.
+    pub latency_metric: Option<String>,
+}
+
+impl Probe for AckProbe {
     fn observe(&self, sim: &Simulator, ledger: &mut MetricsLedger) {
-        let verified = self.verify(sim.global_capture());
-        ledger.record("acks_elicited", verified.len() as f64);
+        let exchanges = AckVerifier::new(self.attacker).verify(&sim.node(self.node).capture);
+        ledger.record(&self.metric, exchanges.len() as f64);
+        if let Some(latency) = &self.latency_metric {
+            for e in &exchanges {
+                ledger.record(latency, (e.ack_ts_us - e.fake_ts_us) as f64);
+            }
+        }
+    }
+}
+
+/// Records whether every deauthentication burst on the air repeats one
+/// sequence number (1 or 0) — Figure 3's retries, SN=3275 three times.
+/// The global capture's deauths are read in bursts of
+/// [`Behavior::deauthing_ap`](polite_wifi_mac::Behavior::deauthing_ap)'s
+/// `deauth_burst`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DeauthSeqProbe {
+    /// The ledger metric name to record under.
+    pub metric: String,
+}
+
+impl Probe for DeauthSeqProbe {
+    fn observe(&self, sim: &Simulator, ledger: &mut MetricsLedger) {
+        let sequences: Vec<u16> = sim
+            .global_capture()
+            .frames()
+            .iter()
+            .filter_map(|cf| match &cf.frame {
+                Frame::Mgmt(m) if matches!(m.body, ManagementBody::Deauthentication { .. }) => {
+                    Some(m.seq.sequence)
+                }
+                _ => None,
+            })
+            .collect();
+        let burst = polite_wifi_mac::Behavior::deauthing_ap().deauth_burst as usize;
+        let shared = sequences
+            .chunks(burst)
+            .all(|c| c.iter().all(|&s| s == c[0]));
+        ledger.record(&self.metric, if shared { 1.0 } else { 0.0 });
     }
 }
 
@@ -258,24 +282,54 @@ impl CmpOp {
     }
 }
 
-/// `metric <op> value` over a recorded metric's mean.
+/// Which summary of a metric's samples a [`MetricAssertion`] compares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Summary {
+    /// The mean over every sample (every trial).
+    Mean,
+    /// The smallest sample: "every trial" claims.
+    Min,
+}
+
+/// `metric <op> value` over a recorded metric's mean or minimum.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricAssertion {
     /// The ledger metric to check.
     pub metric: String,
+    /// Which summary of its samples is compared.
+    pub summary: Summary,
     /// Comparison operator.
     pub op: CmpOp,
     /// Right-hand side.
     pub value: f64,
 }
 
-impl Assertion for MetricAssertion {
-    fn describe(&self) -> String {
-        format!("{} {} {}", self.metric, self.op.symbol(), self.value)
+impl MetricAssertion {
+    /// Human-readable form, e.g. `throughput_fraction <= 0.2` or
+    /// `min(acks) > 0`.
+    pub fn describe(&self) -> String {
+        let (op, value) = (self.op.symbol(), self.value);
+        match self.summary {
+            Summary::Mean => format!("{} {op} {value}", self.metric),
+            Summary::Min => format!("min({}) {op} {value}", self.metric),
+        }
     }
 
-    fn check(&self, lookup: &dyn Fn(&str) -> Option<f64>) -> Result<(), String> {
-        match lookup(&self.metric) {
+    /// The summary compared, if the metric was recorded.
+    pub fn measured(&self, metrics: &MetricsLedger) -> Option<f64> {
+        let summary = metrics
+            .summaries()
+            .into_iter()
+            .find(|s| s.name == self.metric)?;
+        Some(match self.summary {
+            Summary::Mean => summary.mean,
+            Summary::Min => summary.min,
+        })
+    }
+
+    /// Checks the predicate against the recorded metrics.
+    pub fn check(&self, metrics: &MetricsLedger) -> Result<(), String> {
+        match self.measured(metrics) {
             None => Err(format!(
                 "assertion `{}` references unrecorded metric `{}`",
                 self.describe(),
@@ -369,33 +423,39 @@ mod tests {
 
     #[test]
     fn metric_assertions_aggregate_failures() {
-        let assertions: Vec<Box<dyn Assertion>> = vec![
-            Box::new(MetricAssertion {
-                metric: "a".into(),
-                op: CmpOp::Ge,
-                value: 1.0,
-            }),
-            Box::new(MetricAssertion {
-                metric: "b".into(),
-                op: CmpOp::Lt,
-                value: 0.5,
-            }),
-            Box::new(MetricAssertion {
-                metric: "missing".into(),
-                op: CmpOp::Eq,
-                value: 0.0,
-            }),
-        ];
-        let lookup = |name: &str| match name {
-            "a" => Some(2.0),
-            "b" => Some(0.9),
-            _ => None,
+        let mut ledger = MetricsLedger::new();
+        ledger.record("a", 2.0);
+        ledger.record("b", 0.9);
+        ledger.record("c", 3.0);
+        ledger.record("c", 0.0);
+        let assert = |metric: &str, summary, op, value| MetricAssertion {
+            metric: metric.into(),
+            summary,
+            op,
+            value,
         };
-        let err = check_all(&assertions, &lookup).unwrap_err();
-        assert!(err.contains("assertion `b < 0.5` failed: measured 0.9"));
-        assert!(err.contains("unrecorded metric `missing`"));
-        assert!(!err.contains("`a >= 1`"));
-        assert_eq!(err.matches("; ").count(), 1);
+        let assertions = [
+            assert("a", Summary::Mean, CmpOp::Ge, 1.0),
+            assert("b", Summary::Mean, CmpOp::Lt, 0.5),
+            assert("missing", Summary::Mean, CmpOp::Eq, 0.0),
+            // The mean of `c` is 1.5, but one sample is 0.
+            assert("c", Summary::Mean, CmpOp::Gt, 1.0),
+            assert("c", Summary::Min, CmpOp::Gt, 0.0),
+        ];
+        let errors: Vec<String> = assertions
+            .iter()
+            .filter_map(|a| a.check(&ledger).err())
+            .collect();
+        assert_eq!(
+            errors,
+            [
+                "assertion `b < 0.5` failed: measured 0.9",
+                "assertion `missing == 0` references unrecorded metric `missing`",
+                "assertion `min(c) > 0` failed: measured 0",
+            ]
+        );
+        assert_eq!(assertions[3].measured(&ledger), Some(1.5));
+        assert_eq!(assertions[4].measured(&ledger), Some(0.0));
     }
 
     #[test]

@@ -20,10 +20,9 @@
 //!   Section 4.3, and
 //! * [`analysis`] — the SIFS-vs-decryption feasibility argument of
 //!   Section 2.2 in executable form,
-//! * [`attack`] — the [`attack::Attack`] /
-//!   [`attack::Probe`] / [`attack::Assertion`] trait
-//!   layer that declarative scenarios compose attacks and pass/fail
-//!   checks from,
+//! * [`attack`] — the [`attack::Attack`] / [`attack::Probe`] traits
+//!   and [`attack::MetricAssertion`] that declarative scenarios compose
+//!   attacks, measurements and pass/fail checks from,
 //!
 //! and two extensions following the paper's future-work pointers:
 //!
@@ -44,8 +43,8 @@ pub mod verifier;
 pub mod vitals;
 
 pub use attack::{
-    check_all, Assertion, AssociationProbe, Attack, BlockAckParalysis, CmpOp, MetricAssertion,
-    Probe, StatKind, StationStatProbe,
+    AckProbe, AssociationProbe, Attack, BlockAckParalysis, CmpOp, DeauthSeqProbe, MetricAssertion,
+    Probe, StatKind, StationStatProbe, Summary,
 };
 pub use drain::{BatteryDrainAttack, DrainMeasurement};
 pub use injector::{InjectionKind, InjectionPlan};

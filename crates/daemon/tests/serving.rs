@@ -126,29 +126,43 @@ fn identical_resubmission_is_a_byte_identical_cache_hit() {
     let _ = std::fs::remove_dir_all(state_dir);
 }
 
+/// The committed `fig3_deauth.json` as it was while Figure 3 had a
+/// bespoke runner of that name.
+const PRE_GENERIC_FIG3: &str = r#"{
+  "name": "E3: AP deauths the attacker yet still ACKs its fakes",
+  "paper_ref": "Figure 3 + the blocklist experiment of §2.1",
+  "slug": "fig3_deauth",
+  "runner": "fig3_deauth",
+  "run": {"seed": 3, "trials": 1, "workers": 1, "quick": false, "faults": "clean"}
+}"#;
+
 #[test]
-fn status_documents_stay_valid_json_for_a_quoted_runner() {
-    let cfg = config("quoted-runner");
+fn unregistered_runner_is_a_400_before_any_cache_lookup() {
+    let cfg = config("unregistered-runner");
     let state_dir = cfg.state_dir.clone();
     let daemon = Daemon::start(cfg).unwrap();
-    // Parses (any runner name does), queues, then fails: no such runner.
+
     let runner = "no \"such\" runner";
-    let spec = fixture(5, 1, 10).replace(
+    let quoted = fixture(5, 1, 10).replace(
         "\"runner\": \"generic\"",
         &format!("\"runner\": {}", json::to_string(runner)),
     );
-
-    let (status, _, body) = submit(&daemon, &spec, "?wait=1");
-    assert_eq!(status, 500, "{}", String::from_utf8_lossy(&body));
-    let reply = json::parse(std::str::from_utf8(&body).unwrap())
-        .unwrap_or_else(|e| panic!("failure reply is not JSON ({e})"));
-    assert_eq!(reply.get("runner").and_then(|v| v.as_str()), Some(runner));
-    let id = reply.get("id").and_then(|v| v.as_f64()).expect("job id") as u64;
-
-    let body = poll_until_terminal(&daemon, id);
-    let doc = json::parse(&body).unwrap_or_else(|e| panic!("status is not JSON ({e}): {body}"));
-    assert_eq!(doc.get("runner").and_then(|v| v.as_str()), Some(runner));
-    assert_eq!(doc.get("state").and_then(|v| v.as_str()), Some("failed"));
+    for (spec, named) in [(quoted.as_str(), runner), (PRE_GENERIC_FIG3, "fig3_deauth")] {
+        let (status, cache, body) = submit(&daemon, spec, "?wait=1");
+        let body = String::from_utf8(body).unwrap();
+        assert_eq!(status, 400, "{body}");
+        assert_eq!(cache, "", "a rejected spec carries no cache verdict");
+        let reply = json::parse(&body).unwrap_or_else(|e| panic!("reply is not JSON ({e})"));
+        let error = reply.get("error").and_then(|v| v.as_str()).unwrap();
+        assert!(
+            error.contains(&format!(
+                "names no registered runner: `{named}` (known: generic, "
+            )),
+            "{error}"
+        );
+    }
+    assert_eq!(daemon.counter(names::DAEMON_CACHE_HIT), 0);
+    assert_eq!(daemon.counter(names::DAEMON_CACHE_MISS), 0);
 
     daemon.drain().unwrap();
     let _ = std::fs::remove_dir_all(state_dir);

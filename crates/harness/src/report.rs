@@ -1,15 +1,14 @@
 //! The experiment facade and unified result schema.
 //!
-//! Every experiment binary follows the same lifecycle:
+//! Every experiment runner follows the same lifecycle:
 //!
 //! ```text
-//! let mut exp = Experiment::start("E1: ...", "Figure 2 of ...");
-//! // ... run trials via exp.args() / exp.runner(), record into
-//! //     exp.metrics ...
-//! exp.finish("fig2_trace", &payload)?;   // prints + writes results/fig2_trace.json
+//! let mut exp = Experiment::start_with("E1: ...", "Figure 2 of ...", args);
+//! // ... run trials via exp.run_trials(..), record into exp.metrics ...
+//! let status = exp.finish_with_status("fig2_trace", &payload)?;   // writes results/fig2_trace.json
 //! ```
 //!
-//! [`Experiment::finish`] writes one JSON document with a fixed
+//! [`Experiment::finish_with_status`] writes one JSON document with a fixed
 //! envelope — experiment name, paper reference, seed, trial/worker
 //! counts, metric summaries — and the experiment-specific payload under
 //! `payload`. Consumers (EXPERIMENTS.md tooling, plots) can rely on the
@@ -88,7 +87,7 @@ pub struct Experiment {
     paper_ref: String,
     args: RunArgs,
     /// Experiment-level metric accumulators, summarised into the JSON
-    /// envelope on [`finish`](Self::finish).
+    /// envelope on [`finish_with_status`](Self::finish_with_status).
     pub metrics: MetricsLedger,
     /// The experiment's merged observability scope: per-trial snapshots
     /// [`absorb_obs`](Self::absorb_obs)ed in trial order plus anything
@@ -107,20 +106,8 @@ pub struct Experiment {
 }
 
 impl Experiment {
-    /// Starts an experiment: prints the standard header and parses the
-    /// shared `--trials/--workers/--seed/--quick` flags from the
-    /// process arguments (exiting with a usage message on bad input).
-    pub fn start(name: &str, paper_ref: &str) -> Experiment {
-        Self::start_with(name, paper_ref, RunArgs::from_env(RunArgs::default()))
-    }
-
-    /// Starts an experiment with experiment-specific default arguments
-    /// (still overridable from the command line).
-    pub fn start_defaults(name: &str, paper_ref: &str, defaults: RunArgs) -> Experiment {
-        Self::start_with(name, paper_ref, RunArgs::from_env(defaults))
-    }
-
-    /// Starts an experiment with fully explicit arguments (for tests).
+    /// Starts an experiment with parsed arguments (see
+    /// [`RunArgs::parse`]) and prints the standard header.
     pub fn start_with(name: &str, paper_ref: &str, args: RunArgs) -> Experiment {
         sink::set_quiet(args.quiet);
         // Span recording costs memory; only turn it on when the run will
@@ -288,17 +275,6 @@ impl Experiment {
     /// The trial failures recorded so far.
     pub fn trial_failures(&self) -> &[TrialFailure] {
         &self.trial_failures
-    }
-
-    /// Finishes the experiment and exits the process non-zero when the
-    /// run degraded beyond what the flags allow (see
-    /// [`finish_with_status`](Self::finish_with_status)).
-    pub fn finish<T: ToJson + ?Sized>(self, slug: &str, payload: &T) -> io::Result<()> {
-        let status = self.finish_with_status(slug, payload)?;
-        if status != 0 {
-            std::process::exit(status);
-        }
-        Ok(())
     }
 
     /// Finishes the experiment: merges the payload into the unified
@@ -567,7 +543,11 @@ mod tests {
         exp.metrics.record("acks", 5.0);
         exp.obs.add("sim.frames_injected", 9);
         exp.obs.observe("mac.ack_turnaround_us", 10);
-        exp.finish("smoke", &Payload { acks: 5 }).unwrap();
+        assert_eq!(
+            exp.finish_with_status("smoke", &Payload { acks: 5 })
+                .unwrap(),
+            0
+        );
 
         let written = std::fs::read_to_string(dir.join("smoke.json")).unwrap();
         for needle in [
@@ -712,7 +692,11 @@ mod tests {
         // the default config first), but the trace file must exist and
         // be valid either way.
         exp.obs.add("sim.frames_injected", 1);
-        exp.finish("trace_smoke", &Payload { acks: 0 }).unwrap();
+        assert_eq!(
+            exp.finish_with_status("trace_smoke", &Payload { acks: 0 })
+                .unwrap(),
+            0
+        );
 
         let written = std::fs::read_to_string(&trace_path).unwrap();
         let parsed = polite_wifi_obs::json::parse(&written).unwrap();

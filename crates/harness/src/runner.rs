@@ -399,20 +399,6 @@ impl RunArgs {
         Err(message)
     }
 
-    /// Parses the process's own arguments, exiting with a message on
-    /// malformed input.
-    pub fn from_env(defaults: RunArgs) -> RunArgs {
-        match Self::parse(std::env::args().skip(1), defaults) {
-            Ok(args) => args,
-            Err(msg) => {
-                // Usage errors must print even under --quiet (the flag
-                // may not even have parsed), so this is an alert.
-                crate::sink::alert(&msg);
-                std::process::exit(2);
-            }
-        }
-    }
-
     /// A runner sized to these arguments.
     pub fn runner(&self) -> Runner {
         Runner::new(self.workers)

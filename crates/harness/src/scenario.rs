@@ -18,6 +18,7 @@ enum PostOp {
     Associate(NodeId, MacAddr),
     Velocity(NodeId, (f64, f64)),
     Retries(NodeId, bool),
+    Block(NodeId, MacAddr),
 }
 
 /// A reusable recipe for building simulators.
@@ -135,6 +136,12 @@ impl ScenarioBuilder {
         self
     }
 
+    /// Adds a MAC address to a station's manual blocklist.
+    pub fn block(&mut self, id: NodeId, addr: MacAddr) -> &mut Self {
+        self.ops.push(PostOp::Block(id, addr));
+        self
+    }
+
     /// Number of declared stations.
     pub fn population(&self) -> usize {
         self.nodes.len()
@@ -158,6 +165,7 @@ impl ScenarioBuilder {
                 PostOp::Associate(id, peer) => sim.station_mut(id).associate(peer),
                 PostOp::Velocity(id, v) => sim.set_velocity(id, v),
                 PostOp::Retries(id, enabled) => sim.set_retries(id, enabled),
+                PostOp::Block(id, addr) => sim.station_mut(id).block_mac(addr),
             }
         }
         sim.install_faults(&self.faults.plan());

@@ -423,6 +423,7 @@ impl ToJson for JsonValue {
 /// Parses a JSON document. Errors carry a byte offset and description.
 pub fn parse(input: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -436,6 +437,7 @@ pub fn parse(input: &str) -> Result<JsonValue, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -577,13 +579,16 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so
-                    // boundaries are valid).
+                    // Copy the run up to the next quote or backslash in
+                    // one go. Both are ASCII, so the run ends on a char
+                    // boundary.
                     let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -750,6 +755,16 @@ mod tests {
         assert_eq!(arr[1], JsonValue::Null);
         assert_eq!(arr[2], JsonValue::Bool(false));
         assert_eq!(arr[3].as_str(), Some("A\n"));
+    }
+
+    #[test]
+    fn parse_reads_runs_of_plain_text_between_escapes() {
+        let every = "q\"b\\n\nr\rt\tb\x08f\x0cu\x01é§ plain";
+        let mut doc = String::new();
+        write_escaped(&mut doc, every);
+        assert_eq!(parse(&doc).unwrap().as_str(), Some(every));
+        assert_eq!(parse("\"é\\\"§\"").unwrap().as_str(), Some("é\"§"));
+        assert!(parse("\"unterminated é").is_err());
     }
 
     #[test]

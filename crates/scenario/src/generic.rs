@@ -1,19 +1,23 @@
 //! The fully interpreted scenario executor (`"runner": "generic"`).
 //!
 //! Everything comes from the spec: the topology stamps a
-//! [`ScenarioBuilder`](polite_wifi_harness::ScenarioBuilder), each attack
-//! entry composes an [`polite_wifi_core::Attack`] from the core trait
-//! layer, each probe entry a [`polite_wifi_core::Probe`], and the
-//! assertion block a set of [`polite_wifi_core::MetricAssertion`]s
-//! checked against the recorded metric means. No experiment-specific
-//! code runs at all — related-work scenarios land purely as data files.
+//! [`ScenarioBuilder`], each attack entry composes an
+//! [`polite_wifi_core::Attack`] from the core trait layer, each probe
+//! entry a [`polite_wifi_core::Probe`] (or the capture a `pcap` probe
+//! writes), and the assertion block a set of [`MetricAssertion`]s
+//! checked against the recorded metrics. A spec that declares `cases`
+//! runs case `t mod n` in trial `t`. No experiment-specific code runs at
+//! all — the paper's Figure 2, Table 1 and Figure 3 and the related-work
+//! scenarios land purely as data files this way.
 
-use crate::spec::{AttackSpec, ProbeSpec, ScenarioSpec, TopologySpec};
+use crate::spec::{AssertionSpec, AttackSpec, Case, ProbeSpec, ScenarioSpec, TopologySpec};
 use polite_wifi_core::{
-    check_all, AckVerifier, Assertion, AssociationProbe, Attack, BlockAckParalysis, InjectionKind,
+    AckProbe, AssociationProbe, Attack, BlockAckParalysis, DeauthSeqProbe, InjectionKind,
     InjectionPlan, MetricAssertion, Probe, StationStatProbe,
 };
-use polite_wifi_harness::{Experiment, MetricsLedger, RunArgs};
+use polite_wifi_harness::{Experiment, MetricSummary, MetricsLedger, RunArgs, ScenarioBuilder};
+use polite_wifi_obs::json::{JsonWriter, ToJson};
+use polite_wifi_pcap::LinkType;
 use polite_wifi_sim::NodeId;
 use std::collections::BTreeMap;
 use std::io;
@@ -27,22 +31,44 @@ struct AssertionOutcome {
 
 polite_wifi_obs::impl_to_json! { AssertionOutcome { check, measured, pass } }
 
-/// The generic runner's payload.
+/// One trial's row in the payload of a spec that declares `cases`.
+struct CaseRow {
+    name: String,
+    attack_frames: u64,
+    metrics: Vec<MetricSummary>,
+}
+
+polite_wifi_obs::impl_to_json! { CaseRow { name, attack_frames, metrics } }
+
+/// The generic runner's payload. `cases` is written only when the spec
+/// declares cases.
 struct GenericOutcome {
     attack_frames: u64,
     assertions: Vec<AssertionOutcome>,
     verdict: String,
+    cases: Option<Vec<CaseRow>>,
 }
 
-polite_wifi_obs::impl_to_json! { GenericOutcome { attack_frames, assertions, verdict } }
+impl ToJson for GenericOutcome {
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_object()
+            .key("attack_frames")
+            .value(&self.attack_frames)
+            .key("assertions")
+            .value(&self.assertions)
+            .key("verdict")
+            .value(&self.verdict);
+        if let Some(cases) = &self.cases {
+            w.key("cases").value(cases);
+        }
+        w.end_object();
+    }
+}
 
 /// Builds the core-layer attack an [`AttackSpec`] describes and names
 /// the node that transmits it. Every paced kind, the legitimate
 /// `qos-traffic` included, is an [`InjectionPlan`].
-pub(crate) fn build_attack<'s>(
-    spec: &'s AttackSpec,
-    topo: &TopologySpec,
-) -> (&'s str, Box<dyn Attack>) {
+fn build_attack<'s>(spec: &'s AttackSpec, topo: &TopologySpec) -> (&'s str, Box<dyn Attack>) {
     // (sender, receiver, transmitter address, frame kind)
     let (from, to, ta, kind) = match spec {
         AttackSpec::NullFlood {
@@ -105,14 +131,27 @@ pub(crate) fn build_attack<'s>(
     (from, Box::new(plan))
 }
 
-/// Builds the core-layer probe object a [`ProbeSpec`] describes.
+/// Builds the core-layer probe a [`ProbeSpec`] describes; `None` for a
+/// `pcap` probe, which records no metric.
 fn build_probe(
     spec: &ProbeSpec,
     topo: &TopologySpec,
     ids: &BTreeMap<String, NodeId>,
-) -> Box<dyn Probe> {
-    match spec {
-        ProbeSpec::AckVerifier { attacker } => Box::new(AckVerifier::new(topo.mac_of(attacker))),
+) -> Option<Box<dyn Probe>> {
+    Some(match spec {
+        ProbeSpec::AckVerifier {
+            attacker,
+            metric,
+            latency_metric,
+        } => Box::new(AckProbe {
+            node: ids[attacker],
+            attacker: topo.mac_of(attacker),
+            metric: metric.clone(),
+            latency_metric: latency_metric.clone(),
+        }),
+        ProbeSpec::DeauthSeq { metric } => Box::new(DeauthSeqProbe {
+            metric: metric.clone(),
+        }),
         ProbeSpec::StationStat { node, stat, metric } => Box::new(StationStatProbe {
             node: ids[node],
             stat: *stat,
@@ -123,58 +162,133 @@ fn build_probe(
             peer: topo.mac_of(peer),
             metric: metric.clone(),
         }),
-    }
+        ProbeSpec::Pcap { .. } => return None,
+    })
 }
 
-/// Runs a fully spec-driven scenario: trials across the worker pool,
-/// metrics merged in trial order, assertions checked against the means.
-/// Exit status is non-zero when an enforced assertion fails.
-pub fn run(spec: &ScenarioSpec, args: RunArgs) -> io::Result<i32> {
-    let mut exp = Experiment::start_with(&spec.name, &spec.paper_ref, args);
-    let args = exp.args();
-    let topo = spec
+/// One case, built once and stamped out per trial.
+struct Plan<'s> {
+    name: &'s str,
+    builder: ScenarioBuilder,
+    attacks: Vec<(NodeId, Box<dyn Attack>)>,
+    probes: Vec<Box<dyn Probe>>,
+    /// The node whose capture a `pcap` probe writes.
+    pcap: Option<NodeId>,
+}
+
+fn plan<'s>(case: Case<'s>, args: &RunArgs) -> Plan<'s> {
+    let topo = case
         .topology
-        .as_ref()
         .expect("validated: generic runner requires a topology");
-    let (sb, ids) = topo.builder(args.faults);
+    let (builder, ids) = topo.builder(args.faults);
     // Attacks launch before legitimate traffic, each in spec order: that
     // is the order frames reach `Simulator::inject`, and same-time
     // events dispatch in push order.
-    let mut launch_order: Vec<&AttackSpec> = spec.attacks.iter().collect();
+    let mut launch_order: Vec<&AttackSpec> = case.attacks.iter().collect();
     launch_order.sort_by_key(|a| matches!(a, AttackSpec::QosTraffic { .. }));
-    let attacks: Vec<(NodeId, Box<dyn Attack>)> = launch_order
+    let attacks = launch_order
         .into_iter()
         .map(|a| {
             let (from, attack) = build_attack(a, topo);
             (ids[from], attack)
         })
         .collect();
-    let probes: Vec<Box<dyn Probe>> = spec
-        .probes
+    Plan {
+        name: case.name,
+        builder,
+        attacks,
+        probes: (case.probes.iter())
+            .filter_map(|p| build_probe(p, topo, &ids))
+            .collect(),
+        pcap: case.probes.iter().find_map(|p| match p {
+            ProbeSpec::Pcap { node } => Some(ids[node]),
+            _ => None,
+        }),
+    }
+}
+
+/// Checks every assertion the fault profile enforces, each against its
+/// own metric. Returns the payload rows and every failure.
+fn evaluate(
+    assertions: &[AssertionSpec],
+    metrics: &MetricsLedger,
+    clean: bool,
+) -> (Vec<AssertionOutcome>, Vec<String>) {
+    let mut failures = Vec::new();
+    let outcomes = assertions
         .iter()
-        .map(|p| build_probe(p, topo, &ids))
+        .filter(|a| !a.clean_only || clean)
+        .map(|a| {
+            let check = MetricAssertion {
+                metric: a.metric.clone(),
+                summary: a.summary,
+                op: a.op,
+                value: a.value,
+            };
+            let verdict = check.check(metrics);
+            let pass = verdict.is_ok();
+            failures.extend(verdict.err());
+            AssertionOutcome {
+                check: check.describe(),
+                measured: check.measured(metrics),
+                pass,
+            }
+        })
+        .collect();
+    (outcomes, failures)
+}
+
+/// Runs a fully spec-driven scenario: trials across the worker pool,
+/// metrics merged in trial order, the first `pcap` capture written next
+/// to the envelope, assertions checked against the merged metrics.
+/// Exit status is non-zero when an enforced assertion fails.
+pub fn run(spec: &ScenarioSpec, args: RunArgs) -> io::Result<i32> {
+    let mut exp = Experiment::start_with(&spec.name, &spec.paper_ref, args);
+    let args = exp.args();
+    let plans: Vec<Plan> = spec
+        .resolved_cases()
+        .into_iter()
+        .map(|case| plan(case, &args))
         .collect();
 
     let results = exp.run_trials(|ctx| {
-        let mut scenario = sb.build_with_seed(ctx.seed);
-        let frames: u64 = attacks
-            .iter()
+        let plan = &plans[ctx.index % plans.len()];
+        let mut scenario = plan.builder.build_with_seed(ctx.seed);
+        let frames: u64 = (plan.attacks.iter())
             .map(|(from, attack)| attack.launch(&mut scenario.sim, *from))
             .sum();
         let sim = scenario.run();
         let mut ledger = MetricsLedger::new();
-        for probe in &probes {
+        for probe in &plan.probes {
             probe.observe(sim, &mut ledger);
         }
-        (frames, ledger, sim.take_obs())
+        let pcap = plan
+            .pcap
+            .map(|node| (sim.node(node).capture).to_pcap_bytes(LinkType::Ieee80211Radiotap));
+        (frames, ledger, pcap, sim.take_obs())
     });
 
     let mut attack_frames = 0u64;
-    for result in results.into_iter().flatten() {
-        let (frames, ledger, obs) = result;
+    let mut rows = Vec::new();
+    let mut capture = None;
+    for (trial, result) in results.into_iter().enumerate() {
+        let Some((frames, ledger, pcap, obs)) = result else {
+            continue;
+        };
         attack_frames += frames;
         exp.metrics.merge(&ledger);
         exp.absorb_obs(obs);
+        capture = capture.or(pcap);
+        rows.push(CaseRow {
+            name: plans[trial % plans.len()].name.to_string(),
+            attack_frames: frames,
+            metrics: ledger.summaries(),
+        });
+    }
+    if let Some(bytes) = capture {
+        let path = crate::support::ensure_results_dir()?.join(format!("{}.pcap", spec.slug));
+        std::fs::write(&path, bytes)?;
+        println!("\npcap written to {}", path.display());
     }
 
     println!();
@@ -182,39 +296,17 @@ pub fn run(spec: &ScenarioSpec, args: RunArgs) -> io::Result<i32> {
         "scenario `{}`: {} scheduled frame(s)",
         spec.slug, attack_frames
     );
+    let cases = (!spec.cases.is_empty()).then_some(rows);
+    for row in cases.iter().flatten() {
+        println!("  case {:<39} frames: {}", row.name, row.attack_frames);
+    }
     for summary in exp.metrics.summaries() {
         println!("  {:<44} mean: {}", summary.name, summary.mean);
     }
 
-    // Evaluate the assertion block against per-metric means.
-    let enforced: Vec<Box<dyn Assertion>> = spec
-        .assertions
-        .iter()
-        .filter(|a| !a.clean_only || args.faults.is_clean())
-        .map(|a| {
-            Box::new(MetricAssertion {
-                metric: a.metric.clone(),
-                op: a.op,
-                value: a.value,
-            }) as Box<dyn Assertion>
-        })
-        .collect();
-    let metrics = &exp.metrics;
-    let lookup = |name: &str| metrics.mean(name);
-    let verdict = check_all(&enforced, &lookup);
-    let outcomes: Vec<AssertionOutcome> = enforced
-        .iter()
-        .map(|a| AssertionOutcome {
-            check: a.describe(),
-            measured: spec
-                .assertions
-                .iter()
-                .find(|s| a.describe().starts_with(&s.metric))
-                .and_then(|s| metrics.mean(&s.metric)),
-            pass: a.check(&lookup).is_ok(),
-        })
-        .collect();
-    let skipped = spec.assertions.len() - enforced.len();
+    let clean = args.faults.is_clean();
+    let (outcomes, failures) = evaluate(&spec.assertions, &exp.metrics, clean);
+    let skipped = spec.assertions.len() - outcomes.len();
     println!();
     for o in &outcomes {
         println!(
@@ -226,19 +318,80 @@ pub fn run(spec: &ScenarioSpec, args: RunArgs) -> io::Result<i32> {
     if skipped > 0 {
         println!("  ({skipped} clean-only assertion(s) skipped under fault injection)");
     }
-    let verdict_str = match &verdict {
-        Ok(()) => "pass".to_string(),
-        Err(e) => {
-            println!("\nassertion failures: {e}");
-            "fail".to_string()
-        }
-    };
+    if !failures.is_empty() {
+        println!("\nassertion failures: {}", failures.join("; "));
+    }
 
     let payload = GenericOutcome {
         attack_frames,
         assertions: outcomes,
-        verdict: verdict_str,
+        verdict: if failures.is_empty() { "pass" } else { "fail" }.to_string(),
+        cases,
     };
     let status = exp.finish_with_status(&spec.slug, &payload)?;
-    Ok(if verdict.is_err() { 1 } else { status })
+    Ok(if failures.is_empty() { status } else { 1 })
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{run_spec, ScenarioSpec};
+    use polite_wifi_harness::set_thread_results_dir;
+    use polite_wifi_obs::json::{self, JsonValue};
+
+    /// A flood the victim ACKs, recorded as `acks`, next to a counter
+    /// that stays 0, recorded as `acks_sent`: one metric name is a
+    /// prefix of the other.
+    const PREFIXED: &str = r#"{
+  "name": "T: prefixed metric names",
+  "paper_ref": "none",
+  "slug": "prefixed_metrics",
+  "runner": "generic",
+  "run": {"seed": 4, "trials": 2},
+  "topology": {
+    "duration_us": 200000,
+    "nodes": [
+      {"name": "victim", "mac": "f2:6e:0b:11:22:33", "kind": "client", "position": [0, 0]},
+      {"name": "attacker", "mac": "aa:bb:bb:bb:bb:bb", "kind": "monitor", "position": [4, 0],
+       "retries": false}
+    ]
+  },
+  "attacks": [
+    {"kind": "null-flood", "attacker": "attacker", "victim": "victim",
+     "rate_pps": 50, "start_us": 1000, "duration_us": 100000, "bitrate": "6"}
+  ],
+  "probes": [
+    {"kind": "station-stat", "node": "victim", "stat": "acks_sent", "metric": "acks"},
+    {"kind": "station-stat", "node": "victim", "stat": "cts_sent", "metric": "acks_sent"}
+  ],
+  "assertions": [
+    {"metric": "acks", "op": ">", "value": 0},
+    {"metric": "acks_sent", "op": "==", "value": 0}
+  ]
+}"#;
+
+    #[test]
+    fn each_assertion_reports_its_own_metric() {
+        let dir = std::env::temp_dir().join("polite-wifi-generic-prefixed-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        set_thread_results_dir(Some(dir.clone()));
+        let spec = ScenarioSpec::parse(PREFIXED).unwrap();
+        let status = run_spec(&spec, spec.run_args()).unwrap();
+        set_thread_results_dir(None);
+        assert_eq!(status, 0);
+
+        let text = std::fs::read_to_string(dir.join("prefixed_metrics.json")).unwrap();
+        let envelope = json::parse(&text).unwrap();
+        let rows = envelope.get("payload").and_then(|p| p.get("assertions"));
+        let rows: Vec<(&str, f64)> = (rows.and_then(JsonValue::as_array).unwrap().iter())
+            .map(|row| {
+                let check = row.get("check").and_then(JsonValue::as_str).unwrap();
+                (
+                    check,
+                    row.get("measured").and_then(JsonValue::as_f64).unwrap(),
+                )
+            })
+            .collect();
+        assert_eq!(rows, [("acks > 0", 5.0), ("acks_sent == 0", 0.0)]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -12,13 +12,14 @@
 //! * [`generic`] — fully interpreted: the spec alone drives
 //!   [`ScenarioBuilder`](polite_wifi_harness::ScenarioBuilder)
 //!   construction, composes attacks/probes from the
-//!   `polite-wifi-core` trait layer, and checks the assertion block.
-//!   Related-work scenarios (Block-Ack paralysis, PMF deauth
-//!   resilience) land purely as data files this way.
-//! * [`experiments`] — ported paper experiments whose logic is
-//!   irreducibly programmatic (parameter sweeps, classifiers, city
-//!   scale). Their specs carry identity + run defaults + tuning
-//!   params; output stays byte-identical to the pre-port binaries.
+//!   `polite-wifi-core` trait layer, cycles trials through its
+//!   `cases`, and checks the assertion block. The paper's Figure 2,
+//!   Table 1 and Figure 3 and the related-work scenarios (Block-Ack
+//!   paralysis, PMF deauth resilience, power-save wake-ups) land
+//!   purely as data files this way.
+//! * [`experiments`] — bespoke runners whose logic is programmatic
+//!   (parameter sweeps, classifiers, city scale, cases sharing one
+//!   seed). Their specs carry identity + run defaults + tuning params.
 
 pub mod experiments;
 pub mod generic;
@@ -31,5 +32,5 @@ pub use hash::fnv1a64;
 pub use registry::{run_spec, runner_names};
 pub use spec::{
     behavior_from_label, bitrate_from_label, propagation_from_label, AssertionSpec, AttackSpec,
-    NodeKind, NodeSpec, ParamValue, ProbeSpec, RunSpec, ScenarioSpec, TopologySpec,
+    Case, CaseSpec, NodeKind, NodeSpec, ParamValue, ProbeSpec, RunSpec, ScenarioSpec, TopologySpec,
 };

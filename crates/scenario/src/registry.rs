@@ -25,13 +25,10 @@ const RUNNERS: &[(&str, RunnerFn)] = &[
     ),
     ("ext_ranging", crate::experiments::ext_ranging::run),
     ("ext_vitals", crate::experiments::ext_vitals::run),
-    ("fig2_trace", crate::experiments::fig2_trace::run),
-    ("fig3_deauth", crate::experiments::fig3_deauth::run),
     ("fig5_keystroke", crate::experiments::fig5_keystroke::run),
     ("fig6_power", crate::experiments::fig6_power::run),
     ("sensing_hub", crate::experiments::sensing_hub::run),
     ("sifs_timing", crate::experiments::sifs_timing::run),
-    ("table1_devices", crate::experiments::table1_devices::run),
     ("table2_wardrive", crate::experiments::table2_wardrive::run),
 ];
 

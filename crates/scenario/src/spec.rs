@@ -3,18 +3,21 @@
 //! A scenario is one JSON file that composes everything an experiment
 //! needs: identity (envelope `name`/`paper_ref`/`slug`), run defaults
 //! (seed, trials, workers, quick, fault profile), a population/topology
-//! for [`ScenarioBuilder`], attacker strategies, defender probes, and a
-//! pass/fail assertion block.
+//! for [`ScenarioBuilder`], attacker strategies, defender probes, the
+//! cases trials cycle through, and a pass/fail assertion block.
 //!
 //! Each section, and each attack and probe kind, has **one field list**
 //! (a `Section::fields` body; for attacks and probes, the variant's
-//! declaration), walked by two visitors:
+//! declaration), walked by three visitors:
 //!
-//! * the reader pulls typed values out of the JSON parsed by
-//!   `polite-wifi-obs`, works out the allowed keys and the node-name
-//!   references from the fields it visited, and rejects malformed specs
-//!   with **one aggregated error** listing every problem (the same
-//!   contract as the harness flag parser);
+//! * the reader takes typed values out of the JSON parsed by
+//!   `polite-wifi-obs`, works out the allowed keys from the fields it
+//!   visited, and rejects malformed specs with **one aggregated error**
+//!   listing every problem (the same contract as the harness flag
+//!   parser);
+//! * the node checker then walks each attack and probe of the typed
+//!   spec and checks every `node` field against the topology the
+//!   section runs in (a case's own, or the top level's);
 //! * the writer re-emits the spec through
 //!   [`JsonWriter::pretty`](polite_wifi_obs::json::JsonWriter::pretty)
 //!   in field-list order ([`ScenarioSpec::to_canonical_json`]).
@@ -22,14 +25,14 @@
 //!   `parse → write` round-trips byte-exact (the golden tests pin this).
 
 use polite_wifi_core::injector::MAX_PAYLOAD_LEN;
-use polite_wifi_core::{CmpOp, InjectionPlan, StatKind};
+use polite_wifi_core::{CmpOp, InjectionPlan, StatKind, Summary};
 use polite_wifi_frame::MacAddr;
 use polite_wifi_harness::{RunArgs, ScenarioBuilder};
 use polite_wifi_obs::json::{self, parse as parse_json, JsonValue, JsonWriter};
 use polite_wifi_phy::rate::BitRate;
 use polite_wifi_phy::Band;
 use polite_wifi_sim::{FaultProfile, NodeId, PropagationMode};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Run-section defaults: the subset of [`RunArgs`] a scenario pins.
@@ -112,6 +115,8 @@ pub struct NodeSpec {
     pub retries: Option<bool>,
     /// Constant velocity in m/s.
     pub velocity: Option<(f64, f64)>,
+    /// Nodes (by name) on this station's manual MAC blocklist.
+    pub blocklist: Vec<String>,
 }
 
 /// The population/topology section.
@@ -148,14 +153,15 @@ macro_rules! tagged_section {
 
         impl $name {
             /// Every kind's tag with a blank variant for the reader to fill.
-            fn kinds() -> Vec<(&'static str, $name)> {
-                vec![$(($tag, $name::$variant {$($field: Blank::blank(),)*}),)*]
+            fn kinds() -> [(&'static str, $name); [$($tag),*].len()] {
+                [$(($tag, $name::$variant {$($field: Blank::blank(),)*}),)*]
             }
         }
 
         impl Section for $name {
             fn blank() -> Self {
-                Self::kinds().swap_remove(0).1
+                let [(_, first), ..] = Self::kinds();
+                first
             }
 
             fn fields<V: Visit>(&mut self, v: &mut V) {
@@ -324,10 +330,29 @@ tagged_section! {
     /// A defender-side measurement.
     #[derive(Debug, Clone, PartialEq)]
     pub enum ProbeSpec ("probe") {
-        /// Temporal fake↔ACK pairing over the global capture.
+        /// Temporal fake↔ACK pairing over the attacker node's capture;
+        /// the verified exchange count is recorded under `metric`.
         "ack-verifier" => AckVerifier {
-            /// The attacker node whose forged TA anchors pairing.
+            /// The attacker node: its address anchors pairing, its
+            /// capture is paired.
             attacker: String = node,
+            /// Ledger metric name.
+            metric: String = req,
+            /// Ledger metric each exchange's fake-end → ACK-end latency
+            /// (µs) is recorded under.
+            latency_metric: Option<String> = opt,
+        }
+        /// Whether every deauthentication burst repeats one sequence
+        /// number (1/0).
+        "deauth-seq" => DeauthSeq {
+            /// Ledger metric name.
+            metric: String = req,
+        }
+        /// Writes the node's capture to `results/<slug>.pcap` (from the
+        /// first trial whose case declares it).
+        "pcap" => Pcap {
+            /// Node whose capture is written.
+            node: String = node,
         }
         /// One `StationStats` counter, recorded under `metric`.
         "station-stat" => StationStat {
@@ -350,11 +375,13 @@ tagged_section! {
     }
 }
 
-/// A pass/fail check over recorded metric means.
+/// A pass/fail check over a recorded metric's mean or minimum.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AssertionSpec {
     /// Metric name.
     pub metric: String,
+    /// The summary compared: the mean (the default) or the minimum.
+    pub summary: Summary,
     /// Comparison operator.
     pub op: CmpOp,
     /// Right-hand side.
@@ -362,6 +389,34 @@ pub struct AssertionSpec {
     /// `true`: only enforced under the clean fault profile (fault
     /// injection legitimately perturbs measured values).
     pub clean_only: bool,
+}
+
+/// One case trials cycle through: trial `t` runs case `t mod n`. Each
+/// section a case carries replaces the whole top-level section.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct CaseSpec {
+    /// Names the case's row in the payload.
+    pub name: String,
+    /// This case's population/topology.
+    pub topology: Option<TopologySpec>,
+    /// This case's attacker strategies.
+    pub attacks: Option<Vec<AttackSpec>>,
+    /// This case's defender probes.
+    pub probes: Option<Vec<ProbeSpec>>,
+}
+
+/// One case as a trial runs it: the case's own sections, the top-level
+/// ones where it carries none.
+#[derive(Debug, Clone, Copy)]
+pub struct Case<'s> {
+    /// The case name (empty when the spec declares no cases).
+    pub name: &'s str,
+    /// Population/topology.
+    pub topology: Option<&'s TopologySpec>,
+    /// Attacker strategies.
+    pub attacks: &'s [AttackSpec],
+    /// Defender probes.
+    pub probes: &'s [ProbeSpec],
 }
 
 /// A freeform scalar parameter (ported experiments read these).
@@ -395,6 +450,8 @@ pub struct ScenarioSpec {
     pub attacks: Vec<AttackSpec>,
     /// Defender probes.
     pub probes: Vec<ProbeSpec>,
+    /// Cases trials cycle through (none: every trial runs the top level).
+    pub cases: Vec<CaseSpec>,
     /// Pass/fail assertion block.
     pub assertions: Vec<AssertionSpec>,
     /// Freeform per-experiment parameters.
@@ -465,6 +522,8 @@ enum When {
 
 const WHENS: Labels<When> = Labels(&[("clean", When::Clean), ("always", When::Always)]);
 
+const SUMMARIES: Labels<Summary> = Labels(&[("mean", Summary::Mean), ("min", Summary::Min)]);
+
 /// Parses a bit-rate label (`"1"`, `"5.5"`, `"24"`, …).
 pub fn bitrate_from_label(label: &str) -> Option<BitRate> {
     BIT_RATES.get(label)
@@ -517,11 +576,6 @@ trait Visit {
         rule: Rule<T>,
     ) -> bool;
 
-    /// The node's own name, which references resolve against.
-    fn name(&mut self, key: &'static str, slot: &mut String) {
-        self.req(key, slot);
-    }
-
     /// A required reference to a node by name.
     fn node(&mut self, key: &'static str, slot: &mut String) {
         self.req(key, slot);
@@ -571,11 +625,21 @@ impl Section for ScenarioSpec {
                 )),
             }
         });
-        v.req("runner", &mut self.runner);
+        v.req_if("runner", &mut self.runner, |runner| {
+            let known = crate::registry::runner_names();
+            match known.contains(&runner.as_str()) {
+                true => Ok(()),
+                false => Err(format!(
+                    "names no registered runner: `{runner}` (known: {})",
+                    known.join(", ")
+                )),
+            }
+        });
         v.opt("run", &mut self.run);
         v.opt("topology", &mut self.topology);
         v.opt("attacks", &mut self.attacks);
         v.opt("probes", &mut self.probes);
+        v.opt("cases", &mut self.cases);
         v.opt("assertions", &mut self.assertions);
         v.opt("params", &mut self.params);
     }
@@ -585,6 +649,19 @@ fn at_least_one(n: &usize) -> Result<(), String> {
     match n {
         0 => Err("must be at least 1".to_string()),
         _ => Ok(()),
+    }
+}
+
+impl Section for CaseSpec {
+    fn blank() -> Self {
+        CaseSpec::default()
+    }
+
+    fn fields<V: Visit>(&mut self, v: &mut V) {
+        v.req("name", &mut self.name);
+        v.opt("topology", &mut self.topology);
+        v.opt("attacks", &mut self.attacks);
+        v.opt("probes", &mut self.probes);
     }
 }
 
@@ -633,11 +710,12 @@ impl Section for NodeSpec {
             beacon_interval_us: None,
             retries: None,
             velocity: None,
+            blocklist: Vec::new(),
         }
     }
 
     fn fields<V: Visit>(&mut self, v: &mut V) {
-        v.name("name", &mut self.name);
+        v.req("name", &mut self.name);
         v.req("mac", &mut self.mac);
         v.req("kind", &mut self.kind);
         v.req("position", &mut self.position);
@@ -653,6 +731,7 @@ impl Section for NodeSpec {
         v.opt("beacon_interval_us", &mut self.beacon_interval_us);
         v.opt("retries", &mut self.retries);
         v.opt("velocity", &mut self.velocity);
+        v.opt("blocklist", &mut self.blocklist);
         v.reject_if(
             self.kind == NodeKind::Ap && self.ssid.is_none(),
             "is an `ap` and must declare an `ssid`",
@@ -664,6 +743,7 @@ impl Section for AssertionSpec {
     fn blank() -> Self {
         AssertionSpec {
             metric: String::new(),
+            summary: Summary::Mean,
             op: CmpOp::Eq,
             value: 0.0,
             clean_only: false,
@@ -672,6 +752,9 @@ impl Section for AssertionSpec {
 
     fn fields<V: Visit>(&mut self, v: &mut V) {
         v.req("metric", &mut self.metric);
+        let mut summary = (self.summary != Summary::Mean).then_some(self.summary);
+        v.opt("summary", &mut summary);
+        self.summary = summary.unwrap_or(Summary::Mean);
         v.req("op", &mut self.op);
         v.req("value", &mut self.value);
         let mut when = self.clean_only.then_some(When::Clean);
@@ -734,9 +817,10 @@ impl fmt::Display for Path<'_> {
 }
 
 /// One JSON value type: how it is read (reporting problems) and how it
-/// is written in canonical form.
+/// is written in canonical form. Reading takes the strings it keeps out
+/// of the parsed document rather than copying them.
 trait Value: Sized {
-    fn read(v: &JsonValue, at: &Path, r: &mut Reader) -> Option<Self>;
+    fn read(v: &mut JsonValue, at: &Path, r: &mut Reader) -> Option<Self>;
     /// Takes `&mut` only because sections share their field list with
     /// the reader.
     fn write(&mut self, w: &mut JsonWriter);
@@ -762,7 +846,7 @@ macro_rules! blanks {
     )*};
 }
 
-blanks!(String => String::new(), u16 => 0, u32 => 0, u64 => 0, BitRate => BitRate::Mbps1, StatKind => StatKind::AcksSent);
+blanks!(String => String::new(), Option<String> => None, u16 => 0, u32 => 0, u64 => 0, BitRate => BitRate::Mbps1, StatKind => StatKind::AcksSent);
 
 /// Canonical number text: integral values without a decimal point.
 fn num(n: f64) -> String {
@@ -778,8 +862,8 @@ fn num(n: f64) -> String {
 macro_rules! scalar_values {
     ($($t:ty: $read:expr, $must_be:literal, $write:expr;)*) => {$(
         impl Value for $t {
-            fn read(v: &JsonValue, at: &Path, r: &mut Reader) -> Option<Self> {
-                let read: fn(&JsonValue) -> Option<$t> = $read;
+            fn read(v: &mut JsonValue, at: &Path, r: &mut Reader) -> Option<Self> {
+                let read: fn(&mut JsonValue) -> Option<$t> = $read;
                 read(v).or_else(|| r.problem(format!("{at} must be {}", $must_be)))
             }
 
@@ -792,15 +876,15 @@ macro_rules! scalar_values {
 }
 
 scalar_values! {
-    String: |v| v.as_str().map(str::to_string), "a string", |w, s| { w.string(s); };
+    String: |v| match v { JsonValue::Str(s) => Some(std::mem::take(s)), _ => None }, "a string", |w, s| { w.string(s); };
     bool: |v| match v { JsonValue::Bool(b) => Some(*b), _ => None }, "a boolean", |w, b| { w.bool(*b); };
-    f64: JsonValue::as_f64, "a number", |w, n| { w.raw(&num(*n)); };
+    f64: |v| v.as_f64(), "a number", |w, n| { w.raw(&num(*n)); };
 }
 
 macro_rules! unsigned_values {
     ($($t:ty),*) => {$(
         impl Value for $t {
-            fn read(v: &JsonValue, at: &Path, r: &mut Reader) -> Option<Self> {
+            fn read(v: &mut JsonValue, at: &Path, r: &mut Reader) -> Option<Self> {
                 let n = match v.as_f64() {
                     Some(n) if n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64 => n as u64,
                     _ => return r.problem(format!("{at} must be a non-negative integer")),
@@ -825,10 +909,12 @@ unsigned_values!(u8, u16, u32, u64, usize);
 macro_rules! label_values {
     ($($t:ty: $parse:expr, $wrong:expr, $label:expr;)*) => {$(
         impl Value for $t {
-            fn read(v: &JsonValue, at: &Path, r: &mut Reader) -> Option<Self> {
+            fn read(v: &mut JsonValue, at: &Path, r: &mut Reader) -> Option<Self> {
                 let (parse, wrong): (fn(&str) -> Option<$t>, fn(&str) -> String) = ($parse, $wrong);
-                let s = String::read(v, at, r)?;
-                parse(&s).or_else(|| r.problem(format!("{at} {}", wrong(&s))))
+                let Some(s) = v.as_str() else {
+                    return r.problem(format!("{at} must be a string"));
+                };
+                parse(s).or_else(|| r.problem(format!("{at} {}", wrong(s))))
             }
 
             fn write(&mut self, w: &mut JsonWriter) {
@@ -848,22 +934,27 @@ label_values! {
     Band: |s| BANDS.get(s), |s| BANDS.wrong(s), |b| BANDS.label(*b).to_string();
     NodeKind: |s| NODE_KINDS.get(s), |s| NODE_KINDS.wrong(s), |k| NODE_KINDS.label(*k).to_string();
     When: |s| WHENS.get(s), |s| WHENS.wrong(s), |w| WHENS.label(*w).to_string();
+    Summary: |s| SUMMARIES.get(s), |s| SUMMARIES.wrong(s), |m| SUMMARIES.label(*m).to_string();
 }
 
 /// Reads a two-element array (`shape` names it in errors).
-fn read_pair<T: Value>(v: &JsonValue, at: &Path, r: &mut Reader, shape: &str) -> Option<(T, T)> {
-    let items = r.array(v, at)?;
-    if items.len() != 2 {
+fn read_pair<T: Value>(
+    v: &mut JsonValue,
+    at: &Path,
+    r: &mut Reader,
+    shape: &str,
+) -> Option<(T, T)> {
+    let [x, y] = r.array(v, at)? else {
         return r.problem(format!("{at} must be a two-element {shape} array"));
-    }
-    let x = T::read(&items[0], &Path::Element(at, 0), r);
-    let y = T::read(&items[1], &Path::Element(at, 1), r);
+    };
+    let x = T::read(x, &Path::Element(at, 0), r);
+    let y = T::read(y, &Path::Element(at, 1), r);
     Some((x?, y?))
 }
 
 /// An `[x, y]` coordinate pair, written inline.
 impl Value for (f64, f64) {
-    fn read(v: &JsonValue, at: &Path, r: &mut Reader) -> Option<Self> {
+    fn read(v: &mut JsonValue, at: &Path, r: &mut Reader) -> Option<Self> {
         read_pair(v, at, r, "[x, y]")
     }
 
@@ -873,14 +964,10 @@ impl Value for (f64, f64) {
 }
 
 /// A `[from, to]` pair of node names (a link or association), written
-/// inline; both names are node references.
+/// inline.
 impl Value for (String, String) {
-    fn read(v: &JsonValue, at: &Path, r: &mut Reader) -> Option<Self> {
-        let (from, to) = read_pair::<String>(v, at, r, "[from, to]")?;
-        for name in [&from, &to] {
-            r.refs.push((at.parent().to_string(), name.clone()));
-        }
-        Some((from, to))
+    fn read(v: &mut JsonValue, at: &Path, r: &mut Reader) -> Option<Self> {
+        read_pair(v, at, r, "[from, to]")
     }
 
     fn write(&mut self, w: &mut JsonWriter) {
@@ -890,7 +977,7 @@ impl Value for (String, String) {
 }
 
 impl<T: Value> Value for Option<T> {
-    fn read(v: &JsonValue, at: &Path, r: &mut Reader) -> Option<Self> {
+    fn read(v: &mut JsonValue, at: &Path, r: &mut Reader) -> Option<Self> {
         T::read(v, at, r).map(Some)
     }
 
@@ -906,8 +993,8 @@ impl<T: Value> Value for Option<T> {
 }
 
 impl<T: Value> Value for Vec<T> {
-    fn read(v: &JsonValue, at: &Path, r: &mut Reader) -> Option<Self> {
-        let items = r.array(v, at)?.iter().enumerate();
+    fn read(v: &mut JsonValue, at: &Path, r: &mut Reader) -> Option<Self> {
+        let items = r.array(v, at)?.iter_mut().enumerate();
         Some(
             items
                 .filter_map(|(i, v)| T::read(v, &Path::Index(at, i), r))
@@ -928,14 +1015,14 @@ impl<T: Value> Value for Vec<T> {
 
 /// `params`: an object of freeform scalars, in document order.
 impl Value for Vec<(String, ParamValue)> {
-    fn read(v: &JsonValue, at: &Path, r: &mut Reader) -> Option<Self> {
-        let Some(entries) = v.as_object() else {
+    fn read(v: &mut JsonValue, at: &Path, r: &mut Reader) -> Option<Self> {
+        let JsonValue::Obj(entries) = v else {
             return r.problem(format!("{at} must be an object"));
         };
-        let params = entries.iter().filter_map(|(key, value)| {
+        let params = entries.iter_mut().filter_map(|(key, value)| {
             let value = match value {
                 JsonValue::Num(n) => ParamValue::Num(*n),
-                JsonValue::Str(s) => ParamValue::Str(s.clone()),
+                JsonValue::Str(s) => ParamValue::Str(std::mem::take(s)),
                 JsonValue::Bool(b) => ParamValue::Bool(*b),
                 _ => {
                     let at = Path::Field(at, key);
@@ -965,7 +1052,7 @@ impl Value for Vec<(String, ParamValue)> {
 }
 
 impl<T: Section> Value for T {
-    fn read(v: &JsonValue, at: &Path, r: &mut Reader) -> Option<Self> {
+    fn read(v: &mut JsonValue, at: &Path, r: &mut Reader) -> Option<Self> {
         r.section(v, at)
     }
 
@@ -982,11 +1069,6 @@ impl<T: Section> Value for T {
 #[derive(Default)]
 struct Reader {
     problems: Vec<String>,
-    /// Every declared node name.
-    nodes: HashSet<String>,
-    /// `(site, name)` of every node reference, resolved once the whole
-    /// document is read.
-    refs: Vec<(String, String)>,
 }
 
 impl Reader {
@@ -996,16 +1078,18 @@ impl Reader {
         None
     }
 
-    fn array<'v>(&mut self, v: &'v JsonValue, at: &Path) -> Option<&'v [JsonValue]> {
-        v.as_array()
-            .or_else(|| self.problem(format!("{at} must be an array")))
+    fn array<'v>(&mut self, v: &'v mut JsonValue, at: &Path) -> Option<&'v mut [JsonValue]> {
+        match v {
+            JsonValue::Arr(items) => Some(items),
+            _ => self.problem(format!("{at} must be an array")),
+        }
     }
 
     /// Reads the object `v` through `T`'s field list, then reports every
     /// key the list never asked for, ahead of the section's other
     /// problems.
-    fn section<T: Section>(&mut self, v: &JsonValue, at: &Path) -> Option<T> {
-        let Some(obj) = v.as_object() else {
+    fn section<T: Section>(&mut self, v: &mut JsonValue, at: &Path) -> Option<T> {
+        let JsonValue::Obj(obj) = v else {
             return self.problem(format!("{at} must be an object"));
         };
         let mark = self.problems.len();
@@ -1014,29 +1098,50 @@ impl Reader {
             r: self,
             obj,
             at,
-            asked: Vec::new(),
+            asked: [""; MAX_FIELDS],
+            asked_len: 0,
+            found: 0,
             known_kind: true,
         };
         out.fields(&mut fields);
-        if !fields.known_kind {
+        let FieldReader {
+            obj,
+            asked,
+            asked_len,
+            found,
+            known_kind,
+            ..
+        } = fields;
+        if !known_kind {
             return None;
         }
-        let asked = fields.asked;
-        let unknown = obj
+        if found == obj.len() {
+            return Some(out);
+        }
+        let asked = &asked[..asked_len];
+        let unknown: Vec<String> = obj
             .iter()
             .filter(|(key, _)| !asked.contains(&key.as_str()))
-            .map(|(key, _)| format!("unknown key `{key}` in {at}"));
+            .map(|(key, _)| format!("unknown key `{key}` in {at}"))
+            .collect();
         self.problems.splice(mark..mark, unknown);
         Some(out)
     }
 }
 
+/// The most fields one field list visits.
+const MAX_FIELDS: usize = 16;
+
 /// The reader's visitor over one JSON object.
 struct FieldReader<'a, 'p> {
     r: &'a mut Reader,
-    obj: &'a [(String, JsonValue)],
+    obj: &'a mut [(String, JsonValue)],
     at: &'a Path<'p>,
-    asked: Vec<&'static str>,
+    /// The keys the field list asked for, in `asked[..asked_len]`.
+    asked: [&'static str; MAX_FIELDS],
+    asked_len: usize,
+    /// How many keys were found; when it is every key, none is unknown.
+    found: usize,
     /// False once an enum section's tag names no kind; its other keys
     /// then go unchecked.
     known_kind: bool,
@@ -1053,8 +1158,9 @@ impl Visit for FieldReader<'_, '_> {
         slot: &mut T,
         rule: Rule<T>,
     ) -> bool {
-        self.asked.push(key);
-        let Some((_, v)) = self.obj.iter().find(|(k, _)| k == key) else {
+        self.asked[self.asked_len] = key;
+        self.asked_len += 1;
+        let Some((_, v)) = self.obj.iter_mut().find(|(k, _)| k == key) else {
             if required {
                 let at = self.at;
                 self.r
@@ -1063,6 +1169,7 @@ impl Visit for FieldReader<'_, '_> {
             }
             return false;
         };
+        self.found += 1;
         let at = Path::Field(self.at, key);
         let Some(value) = T::read(v, &at, self.r) else {
             return false;
@@ -1074,21 +1181,6 @@ impl Visit for FieldReader<'_, '_> {
                 self.r.problems.push(format!("{at} {why}"));
                 false
             }
-        }
-    }
-
-    fn name(&mut self, key: &'static str, slot: &mut String) {
-        if self.req(key, slot) && !self.r.nodes.insert(slot.clone()) {
-            let list = self.at.parent();
-            self.r
-                .problems
-                .push(format!("duplicate node name `{slot}` in {list}"));
-        }
-    }
-
-    fn node(&mut self, key: &'static str, slot: &mut String) {
-        if self.req(key, slot) {
-            self.r.refs.push((self.at.to_string(), slot.clone()));
         }
     }
 
@@ -1165,28 +1257,35 @@ impl ScenarioSpec {
     /// problem into one error.
     pub fn parse(input: &str) -> Result<ScenarioSpec, String> {
         const GRAMMAR: &str = "(see DESIGN.md \u{a7}13 for the grammar)";
-        let root = parse_json(input).map_err(|e| {
+        let mut root = parse_json(input).map_err(|e| {
             format!(
                 "invalid scenario spec: not valid JSON ({}) {GRAMMAR}",
                 one_line(&e)
             )
         })?;
         let mut r = Reader::default();
-        let Some(spec) = r.section::<ScenarioSpec>(&root, &Path::Root) else {
+        let Some(mut spec) = r.section::<ScenarioSpec>(&mut root, &Path::Root) else {
             return Err(format!(
                 "invalid scenario spec: top level must be an object {GRAMMAR}"
             ));
         };
-        for (site, name) in r.refs.iter().filter(|(_, name)| !r.nodes.contains(name)) {
-            r.problems
-                .push(format!("{site} references unknown node `{name}`"));
-        }
         let mut problems = r.problems;
-        if spec.runner == "generic" && spec.topology.is_none() {
-            problems.push("`runner: generic` requires a `topology` section".to_string());
-        }
-        if spec.runner == "generic" && spec.probes.is_empty() {
-            problems.push("`runner: generic` requires at least one probe".to_string());
+        spec.check_nodes(&mut problems);
+        if spec.runner == "generic" {
+            for case in spec.resolved_cases() {
+                let of = match spec.cases.is_empty() {
+                    true => String::new(),
+                    false => format!(" (case `{}`)", case.name),
+                };
+                if case.topology.is_none() {
+                    problems.push(format!(
+                        "`runner: generic` requires a `topology` section{of}"
+                    ));
+                }
+                if case.probes.is_empty() {
+                    problems.push(format!("`runner: generic` requires at least one probe{of}"));
+                }
+            }
         }
         match problems.is_empty() {
             true => Ok(spec),
@@ -1210,6 +1309,83 @@ impl ScenarioSpec {
         w.finish() + "\n"
     }
 
+    /// The cases trial `t` runs case `t mod n` of: every declared case,
+    /// or the top level as one unnamed case.
+    pub fn resolved_cases<'s>(&'s self) -> Vec<Case<'s>> {
+        let top = Case {
+            name: "",
+            topology: self.topology.as_ref(),
+            attacks: &self.attacks,
+            probes: &self.probes,
+        };
+        if self.cases.is_empty() {
+            return vec![top];
+        }
+        let case = |c: &'s CaseSpec| Case {
+            name: &c.name,
+            topology: c.topology.as_ref().or(top.topology),
+            attacks: c.attacks.as_deref().unwrap_or(top.attacks),
+            probes: c.probes.as_deref().unwrap_or(top.probes),
+        };
+        self.cases.iter().map(case).collect()
+    }
+
+    /// Reports duplicate node names within a topology, and every node
+    /// name a topology, attack or probe references that the topology it
+    /// runs in lacks. A top-level attack or probe runs in every case
+    /// without its own section of that kind.
+    fn check_nodes(&mut self, problems: &mut Vec<String>) {
+        let ScenarioSpec {
+            topology,
+            attacks,
+            probes,
+            cases,
+            ..
+        } = self;
+        let root = Path::Root;
+        let top = Path::Field(&root, "topology");
+        let top_names = topology.as_ref().map(|t| t.names(&top, problems));
+        let top_names = top_names.as_deref().unwrap_or_default();
+        if cases.is_empty() {
+            check_refs(
+                attacks,
+                &Path::Field(&root, "attacks"),
+                top_names,
+                None,
+                problems,
+            );
+            check_refs(
+                probes,
+                &Path::Field(&root, "probes"),
+                top_names,
+                None,
+                problems,
+            );
+        }
+        let listed = Path::Field(&root, "cases");
+        for (i, case) in cases.iter_mut().enumerate() {
+            let at = Path::Index(&listed, i);
+            let own = case.topology.as_ref();
+            let names = own.map(|t| t.names(&Path::Field(&at, "topology"), problems));
+            let names = names.as_deref().unwrap_or(top_names);
+            let name = Some(case.name.as_str());
+            match &mut case.attacks {
+                Some(own) => check_refs(own, &Path::Field(&at, "attacks"), names, None, problems),
+                None => check_refs(
+                    attacks,
+                    &Path::Field(&root, "attacks"),
+                    names,
+                    name,
+                    problems,
+                ),
+            }
+            match &mut case.probes {
+                Some(own) => check_refs(own, &Path::Field(&at, "probes"), names, None, problems),
+                None => check_refs(probes, &Path::Field(&root, "probes"), names, name, problems),
+            }
+        }
+    }
+
     /// Reads a numeric param.
     pub fn param_num(&self, key: &str) -> Option<f64> {
         self.params.iter().find_map(|(k, v)| match v {
@@ -1224,10 +1400,88 @@ impl ScenarioSpec {
     }
 }
 
+/// Reports each node reference of `items` (listed at `at`) that `names`
+/// (sorted) lacks, naming the `case` the items run in when they are not
+/// its own.
+fn check_refs<T: Section>(
+    items: &mut [T],
+    at: &Path,
+    names: &[&str],
+    case: Option<&str>,
+    problems: &mut Vec<String>,
+) {
+    for (i, item) in items.iter_mut().enumerate() {
+        let at = Path::Index(at, i);
+        item.fields(&mut NodeRefs {
+            at: &at,
+            names,
+            case,
+            problems,
+        });
+    }
+}
+
+/// The third visitor: checks the `node` fields of one section.
+struct NodeRefs<'a, 'p> {
+    at: &'a Path<'p>,
+    names: &'a [&'a str],
+    case: Option<&'a str>,
+    problems: &'a mut Vec<String>,
+}
+
+impl Visit for NodeRefs<'_, '_> {
+    fn field<T: Value>(&mut self, _: &'static str, _: bool, _: &mut T, _: Rule<T>) -> bool {
+        true
+    }
+
+    fn node(&mut self, _: &'static str, slot: &mut String) {
+        if self.names.binary_search(&slot.as_str()).is_err() {
+            let at = self.at;
+            let case = self
+                .case
+                .map_or(String::new(), |c| format!(" in case `{c}`"));
+            let problem = format!("{at} references unknown node `{slot}`{case}");
+            self.problems.push(problem);
+        }
+    }
+
+    fn kind<T: Clone>(&mut self, _: &str, _: &mut T, _: &[(&'static str, T)]) -> bool {
+        true
+    }
+}
+
 impl TopologySpec {
+    /// Its node names, sorted, after reporting duplicates and each name
+    /// a blocklist, link or association references that it lacks.
+    fn names(&self, at: &Path, problems: &mut Vec<String>) -> Vec<&str> {
+        let mut names: Vec<&str> = self.nodes.iter().map(|n| n.name.as_str()).collect();
+        names.sort_unstable();
+        let nodes = Path::Field(at, "nodes");
+        for pair in names.windows(2).filter(|pair| pair[0] == pair[1]) {
+            problems.push(format!("duplicate node name `{}` in {nodes}", pair[0]));
+        }
+        let mut unknown = |site: &Path, name: &String| {
+            if names.binary_search(&name.as_str()).is_err() {
+                problems.push(format!("{site} references unknown node `{name}`"));
+            }
+        };
+        for (i, node) in self.nodes.iter().enumerate() {
+            node.blocklist
+                .iter()
+                .for_each(|name| unknown(&Path::Index(&nodes, i), name));
+        }
+        for (key, pairs) in [("links", &self.links), ("associations", &self.associations)] {
+            for (from, to) in pairs {
+                unknown(&Path::Field(at, key), from);
+                unknown(&Path::Field(at, key), to);
+            }
+        }
+        names
+    }
+
     /// Routes the topology through [`ScenarioBuilder`]: nodes in
     /// declaration order (so [`NodeId`]s are stable), then links, then
-    /// one-directional associations.
+    /// one-directional associations, then blocklists.
     pub fn builder(&self, faults: FaultProfile) -> (ScenarioBuilder, BTreeMap<String, NodeId>) {
         use polite_wifi_mac::StationConfig;
         let mut config = polite_wifi_sim::SimConfig::default();
@@ -1273,6 +1527,11 @@ impl TopologySpec {
         }
         for (node, peer) in &self.associations {
             sb.associate(ids[node], self.mac_of(peer));
+        }
+        for n in &self.nodes {
+            for blocked in &n.blocklist {
+                sb.block(ids[&n.name], self.mac_of(blocked));
+            }
         }
         (sb, ids)
     }
@@ -1484,6 +1743,115 @@ mod tests {
         }
         assert!(behavior_from_label("validating:x").is_none());
         assert!(behavior_from_label("chaotic").is_none());
+    }
+
+    #[test]
+    fn unregistered_runner_is_rejected_with_the_known_list() {
+        let stale = MINIMAL.replace("\"runner\": \"generic\"", "\"runner\": \"fig3_deauth\"");
+        let err = ScenarioSpec::parse(&stale).unwrap_err();
+        assert!(
+            err.contains("`runner` names no registered runner: `fig3_deauth` (known: generic, "),
+            "{err}"
+        );
+        assert_eq!(err.lines().count(), 1);
+    }
+
+    #[test]
+    fn blocklists_and_min_assertions_parse_round_trip_and_build() {
+        let text = MINIMAL
+            .replace(
+                "\"position\": [0, 0]\n",
+                "\"position\": [0, 0],\n        \"blocklist\": [\n          \"ap\"\n        ]\n",
+            )
+            .replace(
+                "  ]\n}\n",
+                "  ],\n  \"assertions\": [\n    {\n      \"metric\": \"acks_sent\",\n      \
+                 \"summary\": \"min\",\n      \"op\": \">\",\n      \"value\": 0\n    }\n  ]\n}\n",
+            );
+        let spec = ScenarioSpec::parse(&text).expect("parses");
+        assert_eq!(spec.to_canonical_json(), text);
+        assert_eq!(spec.assertions[0].summary, Summary::Min);
+        let topo = spec.topology.as_ref().unwrap();
+        let (sb, ids) = topo.builder(FaultProfile::Clean);
+        let s = sb.build_with_seed(5);
+        assert!(s.sim.station(ids["victim"]).is_blocked(topo.mac_of("ap")));
+        assert!(!s.sim.station(ids["ap"]).is_blocked(topo.mac_of("victim")));
+
+        let err = ScenarioSpec::parse(&text.replace("\"min\"", "\"median\"")).unwrap_err();
+        assert!(
+            err.contains("summary must be `mean` or `min`, got `median`"),
+            "{err}"
+        );
+        let err =
+            ScenarioSpec::parse(&text.replace("\"ap\"\n        ]", "\"ghost\"]")).unwrap_err();
+        assert!(
+            err.contains("`topology.nodes[1]` references unknown node `ghost`"),
+            "{err}"
+        );
+    }
+
+    /// MINIMAL plus `cases`: one carrying its own topology (whose node
+    /// names may repeat the top level's) and one reading every
+    /// top-level section.
+    fn with_cases(case_topology_nodes: &str) -> String {
+        let cases = format!(
+            r#"  ],
+  "cases": [
+    {{
+      "name": "alone",
+      "topology": {{
+        "duration_us": 5,
+        "nodes": [{case_topology_nodes}]
+      }}
+    }},
+    {{
+      "name": "probed",
+      "probes": [
+        {{"kind": "pcap", "node": "ap"}}
+      ]
+    }}
+  ]
+}}
+"#
+        );
+        MINIMAL.replace("  ]\n}\n", &cases)
+    }
+
+    #[test]
+    fn cases_scope_node_names_and_replace_whole_sections() {
+        let victim = r#"{"name": "victim", "mac": "02:00:00:00:00:01", "kind": "client", "position": [0, 0]}"#;
+        let spec = ScenarioSpec::parse(&with_cases(victim)).expect("parses");
+        let cases = spec.resolved_cases();
+        assert_eq!(cases.len(), 2);
+        assert_eq!(cases[0].name, "alone");
+        assert_eq!(cases[0].topology.unwrap().duration_us, 5);
+        assert_eq!(cases[0].probes, &spec.probes[..]);
+        assert_eq!(cases[1].topology, spec.topology.as_ref());
+        assert!(matches!(cases[1].probes, [ProbeSpec::Pcap { .. }]));
+        let canonical = spec.to_canonical_json();
+        assert_eq!(ScenarioSpec::parse(&canonical).unwrap(), spec);
+
+        // The top-level probe reads `victim`: a case topology without it
+        // breaks that case alone. Case topologies declare their own
+        // names, so `ap` may repeat across scopes but not within one.
+        let ap = r#"{"name": "ap", "mac": "02:00:00:00:00:02", "kind": "ap", "position": [0, 0], "ssid": "N"}"#;
+        let err = ScenarioSpec::parse(&with_cases(ap)).unwrap_err();
+        assert!(
+            err.contains("`probes[0]` references unknown node `victim` in case `alone`"),
+            "{err}"
+        );
+        assert!(!err.contains("duplicate"), "{err}");
+        let err = ScenarioSpec::parse(&with_cases(&format!("{ap}, {ap}, {victim}"))).unwrap_err();
+        assert!(
+            err.contains("duplicate node name `ap` in `cases[0]`.topology.nodes"),
+            "{err}"
+        );
+        let err =
+            ScenarioSpec::parse(&with_cases(victim).replace("\"ap\"}", "\"nobody\"}")).unwrap_err();
+        assert!(
+            err.contains("`cases[1]`.probes[0] references unknown node `nobody`"),
+            "{err}"
+        );
     }
 
     /// `scenarios/powersave_awake.json` with its null flood paced at

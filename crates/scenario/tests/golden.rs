@@ -33,7 +33,7 @@ use polite_wifi_obs::json::{self, JsonValue};
 use polite_wifi_scenario::{fnv1a64, runner_names, ScenarioSpec};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Output};
 
 fn scenarios_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
@@ -122,18 +122,27 @@ fn normalised_envelopes(dir: &Path) -> BTreeMap<String, JsonValue> {
     out
 }
 
-/// The masked envelopes of one `--quick` run under the `faults` profile.
-fn quick_run(slug: &str, workers: u32, faults: &str) -> BTreeMap<String, JsonValue> {
-    let dir = std::env::temp_dir().join(format!("polite-wifi-golden-{slug}-{faults}-w{workers}"));
+/// Runs `exp_run` on a committed scenario in `--quick` mode under the
+/// `faults` profile, plus `extra` flags, with its results in a fresh
+/// temp directory named by `tag`. Returns the output and the directory.
+fn exp_run(slug: &str, workers: u32, faults: &str, extra: &[&str], tag: &str) -> (Output, PathBuf) {
+    let dir = std::env::temp_dir().join(format!("polite-wifi-{tag}-{slug}-{faults}-w{workers}"));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_exp_run"))
         .arg(scenarios_dir().join(format!("{slug}.json")))
         .args(["--quick", "--workers", &workers.to_string()])
         .args(["--faults", faults])
+        .args(extra)
         .env("POLITE_WIFI_RESULTS", &dir)
         .output()
         .unwrap();
+    (out, dir)
+}
+
+/// The masked envelopes of one `--quick` run under the `faults` profile.
+fn quick_run(slug: &str, workers: u32, faults: &str) -> BTreeMap<String, JsonValue> {
+    let (out, dir) = exp_run(slug, workers, faults, &[], "golden");
     assert!(
         out.status.success(),
         "exp_run {slug} --workers {workers} --faults {faults} failed (exit {:?}):\n{}",
@@ -194,6 +203,48 @@ fn assert_digest(slug: &str, faults: &str, envelopes: &BTreeMap<String, JsonValu
             dir.display()
         );
     }
+}
+
+/// The captures the `pcap` probe writes next to the envelope, pinned by
+/// length and FNV-1a-64 (the digests above cover only the envelopes),
+/// at one and two workers.
+#[test]
+fn pcap_bytes_are_pinned() {
+    for (slug, len, pin) in [
+        ("fig2_trace", 2_569, 0x67178f625998d99b),
+        ("fig3_deauth", 2_194, 0x77d07735520fbf55),
+    ] {
+        for workers in [1, 2] {
+            let (out, dir) = exp_run(slug, workers, "clean", &[], "pcap");
+            assert!(out.status.success(), "exp_run {slug} failed");
+            let bytes = std::fs::read(dir.join(format!("{slug}.pcap"))).unwrap();
+            assert_eq!(
+                (bytes.len(), fnv1a64(&bytes)),
+                (len, pin),
+                "{slug} --workers {workers}: pcap bytes moved"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}
+
+/// Figure 3's two phases are trials of the generic runner, so the
+/// harness's chaos hook reaches them: a panic injected into trial 1
+/// degrades into one recorded failure and a non-zero exit.
+#[test]
+fn injected_trial_panic_degrades_fig3_into_one_trial_failure() {
+    let inject = ["--inject-trial-panic", "1"];
+    let (out, dir) = exp_run("fig3_deauth", 1, "clean", &inject, "panic");
+    assert_eq!(out.status.code(), Some(1));
+    let text = std::fs::read_to_string(dir.join("fig3_deauth.json")).unwrap();
+    let failures = json::parse(&text).unwrap().get("trial_failures").cloned();
+    let failures = failures.as_ref().and_then(JsonValue::as_array).unwrap();
+    assert_eq!(failures.len(), 1, "{text}");
+    assert_eq!(
+        failures[0].get("trial").and_then(JsonValue::as_f64),
+        Some(1.0)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn committed_slugs() -> BTreeSet<String> {
@@ -285,15 +336,15 @@ goldens! {
     golden_ext_randomization: "ext_randomization" => 0xfbfadb78d6f7e9c8;
     golden_ext_ranging: "ext_ranging" => 0xcffb49862cf4a04f;
     golden_ext_vitals: "ext_vitals" => 0xfaf8a3ae1eabd822;
-    golden_fig2_trace: "fig2_trace" => 0x343fc0d35c8c26e3;
-    golden_fig3_deauth: "fig3_deauth" => 0xac43288ac31ae5e2;
+    golden_fig2_trace: "fig2_trace" => 0xf43543ec7e1e33ef;
+    golden_fig3_deauth: "fig3_deauth" => 0xc48d0da873cfc910;
     golden_fig5_keystroke: "fig5_keystroke" => 0xf221b6f25285fe61;
     golden_fig6_power: "fig6_power" => 0x27475db38658750d;
     golden_pmf_deauth_matrix: "pmf_deauth_matrix" => 0x527af751b6e947e7;
     golden_powersave_awake: "powersave_awake" => 0x7ed8fec287a236f2;
     golden_sensing_hub: "sensing_hub" => 0xdb6e0169ef45ee62;
     golden_sifs_timing: "sifs_timing" => 0x6e81bdb33c1a8a35;
-    golden_table1_devices: "table1_devices" => 0x78da9213480f396d;
+    golden_table1_devices: "table1_devices" => 0xcd826b9b5edc4f03;
     golden_table2_wardrive: "table2_wardrive" => 0x99c4c4a5f15aa78b;
 }
 
@@ -322,13 +373,13 @@ faulted_goldens! {
     faulted_ext_nav_dos: "ext_nav_dos" => 0xe87b259dff9e046e, 0x93cd0b340b374c0a;
     faulted_ext_ranging: "ext_ranging" => 0x36fe38d0f8ec98bc, 0xe47aab765eea63d9;
     faulted_ext_vitals: "ext_vitals" => 0xcd6101852f1849c0, 0x859935771601d90f;
-    faulted_fig2_trace: "fig2_trace" => 0x242d8f176d675780, 0xbb8b12b9ff9f5d73;
-    faulted_fig3_deauth: "fig3_deauth" => 0xfa38a2251b2e9ece, 0x102c6cdbc588341a;
+    faulted_fig2_trace: "fig2_trace" => 0x814baf9efe18e956, 0x8d8367ac912a593c;
+    faulted_fig3_deauth: "fig3_deauth" => 0x570312d5e589bc5c, 0x038ad8221ac354fe;
     faulted_fig5_keystroke: "fig5_keystroke" => 0x5c472961d490aa31, 0x592399bd76f01dcc;
     faulted_fig6_power: "fig6_power" => 0x82a5354683fbb25a, 0x14cf9336a62bcf83;
     faulted_pmf_deauth_matrix: "pmf_deauth_matrix" => 0xf319f242c1393fc6, 0x301745735b5476cd;
     faulted_powersave_awake: "powersave_awake" => 0xa0e7d9665fd6a9fd, 0xe54ad9dd6f2296e3;
     faulted_sensing_hub: "sensing_hub" => 0xf77fb796cdc42657, 0xdff4eb00c3557a14;
     faulted_sifs_timing: "sifs_timing" => 0xdf39bcc5eb0ad0ad, 0x952cd42f8298cda3;
-    faulted_table1_devices: "table1_devices" => 0xa219ba3a0717b272, 0xc0b2066fcbea7ef4;
+    faulted_table1_devices: "table1_devices" => 0x70024c9ec888d308, 0xa1e2e42b781eebe8;
 }

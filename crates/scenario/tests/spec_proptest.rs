@@ -5,14 +5,14 @@
 //! canonical writer unchanged.
 
 use polite_wifi_core::injector::{MAX_PAYLOAD_LEN, MAX_RATE_PPS, MAX_STREAM_FRAMES};
-use polite_wifi_core::{CmpOp, StatKind};
+use polite_wifi_core::{CmpOp, StatKind, Summary};
 use polite_wifi_frame::MacAddr;
 use polite_wifi_obs::json;
 use polite_wifi_phy::rate::BitRate;
 use polite_wifi_phy::Band;
 use polite_wifi_scenario::{
-    AssertionSpec, AttackSpec, NodeKind, NodeSpec, ParamValue, ProbeSpec, RunSpec, ScenarioSpec,
-    TopologySpec,
+    AssertionSpec, AttackSpec, CaseSpec, NodeKind, NodeSpec, ParamValue, ProbeSpec, RunSpec,
+    ScenarioSpec, TopologySpec,
 };
 use polite_wifi_sim::FaultProfile;
 use proptest::prelude::*;
@@ -31,6 +31,7 @@ const KNOWN_KEYS: &[&str] = &[
     "topology",
     "attacks",
     "probes",
+    "cases",
     "assertions",
     "params",
 ];
@@ -199,8 +200,9 @@ fn text(rng: &mut TestRng) -> String {
 }
 
 /// A node; `full` sets every optional field, otherwise each is a coin
-/// flip (an access point always names its network).
-fn node(rng: &mut TestRng, name: String, full: bool) -> NodeSpec {
+/// flip (an access point always names its network). Its blocklist
+/// names nodes of `names`.
+fn node(rng: &mut TestRng, name: String, full: bool, names: &[String]) -> NodeSpec {
     let some = |rng: &mut TestRng| full || coin(rng);
     let kind = pick(rng, &[NodeKind::Client, NodeKind::Ap, NodeKind::Monitor]);
     let behavior = pick(
@@ -222,6 +224,10 @@ fn node(rng: &mut TestRng, name: String, full: bool) -> NodeSpec {
         beacon_interval_us: some(rng).then(|| int(rng)),
         retries: some(rng).then(|| coin(rng)),
         velocity: some(rng).then(|| (num(rng), num(rng))),
+        blocklist: match some(rng) {
+            true => (0..1 + rng.below(2)).map(|_| pick(rng, names)).collect(),
+            false => Vec::new(),
+        },
     }
 }
 
@@ -281,12 +287,18 @@ fn attack(rng: &mut TestRng, kind: u64, names: &[String]) -> AttackSpec {
     }
 }
 
-/// Probe kind `kind` (0..3) over the declared `names`.
+/// Probe kind `kind` (0..5) over the declared `names`.
 fn probe(rng: &mut TestRng, kind: u64, names: &[String]) -> ProbeSpec {
     let stat = pick(rng, &["acks_sent", "delivered", "ba_stale_dropped"]);
     match kind {
         0 => ProbeSpec::AckVerifier {
             attacker: pick(rng, names),
+            metric: text(rng),
+            latency_metric: coin(rng).then(|| text(rng)),
+        },
+        3 => ProbeSpec::DeauthSeq { metric: text(rng) },
+        4 => ProbeSpec::Pcap {
+            node: pick(rng, names),
         },
         1 => ProbeSpec::StationStat {
             node: pick(rng, names),
@@ -302,9 +314,10 @@ fn probe(rng: &mut TestRng, kind: u64, names: &[String]) -> ProbeSpec {
 }
 
 /// A random valid spec. Whenever it has a topology it holds every
-/// attack and probe kind, a node with every optional field set, and a
-/// param of each type; references only name declared nodes, and the
-/// `generic` runner appears only with a topology.
+/// attack and probe kind, a node with every optional field set, a param
+/// of each type and up to two cases, each carrying any of its own
+/// sections over the same node names; references only name declared
+/// nodes, and the `generic` runner appears only with a topology.
 fn spec(rng: &mut TestRng) -> ScenarioSpec {
     let names: Vec<String> = (0..1 + rng.below(3))
         .map(|i| format!("{}{i}", text(rng)))
@@ -314,19 +327,35 @@ fn spec(rng: &mut TestRng) -> ScenarioSpec {
             .map(|_| (pick(rng, &names), pick(rng, &names)))
             .collect()
     };
-    let topology = (rng.below(5) > 0).then(|| TopologySpec {
+    let topology = |rng: &mut TestRng| TopologySpec {
         duration_us: int(rng),
         propagation: coin(rng).then(|| pick(rng, &["all_pairs", "cell_grid"]).to_string()),
         nodes: (names.iter().enumerate())
-            .map(|(i, name)| node(rng, name.clone(), i == 0))
+            .map(|(i, name)| node(rng, name.clone(), i == 0, &names))
             .collect(),
         links: pairs(rng),
         associations: pairs(rng),
-    });
-    let (mut attacks, mut probes, mut params) = (Vec::new(), Vec::new(), Vec::new());
-    if topology.is_some() {
+    };
+    let top = (rng.below(5) > 0).then(|| topology(rng));
+    let (mut attacks, mut probes, mut cases, mut params) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    if top.is_some() {
         attacks = (0..5).map(|kind| attack(rng, kind, &names)).collect();
-        probes = (0..3).map(|kind| probe(rng, kind, &names)).collect();
+        probes = (0..5).map(|kind| probe(rng, kind, &names)).collect();
+        cases = (0..rng.below(3))
+            .map(|_| CaseSpec {
+                name: text(rng),
+                topology: coin(rng).then(|| topology(rng)),
+                attacks: coin(rng).then(|| {
+                    let kinds: Vec<u64> = (0..rng.below(3)).map(|_| rng.below(5)).collect();
+                    kinds.into_iter().map(|k| attack(rng, k, &names)).collect()
+                }),
+                probes: coin(rng).then(|| {
+                    let kinds: Vec<u64> = (0..1 + rng.below(3)).map(|_| rng.below(5)).collect();
+                    kinds.into_iter().map(|k| probe(rng, k, &names)).collect()
+                }),
+            })
+            .collect();
         params = vec![
             (text(rng), ParamValue::Num(num(rng))),
             (text(rng), ParamValue::Str(text(rng))),
@@ -347,7 +376,7 @@ fn spec(rng: &mut TestRng) -> ScenarioSpec {
         slug: format!("s_{}", rng.below(1_000)),
         runner: pick(
             rng,
-            &["sifs_timing", "generic"][..1 + topology.is_some() as usize],
+            &["sifs_timing", "generic"][..1 + top.is_some() as usize],
         )
         .into(),
         run: RunSpec {
@@ -357,12 +386,14 @@ fn spec(rng: &mut TestRng) -> ScenarioSpec {
             quick: coin(rng),
             faults: pick(rng, &FaultProfile::ALL),
         },
-        topology,
+        topology: top,
         attacks,
         probes,
+        cases,
         assertions: (0..rng.below(3))
             .map(|_| AssertionSpec {
                 metric: text(rng),
+                summary: pick(rng, &[Summary::Mean, Summary::Min]),
                 op: pick(rng, &ops),
                 value: num(rng),
                 clean_only: coin(rng),
