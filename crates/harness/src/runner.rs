@@ -104,9 +104,11 @@ impl Runner {
         // reaches trials wherever they run.
         let token = crate::cancel::current_token();
 
-        crossbeam::thread::scope(|scope| {
+        // A worker panic resurfaces here, on the spawning thread, once
+        // every worker has stopped.
+        std::thread::scope(|scope| {
             for _ in 0..threads {
-                scope.spawn(|_| {
+                scope.spawn(|| {
                     let prev = crate::cancel::install_token(token.clone());
                     let mut local: Vec<(usize, T)> = Vec::new();
                     loop {
@@ -120,8 +122,7 @@ impl Runner {
                     let _ = crate::cancel::install_token(prev);
                 });
             }
-        })
-        .expect("runner worker panicked");
+        });
 
         let mut results = collected.into_inner().unwrap();
         results.sort_by_key(|(idx, _)| *idx);

@@ -245,11 +245,30 @@ impl CsiChannel {
 
     /// Evolves the scattered components by one sample interval: decay
     /// toward zero, excited by motion-scaled innovations.
+    ///
+    /// A tap whose drive std `sigma * m` is exactly 0 (every tap of an
+    /// idle link) consumes its draws with [`skip_cn`] and adds
+    /// `Complex::ZERO`, skipping the `ln`, `sqrt` and `cos`. This is
+    /// exact: `randn` is always finite, so the skipped drive is
+    /// `(±0, ±0)`, and adding `+0` instead can change only the sign of a
+    /// zero scatter component. That sign reaches the output only through
+    /// `static + scatter`, and a static tap is never exactly zero (`cos`
+    /// of a double is never 0 and `u1 < 1`), so the gains, and every
+    /// value rendered from them, are the same bits. (Even a zero gain
+    /// could not tell: the response sum starts at `+0`, which no signed
+    /// zero changes.) The `zero_drive_skip_matches_always_drawn_channel`
+    /// proptest pins this against a channel that always draws.
     fn advance(&mut self, motion_intensity: f64) {
         let m = motion_intensity.clamp(0.0, 1.0);
         let rho = self.config.rho;
         for (s, &sigma) in self.scatter.iter_mut().zip(&self.drive_sigma) {
-            let drive = cn(&mut self.rng, sigma * m);
+            let drive_std = sigma * m;
+            let drive = if drive_std == 0.0 {
+                skip_cn(&mut self.rng);
+                Complex::ZERO
+            } else {
+                cn(&mut self.rng, drive_std)
+            };
             *s = s.scale(rho) + drive;
         }
         for (g, (st, sc)) in self
@@ -330,8 +349,11 @@ impl CsiChannel {
     /// Bit-for-bit `sample_batch(intensities).subcarrier_amplitudes(subcarrier)`,
     /// leaving the channel in the same state: the other subcarriers'
     /// noise draws are consumed ([`skip_cn`]), not computed, and no
-    /// phase is taken. Pinned by the `sample_batch_matches_sample_loop`
-    /// proptest.
+    /// phase is taken. Undriven taps skip their draws the same way (see
+    /// `advance`), so an idle stretch costs RNG words and the one
+    /// subcarrier's arithmetic. Pinned by the `sample_batch_matches_sample_loop`
+    /// proptest, and against a channel that always draws by the
+    /// `zero_drive_skip_matches_always_drawn_channel` proptest.
     pub fn sample_amplitudes(&mut self, intensities: &[f64], subcarrier: usize) -> Vec<f64> {
         let n = self.config.subcarriers;
         assert!(subcarrier < n, "subcarrier out of range");
