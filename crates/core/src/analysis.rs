@@ -1,7 +1,6 @@
-//! The "why is Polite WiFi unpreventable" analysis (paper §2.2),
-//! packaged for the `sifs_timing` scenario.
+//! The "why is Polite WiFi unpreventable" analysis (paper §2.2), as
+//! `politewifi sifs` prints it.
 
-use polite_wifi_obs::json::{JsonWriter, ToJson};
 use polite_wifi_phy::band::Band;
 use polite_wifi_phy::timing::{
     self, AckPolicy, SifsFeasibility, WPA2_DECODE_MAX_US, WPA2_DECODE_MIN_US,
@@ -21,43 +20,6 @@ pub struct SifsReport {
     /// The punchline: even with an infinitely fast decoder, fake RTS
     /// frames still elicit CTS because control frames are unencryptable.
     pub rts_fallback_works: bool,
-}
-
-impl ToJson for SifsReport {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.begin_object()
-            .key("sifs_us")
-            .value(&self.sifs_us)
-            .key("sweeps")
-            .begin_array();
-        for (band, sweep) in &self.sweeps {
-            w.begin_array().string(band).begin_array();
-            for f in sweep {
-                w.begin_object()
-                    .key("band")
-                    .string(match f.band {
-                        Band::Ghz2 => "Ghz2",
-                        Band::Ghz5 => "Ghz5",
-                    })
-                    .key("deadline_us")
-                    .u64(f.deadline_us)
-                    .key("ack_ready_us")
-                    .u64(f.ack_ready_us)
-                    .key("overrun_factor")
-                    .f64(f.overrun_factor)
-                    .key("misses_deadline")
-                    .bool(f.misses_deadline)
-                    .end_object();
-            }
-            w.end_array().end_array();
-        }
-        w.end_array()
-            .key("required_speedup")
-            .value(&self.required_speedup)
-            .key("rts_fallback_works")
-            .bool(self.rts_fallback_works)
-            .end_object();
-    }
 }
 
 /// Builds the full report.

@@ -130,8 +130,9 @@ impl Probe for DeauthSeqProbe {
     }
 }
 
-/// Which [`StationStats`](polite_wifi_mac::station::StationStats) counter a
-/// [`StationStatProbe`] reads.
+/// Which counter a [`StationStatProbe`] reads: a
+/// [`StationStats`](polite_wifi_mac::station::StationStats) counter, or
+/// one of the simulator node's transmit counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StatKind {
     /// ACKs transmitted.
@@ -148,39 +149,44 @@ pub enum StatKind {
     DeauthsSent,
     /// Data frames dropped below the Block-Ack window floor.
     BaStaleDropped,
+    /// Frames the node transmitted, retries included.
+    TxCount,
+    /// Frames the node gave up on after its last retry.
+    TxFailures,
+    /// ACKs the node received for its own transmissions.
+    AcksReceived,
 }
+
+/// Every counter with its scenario-file name, read in both directions.
+const STAT_LABELS: [(StatKind, &str); 10] = [
+    (StatKind::AcksSent, "acks_sent"),
+    (StatKind::CtsSent, "cts_sent"),
+    (StatKind::Delivered, "delivered"),
+    (StatKind::DiscardedAfterAck, "discarded_after_ack"),
+    (StatKind::Duplicates, "duplicates"),
+    (StatKind::DeauthsSent, "deauths_sent"),
+    (StatKind::BaStaleDropped, "ba_stale_dropped"),
+    (StatKind::TxCount, "tx_count"),
+    (StatKind::TxFailures, "tx_failures"),
+    (StatKind::AcksReceived, "acks_received"),
+];
 
 impl StatKind {
     /// Stable snake_case name used in scenario files.
     pub fn label(&self) -> &'static str {
-        match self {
-            StatKind::AcksSent => "acks_sent",
-            StatKind::CtsSent => "cts_sent",
-            StatKind::Delivered => "delivered",
-            StatKind::DiscardedAfterAck => "discarded_after_ack",
-            StatKind::Duplicates => "duplicates",
-            StatKind::DeauthsSent => "deauths_sent",
-            StatKind::BaStaleDropped => "ba_stale_dropped",
-        }
+        let entry = STAT_LABELS.iter().find(|(kind, _)| kind == self);
+        entry.expect("every counter has a label").1
     }
 
     /// Parses the snake_case name back.
     pub fn from_label(label: &str) -> Option<StatKind> {
-        Some(match label {
-            "acks_sent" => StatKind::AcksSent,
-            "cts_sent" => StatKind::CtsSent,
-            "delivered" => StatKind::Delivered,
-            "discarded_after_ack" => StatKind::DiscardedAfterAck,
-            "duplicates" => StatKind::Duplicates,
-            "deauths_sent" => StatKind::DeauthsSent,
-            "ba_stale_dropped" => StatKind::BaStaleDropped,
-            _ => return None,
-        })
+        let entry = STAT_LABELS.iter().find(|(_, name)| *name == label);
+        entry.map(|(kind, _)| *kind)
     }
 }
 
 /// Records one station counter under a metric name of the scenario's
-/// choosing.
+/// choosing, optionally divided by a frame count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StationStatProbe {
     /// The station to read.
@@ -189,11 +195,15 @@ pub struct StationStatProbe {
     pub stat: StatKind,
     /// The ledger metric name to record under.
     pub metric: String,
+    /// Records the counter per this many frames (a stream's scheduled
+    /// frames); `None` records the raw count.
+    pub per_frames: Option<u64>,
 }
 
 impl Probe for StationStatProbe {
     fn observe(&self, sim: &Simulator, ledger: &mut MetricsLedger) {
-        let stats = &sim.station(self.node).stats;
+        let node = sim.node(self.node);
+        let stats = &node.station.stats;
         let value = match self.stat {
             StatKind::AcksSent => stats.acks_sent,
             StatKind::CtsSent => stats.cts_sent,
@@ -202,8 +212,15 @@ impl Probe for StationStatProbe {
             StatKind::Duplicates => stats.duplicates,
             StatKind::DeauthsSent => stats.deauths_sent,
             StatKind::BaStaleDropped => stats.ba_stale_dropped,
+            StatKind::TxCount => node.tx_count,
+            StatKind::TxFailures => node.tx_failures,
+            StatKind::AcksReceived => node.acks_received,
         };
-        ledger.record(&self.metric, value as f64);
+        let value = match self.per_frames {
+            Some(frames) => value as f64 / frames as f64,
+            None => value as f64,
+        };
+        ledger.record(&self.metric, value);
     }
 }
 
@@ -381,6 +398,7 @@ mod tests {
             node: victim,
             stat: StatKind::AcksSent,
             metric: "acks".into(),
+            per_frames: None,
         }
         .observe(&sim, &mut ledger);
         assert_eq!(ledger.mean("acks"), Some(50.0));

@@ -168,6 +168,33 @@ fn unregistered_runner_is_a_400_before_any_cache_lookup() {
     let _ = std::fs::remove_dir_all(state_dir);
 }
 
+/// `scenarios/fig6_power.json` plus an assertion its bespoke runner
+/// would never check: a 400 before any cache lookup, not a run that
+/// exits 0 with no verdict.
+#[test]
+fn a_section_the_runner_does_not_read_is_a_400() {
+    let cfg = config("unread-section");
+    let state_dir = cfg.state_dir.clone();
+    let daemon = Daemon::start(cfg).unwrap();
+
+    let fig6 = include_str!("../../../scenarios/fig6_power.json");
+    let spec = fig6.trim_end().strip_suffix("\n}").unwrap().to_string()
+        + ",\n  \"assertions\": [\n    {\"metric\": \"power_mw_at_0pps\", \"op\": \">\", \"value\": 1000000}\n  ]\n}";
+    let (status, cache, body) = submit(&daemon, &spec, "?wait=1");
+    let body = String::from_utf8(body).unwrap();
+    assert_eq!(status, 400, "{body}");
+    assert_eq!(cache, "", "a rejected spec carries no cache verdict");
+    assert!(
+        body.contains("runner `fig6_power` does not read `assertions` (it reads `run`)"),
+        "{body}"
+    );
+    assert_eq!(daemon.counter(names::DAEMON_CACHE_HIT), 0);
+    assert_eq!(daemon.counter(names::DAEMON_CACHE_MISS), 0);
+
+    daemon.drain().unwrap();
+    let _ = std::fs::remove_dir_all(state_dir);
+}
+
 #[test]
 fn submissions_while_draining_are_rejected() {
     let cfg = config("drain");

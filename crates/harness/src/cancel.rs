@@ -107,7 +107,8 @@ mod tests {
         let prev = install_token(Some(token));
         // Every trial checkpoint fires, so all 8 trials degrade into
         // failures — on 4 workers, proving the token crossed threads.
-        let (results, failures) = Runner::new(4).run_trials_checked(7, 8, |ctx| {
+        let seed_of = |t| crate::derive_trial_seed(7, t as u64);
+        let (results, failures) = Runner::new(4).run_trials_checked(8, seed_of, |ctx| {
             check_cancelled();
             ctx.index
         });

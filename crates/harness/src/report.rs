@@ -16,7 +16,7 @@
 
 use crate::ledger::MetricsLedger;
 use crate::progress::{self, ProgressSample, ProgressSink, StderrProgress};
-use crate::runner::{RunArgs, Runner, TrialCtx, TrialFailure};
+use crate::runner::{derive_trial_seed, RunArgs, Runner, TrialCtx, TrialFailure};
 use crate::sink;
 use polite_wifi_obs::json::{self, JsonWriter, ToJson};
 use polite_wifi_obs::{names, Obs, ObsConfig};
@@ -202,8 +202,24 @@ impl Experiment {
     /// pool with graceful degradation: a panicking trial yields `None`
     /// in its slot and a recorded [`TrialFailure`] instead of killing
     /// the run. Honours `--inject-trial-panic` (the deterministic chaos
-    /// hook the degradation tests drive).
+    /// hook the degradation tests drive). Trial `t` is seeded
+    /// `derive_trial_seed(seed, t)`.
     pub fn run_trials<T, F>(&mut self, trial: F) -> Vec<Option<T>>
+    where
+        T: Send,
+        F: Fn(TrialCtx) -> T + Sync,
+    {
+        let seed = self.args.seed;
+        self.run_trials_seeded(|t| derive_trial_seed(seed, t as u64), trial)
+    }
+
+    /// [`run_trials`](Self::run_trials), with trial `t` seeded
+    /// `seed_of(t)`; a failed trial records that seed.
+    pub fn run_trials_seeded<T, F>(
+        &mut self,
+        seed_of: impl Fn(usize) -> u64 + Sync,
+        trial: F,
+    ) -> Vec<Option<T>>
     where
         T: Send,
         F: Fn(TrialCtx) -> T + Sync,
@@ -214,7 +230,7 @@ impl Experiment {
         let sinks = &self.sinks;
         let (results, failures) =
             self.runner()
-                .run_trials_checked(self.args.seed, self.args.trials, |ctx| {
+                .run_trials_checked(self.args.trials, seed_of, |ctx| {
                     // Cooperative cancellation checkpoint: a raised
                     // token degrades the remaining trials into
                     // deterministic TrialFailures instead of letting a

@@ -180,13 +180,14 @@ impl Runner {
         (results, failures)
     }
 
-    /// [`run_trials`](Self::run_trials) with graceful degradation: a
-    /// panicking trial becomes a structured [`TrialFailure`] (carrying
-    /// its derived seed for solo replay) instead of killing the run.
+    /// [`run_trials`](Self::run_trials) with graceful degradation, trial
+    /// `t` seeded `seed_of(t)`: a panicking trial becomes a structured
+    /// [`TrialFailure`] (carrying its seed for solo replay) instead of
+    /// killing the run.
     pub fn run_trials_checked<T, F>(
         &self,
-        base_seed: u64,
         trials: usize,
+        seed_of: impl Fn(usize) -> u64 + Sync,
         trial: F,
     ) -> (Vec<Option<T>>, Vec<TrialFailure>)
     where
@@ -194,7 +195,7 @@ impl Runner {
         F: Fn(TrialCtx) -> T + Sync,
     {
         let (results, raw) = self.run_indexed_checked(trials, |index| {
-            let seed = derive_trial_seed(base_seed, index as u64);
+            let seed = seed_of(index);
             trial(TrialCtx {
                 index,
                 seed,
@@ -205,7 +206,7 @@ impl Runner {
             .into_iter()
             .map(|(index, detail)| TrialFailure {
                 trial: index as u64,
-                seed: derive_trial_seed(base_seed, index as u64),
+                seed: seed_of(index),
                 kind: "panic".to_string(),
                 detail,
             })
@@ -535,12 +536,14 @@ mod tests {
     #[test]
     fn checked_trials_degrade_gracefully_and_stay_ordered() {
         for workers in [1, 3] {
-            let (results, failures) = Runner::new(workers).run_trials_checked(7, 8, |trial| {
-                if trial.index == 2 || trial.index == 5 {
-                    panic!("boom at {}", trial.index);
-                }
-                trial.index * 10
-            });
+            let seed_of = |t| derive_trial_seed(7, t as u64);
+            let (results, failures) =
+                Runner::new(workers).run_trials_checked(8, seed_of, |trial| {
+                    if trial.index == 2 || trial.index == 5 {
+                        panic!("boom at {}", trial.index);
+                    }
+                    trial.index * 10
+                });
             assert_eq!(results.len(), 8);
             assert_eq!(results[2], None);
             assert_eq!(results[5], None);

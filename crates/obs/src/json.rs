@@ -10,7 +10,9 @@
 //! subset of JSON this workspace emits: objects, arrays, strings with
 //! standard escapes, numbers, booleans and null.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
+use std::ops::Deref;
 
 /// Appends `s` to `out` as a JSON string literal (quotes included).
 pub fn write_escaped(out: &mut String, s: &str) {
@@ -328,9 +330,11 @@ impl<A: ToJson, B: ToJson, C: ToJson> ToJson for (A, B, C) {
     }
 }
 
-/// A parsed JSON value. Object fields keep document order.
+/// A parsed JSON value over string type `S`. Object fields keep
+/// document order. [`JsonValue`] owns its strings; [`parse_borrowed`]
+/// borrows each one from the input unless it holds an escape.
 #[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
+pub enum Json<S> {
     /// `null`.
     Null,
     /// `true` / `false`.
@@ -339,18 +343,21 @@ pub enum JsonValue {
     /// far beyond any metric this workspace records).
     Num(f64),
     /// A string.
-    Str(String),
+    Str(S),
     /// An array.
-    Arr(Vec<JsonValue>),
+    Arr(Vec<Json<S>>),
     /// An object, fields in document order.
-    Obj(Vec<(String, JsonValue)>),
+    Obj(Vec<(S, Json<S>)>),
 }
 
-impl JsonValue {
+/// A parsed JSON value that owns its strings.
+pub type JsonValue = Json<String>;
+
+impl<S: Deref<Target = str>> Json<S> {
     /// Object field lookup (None for non-objects / missing keys).
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
+    pub fn get(&self, key: &str) -> Option<&Json<S>> {
         match self {
-            JsonValue::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            Json::Obj(fields) => fields.iter().find(|(k, _)| &**k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -358,7 +365,7 @@ impl JsonValue {
     /// The numeric value, if this is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
-            JsonValue::Num(n) => Some(*n),
+            Json::Num(n) => Some(*n),
             _ => None,
         }
     }
@@ -366,23 +373,23 @@ impl JsonValue {
     /// The string value, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            JsonValue::Str(s) => Some(s),
+            Json::Str(s) => Some(s),
             _ => None,
         }
     }
 
     /// The elements, if this is an array.
-    pub fn as_array(&self) -> Option<&[JsonValue]> {
+    pub fn as_array(&self) -> Option<&[Json<S>]> {
         match self {
-            JsonValue::Arr(items) => Some(items),
+            Json::Arr(items) => Some(items),
             _ => None,
         }
     }
 
     /// The fields, if this is an object.
-    pub fn as_object(&self) -> Option<&[(String, JsonValue)]> {
+    pub fn as_object(&self) -> Option<&[(S, Json<S>)]> {
         match self {
-            JsonValue::Obj(fields) => Some(fields),
+            Json::Obj(fields) => Some(fields),
             _ => None,
         }
     }
@@ -391,25 +398,25 @@ impl JsonValue {
 /// Re-renders a parsed document. Numbers go through [`write_f64`], so an
 /// integer reads back as `3.0`; strings, field order and nesting are
 /// kept.
-impl ToJson for JsonValue {
+impl<S: Deref<Target = str>> ToJson for Json<S> {
     fn write_json(&self, w: &mut JsonWriter) {
         match self {
-            JsonValue::Null => {
+            Json::Null => {
                 w.null();
             }
-            JsonValue::Bool(b) => {
+            Json::Bool(b) => {
                 w.bool(*b);
             }
-            JsonValue::Num(n) => {
+            Json::Num(n) => {
                 w.f64(*n);
             }
-            JsonValue::Str(s) => {
+            Json::Str(s) => {
                 w.string(s);
             }
-            JsonValue::Arr(items) => {
+            Json::Arr(items) => {
                 w.value(items.as_slice());
             }
-            JsonValue::Obj(fields) => {
+            Json::Obj(fields) => {
                 w.begin_object();
                 for (key, value) in fields {
                     w.key(key).value(value);
@@ -422,6 +429,17 @@ impl ToJson for JsonValue {
 
 /// Parses a JSON document. Errors carry a byte offset and description.
 pub fn parse(input: &str) -> Result<JsonValue, String> {
+    parse_into(input)
+}
+
+/// [`parse`], with every string that holds no escape borrowed from
+/// `input` rather than copied: a reader that keeps few of the strings
+/// allocates only for those.
+pub fn parse_borrowed(input: &str) -> Result<Json<Cow<'_, str>>, String> {
+    parse_into(input)
+}
+
+fn parse_into<'a, S: From<&'a str> + From<String>>(input: &'a str) -> Result<Json<S>, String> {
     let mut p = Parser {
         text: input,
         bytes: input.as_bytes(),
@@ -442,7 +460,9 @@ struct Parser<'a> {
     pos: usize,
 }
 
-impl Parser<'_> {
+/// Each string `S` is made from a slice of the input, or from the text
+/// an escape made.
+impl<'a> Parser<'a> {
     fn skip_ws(&mut self) {
         while let Some(&b) = self.bytes.get(self.pos) {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
@@ -466,7 +486,11 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, lit: &str, value: JsonValue) -> Result<JsonValue, String> {
+    fn literal<S: From<&'a str> + From<String>>(
+        &mut self,
+        lit: &str,
+        value: Json<S>,
+    ) -> Result<Json<S>, String> {
         if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(value)
@@ -475,26 +499,26 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<JsonValue, String> {
+    fn value<S: From<&'a str> + From<String>>(&mut self) -> Result<Json<S>, String> {
         match self.peek() {
             Some(b'{') => self.object(),
             Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
+            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'n') => self.literal("null", Json::Null),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue, String> {
+    fn object<S: From<&'a str> + From<String>>(&mut self) -> Result<Json<S>, String> {
         self.expect(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(JsonValue::Obj(fields));
+            return Ok(Json::Obj(fields));
         }
         loop {
             self.skip_ws();
@@ -509,20 +533,20 @@ impl Parser<'_> {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(JsonValue::Obj(fields));
+                    return Ok(Json::Obj(fields));
                 }
                 _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
             }
         }
     }
 
-    fn array(&mut self) -> Result<JsonValue, String> {
+    fn array<S: From<&'a str> + From<String>>(&mut self) -> Result<Json<S>, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(JsonValue::Arr(items));
+            return Ok(Json::Arr(items));
         }
         loop {
             self.skip_ws();
@@ -532,22 +556,35 @@ impl Parser<'_> {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
+                    return Ok(Json::Arr(items));
                 }
                 _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    fn string<S: From<&'a str> + From<String>>(&mut self) -> Result<S, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        // Quote and backslash are ASCII, so every run between them ends
+        // on a char boundary. A string with no escape is one run.
+        let run = |p: &Self| {
+            let rest = &p.bytes[p.pos..];
+            let len = rest.iter().position(|&b| b == b'"' || b == b'\\');
+            len.unwrap_or(rest.len())
+        };
+        let start = self.pos;
+        self.pos += run(self);
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(S::from(&self.text[start..self.pos - 1]));
+        }
+        let mut out = self.text[start..self.pos].to_string();
         loop {
             match self.peek() {
                 None => return Err("unterminated string".to_string()),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(S::from(out));
                 }
                 Some(b'\\') => {
                     self.pos += 1;
@@ -579,22 +616,15 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Copy the run up to the next quote or backslash in
-                    // one go. Both are ASCII, so the run ends on a char
-                    // boundary.
-                    let rest = &self.bytes[self.pos..];
-                    let run = rest
-                        .iter()
-                        .position(|&b| b == b'"' || b == b'\\')
-                        .unwrap_or(rest.len());
-                    out.push_str(&self.text[self.pos..self.pos + run]);
-                    self.pos += run;
+                    let len = run(self);
+                    out.push_str(&self.text[self.pos..self.pos + len]);
+                    self.pos += len;
                 }
             }
         }
     }
 
-    fn number(&mut self) -> Result<JsonValue, String> {
+    fn number<S: From<&'a str> + From<String>>(&mut self) -> Result<Json<S>, String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -608,7 +638,7 @@ impl Parser<'_> {
         }
         let raw = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
         raw.parse::<f64>()
-            .map(JsonValue::Num)
+            .map(Json::Num)
             .map_err(|_| format!("bad number `{raw}` at byte {start}"))
     }
 }
@@ -765,6 +795,21 @@ mod tests {
         assert_eq!(parse(&doc).unwrap().as_str(), Some(every));
         assert_eq!(parse("\"é\\\"§\"").unwrap().as_str(), Some("é\"§"));
         assert!(parse("\"unterminated é").is_err());
+    }
+
+    #[test]
+    fn borrowed_parse_copies_only_escaped_strings() {
+        let text = r#"{"plain": ["é§", "a\"b"], "n": -12}"#;
+        let doc = parse_borrowed(text).unwrap();
+        let Some([(key, items), _]) = doc.as_object() else {
+            panic!("{doc:?}")
+        };
+        assert!(matches!(key, Cow::Borrowed("plain")));
+        let items = items.as_array().unwrap();
+        assert!(matches!(&items[0], Json::Str(Cow::Borrowed("é§"))));
+        assert!(matches!(&items[1], Json::Str(Cow::Owned(s)) if s == "a\"b"));
+        assert_eq!(doc.get("n").and_then(Json::as_f64), Some(-12.0));
+        assert_eq!(to_string(&doc), to_string(&parse(text).unwrap()));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! To refuse an ACK for an invalid frame, a receiver would have to decrypt
 //! and verify the frame *within SIFS*. Prior measurements put WPA2 frame
 //! processing at 200–700 µs — one to two orders of magnitude over budget.
-//! This module encodes that argument so the `sifs_timing` scenario can
-//! print it, and models a hypothetical "validate-then-ACK" MAC to quantify
+//! This module encodes that argument so `politewifi sifs` can print it,
+//! and models a hypothetical "validate-then-ACK" MAC to quantify
 //! how badly it violates the standard.
 
 use crate::band::Band;

@@ -7,8 +7,8 @@
 //! writes), and the assertion block a set of [`MetricAssertion`]s
 //! checked against the recorded metrics. A spec that declares `cases`
 //! runs case `t mod n` in trial `t`. No experiment-specific code runs at
-//! all — the paper's Figure 2, Table 1 and Figure 3 and the related-work
-//! scenarios land purely as data files this way.
+//! all — the paper's Figure 2, Table 1 and Figure 3, its §2.2 argument
+//! and the related-work scenarios land purely as data files this way.
 
 use crate::spec::{AssertionSpec, AttackSpec, Case, ProbeSpec, ScenarioSpec, TopologySpec};
 use polite_wifi_core::{
@@ -132,11 +132,13 @@ fn build_attack<'s>(spec: &'s AttackSpec, topo: &TopologySpec) -> (&'s str, Box<
 }
 
 /// Builds the core-layer probe a [`ProbeSpec`] describes; `None` for a
-/// `pcap` probe, which records no metric.
+/// `pcap` probe, which records no metric. `sent` holds each attack's
+/// sender and the frames it scheduled in this trial.
 fn build_probe(
     spec: &ProbeSpec,
     topo: &TopologySpec,
     ids: &BTreeMap<String, NodeId>,
+    sent: &[(NodeId, u64)],
 ) -> Option<Box<dyn Probe>> {
     Some(match spec {
         ProbeSpec::AckVerifier {
@@ -152,10 +154,21 @@ fn build_probe(
         ProbeSpec::DeauthSeq { metric } => Box::new(DeauthSeqProbe {
             metric: metric.clone(),
         }),
-        ProbeSpec::StationStat { node, stat, metric } => Box::new(StationStatProbe {
+        ProbeSpec::StationStat {
+            node,
+            stat,
+            metric,
+            per_frames_from,
+        } => Box::new(StationStatProbe {
             node: ids[node],
             stat: *stat,
             metric: metric.clone(),
+            per_frames: (per_frames_from.as_ref()).map(|from| {
+                (sent.iter())
+                    .filter(|s| s.0 == ids[from])
+                    .map(|s| s.1)
+                    .sum()
+            }),
         }),
         ProbeSpec::Association { node, peer, metric } => Box::new(AssociationProbe {
             node: ids[node],
@@ -169,9 +182,11 @@ fn build_probe(
 /// One case, built once and stamped out per trial.
 struct Plan<'s> {
     name: &'s str,
+    topo: &'s TopologySpec,
     builder: ScenarioBuilder,
+    ids: BTreeMap<String, NodeId>,
     attacks: Vec<(NodeId, Box<dyn Attack>)>,
-    probes: Vec<Box<dyn Probe>>,
+    probes: &'s [ProbeSpec],
     /// The node whose capture a `pcap` probe writes.
     pcap: Option<NodeId>,
 }
@@ -181,56 +196,81 @@ fn plan<'s>(case: Case<'s>, args: &RunArgs) -> Plan<'s> {
         .topology
         .expect("validated: generic runner requires a topology");
     let (builder, ids) = topo.builder(args.faults);
-    // Attacks launch before legitimate traffic, each in spec order: that
-    // is the order frames reach `Simulator::inject`, and same-time
-    // events dispatch in push order.
-    let mut launch_order: Vec<&AttackSpec> = case.attacks.iter().collect();
-    launch_order.sort_by_key(|a| matches!(a, AttackSpec::QosTraffic { .. }));
-    let attacks = launch_order
-        .into_iter()
+    // Attacks launch in spec order: that is the order frames reach
+    // `Simulator::inject`, and same-time events dispatch in push order.
+    let attacks = (case.attacks.iter())
         .map(|a| {
             let (from, attack) = build_attack(a, topo);
             (ids[from], attack)
         })
         .collect();
+    let pcap = case.probes.iter().find_map(|p| match p {
+        ProbeSpec::Pcap { node } => Some(ids[node]),
+        _ => None,
+    });
     Plan {
         name: case.name,
+        topo,
         builder,
+        ids,
         attacks,
-        probes: (case.probes.iter())
-            .filter_map(|p| build_probe(p, topo, &ids))
-            .collect(),
-        pcap: case.probes.iter().find_map(|p| match p {
-            ProbeSpec::Pcap { node } => Some(ids[node]),
-            _ => None,
-        }),
+        probes: case.probes,
+        pcap,
     }
 }
 
 /// Checks every assertion the fault profile enforces, each against its
-/// own metric. Returns the payload rows and every failure.
+/// own metric over its case's trials (`by_case`) or every trial
+/// (`metrics`). Returns the payload rows and every failure.
 fn evaluate(
     assertions: &[AssertionSpec],
     metrics: &MetricsLedger,
+    by_case: &BTreeMap<&str, MetricsLedger>,
     clean: bool,
 ) -> (Vec<AssertionOutcome>, Vec<String>) {
+    let empty = MetricsLedger::new();
+    let trials_of = |case: &Option<String>| match case {
+        Some(name) => by_case.get(name.as_str()).unwrap_or(&empty),
+        None => metrics,
+    };
     let mut failures = Vec::new();
     let outcomes = assertions
         .iter()
         .filter(|a| !a.clean_only || clean)
         .map(|a| {
-            let check = MetricAssertion {
+            let mut check = MetricAssertion {
                 metric: a.metric.clone(),
                 summary: a.summary,
                 op: a.op,
                 value: a.value,
             };
-            let verdict = check.check(metrics);
+            let mut described = check.describe();
+            if let Some(plus) = &a.plus_case {
+                described += &format!(" + `{plus}`");
+            }
+            let trials = trials_of(&a.case);
+            // `plus_case`: the right-hand side is that case's summary of
+            // the metric plus `value`.
+            let base = match &a.plus_case {
+                Some(_) => check.measured(trials_of(&a.plus_case)),
+                None => Some(0.0),
+            };
+            let verdict = match base {
+                Some(base) => {
+                    check.value += base;
+                    check.check(trials)
+                }
+                None => Err(format!(
+                    "assertion `{described}` compares with an unrecorded metric"
+                )),
+            };
             let pass = verdict.is_ok();
-            failures.extend(verdict.err());
+            let in_case = (a.case.as_ref()).map_or(String::new(), |c| format!(" in `{c}`"));
+            described += &in_case;
+            failures.extend(verdict.err().map(|e| e + &in_case));
             AssertionOutcome {
-                check: check.describe(),
-                measured: check.measured(metrics),
+                check: described,
+                measured: check.measured(trials),
                 pass,
             }
         })
@@ -251,36 +291,43 @@ pub fn run(spec: &ScenarioSpec, args: RunArgs) -> io::Result<i32> {
         .map(|case| plan(case, &args))
         .collect();
 
-    let results = exp.run_trials(|ctx| {
+    let seed_of = |t| (spec.run.case_seed).trial_seed(t, plans.len(), args.seed);
+    let results = exp.run_trials_seeded(seed_of, |ctx| {
         let plan = &plans[ctx.index % plans.len()];
         let mut scenario = plan.builder.build_with_seed(ctx.seed);
-        let frames: u64 = (plan.attacks.iter())
-            .map(|(from, attack)| attack.launch(&mut scenario.sim, *from))
-            .sum();
+        let sent: Vec<(NodeId, u64)> = (plan.attacks.iter())
+            .map(|(from, attack)| (*from, attack.launch(&mut scenario.sim, *from)))
+            .collect();
         let sim = scenario.run();
         let mut ledger = MetricsLedger::new();
-        for probe in &plan.probes {
+        let probes =
+            (plan.probes.iter()).filter_map(|p| build_probe(p, plan.topo, &plan.ids, &sent));
+        for probe in probes {
             probe.observe(sim, &mut ledger);
         }
         let pcap = plan
             .pcap
             .map(|node| (sim.node(node).capture).to_pcap_bytes(LinkType::Ieee80211Radiotap));
+        let frames = sent.iter().map(|(_, frames)| frames).sum();
         (frames, ledger, pcap, sim.take_obs())
     });
 
     let mut attack_frames = 0u64;
     let mut rows = Vec::new();
+    let mut by_case: BTreeMap<&str, MetricsLedger> = BTreeMap::new();
     let mut capture = None;
     for (trial, result) in results.into_iter().enumerate() {
         let Some((frames, ledger, pcap, obs)) = result else {
             continue;
         };
+        let name = plans[trial % plans.len()].name;
         attack_frames += frames;
         exp.metrics.merge(&ledger);
+        by_case.entry(name).or_default().merge(&ledger);
         exp.absorb_obs(obs);
         capture = capture.or(pcap);
         rows.push(CaseRow {
-            name: plans[trial % plans.len()].name.to_string(),
+            name: name.to_string(),
             attack_frames: frames,
             metrics: ledger.summaries(),
         });
@@ -305,7 +352,7 @@ pub fn run(spec: &ScenarioSpec, args: RunArgs) -> io::Result<i32> {
     }
 
     let clean = args.faults.is_clean();
-    let (outcomes, failures) = evaluate(&spec.assertions, &exp.metrics, clean);
+    let (outcomes, failures) = evaluate(&spec.assertions, &exp.metrics, &by_case, clean);
     let skipped = spec.assertions.len() - outcomes.len();
     println!();
     for o in &outcomes {
@@ -334,9 +381,97 @@ pub fn run(spec: &ScenarioSpec, args: RunArgs) -> io::Result<i32> {
 
 #[cfg(test)]
 mod tests {
-    use crate::{run_spec, ScenarioSpec};
-    use polite_wifi_harness::set_thread_results_dir;
+    use crate::{run_spec, CaseSeed, ScenarioSpec};
+    use polite_wifi_harness::{set_thread_results_dir, Experiment, RunArgs};
     use polite_wifi_obs::json::{self, JsonValue};
+
+    /// With shared seeds trial `t` of three cases runs under
+    /// `seed ^ (t / 3)`, per trial under `seed ^ t`, whichever worker
+    /// runs it; a failed trial records the seed it ran under.
+    #[test]
+    fn trials_run_under_their_case_seed_at_any_worker_count() {
+        let shared = [40, 40, 40, 41, 41, 41, 42];
+        let per_trial = [40, 41, 42, 43, 44, 45, 46];
+        for workers in [1, 2] {
+            for (case_seed, expected) in [(CaseSeed::Shared, shared), (CaseSeed::Trial, per_trial)]
+            {
+                let args = RunArgs {
+                    seed: 40,
+                    trials: 7,
+                    workers,
+                    inject_trial_panic: Some(4),
+                    ..RunArgs::default()
+                };
+                let mut exp = Experiment::start_with("T", "none", args);
+                let seed_of = |t| case_seed.trial_seed(t, 3, 40);
+                let seen = exp.run_trials_seeded(seed_of, |ctx| (ctx.index % 3, ctx.seed));
+                let want: Vec<_> = (0..7)
+                    .map(|t| (t != 4).then_some((t % 3, expected[t])))
+                    .collect();
+                assert_eq!(seen, want, "{case_seed:?} at {workers} workers");
+                let failed = exp.trial_failures();
+                assert_eq!((failed[0].trial, failed[0].seed), (4, expected[4]));
+            }
+        }
+    }
+
+    /// Case-scoped assertions read only their case's trials, and
+    /// `plus_case` offsets the bound by another case's mean.
+    #[test]
+    fn case_assertions_compare_case_means() {
+        use super::evaluate;
+        use crate::AssertionSpec;
+        use polite_wifi_core::{CmpOp, Summary};
+        use polite_wifi_harness::MetricsLedger;
+        use std::collections::BTreeMap;
+
+        let ledger = |value: f64| {
+            let mut l = MetricsLedger::new();
+            l.record("tp", value);
+            l
+        };
+        let mut all = ledger(0.1);
+        all.merge(&ledger(0.3));
+        let by_case = BTreeMap::from([("slow", ledger(0.1)), ("fast", ledger(0.3))]);
+        let assert = |case: &str, op, value, plus_case: Option<&str>| AssertionSpec {
+            metric: "tp".into(),
+            summary: Summary::Mean,
+            case: Some(case.into()),
+            op,
+            value,
+            plus_case: plus_case.map(Into::into),
+            clean_only: false,
+        };
+        let assertions = [
+            assert("fast", CmpOp::Gt, 0.25, None),
+            assert("slow", CmpOp::Le, 0.05, Some("fast")),
+            assert("fast", CmpOp::Le, 0.05, Some("slow")),
+            assert("fast", CmpOp::Eq, 0.0, Some("missing")),
+        ];
+        let (outcomes, failures) = evaluate(&assertions, &all, &by_case, true);
+        let rows: Vec<(&str, Option<f64>, bool)> = (outcomes.iter())
+            .map(|o| (o.check.as_str(), o.measured, o.pass))
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                ("tp > 0.25 in `fast`", Some(0.3), true),
+                ("tp <= 0.05 + `fast` in `slow`", Some(0.1), true),
+                ("tp <= 0.05 + `slow` in `fast`", Some(0.3), false),
+                ("tp == 0 + `missing` in `fast`", Some(0.3), false),
+            ]
+        );
+        assert_eq!(failures.len(), 2);
+        assert!(
+            failures[0].ends_with("failed: measured 0.3 in `fast`"),
+            "{failures:?}"
+        );
+        assert!(
+            failures[1]
+                .contains("`tp == 0 + `missing`` compares with an unrecorded metric in `fast`"),
+            "{failures:?}"
+        );
+    }
 
     /// A flood the victim ACKs, recorded as `acks`, next to a counter
     /// that stays 0, recorded as `acks_sent`: one metric name is a

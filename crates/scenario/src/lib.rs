@@ -14,12 +14,13 @@
 //!   construction, composes attacks/probes from the
 //!   `polite-wifi-core` trait layer, cycles trials through its
 //!   `cases`, and checks the assertion block. The paper's Figure 2,
-//!   Table 1 and Figure 3 and the related-work scenarios (Block-Ack
-//!   paralysis, PMF deauth resilience, power-save wake-ups) land
-//!   purely as data files this way.
+//!   Table 1 and Figure 3, its §2.2 argument (the RTS fallback, the
+//!   validate-then-ACK ablation, the NAV DoS) and the related-work
+//!   scenarios (Block-Ack paralysis, PMF deauth resilience, power-save
+//!   wake-ups) land purely as data files this way.
 //! * [`experiments`] — bespoke runners whose logic is programmatic
-//!   (parameter sweeps, classifiers, city scale, cases sharing one
-//!   seed). Their specs carry identity + run defaults + tuning params.
+//!   (parameter sweeps, classifiers, city scale). Their specs carry
+//!   identity, run defaults and, for the city, tuning params.
 
 pub mod experiments;
 pub mod generic;
@@ -32,5 +33,6 @@ pub use hash::fnv1a64;
 pub use registry::{run_spec, runner_names};
 pub use spec::{
     behavior_from_label, bitrate_from_label, propagation_from_label, AssertionSpec, AttackSpec,
-    Case, CaseSpec, NodeKind, NodeSpec, ParamValue, ProbeSpec, RunSpec, ScenarioSpec, TopologySpec,
+    Case, CaseSeed, CaseSpec, NodeKind, NodeSpec, ParamValue, ProbeSpec, RunSpec, ScenarioSpec,
+    TopologySpec,
 };

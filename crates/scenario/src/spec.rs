@@ -8,7 +8,7 @@
 //!
 //! Each section, and each attack and probe kind, has **one field list**
 //! (a `Section::fields` body; for attacks and probes, the variant's
-//! declaration), walked by three visitors:
+//! declaration), walked by four visitors:
 //!
 //! * the reader takes typed values out of the JSON parsed by
 //!   `polite-wifi-obs`, works out the allowed keys from the fields it
@@ -18,6 +18,9 @@
 //! * the node checker then walks each attack and probe of the typed
 //!   spec and checks every `node` field against the topology the
 //!   section runs in (a case's own, or the top level's);
+//! * the section lister names the optional top-level sections a spec
+//!   carries, each of which its runner must read (the
+//!   [registry](crate::registry) declares what each runner reads);
 //! * the writer re-emits the spec through
 //!   [`JsonWriter::pretty`](polite_wifi_obs::json::JsonWriter::pretty)
 //!   in field-list order ([`ScenarioSpec::to_canonical_json`]).
@@ -27,11 +30,12 @@
 use polite_wifi_core::injector::MAX_PAYLOAD_LEN;
 use polite_wifi_core::{CmpOp, InjectionPlan, StatKind, Summary};
 use polite_wifi_frame::MacAddr;
-use polite_wifi_harness::{RunArgs, ScenarioBuilder};
-use polite_wifi_obs::json::{self, parse as parse_json, JsonValue, JsonWriter};
+use polite_wifi_harness::{derive_trial_seed, RunArgs, ScenarioBuilder};
+use polite_wifi_obs::json::{self, Json, JsonWriter};
 use polite_wifi_phy::rate::BitRate;
 use polite_wifi_phy::Band;
 use polite_wifi_sim::{FaultProfile, NodeId, PropagationMode};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -49,6 +53,8 @@ pub struct RunSpec {
     pub quick: bool,
     /// Fault profile.
     pub faults: FaultProfile,
+    /// How the trials of a spec with `cases` are seeded.
+    pub case_seed: CaseSeed,
 }
 
 impl Default for RunSpec {
@@ -59,7 +65,32 @@ impl Default for RunSpec {
             workers: 1,
             quick: false,
             faults: FaultProfile::Clean,
+            case_seed: CaseSeed::Trial,
         }
+    }
+}
+
+/// How trial `t` of a spec with `n` cases, which runs case `t mod n`, is
+/// seeded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CaseSeed {
+    /// `derive_trial_seed(seed, t)`: every trial its own seed (the
+    /// default).
+    Trial,
+    /// `derive_trial_seed(seed, t / n)`: every case of one pass shares
+    /// the pass's seed, so one pass runs each case under `seed` itself.
+    Shared,
+}
+
+impl CaseSeed {
+    /// The seed trial `trial` runs under, out of `cases` cases (at
+    /// least 1) from base seed `seed`.
+    pub fn trial_seed(self, trial: usize, cases: usize, seed: u64) -> u64 {
+        let draw = match self {
+            CaseSeed::Trial => trial,
+            CaseSeed::Shared => trial / cases,
+        };
+        derive_trial_seed(seed, draw as u64)
     }
 }
 
@@ -354,7 +385,7 @@ tagged_section! {
             /// Node whose capture is written.
             node: String = node,
         }
-        /// One `StationStats` counter, recorded under `metric`.
+        /// One station or node counter, recorded under `metric`.
         "station-stat" => StationStat {
             /// Node to read.
             node: String = node,
@@ -362,6 +393,9 @@ tagged_section! {
             stat: StatKind = req,
             /// Ledger metric name.
             metric: String = req,
+            /// Records the counter per frame that this node's attacks
+            /// scheduled in the trial.
+            per_frames_from: Option<String> = opt_node,
         }
         /// Whether `node` is still associated with `peer` (1/0).
         "association" => Association {
@@ -382,10 +416,16 @@ pub struct AssertionSpec {
     pub metric: String,
     /// The summary compared: the mean (the default) or the minimum.
     pub summary: Summary,
+    /// Checks only the trials of this case (by name); `None`: every
+    /// trial.
+    pub case: Option<String>,
     /// Comparison operator.
     pub op: CmpOp,
-    /// Right-hand side.
+    /// Right-hand side, or with `plus_case` the offset added to it.
     pub value: f64,
+    /// Compares against this case's summary of the same metric plus
+    /// `value`.
+    pub plus_case: Option<String>,
     /// `true`: only enforced under the clean fault profile (fault
     /// injection legitimately perturbs measured values).
     pub clean_only: bool,
@@ -524,6 +564,9 @@ const WHENS: Labels<When> = Labels(&[("clean", When::Clean), ("always", When::Al
 
 const SUMMARIES: Labels<Summary> = Labels(&[("mean", Summary::Mean), ("min", Summary::Min)]);
 
+const CASE_SEEDS: Labels<CaseSeed> =
+    Labels(&[("trial", CaseSeed::Trial), ("shared", CaseSeed::Shared)]);
+
 /// Parses a bit-rate label (`"1"`, `"5.5"`, `"24"`, …).
 pub fn bitrate_from_label(label: &str) -> Option<BitRate> {
     BIT_RATES.get(label)
@@ -581,10 +624,17 @@ trait Visit {
         self.req(key, slot);
     }
 
+    /// An optional reference to a node by name.
+    fn opt_node(&mut self, key: &'static str, slot: &mut Option<String>) {
+        self.opt(key, slot);
+    }
+
     /// The `kind` tag of an enum section (`noun` names it in errors).
     /// The reader swaps in the blank variant the tag names; `false`
     /// ends the field list when there is none.
-    fn kind<T: Clone>(&mut self, noun: &str, slot: &mut T, kinds: &[(&'static str, T)]) -> bool;
+    fn kind<T: Clone>(&mut self, _noun: &str, _slot: &mut T, _: &[(&'static str, T)]) -> bool {
+        true
+    }
     /// A constraint across fields; `why` follows the section's path.
     fn reject_if(&mut self, _bad: bool, _why: &str) {}
 
@@ -676,6 +726,9 @@ impl Section for RunSpec {
         v.opt_if("workers", &mut self.workers, at_least_one);
         v.opt("quick", &mut self.quick);
         v.opt("faults", &mut self.faults);
+        let mut case_seed = (self.case_seed != CaseSeed::Trial).then_some(self.case_seed);
+        v.opt("case_seed", &mut case_seed);
+        self.case_seed = case_seed.unwrap_or(CaseSeed::Trial);
     }
 }
 
@@ -744,8 +797,10 @@ impl Section for AssertionSpec {
         AssertionSpec {
             metric: String::new(),
             summary: Summary::Mean,
+            case: None,
             op: CmpOp::Eq,
             value: 0.0,
+            plus_case: None,
             clean_only: false,
         }
     }
@@ -755,8 +810,10 @@ impl Section for AssertionSpec {
         let mut summary = (self.summary != Summary::Mean).then_some(self.summary);
         v.opt("summary", &mut summary);
         self.summary = summary.unwrap_or(Summary::Mean);
+        v.opt("case", &mut self.case);
         v.req("op", &mut self.op);
         v.req("value", &mut self.value);
+        v.opt("plus_case", &mut self.plus_case);
         let mut when = self.clean_only.then_some(When::Clean);
         v.opt("when", &mut when);
         self.clean_only = when == Some(When::Clean);
@@ -816,11 +873,14 @@ impl fmt::Display for Path<'_> {
     }
 }
 
+/// The parsed document: strings are borrowed from the input text.
+type Doc<'d> = Json<Cow<'d, str>>;
+
 /// One JSON value type: how it is read (reporting problems) and how it
-/// is written in canonical form. Reading takes the strings it keeps out
-/// of the parsed document rather than copying them.
+/// is written in canonical form. Reading copies only the strings it
+/// keeps out of the parsed document.
 trait Value: Sized {
-    fn read(v: &mut JsonValue, at: &Path, r: &mut Reader) -> Option<Self>;
+    fn read(v: &mut Doc, at: &Path, r: &mut Reader) -> Option<Self>;
     /// Takes `&mut` only because sections share their field list with
     /// the reader.
     fn write(&mut self, w: &mut JsonWriter);
@@ -862,8 +922,8 @@ fn num(n: f64) -> String {
 macro_rules! scalar_values {
     ($($t:ty: $read:expr, $must_be:literal, $write:expr;)*) => {$(
         impl Value for $t {
-            fn read(v: &mut JsonValue, at: &Path, r: &mut Reader) -> Option<Self> {
-                let read: fn(&mut JsonValue) -> Option<$t> = $read;
+            fn read(v: &mut Doc, at: &Path, r: &mut Reader) -> Option<Self> {
+                let read: fn(&mut Doc) -> Option<$t> = $read;
                 read(v).or_else(|| r.problem(format!("{at} must be {}", $must_be)))
             }
 
@@ -876,15 +936,15 @@ macro_rules! scalar_values {
 }
 
 scalar_values! {
-    String: |v| match v { JsonValue::Str(s) => Some(std::mem::take(s)), _ => None }, "a string", |w, s| { w.string(s); };
-    bool: |v| match v { JsonValue::Bool(b) => Some(*b), _ => None }, "a boolean", |w, b| { w.bool(*b); };
+    String: |v| match v { Json::Str(s) => Some(std::mem::take(s).into_owned()), _ => None }, "a string", |w, s| { w.string(s); };
+    bool: |v| match v { Json::Bool(b) => Some(*b), _ => None }, "a boolean", |w, b| { w.bool(*b); };
     f64: |v| v.as_f64(), "a number", |w, n| { w.raw(&num(*n)); };
 }
 
 macro_rules! unsigned_values {
     ($($t:ty),*) => {$(
         impl Value for $t {
-            fn read(v: &mut JsonValue, at: &Path, r: &mut Reader) -> Option<Self> {
+            fn read(v: &mut Doc, at: &Path, r: &mut Reader) -> Option<Self> {
                 let n = match v.as_f64() {
                     Some(n) if n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64 => n as u64,
                     _ => return r.problem(format!("{at} must be a non-negative integer")),
@@ -909,7 +969,7 @@ unsigned_values!(u8, u16, u32, u64, usize);
 macro_rules! label_values {
     ($($t:ty: $parse:expr, $wrong:expr, $label:expr;)*) => {$(
         impl Value for $t {
-            fn read(v: &mut JsonValue, at: &Path, r: &mut Reader) -> Option<Self> {
+            fn read(v: &mut Doc, at: &Path, r: &mut Reader) -> Option<Self> {
                 let (parse, wrong): (fn(&str) -> Option<$t>, fn(&str) -> String) = ($parse, $wrong);
                 let Some(s) = v.as_str() else {
                     return r.problem(format!("{at} must be a string"));
@@ -935,15 +995,11 @@ label_values! {
     NodeKind: |s| NODE_KINDS.get(s), |s| NODE_KINDS.wrong(s), |k| NODE_KINDS.label(*k).to_string();
     When: |s| WHENS.get(s), |s| WHENS.wrong(s), |w| WHENS.label(*w).to_string();
     Summary: |s| SUMMARIES.get(s), |s| SUMMARIES.wrong(s), |m| SUMMARIES.label(*m).to_string();
+    CaseSeed: |s| CASE_SEEDS.get(s), |s| CASE_SEEDS.wrong(s), |c| CASE_SEEDS.label(*c).to_string();
 }
 
 /// Reads a two-element array (`shape` names it in errors).
-fn read_pair<T: Value>(
-    v: &mut JsonValue,
-    at: &Path,
-    r: &mut Reader,
-    shape: &str,
-) -> Option<(T, T)> {
+fn read_pair<T: Value>(v: &mut Doc, at: &Path, r: &mut Reader, shape: &str) -> Option<(T, T)> {
     let [x, y] = r.array(v, at)? else {
         return r.problem(format!("{at} must be a two-element {shape} array"));
     };
@@ -954,7 +1010,7 @@ fn read_pair<T: Value>(
 
 /// An `[x, y]` coordinate pair, written inline.
 impl Value for (f64, f64) {
-    fn read(v: &mut JsonValue, at: &Path, r: &mut Reader) -> Option<Self> {
+    fn read(v: &mut Doc, at: &Path, r: &mut Reader) -> Option<Self> {
         read_pair(v, at, r, "[x, y]")
     }
 
@@ -966,7 +1022,7 @@ impl Value for (f64, f64) {
 /// A `[from, to]` pair of node names (a link or association), written
 /// inline.
 impl Value for (String, String) {
-    fn read(v: &mut JsonValue, at: &Path, r: &mut Reader) -> Option<Self> {
+    fn read(v: &mut Doc, at: &Path, r: &mut Reader) -> Option<Self> {
         read_pair(v, at, r, "[from, to]")
     }
 
@@ -977,7 +1033,7 @@ impl Value for (String, String) {
 }
 
 impl<T: Value> Value for Option<T> {
-    fn read(v: &mut JsonValue, at: &Path, r: &mut Reader) -> Option<Self> {
+    fn read(v: &mut Doc, at: &Path, r: &mut Reader) -> Option<Self> {
         T::read(v, at, r).map(Some)
     }
 
@@ -993,7 +1049,7 @@ impl<T: Value> Value for Option<T> {
 }
 
 impl<T: Value> Value for Vec<T> {
-    fn read(v: &mut JsonValue, at: &Path, r: &mut Reader) -> Option<Self> {
+    fn read(v: &mut Doc, at: &Path, r: &mut Reader) -> Option<Self> {
         let items = r.array(v, at)?.iter_mut().enumerate();
         Some(
             items
@@ -1015,21 +1071,21 @@ impl<T: Value> Value for Vec<T> {
 
 /// `params`: an object of freeform scalars, in document order.
 impl Value for Vec<(String, ParamValue)> {
-    fn read(v: &mut JsonValue, at: &Path, r: &mut Reader) -> Option<Self> {
-        let JsonValue::Obj(entries) = v else {
+    fn read(v: &mut Doc, at: &Path, r: &mut Reader) -> Option<Self> {
+        let Json::Obj(entries) = v else {
             return r.problem(format!("{at} must be an object"));
         };
         let params = entries.iter_mut().filter_map(|(key, value)| {
             let value = match value {
-                JsonValue::Num(n) => ParamValue::Num(*n),
-                JsonValue::Str(s) => ParamValue::Str(std::mem::take(s)),
-                JsonValue::Bool(b) => ParamValue::Bool(*b),
+                Json::Num(n) => ParamValue::Num(*n),
+                Json::Str(s) => ParamValue::Str(std::mem::take(s).into_owned()),
+                Json::Bool(b) => ParamValue::Bool(*b),
                 _ => {
                     let at = Path::Field(at, key);
                     return r.problem(format!("{at} must be a number, string or boolean"));
                 }
             };
-            Some((key.clone(), value))
+            Some((key.to_string(), value))
         });
         Some(params.collect())
     }
@@ -1052,7 +1108,7 @@ impl Value for Vec<(String, ParamValue)> {
 }
 
 impl<T: Section> Value for T {
-    fn read(v: &mut JsonValue, at: &Path, r: &mut Reader) -> Option<Self> {
+    fn read(v: &mut Doc, at: &Path, r: &mut Reader) -> Option<Self> {
         r.section(v, at)
     }
 
@@ -1078,9 +1134,9 @@ impl Reader {
         None
     }
 
-    fn array<'v>(&mut self, v: &'v mut JsonValue, at: &Path) -> Option<&'v mut [JsonValue]> {
+    fn array<'v, 'd>(&mut self, v: &'v mut Doc<'d>, at: &Path) -> Option<&'v mut [Doc<'d>]> {
         match v {
-            JsonValue::Arr(items) => Some(items),
+            Json::Arr(items) => Some(items),
             _ => self.problem(format!("{at} must be an array")),
         }
     }
@@ -1088,8 +1144,8 @@ impl Reader {
     /// Reads the object `v` through `T`'s field list, then reports every
     /// key the list never asked for, ahead of the section's other
     /// problems.
-    fn section<T: Section>(&mut self, v: &mut JsonValue, at: &Path) -> Option<T> {
-        let JsonValue::Obj(obj) = v else {
+    fn section<T: Section>(&mut self, v: &mut Doc, at: &Path) -> Option<T> {
+        let Json::Obj(obj) = v else {
             return self.problem(format!("{at} must be an object"));
         };
         let mark = self.problems.len();
@@ -1121,7 +1177,7 @@ impl Reader {
         let asked = &asked[..asked_len];
         let unknown: Vec<String> = obj
             .iter()
-            .filter(|(key, _)| !asked.contains(&key.as_str()))
+            .filter(|(key, _)| !asked.contains(&&**key))
             .map(|(key, _)| format!("unknown key `{key}` in {at}"))
             .collect();
         self.problems.splice(mark..mark, unknown);
@@ -1133,9 +1189,9 @@ impl Reader {
 const MAX_FIELDS: usize = 16;
 
 /// The reader's visitor over one JSON object.
-struct FieldReader<'a, 'p> {
+struct FieldReader<'a, 'p, 'd> {
     r: &'a mut Reader,
-    obj: &'a mut [(String, JsonValue)],
+    obj: &'a mut [(Cow<'d, str>, Doc<'d>)],
     at: &'a Path<'p>,
     /// The keys the field list asked for, in `asked[..asked_len]`.
     asked: [&'static str; MAX_FIELDS],
@@ -1150,7 +1206,7 @@ struct FieldReader<'a, 'p> {
 /// The key that tags an enum section's kind.
 const KIND: &str = "kind";
 
-impl Visit for FieldReader<'_, '_> {
+impl Visit for FieldReader<'_, '_, '_> {
     fn field<T: Value>(
         &mut self,
         key: &'static str,
@@ -1257,7 +1313,7 @@ impl ScenarioSpec {
     /// problem into one error.
     pub fn parse(input: &str) -> Result<ScenarioSpec, String> {
         const GRAMMAR: &str = "(see DESIGN.md \u{a7}13 for the grammar)";
-        let mut root = parse_json(input).map_err(|e| {
+        let mut root = json::parse_borrowed(input).map_err(|e| {
             format!(
                 "invalid scenario spec: not valid JSON ({}) {GRAMMAR}",
                 one_line(&e)
@@ -1271,6 +1327,7 @@ impl ScenarioSpec {
         };
         let mut problems = r.problems;
         spec.check_nodes(&mut problems);
+        spec.check_sections(&mut problems);
         if spec.runner == "generic" {
             for case in spec.resolved_cases() {
                 let of = match spec.cases.is_empty() {
@@ -1386,6 +1443,28 @@ impl ScenarioSpec {
         }
     }
 
+    /// Reports every section the spec's runner does not read, a shared
+    /// case seed without cases, and each case an assertion names that
+    /// the spec does not declare.
+    fn check_sections(&mut self, problems: &mut Vec<String>) {
+        let registered = crate::registry::RUNNERS
+            .iter()
+            .find(|(name, ..)| *name == self.runner);
+        if let Some(&(runner, _, reads)) = registered {
+            self.fields(&mut Unread(runner, reads, problems));
+        }
+        if self.run.case_seed == CaseSeed::Shared && self.cases.is_empty() {
+            problems.push("`run.case_seed` is `shared`, which needs `cases`".to_string());
+        }
+        for (i, a) in self.assertions.iter().enumerate() {
+            for case in [&a.case, &a.plus_case].into_iter().flatten() {
+                if !self.cases.iter().any(|c| &c.name == case) {
+                    problems.push(format!("`assertions[{i}]` names unknown case `{case}`"));
+                }
+            }
+        }
+    }
+
     /// Reads a numeric param.
     pub fn param_num(&self, key: &str) -> Option<f64> {
         self.params.iter().find_map(|(k, v)| match v {
@@ -1434,6 +1513,12 @@ impl Visit for NodeRefs<'_, '_> {
         true
     }
 
+    fn opt_node(&mut self, key: &'static str, slot: &mut Option<String>) {
+        if let Some(name) = slot {
+            self.node(key, name);
+        }
+    }
+
     fn node(&mut self, _: &'static str, slot: &mut String) {
         if self.names.binary_search(&slot.as_str()).is_err() {
             let at = self.at;
@@ -1444,8 +1529,28 @@ impl Visit for NodeRefs<'_, '_> {
             self.problems.push(problem);
         }
     }
+}
 
-    fn kind<T: Clone>(&mut self, _: &str, _: &mut T, _: &[(&'static str, T)]) -> bool {
+/// The fourth visitor: reports to `problems` each optional section the
+/// spec carries that its runner does not read: `(runner, the sections
+/// it reads, problems)`.
+struct Unread<'a>(&'a str, &'a [&'a str], &'a mut Vec<String>);
+
+impl Visit for Unread<'_> {
+    fn field<T: Value>(
+        &mut self,
+        key: &'static str,
+        required: bool,
+        slot: &mut T,
+        _: Rule<T>,
+    ) -> bool {
+        let Unread(runner, reads, problems) = self;
+        if !required && !slot.omitted() && !reads.contains(&key) {
+            let reads = reads.join("`, `");
+            problems.push(format!(
+                "runner `{runner}` does not read `{key}` (it reads `{reads}`)"
+            ));
+        }
         true
     }
 }
@@ -1747,13 +1852,63 @@ mod tests {
 
     #[test]
     fn unregistered_runner_is_rejected_with_the_known_list() {
-        let stale = MINIMAL.replace("\"runner\": \"generic\"", "\"runner\": \"fig3_deauth\"");
-        let err = ScenarioSpec::parse(&stale).unwrap_err();
+        let retired = [
+            "fig3_deauth",
+            "ext_nav_dos",
+            "ablation_validate",
+            "sifs_timing",
+        ];
+        for runner in retired {
+            let stale = MINIMAL.replace(
+                "\"runner\": \"generic\"",
+                &format!("\"runner\": \"{runner}\""),
+            );
+            let err = ScenarioSpec::parse(&stale).unwrap_err();
+            assert!(
+                err.contains(&format!(
+                    "`runner` names no registered runner: `{runner}` (known: generic, "
+                )),
+                "{err}"
+            );
+            assert_eq!(err.lines().count(), 1);
+        }
+    }
+
+    /// `scenarios/fig6_power.json` plus one assertion, which its bespoke
+    /// runner would never check.
+    pub(crate) fn fig6_power_with_an_assertion() -> String {
+        let text = include_str!("../../../scenarios/fig6_power.json");
+        let assertion = r#",
+  "assertions": [
+    {"metric": "power_mw_at_0pps", "op": ">", "value": 1000000}
+  ]
+}"#;
+        text.trim_end().strip_suffix("\n}").unwrap().to_string() + assertion
+    }
+
+    #[test]
+    fn sections_the_runner_does_not_read_are_rejected() {
+        let err = ScenarioSpec::parse(&fig6_power_with_an_assertion()).unwrap_err();
         assert!(
-            err.contains("`runner` names no registered runner: `fig3_deauth` (known: generic, "),
+            err.contains("runner `fig6_power` does not read `assertions` (it reads `run`)"),
             "{err}"
         );
         assert_eq!(err.lines().count(), 1);
+        let city = include_str!("../../../scenarios/city_wardrive.json");
+        let with_params = city.replace("\n}\n", ",\n  \"params\": {\"devices\": 1000}\n}\n");
+        assert!(ScenarioSpec::parse(&with_params).is_ok());
+        let err = ScenarioSpec::parse(&with_params.replace("city_wardrive\"", "fig6_power\""))
+            .unwrap_err();
+        assert!(err.contains("does not read `params`"), "{err}");
+        let generic = MINIMAL.replace("  ]\n}\n", "  ],\n  \"params\": {\"devices\": 1}\n}\n");
+        let err = ScenarioSpec::parse(&generic).unwrap_err();
+        assert!(
+            err.contains(
+                "runner `generic` does not read `params` (it reads `run`, `topology`, `attacks`, \
+                 `probes`, `cases`, `assertions`)"
+            ),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1815,6 +1970,82 @@ mod tests {
 "#
         );
         MINIMAL.replace("  ]\n}\n", &cases)
+    }
+
+    #[test]
+    fn shared_case_seeds_and_case_assertions_need_declared_cases() {
+        let victim = r#"{"name": "victim", "mac": "02:00:00:00:00:01", "kind": "client", "position": [0, 0]}"#;
+        let shared = |text: &str| {
+            text.replace(
+                "\"faults\": \"clean\"",
+                "\"faults\": \"clean\",\n    \"case_seed\": \"shared\"",
+            )
+        };
+        let assertions = r#"  "assertions": [
+    {
+      "metric": "acks_sent",
+      "case": "alone",
+      "op": "<=",
+      "value": 0.5,
+      "plus_case": "probed"
+    }
+  ]
+}
+"#;
+        let text = shared(&with_cases(victim)).replace("  ]\n}\n", &format!("  ],\n{assertions}"));
+        let spec = ScenarioSpec::parse(&text).expect("parses");
+        assert_eq!(spec.run.case_seed, CaseSeed::Shared);
+        assert_eq!(spec.assertions[0].case.as_deref(), Some("alone"));
+        assert_eq!(spec.assertions[0].plus_case.as_deref(), Some("probed"));
+        assert_eq!(
+            ScenarioSpec::parse(&spec.to_canonical_json()).unwrap(),
+            spec
+        );
+
+        let err = ScenarioSpec::parse(&text.replace("\"probed\"\n    }", "\"ghost\"\n    }"))
+            .unwrap_err();
+        assert!(
+            err.contains("`assertions[0]` names unknown case `ghost`"),
+            "{err}"
+        );
+        let err = ScenarioSpec::parse(&shared(MINIMAL)).unwrap_err();
+        assert!(
+            err.contains("`run.case_seed` is `shared`, which needs `cases`"),
+            "{err}"
+        );
+        let err = ScenarioSpec::parse(
+            &MINIMAL.replace("\"clean\"", "\"clean\", \"case_seed\": \"pass\""),
+        )
+        .unwrap_err();
+        assert!(
+            err.contains("`run.case_seed` must be `trial` or `shared`, got `pass`"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn per_frame_counters_name_a_node_of_their_topology() {
+        let per = MINIMAL.replace(
+            "\"metric\": \"acks_sent\"\n",
+            "\"metric\": \"acks_sent\",\n      \"per_frames_from\": \"ap\"\n",
+        );
+        let spec = ScenarioSpec::parse(&per).expect("parses");
+        assert_eq!(spec.to_canonical_json(), per);
+        let err = ScenarioSpec::parse(&per.replace(
+            "\"per_frames_from\": \"ap\"",
+            "\"per_frames_from\": \"ghost\"",
+        ))
+        .unwrap_err();
+        assert!(
+            err.contains("`probes[0]` references unknown node `ghost`"),
+            "{err}"
+        );
+        let err = ScenarioSpec::parse(&per.replace(
+            "\"acks_sent\",\n      \"metric",
+            "\"tx_counts\",\n      \"metric",
+        ))
+        .unwrap_err();
+        assert!(err.contains("is not a known counter: `tx_counts`"), "{err}");
     }
 
     #[test]

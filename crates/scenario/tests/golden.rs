@@ -326,13 +326,13 @@ macro_rules! goldens {
 }
 
 goldens! {
-    golden_ablation_validate: "ablation_validate" => 0x92bf8c4ab1962c98;
+    golden_ablation_validate: "ablation_validate" => 0x0122937b2f627398;
     golden_battery_life: "battery_life" => 0x70d5d762a67f9ebe;
     golden_blockack_paralysis: "blockack_paralysis" => 0xb669ff49d162a2f6;
     golden_city_wardrive: "city_wardrive" => 0x0b831e2968e14171, ignore = "minutes-long even with --quick; run with --release -- --ignored";
     golden_ext_classifier: "ext_classifier" => 0x6e9294be1299cc15;
     golden_ext_driveby: "ext_driveby" => 0x9abebbd7b0e95b71, ignore = "~2 min of simulated driving; run with --release -- --ignored";
-    golden_ext_nav_dos: "ext_nav_dos" => 0x1c12455a21570c98;
+    golden_ext_nav_dos: "ext_nav_dos" => 0xc14d14c01429cf73;
     golden_ext_randomization: "ext_randomization" => 0xfbfadb78d6f7e9c8;
     golden_ext_ranging: "ext_ranging" => 0xcffb49862cf4a04f;
     golden_ext_vitals: "ext_vitals" => 0xfaf8a3ae1eabd822;
@@ -343,7 +343,7 @@ goldens! {
     golden_pmf_deauth_matrix: "pmf_deauth_matrix" => 0x527af751b6e947e7;
     golden_powersave_awake: "powersave_awake" => 0x7ed8fec287a236f2;
     golden_sensing_hub: "sensing_hub" => 0xdb6e0169ef45ee62;
-    golden_sifs_timing: "sifs_timing" => 0x6e81bdb33c1a8a35;
+    golden_sifs_timing: "sifs_timing" => 0x582f2e34a7fc6b93;
     golden_table1_devices: "table1_devices" => 0xcd826b9b5edc4f03;
     golden_table2_wardrive: "table2_wardrive" => 0x99c4c4a5f15aa78b;
 }
@@ -367,10 +367,10 @@ macro_rules! faulted_goldens {
 }
 
 faulted_goldens! {
-    faulted_ablation_validate: "ablation_validate" => 0x0246b90207fc9626, 0xb0d601bb80b64292;
+    faulted_ablation_validate: "ablation_validate" => 0x2047a1798a278a93, 0x2c45bf1def6fa217;
     faulted_battery_life: "battery_life" => 0x8ecc9b572e310b6e, 0x7507dba53f7c902c;
     faulted_blockack_paralysis: "blockack_paralysis" => 0x42a5c381c44e1c31, 0xf75fb016e667982b;
-    faulted_ext_nav_dos: "ext_nav_dos" => 0xe87b259dff9e046e, 0x93cd0b340b374c0a;
+    faulted_ext_nav_dos: "ext_nav_dos" => 0x7f8d7a7d0aadc300, 0xc606fc7447ad915c;
     faulted_ext_ranging: "ext_ranging" => 0x36fe38d0f8ec98bc, 0xe47aab765eea63d9;
     faulted_ext_vitals: "ext_vitals" => 0xcd6101852f1849c0, 0x859935771601d90f;
     faulted_fig2_trace: "fig2_trace" => 0x814baf9efe18e956, 0x8d8367ac912a593c;
@@ -380,6 +380,6 @@ faulted_goldens! {
     faulted_pmf_deauth_matrix: "pmf_deauth_matrix" => 0xf319f242c1393fc6, 0x301745735b5476cd;
     faulted_powersave_awake: "powersave_awake" => 0xa0e7d9665fd6a9fd, 0xe54ad9dd6f2296e3;
     faulted_sensing_hub: "sensing_hub" => 0xf77fb796cdc42657, 0xdff4eb00c3557a14;
-    faulted_sifs_timing: "sifs_timing" => 0xdf39bcc5eb0ad0ad, 0x952cd42f8298cda3;
+    faulted_sifs_timing: "sifs_timing" => 0xd5dfcec62df03f3f, 0x79ccfac9dbb0bf69;
     faulted_table1_devices: "table1_devices" => 0x70024c9ec888d308, 0xa1e2e42b781eebe8;
 }

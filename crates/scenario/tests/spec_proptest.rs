@@ -11,8 +11,8 @@ use polite_wifi_obs::json;
 use polite_wifi_phy::rate::BitRate;
 use polite_wifi_phy::Band;
 use polite_wifi_scenario::{
-    AssertionSpec, AttackSpec, CaseSpec, NodeKind, NodeSpec, ParamValue, ProbeSpec, RunSpec,
-    ScenarioSpec, TopologySpec,
+    AssertionSpec, AttackSpec, CaseSeed, CaseSpec, NodeKind, NodeSpec, ParamValue, ProbeSpec,
+    RunSpec, ScenarioSpec, TopologySpec,
 };
 use polite_wifi_sim::FaultProfile;
 use proptest::prelude::*;
@@ -49,7 +49,7 @@ fn spec_text(slug: &str, extra_key: Option<&str>) -> String {
         .map(|k| format!("  {}: 1,\n", json::to_string(k)))
         .unwrap_or_default();
     format!(
-        "{{\n{extra}  \"name\": \"T\",\n  \"paper_ref\": \"r\",\n  \"slug\": {},\n  \"runner\": \"sifs_timing\"\n}}",
+        "{{\n{extra}  \"name\": \"T\",\n  \"paper_ref\": \"r\",\n  \"slug\": {},\n  \"runner\": \"fig6_power\"\n}}",
         json::to_string(slug)
     )
 }
@@ -289,7 +289,17 @@ fn attack(rng: &mut TestRng, kind: u64, names: &[String]) -> AttackSpec {
 
 /// Probe kind `kind` (0..5) over the declared `names`.
 fn probe(rng: &mut TestRng, kind: u64, names: &[String]) -> ProbeSpec {
-    let stat = pick(rng, &["acks_sent", "delivered", "ba_stale_dropped"]);
+    let stat = pick(
+        rng,
+        &[
+            "acks_sent",
+            "delivered",
+            "ba_stale_dropped",
+            "tx_count",
+            "tx_failures",
+            "acks_received",
+        ],
+    );
     match kind {
         0 => ProbeSpec::AckVerifier {
             attacker: pick(rng, names),
@@ -304,6 +314,7 @@ fn probe(rng: &mut TestRng, kind: u64, names: &[String]) -> ProbeSpec {
             node: pick(rng, names),
             stat: StatKind::from_label(stat).expect("a known counter"),
             metric: text(rng),
+            per_frames_from: coin(rng).then(|| pick(rng, names)),
         },
         _ => ProbeSpec::Association {
             node: pick(rng, names),
@@ -313,11 +324,13 @@ fn probe(rng: &mut TestRng, kind: u64, names: &[String]) -> ProbeSpec {
     }
 }
 
-/// A random valid spec. Whenever it has a topology it holds every
-/// attack and probe kind, a node with every optional field set, a param
-/// of each type and up to two cases, each carrying any of its own
-/// sections over the same node names; references only name declared
-/// nodes, and the `generic` runner appears only with a topology.
+/// A random valid spec. Whenever it has a topology it runs on the
+/// `generic` runner and holds every attack and probe kind, a node with
+/// every optional field set, up to two cases, each carrying any of its
+/// own sections over the same node names, and assertions, scoped to
+/// cases when there are some; references only name declared nodes and
+/// cases. Without one it names a bespoke runner and carries only what
+/// that runner reads: `city_wardrive` a param of each type.
 fn spec(rng: &mut TestRng) -> ScenarioSpec {
     let names: Vec<String> = (0..1 + rng.below(3))
         .map(|i| format!("{}{i}", text(rng)))
@@ -356,12 +369,23 @@ fn spec(rng: &mut TestRng) -> ScenarioSpec {
                 }),
             })
             .collect();
+    }
+    let runner = match top {
+        Some(_) => "generic",
+        None => pick(rng, &["fig6_power", "city_wardrive"]),
+    };
+    if runner == "city_wardrive" {
         params = vec![
             (text(rng), ParamValue::Num(num(rng))),
             (text(rng), ParamValue::Str(text(rng))),
             (text(rng), ParamValue::Bool(coin(rng))),
         ];
     }
+    let case_names: Vec<String> = cases.iter().map(|c| c.name.clone()).collect();
+    let case = |rng: &mut TestRng| match case_names.is_empty() || coin(rng) {
+        true => None,
+        false => Some(pick(rng, &case_names)),
+    };
     let ops = [
         CmpOp::Ge,
         CmpOp::Gt,
@@ -374,31 +398,33 @@ fn spec(rng: &mut TestRng) -> ScenarioSpec {
         name: text(rng),
         paper_ref: text(rng),
         slug: format!("s_{}", rng.below(1_000)),
-        runner: pick(
-            rng,
-            &["sifs_timing", "generic"][..1 + top.is_some() as usize],
-        )
-        .into(),
+        runner: runner.into(),
         run: RunSpec {
             seed: int(rng),
             trials: 1 + rng.below(64) as usize,
             workers: 1 + rng.below(8) as usize,
             quick: coin(rng),
             faults: pick(rng, &FaultProfile::ALL),
+            case_seed: match cases.is_empty() || coin(rng) {
+                true => CaseSeed::Trial,
+                false => CaseSeed::Shared,
+            },
         },
+        assertions: (0..rng.below(3) * (runner == "generic") as u64)
+            .map(|_| AssertionSpec {
+                metric: text(rng),
+                summary: pick(rng, &[Summary::Mean, Summary::Min]),
+                case: case(rng),
+                op: pick(rng, &ops),
+                value: num(rng),
+                plus_case: case(rng),
+                clean_only: coin(rng),
+            })
+            .collect(),
         topology: top,
         attacks,
         probes,
         cases,
-        assertions: (0..rng.below(3))
-            .map(|_| AssertionSpec {
-                metric: text(rng),
-                summary: pick(rng, &[Summary::Mean, Summary::Min]),
-                op: pick(rng, &ops),
-                value: num(rng),
-                clean_only: coin(rng),
-            })
-            .collect(),
         params,
     }
 }

@@ -328,6 +328,9 @@ fn cmd_sifs() -> Result<(), String> {
             );
         }
     }
+    for (band, speedup) in &report.required_speedup {
+        println!("decoder speedup needed on {band}: {speedup:.1}x");
+    }
     println!(
         "worst-case overrun: {:.0}x; and forged RTS still elicits CTS regardless",
         analysis::worst_case_overrun()
