@@ -306,9 +306,12 @@ pub enum Summary {
     Mean,
     /// The smallest sample: "every trial" claims.
     Min,
+    /// The largest sample: "every row" bounds from above.
+    Max,
 }
 
-/// `metric <op> value` over a recorded metric's mean or minimum.
+/// `metric <op> value` over a recorded metric's mean, minimum or
+/// maximum.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricAssertion {
     /// The ledger metric to check.
@@ -322,13 +325,14 @@ pub struct MetricAssertion {
 }
 
 impl MetricAssertion {
-    /// Human-readable form, e.g. `throughput_fraction <= 0.2` or
-    /// `min(acks) > 0`.
+    /// Human-readable form, e.g. `throughput_fraction <= 0.2`,
+    /// `min(acks) > 0` or `max(relative_error) < 0.45`.
     pub fn describe(&self) -> String {
         let (op, value) = (self.op.symbol(), self.value);
         match self.summary {
             Summary::Mean => format!("{} {op} {value}", self.metric),
             Summary::Min => format!("min({}) {op} {value}", self.metric),
+            Summary::Max => format!("max({}) {op} {value}", self.metric),
         }
     }
 
@@ -341,6 +345,7 @@ impl MetricAssertion {
         Some(match self.summary {
             Summary::Mean => summary.mean,
             Summary::Min => summary.min,
+            Summary::Max => summary.max,
         })
     }
 

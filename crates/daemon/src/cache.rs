@@ -2,9 +2,10 @@
 //!
 //! Determinism makes caching sound: the harness guarantees that one
 //! canonical scenario (at any worker count) produces byte-identical
-//! envelopes, so the [`canonical_hash`] is a complete address for the
-//! result — there is nothing else the envelope could depend on. Each
-//! entry is one file, `<key>.env`, framed with an integrity header:
+//! envelopes on one engine, and the [`canonical_hash`] covers both the
+//! spec and the engine (crate version and behaviour pins), so it is a
+//! complete address for the result. Each entry is one file,
+//! `<key>.env`, framed with an integrity header:
 //!
 //! ```text
 //! polite-wifi-cache v1 <key> <crc32-hex> <byte-len>\n

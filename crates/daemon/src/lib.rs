@@ -16,7 +16,9 @@
 //!   rejected with 429 + `Retry-After` instead of queueing unboundedly.
 //! * **Caching** — results are memoised in a content-addressed
 //!   [`ResultStore`] keyed by the spec's workers-invariant
-//!   [`canonical_hash`]; determinism makes the cache sound, and a
+//!   [`canonical_hash`], salted with the engine's behaviour pins so an
+//!   upgraded binary never serves an older one's envelopes;
+//!   determinism makes the cache sound, and a
 //!   CRC-32 integrity frame makes it safe (corrupt entries are
 //!   recomputed, never served).
 //! * **Drain** — `POST /shutdown` (or SIGTERM via the binary) stops

@@ -168,9 +168,9 @@ fn unregistered_runner_is_a_400_before_any_cache_lookup() {
     let _ = std::fs::remove_dir_all(state_dir);
 }
 
-/// `scenarios/fig6_power.json` plus an assertion its bespoke runner
-/// would never check: a 400 before any cache lookup, not a run that
-/// exits 0 with no verdict.
+/// `scenarios/fig6_power.json` plus a topology its bespoke runner would
+/// never build: a 400 before any cache lookup, not a run that ignores
+/// it.
 #[test]
 fn a_section_the_runner_does_not_read_is_a_400() {
     let cfg = config("unread-section");
@@ -179,16 +179,44 @@ fn a_section_the_runner_does_not_read_is_a_400() {
 
     let fig6 = include_str!("../../../scenarios/fig6_power.json");
     let spec = fig6.trim_end().strip_suffix("\n}").unwrap().to_string()
-        + ",\n  \"assertions\": [\n    {\"metric\": \"power_mw_at_0pps\", \"op\": \">\", \"value\": 1000000}\n  ]\n}";
+        + ",\n  \"topology\": {\"duration_us\": 1000, \"nodes\": []}\n}";
     let (status, cache, body) = submit(&daemon, &spec, "?wait=1");
     let body = String::from_utf8(body).unwrap();
     assert_eq!(status, 400, "{body}");
     assert_eq!(cache, "", "a rejected spec carries no cache verdict");
     assert!(
-        body.contains("runner `fig6_power` does not read `assertions` (it reads `run`)"),
+        body.contains(
+            "runner `fig6_power` does not read `topology` (it reads `run`, `assertions`)"
+        ),
         "{body}"
     );
     assert_eq!(daemon.counter(names::DAEMON_CACHE_HIT), 0);
+    assert_eq!(daemon.counter(names::DAEMON_CACHE_MISS), 0);
+
+    daemon.drain().unwrap();
+    let _ = std::fs::remove_dir_all(state_dir);
+}
+
+/// `scenarios/fig3_deauth.json` with fewer trials than its two cases:
+/// a 400 before any cache lookup, not a run whose unmeasured case
+/// fails its assertions.
+#[test]
+fn fewer_trials_than_cases_is_a_400() {
+    let cfg = config("too-few-trials");
+    let state_dir = cfg.state_dir.clone();
+    let daemon = Daemon::start(cfg).unwrap();
+
+    let fig3 = include_str!("../../../scenarios/fig3_deauth.json");
+    let spec = fig3.replace("\"trials\": 2", "\"trials\": 1");
+    assert_ne!(spec, fig3);
+    let (status, cache, body) = submit(&daemon, &spec, "?wait=1");
+    let body = String::from_utf8(body).unwrap();
+    assert_eq!(status, 400, "{body}");
+    assert_eq!(cache, "");
+    assert!(
+        body.contains("1 trial(s) cannot run all 2 declared cases"),
+        "{body}"
+    );
     assert_eq!(daemon.counter(names::DAEMON_CACHE_MISS), 0);
 
     daemon.drain().unwrap();
@@ -332,6 +360,38 @@ fn corrupted_cache_entry_triggers_recompute_and_overwrite() {
     assert_eq!(status, 200);
     assert_eq!(cache, "hit");
     assert_eq!(third, second);
+
+    daemon.drain().unwrap();
+    let _ = std::fs::remove_dir_all(state_dir);
+}
+
+/// A state dir written before the cache key carried the engine
+/// fingerprint keys entries by the spec hash alone. Such an entry is
+/// never served: the submission misses, runs and caches under the
+/// salted key, and a resubmission hits that.
+#[test]
+fn an_entry_under_the_unsalted_key_is_a_miss() {
+    let cfg = config("unsalted");
+    let state_dir = cfg.state_dir.clone();
+    let store = ResultStore::new(state_dir.join("store"));
+    let text = fixture(61, 1, 10);
+    let spec = ScenarioSpec::parse(&text).unwrap();
+    let stale = b"{\"stale\": true}\n";
+    store.put(&spec.spec_hash(), stale).unwrap();
+    assert_eq!(store.get(&spec.spec_hash()), CacheRead::Hit(stale.to_vec()));
+    let daemon = Daemon::start(cfg).unwrap();
+
+    let (status, cache, first) = submit(&daemon, &text, "?wait=1");
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&first));
+    assert_eq!(cache, "miss", "an unsalted entry must not be served");
+    assert_ne!(first, stale.to_vec());
+    let (status, cache, second) = submit(&daemon, &text, "?wait=1");
+    assert_eq!(status, 200);
+    assert_eq!(cache, "hit");
+    assert_eq!(second, first);
+    assert_eq!(store.get(&spec.canonical_hash()), CacheRead::Hit(first));
+    assert_eq!(daemon.counter(names::DAEMON_CACHE_MISS), 1);
+    assert_eq!(daemon.counter(names::DAEMON_CACHE_HIT), 1);
 
     daemon.drain().unwrap();
     let _ = std::fs::remove_dir_all(state_dir);

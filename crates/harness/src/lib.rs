@@ -43,7 +43,9 @@ pub use ledger::{MetricSummary, MetricsLedger};
 pub use progress::{
     set_thread_progress_sink, ChannelProgress, ProgressSample, ProgressSink, StderrProgress,
 };
-pub use report::{results_dir, set_thread_results_dir, write_json, write_text, Experiment};
+pub use report::{
+    results_dir, set_thread_results_dir, write_json, write_text, AssertionOutcome, Experiment,
+};
 pub use runner::{derive_trial_seed, RunArgs, Runner, TrialCtx, TrialFailure};
 pub use scenario::{Scenario, ScenarioBuilder};
 pub use sink::Heartbeat;

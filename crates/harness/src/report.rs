@@ -1,18 +1,20 @@
 //! The experiment facade and unified result schema.
 //!
-//! Every experiment runner follows the same lifecycle:
+//! Every experiment follows the same lifecycle:
 //!
 //! ```text
 //! let mut exp = Experiment::start_with("E1: ...", "Figure 2 of ...", args);
 //! // ... run trials via exp.run_trials(..), record into exp.metrics ...
+//! exp.set_assertions(outcomes);                         // when the spec declares claims
 //! let status = exp.finish_with_status("fig2_trace", &payload)?;   // writes results/fig2_trace.json
 //! ```
 //!
 //! [`Experiment::finish_with_status`] writes one JSON document with a fixed
 //! envelope — experiment name, paper reference, seed, trial/worker
-//! counts, metric summaries — and the experiment-specific payload under
-//! `payload`. Consumers (EXPERIMENTS.md tooling, plots) can rely on the
-//! envelope without knowing any experiment's payload shape.
+//! counts, metric summaries, checked claims and their verdict — and the
+//! experiment-specific payload under `payload`. Consumers
+//! (EXPERIMENTS.md tooling, plots) can rely on the envelope without
+//! knowing any experiment's payload shape.
 
 use crate::ledger::MetricsLedger;
 use crate::progress::{self, ProgressSample, ProgressSink, StderrProgress};
@@ -81,6 +83,19 @@ pub fn write_text(name: &str, text: &str) -> io::Result<PathBuf> {
     }
 }
 
+/// One checked claim, as the envelope's `assertions` list records it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AssertionOutcome {
+    /// The claim as written, e.g. `max(relative_error) < 0.45`.
+    pub check: String,
+    /// The summary compared, if its metric was recorded.
+    pub measured: Option<f64>,
+    /// Whether the claim held.
+    pub pass: bool,
+}
+
+polite_wifi_obs::impl_to_json! { AssertionOutcome { check, measured, pass } }
+
 /// Lifecycle handle for one experiment run.
 pub struct Experiment {
     name: String,
@@ -103,6 +118,7 @@ pub struct Experiment {
     sinks: Vec<Arc<dyn ProgressSink>>,
     trial_failures: Vec<TrialFailure>,
     quarantined: u64,
+    assertions: Option<Vec<AssertionOutcome>>,
 }
 
 impl Experiment {
@@ -145,6 +161,7 @@ impl Experiment {
             sinks,
             trial_failures: Vec::new(),
             quarantined: 0,
+            assertions: None,
         }
     }
 
@@ -288,6 +305,14 @@ impl Experiment {
         self.quarantined += count;
     }
 
+    /// Records the claims checked against this run: the envelope lists
+    /// them under `assertions`, next to a `verdict`, and a failed one
+    /// makes the exit status 1. Without this call the envelope carries
+    /// neither key.
+    pub fn set_assertions(&mut self, outcomes: Vec<AssertionOutcome>) {
+        self.assertions = Some(outcomes);
+    }
+
     /// The trial failures recorded so far.
     pub fn trial_failures(&self) -> &[TrialFailure] {
         &self.trial_failures
@@ -296,10 +321,10 @@ impl Experiment {
     /// Finishes the experiment: merges the payload into the unified
     /// envelope, writes `results/<slug>.json`, prints where, and
     /// returns the process exit status the degradation contract calls
-    /// for — `0` for a full result, `1` when trial failures exceed the
-    /// `--max-trial-failures` budget (always fatal), or when anything
-    /// degraded (failed trials, quarantined targets) without
-    /// `--allow-partial`.
+    /// for — `0` for a full result, `1` when a claim failed, when trial
+    /// failures exceed the `--max-trial-failures` budget (always fatal),
+    /// or when anything degraded (failed trials, quarantined targets)
+    /// without `--allow-partial`.
     pub fn finish_with_status<T: ToJson + ?Sized>(
         self,
         slug: &str,
@@ -329,8 +354,16 @@ impl Experiment {
             .key("metrics")
             .value(&self.metrics.summaries())
             .key("trial_failures")
-            .value(&self.trial_failures)
-            .key("obs")
+            .value(&self.trial_failures);
+        let claims_failed = (self.assertions.iter().flatten()).any(|o| !o.pass);
+        if let Some(outcomes) = &self.assertions {
+            let verdict = if claims_failed { "fail" } else { "pass" };
+            w.key("assertions")
+                .value(outcomes)
+                .key("verdict")
+                .string(verdict);
+        }
+        w.key("obs")
             .value(&self.obs)
             .key("payload")
             .value(payload)
@@ -401,7 +434,7 @@ impl Experiment {
                 return Ok(1);
             }
         }
-        Ok(0)
+        Ok(claims_failed as i32)
     }
 }
 
@@ -539,6 +572,37 @@ mod tests {
 
         let written = std::fs::read_to_string(dir.join("pinned.json")).unwrap();
         assert_eq!(written, PINNED_ENVELOPE);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Checked claims land right after `trial_failures`, with a
+    /// verdict; one failed claim makes the exit status 1.
+    #[test]
+    fn claims_follow_trial_failures_and_set_the_exit_status() {
+        let dir = std::env::temp_dir().join("polite-wifi-harness-claims-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        set_thread_results_dir(Some(dir.clone()));
+        let outcome = |pass| AssertionOutcome {
+            check: "acks > 4".into(),
+            measured: Some(5.0),
+            pass,
+        };
+        let mut texts = Vec::new();
+        for pass in [true, false] {
+            let mut exp = Experiment::start_with("E0: claims", "none", RunArgs::default());
+            exp.set_assertions(vec![outcome(pass)]);
+            let status = exp.finish_with_status("claims", &Payload { acks: 5 });
+            assert_eq!(status.unwrap(), i32::from(!pass));
+            texts.push(std::fs::read_to_string(dir.join("claims.json")).unwrap());
+        }
+        set_thread_results_dir(None);
+        let rows = "\"trial_failures\": [],\n  \"assertions\": [\n    {\n      \
+                    \"check\": \"acks > 4\",\n      \"measured\": 5.0,\n      \"pass\": ";
+        for (text, verdict) in texts.iter().zip(["true", "false"]) {
+            assert!(text.contains(&format!("{rows}{verdict}\n")), "{text}");
+        }
+        assert!(texts[0].contains("],\n  \"verdict\": \"pass\",\n  \"obs\""));
+        assert!(texts[1].contains("\"verdict\": \"fail\""));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

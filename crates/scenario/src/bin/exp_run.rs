@@ -192,7 +192,12 @@ fn main() -> std::io::Result<()> {
         Ok(args) => args,
         Err(e) => fail(&e),
     };
-    let status = run_spec(&spec, args)?;
+    // A run the spec or flags make impossible (fewer trials than cases,
+    // a bad param) is a usage error, like a bad flag.
+    let status = match run_spec(&spec, args) {
+        Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => fail(&e.to_string()),
+        status => status?,
+    };
     if status != 0 {
         exit(status);
     }

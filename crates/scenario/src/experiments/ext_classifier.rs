@@ -5,11 +5,12 @@
 //! independent sessions per activity class are generated on fresh channel
 //! realisations, window features extracted, and a k-NN classifier scored
 //! with session-held-out evaluation — the honest protocol (no window of a
-//! test session in training).
+//! test session in training). The spec bounds the held-out `accuracy`
+//! (chance is 25%) and the `windows_scored`.
 
+use crate::registry::Output;
 use crate::spec::ScenarioSpec;
-use crate::support::compare;
-use polite_wifi_harness::{Experiment, RunArgs};
+use polite_wifi_harness::Experiment;
 use polite_wifi_sensing::classify::ActivityClass;
 use polite_wifi_sensing::dataset::{cross_session_accuracy, generate_dataset, mean_std_of_class};
 
@@ -25,9 +26,7 @@ polite_wifi_obs::impl_to_json! { ClassifierResult {
     sessions_per_class, windows_scored, accuracy, confusion, class_order
 } }
 
-pub fn run(spec: &ScenarioSpec, args: RunArgs) -> std::io::Result<i32> {
-    let mut exp = Experiment::start_with(&spec.name, &spec.paper_ref, args);
-
+pub fn run(_: &ScenarioSpec, exp: &mut Experiment) -> std::io::Result<Output> {
     if !exp.args().faults.is_clean() {
         println!(
             "\n(note: the classifier works on synthesised CSI series — `--faults {}` has no medium to degrade here)",
@@ -67,30 +66,14 @@ pub fn run(spec: &ScenarioSpec, args: RunArgs) -> std::io::Result<i32> {
         println!();
     }
 
-    println!();
-    compare(
-        "activities separable from ACK CSI",
-        "\"very distinct\" (by eye)",
-        &format!(
-            "{:.1}% held-out accuracy over {} windows (chance: 25%)",
-            accuracy * 100.0,
-            matrix.total()
-        ),
-    );
-    assert!(accuracy > 0.8, "accuracy {accuracy}");
-    assert!(matrix.total() > 500);
-
-    exp.finish_with_status(
-        &spec.slug,
-        &ClassifierResult {
-            sessions_per_class,
-            windows_scored: matrix.total(),
-            accuracy,
-            confusion: matrix.counts.iter().map(|row| row.to_vec()).collect(),
-            class_order: ActivityClass::ALL
-                .iter()
-                .map(|c| format!("{c:?}"))
-                .collect(),
-        },
-    )
+    Ok(Output::new(ClassifierResult {
+        sessions_per_class,
+        windows_scored: matrix.total(),
+        accuracy,
+        confusion: matrix.counts.iter().map(|row| row.to_vec()).collect(),
+        class_order: ActivityClass::ALL
+            .iter()
+            .map(|c| format!("{c:?}"))
+            .collect(),
+    }))
 }

@@ -8,12 +8,15 @@
 //! Discovery and fake→ACK pairing are the survey rig's own
 //! ([`Sniffer`] and [`AckVerifier::pairing`]); only the street, the
 //! drive and the one-fake-per-target schedule are this experiment's.
+//! It records the devices passed but `undiscovered` or `unverified`
+//! (§3: all respond), and the `pairing_disagreements` between the
+//! streamed pairing and a pass over the whole capture.
 
+use crate::registry::Output;
 use crate::spec::ScenarioSpec;
-use crate::support::compare;
 use polite_wifi_core::{AckVerifier, Sniffer};
 use polite_wifi_frame::{builder, ControlFrame, Frame, MacAddr};
-use polite_wifi_harness::{Experiment, RunArgs, ScenarioBuilder};
+use polite_wifi_harness::{Experiment, ScenarioBuilder};
 use polite_wifi_mac::StationConfig;
 use polite_wifi_phy::rate::BitRate;
 use polite_wifi_sim::NodeId;
@@ -32,9 +35,7 @@ polite_wifi_obs::impl_to_json! { DriveByResult {
     houses, devices, discovered, verified, drive_seconds, speed_mps
 } }
 
-pub fn run(spec: &ScenarioSpec, args: RunArgs) -> std::io::Result<i32> {
-    let mut exp = Experiment::start_with(&spec.name, &spec.paper_ref, args);
-
+pub fn run(_: &ScenarioSpec, exp: &mut Experiment) -> std::io::Result<Output> {
     let houses = 14usize;
     let spacing = 40.0; // metres between houses
     let speed = 12.0; // m/s ≈ 43 km/h
@@ -125,10 +126,7 @@ pub fn run(spec: &ScenarioSpec, args: RunArgs) -> std::io::Result<i32> {
         .responding_victims(&sim.node(car).capture)
         .into_iter()
         .collect();
-    assert_eq!(
-        verified, verified_check,
-        "streamed pairing disagrees with the whole-capture pass"
-    );
+    let disagreements = verified.symmetric_difference(&verified_check).count();
     let acks_heard = sim
         .node(car)
         .capture
@@ -141,6 +139,13 @@ pub fn run(spec: &ScenarioSpec, args: RunArgs) -> std::io::Result<i32> {
     exp.metrics.record("discovered", discovered.len() as f64);
     exp.metrics.record("verified", verified.len() as f64);
     exp.metrics.record("acks_heard", acks_heard as f64);
+    let devices = members.len();
+    exp.metrics
+        .record("undiscovered", devices.abs_diff(discovered.len()) as f64);
+    exp.metrics
+        .record("unverified", devices.abs_diff(verified.len()) as f64);
+    exp.metrics
+        .record("pairing_disagreements", disagreements as f64);
 
     println!(
         "\nstreet: {houses} houses, {} devices; drive: {:.0} m at {speed} m/s ({drive_seconds} s)",
@@ -154,28 +159,15 @@ pub fn run(spec: &ScenarioSpec, args: RunArgs) -> std::io::Result<i32> {
         acks_heard
     );
 
-    compare(
-        "every device passed is discovered and verified",
-        "all respond (§3)",
-        &format!("{}/{}", verified.len(), members.len()),
-    );
-
-    if exp.args().faults.is_clean() {
-        assert_eq!(discovered.len(), members.len(), "missed a device");
-        assert_eq!(verified.len(), members.len(), "a device failed to verify");
-    }
     scenario.observe_activity(car, "power.car");
     let snapshot = scenario.sim.take_obs();
     exp.absorb_obs(snapshot);
-    exp.finish_with_status(
-        &spec.slug,
-        &DriveByResult {
-            houses,
-            devices: members.len(),
-            discovered: discovered.len(),
-            verified: verified.len(),
-            drive_seconds,
-            speed_mps: speed,
-        },
-    )
+    Ok(Output::new(DriveByResult {
+        houses,
+        devices,
+        discovered: discovered.len(),
+        verified: verified.len(),
+        drive_seconds,
+        speed_mps: speed,
+    }))
 }

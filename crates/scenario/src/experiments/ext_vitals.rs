@@ -1,11 +1,14 @@
 //! X1 — extension: the paper's open questions of §4.1, answered on the
 //! synthetic channel — breathing-rate estimation and occupancy detection
-//! from elicited ACK CSI.
+//! from elicited ACK CSI. Each subject records its `bpm_abs_error`
+//! (`breathing_estimates_missing` counts series too short to estimate),
+//! and `occupancy_misclassified` counts the intervals the detector got
+//! wrong.
 
+use crate::registry::Output;
 use crate::spec::ScenarioSpec;
-use crate::support::compare;
 use polite_wifi_core::VitalSignsAttack;
-use polite_wifi_harness::{Experiment, RunArgs};
+use polite_wifi_harness::Experiment;
 use polite_wifi_phy::csi::CsiChannel;
 use polite_wifi_sensing::occupancy::{detect_occupancy, OccupancyConfig};
 use polite_wifi_sensing::MotionScript;
@@ -18,9 +21,7 @@ struct VitalsJson {
 
 polite_wifi_obs::impl_to_json! { VitalsJson { breathing, occupancy_truth, occupancy_detected } }
 
-pub fn run(spec: &ScenarioSpec, args: RunArgs) -> std::io::Result<i32> {
-    let mut exp = Experiment::start_with(&spec.name, &spec.paper_ref, args);
-
+pub fn run(_: &ScenarioSpec, exp: &mut Experiment) -> std::io::Result<Output> {
     // --- Breathing --- (three independent subjects, fanned over the pool)
     println!("\n-- breathing-rate recovery from a victim's ACK stream --\n");
     let seed = exp.seed();
@@ -39,11 +40,12 @@ pub fn run(spec: &ScenarioSpec, args: RunArgs) -> std::io::Result<i32> {
     for result in &breathing {
         exp.obs.add("sensing.csi_samples", result.samples as u64);
     }
+    let mut missing = 0u64;
     for (true_bpm, result) in cases.iter().zip(&breathing) {
         let Some(est) = result.estimate.as_ref() else {
-            assert!(!faults.is_clean(), "clean series must be long enough");
+            missing += 1;
             println!(
-                "true {true_bpm:>5.1} bpm → no estimate ({} samples under faults)",
+                "true {true_bpm:>5.1} bpm → no estimate ({} samples)",
                 result.samples
             );
             continue;
@@ -52,17 +54,10 @@ pub fn run(spec: &ScenarioSpec, args: RunArgs) -> std::io::Result<i32> {
             "true {true_bpm:>5.1} bpm → estimated {:>5.1} bpm (confidence {:>5.1}, {} samples)",
             est.bpm, est.confidence, result.samples
         );
-        if faults.is_clean() {
-            assert!((est.bpm - true_bpm).abs() <= 1.0, "estimate off: {est:?}");
-        }
         exp.metrics
             .record("bpm_abs_error", (est.bpm - true_bpm).abs());
     }
-    compare(
-        "breathing rate recoverable",
-        "open question",
-        "yes, ±0.5 bpm on this channel",
-    );
+    exp.metrics.count("breathing_estimates_missing", missing);
 
     // --- Occupancy ---
     println!("\n-- occupancy detection near an unmodified device --\n");
@@ -113,20 +108,12 @@ pub fn run(spec: &ScenarioSpec, args: RunArgs) -> std::io::Result<i32> {
         );
     }
     let correct = truth.iter().zip(&detected).filter(|(t, d)| t == d).count();
-    println!();
-    compare(
-        "occupancy detectable",
-        "open question",
-        &format!("{correct}/{} intervals correct", truth.len()),
-    );
-    assert_eq!(correct, truth.len(), "occupancy misclassification");
+    exp.metrics
+        .count("occupancy_misclassified", (truth.len() - correct) as u64);
 
-    exp.finish_with_status(
-        &spec.slug,
-        &VitalsJson {
-            breathing,
-            occupancy_truth: truth,
-            occupancy_detected: detected,
-        },
-    )
+    Ok(Output::new(VitalsJson {
+        breathing,
+        occupancy_truth: truth,
+        occupancy_detected: detected,
+    }))
 }

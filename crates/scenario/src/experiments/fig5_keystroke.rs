@@ -2,16 +2,18 @@
 //!
 //! 150 fake frames/s for 45 s against a tablet; subcarrier-17 amplitude
 //! separates ground / pickup / hold / typing, and keystroke bursts are
-//! individually detectable.
+//! individually detectable. The claims are recorded as margins of the
+//! phases' standard deviations (`pickup_std_minus_10x_idle`,
+//! `typing_std_minus_1_3x_hold`: positive when the phases separate) and
+//! the `keystroke_hit_share` of scripted keystrokes detected.
 
+use crate::registry::Output;
 use crate::spec::ScenarioSpec;
-use crate::support::{bar, compare};
+use crate::support::bar;
 use polite_wifi_core::KeystrokeAttack;
-use polite_wifi_harness::{Experiment, RunArgs};
+use polite_wifi_harness::Experiment;
 
-pub fn run(spec: &ScenarioSpec, args: RunArgs) -> std::io::Result<i32> {
-    let mut exp = Experiment::start_with(&spec.name, &spec.paper_ref, args);
-
+pub fn run(_: &ScenarioSpec, exp: &mut Experiment) -> std::io::Result<Output> {
     let args = exp.args();
     let attack = KeystrokeAttack {
         faults: args.faults,
@@ -70,37 +72,13 @@ pub fn run(spec: &ScenarioSpec, args: RunArgs) -> std::io::Result<i32> {
     let hold = std_of("hold");
     let typing = std_of("typing");
 
-    println!();
-    compare(
-        "idle signal is very stable",
-        "yes",
-        &format!("std {idle:.4}"),
-    );
-    compare(
-        "pickup causes large fluctuations",
-        "yes",
-        &format!("{:.0}x idle", pickup / idle.max(1e-9)),
-    );
-    compare(
-        "holding vs typing are distinct",
-        "yes",
-        &format!("typing/hold std ratio {:.1}x", typing / hold.max(1e-9)),
-    );
-    let (hits, _misses, fa) = result.keystroke_score;
-    compare(
-        "individual keystrokes visible",
-        "potentially",
-        &format!(
-            "{hits}/{} bursts detected, {fa} false alarms",
-            result.keystrokes_truth
-        ),
-    );
-
-    if args.faults.is_clean() {
-        assert!(pickup > 10.0 * idle);
-        assert!(typing > 1.3 * hold);
-        assert!(hits * 2 >= result.keystrokes_truth);
-    }
+    exp.metrics
+        .record("pickup_std_minus_10x_idle", pickup - 10.0 * idle);
+    exp.metrics
+        .record("typing_std_minus_1_3x_hold", typing - 1.3 * hold);
+    let hits = result.keystroke_score.0;
+    let share = hits as f64 / result.keystrokes_truth as f64;
+    exp.metrics.record("keystroke_hit_share", share);
 
     // Keep the JSON small: drop the raw series, keep phase stats + score.
     struct Fig5Json {
@@ -113,14 +91,11 @@ pub fn run(spec: &ScenarioSpec, args: RunArgs) -> std::io::Result<i32> {
     polite_wifi_obs::impl_to_json! { Fig5Json {
         acks_measured, sample_rate_hz, phase_stats, keystroke_score, keystrokes_truth
     } }
-    exp.finish_with_status(
-        &spec.slug,
-        &Fig5Json {
-            acks_measured: result.acks_measured,
-            sample_rate_hz: result.sample_rate_hz,
-            phase_stats: result.phase_stats.clone(),
-            keystroke_score: result.keystroke_score,
-            keystrokes_truth: result.keystrokes_truth,
-        },
-    )
+    Ok(Output::new(Fig5Json {
+        acks_measured: result.acks_measured,
+        sample_rate_hz: result.sample_rate_hz,
+        phase_stats: result.phase_stats,
+        keystroke_score: result.keystroke_score,
+        keystrokes_truth: result.keystrokes_truth,
+    }))
 }

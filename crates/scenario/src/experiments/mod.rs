@@ -1,9 +1,13 @@
 //! The bespoke runners: experiments whose logic the generic runner
 //! cannot express as data (parameter sweeps, classifiers, city-scale
-//! drives). Each exposes `run(spec, args)`; the spec supplies identity
-//! (name, paper_ref, slug), run defaults and, for the city, params, the
-//! module the logic, and the envelope it writes is pinned by the golden
-//! tests.
+//! drives). Each exposes `run(spec, exp)`, which runs its trials inside
+//! the [`Experiment`](polite_wifi_harness::Experiment) that
+//! [`run_spec`](crate::run_spec) started and records its results as
+//! metrics, returning the payload. The spec supplies identity (name,
+//! paper_ref, slug), run defaults, the assertions that hold the paper's
+//! claims over those metrics and, for the city, params; `run_spec`
+//! checks the claims and writes the envelope, which the golden tests
+//! pin.
 
 pub mod battery_life;
 pub mod city_wardrive;

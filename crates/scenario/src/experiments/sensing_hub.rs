@@ -1,16 +1,15 @@
 //! E9 — §4.3: single-device sensing. One modified hub, several
 //! unmodified neighbours, motion events recovered at their scripted
-//! times (the Figure 5 caption's "sharp changes at times 9 and 32").
+//! times (the Figure 5 caption's "sharp changes at times 9 and 32"),
+//! recorded per target as `target{i}_motion_windows`.
 
+use crate::registry::Output;
 use crate::spec::ScenarioSpec;
-use crate::support::compare;
 use polite_wifi_core::SensingHub;
-use polite_wifi_harness::{Experiment, RunArgs};
+use polite_wifi_harness::Experiment;
 use polite_wifi_sensing::{MotionScript, Phase};
 
-pub fn run(spec: &ScenarioSpec, args: RunArgs) -> std::io::Result<i32> {
-    let mut exp = Experiment::start_with(&spec.name, &spec.paper_ref, args);
-
+pub fn run(_: &ScenarioSpec, exp: &mut Experiment) -> std::io::Result<Output> {
     // One target with motion at 9 s and 32 s, two more targets with
     // their own ground truth, all sensed by a single modified hub.
     let duration = 40_000_000u64;
@@ -53,7 +52,7 @@ pub fn run(spec: &ScenarioSpec, args: RunArgs) -> std::io::Result<i32> {
         report.devices_modified, report.devices_participating, hub.rate_pps_per_target
     );
     for (i, t) in report.targets.iter().enumerate() {
-        let windows: Vec<String> = t
+        let spans: Vec<String> = t
             .motion_windows_us
             .iter()
             .map(|(s, e)| format!("{:.1}–{:.1}s", *s as f64 / 1e6, *e as f64 / 1e6))
@@ -62,46 +61,19 @@ pub fn run(spec: &ScenarioSpec, args: RunArgs) -> std::io::Result<i32> {
             "target {i} ({})  {:>5} samples  motion: {}",
             t.target,
             t.samples,
-            if windows.is_empty() {
+            if spans.is_empty() {
                 "none".into()
             } else {
-                windows.join(", ")
+                spans.join(", ")
             }
         );
         exp.metrics.record("samples_per_target", t.samples as f64);
+        let windows = t.motion_windows_us.len() as u64;
+        exp.metrics
+            .count(&format!("target{i}_motion_windows"), windows);
         exp.obs.add("sensing.csi_samples", t.samples as u64);
-        exp.obs
-            .add("sensing.motion_windows", t.motion_windows_us.len() as u64);
+        exp.obs.add("sensing.motion_windows", windows);
     }
 
-    println!();
-    compare(
-        "software modified on",
-        "1 device",
-        &format!("{} device", report.devices_modified),
-    );
-    compare(
-        "events at ≈9 s and ≈32 s detected",
-        "yes (Figure 5)",
-        &format!(
-            "{} windows on target 0",
-            report.targets[0].motion_windows_us.len()
-        ),
-    );
-    compare(
-        "idle neighbour stays quiet",
-        "yes",
-        if report.targets[1].motion_windows_us.is_empty() {
-            "yes"
-        } else {
-            "no"
-        },
-    );
-
-    if exp.args().faults.is_clean() {
-        assert_eq!(report.targets[0].motion_windows_us.len(), 2);
-        assert!(report.targets[1].motion_windows_us.is_empty());
-        assert_eq!(report.targets[2].motion_windows_us.len(), 1);
-    }
-    exp.finish_with_status(&spec.slug, &report)
+    Ok(Output::new(report))
 }

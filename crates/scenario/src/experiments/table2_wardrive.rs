@@ -8,17 +8,21 @@
 //! single-threaded). The city's per-channel segments are independent, so
 //! `--workers N` fans them over the harness worker pool — the report is
 //! byte-identical for every worker count. Pass `--quick` to survey a
-//! 500-device slice instead.
+//! 500-device slice instead (its envelope is `<slug>_quick`).
+//!
+//! The paper's claims are recorded as `unverified` (discovered devices
+//! that never ACKed: the paper found none) and `undiscovered_clients` /
+//! `undiscovered_aps` (devices of the surveyed population the survey
+//! never attributed); the spec's assertions bound them.
 
+use crate::registry::Output;
 use crate::spec::ScenarioSpec;
-use crate::support::compare;
 use polite_wifi_core::WardriveScanner;
 use polite_wifi_devices::population::{TABLE2_APS, TABLE2_CLIENTS};
 use polite_wifi_devices::CityPopulation;
-use polite_wifi_harness::{Experiment, RunArgs};
+use polite_wifi_harness::Experiment;
 
-pub fn run(spec: &ScenarioSpec, args: RunArgs) -> std::io::Result<i32> {
-    let mut exp = Experiment::start_with(&spec.name, &spec.paper_ref, args);
+pub fn run(_: &ScenarioSpec, exp: &mut Experiment) -> std::io::Result<Output> {
     let args = exp.args();
 
     let mut population = CityPopulation::table2(2020);
@@ -122,66 +126,32 @@ pub fn run(spec: &ScenarioSpec, args: RunArgs) -> std::io::Result<i32> {
         "Total", 1523, report.total_clients, "Total", 3805, report.total_aps
     );
 
-    compare(
-        "devices discovered",
-        "5,328",
-        &report.discovered.to_string(),
+    let unverified = report.discovered.abs_diff(report.verified);
+    exp.metrics.record("unverified", unverified as f64);
+    let missed = |population: usize, found: u32| population as f64 - found as f64;
+    exp.metrics.record(
+        "undiscovered_clients",
+        missed(population.clients().count(), report.total_clients),
     );
-    compare(
-        "discovered devices that ACKed our fakes",
-        "all (100%)",
-        &format!(
-            "{}/{} ({:.1}%)",
-            report.verified,
-            report.discovered,
-            100.0 * report.verified as f64 / report.discovered.max(1) as f64
-        ),
+    exp.metrics.record(
+        "undiscovered_aps",
+        missed(population.aps().count(), report.total_aps),
     );
-    compare(
-        "client vendors / AP vendors / total",
-        "147 / 94 / 186",
-        &format!(
-            "{} / {} / {}",
-            report.client_vendor_count, report.ap_vendor_count, report.distinct_vendor_count
-        ),
-    );
-    compare(
-        "APs advertising 802.11w (PMF) — all polite anyway",
-        "footnote 2",
-        &format!("{} of {} verified APs", report.pmf_aps, report.total_aps),
-    );
-
-    if args.faults.is_clean() {
-        assert_eq!(
-            report.verified, report.discovered,
-            "a discovered device failed to ACK"
-        );
-    } else if report.quarantined > 0 {
+    exp.metrics
+        .record("client_vendors", report.client_vendor_count as f64);
+    exp.metrics
+        .record("ap_vendors", report.ap_vendor_count as f64);
+    exp.metrics
+        .record("vendors", report.distinct_vendor_count as f64);
+    exp.metrics.record("pmf_aps", report.pmf_aps as f64);
+    if report.quarantined > 0 {
         println!(
             "({} target(s) quarantined under the `{}` fault profile)",
             report.quarantined, args.faults
         );
     }
-    if !args.quick && args.faults.is_clean() {
-        // The shape of Table 2 must reproduce: ≥99% of each population
-        // discovered and verified (probe collisions may hide a handful).
-        assert!(
-            report.total_clients as usize >= 1500,
-            "clients {}",
-            report.total_clients
-        );
-        assert!(
-            report.total_aps as usize >= 3790,
-            "APs {}",
-            report.total_aps
-        );
-    }
-    exp.finish_with_status(
-        if args.quick {
-            "table2_wardrive_quick"
-        } else {
-            "table2_wardrive"
-        },
-        &report,
-    )
+    Ok(Output {
+        quick_slug: true,
+        ..Output::new(report)
+    })
 }

@@ -4,16 +4,17 @@
 //! [`ScenarioBuilder`], each attack entry composes an
 //! [`polite_wifi_core::Attack`] from the core trait layer, each probe
 //! entry a [`polite_wifi_core::Probe`] (or the capture a `pcap` probe
-//! writes), and the assertion block a set of [`MetricAssertion`]s
-//! checked against the recorded metrics. A spec that declares `cases`
+//! writes) recording metrics, which [`run_spec`](crate::run_spec)
+//! checks the assertion block against. A spec that declares `cases`
 //! runs case `t mod n` in trial `t`. No experiment-specific code runs at
 //! all — the paper's Figure 2, Table 1 and Figure 3, its §2.2 argument
 //! and the related-work scenarios land purely as data files this way.
 
-use crate::spec::{AssertionSpec, AttackSpec, Case, ProbeSpec, ScenarioSpec, TopologySpec};
+use crate::registry::Output;
+use crate::spec::{AttackSpec, Case, ProbeSpec, ScenarioSpec, TopologySpec};
 use polite_wifi_core::{
     AckProbe, AssociationProbe, Attack, BlockAckParalysis, DeauthSeqProbe, InjectionKind,
-    InjectionPlan, MetricAssertion, Probe, StationStatProbe,
+    InjectionPlan, Probe, StationStatProbe,
 };
 use polite_wifi_harness::{Experiment, MetricSummary, MetricsLedger, RunArgs, ScenarioBuilder};
 use polite_wifi_obs::json::{JsonWriter, ToJson};
@@ -21,15 +22,6 @@ use polite_wifi_pcap::LinkType;
 use polite_wifi_sim::NodeId;
 use std::collections::BTreeMap;
 use std::io;
-
-/// One evaluated assertion, as reported in the envelope payload.
-struct AssertionOutcome {
-    check: String,
-    measured: Option<f64>,
-    pass: bool,
-}
-
-polite_wifi_obs::impl_to_json! { AssertionOutcome { check, measured, pass } }
 
 /// One trial's row in the payload of a spec that declares `cases`.
 struct CaseRow {
@@ -44,8 +36,6 @@ polite_wifi_obs::impl_to_json! { CaseRow { name, attack_frames, metrics } }
 /// declares cases.
 struct GenericOutcome {
     attack_frames: u64,
-    assertions: Vec<AssertionOutcome>,
-    verdict: String,
     cases: Option<Vec<CaseRow>>,
 }
 
@@ -53,11 +43,7 @@ impl ToJson for GenericOutcome {
     fn write_json(&self, w: &mut JsonWriter) {
         w.begin_object()
             .key("attack_frames")
-            .value(&self.attack_frames)
-            .key("assertions")
-            .value(&self.assertions)
-            .key("verdict")
-            .value(&self.verdict);
+            .value(&self.attack_frames);
         if let Some(cases) = &self.cases {
             w.key("cases").value(cases);
         }
@@ -219,71 +205,10 @@ fn plan<'s>(case: Case<'s>, args: &RunArgs) -> Plan<'s> {
     }
 }
 
-/// Checks every assertion the fault profile enforces, each against its
-/// own metric over its case's trials (`by_case`) or every trial
-/// (`metrics`). Returns the payload rows and every failure.
-fn evaluate(
-    assertions: &[AssertionSpec],
-    metrics: &MetricsLedger,
-    by_case: &BTreeMap<&str, MetricsLedger>,
-    clean: bool,
-) -> (Vec<AssertionOutcome>, Vec<String>) {
-    let empty = MetricsLedger::new();
-    let trials_of = |case: &Option<String>| match case {
-        Some(name) => by_case.get(name.as_str()).unwrap_or(&empty),
-        None => metrics,
-    };
-    let mut failures = Vec::new();
-    let outcomes = assertions
-        .iter()
-        .filter(|a| !a.clean_only || clean)
-        .map(|a| {
-            let mut check = MetricAssertion {
-                metric: a.metric.clone(),
-                summary: a.summary,
-                op: a.op,
-                value: a.value,
-            };
-            let mut described = check.describe();
-            if let Some(plus) = &a.plus_case {
-                described += &format!(" + `{plus}`");
-            }
-            let trials = trials_of(&a.case);
-            // `plus_case`: the right-hand side is that case's summary of
-            // the metric plus `value`.
-            let base = match &a.plus_case {
-                Some(_) => check.measured(trials_of(&a.plus_case)),
-                None => Some(0.0),
-            };
-            let verdict = match base {
-                Some(base) => {
-                    check.value += base;
-                    check.check(trials)
-                }
-                None => Err(format!(
-                    "assertion `{described}` compares with an unrecorded metric"
-                )),
-            };
-            let pass = verdict.is_ok();
-            let in_case = (a.case.as_ref()).map_or(String::new(), |c| format!(" in `{c}`"));
-            described += &in_case;
-            failures.extend(verdict.err().map(|e| e + &in_case));
-            AssertionOutcome {
-                check: described,
-                measured: check.measured(trials),
-                pass,
-            }
-        })
-        .collect();
-    (outcomes, failures)
-}
-
 /// Runs a fully spec-driven scenario: trials across the worker pool,
-/// metrics merged in trial order, the first `pcap` capture written next
-/// to the envelope, assertions checked against the merged metrics.
-/// Exit status is non-zero when an enforced assertion fails.
-pub fn run(spec: &ScenarioSpec, args: RunArgs) -> io::Result<i32> {
-    let mut exp = Experiment::start_with(&spec.name, &spec.paper_ref, args);
+/// metrics merged in trial order (and per case), the first `pcap`
+/// capture written next to the envelope.
+pub fn run(spec: &ScenarioSpec, exp: &mut Experiment) -> io::Result<Output> {
     let args = exp.args();
     let plans: Vec<Plan> = spec
         .resolved_cases()
@@ -314,7 +239,7 @@ pub fn run(spec: &ScenarioSpec, args: RunArgs) -> io::Result<i32> {
 
     let mut attack_frames = 0u64;
     let mut rows = Vec::new();
-    let mut by_case: BTreeMap<&str, MetricsLedger> = BTreeMap::new();
+    let mut by_case: BTreeMap<String, MetricsLedger> = BTreeMap::new();
     let mut capture = None;
     for (trial, result) in results.into_iter().enumerate() {
         let Some((frames, ledger, pcap, obs)) = result else {
@@ -323,7 +248,7 @@ pub fn run(spec: &ScenarioSpec, args: RunArgs) -> io::Result<i32> {
         let name = plans[trial % plans.len()].name;
         attack_frames += frames;
         exp.metrics.merge(&ledger);
-        by_case.entry(name).or_default().merge(&ledger);
+        by_case.entry(name.to_string()).or_default().merge(&ledger);
         exp.absorb_obs(obs);
         capture = capture.or(pcap);
         rows.push(CaseRow {
@@ -347,36 +272,13 @@ pub fn run(spec: &ScenarioSpec, args: RunArgs) -> io::Result<i32> {
     for row in cases.iter().flatten() {
         println!("  case {:<39} frames: {}", row.name, row.attack_frames);
     }
-    for summary in exp.metrics.summaries() {
-        println!("  {:<44} mean: {}", summary.name, summary.mean);
-    }
-
-    let clean = args.faults.is_clean();
-    let (outcomes, failures) = evaluate(&spec.assertions, &exp.metrics, &by_case, clean);
-    let skipped = spec.assertions.len() - outcomes.len();
-    println!();
-    for o in &outcomes {
-        println!(
-            "  assert {:<40} {}",
-            o.check,
-            if o.pass { "PASS" } else { "FAIL" }
-        );
-    }
-    if skipped > 0 {
-        println!("  ({skipped} clean-only assertion(s) skipped under fault injection)");
-    }
-    if !failures.is_empty() {
-        println!("\nassertion failures: {}", failures.join("; "));
-    }
-
-    let payload = GenericOutcome {
-        attack_frames,
-        assertions: outcomes,
-        verdict: if failures.is_empty() { "pass" } else { "fail" }.to_string(),
-        cases,
-    };
-    let status = exp.finish_with_status(&spec.slug, &payload)?;
-    Ok(if failures.is_empty() { status } else { 1 })
+    Ok(Output {
+        by_case,
+        ..Output::new(GenericOutcome {
+            attack_frames,
+            cases,
+        })
+    })
 }
 
 #[cfg(test)]
@@ -413,64 +315,6 @@ mod tests {
                 assert_eq!((failed[0].trial, failed[0].seed), (4, expected[4]));
             }
         }
-    }
-
-    /// Case-scoped assertions read only their case's trials, and
-    /// `plus_case` offsets the bound by another case's mean.
-    #[test]
-    fn case_assertions_compare_case_means() {
-        use super::evaluate;
-        use crate::AssertionSpec;
-        use polite_wifi_core::{CmpOp, Summary};
-        use polite_wifi_harness::MetricsLedger;
-        use std::collections::BTreeMap;
-
-        let ledger = |value: f64| {
-            let mut l = MetricsLedger::new();
-            l.record("tp", value);
-            l
-        };
-        let mut all = ledger(0.1);
-        all.merge(&ledger(0.3));
-        let by_case = BTreeMap::from([("slow", ledger(0.1)), ("fast", ledger(0.3))]);
-        let assert = |case: &str, op, value, plus_case: Option<&str>| AssertionSpec {
-            metric: "tp".into(),
-            summary: Summary::Mean,
-            case: Some(case.into()),
-            op,
-            value,
-            plus_case: plus_case.map(Into::into),
-            clean_only: false,
-        };
-        let assertions = [
-            assert("fast", CmpOp::Gt, 0.25, None),
-            assert("slow", CmpOp::Le, 0.05, Some("fast")),
-            assert("fast", CmpOp::Le, 0.05, Some("slow")),
-            assert("fast", CmpOp::Eq, 0.0, Some("missing")),
-        ];
-        let (outcomes, failures) = evaluate(&assertions, &all, &by_case, true);
-        let rows: Vec<(&str, Option<f64>, bool)> = (outcomes.iter())
-            .map(|o| (o.check.as_str(), o.measured, o.pass))
-            .collect();
-        assert_eq!(
-            rows,
-            [
-                ("tp > 0.25 in `fast`", Some(0.3), true),
-                ("tp <= 0.05 + `fast` in `slow`", Some(0.1), true),
-                ("tp <= 0.05 + `slow` in `fast`", Some(0.3), false),
-                ("tp == 0 + `missing` in `fast`", Some(0.3), false),
-            ]
-        );
-        assert_eq!(failures.len(), 2);
-        assert!(
-            failures[0].ends_with("failed: measured 0.3 in `fast`"),
-            "{failures:?}"
-        );
-        assert!(
-            failures[1]
-                .contains("`tp == 0 + `missing`` compares with an unrecorded metric in `fast`"),
-            "{failures:?}"
-        );
     }
 
     /// A flood the victim ACKs, recorded as `acks`, next to a counter
@@ -516,7 +360,7 @@ mod tests {
 
         let text = std::fs::read_to_string(dir.join("prefixed_metrics.json")).unwrap();
         let envelope = json::parse(&text).unwrap();
-        let rows = envelope.get("payload").and_then(|p| p.get("assertions"));
+        let rows = envelope.get("assertions");
         let rows: Vec<(&str, f64)> = (rows.and_then(JsonValue::as_array).unwrap().iter())
             .map(|row| {
                 let check = row.get("check").and_then(JsonValue::as_str).unwrap();

@@ -6,15 +6,21 @@
 //! collapses the one run parameter that is guaranteed not to change the
 //! envelope (the worker-invariance contract the golden tests pin). Seed,
 //! trials, quick and fault profile all stay in the hashed bytes — they
-//! *do* change results. Identical inputs are byte-identical outputs, so
-//! one hash addresses one envelope.
+//! *do* change results. The engine that runs the spec changes results
+//! too, so the key also covers the crate version and the behaviour pins
+//! ([`pins`](crate::pins)). Identical inputs on one engine are
+//! byte-identical outputs, so one key addresses one envelope.
 
 use crate::spec::ScenarioSpec;
 
 /// FNV-1a 64-bit. Zero-dependency and stable across platforms — cache
 /// keys must mean the same thing on every machine that shares a store.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues an FNV-1a 64 `hash` over `bytes`.
+pub fn fnv1a64_extend(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= b as u64;
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
@@ -23,15 +29,29 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 impl ScenarioSpec {
-    /// The workers-invariant content address of this spec: FNV-1a 64
-    /// over the canonical JSON with `run.workers` normalised to 1,
+    /// The workers-invariant content address of the spec alone: FNV-1a
+    /// 64 over the canonical JSON with `run.workers` normalised to 1,
     /// rendered as 16 lowercase hex digits.
-    pub fn canonical_hash(&self) -> String {
+    pub fn spec_hash(&self) -> String {
         let mut normalised = self.clone();
         normalised.run.workers = 1;
         format!(
             "{:016x}",
             fnv1a64(normalised.into_canonical_json().as_bytes())
+        )
+    }
+
+    /// The result-cache key: FNV-1a 64 over the crate version, the
+    /// [`pin_digest`](crate::pins::pin_digest) (8 little-endian bytes)
+    /// and the [`spec_hash`](Self::spec_hash), rendered as 16 lowercase
+    /// hex digits. A build with other behaviour pins keys every spec
+    /// elsewhere, so it never serves another build's envelopes.
+    pub fn canonical_hash(&self) -> String {
+        let engine = fnv1a64(env!("CARGO_PKG_VERSION").as_bytes());
+        let engine = fnv1a64_extend(engine, &crate::pins::pin_digest().to_le_bytes());
+        format!(
+            "{:016x}",
+            fnv1a64_extend(engine, self.spec_hash().as_bytes())
         )
     }
 }
@@ -99,12 +119,24 @@ mod tests {
         assert_ne!(spec.canonical_hash(), quickened.canonical_hash());
     }
 
-    /// Cache keys outlive builds: a change to the canonical form would
-    /// silently orphan every stored result, so one key is pinned.
+    /// A change to the canonical form would silently re-key every
+    /// stored result, so one spec hash is pinned.
     #[test]
     fn base_spec_hash_is_pinned() {
         let spec = ScenarioSpec::parse(BASE).unwrap();
-        assert_eq!(spec.canonical_hash(), "0dba5c08147b7f9a");
+        assert_eq!(spec.spec_hash(), "0dba5c08147b7f9a");
+    }
+
+    /// The cache key is the spec hash salted with the crate version and
+    /// the behaviour pins, in that order.
+    #[test]
+    fn cache_key_salts_the_spec_hash_with_the_engine() {
+        let spec = ScenarioSpec::parse(BASE).unwrap();
+        let mut salted = env!("CARGO_PKG_VERSION").as_bytes().to_vec();
+        salted.extend(crate::pins::pin_digest().to_le_bytes());
+        salted.extend(b"0dba5c08147b7f9a");
+        assert_eq!(spec.canonical_hash(), format!("{:016x}", fnv1a64(&salted)));
+        assert_ne!(spec.canonical_hash(), spec.spec_hash());
     }
 
     #[test]

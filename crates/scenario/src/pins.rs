@@ -1,0 +1,75 @@
+//! The behaviour pins: the digest of every committed scenario's masked
+//! `--quick` envelopes, as the golden tests (`tests/golden.rs`) check
+//! them, and the engine fingerprint derived from them.
+//!
+//! A deliberate change in behaviour re-pins rows here, which changes
+//! [`pin_digest`] and with it every result-cache key
+//! ([`ScenarioSpec::canonical_hash`](crate::ScenarioSpec::canonical_hash)):
+//! a daemon state dir written by a build with other pins misses instead
+//! of serving its envelopes as hits.
+
+use crate::hash::{fnv1a64, fnv1a64_extend};
+
+/// Per committed scenario: the FNV-1a-64 digest of its masked
+/// `--quick --workers 1` envelopes under the clean profile.
+pub const GOLDENS: &[(&str, u64)] = &[
+    ("ablation_validate", 0x56a67a5cb459b5c8),
+    ("battery_life", 0xd4b235852b002e28),
+    ("blockack_paralysis", 0x2dc0b2f7477b4aca),
+    ("city_wardrive", 0x44026cb5a560abfa),
+    ("ext_classifier", 0x06a0a0ca64d6da76),
+    ("ext_driveby", 0xb40870ff56f1ed8d),
+    ("ext_nav_dos", 0x537d4a8730557d13),
+    ("ext_randomization", 0xd4dc913e95f86aa1),
+    ("ext_ranging", 0x33980a4a5a9fd2f8),
+    ("ext_vitals", 0x1afa6ae2d32bae70),
+    ("fig2_trace", 0x0a3b957258355c49),
+    ("fig3_deauth", 0x988bcff99654148c),
+    ("fig5_keystroke", 0xe28a903ea9363149),
+    ("fig6_power", 0xa0305f7394f69090),
+    ("pmf_deauth_matrix", 0x52c7056485ec4fef),
+    ("powersave_awake", 0x7432de0909cef5ec),
+    ("sensing_hub", 0x82f5904cb25844ac),
+    ("sifs_timing", 0x4a41f5248d85ed63),
+    ("table1_devices", 0xb91df9be91f17d87),
+    ("table2_wardrive", 0x1c50779da4a52257),
+];
+
+/// Per scenario pinned under faults: the same digest under
+/// `urban-drive`, then under `flaky-dongle`.
+pub const FAULTED_GOLDENS: &[(&str, u64, u64)] = &[
+    ("ablation_validate", 0xb5765575b26a7d83, 0x145c69033bad4345),
+    ("battery_life", 0x0603fe3f8ea2f78a, 0x19d1719b78a97a88),
+    ("blockack_paralysis", 0x661adebcabe23179, 0xc07e05985b311ddd),
+    ("ext_nav_dos", 0x8ddda94b55248eb2, 0xea77857c38e6d1c6),
+    ("ext_ranging", 0x84af11bf0a60c95a, 0x898d7d4653157491),
+    ("ext_vitals", 0x19eb281a37cf786f, 0x20a50de7a6dcc06c),
+    ("fig2_trace", 0xac2ddfed4fb53fbc, 0xb7ccddbc63f75a3e),
+    ("fig3_deauth", 0x3ecd76a0d11a0b5c, 0x9d34122827c2aa02),
+    ("fig5_keystroke", 0x396b895ceb93cc5b, 0x28f39281d3930706),
+    ("fig6_power", 0xead3de40663c086a, 0xcc1bbf56a316a66b),
+    ("pmf_deauth_matrix", 0xa2245c98c9d18296, 0x6450c7a3fcec2ef1),
+    ("powersave_awake", 0x44912b1e6283336f, 0xaad9a54616174ae7),
+    ("sensing_hub", 0xfeef78c060eba601, 0xd2f032b507c4e8fa),
+    ("sifs_timing", 0xdae182b3fbdf578f, 0x0ecff213e7ac2e09),
+    ("table1_devices", 0xe82e50ffa016d4c0, 0x22b02cc0aaa5e64c),
+];
+
+/// FNV-1a 64 over every row of both tables: each slug's bytes, then
+/// each of its digests as 8 little-endian bytes.
+pub fn pin_digest() -> u64 {
+    let mut hash = fnv1a64(b"");
+    let mut row = |slug: &str, pins: &[u64]| {
+        hash = fnv1a64_extend(hash, slug.as_bytes());
+        for pin in pins {
+            hash = fnv1a64_extend(hash, &pin.to_le_bytes());
+        }
+    };
+    for &(slug, pin) in GOLDENS {
+        row(slug, &[pin]);
+    }
+    for &(slug, urban, flaky) in FAULTED_GOLDENS {
+        row(slug, &[urban, flaky]);
+    }
+    hash
+}

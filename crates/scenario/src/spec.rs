@@ -409,12 +409,13 @@ tagged_section! {
     }
 }
 
-/// A pass/fail check over a recorded metric's mean or minimum.
+/// A pass/fail check over a recorded metric's mean, minimum or maximum.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AssertionSpec {
     /// Metric name.
     pub metric: String,
-    /// The summary compared: the mean (the default) or the minimum.
+    /// The summary compared: the mean (the default), the minimum or the
+    /// maximum.
     pub summary: Summary,
     /// Checks only the trials of this case (by name); `None`: every
     /// trial.
@@ -429,6 +430,9 @@ pub struct AssertionSpec {
     /// `true`: only enforced under the clean fault profile (fault
     /// injection legitimately perturbs measured values).
     pub clean_only: bool,
+    /// What the paper reports for this claim, printed beside the
+    /// verdict (e.g. `~10 mW`).
+    pub paper: Option<String>,
 }
 
 /// One case trials cycle through: trial `t` runs case `t mod n`. Each
@@ -562,7 +566,11 @@ enum When {
 
 const WHENS: Labels<When> = Labels(&[("clean", When::Clean), ("always", When::Always)]);
 
-const SUMMARIES: Labels<Summary> = Labels(&[("mean", Summary::Mean), ("min", Summary::Min)]);
+const SUMMARIES: Labels<Summary> = Labels(&[
+    ("mean", Summary::Mean),
+    ("min", Summary::Min),
+    ("max", Summary::Max),
+]);
 
 const CASE_SEEDS: Labels<CaseSeed> =
     Labels(&[("trial", CaseSeed::Trial), ("shared", CaseSeed::Shared)]);
@@ -802,6 +810,7 @@ impl Section for AssertionSpec {
             value: 0.0,
             plus_case: None,
             clean_only: false,
+            paper: None,
         }
     }
 
@@ -817,6 +826,7 @@ impl Section for AssertionSpec {
         let mut when = self.clean_only.then_some(When::Clean);
         v.opt("when", &mut when);
         self.clean_only = when == Some(When::Clean);
+        v.opt("paper", &mut self.paper);
     }
 }
 
@@ -1444,8 +1454,8 @@ impl ScenarioSpec {
     }
 
     /// Reports every section the spec's runner does not read, a shared
-    /// case seed without cases, and each case an assertion names that
-    /// the spec does not declare.
+    /// case seed without cases, fewer trials than cases, and each case
+    /// an assertion names that the spec does not declare.
     fn check_sections(&mut self, problems: &mut Vec<String>) {
         let registered = crate::registry::RUNNERS
             .iter()
@@ -1455,6 +1465,12 @@ impl ScenarioSpec {
         }
         if self.run.case_seed == CaseSeed::Shared && self.cases.is_empty() {
             problems.push("`run.case_seed` is `shared`, which needs `cases`".to_string());
+        }
+        if self.run.trials < self.cases.len() {
+            problems.push(crate::registry::too_few_trials(
+                self.run.trials,
+                self.cases.len(),
+            ));
         }
         for (i, a) in self.assertions.iter().enumerate() {
             for case in [&a.case, &a.plus_case].into_iter().flatten() {
@@ -1874,23 +1890,21 @@ mod tests {
         }
     }
 
-    /// `scenarios/fig6_power.json` plus one assertion, which its bespoke
-    /// runner would never check.
-    pub(crate) fn fig6_power_with_an_assertion() -> String {
+    /// `scenarios/fig6_power.json` plus a topology, which its bespoke
+    /// runner would never build.
+    fn fig6_power_with_a_topology() -> String {
         let text = include_str!("../../../scenarios/fig6_power.json");
-        let assertion = r#",
-  "assertions": [
-    {"metric": "power_mw_at_0pps", "op": ">", "value": 1000000}
-  ]
-}"#;
-        text.trim_end().strip_suffix("\n}").unwrap().to_string() + assertion
+        let topology = ",\n  \"topology\": {\"duration_us\": 1000, \"nodes\": []}\n}";
+        text.trim_end().strip_suffix("\n}").unwrap().to_string() + topology
     }
 
     #[test]
     fn sections_the_runner_does_not_read_are_rejected() {
-        let err = ScenarioSpec::parse(&fig6_power_with_an_assertion()).unwrap_err();
+        let err = ScenarioSpec::parse(&fig6_power_with_a_topology()).unwrap_err();
         assert!(
-            err.contains("runner `fig6_power` does not read `assertions` (it reads `run`)"),
+            err.contains(
+                "runner `fig6_power` does not read `topology` (it reads `run`, `assertions`)"
+            ),
             "{err}"
         );
         assert_eq!(err.lines().count(), 1);
@@ -1934,7 +1948,7 @@ mod tests {
 
         let err = ScenarioSpec::parse(&text.replace("\"min\"", "\"median\"")).unwrap_err();
         assert!(
-            err.contains("summary must be `mean` or `min`, got `median`"),
+            err.contains("summary must be `mean`, `min` or `max`, got `median`"),
             "{err}"
         );
         let err =
@@ -2019,6 +2033,43 @@ mod tests {
         .unwrap_err();
         assert!(
             err.contains("`run.case_seed` must be `trial` or `shared`, got `pass`"),
+            "{err}"
+        );
+    }
+
+    /// Each case needs a trial: a spec whose `run.trials` is below its
+    /// case count is rejected; one trial per case parses.
+    #[test]
+    fn trials_must_cover_every_case() {
+        let victim = r#"{"name": "victim", "mac": "02:00:00:00:00:01", "kind": "client", "position": [0, 0]}"#;
+        let text = with_cases(victim);
+        let two = ScenarioSpec::parse(&text.replace("\"trials\": 3", "\"trials\": 2")).unwrap();
+        assert_eq!((two.run.trials, two.cases.len()), (2, 2));
+        let err = ScenarioSpec::parse(&text.replace("\"trials\": 3", "\"trials\": 1")).unwrap_err();
+        assert!(
+            err.contains("1 trial(s) cannot run all 2 declared cases"),
+            "{err}"
+        );
+    }
+
+    /// `max` and a `paper` label parse, and re-emit in canonical order.
+    #[test]
+    fn max_summaries_and_paper_labels_round_trip() {
+        let text = MINIMAL.replace(
+            "  ]\n}\n",
+            "  ],\n  \"assertions\": [\n    {\n      \"metric\": \"acks_sent\",\n      \
+             \"summary\": \"max\",\n      \"op\": \"<\",\n      \"value\": 0.45,\n      \
+             \"when\": \"clean\",\n      \"paper\": \"~10 mW\"\n    }\n  ]\n}\n",
+        );
+        let spec = ScenarioSpec::parse(&text).expect("parses");
+        let a = &spec.assertions[0];
+        assert_eq!(a.summary, Summary::Max);
+        assert!(a.clean_only);
+        assert_eq!(a.paper.as_deref(), Some("~10 mW"));
+        assert_eq!(spec.to_canonical_json(), text);
+        let err = ScenarioSpec::parse(&text.replace("\"~10 mW\"", "10")).unwrap_err();
+        assert!(
+            err.contains("`assertions[0]`.paper must be a string"),
             "{err}"
         );
     }

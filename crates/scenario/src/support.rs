@@ -1,4 +1,4 @@
-//! Display/IO helpers shared by every ported experiment.
+//! Display/IO helpers shared by the runners.
 
 use std::io;
 use std::path::PathBuf;
@@ -9,11 +9,6 @@ pub fn ensure_results_dir() -> io::Result<PathBuf> {
     let dir = polite_wifi_harness::results_dir();
     std::fs::create_dir_all(&dir)?;
     Ok(dir)
-}
-
-/// Prints a paper-vs-measured comparison row.
-pub fn compare(metric: &str, paper: &str, measured: &str) {
-    println!("  {metric:<44} paper: {paper:<12} measured: {measured}");
 }
 
 /// An ASCII bar for quick figure-shaped output.

@@ -11,25 +11,29 @@
 //!    the `wall_seconds` metric — the only legitimately
 //!    timing-dependent values in an envelope;
 //! 4. those masked envelopes hash to the digest pinned for the slug in
-//!    the `goldens!` table at the end of this file. Every value the
-//!    paper's tables and figures report is in an envelope, so any change
-//!    in behaviour fails here, exactly, with no tolerance.
+//!    [`GOLDENS`] (library code, because the result cache keys on it).
+//!    Every value the paper's tables and figures report is in an
+//!    envelope, so any change in behaviour fails here, exactly, with no
+//!    tolerance.
 //!
-//! `scenario_files_and_pins_agree` fails if a scenario file has no row
-//! in that table or a row has no file.
+//! The `goldens!` list at the end of this file names one test per
+//! committed scenario; `scenario_files_and_pins_agree` fails if a
+//! scenario file, a test and a pin do not match one to one.
 //!
-//! The `faulted_goldens!` table pins the same digest, from one
+//! [`FAULTED_GOLDENS`] pins the same digest, from one
 //! `--quick --workers 1` run, under the `urban-drive` and `flaky-dongle`
 //! fault profiles, so the fault paths are held exactly too. It covers
 //! every scenario whose run crosses the fake-frame stream or the ACK
 //! pairing, and leaves out the slow drives.
 //!
-//! After a deliberate change in behaviour, regenerate the table with
+//! After a deliberate change in behaviour, regenerate both tables with
 //! `cargo test --release -p polite-wifi-scenario --test golden --
 //! --ignored print_golden_pins --nocapture`, paste its output over the
-//! rows, and say in the commit which envelopes changed and why.
+//! rows in `src/pins.rs`, and say in the commit which envelopes changed
+//! and why.
 
 use polite_wifi_obs::json::{self, JsonValue};
+use polite_wifi_scenario::pins::{FAULTED_GOLDENS, GOLDENS};
 use polite_wifi_scenario::{fnv1a64, runner_names, ScenarioSpec};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -169,7 +173,8 @@ fn digest(envelopes: &BTreeMap<String, JsonValue>) -> u64 {
 }
 
 /// Checks worker invariance, then the pinned digest.
-fn check_golden(slug: &str, pin: u64) {
+fn check_golden(slug: &str) {
+    let pin = GOLDENS.iter().find(|row| row.0 == slug).expect("pinned").1;
     let reference = quick_run(slug, 1, "clean");
     for workers in [4, 8] {
         assert_eq!(
@@ -181,9 +186,15 @@ fn check_golden(slug: &str, pin: u64) {
     assert_digest(slug, "clean", &reference, pin);
 }
 
-/// Checks one `--workers 1` run under `faults` against its pinned digest.
-fn check_faulted(slug: &str, faults: &str, pin: u64) {
-    assert_digest(slug, faults, &quick_run(slug, 1, faults), pin);
+/// Checks one `--workers 1` run under `urban-drive`, then one under
+/// `flaky-dongle`, against their pinned digests.
+fn check_faulted(slug: &str) {
+    let &(_, urban, flaky) = (FAULTED_GOLDENS.iter())
+        .find(|row| row.0 == slug)
+        .expect("pinned");
+    for (faults, pin) in [("urban-drive", urban), ("flaky-dongle", flaky)] {
+        assert_digest(slug, faults, &quick_run(slug, 1, faults), pin);
+    }
 }
 
 /// On a digest mismatch the masked envelopes are left in a temp
@@ -247,6 +258,21 @@ fn injected_trial_panic_degrades_fig3_into_one_trial_failure() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A `--trials` override below the spec's case count is a usage error:
+/// exit 2 before any trial runs, no envelope written.
+#[test]
+fn fewer_trials_than_cases_exits_2() {
+    let (out, dir) = exp_run("fig3_deauth", 1, "clean", &["--trials", "1"], "trials");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("cannot run all 2 declared cases"),
+        "{stderr}"
+    );
+    assert!(!dir.join("fig3_deauth.json").exists());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn committed_slugs() -> BTreeSet<String> {
     std::fs::read_dir(scenarios_dir())
         .unwrap()
@@ -259,8 +285,8 @@ fn committed_slugs() -> BTreeSet<String> {
 #[test]
 fn scenario_files_and_pins_agree() {
     let files = committed_slugs();
-    let pinned: BTreeSet<String> = GOLDEN_PINS.iter().map(|(s, ..)| s.to_string()).collect();
-    assert_eq!(pinned.len(), GOLDEN_PINS.len(), "a slug is pinned twice");
+    let pinned: BTreeSet<String> = GOLDENS.iter().map(|(s, _)| s.to_string()).collect();
+    assert_eq!(pinned.len(), GOLDENS.len(), "a slug is pinned twice");
     let unpinned: Vec<_> = files.difference(&pinned).collect();
     let orphaned: Vec<_> = pinned.difference(&files).collect();
     assert!(
@@ -268,118 +294,110 @@ fn scenario_files_and_pins_agree() {
         "scenario files without a golden row: {unpinned:?}; \
          golden rows without a scenario file: {orphaned:?}"
     );
+    let pinned: Vec<&str> = GOLDENS.iter().map(|(s, _)| *s).collect();
+    assert_eq!(GOLDEN_TESTS, pinned, "every pin needs its `goldens!` test");
 }
 
 #[test]
 fn faulted_pins_name_committed_scenarios() {
     let files = committed_slugs();
-    for (slug, ..) in FAULTED_PINS {
+    for (slug, ..) in FAULTED_GOLDENS {
         assert!(
             files.contains(*slug),
             "faulted row `{slug}` has no scenario file"
         );
     }
+    let pinned: Vec<&str> = FAULTED_GOLDENS.iter().map(|(s, ..)| *s).collect();
+    assert_eq!(
+        FAULTED_TESTS, pinned,
+        "every pin needs its `faulted_goldens!` test"
+    );
 }
 
 #[test]
-#[ignore = "runs every committed scenario; prints the replacement goldens! and faulted_goldens! rows"]
+#[ignore = "runs every committed scenario; prints the replacement GOLDENS and FAULTED_GOLDENS rows"]
 fn print_golden_pins() {
     for slug in committed_slugs() {
         let pin = digest(&quick_run(&slug, 1, "clean"));
-        let ignore = GOLDEN_PINS
-            .iter()
-            .find_map(|&(s, _, why)| if s == slug { why } else { None })
-            .map_or(String::new(), |why| format!(", ignore = {why:?}"));
-        println!("    golden_{slug}: \"{slug}\" => 0x{pin:016x}{ignore};");
+        println!("    (\"{slug}\", 0x{pin:016x}),");
     }
-    for (slug, ..) in FAULTED_PINS {
+    for (slug, ..) in FAULTED_GOLDENS {
         let [urban, flaky] =
             ["urban-drive", "flaky-dongle"].map(|faults| digest(&quick_run(slug, 1, faults)));
-        println!("    faulted_{slug}: \"{slug}\" => 0x{urban:016x}, 0x{flaky:016x};");
+        println!("    (\"{slug}\", 0x{urban:016x}, 0x{flaky:016x}),");
     }
 }
 
-macro_rules! some {
-    () => {
-        None
-    };
-    ($why:literal) => {
-        Some($why)
-    };
-}
-
-/// One row per committed scenario: the test name, the slug, the digest of
-/// its masked `--quick --workers 1` envelopes and, for the slow ones, why
-/// the test is `#[ignore]`d. Generates `GOLDEN_PINS` and one test per row.
+/// One row per committed scenario: the test name, the slug and, for the
+/// slow ones, why the test is `#[ignore]`d. Generates `GOLDEN_TESTS` and
+/// one test per row, which checks the slug's row of [`GOLDENS`].
 macro_rules! goldens {
-    ($($name:ident: $slug:literal => $pin:literal $(, ignore = $why:literal)?;)*) => {
-        /// (slug, pinned digest, ignore reason) per committed scenario.
-        const GOLDEN_PINS: &[(&str, u64, Option<&str>)] = &[$(($slug, $pin, some!($($why)?))),*];
+    ($($name:ident: $slug:literal $(, ignore = $why:literal)?;)*) => {
+        /// The slug of every row.
+        const GOLDEN_TESTS: &[&str] = &[$($slug),*];
         $(
             #[test]
             $(#[ignore = $why])?
             fn $name() {
-                check_golden($slug, $pin);
+                check_golden($slug);
             }
         )*
     };
 }
 
 goldens! {
-    golden_ablation_validate: "ablation_validate" => 0x0122937b2f627398;
-    golden_battery_life: "battery_life" => 0x70d5d762a67f9ebe;
-    golden_blockack_paralysis: "blockack_paralysis" => 0xb669ff49d162a2f6;
-    golden_city_wardrive: "city_wardrive" => 0x0b831e2968e14171, ignore = "minutes-long even with --quick; run with --release -- --ignored";
-    golden_ext_classifier: "ext_classifier" => 0x6e9294be1299cc15;
-    golden_ext_driveby: "ext_driveby" => 0x9abebbd7b0e95b71, ignore = "~2 min of simulated driving; run with --release -- --ignored";
-    golden_ext_nav_dos: "ext_nav_dos" => 0xc14d14c01429cf73;
-    golden_ext_randomization: "ext_randomization" => 0xfbfadb78d6f7e9c8;
-    golden_ext_ranging: "ext_ranging" => 0xcffb49862cf4a04f;
-    golden_ext_vitals: "ext_vitals" => 0xfaf8a3ae1eabd822;
-    golden_fig2_trace: "fig2_trace" => 0xf43543ec7e1e33ef;
-    golden_fig3_deauth: "fig3_deauth" => 0xc48d0da873cfc910;
-    golden_fig5_keystroke: "fig5_keystroke" => 0xf221b6f25285fe61;
-    golden_fig6_power: "fig6_power" => 0x27475db38658750d;
-    golden_pmf_deauth_matrix: "pmf_deauth_matrix" => 0x527af751b6e947e7;
-    golden_powersave_awake: "powersave_awake" => 0x7ed8fec287a236f2;
-    golden_sensing_hub: "sensing_hub" => 0xdb6e0169ef45ee62;
-    golden_sifs_timing: "sifs_timing" => 0x582f2e34a7fc6b93;
-    golden_table1_devices: "table1_devices" => 0xcd826b9b5edc4f03;
-    golden_table2_wardrive: "table2_wardrive" => 0x99c4c4a5f15aa78b;
+    golden_ablation_validate: "ablation_validate";
+    golden_battery_life: "battery_life";
+    golden_blockack_paralysis: "blockack_paralysis";
+    golden_city_wardrive: "city_wardrive", ignore = "minutes-long even with --quick; run with --release -- --ignored";
+    golden_ext_classifier: "ext_classifier";
+    golden_ext_driveby: "ext_driveby", ignore = "~2 min of simulated driving; run with --release -- --ignored";
+    golden_ext_nav_dos: "ext_nav_dos";
+    golden_ext_randomization: "ext_randomization";
+    golden_ext_ranging: "ext_ranging";
+    golden_ext_vitals: "ext_vitals";
+    golden_fig2_trace: "fig2_trace";
+    golden_fig3_deauth: "fig3_deauth";
+    golden_fig5_keystroke: "fig5_keystroke";
+    golden_fig6_power: "fig6_power";
+    golden_pmf_deauth_matrix: "pmf_deauth_matrix";
+    golden_powersave_awake: "powersave_awake";
+    golden_sensing_hub: "sensing_hub";
+    golden_sifs_timing: "sifs_timing";
+    golden_table1_devices: "table1_devices";
+    golden_table2_wardrive: "table2_wardrive";
 }
 
-/// One row per scenario pinned under faults: the test name, the slug,
-/// and the digest of its masked `--quick --workers 1` envelopes under
-/// `urban-drive`, then under `flaky-dongle`. Generates `FAULTED_PINS`
-/// and one test per row.
+/// One row per scenario pinned under faults: the test name and the
+/// slug. Generates `FAULTED_TESTS` and one test per row, which checks
+/// the slug's row of [`FAULTED_GOLDENS`].
 macro_rules! faulted_goldens {
-    ($($name:ident: $slug:literal => $urban:literal, $flaky:literal;)*) => {
-        /// (slug, urban-drive digest, flaky-dongle digest) per row.
-        const FAULTED_PINS: &[(&str, u64, u64)] = &[$(($slug, $urban, $flaky)),*];
+    ($($name:ident: $slug:literal;)*) => {
+        /// The slug of every row.
+        const FAULTED_TESTS: &[&str] = &[$($slug),*];
         $(
             #[test]
             fn $name() {
-                check_faulted($slug, "urban-drive", $urban);
-                check_faulted($slug, "flaky-dongle", $flaky);
+                check_faulted($slug);
             }
         )*
     };
 }
 
 faulted_goldens! {
-    faulted_ablation_validate: "ablation_validate" => 0x2047a1798a278a93, 0x2c45bf1def6fa217;
-    faulted_battery_life: "battery_life" => 0x8ecc9b572e310b6e, 0x7507dba53f7c902c;
-    faulted_blockack_paralysis: "blockack_paralysis" => 0x42a5c381c44e1c31, 0xf75fb016e667982b;
-    faulted_ext_nav_dos: "ext_nav_dos" => 0x7f8d7a7d0aadc300, 0xc606fc7447ad915c;
-    faulted_ext_ranging: "ext_ranging" => 0x36fe38d0f8ec98bc, 0xe47aab765eea63d9;
-    faulted_ext_vitals: "ext_vitals" => 0xcd6101852f1849c0, 0x859935771601d90f;
-    faulted_fig2_trace: "fig2_trace" => 0x814baf9efe18e956, 0x8d8367ac912a593c;
-    faulted_fig3_deauth: "fig3_deauth" => 0x570312d5e589bc5c, 0x038ad8221ac354fe;
-    faulted_fig5_keystroke: "fig5_keystroke" => 0x5c472961d490aa31, 0x592399bd76f01dcc;
-    faulted_fig6_power: "fig6_power" => 0x82a5354683fbb25a, 0x14cf9336a62bcf83;
-    faulted_pmf_deauth_matrix: "pmf_deauth_matrix" => 0xf319f242c1393fc6, 0x301745735b5476cd;
-    faulted_powersave_awake: "powersave_awake" => 0xa0e7d9665fd6a9fd, 0xe54ad9dd6f2296e3;
-    faulted_sensing_hub: "sensing_hub" => 0xf77fb796cdc42657, 0xdff4eb00c3557a14;
-    faulted_sifs_timing: "sifs_timing" => 0xd5dfcec62df03f3f, 0x79ccfac9dbb0bf69;
-    faulted_table1_devices: "table1_devices" => 0x70024c9ec888d308, 0xa1e2e42b781eebe8;
+    faulted_ablation_validate: "ablation_validate";
+    faulted_battery_life: "battery_life";
+    faulted_blockack_paralysis: "blockack_paralysis";
+    faulted_ext_nav_dos: "ext_nav_dos";
+    faulted_ext_ranging: "ext_ranging";
+    faulted_ext_vitals: "ext_vitals";
+    faulted_fig2_trace: "fig2_trace";
+    faulted_fig3_deauth: "fig3_deauth";
+    faulted_fig5_keystroke: "fig5_keystroke";
+    faulted_fig6_power: "fig6_power";
+    faulted_pmf_deauth_matrix: "pmf_deauth_matrix";
+    faulted_powersave_awake: "powersave_awake";
+    faulted_sensing_hub: "sensing_hub";
+    faulted_sifs_timing: "sifs_timing";
+    faulted_table1_devices: "table1_devices";
 }

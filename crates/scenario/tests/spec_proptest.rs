@@ -401,7 +401,7 @@ fn spec(rng: &mut TestRng) -> ScenarioSpec {
         runner: runner.into(),
         run: RunSpec {
             seed: int(rng),
-            trials: 1 + rng.below(64) as usize,
+            trials: cases.len().max(1) + rng.below(64) as usize,
             workers: 1 + rng.below(8) as usize,
             quick: coin(rng),
             faults: pick(rng, &FaultProfile::ALL),
@@ -410,15 +410,16 @@ fn spec(rng: &mut TestRng) -> ScenarioSpec {
                 false => CaseSeed::Shared,
             },
         },
-        assertions: (0..rng.below(3) * (runner == "generic") as u64)
+        assertions: (0..rng.below(3))
             .map(|_| AssertionSpec {
                 metric: text(rng),
-                summary: pick(rng, &[Summary::Mean, Summary::Min]),
+                summary: pick(rng, &[Summary::Mean, Summary::Min, Summary::Max]),
                 case: case(rng),
                 op: pick(rng, &ops),
                 value: num(rng),
                 plus_case: case(rng),
                 clean_only: coin(rng),
+                paper: coin(rng).then(|| text(rng)),
             })
             .collect(),
         topology: top,
