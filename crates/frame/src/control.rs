@@ -199,24 +199,6 @@ impl FrameControl {
         self.ftype == FrameType::Data
             && (self.subtype == data_subtype::NULL || self.subtype == data_subtype::QOS_NULL)
     }
-
-    /// Builder-style setter for the retry flag.
-    pub fn with_retry(mut self, retry: bool) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Builder-style setter for the power-management flag.
-    pub fn with_power_mgmt(mut self, pm: bool) -> Self {
-        self.power_mgmt = pm;
-        self
-    }
-
-    /// Builder-style setter for the protected flag.
-    pub fn with_protected(mut self, protected: bool) -> Self {
-        self.protected = protected;
-        self
-    }
 }
 
 /// A decoded control frame.

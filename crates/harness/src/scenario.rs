@@ -24,7 +24,6 @@ enum PostOp {
 /// A reusable recipe for building simulators.
 #[derive(Debug, Clone)]
 pub struct ScenarioBuilder {
-    config: SimConfig,
     seed: u64,
     duration_us: u64,
     faults: FaultProfile,
@@ -41,19 +40,12 @@ impl Default for ScenarioBuilder {
 impl ScenarioBuilder {
     pub fn new() -> ScenarioBuilder {
         ScenarioBuilder {
-            config: SimConfig::default(),
             seed: 7,
             duration_us: 1_000_000,
             faults: FaultProfile::Clean,
             nodes: Vec::new(),
             ops: Vec::new(),
         }
-    }
-
-    /// Overrides the radio environment.
-    pub fn config(mut self, config: SimConfig) -> Self {
-        self.config = config;
-        self
     }
 
     /// Sets the base seed [`build`](Self::build) uses.
@@ -155,7 +147,7 @@ impl ScenarioBuilder {
     /// Stamps out a simulator with an explicit (e.g. per-trial derived)
     /// seed. The recipe is not consumed: call once per trial.
     pub fn build_with_seed(&self, seed: u64) -> Scenario {
-        let mut sim = Simulator::new(self.config, seed);
+        let mut sim = Simulator::new(SimConfig::default(), seed);
         for (cfg, position) in &self.nodes {
             sim.add_node(cfg.clone(), *position);
         }

@@ -27,9 +27,7 @@ pub mod actions;
 pub mod behavior;
 pub mod csma;
 pub mod dedup;
-pub mod fragment;
 pub mod obs;
-pub mod rate_control;
 pub mod station;
 
 pub use actions::{DiscardReason, MacAction, RadioState};

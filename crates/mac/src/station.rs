@@ -3,7 +3,6 @@
 use crate::actions::{DiscardReason, MacAction, RadioState};
 use crate::behavior::Behavior;
 use crate::dedup::DedupCache;
-use crate::fragment::Reassembler;
 use polite_wifi_frame::seq::SequenceCounter;
 use polite_wifi_frame::{
     builder, ControlFrame, Frame, MacAddr, ManagementBody, ReasonCode, SequenceControl,
@@ -131,7 +130,6 @@ pub struct Station {
     cfg: StationConfig,
     seq: SequenceCounter,
     dedup: DedupCache,
-    reassembler: Reassembler,
     /// Peers this station trusts (association + keys).
     associated: HashSet<MacAddr>,
     /// Client-side join progress.
@@ -187,7 +185,6 @@ impl Station {
             cfg,
             seq: SequenceCounter::new(),
             dedup: DedupCache::default(),
-            reassembler: Reassembler::new(),
             associated: HashSet::new(),
             join_state: JoinState::Idle,
             authenticated: HashSet::new(),
@@ -227,12 +224,6 @@ impl Station {
     /// Only FCS-valid data frames may populate it.
     pub fn dedup_entries(&self) -> usize {
         self.dedup.len()
-    }
-
-    /// Partial payloads held by the fragment reassembler. Only FCS-valid
-    /// fragments may populate it.
-    pub fn fragments_pending(&self) -> usize {
-        self.reassembler.pending()
     }
 
     /// Marks `peer` as associated/trusted directly, skipping the on-air
@@ -444,23 +435,8 @@ impl Station {
                     return;
                 }
                 if d.fc.protected || d.is_null() {
-                    if d.fc.more_frag || d.seq.fragment > 0 {
-                        // A fragment: reassemble before delivery. Every
-                        // fragment was already ACKed above — fragmenting
-                        // an MSDU hands the attacker *more* responses.
-                        self.reassembler.evict_stale(now_us);
-                        if let Some(payload) = self.reassembler.push(now_us, d) {
-                            let mut full = d.clone();
-                            full.body = polite_wifi_frame::data::DataBody::Payload(payload);
-                            full.fc.more_frag = false;
-                            full.seq = SequenceControl::new(d.seq.sequence, 0);
-                            self.stats.delivered += 1;
-                            actions.push(MacAction::Deliver(Frame::Data(full)));
-                        }
-                    } else {
-                        self.stats.delivered += 1;
-                        actions.push(MacAction::Deliver(frame.clone()));
-                    }
+                    self.stats.delivered += 1;
+                    actions.push(MacAction::Deliver(frame.clone()));
                 } else {
                     // Plaintext data on a WPA2 link fails decryption.
                     self.stats.discarded_after_ack += 1;

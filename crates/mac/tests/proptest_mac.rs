@@ -100,42 +100,33 @@ proptest! {
     }
 
     /// FCS-failing frames stop at the low MAC: beyond never being ACKed,
-    /// they must never touch the dedup cache or the fragment
-    /// reassembler — corrupt garbage cannot pollute receive state that
-    /// later decides which *valid* frames get dropped as duplicates or
-    /// reassembled together.
+    /// they must never touch the dedup cache — corrupt garbage cannot
+    /// pollute receive state that later decides which *valid* frames get
+    /// dropped as duplicates.
     #[test]
-    fn fcs_fail_frames_never_reach_dedup_or_reassembly(
+    fn fcs_fail_frames_never_reach_dedup(
         payload in proptest::collection::vec(any::<u8>(), 1..2000),
-        threshold in 64usize..1500,
         seq in 0u16..4096,
         behavior in arb_behavior(),
         rate in arb_rate(),
         now in 0u64..1_000_000_000,
     ) {
-        use polite_wifi_mac::fragment::fragment;
         let peer = MacAddr::new([2, 0, 0, 0, 0, 9]);
         let mut cfg = StationConfig::client(victim_mac());
         cfg.behavior = behavior;
         let mut sta = Station::new(cfg);
         sta.associate(peer);
 
-        let whole = DataFrame::new(victim_mac(), peer, peer, seq, payload.clone());
-        let frags = fragment(&whole, threshold);
-        for (i, f) in frags.iter().enumerate() {
-            let actions = sta.on_receive(now + i as u64, &Frame::Data(f.clone()), false, rate);
-            prop_assert!(!has_ack(&actions));
-            prop_assert!(actions.iter().all(|a| !matches!(a, MacAction::Respond { .. })));
-            prop_assert!(actions.iter().all(|a| !matches!(a, MacAction::Deliver(_))));
-        }
+        let frame = Frame::Data(DataFrame::new(victim_mac(), peer, peer, seq, payload));
+        let actions = sta.on_receive(now, &frame, false, rate);
+        prop_assert!(!has_ack(&actions));
+        prop_assert!(actions.iter().all(|a| !matches!(a, MacAction::Respond { .. })));
+        prop_assert!(actions.iter().all(|a| !matches!(a, MacAction::Deliver(_))));
         prop_assert_eq!(sta.dedup_entries(), 0, "corrupt frame entered dedup");
-        prop_assert_eq!(sta.fragments_pending(), 0, "corrupt fragment buffered");
 
-        // Contrast: the same frames with a valid FCS do populate the
-        // receive path (so the accessors above measure the right thing).
-        for (i, f) in frags.iter().enumerate() {
-            sta.on_receive(now + 1_000 + i as u64, &Frame::Data(f.clone()), true, rate);
-        }
+        // Contrast: the same frame with a valid FCS does populate the
+        // receive path (so the accessor above measures the right thing).
+        sta.on_receive(now + 1_000, &frame, true, rate);
         prop_assert!(sta.dedup_entries() > 0, "valid frame missed dedup");
     }
 
@@ -231,60 +222,6 @@ proptest! {
         prop_assert!(has_ack(&actions));
         let delivered = actions.iter().any(|a| matches!(a, MacAction::Deliver(_)));
         prop_assert_eq!(delivered, !pmf);
-    }
-
-    /// Fragmentation: any payload reassembles byte-identically through
-    /// any fragment threshold, in any arrival order.
-    #[test]
-    fn fragment_reassemble_round_trip(
-        payload in proptest::collection::vec(any::<u8>(), 1..3000),
-        threshold in 1usize..1500,
-        seq in 0u16..4096,
-        order in any::<prop::sample::Index>(),
-    ) {
-        use polite_wifi_mac::fragment::{fragment, Reassembler};
-        use polite_wifi_frame::data::DataFrame;
-        let frame = DataFrame::new(
-            victim_mac(),
-            MacAddr::new([2, 0, 0, 0, 0, 9]),
-            MacAddr::new([2, 0, 0, 0, 0, 9]),
-            seq,
-            payload.clone(),
-        );
-        let mut frags = fragment(&frame, threshold);
-        prop_assert!(frags.len() <= payload.len().div_ceil(threshold).min(16));
-        // Rotate arrival order deterministically.
-        let rot = order.index(frags.len());
-        frags.rotate_left(rot);
-        let mut r = Reassembler::new();
-        let mut out = None;
-        for (i, f) in frags.iter().enumerate() {
-            let res = r.push(i as u64, f);
-            if let Some(p) = res {
-                prop_assert!(out.is_none(), "completed twice");
-                out = Some(p);
-            }
-        }
-        prop_assert_eq!(out.expect("reassembled"), payload);
-        prop_assert_eq!(r.pending(), 0);
-    }
-
-    /// ARF's rate index stays within its ladder no matter the outcome
-    /// sequence, and a long success tail always reaches the top.
-    #[test]
-    fn arf_bounded_and_convergent(outcomes in proptest::collection::vec(any::<bool>(), 0..300)) {
-        use polite_wifi_mac::rate_control::Arf;
-        let mut arf = Arf::ofdm();
-        for ok in outcomes {
-            if ok { arf.on_success() } else { arf.on_failure() }
-            let r = arf.rate();
-            prop_assert!(BitRate::ALL.contains(&r));
-            prop_assert!(!r.is_dsss(), "OFDM ladder leaked a DSSS rate");
-        }
-        for _ in 0..100 {
-            arf.on_success();
-        }
-        prop_assert_eq!(arf.rate(), BitRate::Mbps54);
     }
 
     /// Beacons never reset the doze timer: a station on a beaconing

@@ -250,11 +250,6 @@ impl EventHub {
         self.cv.notify_all();
     }
 
-    /// Whether [`close`](Self::close) has been called.
-    pub fn is_closed(&self) -> bool {
-        self.inner.lock().unwrap().closed
-    }
-
     /// Total events ever published.
     pub fn published(&self) -> u64 {
         self.inner.lock().unwrap().journal.next_seq()

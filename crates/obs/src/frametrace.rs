@@ -11,11 +11,11 @@
 //! whole causal tree shares one timeline.
 //!
 //! Determinism contract: trace IDs are the injection ordinal within one
-//! simulator (0, 1, 2, …), and whether a frame is traced at all is
-//! [`sampled`] — a pure function of `(trial seed, trace id)`. Per-trial
-//! logs absorbed in trial-index order therefore render byte-identically
-//! at any `--workers` count. Storage is bounded: at most `max_traces`
-//! traces of `max_hops` hops each; overflow is counted, never stored.
+//! simulator (0, 1, 2, …), and every injected frame of a traced run is
+//! traced. Per-trial logs absorbed in trial-index order therefore render
+//! byte-identically at any `--workers` count. Storage is bounded: at
+//! most [`MAX_TRACES`] traces of [`MAX_HOPS`] hops each; overflow is
+//! counted, never stored.
 
 use crate::json::{JsonWriter, ToJson};
 
@@ -59,27 +59,11 @@ pub mod hop {
     pub const FATE_DOZING: &str = "fate.dozing";
 }
 
-/// SplitMix64 — the same keyed mixer the retry layer uses; pure, so the
-/// sampling decision never touches shared RNG state.
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
+/// The trace bound of every traced [`Obs`](crate::Obs) scope.
+pub const MAX_TRACES: usize = 2048;
 
-/// The deterministic sampling decision: trace `trace_id` in a trial
-/// seeded `seed` iff this returns true. Pure function of its arguments —
-/// the worker-invariance contract rests on exactly that.
-pub fn sampled(seed: u64, trace_id: u64, permille: u32) -> bool {
-    if permille >= 1000 {
-        return true;
-    }
-    if permille == 0 {
-        return false;
-    }
-    splitmix64(seed ^ trace_id.wrapping_mul(0x9e37_79b9_7f4a_7c15)) % 1000 < permille as u64
-}
+/// The per-trace hop bound of every traced [`Obs`](crate::Obs) scope.
+pub const MAX_HOPS: usize = 32;
 
 /// One hop in a frame's causal timeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -234,17 +218,6 @@ impl ToJson for TraceLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sampling_is_pure_and_respects_bounds() {
-        assert!(sampled(7, 3, 1000));
-        assert!(!sampled(7, 3, 0));
-        for id in 0..100 {
-            assert_eq!(sampled(42, id, 250), sampled(42, id, 250));
-        }
-        let kept = (0..10_000).filter(|&id| sampled(42, id, 250)).count();
-        assert!((1_500..3_500).contains(&kept), "kept {kept} of 10k at 25%");
-    }
 
     #[test]
     fn capacity_bounds_are_exact() {

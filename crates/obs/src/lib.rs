@@ -58,45 +58,20 @@ use std::sync::OnceLock;
 
 /// What an [`Obs`] records. Counters and histograms are always on (they
 /// are the cheap, always-useful part); spans and ring events are opt-in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The stores they fill are bounded by [`span::MAX_SPANS`],
+/// [`ring::RING_CAPACITY`], [`frametrace::MAX_TRACES`] and
+/// [`frametrace::MAX_HOPS`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ObsConfig {
     /// Record spans (and ring events + frame traces). Enabled by
     /// `--trace-out`.
     pub spans: bool,
-    /// Span-log bound; spans past it are counted, not stored.
-    pub max_spans: usize,
-    /// Ring-buffer capacity for point events when `spans` is on.
-    pub ring_capacity: usize,
-    /// Frame-trace sampling rate, per mille of injected frames (1000 =
-    /// every frame, subject to `max_traces`). The decision is the pure
-    /// function [`frametrace::sampled`] of `(trial seed, trace id)`.
-    pub trace_sample_permille: u32,
-    /// Frame-trace store bound; traces past it are counted, not stored.
-    pub max_traces: usize,
-    /// Per-trace hop bound; hops past it are counted, not stored.
-    pub max_hops: usize,
-}
-
-impl Default for ObsConfig {
-    fn default() -> Self {
-        ObsConfig {
-            spans: false,
-            max_spans: 200_000,
-            ring_capacity: 4096,
-            trace_sample_permille: 1000,
-            max_traces: 2048,
-            max_hops: 32,
-        }
-    }
 }
 
 impl ObsConfig {
     /// The config `--trace-out` installs: spans and ring recording on.
     pub fn tracing() -> ObsConfig {
-        ObsConfig {
-            spans: true,
-            ..ObsConfig::default()
-        }
+        ObsConfig { spans: true }
     }
 }
 
@@ -139,7 +114,6 @@ pub struct Obs {
     /// canonical documents).
     pub profiler: Profiler,
     enabled: bool,
-    trace_sample_permille: u32,
 }
 
 impl Default for Obs {
@@ -156,15 +130,15 @@ impl Obs {
 
     /// An observability scope with an explicit config (tests, tools).
     pub fn with_config(cfg: ObsConfig) -> Obs {
+        let on = |bound: usize| if cfg.spans { bound } else { 0 };
         Obs {
             counters: Counters::new(),
             histograms: Histograms::new(),
-            spans: SpanLog::new(if cfg.spans { cfg.max_spans } else { 0 }),
-            ring: RingLog::new(if cfg.spans { cfg.ring_capacity } else { 0 }),
-            traces: TraceLog::new(if cfg.spans { cfg.max_traces } else { 0 }, cfg.max_hops),
+            spans: SpanLog::new(on(span::MAX_SPANS)),
+            ring: RingLog::new(on(ring::RING_CAPACITY)),
+            traces: TraceLog::new(on(frametrace::MAX_TRACES), frametrace::MAX_HOPS),
             profiler: Profiler::new(),
             enabled: cfg.spans,
-            trace_sample_permille: cfg.trace_sample_permille,
         }
     }
 
@@ -207,14 +181,6 @@ impl Obs {
         if self.enabled {
             self.ring.record(ts_us, track, label);
         }
-    }
-
-    /// The deterministic frame-trace sampling decision for this scope:
-    /// false unless tracing is enabled, otherwise the pure function
-    /// [`frametrace::sampled`] of `(seed, trace_id)` at the configured
-    /// per-mille rate.
-    pub fn trace_sampled(&self, seed: u64, trace_id: u64) -> bool {
-        self.enabled && frametrace::sampled(seed, trace_id, self.trace_sample_permille)
     }
 
     /// Opens a frame trace (no-op unless tracing is enabled).

@@ -7,6 +7,9 @@
 
 use std::collections::VecDeque;
 
+/// The ring capacity of every traced [`Obs`](crate::Obs) scope.
+pub const RING_CAPACITY: usize = 4096;
+
 /// One point event on the virtual-time axis.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EventRecord {

@@ -10,6 +10,9 @@
 //! `dropped` instead of stored, keeping memory finite on city-scale
 //! wardrive runs.
 
+/// The span bound of every traced [`Obs`](crate::Obs) scope.
+pub const MAX_SPANS: usize = 200_000;
+
 /// One completed span on the virtual-time axis.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRecord {

@@ -167,10 +167,9 @@ pub struct CsiChannel {
     drive_sigma: Vec<f64>,
     /// Motion-driven scattered components, AR(1)-evolved.
     scatter: Vec<Complex>,
-    /// Tap delays in units of the sample period (fractional allowed).
-    delays: Vec<f64>,
     /// Precomputed subcarrier rotations `e^(−j2π·fₖ·τᵢ)`, row-major
-    /// `[subcarrier][tap]`. Delays and the subcarrier grid are fixed at
+    /// `[subcarrier][tap]`, with tap delays `τᵢ` in sample periods
+    /// (fractional allowed). Delays and the subcarrier grid are fixed at
     /// construction, so the per-sample sin/cos of the original scalar
     /// loop folds into this table — values are bit-identical.
     rot: Vec<Complex>,
@@ -227,7 +226,6 @@ impl CsiChannel {
             static_taps,
             drive_sigma,
             scatter,
-            delays,
             rot,
             gains: vec![Complex::ZERO; config.taps],
         }
@@ -236,11 +234,6 @@ impl CsiChannel {
     /// The configuration in use.
     pub fn config(&self) -> &CsiConfig {
         &self.config
-    }
-
-    /// The multipath tap delays, in sample periods.
-    pub fn tap_delays(&self) -> &[f64] {
-        &self.delays
     }
 
     /// Evolves the scattered components by one sample interval: decay

@@ -40,7 +40,6 @@ pub mod support;
 pub use hash::fnv1a64;
 pub use registry::{run_spec, runner_names};
 pub use spec::{
-    behavior_from_label, bitrate_from_label, propagation_from_label, AssertionSpec, AttackSpec,
-    Case, CaseSeed, CaseSpec, NodeKind, NodeSpec, ParamValue, ProbeSpec, RunSpec, ScenarioSpec,
-    TopologySpec,
+    behavior_from_label, bitrate_from_label, AssertionSpec, AttackSpec, Case, CaseSeed, CaseSpec,
+    NodeKind, NodeSpec, ParamValue, ProbeSpec, RunSpec, ScenarioSpec, TopologySpec,
 };

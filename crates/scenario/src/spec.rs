@@ -34,7 +34,7 @@ use polite_wifi_harness::{derive_trial_seed, RunArgs, ScenarioBuilder};
 use polite_wifi_obs::json::{self, Json, JsonWriter};
 use polite_wifi_phy::rate::BitRate;
 use polite_wifi_phy::Band;
-use polite_wifi_sim::{FaultProfile, NodeId, PropagationMode};
+use polite_wifi_sim::{FaultProfile, NodeId};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -155,10 +155,6 @@ pub struct NodeSpec {
 pub struct TopologySpec {
     /// Virtual time the scenario runs for.
     pub duration_us: u64,
-    /// Receiver-enumeration backend: `all_pairs` (the default) or
-    /// `cell_grid` (spatial interference cells, city scale). `None`
-    /// leaves [`SimConfig`](polite_wifi_sim::SimConfig) at its default.
-    pub propagation: Option<String>,
     /// Stations, in [`NodeId`] assignment order.
     pub nodes: Vec<NodeSpec>,
     /// Bidirectional client↔AP associations, by node name.
@@ -546,11 +542,6 @@ const BIT_RATES: Labels<BitRate> = Labels(&[
 
 const BANDS: Labels<Band> = Labels(&[("2.4", Band::Ghz2), ("5", Band::Ghz5)]);
 
-const PROPAGATIONS: Labels<PropagationMode> = Labels(&[
-    ("all_pairs", PropagationMode::AllPairs),
-    ("cell_grid", PropagationMode::CellGrid),
-]);
-
 const NODE_KINDS: Labels<NodeKind> = Labels(&[
     ("client", NodeKind::Client),
     ("ap", NodeKind::Ap),
@@ -578,11 +569,6 @@ const CASE_SEEDS: Labels<CaseSeed> =
 /// Parses a bit-rate label (`"1"`, `"5.5"`, `"24"`, …).
 pub fn bitrate_from_label(label: &str) -> Option<BitRate> {
     BIT_RATES.get(label)
-}
-
-/// Resolves a `topology.propagation` label to its backend.
-pub fn propagation_from_label(label: &str) -> Option<PropagationMode> {
-    PROPAGATIONS.get(label)
 }
 
 /// Resolves a behaviour-profile label.
@@ -747,10 +733,6 @@ impl Section for TopologySpec {
 
     fn fields<V: Visit>(&mut self, v: &mut V) {
         v.req("duration_us", &mut self.duration_us);
-        v.opt_if("propagation", &mut self.propagation, |p| match p {
-            Some(s) if PROPAGATIONS.get(s).is_none() => Err(PROPAGATIONS.wrong(s)),
-            _ => Ok(()),
-        });
         v.req("nodes", &mut self.nodes);
         v.opt("links", &mut self.links);
         v.opt("associations", &mut self.associations);
@@ -1605,12 +1587,7 @@ impl TopologySpec {
     /// one-directional associations, then blocklists.
     pub fn builder(&self, faults: FaultProfile) -> (ScenarioBuilder, BTreeMap<String, NodeId>) {
         use polite_wifi_mac::StationConfig;
-        let mut config = polite_wifi_sim::SimConfig::default();
-        if let Some(mode) = self.propagation.as_deref().and_then(propagation_from_label) {
-            config.propagation = mode;
-        }
         let mut sb = ScenarioBuilder::new()
-            .config(config)
             .duration_us(self.duration_us)
             .faults(faults);
         let mut ids: BTreeMap<String, NodeId> = BTreeMap::new();
@@ -1795,49 +1772,16 @@ mod tests {
     }
 
     #[test]
-    fn propagation_key_parses_threads_and_round_trips() {
-        let with_prop = MINIMAL.replace(
-            "\"duration_us\": 1000,",
-            "\"duration_us\": 1000,\n    \"propagation\": \"cell_grid\",",
-        );
-        let spec = ScenarioSpec::parse(&with_prop).expect("parses");
-        let topo = spec.topology.as_ref().unwrap();
-        assert_eq!(topo.propagation.as_deref(), Some("cell_grid"));
-        // Canonical writer keeps the key (right after duration_us).
-        assert_eq!(spec.to_canonical_json(), with_prop);
-        // And the builder threads it into SimConfig.
-        let (sb, _) = topo.builder(FaultProfile::Clean);
-        assert_eq!(
-            sb.build_with_seed(5).sim.config().propagation,
-            polite_wifi_sim::PropagationMode::CellGrid
-        );
-        // Absent key leaves the default (AllPairs) untouched.
-        let plain = ScenarioSpec::parse(MINIMAL).unwrap();
-        let (sb, _) = plain
-            .topology
-            .as_ref()
-            .unwrap()
-            .builder(FaultProfile::Clean);
-        assert_eq!(
-            sb.build_with_seed(5).sim.config().propagation,
-            polite_wifi_sim::PropagationMode::AllPairs
-        );
-    }
-
-    #[test]
     fn unknown_propagation_mode_is_rejected_in_the_aggregated_error() {
-        let bad = MINIMAL.replace(
-            "\"duration_us\": 1000,",
-            "\"duration_us\": 1000,\n    \"propagation\": \"psychic\",",
-        );
-        let err = ScenarioSpec::parse(&bad).unwrap_err();
-        assert!(
-            err.contains(
-                "`topology.propagation` must be `all_pairs` or `cell_grid`, got `psychic`"
-            ),
-            "{err}"
-        );
-        assert_eq!(err.lines().count(), 1);
+        for mode in ["cell_grid", "all_pairs", "psychic"] {
+            let bad = MINIMAL.replace(
+                "\"duration_us\": 1000,",
+                &format!("\"duration_us\": 1000,\n    \"propagation\": \"{mode}\","),
+            );
+            let err = ScenarioSpec::parse(&bad).unwrap_err();
+            assert!(err.contains("unknown key `propagation` in"), "{err}");
+            assert_eq!(err.lines().count(), 1);
+        }
     }
 
     #[test]

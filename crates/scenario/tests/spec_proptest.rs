@@ -342,7 +342,6 @@ fn spec(rng: &mut TestRng) -> ScenarioSpec {
     };
     let topology = |rng: &mut TestRng| TopologySpec {
         duration_us: int(rng),
-        propagation: coin(rng).then(|| pick(rng, &["all_pairs", "cell_grid"]).to_string()),
         nodes: (names.iter().enumerate())
             .map(|(i, name)| node(rng, name.clone(), i == 0, &names))
             .collect(),

@@ -7,7 +7,6 @@
 use crate::ledger::ActivityLedger;
 use polite_wifi_frame::Frame;
 use polite_wifi_mac::csma::Csma;
-use polite_wifi_mac::rate_control::Arf;
 use polite_wifi_mac::Station;
 use polite_wifi_pcap::capture::Capture;
 use polite_wifi_phy::rate::BitRate;
@@ -53,9 +52,6 @@ pub struct Node {
     pub tx_queue: VecDeque<QueuedFrame>,
     /// DCF backoff state.
     pub csma: Csma,
-    /// Optional transmit rate adaptation; when set, queued frames ride
-    /// the ARF rate instead of the rate they were injected with.
-    pub rate_ctrl: Option<Arf>,
     /// Whether a TxAttempt event is already scheduled.
     pub tx_attempt_pending: bool,
     /// Monitor mode: capture *all* detectable frames, not just own.
@@ -89,7 +85,6 @@ impl Node {
             station,
             tx_queue: VecDeque::new(),
             csma: Csma::new(band),
-            rate_ctrl: None,
             tx_attempt_pending: false,
             monitor: false,
             retries_enabled: true,
