@@ -10,8 +10,8 @@
 //!   [`Simulator`] and reports how many frames it committed to the air;
 //! * a [`Probe`] reads measurements out of a *finished* simulation into
 //!   the experiment's [`MetricsLedger`];
-//! * a [`MetricAssertion`] checks one recorded metric's mean (or
-//!   minimum) against a pass/fail predicate.
+//! * a [`CmpOp`] over a [`Summary`] of one recorded metric is the
+//!   pass/fail predicate a scenario's assertions check.
 //!
 //! Two attacks exist. Every paced stream, the paper's fakes and the
 //! related-work deauth (arXiv 2602.23513) and NAV floods alike, is an
@@ -243,7 +243,7 @@ impl Probe for AssociationProbe {
     }
 }
 
-/// The comparison operator of a [`MetricAssertion`].
+/// The comparison operator of a scenario assertion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CmpOp {
     /// `>=`
@@ -299,7 +299,7 @@ impl CmpOp {
     }
 }
 
-/// Which summary of a metric's samples a [`MetricAssertion`] compares.
+/// Which summary of a metric's samples a scenario assertion compares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Summary {
     /// The mean over every sample (every trial).
@@ -308,62 +308,6 @@ pub enum Summary {
     Min,
     /// The largest sample: "every row" bounds from above.
     Max,
-}
-
-/// `metric <op> value` over a recorded metric's mean, minimum or
-/// maximum.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricAssertion {
-    /// The ledger metric to check.
-    pub metric: String,
-    /// Which summary of its samples is compared.
-    pub summary: Summary,
-    /// Comparison operator.
-    pub op: CmpOp,
-    /// Right-hand side.
-    pub value: f64,
-}
-
-impl MetricAssertion {
-    /// Human-readable form, e.g. `throughput_fraction <= 0.2`,
-    /// `min(acks) > 0` or `max(relative_error) < 0.45`.
-    pub fn describe(&self) -> String {
-        let (op, value) = (self.op.symbol(), self.value);
-        match self.summary {
-            Summary::Mean => format!("{} {op} {value}", self.metric),
-            Summary::Min => format!("min({}) {op} {value}", self.metric),
-            Summary::Max => format!("max({}) {op} {value}", self.metric),
-        }
-    }
-
-    /// The summary compared, if the metric was recorded.
-    pub fn measured(&self, metrics: &MetricsLedger) -> Option<f64> {
-        let summary = metrics
-            .summaries()
-            .into_iter()
-            .find(|s| s.name == self.metric)?;
-        Some(match self.summary {
-            Summary::Mean => summary.mean,
-            Summary::Min => summary.min,
-            Summary::Max => summary.max,
-        })
-    }
-
-    /// Checks the predicate against the recorded metrics.
-    pub fn check(&self, metrics: &MetricsLedger) -> Result<(), String> {
-        match self.measured(metrics) {
-            None => Err(format!(
-                "assertion `{}` references unrecorded metric `{}`",
-                self.describe(),
-                self.metric
-            )),
-            Some(actual) if !self.op.holds(actual, self.value) => Err(format!(
-                "assertion `{}` failed: measured {actual}",
-                self.describe()
-            )),
-            Some(_) => Ok(()),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -442,43 +386,6 @@ mod tests {
             let expected = if expect_associated { 1.0 } else { 0.0 };
             assert_eq!(ledger.mean("still_associated"), Some(expected), "pmf={pmf}");
         }
-    }
-
-    #[test]
-    fn metric_assertions_aggregate_failures() {
-        let mut ledger = MetricsLedger::new();
-        ledger.record("a", 2.0);
-        ledger.record("b", 0.9);
-        ledger.record("c", 3.0);
-        ledger.record("c", 0.0);
-        let assert = |metric: &str, summary, op, value| MetricAssertion {
-            metric: metric.into(),
-            summary,
-            op,
-            value,
-        };
-        let assertions = [
-            assert("a", Summary::Mean, CmpOp::Ge, 1.0),
-            assert("b", Summary::Mean, CmpOp::Lt, 0.5),
-            assert("missing", Summary::Mean, CmpOp::Eq, 0.0),
-            // The mean of `c` is 1.5, but one sample is 0.
-            assert("c", Summary::Mean, CmpOp::Gt, 1.0),
-            assert("c", Summary::Min, CmpOp::Gt, 0.0),
-        ];
-        let errors: Vec<String> = assertions
-            .iter()
-            .filter_map(|a| a.check(&ledger).err())
-            .collect();
-        assert_eq!(
-            errors,
-            [
-                "assertion `b < 0.5` failed: measured 0.9",
-                "assertion `missing == 0` references unrecorded metric `missing`",
-                "assertion `min(c) > 0` failed: measured 0",
-            ]
-        );
-        assert_eq!(assertions[3].measured(&ledger), Some(1.5));
-        assert_eq!(assertions[4].measured(&ledger), Some(0.0));
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //! * [`analysis`] — the SIFS-vs-decryption feasibility argument of
 //!   Section 2.2 in executable form,
 //! * [`attack`] — the [`attack::Attack`] / [`attack::Probe`] traits
-//!   and [`attack::MetricAssertion`] that declarative scenarios compose
-//!   attacks, measurements and pass/fail checks from,
+//!   and the [`attack::CmpOp`] / [`attack::Summary`] predicate that
+//!   declarative scenarios compose attacks, measurements and pass/fail
+//!   checks from,
 //!
 //! and two extensions following the paper's future-work pointers:
 //!
@@ -43,8 +44,8 @@ pub mod verifier;
 pub mod vitals;
 
 pub use attack::{
-    AckProbe, AssociationProbe, Attack, BlockAckParalysis, CmpOp, DeauthSeqProbe, MetricAssertion,
-    Probe, StatKind, StationStatProbe, Summary,
+    AckProbe, AssociationProbe, Attack, BlockAckParalysis, CmpOp, DeauthSeqProbe, Probe, StatKind,
+    StationStatProbe, Summary,
 };
 pub use drain::{BatteryDrainAttack, DrainMeasurement};
 pub use injector::{InjectionKind, InjectionPlan};

@@ -31,9 +31,31 @@ impl Metric {
     fn push(&mut self, value: f64) {
         self.samples += 1;
         self.total += value;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
+        self.min = nan_or(self.min, value, f64::min);
+        self.max = nan_or(self.max, value, f64::max);
         self.last = value;
+    }
+
+    fn summary(&self) -> MetricSummary {
+        MetricSummary {
+            name: self.name.clone(),
+            samples: self.samples,
+            mean: self.total / self.samples as f64,
+            min: self.min,
+            max: self.max,
+            total: self.total,
+        }
+    }
+}
+
+/// `pick(a, b)`, or NaN when either is NaN: `f64::min` and `f64::max`
+/// return the other operand, which would hide a NaN sample from a
+/// metric's `min` and `max` while its mean turns NaN.
+fn nan_or(a: f64, b: f64, pick: fn(f64, f64) -> f64) -> f64 {
+    if a.is_nan() || b.is_nan() {
+        f64::NAN
+    } else {
+        pick(a, b)
     }
 }
 
@@ -91,8 +113,8 @@ impl MetricsLedger {
             let entry = self.entry(&m.name);
             entry.samples += m.samples;
             entry.total += m.total;
-            entry.min = entry.min.min(m.min);
-            entry.max = entry.max.max(m.max);
+            entry.min = nan_or(entry.min, m.min, f64::min);
+            entry.max = nan_or(entry.max, m.max, f64::max);
             entry.last = m.last;
         }
     }
@@ -136,19 +158,20 @@ impl MetricsLedger {
         self.metrics.iter().all(|m| m.samples == 0)
     }
 
+    /// One metric's summary, if any samples were recorded.
+    pub fn summary(&self, name: &str) -> Option<MetricSummary> {
+        self.metrics
+            .iter()
+            .find(|m| m.name == name && m.samples > 0)
+            .map(Metric::summary)
+    }
+
     /// Summaries in first-recorded order, for the result JSON.
     pub fn summaries(&self) -> Vec<MetricSummary> {
         self.metrics
             .iter()
             .filter(|m| m.samples > 0)
-            .map(|m| MetricSummary {
-                name: m.name.clone(),
-                samples: m.samples,
-                mean: m.total / m.samples as f64,
-                min: m.min,
-                max: m.max,
-                total: m.total,
-            })
+            .map(Metric::summary)
             .collect()
     }
 }

@@ -2,48 +2,26 @@
 //!
 //! Every diagnostic line the harness emits — degraded-trial notices,
 //! partial-result warnings, progress heartbeats — goes through here
-//! instead of ad-hoc `eprintln!` calls, so one `--quiet` flag silences
-//! them all and concurrent workers never interleave partial lines.
-//!
-//! Two severities:
-//!
-//! * [`diag`] — advisory diagnostics, suppressed by `--quiet`;
-//! * [`alert`] — always printed (usage errors, budget violations):
-//!   exiting non-zero with no explanation is worse than noise.
+//! instead of ad-hoc `eprintln!` calls, so concurrent workers never
+//! interleave partial lines. Advisory lines are an `Experiment`'s own,
+//! and its `--quiet` silences them; [`alert`] lines (usage errors,
+//! budget violations) print regardless: exiting non-zero with no
+//! explanation is worse than noise.
 //!
 //! The [`Heartbeat`] rate-limits `--progress` output (wall-clock based,
 //! stderr only — nothing here ever reaches a result envelope, so the
 //! byte-identical-across-workers guarantee is untouched).
 
 use std::io::Write;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-static QUIET: AtomicBool = AtomicBool::new(false);
 static LINE_LOCK: Mutex<()> = Mutex::new(());
-
-/// Sets whether [`diag`] lines are suppressed (`--quiet`).
-pub fn set_quiet(quiet: bool) {
-    QUIET.store(quiet, Ordering::Relaxed);
-}
-
-/// True when `--quiet` suppressed advisory diagnostics.
-pub fn is_quiet() -> bool {
-    QUIET.load(Ordering::Relaxed)
-}
 
 fn raw_line(msg: &str) {
     let _guard = LINE_LOCK.lock().unwrap();
     let mut err = std::io::stderr().lock();
     let _ = writeln!(err, "{msg}");
-}
-
-/// Writes an advisory diagnostic line to stderr unless `--quiet`.
-pub fn diag(msg: &str) {
-    if !is_quiet() {
-        raw_line(msg);
-    }
 }
 
 /// Writes a line to stderr unconditionally (errors the operator must

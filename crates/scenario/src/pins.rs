@@ -38,21 +38,21 @@ pub const GOLDENS: &[(&str, u64)] = &[
 /// Per scenario pinned under faults: the same digest under
 /// `urban-drive`, then under `flaky-dongle`.
 pub const FAULTED_GOLDENS: &[(&str, u64, u64)] = &[
-    ("ablation_validate", 0xb5765575b26a7d83, 0x145c69033bad4345),
-    ("battery_life", 0x0603fe3f8ea2f78a, 0x19d1719b78a97a88),
+    ("ablation_validate", 0xa5f99e6b4f4b101a, 0xfdcd641658afb0b2),
+    ("battery_life", 0x30fcd8b022c3e6c3, 0x1b15ada5098d740d),
     ("blockack_paralysis", 0x661adebcabe23179, 0xc07e05985b311ddd),
-    ("ext_nav_dos", 0x8ddda94b55248eb2, 0xea77857c38e6d1c6),
-    ("ext_ranging", 0x84af11bf0a60c95a, 0x898d7d4653157491),
+    ("ext_nav_dos", 0x06a49ccfdbe6bf0f, 0x96bc2c3d872ffefb),
+    ("ext_ranging", 0x9cbd12104a5af5a3, 0x50db729ee319945e),
     ("ext_vitals", 0x19eb281a37cf786f, 0x20a50de7a6dcc06c),
-    ("fig2_trace", 0xac2ddfed4fb53fbc, 0xb7ccddbc63f75a3e),
-    ("fig3_deauth", 0x3ecd76a0d11a0b5c, 0x9d34122827c2aa02),
-    ("fig5_keystroke", 0x396b895ceb93cc5b, 0x28f39281d3930706),
-    ("fig6_power", 0xead3de40663c086a, 0xcc1bbf56a316a66b),
+    ("fig2_trace", 0xfcd4f68c521c8fa9, 0x0d77cbdfe1da68c7),
+    ("fig3_deauth", 0x380086d7d8a3f3d5, 0x594b29e6813da67f),
+    ("fig5_keystroke", 0x37e4332f40f2a750, 0x0c9c62f2e49d1f81),
+    ("fig6_power", 0xd0c03ff384d420bf, 0xc3fc50555a26a996),
     ("pmf_deauth_matrix", 0xa2245c98c9d18296, 0x6450c7a3fcec2ef1),
     ("powersave_awake", 0x44912b1e6283336f, 0xaad9a54616174ae7),
-    ("sensing_hub", 0xfeef78c060eba601, 0xd2f032b507c4e8fa),
-    ("sifs_timing", 0xdae182b3fbdf578f, 0x0ecff213e7ac2e09),
-    ("table1_devices", 0xe82e50ffa016d4c0, 0x22b02cc0aaa5e64c),
+    ("sensing_hub", 0x580a4b31d8a52314, 0x02ff009c827f68d7),
+    ("sifs_timing", 0x5f67794f5af3d2ae, 0xf87e9a7756e6d238),
+    ("table1_devices", 0x7b1548ed59e0e699, 0xe03ea3884ad2f81d),
 ];
 
 /// FNV-1a 64 over every row of both tables: each slug's bytes, then
