@@ -1,5 +1,5 @@
 //! The wardriving survey pipeline (paper §3, Table 2): one segment
-//! engine, three drive policies.
+//! engine, two drive policies.
 //!
 //! The paper's rig was a three-thread Scapy program on a laptop with an
 //! RTL8812AU dongle: thread 1 discovered nearby devices by sniffing,
@@ -15,15 +15,18 @@
 //!   channel), pumps its capture in 250 ms slices and injects thread 2's
 //!   fakes on one schedule.
 //!
-//! Three drives differ only in policy:
+//! The two segment drives differ only in policy:
 //!
 //! * [`WardriveScanner`] (Table 2): devices ring a parked car; thread 2
 //!   backs off and quarantines per [`RetryPolicy`], and the dwell
 //!   stretches for stragglers;
 //! * [`CityWardrive`]: devices scatter over a city square, the car drives
-//!   through at 50 km/h, and thread 2 gives up after `max_attempts`;
-//! * the `ext_driveby` scenario: one continuous street drive with
-//!   [`Sniffer`] and the same pairing, but no segments.
+//!   through at 50 km/h, and thread 2 gives up after `max_attempts`.
+//!
+//! The `ext_driveby` scenario is not a segment drive. It builds one
+//! continuous street simulation through the harness's
+//! `ScenarioBuilder`, with the car as a moving monitor node, and reuses
+//! only [`Sniffer`] and [`AckVerifier::pairing`] over its capture.
 //!
 //! The two segment drives partition the city into per-channel segments.
 //! Each segment scan is a self-contained function of its own derived

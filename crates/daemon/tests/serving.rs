@@ -197,6 +197,24 @@ fn a_section_the_runner_does_not_read_is_a_400() {
     let _ = std::fs::remove_dir_all(state_dir);
 }
 
+/// `scenarios/city_wardrive.json` with a city of no devices: a 400
+/// before any cache lookup, not a job that fails when it runs.
+#[test]
+fn a_bad_city_size_is_a_400() {
+    let cfg = config("bad-city-size");
+    let state_dir = cfg.state_dir.clone();
+    let daemon = Daemon::start(cfg).unwrap();
+    let city = include_str!("../../../scenarios/city_wardrive.json");
+    let spec = city.replace("\"devices\": 100000", "\"devices\": 0");
+    let (status, cache, body) = submit(&daemon, &spec, "?wait=1");
+    let body = String::from_utf8(body).unwrap();
+    assert_eq!((status, cache.as_str()), (400, ""), "{body}");
+    assert!(body.contains("`wardrive.population.devices` must be a whole number in 1..=1000000"));
+    assert_eq!(daemon.counter(names::DAEMON_CACHE_MISS), 0);
+    daemon.drain().unwrap();
+    let _ = std::fs::remove_dir_all(state_dir);
+}
+
 /// `scenarios/fig3_deauth.json` with fewer trials than its two cases:
 /// a 400 before any cache lookup, not a run whose unmeasured case
 /// fails its assertions.

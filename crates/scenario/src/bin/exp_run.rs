@@ -162,7 +162,11 @@ fn main() -> std::io::Result<()> {
         None | Some("--help") => {
             println!(
                 "usage: exp_run SCENARIO.json [harness flags]\n       \
-                 exp_run --list | --fmt FILE... | --check FILE..."
+                 exp_run --list | --fmt FILE... | --check FILE...\n\n\
+                 --quick changes results only through the `quick_*` overrides of a spec's \
+                 `wardrive`\nsection (a smaller Table 2 population, a shorter city dwell), and \
+                 such a run writes\n`<slug>_quick`; for every other spec it only labels the \
+                 envelope `\"quick\": true`."
             );
             return Ok(());
         }
@@ -192,8 +196,8 @@ fn main() -> std::io::Result<()> {
         Ok(args) => args,
         Err(e) => fail(&e),
     };
-    // A run the spec or flags make impossible (fewer trials than cases,
-    // a bad param) is a usage error, like a bad flag.
+    // A run the flags make impossible (fewer trials than cases) is a
+    // usage error, like a bad flag.
     let status = match run_spec(&spec, args) {
         Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => fail(&e.to_string()),
         status => status?,

@@ -18,6 +18,7 @@ use polite_wifi_core::{
 };
 use polite_wifi_harness::{Experiment, MetricSummary, MetricsLedger, RunArgs, ScenarioBuilder};
 use polite_wifi_obs::json::{JsonWriter, ToJson};
+use polite_wifi_obs::Obs;
 use polite_wifi_pcap::LinkType;
 use polite_wifi_sim::NodeId;
 use std::collections::BTreeMap;
@@ -233,31 +234,19 @@ pub fn run(spec: &ScenarioSpec, exp: &mut Experiment) -> io::Result<Output> {
         let pcap = plan
             .pcap
             .map(|node| (sim.node(node).capture).to_pcap_bytes(LinkType::Ieee80211Radiotap));
-        let frames = sent.iter().map(|(_, frames)| frames).sum();
-        (frames, ledger, pcap, sim.take_obs())
+        let row = CaseRow {
+            name: plan.name.to_string(),
+            attack_frames: sent.iter().map(|(_, frames)| frames).sum(),
+            metrics: ledger.summaries(),
+        };
+        ((row, pcap), ledger, sim.take_obs())
     });
 
-    let mut attack_frames = 0u64;
-    let mut rows = Vec::new();
-    let mut by_case: BTreeMap<String, MetricsLedger> = BTreeMap::new();
-    let mut capture = None;
-    for (trial, result) in results.into_iter().enumerate() {
-        let Some((frames, ledger, pcap, obs)) = result else {
-            continue;
-        };
-        let name = plans[trial % plans.len()].name;
-        attack_frames += frames;
-        exp.metrics.merge(&ledger);
-        by_case.entry(name.to_string()).or_default().merge(&ledger);
-        exp.absorb_obs(obs);
-        capture = capture.or(pcap);
-        rows.push(CaseRow {
-            name: name.to_string(),
-            attack_frames: frames,
-            metrics: ledger.summaries(),
-        });
-    }
-    if let Some(bytes) = capture {
+    let names: Vec<&str> = plans.iter().map(|p| p.name).collect();
+    let (trials, by_case) = fold(exp, &names, results);
+    let (rows, captures): (Vec<CaseRow>, Vec<_>) = trials.into_iter().unzip();
+    let attack_frames = rows.iter().map(|row| row.attack_frames).sum();
+    if let Some(bytes) = captures.into_iter().flatten().next() {
         let path = crate::support::ensure_results_dir()?.join(format!("{}.pcap", spec.slug));
         std::fs::write(&path, bytes)?;
         println!("\npcap written to {}", path.display());
@@ -279,6 +268,31 @@ pub fn run(spec: &ScenarioSpec, exp: &mut Experiment) -> io::Result<Output> {
             cases,
         })
     })
+}
+
+/// Folds trial results in trial order (trial `t` ran case `t mod n`):
+/// each completed trial's metrics into the experiment's ledger and its
+/// case's, its obs into the experiment's. Returns each completed
+/// trial's result and each case's merged metrics. Every runner that
+/// cycles through `cases` folds here.
+pub(crate) fn fold<T>(
+    exp: &mut Experiment,
+    names: &[&str],
+    results: Vec<Option<(T, MetricsLedger, Obs)>>,
+) -> (Vec<T>, BTreeMap<String, MetricsLedger>) {
+    let mut trials = Vec::new();
+    let mut by_case: BTreeMap<String, MetricsLedger> = BTreeMap::new();
+    for (trial, result) in results.into_iter().enumerate() {
+        let Some((out, ledger, obs)) = result else {
+            continue;
+        };
+        let name = names[trial % names.len()];
+        exp.metrics.merge(&ledger);
+        by_case.entry(name.to_string()).or_default().merge(&ledger);
+        exp.absorb_obs(obs);
+        trials.push(out);
+    }
+    (trials, by_case)
 }
 
 #[cfg(test)]

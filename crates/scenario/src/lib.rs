@@ -10,7 +10,7 @@
 //! [`registry`], checks the spec's assertions against the metrics the
 //! runner recorded, and writes the envelope with their verdict.
 //!
-//! Two kinds of runner exist:
+//! Three kinds of runner exist:
 //!
 //! * [`generic`] — fully interpreted: the spec alone drives
 //!   [`ScenarioBuilder`](polite_wifi_harness::ScenarioBuilder)
@@ -21,10 +21,12 @@
 //!   NAV DoS) and the related-work scenarios (Block-Ack paralysis, PMF
 //!   deauth resilience, power-save wake-ups) land purely as data files
 //!   this way.
+//! * [`wardrive`] — the segment drives, interpreted from a `wardrive`
+//!   section: Table 2's survey, its MAC-randomisation extension (as
+//!   `cases`) and the city-scale drive.
 //! * [`experiments`] — bespoke runners whose logic is programmatic
-//!   (parameter sweeps, classifiers, city scale). Their specs carry
-//!   identity, run defaults, assertions and, for the city, tuning
-//!   params.
+//!   (parameter sweeps, classifiers, the continuous drive-by). Their
+//!   specs carry identity, run defaults and assertions.
 //!
 //! The [`pins`] hold every scenario's pinned envelope digest, which the
 //! result-cache key covers.
@@ -36,10 +38,12 @@ pub mod pins;
 pub mod registry;
 pub mod spec;
 pub mod support;
+pub mod wardrive;
 
 pub use hash::fnv1a64;
 pub use registry::{run_spec, runner_names};
 pub use spec::{
     behavior_from_label, bitrate_from_label, AssertionSpec, AttackSpec, Case, CaseSeed, CaseSpec,
-    NodeKind, NodeSpec, ParamValue, ProbeSpec, RunSpec, ScenarioSpec, TopologySpec,
+    Drive, NodeKind, NodeSpec, PopulationSpec, ProbeSpec, RunSpec, ScenarioSpec, TopologySpec,
+    WardriveSpec,
 };

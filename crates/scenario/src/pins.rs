@@ -16,11 +16,11 @@ pub const GOLDENS: &[(&str, u64)] = &[
     ("ablation_validate", 0x56a67a5cb459b5c8),
     ("battery_life", 0xd4b235852b002e28),
     ("blockack_paralysis", 0x2dc0b2f7477b4aca),
-    ("city_wardrive", 0x44026cb5a560abfa),
+    ("city_wardrive", 0x0e928d8e02a56950),
     ("ext_classifier", 0x06a0a0ca64d6da76),
     ("ext_driveby", 0xb40870ff56f1ed8d),
     ("ext_nav_dos", 0x537d4a8730557d13),
-    ("ext_randomization", 0xd4dc913e95f86aa1),
+    ("ext_randomization", 0x95c0585cb3ecc94a),
     ("ext_ranging", 0x33980a4a5a9fd2f8),
     ("ext_vitals", 0x1afa6ae2d32bae70),
     ("fig2_trace", 0x0a3b957258355c49),
@@ -32,7 +32,7 @@ pub const GOLDENS: &[(&str, u64)] = &[
     ("sensing_hub", 0x82f5904cb25844ac),
     ("sifs_timing", 0x4a41f5248d85ed63),
     ("table1_devices", 0xb91df9be91f17d87),
-    ("table2_wardrive", 0x1c50779da4a52257),
+    ("table2_wardrive", 0x0a406cdadac71c7b),
 ];
 
 /// Per scenario pinned under faults: the same digest under

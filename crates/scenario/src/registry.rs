@@ -3,8 +3,8 @@
 //! finish every run goes through.
 
 use crate::experiments::{
-    battery_life, city_wardrive, ext_classifier, ext_driveby, ext_randomization, ext_ranging,
-    ext_vitals, fig5_keystroke, fig6_power, sensing_hub, table2_wardrive,
+    battery_life, ext_classifier, ext_driveby, ext_ranging, ext_vitals, fig5_keystroke, fig6_power,
+    sensing_hub,
 };
 use crate::spec::{AssertionSpec, ScenarioSpec};
 use polite_wifi_core::Summary;
@@ -18,18 +18,15 @@ use std::io;
 pub struct Output {
     /// The envelope's `payload`.
     pub payload: Box<dyn ToJson>,
-    /// Under `--quick`, write the envelope as `<slug>_quick`.
-    pub quick_slug: bool,
     /// Each case's merged metrics, which case-scoped assertions read.
     pub by_case: BTreeMap<String, MetricsLedger>,
 }
 
 impl Output {
-    /// `payload`, written under the spec's slug, with no cases.
+    /// `payload`, with no cases.
     pub fn new(payload: impl ToJson + 'static) -> Output {
         Output {
             payload: Box::new(payload),
-            quick_slug: false,
             by_case: BTreeMap::new(),
         }
     }
@@ -37,7 +34,7 @@ impl Output {
 
 type RunnerFn = fn(&ScenarioSpec, &mut Experiment) -> io::Result<Output>;
 
-/// The optional sections the generic runner reads: all but `params`.
+/// The optional sections the generic runner reads: all but `wardrive`.
 const GENERIC: &[&str] = &[
     "run",
     "topology",
@@ -50,25 +47,24 @@ const GENERIC: &[&str] = &[
 const BESPOKE: &[&str] = &["run", "assertions"];
 
 /// Every registered runner: name → entry point and the optional spec
-/// sections it reads (any other is a parse error). `generic` interprets
-/// the spec alone; the rest are the ported paper experiments.
+/// sections it reads (any other is a parse error). `generic` and
+/// `wardrive` interpret the spec alone; the rest are the ported paper
+/// experiments.
 pub(crate) const RUNNERS: &[(&str, RunnerFn, &[&str])] = &[
     ("generic", crate::generic::run, GENERIC),
-    ("battery_life", battery_life::run, BESPOKE),
     (
-        "city_wardrive",
-        city_wardrive::run,
-        &["run", "assertions", "params"],
+        "wardrive",
+        crate::wardrive::run,
+        &["run", "wardrive", "cases", "assertions"],
     ),
+    ("battery_life", battery_life::run, BESPOKE),
     ("ext_classifier", ext_classifier::run, BESPOKE),
     ("ext_driveby", ext_driveby::run, BESPOKE),
-    ("ext_randomization", ext_randomization::run, BESPOKE),
     ("ext_ranging", ext_ranging::run, BESPOKE),
     ("ext_vitals", ext_vitals::run, BESPOKE),
     ("fig5_keystroke", fig5_keystroke::run, BESPOKE),
     ("fig6_power", fig6_power::run, BESPOKE),
     ("sensing_hub", sensing_hub::run, BESPOKE),
-    ("table2_wardrive", table2_wardrive::run, BESPOKE),
 ];
 
 /// All registered runner names (for `exp_run --list` and diagnostics).
@@ -131,7 +127,7 @@ pub fn run_spec(spec: &ScenarioSpec, args: RunArgs) -> io::Result<i32> {
         exp.set_assertions(outcomes);
     }
 
-    let slug = match output.quick_slug && args.quick {
+    let slug = match args.quick && spec.quick_overrides() {
         true => format!("{}_quick", spec.slug),
         false => spec.slug.clone(),
     };

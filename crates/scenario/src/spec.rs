@@ -3,8 +3,9 @@
 //! A scenario is one JSON file that composes everything an experiment
 //! needs: identity (envelope `name`/`paper_ref`/`slug`), run defaults
 //! (seed, trials, workers, quick, fault profile), a population/topology
-//! for [`ScenarioBuilder`], attacker strategies, defender probes, the
-//! cases trials cycle through, and a pass/fail assertion block.
+//! for [`ScenarioBuilder`] or a segment drive (`wardrive`), attacker
+//! strategies, defender probes, the cases trials cycle through, and a
+//! pass/fail assertion block.
 //!
 //! Each section, and each attack and probe kind, has **one field list**
 //! (a `Section::fields` body; for attacks and probes, the variant's
@@ -439,6 +440,8 @@ pub struct CaseSpec {
     pub name: String,
     /// This case's population/topology.
     pub topology: Option<TopologySpec>,
+    /// This case's segment drive.
+    pub wardrive: Option<WardriveSpec>,
     /// This case's attacker strategies.
     pub attacks: Option<Vec<AttackSpec>>,
     /// This case's defender probes.
@@ -453,22 +456,76 @@ pub struct Case<'s> {
     pub name: &'s str,
     /// Population/topology.
     pub topology: Option<&'s TopologySpec>,
+    /// Segment drive.
+    pub wardrive: Option<&'s WardriveSpec>,
     /// Attacker strategies.
     pub attacks: &'s [AttackSpec],
     /// Defender probes.
     pub probes: &'s [ProbeSpec],
 }
 
-/// A freeform scalar parameter (ported experiments read these).
-#[derive(Debug, Clone, PartialEq)]
-pub enum ParamValue {
-    /// A number.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// A boolean.
-    Bool(bool),
+tagged_section! {
+    /// Who a segment drive surveys.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum PopulationSpec ("population") {
+        /// Table 2's 5,328 devices, clients then APs, generated from
+        /// `seed`.
+        "table2" => Table2 {
+            seed: u64 = req,
+        }
+        /// The first `clients` clients of `vendors` in Table 2's
+        /// population, then its first `aps` APs.
+        "table2-slice" => Table2Slice {
+            seed: u64 = req,
+            vendors: Vec<String> = req,
+            clients: usize = req,
+            aps: usize = req,
+        }
+        /// A synthetic city of `devices` devices, generated from the
+        /// trial's seed.
+        "city" => City {
+            devices: usize = req_if(city_size),
+        }
+    }
 }
+
+/// How the survey car meets each segment's devices.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Drive {
+    /// Parked among them ([`polite_wifi_core::WardriveScanner`]).
+    Parked,
+    /// Through a `city` ([`polite_wifi_core::CityWardrive`]).
+    DriveThrough,
+}
+
+/// The `wardrive` section: one segment drive (paper §3), holding every
+/// constant that changes its result. What all drives share (fakes per
+/// target, retry policy, city area, injection rounds) stays in
+/// `polite-wifi-core`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WardriveSpec {
+    /// Who is surveyed.
+    pub population: PopulationSpec,
+    /// The drive policy.
+    pub drive: Drive,
+    /// Devices per neighbourhood segment.
+    pub segment_size: usize,
+    /// Simulated dwell per segment, µs.
+    pub dwell_us: u64,
+    /// Share of phone clients given random MACs (parked drives only),
+    /// drawn from `mac_seed`.
+    pub randomized: Option<f64>,
+    /// Seed of the randomised-MAC draw; set with `randomized`.
+    pub mac_seed: Option<u64>,
+    /// Under `--quick`, the population's size: a city of this many
+    /// devices, or a Table 2 population's first `quick_devices`.
+    pub quick_devices: Option<usize>,
+    /// Under `--quick`, the dwell per segment, µs.
+    pub quick_dwell_us: Option<u64>,
+}
+
+/// The largest population a `wardrive` section may ask for.
+const MAX_DEVICES: usize = 1_000_000;
 
 /// A fully parsed and validated scenario.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -486,6 +543,8 @@ pub struct ScenarioSpec {
     pub run: RunSpec,
     /// Population/topology (required for `generic`).
     pub topology: Option<TopologySpec>,
+    /// Segment drive (required for `wardrive`).
+    pub wardrive: Option<WardriveSpec>,
     /// Attacker strategies.
     pub attacks: Vec<AttackSpec>,
     /// Defender probes.
@@ -494,8 +553,6 @@ pub struct ScenarioSpec {
     pub cases: Vec<CaseSpec>,
     /// Pass/fail assertion block.
     pub assertions: Vec<AssertionSpec>,
-    /// Freeform per-experiment parameters.
-    pub params: Vec<(String, ParamValue)>,
 }
 
 // ===== Labels =====
@@ -565,6 +622,11 @@ const SUMMARIES: Labels<Summary> = Labels(&[
 
 const CASE_SEEDS: Labels<CaseSeed> =
     Labels(&[("trial", CaseSeed::Trial), ("shared", CaseSeed::Shared)]);
+
+const DRIVES: Labels<Drive> = Labels(&[
+    ("parked", Drive::Parked),
+    ("drive-through", Drive::DriveThrough),
+]);
 
 /// Parses a bit-rate label (`"1"`, `"5.5"`, `"24"`, …).
 pub fn bitrate_from_label(label: &str) -> Option<BitRate> {
@@ -681,18 +743,25 @@ impl Section for ScenarioSpec {
         });
         v.opt("run", &mut self.run);
         v.opt("topology", &mut self.topology);
+        v.opt("wardrive", &mut self.wardrive);
         v.opt("attacks", &mut self.attacks);
         v.opt("probes", &mut self.probes);
         v.opt("cases", &mut self.cases);
         v.opt("assertions", &mut self.assertions);
-        v.opt("params", &mut self.params);
     }
 }
 
-fn at_least_one(n: &usize) -> Result<(), String> {
+fn at_least_one<T: Default + PartialEq>(n: &T) -> Result<(), String> {
+    match *n == T::default() {
+        true => Err("must be at least 1".to_string()),
+        false => Ok(()),
+    }
+}
+
+fn city_size(n: &usize) -> Result<(), String> {
     match n {
-        0 => Err("must be at least 1".to_string()),
-        _ => Ok(()),
+        1..=MAX_DEVICES => Ok(()),
+        _ => Err(format!("must be a whole number in 1..={MAX_DEVICES}")),
     }
 }
 
@@ -704,8 +773,51 @@ impl Section for CaseSpec {
     fn fields<V: Visit>(&mut self, v: &mut V) {
         v.req("name", &mut self.name);
         v.opt("topology", &mut self.topology);
+        v.opt("wardrive", &mut self.wardrive);
         v.opt("attacks", &mut self.attacks);
         v.opt("probes", &mut self.probes);
+    }
+}
+
+impl Section for WardriveSpec {
+    fn blank() -> Self {
+        WardriveSpec {
+            population: PopulationSpec::blank(),
+            drive: Drive::Parked,
+            segment_size: 0,
+            dwell_us: 0,
+            randomized: None,
+            mac_seed: None,
+            quick_devices: None,
+            quick_dwell_us: None,
+        }
+    }
+
+    fn fields<V: Visit>(&mut self, v: &mut V) {
+        v.req("population", &mut self.population);
+        v.req("drive", &mut self.drive);
+        v.req_if("segment_size", &mut self.segment_size, at_least_one);
+        v.req_if("dwell_us", &mut self.dwell_us, at_least_one);
+        v.opt_if("randomized", &mut self.randomized, |f| match f {
+            Some(f) if !(0.0..=1.0).contains(f) => Err("must be a fraction in [0, 1]".to_string()),
+            _ => Ok(()),
+        });
+        v.opt("mac_seed", &mut self.mac_seed);
+        v.opt_if("quick_devices", &mut self.quick_devices, |n| {
+            n.as_ref().map_or(Ok(()), city_size)
+        });
+        v.opt_if("quick_dwell_us", &mut self.quick_dwell_us, |d| {
+            d.as_ref().map_or(Ok(()), at_least_one)
+        });
+        v.reject_if(
+            self.randomized.is_some() != self.mac_seed.is_some(),
+            "sets `randomized` and `mac_seed` together",
+        );
+        let city = matches!(self.population, PopulationSpec::City { .. });
+        v.reject_if(
+            self.drive == Drive::DriveThrough && (!city || self.randomized.is_some()),
+            "drives `drive-through` only through a `city` population, without `randomized`",
+        );
     }
 }
 
@@ -898,7 +1010,7 @@ macro_rules! blanks {
     )*};
 }
 
-blanks!(String => String::new(), Option<String> => None, u16 => 0, u32 => 0, u64 => 0, BitRate => BitRate::Mbps1, StatKind => StatKind::AcksSent);
+blanks!(String => String::new(), Option<String> => None, Vec<String> => Vec::new(), u16 => 0, u32 => 0, u64 => 0, usize => 0, BitRate => BitRate::Mbps1, StatKind => StatKind::AcksSent);
 
 /// Canonical number text: integral values without a decimal point.
 fn num(n: f64) -> String {
@@ -988,6 +1100,7 @@ label_values! {
     When: |s| WHENS.get(s), |s| WHENS.wrong(s), |w| WHENS.label(*w).to_string();
     Summary: |s| SUMMARIES.get(s), |s| SUMMARIES.wrong(s), |m| SUMMARIES.label(*m).to_string();
     CaseSeed: |s| CASE_SEEDS.get(s), |s| CASE_SEEDS.wrong(s), |c| CASE_SEEDS.label(*c).to_string();
+    Drive: |s| DRIVES.get(s), |s| DRIVES.wrong(s), |d| DRIVES.label(*d).to_string();
 }
 
 /// Reads a two-element array (`shape` names it in errors).
@@ -1054,44 +1167,6 @@ impl<T: Value> Value for Vec<T> {
         w.begin_array();
         self.iter_mut().for_each(|item| item.write(w));
         w.end_array();
-    }
-
-    fn omitted(&self) -> bool {
-        self.is_empty()
-    }
-}
-
-/// `params`: an object of freeform scalars, in document order.
-impl Value for Vec<(String, ParamValue)> {
-    fn read(v: &mut Doc, at: &Path, r: &mut Reader) -> Option<Self> {
-        let Json::Obj(entries) = v else {
-            return r.problem(format!("{at} must be an object"));
-        };
-        let params = entries.iter_mut().filter_map(|(key, value)| {
-            let value = match value {
-                Json::Num(n) => ParamValue::Num(*n),
-                Json::Str(s) => ParamValue::Str(std::mem::take(s).into_owned()),
-                Json::Bool(b) => ParamValue::Bool(*b),
-                _ => {
-                    let at = Path::Field(at, key);
-                    return r.problem(format!("{at} must be a number, string or boolean"));
-                }
-            };
-            Some((key.to_string(), value))
-        });
-        Some(params.collect())
-    }
-
-    fn write(&mut self, w: &mut JsonWriter) {
-        w.begin_object();
-        for (key, value) in self.iter() {
-            match value {
-                ParamValue::Num(n) => w.key(key).raw(&num(*n)),
-                ParamValue::Str(s) => w.key(key).string(s),
-                ParamValue::Bool(b) => w.key(key).bool(*b),
-            };
-        }
-        w.end_object();
     }
 
     fn omitted(&self) -> bool {
@@ -1320,20 +1395,24 @@ impl ScenarioSpec {
         let mut problems = r.problems;
         spec.check_nodes(&mut problems);
         spec.check_sections(&mut problems);
-        if spec.runner == "generic" {
-            for case in spec.resolved_cases() {
-                let of = match spec.cases.is_empty() {
-                    true => String::new(),
-                    false => format!(" (case `{}`)", case.name),
-                };
-                if case.topology.is_none() {
-                    problems.push(format!(
-                        "`runner: generic` requires a `topology` section{of}"
-                    ));
+        for case in spec.resolved_cases() {
+            let of = match spec.cases.is_empty() {
+                true => String::new(),
+                false => format!(" (case `{}`)", case.name),
+            };
+            let mut require = |missing: bool, what: &str| {
+                if missing {
+                    let runner = &spec.runner;
+                    problems.push(format!("`runner: {runner}` requires {what}{of}"));
                 }
-                if case.probes.is_empty() {
-                    problems.push(format!("`runner: generic` requires at least one probe{of}"));
+            };
+            match spec.runner.as_str() {
+                "generic" => {
+                    require(case.topology.is_none(), "a `topology` section");
+                    require(case.probes.is_empty(), "at least one probe");
                 }
+                "wardrive" => require(case.wardrive.is_none(), "a `wardrive` section"),
+                _ => {}
             }
         }
         match problems.is_empty() {
@@ -1364,6 +1443,7 @@ impl ScenarioSpec {
         let top = Case {
             name: "",
             topology: self.topology.as_ref(),
+            wardrive: self.wardrive.as_ref(),
             attacks: &self.attacks,
             probes: &self.probes,
         };
@@ -1373,6 +1453,7 @@ impl ScenarioSpec {
         let case = |c: &'s CaseSpec| Case {
             name: &c.name,
             topology: c.topology.as_ref().or(top.topology),
+            wardrive: c.wardrive.as_ref().or(top.wardrive),
             attacks: c.attacks.as_deref().unwrap_or(top.attacks),
             probes: c.probes.as_deref().unwrap_or(top.probes),
         };
@@ -1435,15 +1516,19 @@ impl ScenarioSpec {
         }
     }
 
-    /// Reports every section the spec's runner does not read, a shared
-    /// case seed without cases, fewer trials than cases, and each case
-    /// an assertion names that the spec does not declare.
+    /// Reports every section, top-level or a case's, that the spec's
+    /// runner does not read, a shared case seed without cases, fewer
+    /// trials than cases, and each case an assertion names that the spec
+    /// does not declare.
     fn check_sections(&mut self, problems: &mut Vec<String>) {
         let registered = crate::registry::RUNNERS
             .iter()
             .find(|(name, ..)| *name == self.runner);
         if let Some(&(runner, _, reads)) = registered {
             self.fields(&mut Unread(runner, reads, problems));
+            for case in &mut self.cases {
+                case.fields(&mut Unread(runner, reads, problems));
+            }
         }
         if self.run.case_seed == CaseSeed::Shared && self.cases.is_empty() {
             problems.push("`run.case_seed` is `shared`, which needs `cases`".to_string());
@@ -1463,12 +1548,15 @@ impl ScenarioSpec {
         }
     }
 
-    /// Reads a numeric param.
-    pub fn param_num(&self, key: &str) -> Option<f64> {
-        self.params.iter().find_map(|(k, v)| match v {
-            ParamValue::Num(n) if k == key => Some(*n),
-            _ => None,
-        })
+    /// Whether `--quick` changes this spec's results: a `wardrive`
+    /// section declares `quick_*` overrides. Such a spec writes its
+    /// `--quick` envelope as `<slug>_quick`; for every other spec
+    /// `--quick` only labels the envelope.
+    pub(crate) fn quick_overrides(&self) -> bool {
+        let quick = |w: &WardriveSpec| w.quick_devices.is_some() || w.quick_dwell_us.is_some();
+        self.resolved_cases()
+            .iter()
+            .any(|c| c.wardrive.is_some_and(quick))
     }
 
     /// Builds the [`RunArgs`] defaults this spec pins.
@@ -1844,29 +1932,90 @@ mod tests {
 
     #[test]
     fn sections_the_runner_does_not_read_are_rejected() {
-        let err = ScenarioSpec::parse(&fig6_power_with_a_topology()).unwrap_err();
-        assert!(
-            err.contains(
-                "runner `fig6_power` does not read `topology` (it reads `run`, `assertions`)"
-            ),
-            "{err}"
+        let reads = "(it reads `run`, `assertions`)";
+        rejects(
+            &fig6_power_with_a_topology(),
+            &format!("`fig6_power` does not read `topology` {reads}"),
         );
-        assert_eq!(err.lines().count(), 1);
         let city = include_str!("../../../scenarios/city_wardrive.json");
-        let with_params = city.replace("\n}\n", ",\n  \"params\": {\"devices\": 1000}\n}\n");
-        assert!(ScenarioSpec::parse(&with_params).is_ok());
-        let err = ScenarioSpec::parse(&with_params.replace("city_wardrive\"", "fig6_power\""))
-            .unwrap_err();
-        assert!(err.contains("does not read `params`"), "{err}");
-        let generic = MINIMAL.replace("  ]\n}\n", "  ],\n  \"params\": {\"devices\": 1}\n}\n");
-        let err = ScenarioSpec::parse(&generic).unwrap_err();
-        assert!(
-            err.contains(
-                "runner `generic` does not read `params` (it reads `run`, `topology`, `attacks`, \
-                 `probes`, `cases`, `assertions`)"
-            ),
-            "{err}"
+        rejects(
+            &city.replace("\"wardrive\",", "\"fig6_power\","),
+            "does not read `wardrive`",
         );
+        let generic = MINIMAL.replace("  ]\n}\n", "  ],\n  \"wardrive\": {}\n}\n");
+        rejects(
+            &generic,
+            "runner `generic` does not read `wardrive` (it reads `run`, `topology`",
+        );
+        // A case's sections are read by the same runner, and `params` is gone.
+        let cased = r#"  "cases": [{"name": "c", "probes": [{"kind": "pcap", "node": "x"}]}],"#;
+        let cased = city.replace("  \"assertions\"", &format!("{cased}\n  \"assertions\""));
+        rejects(
+            &cased,
+            "`wardrive` does not read `probes` (it reads `run`, `wardrive`, `cases`",
+        );
+        let params = city.replace("\n}\n", ",\n  \"params\": {\"devices\": 1000}\n}\n");
+        rejects(&params, "unknown key `params` in the spec");
+    }
+
+    /// Asserts that `text` fails to parse with one single-line error
+    /// naming `problem`.
+    fn rejects(text: &str, problem: &str) {
+        let err = ScenarioSpec::parse(text).unwrap_err();
+        assert!(err.contains(problem), "{problem}: {err}");
+        assert_eq!(err.lines().count(), 1);
+    }
+
+    /// `scenarios/city_wardrive.json` with its city sized `devices`.
+    fn city_of(devices: &str) -> String {
+        let city = include_str!("../../../scenarios/city_wardrive.json");
+        city.replace("\"devices\": 100000", &format!("\"devices\": {devices}"))
+    }
+
+    #[test]
+    fn city_size_is_in_the_spec_and_the_cache_key() {
+        let [default, million] = ["100000", "1000000"].map(|n| ScenarioSpec::parse(&city_of(n)));
+        let (default, million) = (default.unwrap(), million.unwrap());
+        let population = &million.wardrive.as_ref().unwrap().population;
+        assert_eq!(population, &PopulationSpec::City { devices: 1_000_000 });
+        assert_ne!(default.canonical_hash(), million.canonical_hash());
+    }
+
+    /// A bad city size is a parse error, for the drive and its `--quick`
+    /// override alike; no bad value reaches a run.
+    #[test]
+    fn bad_devices_are_rejected_not_panicked_on() {
+        for bad in ["0", "1.5", "2000000", "-3", "\"many\""] {
+            rejects(&city_of(bad), "`wardrive.population.devices` must be");
+            let quick = format!("\"quick_dwell_us\": 1, \"quick_devices\": {bad}");
+            let quick = city_of("100").replace("\"quick_dwell_us\": 500000", &quick);
+            rejects(&quick, "`wardrive.quick_devices` must be");
+        }
+        rejects(&city_of("0"), "must be a whole number in 1..=1000000");
+    }
+
+    #[test]
+    fn wardrive_sections_validate_their_numbers_and_policy() {
+        let table2 = include_str!("../../../scenarios/table2_wardrive.json");
+        // Each row: the committed text, its replacement, the problem.
+        for row in [
+            r#""segment_size": 48|"segment_size": 0|`wardrive.segment_size` must be at least 1"#,
+            r#""dwell_us": 2500000|"dwell_us": 0|`wardrive.dwell_us` must be at least 1"#,
+            r#""dwell_us": 2500000|"dwell_us": 1, "randomized": 1.5, "mac_seed": 7|in [0, 1]"#,
+            r#""dwell_us": 2500000|"dwell_us": 1, "randomized": 0.5|`randomized` and `mac_seed`"#,
+            r#""parked"|"drive-through"|drives `drive-through` only through a `city`"#,
+            r#""parked"|"towed"|`wardrive.drive` must be `parked` or `drive-through`"#,
+            r#""quick_devices": 500|"quick_dwell_us": 0|`wardrive.quick_dwell_us` must be"#,
+            r#""kind": "table2"|"kind": "moon"|not a known population: `moon`"#,
+        ] {
+            let [from, to, problem] =
+                <[&str; 3]>::try_from(row.split('|').collect::<Vec<_>>()).unwrap();
+            assert!(table2.contains(from), "{from}");
+            rejects(&table2.replacen(from, to, 1), problem);
+        }
+        let bare =
+            table2.split("  \"wardrive\"").next().unwrap().to_string() + "  \"assertions\": []\n}";
+        rejects(&bare, "`runner: wardrive` requires a `wardrive` section");
     }
 
     #[test]
@@ -1890,10 +2039,9 @@ mod tests {
         assert!(s.sim.station(ids["victim"]).is_blocked(topo.mac_of("ap")));
         assert!(!s.sim.station(ids["ap"]).is_blocked(topo.mac_of("victim")));
 
-        let err = ScenarioSpec::parse(&text.replace("\"min\"", "\"median\"")).unwrap_err();
-        assert!(
-            err.contains("summary must be `mean`, `min` or `max`, got `median`"),
-            "{err}"
+        rejects(
+            &text.replace("\"min\"", "\"median\""),
+            "summary must be `mean`, `min` or `max`, got `median`",
         );
         let err =
             ScenarioSpec::parse(&text.replace("\"ap\"\n        ]", "\"ghost\"]")).unwrap_err();
@@ -1966,18 +2114,13 @@ mod tests {
             err.contains("`assertions[0]` names unknown case `ghost`"),
             "{err}"
         );
-        let err = ScenarioSpec::parse(&shared(MINIMAL)).unwrap_err();
-        assert!(
-            err.contains("`run.case_seed` is `shared`, which needs `cases`"),
-            "{err}"
+        rejects(
+            &shared(MINIMAL),
+            "`run.case_seed` is `shared`, which needs `cases`",
         );
-        let err = ScenarioSpec::parse(
+        rejects(
             &MINIMAL.replace("\"clean\"", "\"clean\", \"case_seed\": \"pass\""),
-        )
-        .unwrap_err();
-        assert!(
-            err.contains("`run.case_seed` must be `trial` or `shared`, got `pass`"),
-            "{err}"
+            "`run.case_seed` must be `trial` or `shared`, got `pass`",
         );
     }
 
@@ -1989,10 +2132,9 @@ mod tests {
         let text = with_cases(victim);
         let two = ScenarioSpec::parse(&text.replace("\"trials\": 3", "\"trials\": 2")).unwrap();
         assert_eq!((two.run.trials, two.cases.len()), (2, 2));
-        let err = ScenarioSpec::parse(&text.replace("\"trials\": 3", "\"trials\": 1")).unwrap_err();
-        assert!(
-            err.contains("1 trial(s) cannot run all 2 declared cases"),
-            "{err}"
+        rejects(
+            &text.replace("\"trials\": 3", "\"trials\": 1"),
+            "1 trial(s) cannot run all 2 declared cases",
         );
     }
 
@@ -2011,10 +2153,9 @@ mod tests {
         assert!(a.clean_only);
         assert_eq!(a.paper.as_deref(), Some("~10 mW"));
         assert_eq!(spec.to_canonical_json(), text);
-        let err = ScenarioSpec::parse(&text.replace("\"~10 mW\"", "10")).unwrap_err();
-        assert!(
-            err.contains("`assertions[0]`.paper must be a string"),
-            "{err}"
+        rejects(
+            &text.replace("\"~10 mW\"", "10"),
+            "`assertions[0]`.paper must be a string",
         );
     }
 
@@ -2026,21 +2167,20 @@ mod tests {
         );
         let spec = ScenarioSpec::parse(&per).expect("parses");
         assert_eq!(spec.to_canonical_json(), per);
-        let err = ScenarioSpec::parse(&per.replace(
-            "\"per_frames_from\": \"ap\"",
-            "\"per_frames_from\": \"ghost\"",
-        ))
-        .unwrap_err();
-        assert!(
-            err.contains("`probes[0]` references unknown node `ghost`"),
-            "{err}"
+        rejects(
+            &per.replace(
+                "\"per_frames_from\": \"ap\"",
+                "\"per_frames_from\": \"ghost\"",
+            ),
+            "`probes[0]` references unknown node `ghost`",
         );
-        let err = ScenarioSpec::parse(&per.replace(
-            "\"acks_sent\",\n      \"metric",
-            "\"tx_counts\",\n      \"metric",
-        ))
-        .unwrap_err();
-        assert!(err.contains("is not a known counter: `tx_counts`"), "{err}");
+        rejects(
+            &per.replace(
+                "\"acks_sent\",\n      \"metric",
+                "\"tx_counts\",\n      \"metric",
+            ),
+            "is not a known counter: `tx_counts`",
+        );
     }
 
     #[test]
@@ -2067,10 +2207,9 @@ mod tests {
             "{err}"
         );
         assert!(!err.contains("duplicate"), "{err}");
-        let err = ScenarioSpec::parse(&with_cases(&format!("{ap}, {ap}, {victim}"))).unwrap_err();
-        assert!(
-            err.contains("duplicate node name `ap` in `cases[0]`.topology.nodes"),
-            "{err}"
+        rejects(
+            &with_cases(&format!("{ap}, {ap}, {victim}")),
+            "duplicate node name `ap` in `cases[0]`.topology.nodes",
         );
         let err =
             ScenarioSpec::parse(&with_cases(victim).replace("\"ap\"}", "\"nobody\"}")).unwrap_err();
@@ -2104,10 +2243,9 @@ mod tests {
             err.contains("`attacks[0]` paces 1000000000000 frames, above the 1000000-frame limit"),
             "{err}"
         );
-        let err = ScenarioSpec::parse(&hostile_powersave("1000001")).unwrap_err();
-        assert!(
-            err.contains("paces 1000001 frames/s, above the 1000000 frames/s limit"),
-            "{err}"
+        rejects(
+            &hostile_powersave("1000001"),
+            "paces 1000001 frames/s, above the 1000000 frames/s limit",
         );
         let at_the_cap = hostile_powersave("1000000").replace("1000000000000", "1000000");
         assert!(ScenarioSpec::parse(&at_the_cap).is_ok());
@@ -2115,10 +2253,6 @@ mod tests {
         let traffic = include_str!("../../../scenarios/blockack_paralysis.json");
         assert!(traffic.contains("\"payload_len\": 200,"));
         let huge = traffic.replace("\"payload_len\": 200,", "\"payload_len\": 1000000000,");
-        let err = ScenarioSpec::parse(&huge).unwrap_err();
-        assert!(
-            err.contains("payload_len must be at most 2304 bytes"),
-            "{err}"
-        );
+        rejects(&huge, "payload_len must be at most 2304 bytes");
     }
 }

@@ -7,9 +7,9 @@
 //!    everything committed, and the parser/writer pair round-trips;
 //! 2. its runner is registered and its file name matches its slug;
 //! 3. a `--quick` run produces a byte-identical result envelope at
-//!    workers 1, 4 and 8, after masking the `workers` field itself and
-//!    the `wall_seconds` metric — the only legitimately
-//!    timing-dependent values in an envelope;
+//!    workers 1, 4 and 8, after masking the `workers` field itself —
+//!    the only legitimately worker-dependent value in an envelope (wall
+//!    times are printed, never recorded);
 //! 4. those masked envelopes hash to the digest pinned for the slug in
 //!    [`GOLDENS`] (library code, because the result cache keys on it).
 //!    Every value the paper's tables and figures report is in an
@@ -79,38 +79,8 @@ fn every_committed_scenario_is_canonical_and_registered() {
     );
 }
 
-/// Masks the two legitimately worker-dependent values in an envelope:
-/// the `workers` field and the `wall_seconds` metric summary.
-fn mask_worker_dependent(v: &mut JsonValue) {
-    let JsonValue::Obj(fields) = v else { return };
-    for (key, val) in fields.iter_mut() {
-        match key.as_str() {
-            "workers" => *val = JsonValue::Num(0.0),
-            "metrics" => {
-                let JsonValue::Arr(metrics) = val else {
-                    continue;
-                };
-                for metric in metrics {
-                    let JsonValue::Obj(mf) = metric else { continue };
-                    if !mf
-                        .iter()
-                        .any(|(k, v)| k == "name" && v.as_str() == Some("wall_seconds"))
-                    {
-                        continue;
-                    }
-                    for (mk, mv) in mf.iter_mut() {
-                        if matches!(mk.as_str(), "mean" | "min" | "max" | "total") {
-                            *mv = JsonValue::Num(0.0);
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Every result envelope written into `dir`, by file name, masked.
+/// Every result envelope written into `dir`, by file name, with its one
+/// legitimately worker-dependent value, the `workers` field, masked.
 fn normalised_envelopes(dir: &Path) -> BTreeMap<String, JsonValue> {
     let mut out = BTreeMap::new();
     for entry in std::fs::read_dir(dir).unwrap() {
@@ -120,7 +90,10 @@ fn normalised_envelopes(dir: &Path) -> BTreeMap<String, JsonValue> {
         }
         let mut v = json::parse(&std::fs::read_to_string(&path).unwrap())
             .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        mask_worker_dependent(&mut v);
+        if let JsonValue::Obj(fields) = &mut v {
+            let workers = fields.iter_mut().find(|(key, _)| key == "workers");
+            workers.expect("an envelope records its workers").1 = JsonValue::Num(0.0);
+        }
         out.insert(path.file_name().unwrap().to_str().unwrap().to_string(), v);
     }
     out

@@ -11,8 +11,8 @@ use polite_wifi_obs::json;
 use polite_wifi_phy::rate::BitRate;
 use polite_wifi_phy::Band;
 use polite_wifi_scenario::{
-    AssertionSpec, AttackSpec, CaseSeed, CaseSpec, NodeKind, NodeSpec, ParamValue, ProbeSpec,
-    RunSpec, ScenarioSpec, TopologySpec,
+    AssertionSpec, AttackSpec, CaseSeed, CaseSpec, Drive, NodeKind, NodeSpec, PopulationSpec,
+    ProbeSpec, RunSpec, ScenarioSpec, TopologySpec, WardriveSpec,
 };
 use polite_wifi_sim::FaultProfile;
 use proptest::prelude::*;
@@ -33,7 +33,7 @@ const KNOWN_KEYS: &[&str] = &[
     "probes",
     "cases",
     "assertions",
-    "params",
+    "wardrive",
 ];
 
 fn valid_slug(s: &str) -> bool {
@@ -329,8 +329,9 @@ fn probe(rng: &mut TestRng, kind: u64, names: &[String]) -> ProbeSpec {
 /// every optional field set, up to two cases, each carrying any of its
 /// own sections over the same node names, and assertions, scoped to
 /// cases when there are some; references only name declared nodes and
-/// cases. Without one it names a bespoke runner and carries only what
-/// that runner reads: `city_wardrive` a param of each type.
+/// cases. Without one it names the `wardrive` runner, with a segment
+/// drive at the top level or in its one case, or a bespoke runner,
+/// which reads no section of its own.
 fn spec(rng: &mut TestRng) -> ScenarioSpec {
     let names: Vec<String> = (0..1 + rng.below(3))
         .map(|i| format!("{}{i}", text(rng)))
@@ -349,8 +350,8 @@ fn spec(rng: &mut TestRng) -> ScenarioSpec {
         associations: pairs(rng),
     };
     let top = (rng.below(5) > 0).then(|| topology(rng));
-    let (mut attacks, mut probes, mut cases, mut params) =
-        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    let (mut attacks, mut probes, mut cases, mut wardrive) =
+        (Vec::new(), Vec::new(), Vec::new(), None);
     if top.is_some() {
         attacks = (0..5).map(|kind| attack(rng, kind, &names)).collect();
         probes = (0..5).map(|kind| probe(rng, kind, &names)).collect();
@@ -366,19 +367,24 @@ fn spec(rng: &mut TestRng) -> ScenarioSpec {
                     let kinds: Vec<u64> = (0..1 + rng.below(3)).map(|_| rng.below(5)).collect();
                     kinds.into_iter().map(|k| probe(rng, k, &names)).collect()
                 }),
+                ..CaseSpec::default()
             })
             .collect();
     }
     let runner = match top {
         Some(_) => "generic",
-        None => pick(rng, &["fig6_power", "city_wardrive"]),
+        None => pick(rng, &["fig6_power", "wardrive"]),
     };
-    if runner == "city_wardrive" {
-        params = vec![
-            (text(rng), ParamValue::Num(num(rng))),
-            (text(rng), ParamValue::Str(text(rng))),
-            (text(rng), ParamValue::Bool(coin(rng))),
-        ];
+    if runner == "wardrive" && coin(rng) {
+        wardrive = Some(segment_drive(rng));
+    } else if runner == "wardrive" {
+        let name = text(rng);
+        let case = |wardrive| CaseSpec {
+            name,
+            wardrive: Some(wardrive),
+            ..CaseSpec::default()
+        };
+        cases = vec![case(segment_drive(rng))];
     }
     let case_names: Vec<String> = cases.iter().map(|c| c.name.clone()).collect();
     let case = |rng: &mut TestRng| match case_names.is_empty() || coin(rng) {
@@ -422,10 +428,42 @@ fn spec(rng: &mut TestRng) -> ScenarioSpec {
             })
             .collect(),
         topology: top,
+        wardrive,
         attacks,
         probes,
         cases,
-        params,
+    }
+}
+
+/// A random valid `wardrive` section: a drive-through only through a
+/// city and never randomised, numbers in their ranges.
+fn segment_drive(rng: &mut TestRng) -> WardriveSpec {
+    let devices = |rng: &mut TestRng| 1 + rng.below(1_000_000) as usize;
+    let (seed, clients, aps) = (int(rng), rng.below(100) as usize, rng.below(100) as usize);
+    let vendors = (0..rng.below(3)).map(|_| text(rng)).collect();
+    let population = match rng.below(3) {
+        0 => PopulationSpec::Table2 { seed },
+        1 => PopulationSpec::Table2Slice {
+            seed,
+            vendors,
+            clients,
+            aps,
+        },
+        _ => PopulationSpec::City {
+            devices: devices(rng),
+        },
+    };
+    let through = matches!(population, PopulationSpec::City { .. }) && coin(rng);
+    let randomized = (!through && coin(rng)).then(|| rng.below(1_001) as f64 / 1e3);
+    WardriveSpec {
+        population,
+        drive: [Drive::Parked, Drive::DriveThrough][through as usize],
+        segment_size: 1 + rng.below(4_096) as usize,
+        dwell_us: 1 + int(rng),
+        randomized,
+        mac_seed: randomized.map(|_| int(rng)),
+        quick_devices: coin(rng).then(|| devices(rng)),
+        quick_dwell_us: coin(rng).then(|| 1 + int(rng)),
     }
 }
 
