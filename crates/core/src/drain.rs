@@ -8,10 +8,11 @@
 use crate::attack::Attack;
 use crate::injector::{InjectionKind, InjectionPlan};
 use polite_wifi_frame::MacAddr;
+use polite_wifi_harness::ScenarioBuilder;
 use polite_wifi_mac::{Behavior, StationConfig};
 use polite_wifi_phy::rate::BitRate;
 use polite_wifi_power::{Battery, DrainProjection, PowerProfile, StateDurations};
-use polite_wifi_sim::{FaultProfile, SimConfig, Simulator};
+use polite_wifi_sim::FaultProfile;
 
 /// Configuration of one drain measurement.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,17 +70,15 @@ impl BatteryDrainAttack {
         let victim_mac: MacAddr = "24:0a:c4:00:00:01".parse().unwrap(); // Espressif OUI
         let ap_mac: MacAddr = "68:02:b8:00:00:01".parse().unwrap();
 
-        let mut sim = Simulator::new(SimConfig::default(), self.seed);
-        let ap = sim.add_node(StationConfig::access_point(ap_mac, "HomeNet"), (0.0, 0.0));
+        let mut sb = ScenarioBuilder::new().faults(self.faults);
+        let ap = sb.access_point(ap_mac, "HomeNet", (0.0, 0.0));
         let mut victim_cfg = StationConfig::client(victim_mac);
         victim_cfg.behavior = Behavior::iot_power_save();
-        let victim = sim.add_node(victim_cfg, (3.0, 0.0));
-        sim.station_mut(victim).associate(ap_mac);
-        sim.station_mut(ap).associate(victim_mac);
-
-        let attacker = sim.add_node(StationConfig::client(MacAddr::FAKE), (8.0, 0.0));
-        sim.set_retries(attacker, false);
-        sim.install_faults(&self.faults.plan());
+        let victim = sb.station(victim_cfg, (3.0, 0.0));
+        sb.link(victim, ap);
+        let attacker = sb.client(MacAddr::FAKE, (8.0, 0.0));
+        sb.retries(attacker, false);
+        let mut sim = sb.build_with_seed(self.seed).sim;
         let plan = InjectionPlan {
             victim: victim_mac,
             forged_ta: MacAddr::FAKE,

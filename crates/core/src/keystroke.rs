@@ -8,16 +8,16 @@
 //! typing.
 
 use crate::attack::Attack;
+use crate::elicit::{sense, AckCsi, Target};
 use crate::injector::InjectionPlan;
-use crate::verifier::AckVerifier;
 use polite_wifi_frame::MacAddr;
-use polite_wifi_mac::StationConfig;
-use polite_wifi_phy::csi::{CsiChannel, CsiConfig};
+use polite_wifi_harness::ScenarioBuilder;
 use polite_wifi_sensing::keystroke::{
     detect_keystrokes, score_detections, KeystrokeDetectorConfig,
 };
 use polite_wifi_sensing::{filter, sample_rate_hz, MotionScript};
-use polite_wifi_sim::{FaultProfile, SimConfig, Simulator};
+use polite_wifi_sim::FaultProfile;
+use std::ops::Range;
 
 /// Configuration of the keystroke-inference attack.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,20 +94,15 @@ impl KeystrokeAttack {
         let victim_mac: MacAddr = "f2:6e:0b:11:22:33".parse().unwrap();
         let ap_mac: MacAddr = "68:02:b8:00:00:02".parse().unwrap();
 
-        let mut sim = Simulator::new(SimConfig::default(), self.seed);
-        let ap = sim.add_node(
-            StationConfig::access_point(ap_mac, "PrivateNet"),
-            (2.0, 2.0),
-        );
-        let victim = sim.add_node(StationConfig::client(victim_mac), (0.0, 0.0));
-        sim.station_mut(victim).associate(ap_mac);
-        sim.station_mut(ap).associate(victim_mac);
+        let mut sb = ScenarioBuilder::new().faults(self.faults);
+        let ap = sb.access_point(ap_mac, "PrivateNet", (2.0, 2.0));
+        let victim = sb.client(victim_mac, (0.0, 0.0));
+        sb.link(victim, ap);
         // The attacker sits in a different room: ~8 m away through the
         // indoor path-loss model.
-        let attacker = sim.add_node(StationConfig::client(MacAddr::FAKE), (8.0, 1.0));
-        sim.set_monitor(attacker, true);
-        sim.set_retries(attacker, false);
-        sim.install_faults(&self.faults.plan());
+        let attacker = sb.monitor(MacAddr::FAKE, (8.0, 1.0));
+        sb.retries(attacker, false);
+        let mut sim = sb.build_with_seed(self.seed).sim;
 
         let duration_us = self.script.duration_us();
         let plan = InjectionPlan {
@@ -115,51 +110,47 @@ impl KeystrokeAttack {
             ..InjectionPlan::keystroke_stream(victim_mac, duration_us)
         };
         let fakes_sent = plan.launch(&mut sim, attacker);
-        sim.run_until(duration_us + 100_000);
 
-        // The arrival times of the ACKs the fakes elicited.
-        let ack_times: Vec<u64> = AckVerifier::new(MacAddr::FAKE)
-            .verify(&sim.node(attacker).capture)
-            .iter()
-            .map(|e| e.ack_ts_us)
-            .collect();
-
-        // Sample the CSI channel at each ACK, driven by the ground-truth
-        // motion. The channel's AR(1) memory is calibrated near 150 Hz —
-        // the rate this attack produces. All ACKs render the reported
-        // subcarrier in one pass (bit-identical to the per-ACK loop).
-        let intensities: Vec<f64> = ack_times
-            .iter()
-            .map(|&t| self.script.intensity_at(t))
-            .collect();
-        let mut channel = CsiChannel::with_config(self.seed, CsiConfig::default());
-        let raw = channel.sample_amplitudes(&intensities, self.subcarrier);
+        // The ACKs the fakes elicited, and the CSI sampled at each,
+        // driven by the ground-truth motion. The channel's AR(1) memory
+        // is calibrated near 150 Hz — the rate this attack produces.
+        let target = Target {
+            victim: victim_mac,
+            script: &self.script,
+            channel_seed: self.seed,
+        };
+        let AckCsi {
+            times_us: ack_times,
+            amplitudes: raw,
+        } = sense(
+            &mut sim,
+            duration_us,
+            |sim| &sim.node(attacker).capture,
+            MacAddr::FAKE,
+            &[target],
+            self.subcarrier,
+        )
+        .remove(0);
         let amplitudes = filter::condition(&raw);
 
         // Per-phase stats.
-        let mut phase_stats = Vec::new();
-        for phase in &self.script.phases {
-            let idx: Vec<usize> = ack_times
-                .iter()
-                .enumerate()
-                .filter(|(_, &t)| t >= phase.start_us && t < phase.end_us)
-                .map(|(i, _)| i)
-                .collect();
-            let vals: Vec<f64> = idx.iter().map(|&i| amplitudes[i]).collect();
-            let mean = if vals.is_empty() {
-                0.0
-            } else {
-                vals.iter().sum::<f64>() / vals.len() as f64
-            };
-            phase_stats.push(PhaseStat {
-                label: phase.label.clone(),
-                start_us: phase.start_us,
-                end_us: phase.end_us,
-                samples: vals.len(),
-                mean,
-                std_dev: polite_wifi_phy::csi::std_dev(&vals),
-            });
-        }
+        let phase_stats = (self.script.phases.iter())
+            .map(|phase| {
+                let vals = &amplitudes[window(&ack_times, phase.start_us, phase.end_us)];
+                PhaseStat {
+                    label: phase.label.clone(),
+                    start_us: phase.start_us,
+                    end_us: phase.end_us,
+                    samples: vals.len(),
+                    mean: if vals.is_empty() {
+                        0.0
+                    } else {
+                        vals.iter().sum::<f64>() / vals.len() as f64
+                    },
+                    std_dev: polite_wifi_phy::csi::std_dev(vals),
+                }
+            })
+            .collect();
 
         // Keystroke detection inside the typing phase.
         let keystroke_score = self.score_keystrokes(&ack_times, &amplitudes);
@@ -187,25 +178,19 @@ impl KeystrokeAttack {
             .iter()
             .find(|p| p.label == "typing")
             .expect("script has keystrokes but no typing phase");
-        let idx: Vec<usize> = times_us
-            .iter()
-            .enumerate()
-            .filter(|(_, &t)| t >= typing.start_us && t < typing.end_us)
-            .map(|(i, _)| i)
-            .collect();
-        if idx.is_empty() {
+        let typing = window(times_us, typing.start_us, typing.end_us);
+        if typing.is_empty() {
             return (0, self.script.keystrokes_us.len(), 0);
         }
-        let window: Vec<f64> = idx.iter().map(|&i| amplitudes[i]).collect();
         // Typing rides on a non-zero base motion, so the burst threshold
         // is gentler than the quiet-scene default.
         let detector = KeystrokeDetectorConfig {
             threshold_factor: 2.2,
             ..KeystrokeDetectorConfig::default()
         };
-        let events = detect_keystrokes(&window, &detector);
+        let first = typing.start;
+        let events = detect_keystrokes(&amplitudes[typing], &detector);
         // Ground truth, as indices into the typing window.
-        let first = idx[0];
         let truth: Vec<usize> = self
             .script
             .keystrokes_us
@@ -221,6 +206,12 @@ impl KeystrokeAttack {
         let tolerance = (self.rate_pps as usize / 8).max(5);
         score_detections(&events, &truth, tolerance)
     }
+}
+
+/// The indices of the samples in `[start_us, end_us)`: one run, since
+/// ACK times ascend.
+fn window(times_us: &[u64], start_us: u64, end_us: u64) -> Range<usize> {
+    times_us.partition_point(|&t| t < start_us)..times_us.partition_point(|&t| t < end_us)
 }
 
 #[cfg(test)]

@@ -14,6 +14,8 @@
 //!   (discover / inject / verify, the paper's three threads as inline
 //!   state), sharded across the experiment harness's worker pool with
 //!   per-segment derived seeds,
+//! * [`elicit`] — the ACK-CSI path the sensing attacks share, and the
+//!   one-victim null flood,
 //! * [`drain`] — the battery-drain attack of Section 4.2,
 //! * [`keystroke`] — the CSI keystroke/activity sniffer of Section 4.1,
 //! * [`sensing_hub`] — the single-device sensing opportunity of
@@ -30,10 +32,15 @@
 //! * [`vitals`] — breathing-rate recovery from elicited ACK CSI, and
 //! * [`ranging`] — RSSI-based distance estimation to an unassociated
 //!   victim (the Wi-Peep direction).
+//!
+//! Every simulator-driven attack here builds through the harness's
+//! `ScenarioBuilder`; only the wardrive segment engine in [`scanner`]
+//! builds its own simulator, for its cell-grid configuration.
 
 pub mod analysis;
 pub mod attack;
 pub mod drain;
+pub mod elicit;
 pub mod injector;
 pub mod keystroke;
 pub mod ranging;

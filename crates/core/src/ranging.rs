@@ -80,11 +80,8 @@ pub fn estimate_range(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attack::Attack;
-    use crate::injector::{InjectionKind, InjectionPlan};
-    use polite_wifi_mac::StationConfig;
-    use polite_wifi_phy::rate::BitRate;
-    use polite_wifi_sim::{SimConfig, Simulator};
+    use crate::elicit::null_flood;
+    use polite_wifi_sim::FaultProfile;
 
     #[test]
     fn inversion_matches_forward_model() {
@@ -109,21 +106,15 @@ mod tests {
 
     fn range_to_victim_at(true_distance: f64, seed: u64) -> RangeEstimate {
         let victim_mac: MacAddr = "f2:6e:0b:11:22:33".parse().unwrap();
-        let mut sim = Simulator::new(SimConfig::default(), seed);
-        let _v = sim.add_node(StationConfig::client(victim_mac), (true_distance, 0.0));
-        let attacker = sim.add_node(StationConfig::client(MacAddr::FAKE), (0.0, 0.0));
-        sim.set_monitor(attacker, true);
-        sim.set_retries(attacker, false);
-        let plan = InjectionPlan {
-            victim: victim_mac,
-            forged_ta: MacAddr::FAKE,
-            kind: InjectionKind::NullData,
-            rate_pps: 200,
-            start_us: 0,
-            duration_us: 3_000_000,
-            bitrate: BitRate::Mbps1,
-        };
-        plan.launch(&mut sim, attacker);
+        let (mut sim, attacker) = null_flood(
+            victim_mac,
+            (true_distance, 0.0),
+            (0.0, 0.0),
+            200,
+            3_000_000,
+            seed,
+            FaultProfile::Clean,
+        );
         sim.run_until(4_000_000);
         let model = sim.path_loss();
         estimate_range(&sim.node(attacker).capture, MacAddr::FAKE, 20.0, &model)

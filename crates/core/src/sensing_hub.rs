@@ -6,11 +6,10 @@
 //! point: software changes on exactly one box.
 
 use crate::attack::Attack;
+use crate::elicit::{sense, Target};
 use crate::injector::{InjectionKind, InjectionPlan};
-use crate::verifier::AckVerifier;
 use polite_wifi_frame::MacAddr;
-use polite_wifi_harness::{derive_trial_seed, Runner};
-use polite_wifi_mac::StationConfig;
+use polite_wifi_harness::{derive_trial_seed, Runner, ScenarioBuilder};
 use polite_wifi_obs::json::{JsonWriter, ToJson};
 use polite_wifi_obs::{names, Obs};
 use polite_wifi_phy::csi::{CsiChannel, CsiConfig};
@@ -18,7 +17,7 @@ use polite_wifi_phy::rate::BitRate;
 use polite_wifi_sensing::batch::{self, SeriesBatch};
 use polite_wifi_sensing::segment::{segment, Segment, SegmenterConfig};
 use polite_wifi_sensing::{filter, MotionScript};
-use polite_wifi_sim::{FaultProfile, SimConfig, Simulator};
+use polite_wifi_sim::{FaultProfile, Simulator};
 
 /// Configuration of the sensing hub.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,26 +90,27 @@ impl SensingHub {
         let hub_mac: MacAddr = "18:b4:30:00:00:01".parse().unwrap(); // an IoT hub
         let duration_us = scripts.iter().map(|s| s.duration_us()).max().unwrap_or(0);
 
-        let mut sim = Simulator::new(SimConfig::default(), self.seed);
-        let hub = sim.add_node(StationConfig::client(hub_mac), (0.0, 0.0));
-        sim.set_monitor(hub, true);
-        sim.set_retries(hub, false);
-        sim.install_faults(&self.faults.plan());
-
+        let mut sb = ScenarioBuilder::new().faults(self.faults);
+        let hub = sb.monitor(hub_mac, (0.0, 0.0));
+        sb.retries(hub, false);
         let mut targets = Vec::new();
-        for i in 0..scripts.len() {
-            let mac = MacAddr::new([0xf2, 0x6e, 0x0b, 0x00, 0x10, i as u8]);
+        for (i, script) in scripts.iter().enumerate() {
+            let victim = MacAddr::new([0xf2, 0x6e, 0x0b, 0x00, 0x10, i as u8]);
             let angle = i as f64 * 2.0 * std::f64::consts::PI / scripts.len().max(1) as f64;
-            let pos = (6.0 * angle.cos(), 6.0 * angle.sin());
-            sim.add_node(StationConfig::client(mac), pos);
-            targets.push(mac);
+            sb.client(victim, (6.0 * angle.cos(), 6.0 * angle.sin()));
+            targets.push(Target {
+                victim,
+                script,
+                channel_seed: self.seed ^ (i as u64 + 1),
+            });
         }
+        let mut sim = sb.build_with_seed(self.seed).sim;
 
         // Round-robin injection: each target gets rate_pps_per_target,
         // interleaved so the hub's radio never bursts one target.
-        for (i, &target) in targets.iter().enumerate() {
+        for (i, target) in targets.iter().enumerate() {
             let plan = InjectionPlan {
-                victim: target,
+                victim: target.victim,
                 forged_ta: hub_mac,
                 kind: InjectionKind::NullData,
                 rate_pps: self.rate_pps_per_target,
@@ -122,40 +122,31 @@ impl SensingHub {
             };
             plan.launch(&mut sim, hub);
         }
-        sim.run_until(duration_us + 100_000);
 
-        // Attribute each ACK to the target of the fake it answers (ACKs
-        // carry no source address). Gather each target's (timestamp,
-        // intensity) stream first, then render the sensed subcarrier in
-        // one `sample_amplitudes` call per target — each channel owns
-        // its RNG, so the per-channel draw order (and hence every float)
-        // is identical to the old interleaved per-ACK sampling.
-        let mut per_target_times: Vec<Vec<u64>> = vec![Vec::new(); targets.len()];
-        let mut per_target_intensity: Vec<Vec<f64>> = vec![Vec::new(); targets.len()];
-        for ex in AckVerifier::new(hub_mac).verify(sim.global_capture()) {
-            if let Some(i) = targets.iter().position(|&t| t == ex.victim) {
-                per_target_times[i].push(ex.ack_ts_us);
-                per_target_intensity[i].push(scripts[i].intensity_at(ex.ack_ts_us));
-            }
-        }
-
+        // ACKs carry no source address: each is attributed to the target
+        // of the fake it answers, over the ideal observer's capture.
+        let streams = sense(
+            &mut sim,
+            duration_us,
+            Simulator::global_capture,
+            hub_mac,
+            &targets,
+            self.subcarrier,
+        );
         let mut results = Vec::new();
-        for (i, times) in per_target_times.iter().enumerate() {
-            let mut channel = CsiChannel::new(self.seed ^ (i as u64 + 1));
-            let raw = channel.sample_amplitudes(&per_target_intensity[i], self.subcarrier);
-            let amplitudes = filter::condition(&raw);
-            let segs = segment(&amplitudes, &SegmenterConfig::default());
+        for (target, stream) in targets.iter().zip(streams) {
+            let times = stream.times_us;
+            let segs = segment(
+                &filter::condition(&stream.amplitudes),
+                &SegmenterConfig::default(),
+            );
+            let last = times.len().saturating_sub(1);
             let motion_windows_us = segs
                 .iter()
-                .map(|&Segment { start, end }| {
-                    (
-                        times[start.min(times.len() - 1)],
-                        times[(end - 1).min(times.len() - 1)],
-                    )
-                })
+                .map(|&Segment { start, end }| (times[start.min(last)], times[(end - 1).min(last)]))
                 .collect();
             results.push(TargetSensing {
-                target: targets[i],
+                target: target.victim,
                 samples: times.len(),
                 motion_windows_us,
             });

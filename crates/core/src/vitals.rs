@@ -3,17 +3,11 @@
 //! unmodified WiFi device while a person breathes nearby; the attacker
 //! recovers the breathing rate from subcarrier amplitude.
 
-use crate::attack::Attack;
-use crate::injector::{InjectionKind, InjectionPlan};
-use crate::verifier::AckVerifier;
+use crate::elicit::{null_flood, sense, AckCsi, Target};
 use polite_wifi_frame::MacAddr;
-use polite_wifi_mac::StationConfig;
-use polite_wifi_obs::json::{JsonWriter, ToJson};
-use polite_wifi_phy::csi::CsiChannel;
-use polite_wifi_phy::rate::BitRate;
 use polite_wifi_sensing::breathing::{estimate_breathing_rate, BreathingEstimate};
 use polite_wifi_sensing::{sample_rate_hz, MotionScript};
-use polite_wifi_sim::{FaultProfile, SimConfig, Simulator};
+use polite_wifi_sim::FaultProfile;
 
 /// Configuration of the breathing-sensing attack.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,64 +52,41 @@ pub struct VitalSignsResult {
     pub estimate: Option<BreathingEstimate>,
 }
 
-impl ToJson for VitalSignsResult {
-    fn write_json(&self, w: &mut JsonWriter) {
-        w.begin_object()
-            .key("true_bpm")
-            .f64(self.true_bpm)
-            .key("samples")
-            .value(&self.samples)
-            .key("sample_rate_hz")
-            .f64(self.sample_rate_hz)
-            .key("estimate");
-        match &self.estimate {
-            Some(e) => w
-                .begin_object()
-                .key("bpm")
-                .f64(e.bpm)
-                .key("confidence")
-                .f64(e.confidence)
-                .end_object(),
-            None => w.null(),
-        };
-        w.end_object();
-    }
-}
+polite_wifi_obs::impl_to_json! { VitalSignsResult {
+    true_bpm, samples, sample_rate_hz, estimate
+} }
 
 impl VitalSignsAttack {
     /// Runs the attack: inject → collect ACK CSI → spectral estimate.
     pub fn run(&self) -> VitalSignsResult {
         let victim_mac: MacAddr = "f2:6e:0b:77:88:99".parse().unwrap();
-        let mut sim = Simulator::new(SimConfig::default(), self.seed);
-        let _victim = sim.add_node(StationConfig::client(victim_mac), (0.0, 0.0));
-        let attacker = sim.add_node(StationConfig::client(MacAddr::FAKE), (7.0, 0.0));
-        sim.set_monitor(attacker, true);
-        sim.set_retries(attacker, false);
-        sim.install_faults(&self.faults.plan());
-
-        let plan = InjectionPlan {
-            victim: victim_mac,
-            forged_ta: MacAddr::FAKE,
-            kind: InjectionKind::NullData,
-            rate_pps: self.rate_pps,
-            start_us: 0,
-            duration_us: self.duration_us,
-            bitrate: BitRate::Mbps1,
-        };
-        plan.launch(&mut sim, attacker);
-        sim.run_until(self.duration_us + 100_000);
-
+        let (mut sim, attacker) = null_flood(
+            victim_mac,
+            (0.0, 0.0),
+            (7.0, 0.0),
+            self.rate_pps,
+            self.duration_us,
+            self.seed,
+            self.faults,
+        );
         let script = MotionScript::breathing(self.duration_us, self.true_bpm);
-        let times_us: Vec<u64> = AckVerifier::new(MacAddr::FAKE)
-            .verify(&sim.node(attacker).capture)
-            .iter()
-            .map(|e| e.ack_ts_us)
-            .collect();
-        let intensities: Vec<f64> = times_us.iter().map(|&t| script.intensity_at(t)).collect();
-        // One render of the sensed subcarrier over the whole ACK stream
-        // (bit-identical to the per-ACK sampling loop it replaced).
-        let mut channel = CsiChannel::new(self.seed);
-        let amplitudes = channel.sample_amplitudes(&intensities, self.subcarrier);
+        let target = Target {
+            victim: victim_mac,
+            script: &script,
+            channel_seed: self.seed,
+        };
+        let AckCsi {
+            times_us,
+            amplitudes,
+        } = sense(
+            &mut sim,
+            self.duration_us,
+            |sim| &sim.node(attacker).capture,
+            MacAddr::FAKE,
+            &[target],
+            self.subcarrier,
+        )
+        .remove(0);
 
         let sample_rate_hz = sample_rate_hz(&times_us);
         VitalSignsResult {

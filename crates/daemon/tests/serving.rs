@@ -215,6 +215,24 @@ fn a_bad_city_size_is_a_400() {
     let _ = std::fs::remove_dir_all(state_dir);
 }
 
+/// `scenarios/fig2_trace.json` with a seed JSON cannot hold exactly: a
+/// 400, not a run under the seed it rounds to (and that seed's cache key).
+#[test]
+fn an_inexact_seed_is_a_400() {
+    let cfg = config("inexact-seed");
+    let state_dir = cfg.state_dir.clone();
+    let daemon = Daemon::start(cfg).unwrap();
+    let fig2 = include_str!("../../../scenarios/fig2_trace.json");
+    let spec = fig2.replace("\"seed\": 2", "\"seed\": 9007199254740993");
+    let (status, cache, body) = submit(&daemon, &spec, "?wait=1");
+    let body = String::from_utf8(body).unwrap();
+    assert_eq!((status, cache.as_str()), (400, ""), "{body}");
+    assert!(body.contains("`run.seed` must be below 2^53"), "{body}");
+    assert_eq!(daemon.counter(names::DAEMON_CACHE_MISS), 0);
+    daemon.drain().unwrap();
+    let _ = std::fs::remove_dir_all(state_dir);
+}
+
 /// `scenarios/fig3_deauth.json` with fewer trials than its two cases:
 /// a 400 before any cache lookup, not a run whose unmeasured case
 /// fails its assertions.

@@ -8,10 +8,10 @@
 
 use crate::registry::Output;
 use crate::spec::ScenarioSpec;
-use polite_wifi_core::{estimate_range, Attack, InjectionKind, InjectionPlan};
+use polite_wifi_core::elicit::null_flood;
+use polite_wifi_core::estimate_range;
 use polite_wifi_frame::MacAddr;
-use polite_wifi_harness::{Experiment, ScenarioBuilder};
-use polite_wifi_phy::rate::BitRate;
+use polite_wifi_harness::Experiment;
 
 #[derive(Debug)]
 struct RangeRow {
@@ -34,24 +34,16 @@ fn measure(
     faults: polite_wifi_sim::FaultProfile,
 ) -> (RangeRow, polite_wifi_obs::Obs) {
     let victim_mac: MacAddr = "f2:6e:0b:11:22:33".parse().unwrap();
-    let mut sb = ScenarioBuilder::new()
-        .duration_us(duration_us + 500_000)
-        .faults(faults);
-    let _v = sb.client(victim_mac, (true_distance, 0.0));
-    let attacker = sb.monitor(MacAddr::FAKE, (0.0, 0.0));
-    sb.retries(attacker, false);
-    let mut scenario = sb.build_with_seed(seed);
-    let plan = InjectionPlan {
-        victim: victim_mac,
-        forged_ta: MacAddr::FAKE,
-        kind: InjectionKind::NullData,
+    let (mut sim, attacker) = null_flood(
+        victim_mac,
+        (true_distance, 0.0),
+        (0.0, 0.0),
         rate_pps,
-        start_us: 0,
         duration_us,
-        bitrate: BitRate::Mbps1,
-    };
-    plan.launch(&mut scenario.sim, attacker);
-    let sim = scenario.run();
+        seed,
+        faults,
+    );
+    sim.run_until(duration_us + 500_000);
     let model = sim.path_loss();
     let est = estimate_range(&sim.node(attacker).capture, MacAddr::FAKE, 20.0, &model)
         .expect("ACKs collected");
@@ -62,7 +54,7 @@ fn measure(
         estimated_m: est.distance_m,
         relative_error: (est.distance_m - true_distance).abs() / true_distance,
     };
-    (row, scenario.sim.take_obs())
+    (row, sim.take_obs())
 }
 
 pub fn run(_: &ScenarioSpec, exp: &mut Experiment) -> std::io::Result<Output> {
@@ -70,7 +62,8 @@ pub fn run(_: &ScenarioSpec, exp: &mut Experiment) -> std::io::Result<Output> {
     let faults = exp.args().faults;
     let distances = [2.0f64, 5.0, 10.0, 20.0];
     let results = exp.runner().run_indexed(distances.len(), |i| {
-        measure(distances[i], 200, 3_000_000, seed + i as u64, faults)
+        let d = distances[i];
+        measure(d, 200, 3_000_000, seed.wrapping_add(i as u64), faults)
     });
     let mut rows = Vec::with_capacity(results.len());
     for (row, obs) in results {
@@ -94,8 +87,9 @@ pub fn run(_: &ScenarioSpec, exp: &mut Experiment) -> std::io::Result<Output> {
     }
 
     // More elicited samples → tighter estimate (the Polite WiFi lever).
-    let (short, short_obs) = measure(10.0, 50, 400_000, seed + 8, faults); // ~20 samples
-    let (long, long_obs) = measure(10.0, 200, 10_000_000, seed + 8, faults); // ~2000 samples
+    let seed = seed.wrapping_add(8);
+    let (short, short_obs) = measure(10.0, 50, 400_000, seed, faults); // ~20 samples
+    let (long, long_obs) = measure(10.0, 200, 10_000_000, seed, faults); // ~2000 samples
     exp.absorb_obs(short_obs);
     exp.absorb_obs(long_obs);
     let rising = (rows.windows(2))

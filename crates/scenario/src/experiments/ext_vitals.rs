@@ -31,7 +31,7 @@ pub fn run(_: &ScenarioSpec, exp: &mut Experiment) -> std::io::Result<Output> {
         VitalSignsAttack {
             true_bpm: cases[i],
             duration_us: 60_000_000,
-            seed: seed + i as u64,
+            seed: seed.wrapping_add(i as u64),
             faults,
             ..VitalSignsAttack::default()
         }
@@ -63,27 +63,8 @@ pub fn run(_: &ScenarioSpec, exp: &mut Experiment) -> std::io::Result<Output> {
     println!("\n-- occupancy detection near an unmodified device --\n");
     // 40 s: empty (0–16 s), occupied (16–32 s), empty again.
     let duration = 40_000_000u64;
-    let mut script = MotionScript::idle(duration);
-    script.phases = vec![
-        polite_wifi_sensing::Phase {
-            start_us: 0,
-            end_us: 16_000_000,
-            label: "idle".into(),
-            intensity: 0.0,
-        },
-        polite_wifi_sensing::Phase {
-            start_us: 16_000_000,
-            end_us: 32_000_000,
-            label: "walk".into(),
-            intensity: 0.5,
-        },
-        polite_wifi_sensing::Phase {
-            start_us: 32_000_000,
-            end_us: duration,
-            label: "idle".into(),
-            intensity: 0.0,
-        },
-    ];
+    let mut script = MotionScript::walk_by(duration, 16_000_000, 32_000_000);
+    script.phases[1].intensity = 0.5;
     // 150 Hz CSI stream for the script.
     let intensities: Vec<f64> = (0..duration)
         .step_by(6_667)

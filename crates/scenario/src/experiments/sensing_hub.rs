@@ -7,34 +7,19 @@ use crate::registry::Output;
 use crate::spec::ScenarioSpec;
 use polite_wifi_core::SensingHub;
 use polite_wifi_harness::Experiment;
-use polite_wifi_sensing::{MotionScript, Phase};
+use polite_wifi_sensing::MotionScript;
 
 pub fn run(_: &ScenarioSpec, exp: &mut Experiment) -> std::io::Result<Output> {
     // One target with motion at 9 s and 32 s, two more targets with
     // their own ground truth, all sensed by a single modified hub.
     let duration = 40_000_000u64;
+    // Walks at 9–11 s and 32–34 s: the first walk-by up to its walk,
+    // then the second's phases, its idle lead-in starting at 11 s.
     let mut fig5_caption = MotionScript::walk_by(duration, 9_000_000, 11_000_000);
-    fig5_caption.phases.pop();
-    fig5_caption.phases.extend([
-        Phase {
-            start_us: 11_000_000,
-            end_us: 32_000_000,
-            label: "idle".into(),
-            intensity: 0.0,
-        },
-        Phase {
-            start_us: 32_000_000,
-            end_us: 34_000_000,
-            label: "walk".into(),
-            intensity: 0.8,
-        },
-        Phase {
-            start_us: 34_000_000,
-            end_us: duration,
-            label: "idle".into(),
-            intensity: 0.0,
-        },
-    ]);
+    let mut second = MotionScript::walk_by(duration, 32_000_000, 34_000_000).phases;
+    second[0].start_us = 11_000_000;
+    fig5_caption.phases.truncate(2);
+    fig5_caption.phases.extend(second);
     let scripts = vec![
         fig5_caption,
         MotionScript::idle(duration),

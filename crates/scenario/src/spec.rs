@@ -1049,8 +1049,13 @@ macro_rules! unsigned_values {
     ($($t:ty),*) => {$(
         impl Value for $t {
             fn read(v: &mut Doc, at: &Path, r: &mut Reader) -> Option<Self> {
+                // Numbers are read as `f64`s, exact for integers below
+                // 2^53 only: 2^53 + 1 would read back as 2^53.
                 let n = match v.as_f64() {
-                    Some(n) if n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64 => n as u64,
+                    Some(n) if n >= 9_007_199_254_740_992.0 => {
+                        return r.problem(format!("{at} must be below 2^53 = 9007199254740992"))
+                    }
+                    Some(n) if n >= 0.0 && n.fract() == 0.0 => n as u64,
                     _ => return r.problem(format!("{at} must be a non-negative integer")),
                 };
                 let (bits, max) = (<$t>::BITS, <$t>::MAX);
@@ -1979,6 +1984,28 @@ mod tests {
         let population = &million.wardrive.as_ref().unwrap().population;
         assert_eq!(population, &PopulationSpec::City { devices: 1_000_000 });
         assert_ne!(default.canonical_hash(), million.canonical_hash());
+    }
+
+    /// An integer at or above 2^53 is a parse error, not a rounded value:
+    /// 2^53 + 1 would read back as 2^53 and share its cache key.
+    #[test]
+    fn integers_json_cannot_hold_exactly_are_rejected() {
+        let fig2 = include_str!("../../../scenarios/fig2_trace.json");
+        for (from, to, problem) in [
+            ("\"seed\": 2", "\"seed\": 9007199254740993", "`run.seed`"),
+            (
+                "\"seed\": 2",
+                "\"seed\": 18446744073709551616",
+                "`run.seed`",
+            ),
+            ("1500000", "9007199254740992", "`topology.duration_us`"),
+        ] {
+            let problem = format!("{problem} must be below 2^53 = 9007199254740992");
+            rejects(&fig2.replace(from, to), &problem);
+        }
+        let largest = fig2.replace("\"seed\": 2", "\"seed\": 9007199254740991");
+        let spec = ScenarioSpec::parse(&largest).unwrap();
+        assert_eq!(spec.run.seed, 9_007_199_254_740_991);
     }
 
     /// A bad city size is a parse error, for the drive and its `--quick`

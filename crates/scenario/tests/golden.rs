@@ -246,6 +246,20 @@ fn fewer_trials_than_cases_exits_2() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The bespoke runners seed each subject by adding its index to the
+/// run's seed. The largest seed wraps instead of overflowing, which a
+/// debug build would panic on.
+#[test]
+fn the_largest_seed_wraps_in_the_bespoke_runners() {
+    let max = u64::MAX.to_string();
+    for slug in ["ext_ranging", "ext_vitals"] {
+        let (out, dir) = exp_run(slug, 2, "clean", &["--seed", &max], "max-seed");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{slug}: {stderr}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 fn committed_slugs() -> BTreeSet<String> {
     std::fs::read_dir(scenarios_dir())
         .unwrap()

@@ -18,6 +18,8 @@ pub struct BreathingEstimate {
     pub confidence: f64,
 }
 
+polite_wifi_obs::impl_to_json! { BreathingEstimate { bpm, confidence } }
+
 impl BreathingEstimate {
     /// Whether the spectral peak is pronounced enough to trust.
     ///

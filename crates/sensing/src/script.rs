@@ -33,17 +33,7 @@ pub struct MotionScript {
 impl MotionScript {
     /// An empty (always idle) script.
     pub fn idle(duration_us: u64) -> MotionScript {
-        MotionScript {
-            phases: vec![Phase {
-                start_us: 0,
-                end_us: duration_us,
-                label: "idle".into(),
-                intensity: 0.0,
-            }],
-            keystrokes_us: Vec::new(),
-            keystroke_boost: 0.0,
-            keystroke_len_us: 0,
-        }
+        MotionScript::of_phases(vec![phase(0, duration_us, "idle", 0.0)])
     }
 
     /// The Figure 5 scenario: tablet on the ground (0–7 s), user
@@ -54,42 +44,12 @@ impl MotionScript {
     pub fn figure5() -> MotionScript {
         let s = |sec: u64| sec * 1_000_000;
         let phases = vec![
-            Phase {
-                start_us: 0,
-                end_us: s(7),
-                label: "idle".into(),
-                intensity: 0.0,
-            },
-            Phase {
-                start_us: s(7),
-                end_us: s(9),
-                label: "pickup".into(),
-                intensity: 1.0,
-            },
-            Phase {
-                start_us: s(9),
-                end_us: s(19),
-                label: "hold".into(),
-                intensity: 0.12,
-            },
-            Phase {
-                start_us: s(19),
-                end_us: s(29),
-                label: "typing".into(),
-                intensity: 0.10,
-            },
-            Phase {
-                start_us: s(29),
-                end_us: s(31),
-                label: "putdown".into(),
-                intensity: 1.0,
-            },
-            Phase {
-                start_us: s(31),
-                end_us: s(45),
-                label: "idle".into(),
-                intensity: 0.0,
-            },
+            phase(0, s(7), "idle", 0.0),
+            phase(s(7), s(9), "pickup", 1.0),
+            phase(s(9), s(19), "hold", 0.12),
+            phase(s(19), s(29), "typing", 0.10),
+            phase(s(29), s(31), "putdown", 1.0),
+            phase(s(31), s(45), "idle", 0.0),
         ];
         // 4 keystrokes per second through the typing phase.
         let mut keystrokes_us = Vec::new();
@@ -118,47 +78,28 @@ impl MotionScript {
         while t < duration_us {
             let sec = t as f64 / 1e6;
             let intensity = 0.06 + 0.05 * (omega * sec).sin();
-            phases.push(Phase {
-                start_us: t,
-                end_us: (t + step_us).min(duration_us),
-                label: "breathing".into(),
-                intensity,
-            });
+            let end_us = (t + step_us).min(duration_us);
+            phases.push(phase(t, end_us, "breathing", intensity));
             t += step_us;
         }
-        MotionScript {
-            phases,
-            keystrokes_us: Vec::new(),
-            keystroke_boost: 0.0,
-            keystroke_len_us: 0,
-        }
+        MotionScript::of_phases(phases)
     }
 
     /// A person walking past the device between `from_us` and `to_us`.
     pub fn walk_by(duration_us: u64, from_us: u64, to_us: u64) -> MotionScript {
         let mut phases = Vec::new();
         if from_us > 0 {
-            phases.push(Phase {
-                start_us: 0,
-                end_us: from_us,
-                label: "idle".into(),
-                intensity: 0.0,
-            });
+            phases.push(phase(0, from_us, "idle", 0.0));
         }
-        phases.push(Phase {
-            start_us: from_us,
-            end_us: to_us,
-            label: "walk".into(),
-            intensity: 0.8,
-        });
+        phases.push(phase(from_us, to_us, "walk", 0.8));
         if to_us < duration_us {
-            phases.push(Phase {
-                start_us: to_us,
-                end_us: duration_us,
-                label: "idle".into(),
-                intensity: 0.0,
-            });
+            phases.push(phase(to_us, duration_us, "idle", 0.0));
         }
+        MotionScript::of_phases(phases)
+    }
+
+    /// A script of `phases` with no keystrokes.
+    fn of_phases(phases: Vec<Phase>) -> MotionScript {
         MotionScript {
             phases,
             keystrokes_us: Vec::new(),
@@ -200,6 +141,16 @@ impl MotionScript {
             .find(|p| p.start_us <= t_us && t_us < p.end_us)
             .map(|p| p.label.as_str())
             .unwrap_or("idle")
+    }
+}
+
+/// The phase labelled `label` from `start_us` to `end_us`.
+fn phase(start_us: u64, end_us: u64, label: &str, intensity: f64) -> Phase {
+    Phase {
+        start_us,
+        end_us,
+        label: label.into(),
+        intensity,
     }
 }
 

@@ -9,20 +9,21 @@
 
 use polite_wifi::core::{Attack, InjectionKind, InjectionPlan};
 use polite_wifi::frame::{builder, MacAddr};
+use polite_wifi::harness::ScenarioBuilder;
 use polite_wifi::mac::{Behavior, JoinState, StationConfig};
 use polite_wifi::phy::rate::BitRate;
 use polite_wifi::power::{PowerProfile, StateDurations};
-use polite_wifi::sim::{SimConfig, Simulator};
 
 fn main() {
     let ap_mac: MacAddr = "68:02:b8:00:00:01".parse().unwrap();
     let iot_mac: MacAddr = "24:0a:c4:00:00:07".parse().unwrap(); // Espressif OUI
 
-    let mut sim = Simulator::new(SimConfig::default(), 2020);
-    let ap = sim.add_node(StationConfig::access_point(ap_mac, "HomeNet"), (0.0, 0.0));
+    let mut sb = ScenarioBuilder::new();
+    let ap = sb.access_point(ap_mac, "HomeNet", (0.0, 0.0));
     let mut iot_cfg = StationConfig::client(iot_mac);
     iot_cfg.behavior = Behavior::iot_power_save();
-    let iot = sim.add_node(iot_cfg, (4.0, 0.0));
+    let iot = sb.station(iot_cfg, (4.0, 0.0));
+    let mut sim = sb.build_with_seed(2020).sim;
 
     // 1. The real join sequence: authentication → association.
     sim.start_join(iot, ap_mac);

@@ -9,30 +9,25 @@
 //! ```
 
 use polite_wifi::frame::{builder, MacAddr};
-use polite_wifi::mac::StationConfig;
+use polite_wifi::harness::ScenarioBuilder;
 use polite_wifi::pcap::{trace, LinkType};
 use polite_wifi::phy::rate::BitRate;
-use polite_wifi::sim::{SimConfig, Simulator};
 
 fn main() {
     let victim_mac: MacAddr = "f2:6e:0b:11:22:33".parse().unwrap();
     let ap_mac: MacAddr = "68:02:b8:00:00:01".parse().unwrap();
 
-    let mut sim = Simulator::new(SimConfig::default(), 2020);
+    let mut sb = ScenarioBuilder::new();
 
     // A private WPA2 network: AP + associated client.
-    let ap = sim.add_node(
-        StationConfig::access_point(ap_mac, "PrivateNet"),
-        (2.0, 0.0),
-    );
-    let victim = sim.add_node(StationConfig::client(victim_mac), (0.0, 0.0));
-    sim.station_mut(victim).associate(ap_mac);
-    sim.station_mut(ap).associate(victim_mac);
+    let ap = sb.access_point(ap_mac, "PrivateNet", (2.0, 0.0));
+    let victim = sb.client(victim_mac, (0.0, 0.0));
+    sb.link(victim, ap);
 
     // The attacker: $12 dongle, forged MAC, no credentials.
-    let attacker = sim.add_node(StationConfig::client(MacAddr::FAKE), (6.0, 0.0));
-    sim.set_monitor(attacker, true);
-    sim.set_retries(attacker, false);
+    let attacker = sb.monitor(MacAddr::FAKE, (6.0, 0.0));
+    sb.retries(attacker, false);
+    let mut sim = sb.build_with_seed(2020).sim;
 
     // Send one fake frame; the only valid field is the victim's address.
     let fake = builder::fake_null_frame(victim_mac, MacAddr::FAKE);

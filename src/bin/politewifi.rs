@@ -17,10 +17,9 @@ use polite_wifi::core::{
 };
 use polite_wifi::devices::{CityPopulation, DeviceSpec};
 use polite_wifi::frame::{builder, MacAddr};
-use polite_wifi::mac::StationConfig;
+use polite_wifi::harness::ScenarioBuilder;
 use polite_wifi::pcap::{capture, read_pcap, read_pcapng, trace, LinkType};
 use polite_wifi::phy::rate::BitRate;
-use polite_wifi::sim::{SimConfig, Simulator};
 use std::process::ExitCode;
 
 /// Minimal flag parser: `--key value` pairs plus positional arguments.
@@ -122,11 +121,11 @@ fn main() -> ExitCode {
 fn cmd_quickstart(args: &Args) -> Result<(), String> {
     let seed = args.u64_flag("seed", 2020)?;
     let victim_mac: MacAddr = "f2:6e:0b:11:22:33".parse().unwrap();
-    let mut sim = Simulator::new(SimConfig::default(), seed);
-    let victim = sim.add_node(StationConfig::client(victim_mac), (0.0, 0.0));
-    let attacker = sim.add_node(StationConfig::client(MacAddr::FAKE), (5.0, 0.0));
-    sim.set_monitor(attacker, true);
-    sim.set_retries(attacker, false);
+    let mut sb = ScenarioBuilder::new();
+    let victim = sb.client(victim_mac, (0.0, 0.0));
+    let attacker = sb.monitor(MacAddr::FAKE, (5.0, 0.0));
+    sb.retries(attacker, false);
+    let mut sim = sb.build_with_seed(seed).sim;
     sim.inject(
         10_000,
         attacker,

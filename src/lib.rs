@@ -14,15 +14,15 @@
 //!
 //! ```
 //! use polite_wifi::frame::{builder, MacAddr};
-//! use polite_wifi::mac::StationConfig;
+//! use polite_wifi::harness::ScenarioBuilder;
 //! use polite_wifi::phy::rate::BitRate;
-//! use polite_wifi::sim::{SimConfig, Simulator};
 //!
 //! // A WPA2 "victim" and a stranger with no credentials whatsoever.
 //! let victim_mac: MacAddr = "f2:6e:0b:11:22:33".parse().unwrap();
-//! let mut sim = Simulator::new(SimConfig::default(), 1);
-//! let victim = sim.add_node(StationConfig::client(victim_mac), (0.0, 0.0));
-//! let attacker = sim.add_node(StationConfig::client(MacAddr::FAKE), (5.0, 0.0));
+//! let mut sb = ScenarioBuilder::new();
+//! let victim = sb.client(victim_mac, (0.0, 0.0));
+//! let attacker = sb.client(MacAddr::FAKE, (5.0, 0.0));
+//! let mut sim = sb.build_with_seed(1).sim;
 //!
 //! sim.inject(0, attacker, builder::fake_null_frame(victim_mac, MacAddr::FAKE), BitRate::Mbps1);
 //! sim.run_until(10_000);
