@@ -111,31 +111,6 @@ impl BatteryDrainAttack {
         }
     }
 
-    /// Runs the Figure 6 sweep over a list of rates.
-    pub fn sweep(rates: &[u32], seed: u64) -> Vec<DrainMeasurement> {
-        Self::sweep_with_faults(rates, seed, FaultProfile::Clean)
-    }
-
-    /// [`sweep`](Self::sweep) under a chaos profile.
-    pub fn sweep_with_faults(
-        rates: &[u32],
-        seed: u64,
-        faults: FaultProfile,
-    ) -> Vec<DrainMeasurement> {
-        rates
-            .iter()
-            .map(|&rate_pps| {
-                BatteryDrainAttack {
-                    rate_pps,
-                    seed,
-                    faults,
-                    ..BatteryDrainAttack::default()
-                }
-                .run()
-            })
-            .collect()
-    }
-
     /// Projects the §4.2 battery-life numbers for a measured power draw.
     pub fn project_batteries(measurement: &DrainMeasurement) -> Vec<DrainProjection> {
         vec![

@@ -20,15 +20,23 @@
 //! use polite_wifi_harness::prelude::*;
 //!
 //! let runner = Runner::new(4);
-//! let means: Vec<f64> = runner.run_trials(42, 8, |trial| {
-//!     // `trial.rng` is seeded from `derive_trial_seed(42, trial.index)`,
-//!     // so this is reproducible regardless of worker count.
+//! let seed_of = |t| derive_trial_seed(42, t as u64);
+//! let (means, failures) = runner.run_trials_checked(8, seed_of, |trial| {
+//!     // Trial `t` runs under `derive_trial_seed(42, t)` whichever
+//!     // worker runs it, so this is reproducible at any worker count.
+//!     // Eight trials fan over the pool, so each gets one worker.
+//!     assert_eq!(trial.workers, 1);
 //!     let mut ledger = MetricsLedger::new();
 //!     ledger.record("noise_db", trial.seed as f64 % 7.0);
 //!     ledger.mean("noise_db").unwrap()
 //! });
 //! assert_eq!(means.len(), 8);
+//! assert!(failures.is_empty());
 //! ```
+//!
+//! Experiments run their trials through
+//! [`Experiment::run_trials`](report::Experiment::run_trials), which adds
+//! `--inject-trial-panic`, cancellation and progress reporting on top.
 
 pub mod cancel;
 pub mod ledger;

@@ -203,22 +203,14 @@ impl Experiment {
         }
     }
 
-    /// Base seed for this run.
-    pub fn seed(&self) -> u64 {
-        self.args.seed
-    }
-
-    /// A worker pool sized from `--workers`.
-    pub fn runner(&self) -> Runner {
-        self.args.runner()
-    }
-
     /// Runs this experiment's `--trials` trials across its `--workers`
     /// pool with graceful degradation: a panicking trial yields `None`
     /// in its slot and a recorded [`TrialFailure`] instead of killing
     /// the run. Honours `--inject-trial-panic` (the deterministic chaos
     /// hook the degradation tests drive). Trial `t` is seeded
-    /// `derive_trial_seed(seed, t)`.
+    /// `derive_trial_seed(seed, t)`, so a one-trial run is seeded
+    /// `seed` itself; [`TrialCtx::workers`] says how many workers the
+    /// trial may fan its own sub-units over.
     pub fn run_trials<T, F>(&mut self, trial: F) -> Vec<Option<T>>
     where
         T: Send,
@@ -244,31 +236,30 @@ impl Experiment {
         let done = Mutex::new(0usize);
         let sinks = &self.sinks;
         let (results, failures) =
-            self.runner()
-                .run_trials_checked(self.args.trials, seed_of, |ctx| {
-                    // Cooperative cancellation checkpoint: a raised
-                    // token degrades the remaining trials into
-                    // deterministic TrialFailures instead of letting a
-                    // timed-out job run to the bitter end.
-                    crate::cancel::check_cancelled();
-                    for sink in sinks {
-                        sink.trial_started(ctx.index, total);
-                    }
-                    if Some(ctx.index) == inject {
-                        panic!("injected trial panic (--inject-trial-panic {})", ctx.index);
-                    }
-                    let out = trial(ctx);
-                    // Count and report under one lock, so sinks see
-                    // completions in `done` order and the last report
-                    // carries the final count. A plain counter is valid
-                    // after any panic, so a poisoned lock is recovered.
-                    let mut finished = done.lock().unwrap_or_else(|e| e.into_inner());
-                    *finished += 1;
-                    for sink in sinks {
-                        sink.trial_finished(*finished, total);
-                    }
-                    out
-                });
+            Runner::new(self.args.workers).run_trials_checked(self.args.trials, seed_of, |ctx| {
+                // Cooperative cancellation checkpoint: a raised
+                // token degrades the remaining trials into
+                // deterministic TrialFailures instead of letting a
+                // timed-out job run to the bitter end.
+                crate::cancel::check_cancelled();
+                for sink in sinks {
+                    sink.trial_started(ctx.index, total);
+                }
+                if Some(ctx.index) == inject {
+                    panic!("injected trial panic (--inject-trial-panic {})", ctx.index);
+                }
+                let out = trial(ctx);
+                // Count and report under one lock, so sinks see
+                // completions in `done` order and the last report
+                // carries the final count. A plain counter is valid
+                // after any panic, so a poisoned lock is recovered.
+                let mut finished = done.lock().unwrap_or_else(|e| e.into_inner());
+                *finished += 1;
+                for sink in sinks {
+                    sink.trial_finished(*finished, total);
+                }
+                out
+            });
         self.note_trial_failures(failures);
         results
     }

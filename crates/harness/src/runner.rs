@@ -11,8 +11,6 @@
 //! byte-identical reports.
 
 use polite_wifi_sim::FaultProfile;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -52,14 +50,16 @@ fn panic_message(err: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Per-trial context handed to the trial closure.
+#[derive(Debug, Clone, Copy)]
 pub struct TrialCtx {
     /// Trial index in `0..trials`.
     pub index: usize,
     /// This trial's derived seed; feed it to anything seedable.
     pub seed: u64,
-    /// A ChaCha8 stream seeded from [`TrialCtx::seed`], for trial-local
-    /// randomness (positions, jitter) that must not depend on scheduling.
-    pub rng: ChaCha8Rng,
+    /// The workers this trial may fan its own sub-units over: the whole
+    /// pool when the run is one trial, else 1, since the trials already
+    /// fan over the pool. One pool, never workers × workers threads.
+    pub workers: usize,
 }
 
 /// A scoped worker pool executing independent units of work.
@@ -130,60 +130,12 @@ impl Runner {
         results.into_iter().map(|(_, value)| value).collect()
     }
 
-    /// Runs `trials` independent trials of an experiment. Each trial
-    /// gets a [`TrialCtx`] with its derived seed and a fresh ChaCha8
-    /// stream; results come back in trial order.
-    pub fn run_trials<T, F>(&self, base_seed: u64, trials: usize, trial: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(TrialCtx) -> T + Sync,
-    {
-        self.run_indexed(trials, |index| {
-            let seed = derive_trial_seed(base_seed, index as u64);
-            trial(TrialCtx {
-                index,
-                seed,
-                rng: ChaCha8Rng::seed_from_u64(seed),
-            })
-        })
-    }
-
-    /// [`run_indexed`](Self::run_indexed) with graceful degradation:
-    /// each unit runs under `catch_unwind`, a panicking unit yields
-    /// `None` in its slot plus an `(index, message)` record, and every
-    /// other unit still completes. Both vectors are in index order, so
+    /// Runs `trials` independent trials, trial `t` seeded `seed_of(t)`,
+    /// with graceful degradation: each trial runs under `catch_unwind`,
+    /// and a panicking one yields `None` in its slot plus a structured
+    /// [`TrialFailure`] (carrying its seed for solo replay) while every
+    /// other trial still completes. Both vectors are in trial order, so
     /// the worker-invariance guarantee extends to failures.
-    pub fn run_indexed_checked<T, F>(
-        &self,
-        count: usize,
-        work: F,
-    ) -> (Vec<Option<T>>, Vec<(usize, String)>)
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        let raw: Vec<Result<T, String>> = self.run_indexed(count, |index| {
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| work(index)))
-                .map_err(panic_message)
-        });
-        let mut results = Vec::with_capacity(count);
-        let mut failures = Vec::new();
-        for (index, outcome) in raw.into_iter().enumerate() {
-            match outcome {
-                Ok(value) => results.push(Some(value)),
-                Err(message) => {
-                    results.push(None);
-                    failures.push((index, message));
-                }
-            }
-        }
-        (results, failures)
-    }
-
-    /// [`run_trials`](Self::run_trials) with graceful degradation, trial
-    /// `t` seeded `seed_of(t)`: a panicking trial becomes a structured
-    /// [`TrialFailure`] (carrying its seed for solo replay) instead of
-    /// killing the run.
     pub fn run_trials_checked<T, F>(
         &self,
         trials: usize,
@@ -194,23 +146,31 @@ impl Runner {
         T: Send,
         F: Fn(TrialCtx) -> T + Sync,
     {
-        let (results, raw) = self.run_indexed_checked(trials, |index| {
-            let seed = seed_of(index);
-            trial(TrialCtx {
+        let workers = if trials == 1 { self.workers } else { 1 };
+        let raw = self.run_indexed(trials, |index| {
+            let ctx = TrialCtx {
                 index,
-                seed,
-                rng: ChaCha8Rng::seed_from_u64(seed),
-            })
-        });
-        let failures = raw
-            .into_iter()
-            .map(|(index, detail)| TrialFailure {
-                trial: index as u64,
                 seed: seed_of(index),
-                kind: "panic".to_string(),
-                detail,
-            })
-            .collect();
+                workers,
+            };
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| trial(ctx)))
+        });
+        let mut results = Vec::with_capacity(trials);
+        let mut failures = Vec::new();
+        for (index, outcome) in raw.into_iter().enumerate() {
+            match outcome {
+                Ok(value) => results.push(Some(value)),
+                Err(err) => {
+                    results.push(None);
+                    failures.push(TrialFailure {
+                        trial: index as u64,
+                        seed: seed_of(index),
+                        kind: "panic".to_string(),
+                        detail: panic_message(err),
+                    });
+                }
+            }
+        }
         (results, failures)
     }
 }
@@ -400,11 +360,6 @@ impl RunArgs {
         message.push_str(" (try --help)");
         Err(message)
     }
-
-    /// A runner sized to these arguments.
-    pub fn runner(&self) -> Runner {
-        Runner::new(self.workers)
-    }
 }
 
 fn next_value<T: std::str::FromStr, I: Iterator<Item = String>>(
@@ -419,7 +374,8 @@ fn next_value<T: std::str::FromStr, I: Iterator<Item = String>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn results_come_back_in_index_order() {
@@ -432,14 +388,34 @@ mod tests {
 
     #[test]
     fn trial_streams_are_scheduling_independent() {
-        let sample = |workers: usize| -> Vec<u64> {
-            Runner::new(workers).run_trials(99, 16, |mut trial| trial.rng.gen::<u64>())
+        let sample = |workers: usize| -> Vec<Option<u64>> {
+            let seed_of = |t| derive_trial_seed(99, t as u64);
+            let (draws, _) = Runner::new(workers).run_trials_checked(16, seed_of, |trial| {
+                ChaCha8Rng::seed_from_u64(trial.seed).gen::<u64>()
+            });
+            draws
         };
         let one = sample(1);
         assert_eq!(one, sample(4));
         assert_eq!(one, sample(16));
         // Distinct trials see distinct streams.
         assert!(one.windows(2).any(|w| w[0] != w[1]));
+    }
+
+    /// One pool: a lone trial may fan its sub-units over the whole
+    /// pool, while several trials fan over it and get one worker each.
+    #[test]
+    fn a_lone_trial_gets_the_pool_and_several_get_one_worker_each() {
+        for workers in [1, 2] {
+            let runner = Runner::new(workers);
+            let trial_workers = |trials| {
+                runner
+                    .run_trials_checked(trials, |t| t as u64, |t| t.workers)
+                    .0
+            };
+            assert_eq!(trial_workers(1), [Some(workers)]);
+            assert_eq!(trial_workers(3), [Some(1); 3]);
+        }
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Declarative scenario construction.
 //!
 //! A [`ScenarioBuilder`] records a population (stations with positions
-//! and roles), a topology (associations, monitor taps, velocities), a
-//! base seed, and a duration — then stamps out fresh deterministic
-//! [`Simulator`]s from that recipe. Because the recipe is immutable
-//! after declaration, one builder can stamp a simulator per trial with
-//! per-trial derived seeds: the foundation of the Monte-Carlo runner.
+//! and roles), a topology (associations, monitor taps, velocities) and
+//! a duration — then stamps out fresh deterministic [`Simulator`]s from
+//! that recipe, one per seed. Because the recipe is immutable after
+//! declaration, one builder can stamp a simulator per trial with the
+//! trial's seed: the foundation of the Monte-Carlo runner.
 
 use polite_wifi_frame::MacAddr;
 use polite_wifi_mac::StationConfig;
@@ -24,7 +24,6 @@ enum PostOp {
 /// A reusable recipe for building simulators.
 #[derive(Debug, Clone)]
 pub struct ScenarioBuilder {
-    seed: u64,
     duration_us: u64,
     faults: FaultProfile,
     nodes: Vec<(StationConfig, (f64, f64))>,
@@ -40,18 +39,11 @@ impl Default for ScenarioBuilder {
 impl ScenarioBuilder {
     pub fn new() -> ScenarioBuilder {
         ScenarioBuilder {
-            seed: 7,
             duration_us: 1_000_000,
             faults: FaultProfile::Clean,
             nodes: Vec::new(),
             ops: Vec::new(),
         }
-    }
-
-    /// Sets the base seed [`build`](Self::build) uses.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
     }
 
     /// Sets how long [`Scenario::run`] advances virtual time.
@@ -139,13 +131,8 @@ impl ScenarioBuilder {
         self.nodes.len()
     }
 
-    /// Stamps out a simulator with the builder's own seed.
-    pub fn build(&self) -> Scenario {
-        self.build_with_seed(self.seed)
-    }
-
-    /// Stamps out a simulator with an explicit (e.g. per-trial derived)
-    /// seed. The recipe is not consumed: call once per trial.
+    /// Stamps out a simulator with a (e.g. per-trial derived) seed. The
+    /// recipe is not consumed: call once per trial.
     pub fn build_with_seed(&self, seed: u64) -> Scenario {
         let mut sim = Simulator::new(SimConfig::default(), seed);
         for (cfg, position) in &self.nodes {
@@ -236,7 +223,7 @@ mod tests {
         assert_eq!((ap.0, client.0, tap.0), (0, 1, 2));
         assert_eq!(b.population(), 3);
 
-        let s = b.build();
+        let s = b.build_with_seed(7);
         assert_eq!(s.sim.node_count(), 3);
         assert!(s.sim.node(tap).monitor);
     }

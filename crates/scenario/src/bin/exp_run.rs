@@ -146,7 +146,7 @@ fn fmt_or_check(mode: &str, paths: &[String]) -> std::io::Result<usize> {
                 spec.runner, spec.slug
             );
         } else {
-            println!(
+            eprintln!(
                 "{path}: not canonical — {} (fix with `exp_run --fmt {path}`)",
                 describe_drift(&text, &canonical)
             );
@@ -163,6 +163,10 @@ fn main() -> std::io::Result<()> {
             println!(
                 "usage: exp_run SCENARIO.json [harness flags]\n       \
                  exp_run --list | --fmt FILE... | --check FILE...\n\n\
+                 --trials N runs N trials on every runner, trial t under seed `S ^ t` (trial 0 \
+                 under --seed S\nitself): metrics hold one sample per completed trial and the \
+                 payload is the first completed\ntrial's. --workers M fans the trials over M \
+                 threads, or a lone trial's independent parts.\n\n\
                  --quick changes results only through the `quick_*` overrides of a spec's \
                  `wardrive`\nsection (a smaller Table 2 population, a shorter city dwell), and \
                  such a run writes\n`<slug>_quick`; for every other spec it only labels the \

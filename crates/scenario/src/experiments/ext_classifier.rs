@@ -6,11 +6,14 @@
 //! realisations, window features extracted, and a k-NN classifier scored
 //! with session-held-out evaluation — the honest protocol (no window of a
 //! test session in training). The spec bounds the held-out `accuracy`
-//! (chance is 25%) and the `windows_scored`.
+//! (chance is 25%) and the `windows_scored`. Each trial draws its
+//! sessions from its own seed; the payload is the first trial's.
 
+use super::run_trials;
 use crate::registry::Output;
 use crate::spec::ScenarioSpec;
-use polite_wifi_harness::Experiment;
+use polite_wifi_harness::{Experiment, MetricsLedger};
+use polite_wifi_obs::Obs;
 use polite_wifi_sensing::classify::ActivityClass;
 use polite_wifi_sensing::dataset::{cross_session_accuracy, generate_dataset, mean_std_of_class};
 
@@ -41,39 +44,43 @@ pub fn run(_: &ScenarioSpec, exp: &mut Experiment) -> std::io::Result<Output> {
         println!("  {:?}: {:.4}", class, mean_std_of_class(&sessions, class));
     }
 
-    // Held-out evaluation.
-    let sessions_per_class = 6;
-    let matrix = cross_session_accuracy(sessions_per_class, 1350, exp.seed());
-    let accuracy = matrix.accuracy();
-    exp.metrics.record("accuracy", accuracy);
-    exp.metrics.record("windows_scored", matrix.total() as f64);
-    exp.obs.add("sensing.windows_scored", matrix.total());
-    exp.obs.add(
-        "sensing.windows_correct",
-        (0..4).map(|i| matrix.counts[i][i]).sum(),
-    );
-
-    println!("\nconfusion matrix (rows = truth, cols = predicted):");
-    println!(
-        "{:>8} {:>6} {:>6} {:>6} {:>6}",
-        "", "Idle", "Hold", "Typing", "Motion"
-    );
-    for (i, class) in ActivityClass::ALL.iter().enumerate() {
-        print!("{:>8}", format!("{class:?}"));
-        for j in 0..4 {
-            print!(" {:>6}", matrix.counts[i][j]);
-        }
-        println!();
-    }
-
-    Ok(Output::new(ClassifierResult {
-        sessions_per_class,
-        windows_scored: matrix.total(),
-        accuracy,
-        confusion: matrix.counts.iter().map(|row| row.to_vec()).collect(),
-        class_order: ActivityClass::ALL
-            .iter()
-            .map(|c| format!("{c:?}"))
-            .collect(),
-    }))
+    // Held-out evaluation, on fresh sessions drawn from each trial's seed.
+    Ok(run_trials(
+        exp,
+        |t| {
+            let sessions_per_class = 6;
+            let matrix = cross_session_accuracy(sessions_per_class, 1350, t.seed);
+            let (mut ledger, mut obs) = (MetricsLedger::new(), Obs::new());
+            let accuracy = matrix.accuracy();
+            ledger.record("accuracy", accuracy);
+            ledger.record("windows_scored", matrix.total() as f64);
+            obs.add("sensing.windows_scored", matrix.total());
+            let correct = (0..4).map(|i| matrix.counts[i][i]).sum();
+            obs.add("sensing.windows_correct", correct);
+            let payload = ClassifierResult {
+                sessions_per_class,
+                windows_scored: matrix.total(),
+                accuracy,
+                confusion: matrix.counts.iter().map(|row| row.to_vec()).collect(),
+                class_order: (ActivityClass::ALL.iter())
+                    .map(|c| format!("{c:?}"))
+                    .collect(),
+            };
+            (payload, ledger, obs)
+        },
+        |first| {
+            println!("\nconfusion matrix (rows = truth, cols = predicted):");
+            println!(
+                "{:>8} {:>6} {:>6} {:>6} {:>6}",
+                "", "Idle", "Hold", "Typing", "Motion"
+            );
+            for (class, row) in first.class_order.iter().zip(&first.confusion) {
+                print!("{class:>8}");
+                for count in row {
+                    print!(" {count:>6}");
+                }
+                println!();
+            }
+        },
+    ))
 }

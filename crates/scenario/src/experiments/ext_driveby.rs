@@ -10,17 +10,23 @@
 //! drive and the one-fake-per-target schedule are this experiment's.
 //! It records the devices passed but `undiscovered` or `unverified`
 //! (§3: all respond), and the `pairing_disagreements` between the
-//! streamed pairing and a pass over the whole capture.
+//! streamed pairing and a pass over the whole capture. Each trial drives
+//! the street once at its own seed; the payload is the first trial's.
 
+use super::run_trials;
 use crate::registry::Output;
 use crate::spec::ScenarioSpec;
 use polite_wifi_core::{AckVerifier, Sniffer};
 use polite_wifi_frame::{builder, ControlFrame, Frame, MacAddr};
-use polite_wifi_harness::{Experiment, ScenarioBuilder};
+use polite_wifi_harness::{Experiment, MetricsLedger, ScenarioBuilder};
 use polite_wifi_mac::StationConfig;
+use polite_wifi_obs::Obs;
 use polite_wifi_phy::rate::BitRate;
-use polite_wifi_sim::NodeId;
+use polite_wifi_sim::{FaultProfile, NodeId};
 use std::collections::{BTreeSet, HashSet};
+
+/// Metres between houses.
+const SPACING_M: f64 = 40.0;
 
 struct DriveByResult {
     houses: usize,
@@ -29,6 +35,8 @@ struct DriveByResult {
     verified: usize,
     drive_seconds: u64,
     speed_mps: f64,
+    /// Printed, not written.
+    acks_heard: usize,
 }
 
 polite_wifi_obs::impl_to_json! { DriveByResult {
@@ -36,15 +44,37 @@ polite_wifi_obs::impl_to_json! { DriveByResult {
 } }
 
 pub fn run(_: &ScenarioSpec, exp: &mut Experiment) -> std::io::Result<Output> {
+    let faults = exp.args().faults;
+    Ok(run_trials(
+        exp,
+        |t| drive(t.seed, faults),
+        |first| {
+            println!(
+                "\nstreet: {} houses, {} devices; drive: {:.0} m at {} m/s ({} s)",
+                first.houses,
+                first.devices,
+                first.houses as f64 * SPACING_M,
+                first.speed_mps,
+                first.drive_seconds
+            );
+            println!(
+                "discovered {} / verified {} devices; {} ACKs heard from the kerb",
+                first.discovered, first.verified, first.acks_heard
+            );
+        },
+    ))
+}
+
+/// One drive down the street under `seed`.
+fn drive(seed: u64, faults: FaultProfile) -> (DriveByResult, MetricsLedger, Obs) {
     let houses = 14usize;
-    let spacing = 40.0; // metres between houses
     let speed = 12.0; // m/s ≈ 43 km/h
-    let street_len = houses as f64 * spacing;
+    let street_len = houses as f64 * SPACING_M;
     let drive_seconds = (street_len / speed) as u64 + 10;
 
     let mut sb = ScenarioBuilder::new()
         .duration_us(drive_seconds * 1_000_000)
-        .faults(exp.args().faults);
+        .faults(faults);
     // The car: monitor-mode injector moving east along y = 0.
     let car = sb.monitor(MacAddr::FAKE, (-60.0, 0.0));
     sb.retries(car, false);
@@ -55,7 +85,7 @@ pub fn run(_: &ScenarioSpec, exp: &mut Experiment) -> std::io::Result<Output> {
     let mut members: Vec<MacAddr> = Vec::new();
     let mut probers: Vec<(NodeId, MacAddr, u64)> = Vec::new();
     for h in 0..houses {
-        let x = h as f64 * spacing;
+        let x = h as f64 * SPACING_M;
         let ap_mac = MacAddr::new([0x68, 0x02, 0xb8, 0x10, 0, h as u8]);
         sb.station(
             StationConfig::access_point(ap_mac, &format!("House-{h}")),
@@ -69,7 +99,7 @@ pub fn run(_: &ScenarioSpec, exp: &mut Experiment) -> std::io::Result<Output> {
             probers.push((id, mac, (h as u64 * 137 + c as u64 * 313) * 1_000));
         }
     }
-    let mut scenario = sb.build_with_seed(exp.seed());
+    let mut scenario = sb.build_with_seed(seed);
     let sim = &mut scenario.sim;
 
     // Clients probe every ~700 ms throughout.
@@ -136,38 +166,24 @@ pub fn run(_: &ScenarioSpec, exp: &mut Experiment) -> std::io::Result<Output> {
             |cf| matches!(&cf.frame, Frame::Ctrl(ControlFrame::Ack { ra }) if *ra == MacAddr::FAKE),
         )
         .count();
-    exp.metrics.record("discovered", discovered.len() as f64);
-    exp.metrics.record("verified", verified.len() as f64);
-    exp.metrics.record("acks_heard", acks_heard as f64);
+    let mut ledger = MetricsLedger::new();
+    ledger.record("discovered", discovered.len() as f64);
+    ledger.record("verified", verified.len() as f64);
+    ledger.record("acks_heard", acks_heard as f64);
     let devices = members.len();
-    exp.metrics
-        .record("undiscovered", devices.abs_diff(discovered.len()) as f64);
-    exp.metrics
-        .record("unverified", devices.abs_diff(verified.len()) as f64);
-    exp.metrics
-        .record("pairing_disagreements", disagreements as f64);
-
-    println!(
-        "\nstreet: {houses} houses, {} devices; drive: {:.0} m at {speed} m/s ({drive_seconds} s)",
-        members.len(),
-        street_len
-    );
-    println!(
-        "discovered {} / verified {} devices; {} ACKs heard from the kerb",
-        discovered.len(),
-        verified.len(),
-        acks_heard
-    );
+    ledger.record("undiscovered", devices.abs_diff(discovered.len()) as f64);
+    ledger.record("unverified", devices.abs_diff(verified.len()) as f64);
+    ledger.record("pairing_disagreements", disagreements as f64);
 
     scenario.observe_activity(car, "power.car");
-    let snapshot = scenario.sim.take_obs();
-    exp.absorb_obs(snapshot);
-    Ok(Output::new(DriveByResult {
+    let result = DriveByResult {
         houses,
         devices,
         discovered: discovered.len(),
         verified: verified.len(),
         drive_seconds,
         speed_mps: speed,
-    }))
+        acks_heard,
+    };
+    (result, ledger, scenario.sim.take_obs())
 }

@@ -3,12 +3,16 @@
 //! from elicited ACK CSI. Each subject records its `bpm_abs_error`
 //! (`breathing_estimates_missing` counts series too short to estimate),
 //! and `occupancy_misclassified` counts the intervals the detector got
-//! wrong.
+//! wrong. A trial runs the three subjects at its own seed (plus the
+//! subject's index), fanned over its workers; occupancy runs once, on a
+//! channel of its own fixed seed. The payload is the first trial's.
 
+use super::run_trials;
 use crate::registry::Output;
 use crate::spec::ScenarioSpec;
 use polite_wifi_core::VitalSignsAttack;
-use polite_wifi_harness::Experiment;
+use polite_wifi_harness::{Experiment, MetricsLedger, Runner};
+use polite_wifi_obs::Obs;
 use polite_wifi_phy::csi::CsiChannel;
 use polite_wifi_sensing::occupancy::{detect_occupancy, OccupancyConfig};
 use polite_wifi_sensing::MotionScript;
@@ -21,45 +25,64 @@ struct VitalsJson {
 
 polite_wifi_obs::impl_to_json! { VitalsJson { breathing, occupancy_truth, occupancy_detected } }
 
-pub fn run(_: &ScenarioSpec, exp: &mut Experiment) -> std::io::Result<Output> {
-    // --- Breathing --- (three independent subjects, fanned over the pool)
-    println!("\n-- breathing-rate recovery from a victim's ACK stream --\n");
-    let seed = exp.seed();
-    let faults = exp.args().faults;
-    let cases = [12.0f64, 16.0, 22.0];
-    let breathing = exp.runner().run_indexed(cases.len(), |i| {
-        VitalSignsAttack {
-            true_bpm: cases[i],
-            duration_us: 60_000_000,
-            seed: seed.wrapping_add(i as u64),
-            faults,
-            ..VitalSignsAttack::default()
-        }
-        .run()
-    });
-    for result in &breathing {
-        exp.obs.add("sensing.csi_samples", result.samples as u64);
-    }
-    let mut missing = 0u64;
-    for (true_bpm, result) in cases.iter().zip(&breathing) {
-        let Some(est) = result.estimate.as_ref() else {
-            missing += 1;
-            println!(
-                "true {true_bpm:>5.1} bpm → no estimate ({} samples)",
-                result.samples
-            );
-            continue;
-        };
-        println!(
-            "true {true_bpm:>5.1} bpm → estimated {:>5.1} bpm (confidence {:>5.1}, {} samples)",
-            est.bpm, est.confidence, result.samples
-        );
-        exp.metrics
-            .record("bpm_abs_error", (est.bpm - true_bpm).abs());
-    }
-    exp.metrics.count("breathing_estimates_missing", missing);
+/// The three subjects' true breathing rates, in bpm.
+const SUBJECTS_BPM: [f64; 3] = [12.0, 16.0, 22.0];
 
-    // --- Occupancy ---
+pub fn run(_: &ScenarioSpec, exp: &mut Experiment) -> std::io::Result<Output> {
+    let faults = exp.args().faults;
+    let (truth, detected) = occupancy();
+    let wrong = truth.iter().zip(&detected).filter(|(t, d)| t != d).count();
+    Ok(run_trials(
+        exp,
+        |t| {
+            // Three independent subjects, fanned over the trial's workers.
+            let breathing = Runner::new(t.workers).run_indexed(SUBJECTS_BPM.len(), |i| {
+                VitalSignsAttack {
+                    true_bpm: SUBJECTS_BPM[i],
+                    duration_us: 60_000_000,
+                    seed: t.seed.wrapping_add(i as u64),
+                    faults,
+                    ..VitalSignsAttack::default()
+                }
+                .run()
+            });
+            let (mut ledger, mut obs) = (MetricsLedger::new(), Obs::new());
+            let mut missing = 0u64;
+            for (true_bpm, result) in SUBJECTS_BPM.iter().zip(&breathing) {
+                obs.add("sensing.csi_samples", result.samples as u64);
+                match &result.estimate {
+                    Some(est) => ledger.record("bpm_abs_error", (est.bpm - true_bpm).abs()),
+                    None => missing += 1,
+                }
+            }
+            ledger.count("breathing_estimates_missing", missing);
+            ledger.count("occupancy_misclassified", wrong as u64);
+            let payload = VitalsJson {
+                breathing,
+                occupancy_truth: truth.clone(),
+                occupancy_detected: detected.clone(),
+            };
+            (payload, ledger, obs)
+        },
+        |first| {
+            println!("\n-- breathing-rate recovery from a victim's ACK stream --\n");
+            for (true_bpm, result) in SUBJECTS_BPM.iter().zip(&first.breathing) {
+                let samples = result.samples;
+                match &result.estimate {
+                    Some(est) => println!(
+                        "true {true_bpm:>5.1} bpm → estimated {:>5.1} bpm (confidence {:>5.1}, {samples} samples)",
+                        est.bpm, est.confidence
+                    ),
+                    None => println!("true {true_bpm:>5.1} bpm → no estimate ({samples} samples)"),
+                }
+            }
+        },
+    ))
+}
+
+/// Occupancy detection on its own channel (seed 77), the same in every
+/// trial: each interval's truth and verdict, printed as they are found.
+fn occupancy() -> (Vec<bool>, Vec<bool>) {
     println!("\n-- occupancy detection near an unmodified device --\n");
     // 40 s: empty (0–16 s), occupied (16–32 s), empty again.
     let duration = 40_000_000u64;
@@ -88,13 +111,5 @@ pub fn run(_: &ScenarioSpec, exp: &mut Experiment) -> std::io::Result<Output> {
             if occupied_truth { "occupied" } else { "vacant" }
         );
     }
-    let correct = truth.iter().zip(&detected).filter(|(t, d)| t == d).count();
-    exp.metrics
-        .count("occupancy_misclassified", (truth.len() - correct) as u64);
-
-    Ok(Output::new(VitalsJson {
-        breathing,
-        occupancy_truth: truth,
-        occupancy_detected: detected,
-    }))
+    (truth, detected)
 }

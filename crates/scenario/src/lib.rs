@@ -25,8 +25,10 @@
 //!   section: Table 2's survey, its MAC-randomisation extension (as
 //!   `cases`) and the city-scale drive.
 //! * [`experiments`] — bespoke runners whose logic is programmatic
-//!   (parameter sweeps, classifiers, the continuous drive-by). Their
-//!   specs carry identity, run defaults and assertions.
+//!   (parameter sweeps, classifiers, the continuous drive-by), each
+//!   written as one trial that runs on the same harness trial path as
+//!   the other two kinds. Their specs carry identity, run defaults and
+//!   assertions.
 //!
 //! The [`pins`] hold every scenario's pinned envelope digest, which the
 //! result-cache key covers.

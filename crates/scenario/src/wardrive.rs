@@ -3,8 +3,10 @@
 //! `polite-wifi-core`'s one segment engine. Table 2 (E5), the city drive
 //! (E10) and MAC randomisation (X3, one case per fraction) are data.
 //! Trial `t` drives case `t mod n` and folds like the generic runner's
-//! (`generic::fold`). A lone trial fans its segments over `--workers`;
-//! several trials fan over the workers instead. Segments merge in order,
+//! (`generic::fold`). Its segments fan over the trial's
+//! [`TrialCtx::workers`](polite_wifi_harness::TrialCtx::workers): the
+//! whole pool for a lone trial, one worker when several trials fan over
+//! the pool instead. Segments merge in order,
 //! so the envelope is byte-identical at any worker count. Wall time is
 //! printed, never recorded.
 
@@ -14,7 +16,7 @@ use crate::spec::{Drive, PopulationSpec, ScenarioSpec, WardriveSpec};
 use polite_wifi_core::{CityReport, CityWardrive, ScanReport, WardriveScanner};
 use polite_wifi_devices::population::{TABLE2_APS, TABLE2_CLIENTS};
 use polite_wifi_devices::CityPopulation;
-use polite_wifi_harness::{Experiment, MetricsLedger, RunArgs};
+use polite_wifi_harness::{Experiment, MetricsLedger, RunArgs, TrialCtx};
 use polite_wifi_obs::json::{JsonWriter, ToJson};
 use polite_wifi_obs::Obs;
 use std::io;
@@ -51,7 +53,7 @@ pub fn run(spec: &ScenarioSpec, exp: &mut Experiment) -> io::Result<Output> {
     let seed_of = |t| (spec.run.case_seed).trial_seed(t, cases.len(), args.seed);
     let results = exp.run_trials_seeded(seed_of, |ctx| {
         let case = cases[ctx.index % cases.len()];
-        let (report, ledger, obs) = drive(case.wardrive.expect("validated"), &args, ctx.seed);
+        let (report, ledger, obs) = drive(case.wardrive.expect("validated"), &args, ctx);
         let name = case.name.to_string();
         (CaseRow { name, report }, ledger, obs)
     });
@@ -70,12 +72,11 @@ pub fn run(spec: &ScenarioSpec, exp: &mut Experiment) -> io::Result<Output> {
     Ok(Output { payload, by_case })
 }
 
-/// One drive under `seed`: its report, metrics and segments'
-/// observability.
-fn drive(section: &WardriveSpec, args: &RunArgs, seed: u64) -> (Report, MetricsLedger, Obs) {
+/// One trial's drive under its seed, its segments fanned over its
+/// workers: its report, metrics and segments' observability.
+fn drive(section: &WardriveSpec, args: &RunArgs, trial: TrialCtx) -> (Report, MetricsLedger, Obs) {
     let (mut ledger, mut obs) = (MetricsLedger::new(), Obs::new());
-    // One pool: the segments fan over `--workers` when the trials do not.
-    let workers = if args.trials == 1 { args.workers } else { 1 };
+    let TrialCtx { seed, workers, .. } = trial;
     let devices = section.quick_devices.filter(|_| args.quick);
     let dwell_us = (section.quick_dwell_us.filter(|_| args.quick)).unwrap_or(section.dwell_us);
     let start = Instant::now();

@@ -212,23 +212,84 @@ fn pcap_bytes_are_pinned() {
     }
 }
 
-/// Figure 3's two phases are trials of the generic runner, so the
-/// harness's chaos hook reaches them: a panic injected into trial 1
-/// degrades into one recorded failure and a non-zero exit.
+/// Figure 3's two phases are trials of the generic runner, and the
+/// bespoke runners run their trials on the same path, so the harness's
+/// chaos hook reaches both: a panic injected into trial 1 degrades into
+/// one recorded failure and a non-zero exit, while the surviving trial's
+/// metrics still land (`ext_ranging`: one `relative_error` per distance).
 #[test]
 fn injected_trial_panic_degrades_fig3_into_one_trial_failure() {
-    let inject = ["--inject-trial-panic", "1"];
-    let (out, dir) = exp_run("fig3_deauth", 1, "clean", &inject, "panic");
-    assert_eq!(out.status.code(), Some(1));
-    let text = std::fs::read_to_string(dir.join("fig3_deauth.json")).unwrap();
-    let failures = json::parse(&text).unwrap().get("trial_failures").cloned();
-    let failures = failures.as_ref().and_then(JsonValue::as_array).unwrap();
-    assert_eq!(failures.len(), 1, "{text}");
-    assert_eq!(
-        failures[0].get("trial").and_then(JsonValue::as_f64),
-        Some(1.0)
+    for (slug, trials, samples) in [("fig3_deauth", "2", None), ("ext_ranging", "2", Some(4.0))] {
+        let flags = ["--trials", trials, "--inject-trial-panic", "1"];
+        let (out, dir) = exp_run(slug, 1, "clean", &flags, "panic");
+        assert_eq!(out.status.code(), Some(1), "{slug}");
+        let text = std::fs::read_to_string(dir.join(format!("{slug}.json"))).unwrap();
+        let envelope = json::parse(&text).unwrap();
+        let failures = envelope.get("trial_failures").and_then(JsonValue::as_array);
+        let failures = failures.unwrap();
+        assert_eq!(failures.len(), 1, "{text}");
+        assert_eq!(
+            failures[0].get("trial").and_then(JsonValue::as_f64),
+            Some(1.0)
+        );
+        if let Some(samples) = samples {
+            assert_eq!(metric_samples(&envelope, "relative_error"), Some(samples));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// How many samples the envelope's `metric` summarises, if recorded.
+fn metric_samples(envelope: &JsonValue, metric: &str) -> Option<f64> {
+    let metrics = envelope.get("metrics").and_then(JsonValue::as_array)?;
+    let named = |m: &&JsonValue| m.get("name").and_then(JsonValue::as_str) == Some(metric);
+    metrics.iter().find(named)?.get("samples")?.as_f64()
+}
+
+/// Every bespoke runner runs its trials through the harness: a panic
+/// injected into a run's only trial is one recorded failure, exit 1 and
+/// a failure-only envelope, with no metric and a `null` payload.
+#[test]
+fn every_bespoke_runner_degrades_an_injected_panic() {
+    let bespoke = runner_names()
+        .into_iter()
+        .filter(|r| !["generic", "wardrive"].contains(r));
+    for slug in bespoke {
+        let flags = ["--trials", "1", "--inject-trial-panic", "0"];
+        let (out, dir) = exp_run(slug, 2, "clean", &flags, "panic-only");
+        assert_eq!(out.status.code(), Some(1), "{slug}");
+        let text = std::fs::read_to_string(dir.join(format!("{slug}.json"))).unwrap();
+        let envelope = json::parse(&text).unwrap();
+        let failures = envelope.get("trial_failures").and_then(JsonValue::as_array);
+        assert_eq!(failures.map(<[_]>::len), Some(1), "{slug}: {text}");
+        let metrics = envelope.get("metrics").and_then(JsonValue::as_array);
+        assert_eq!(metrics.map(<[_]>::len), Some(0), "{slug}: {text}");
+        assert_eq!(envelope.get("payload"), Some(&JsonValue::Null), "{slug}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The hub runs at the run's seed: `--seed 8` senses another channel
+/// than the pinned seed-7 run, so its envelope differs from that row's
+/// even with the `seed` field itself masked back to 7.
+#[test]
+fn sensing_hub_runs_at_the_run_seed() {
+    let (out, dir) = exp_run("sensing_hub", 1, "clean", &["--seed", "8"], "seed");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
     );
+    let mut envelopes = normalised_envelopes(&dir);
     let _ = std::fs::remove_dir_all(&dir);
+    let JsonValue::Obj(fields) = envelopes.get_mut("sensing_hub.json").unwrap() else {
+        panic!("an envelope is an object");
+    };
+    let seed = fields.iter_mut().find(|(key, _)| key == "seed").unwrap();
+    assert_eq!(seed.1, JsonValue::Num(8.0));
+    seed.1 = JsonValue::Num(7.0);
+    let pin = GOLDENS.iter().find(|row| row.0 == "sensing_hub").unwrap().1;
+    assert_ne!(digest(&envelopes), pin, "--seed 8 ran the seed-7 hub");
 }
 
 /// A `--trials` override below the spec's case count is a usage error:

@@ -8,7 +8,7 @@ use polite_wifi::core::{
     ScanReport, SensingHub, WardriveScanner,
 };
 use polite_wifi::devices::{CityPopulation, DeviceSpec};
-use polite_wifi::harness::{Experiment, RunArgs, Runner};
+use polite_wifi::harness::{derive_trial_seed, Experiment, RunArgs, Runner};
 use polite_wifi::obs::{json, Obs, ObsConfig};
 use polite_wifi::sensing::MotionScript;
 use polite_wifi::sim::FaultProfile;
@@ -171,7 +171,8 @@ fn traced_urban_trial(seed: u64) -> Obs {
 /// Runs the traced scenario at a worker count and merges the per-trial
 /// scopes in trial order into one tracing root.
 fn traced_urban_run(workers: usize) -> Obs {
-    let snapshots = Runner::new(workers).run_trials(4242, 6, |t| traced_urban_trial(t.seed));
+    let snapshots = Runner::new(workers)
+        .run_indexed(6, |t| traced_urban_trial(derive_trial_seed(4242, t as u64)));
     let mut root = Obs::with_config(ObsConfig::tracing());
     for (i, snap) in snapshots.iter().enumerate() {
         root.absorb(snap, i as u64);

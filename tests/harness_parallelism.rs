@@ -59,8 +59,8 @@ fn trial_metrics_are_byte_identical_across_worker_counts() {
     sb.link(victim, ap);
 
     let run_with = |workers: usize| {
-        let ledgers = Runner::new(workers).run_trials(77, 12, |trial| {
-            let mut scenario = sb.build_with_seed(trial.seed);
+        let ledgers = Runner::new(workers).run_indexed(12, |trial| {
+            let mut scenario = sb.build_with_seed(derive_trial_seed(77, trial as u64));
             for i in 0..4u64 {
                 scenario.sim.inject(
                     10_000 + i * 50_000,
@@ -104,8 +104,8 @@ fn obs_metrics_snapshot_is_byte_identical_across_worker_counts() {
     sb.link(victim, ap);
 
     let run_with = |workers: usize| {
-        let snapshots = Runner::new(workers).run_trials(77, 12, |trial| {
-            let mut scenario = sb.build_with_seed(trial.seed);
+        let snapshots = Runner::new(workers).run_indexed(12, |trial| {
+            let mut scenario = sb.build_with_seed(derive_trial_seed(77, trial as u64));
             for i in 0..4u64 {
                 scenario.sim.inject(
                     10_000 + i * 50_000,
