@@ -35,7 +35,7 @@ fn install_signal_handlers() {}
 fn usage() -> ! {
     eprintln!(
         "usage: polite-wifi-d [--port N] [--bind ADDR] [--workers N] [--queue-depth N]\n       \
-         [--timeout-secs N] [--retries N] [--state-dir DIR]\n       \
+         [--timeout-secs N] [--state-dir DIR]\n       \
          [--journal-capacity N] [--history-window-ms N]"
     );
     std::process::exit(2);
@@ -67,9 +67,6 @@ fn parse_config() -> DaemonConfig {
             "--timeout-secs" => {
                 config.job_timeout =
                     Duration::from_secs(value("--timeout-secs").parse().unwrap_or_else(|_| usage()))
-            }
-            "--retries" => {
-                config.retry_max = value("--retries").parse().unwrap_or_else(|_| usage())
             }
             "--state-dir" => config.state_dir = value("--state-dir").into(),
             "--journal-capacity" => {

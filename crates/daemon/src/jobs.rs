@@ -1,19 +1,17 @@
 //! The job table and its state machine.
 //!
 //! ```text
-//!            ┌────────────────── retry (bounded) ──────────────┐
-//!            ▼                                                 │
-//! submit → Queued → Running → Done                             │
-//!                       │                                      │
-//!                       ├─ exit ≠ 0 / panic / io ──→ Failed ───┘
+//! submit → Queued → Running → Done
+//!                       │
+//!                       ├─ exit ≠ 0 / panic / io ──→ Failed
 //!                       └─ deadline, token raised ──→ TimedOut
 //! ```
 //!
-//! Done, Failed and TimedOut are terminal (TimedOut and a job that has
-//! exhausted its retry budget never re-enter the queue). Every
-//! transition happens under the daemon's single state lock, and every
-//! terminal transition notifies the condvar so `wait=1` submitters and
-//! the drain loop wake up.
+//! Done, Failed and TimedOut are terminal, and a job runs once: its
+//! result is a function of its spec and seed, so a retry would fail
+//! the same way. Every transition happens under the daemon's single
+//! state lock, and every terminal transition notifies the condvar so
+//! `wait=1` submitters and the drain loop wake up.
 
 use polite_wifi_harness::{CancelToken, ChannelProgress};
 use polite_wifi_obs::json::JsonWriter;
@@ -57,7 +55,7 @@ pub struct Job {
     /// The canonical spec text (re-parsed by the worker that runs it).
     pub spec_json: String,
     pub state: JobState,
-    /// Execution attempts started so far (1 on the first run).
+    /// Execution attempts started: 0 while queued, then 1.
     pub attempts: u32,
     /// `--inject-trial-panic` passthrough; set ⇒ the result is
     /// deliberately degraded and must never be cached or coalesced.
@@ -72,18 +70,15 @@ pub struct Job {
     /// Raised by the supervisor when the job overruns its deadline; the
     /// harness's trial loop observes it cooperatively.
     pub token: Option<CancelToken>,
-    /// Deadline for the current attempt (set when the attempt starts).
+    /// Deadline for the run (set when it starts).
     pub deadline: Option<Instant>,
-    /// Delayed-retry gate: not eligible to run again before this.
-    pub not_before: Option<Instant>,
     /// Run parameters echoed into status (heartbeat-style fields).
     pub trials: u64,
     pub workers: u64,
     pub seed: u64,
     /// The per-job flight recorder: every lifecycle and trial-boundary
     /// event this job emits, journaled (bounded) and subscribable via
-    /// `/watch/<id>`. Survives retries — the journal tells the whole
-    /// story of the job, not one attempt.
+    /// `/watch/<id>`.
     pub recorder: Arc<ChannelProgress>,
     /// Supervisor bookkeeping: when the last `deadline_remaining`
     /// event was published, so the 2ms tick doesn't flood the journal.
@@ -91,8 +86,8 @@ pub struct Job {
 }
 
 impl Job {
-    /// Milliseconds the job has been executing (current attempt's start
-    /// to finish-or-now). 0 while queued.
+    /// Milliseconds the job has been executing (start to
+    /// finish-or-now). 0 while queued.
     pub fn elapsed_ms(&self, now: Instant) -> u64 {
         match self.started_at {
             Some(start) => {
@@ -172,7 +167,6 @@ mod tests {
             finished_at: None,
             token: None,
             deadline: None,
-            not_before: None,
             trials: 3,
             workers: 1,
             seed: 2,

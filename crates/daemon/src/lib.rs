@@ -10,8 +10,8 @@
 //!   same aggregated one-line error the CLI prints, as a 400.
 //! * **Supervision** — every job runs under the PR 3 `catch_unwind`
 //!   contract plus a per-job wall-clock deadline enforced through the
-//!   harness's cooperative [`CancelToken`]; failures retry on the
-//!   deterministic [`RetryPolicy`] backoff, bounded by `--retries`.
+//!   harness's cooperative [`CancelToken`]. A job runs once: its result
+//!   is a function of its spec and seed, so a failure is final.
 //! * **Backpressure** — a bounded queue; submissions past it are
 //!   rejected with 429 + `Retry-After` instead of queueing unboundedly.
 //! * **Caching** — results are memoised in a content-addressed
@@ -26,7 +26,7 @@
 //!   (and each job's event journal) and exits cleanly.
 //! * **Observation** — every job carries a bounded flight recorder of
 //!   structured progress events (accepted/started/trial boundaries/
-//!   retries/finished). `GET /watch/<id>` streams it live as chunked
+//!   finished). `GET /watch/<id>` streams it live as chunked
 //!   SSE with `Last-Event-ID` resume, `GET /jobs/<id>/events` replays
 //!   the recorded journal, and `GET /metrics/history` serves per-window
 //!   counter deltas. All operational-plane: none of it enters the
@@ -37,7 +37,6 @@
 //!
 //! [`ScenarioSpec::parse`]: polite_wifi_scenario::ScenarioSpec::parse
 //! [`CancelToken`]: polite_wifi_harness::CancelToken
-//! [`RetryPolicy`]: polite_wifi_core::retry::RetryPolicy
 //! [`canonical_hash`]: polite_wifi_scenario::ScenarioSpec::canonical_hash
 
 pub mod cache;

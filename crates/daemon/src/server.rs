@@ -7,7 +7,7 @@
 //!   handler thread, never the pool);
 //! * `workers` **job** threads pulling from one bounded queue;
 //! * one **supervisor** thread that raises cancellation tokens on jobs
-//!   past their deadline and releases delayed retries back to the pool.
+//!   past their deadline and samples the counter history.
 //!
 //! All shared state lives behind a single `Mutex<State>` + `Condvar`
 //! pair; the metrics scope has its own lock and the two are never held
@@ -18,13 +18,12 @@ use crate::cache::{CacheRead, ResultStore};
 use crate::http::{read_request, Request, Response};
 use crate::jobs::{Job, JobState};
 use crate::watch;
-use polite_wifi_core::retry::RetryPolicy;
 use polite_wifi_harness::progress::set_thread_progress_sink;
 use polite_wifi_harness::{cancel, CancelToken, ChannelProgress, ProgressSink};
 use polite_wifi_obs::events::{EventHub, ProgressEvent, TimeSeries};
 use polite_wifi_obs::json::JsonWriter;
 use polite_wifi_obs::{names, Obs, OpenMetricsWriter};
-use polite_wifi_scenario::{fnv1a64, run_spec, ScenarioSpec};
+use polite_wifi_scenario::{run_spec, ScenarioSpec};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -45,20 +44,13 @@ pub struct DaemonConfig {
     pub workers: usize,
     /// Queued-job bound; submissions past it are rejected with 429.
     pub queue_depth: usize,
-    /// Per-attempt wall-clock deadline.
+    /// Per-job wall-clock deadline.
     pub job_timeout: Duration,
-    /// Failed attempts are retried at most this many times.
-    pub retry_max: u32,
-    /// Backoff shape for those retries (delays are deterministic in
-    /// (key, attempt), like every other schedule in this workspace).
-    pub retry_policy: RetryPolicy,
     /// Result store + per-job scratch directories live here.
     pub state_dir: PathBuf,
     /// Per-job flight-recorder capacity (events). Overflow sheds the
     /// oldest events, counted in `progress.events_shed`.
     pub journal_capacity: usize,
-    /// `/metrics/history` ring capacity (windows).
-    pub history_capacity: usize,
     /// How often the supervisor samples daemon counters into the
     /// history ring.
     pub history_window: Duration,
@@ -71,20 +63,19 @@ impl Default for DaemonConfig {
             workers: 2,
             queue_depth: 16,
             job_timeout: Duration::from_secs(300),
-            retry_max: 0,
-            retry_policy: RetryPolicy::default(),
             state_dir: PathBuf::from("daemon-state"),
             journal_capacity: 4096,
-            history_capacity: 256,
             history_window: Duration::from_secs(1),
         }
     }
 }
 
+/// `/metrics/history` ring capacity (windows).
+const HISTORY_CAPACITY: usize = 256;
+
 struct State {
     jobs: BTreeMap<u64, Job>,
-    /// Queued job ids, submission order. Entries may carry a
-    /// `not_before` retry gate; workers skip those until due.
+    /// Queued job ids, submission order.
     queue: VecDeque<u64>,
     /// Cacheable (non-injected) non-terminal job per content key —
     /// identical in-flight submissions coalesce onto this.
@@ -162,7 +153,7 @@ impl Daemon {
         std::fs::create_dir_all(&config.state_dir)?;
         let store = ResultStore::new(config.state_dir.join("store"));
         let worker_count = config.workers.max(1);
-        let history = TimeSeries::new(config.history_capacity);
+        let history = TimeSeries::new(HISTORY_CAPACITY);
         let shared = Arc::new(Shared {
             config,
             store,
@@ -664,7 +655,6 @@ fn handle_submit(req: &Request, shared: &Arc<Shared>) -> Response {
                 finished_at: None,
                 token: None,
                 deadline: None,
-                not_before: None,
                 trials: args.trials as u64,
                 workers: args.workers as u64,
                 seed: args.seed,
@@ -764,14 +754,15 @@ fn worker_loop(shared: Arc<Shared>) {
         let job_id = {
             let mut st = lock(&shared.state);
             loop {
-                if let Some(id) = pop_due(&mut st) {
+                if let Some(id) = st.queue.pop_front() {
                     break Some(id);
                 }
                 if shared.shutdown.load(Ordering::SeqCst) {
                     break None;
                 }
-                // Timed wait: delayed retries become due without any
-                // notify, and shutdown must not strand a sleeper.
+                // Timed wait: `drain` stores `shutdown` and notifies
+                // without the state lock, so a sleeper must not depend
+                // on that notify.
                 st = wait(&shared.cv, st, Duration::from_millis(10));
             }
         };
@@ -780,17 +771,6 @@ fn worker_loop(shared: Arc<Shared>) {
             None => return,
         }
     }
-}
-
-/// Pops the first queued job whose retry gate (if any) has passed.
-fn pop_due(st: &mut State) -> Option<u64> {
-    let now = Instant::now();
-    let pos = st.queue.iter().position(|id| {
-        st.jobs
-            .get(id)
-            .is_some_and(|j| !j.not_before.is_some_and(|t| t > now))
-    })?;
-    st.queue.remove(pos)
 }
 
 fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -812,8 +792,6 @@ fn run_one(shared: &Arc<Shared>, id: u64) {
         job.state = JobState::Running;
         job.attempts += 1;
         job.started_at = Some(Instant::now());
-        job.finished_at = None;
-        job.not_before = None;
         job.token = Some(token.clone());
         job.deadline = Some(Instant::now() + shared.config.job_timeout);
         (
@@ -889,30 +867,16 @@ fn run_one(shared: &Arc<Shared>, id: u64) {
             finish(shared, id, JobState::Done, String::new(), cached);
         }
         Verdict::TimedOut(detail) => {
-            // No retry: the next attempt would hit the same deadline.
             shared.incr(names::DAEMON_JOBS_TIMED_OUT);
             seal_recorder(shared, &recorder, JobState::TimedOut, false);
             finish(shared, id, JobState::TimedOut, detail, false);
         }
         Verdict::Failed(detail) => {
-            if attempt <= shared.config.retry_max {
-                let delay_us = shared
-                    .config
-                    .retry_policy
-                    .delay_us(attempt, fnv1a64(key.as_bytes()));
-                shared.incr(names::DAEMON_JOBS_RETRIED);
-                recorder.publish(
-                    ProgressEvent::new("job_retried")
-                        .with_detail(&detail)
-                        .with("attempt", attempt as u64)
-                        .with("delay_us", delay_us),
-                );
-                requeue(shared, id, detail, Duration::from_micros(delay_us));
-            } else {
-                shared.incr(names::DAEMON_JOBS_FAILED);
-                seal_recorder(shared, &recorder, JobState::Failed, false);
-                finish(shared, id, JobState::Failed, detail, false);
-            }
+            // No retry: a job's result is a function of its spec and
+            // seed, so another attempt would fail the same way.
+            shared.incr(names::DAEMON_JOBS_FAILED);
+            seal_recorder(shared, &recorder, JobState::Failed, false);
+            finish(shared, id, JobState::Failed, detail, false);
         }
     }
 }
@@ -929,7 +893,7 @@ fn seal_recorder(
     cached: bool,
 ) {
     // The terminal detail is the state name; failure specifics already
-    // live in the preceding trial_failed / job_retried events and the
+    // live in the preceding trial_failed events and the
     // `/jobs/<id>` status document.
     recorder.publish(
         ProgressEvent::new("job_finished")
@@ -967,22 +931,6 @@ fn finish(shared: &Arc<Shared>, id: u64, state: JobState, detail: String, cached
             st.inflight.remove(&key);
         }
     }
-    drop(st);
-    shared.cv.notify_all();
-}
-
-/// Bounded-retry transition: back to the queue behind a delay gate.
-fn requeue(shared: &Arc<Shared>, id: u64, detail: String, delay: Duration) {
-    let mut st = lock(&shared.state);
-    st.running -= 1;
-    if let Some(job) = st.jobs.get_mut(&id) {
-        job.state = JobState::Queued;
-        job.detail = format!("retrying after: {detail}");
-        job.token = None;
-        job.deadline = None;
-        job.not_before = Some(Instant::now() + delay);
-    }
-    st.queue.push_back(id);
     drop(st);
     shared.cv.notify_all();
 }

@@ -187,7 +187,7 @@ impl ChannelProgress {
         Arc::clone(&self.hub)
     }
 
-    /// Publishes a lifecycle event (job accepted/started/retried/…)
+    /// Publishes a lifecycle event (job accepted/started/finished/…)
     /// directly — callers above the trial layer use this for events the
     /// runner cannot see. Returns the assigned sequence number.
     pub fn publish(&self, event: ProgressEvent) -> u64 {

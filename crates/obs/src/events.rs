@@ -40,7 +40,7 @@ pub struct ProgressEvent {
     /// Journal-assigned sequence number (0-based, strictly increasing).
     pub seq: u64,
     /// Event kind: `job_accepted`, `job_started`, `trial_started`,
-    /// `trial_finished`, `trial_failed`, `job_retried`, `sample`,
+    /// `trial_finished`, `trial_failed`, `sample`,
     /// `cache_hit`, `deadline_remaining`, `job_finished`, …
     pub kind: String,
     /// Free-text detail (panic message, terminal state); `""` when none.

@@ -129,16 +129,12 @@ pub const DAEMON_CACHE_CORRUPT: &str = "daemon.cache.corrupt";
 /// Counter: jobs that ran to completion with exit status 0.
 pub const DAEMON_JOBS_COMPLETED: &str = "daemon.jobs.completed";
 
-/// Counter: jobs that exhausted their retry budget and were recorded
-/// as failed (panic, nonzero exit, unreadable envelope).
+/// Counter: jobs recorded as failed (panic, nonzero exit, unreadable
+/// envelope).
 pub const DAEMON_JOBS_FAILED: &str = "daemon.jobs.failed";
 
 /// Counter: jobs cancelled by the per-job wall-clock deadline.
 pub const DAEMON_JOBS_TIMED_OUT: &str = "daemon.jobs.timed_out";
-
-/// Counter: failed job attempts re-enqueued under the bounded
-/// `RetryPolicy`-style budget.
-pub const DAEMON_JOBS_RETRIED: &str = "daemon.jobs.retried";
 
 /// Histogram: admission-queue depth observed at each enqueue.
 pub const DAEMON_QUEUE_DEPTH: &str = "daemon.queue.depth";
@@ -254,7 +250,6 @@ pub const REGISTERED: &[&str] = &[
     DAEMON_JOBS_COMPLETED,
     DAEMON_JOBS_FAILED,
     DAEMON_JOBS_TIMED_OUT,
-    DAEMON_JOBS_RETRIED,
     DAEMON_QUEUE_DEPTH,
     DAEMON_DRAIN_WALL_MS,
     // progress.* / daemon.watch.* — the live telemetry plane.

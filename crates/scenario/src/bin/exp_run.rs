@@ -13,6 +13,7 @@
 //!   name the fields whose order drifted.
 
 use polite_wifi_harness::RunArgs;
+use polite_wifi_obs::json::{self, Json, JsonValue};
 use polite_wifi_scenario::{run_spec, runner_names, ScenarioSpec};
 use std::process::exit;
 
@@ -32,36 +33,27 @@ fn load(path: &str) -> ScenarioSpec {
     }
 }
 
-/// The object keys of a JSON document in the order they appear in the
-/// text. A tiny string-aware scanner, not a parse — the point is to
-/// compare the committed byte order against the canonical re-emission,
-/// which a parser would collapse.
+/// The object keys of a JSON document in document order: each key,
+/// then the keys inside its value. The parser keeps object fields in
+/// document order, so comparing this for the committed text and its
+/// canonical re-emission shows which fields moved. Text that does not
+/// parse has no keys.
 fn key_sequence(text: &str) -> Vec<String> {
-    let bytes = text.as_bytes();
-    let mut keys = Vec::new();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] != b'"' {
-            i += 1;
-            continue;
-        }
-        let start = i + 1;
-        let mut j = start;
-        while j < bytes.len() && bytes[j] != b'"' {
-            if bytes[j] == b'\\' {
-                j += 1;
+    fn walk(value: JsonValue, keys: &mut Vec<String>) {
+        match value {
+            Json::Obj(fields) => {
+                for (key, value) in fields {
+                    keys.push(key);
+                    walk(value, keys);
+                }
             }
-            j += 1;
+            Json::Arr(items) => items.into_iter().for_each(|item| walk(item, keys)),
+            _ => {}
         }
-        let end = j.min(bytes.len());
-        let mut k = end + 1;
-        while k < bytes.len() && bytes[k].is_ascii_whitespace() {
-            k += 1;
-        }
-        if k < bytes.len() && bytes[k] == b':' {
-            keys.push(String::from_utf8_lossy(&bytes[start..end]).into_owned());
-        }
-        i = end + 1;
+    }
+    let mut keys = Vec::new();
+    if let Ok(doc) = json::parse(text) {
+        walk(doc, &mut keys);
     }
     keys
 }

@@ -8,7 +8,9 @@
 //! * microsecond-resolution virtual time and a calendar-queue scheduler,
 //! * spatial interference cells that shard propagation by channel and
 //!   position ([`PropagationMode::CellGrid`]), with the all-pairs oracle
-//!   behind a config flag,
+//!   behind a config flag; in every mode the medium holds transmissions
+//!   in one cell-indexed active set and senses carrier in distances,
+//!   so a scan visits only the cells within reach,
 //! * log-distance path loss + Rician fading + the SNR→FER link model
 //!   deciding every FCS check,
 //! * half-duplex radios, carrier sensing, DCF backoff and a

@@ -122,11 +122,7 @@ impl Simulator {
                 .then(|| CellGrid::new(config.medium.max_range_m)),
             scratch: Vec::new(),
             current_tx: Vec::new(),
-            medium: if config.propagation == PropagationMode::CellGrid {
-                Medium::cell_indexed(config.medium, seed)
-            } else {
-                Medium::new(config.medium, seed)
-            },
+            medium: Medium::new(config.medium, seed),
             rng: ChaCha8Rng::seed_from_u64(seed ^ 0x5349_4d55_4c41_544f), // "SIMULATO"
             global_capture: Capture::new(),
             next_token: 0,
@@ -640,25 +636,16 @@ impl Simulator {
             return;
         }
         // Carrier sense over the transmissions within carrier-sense
-        // reach, distances on demand. The keyed modes take the
-        // distance-domain scan (no `log10` or `sqrt` per scanned entry);
-        // the legacy mode keeps the exact power-domain scan its pinned
-        // results were produced with.
+        // reach, squared distances on demand (no `log10` or `sqrt` per
+        // scanned entry).
         let busy = {
             let now = self.now_us;
             let my_pos = self.hot.position_at(id, now);
             let tune = self.hot.tune(id);
             let hot = &self.hot;
-            if self.config.propagation.keyed_draws() {
-                self.medium
-                    .channel_busy_ranged(now, id, tune, my_pos, |other| {
-                        hot.distance_sq_to_point(my_pos, other, now)
-                    })
-            } else {
-                self.medium.channel_busy(now, id, tune, my_pos, |other| {
-                    hot.distance_to_point(my_pos, other, now)
-                })
-            }
+            self.medium.channel_busy(now, id, tune, my_pos, |other| {
+                hot.distance_sq_to_point(my_pos, other, now)
+            })
         };
         if busy {
             // Busy: back off and retry.
