@@ -55,8 +55,6 @@ pub struct Job {
     /// The canonical spec text (re-parsed by the worker that runs it).
     pub spec_json: String,
     pub state: JobState,
-    /// Execution attempts started: 0 while queued, then 1.
-    pub attempts: u32,
     /// `--inject-trial-panic` passthrough; set ⇒ the result is
     /// deliberately degraded and must never be cached or coalesced.
     pub inject_trial_panic: Option<usize>,
@@ -99,11 +97,10 @@ impl Job {
     }
 
     /// The `/jobs/<id>` status document: state + the PR 5
-    /// `--progress`-style heartbeat fields (attempts, elapsed, run
-    /// shape), live trial progress pulled from the flight recorder,
-    /// and — for queued jobs — the position in line (`queue_position`,
-    /// 0 = next to run), so a poller can see liveness without scraping
-    /// stdout.
+    /// `--progress`-style heartbeat fields (elapsed, run shape), live
+    /// trial progress pulled from the flight recorder, and — for queued
+    /// jobs — the position in line (`queue_position`, 0 = next to run),
+    /// so a poller can see liveness without scraping stdout.
     pub fn status_json(&self, now: Instant, queue_position: Option<u64>) -> String {
         let mut w = JsonWriter::pretty();
         self.write_status(&mut w, now, queue_position);
@@ -123,8 +120,6 @@ impl Job {
             .string(&self.slug)
             .key("runner")
             .string(&self.runner)
-            .key("attempts")
-            .u64(self.attempts.into())
             .key("cached")
             .bool(self.cached)
             .key("elapsed_ms")
@@ -158,7 +153,6 @@ mod tests {
             runner: "generic".to_string(),
             spec_json: String::new(),
             state: JobState::Queued,
-            attempts: 0,
             inject_trial_panic: None,
             cached: false,
             detail: String::new(),
@@ -188,13 +182,11 @@ mod tests {
     fn status_json_carries_heartbeat_fields_and_escapes_detail() {
         let mut j = job();
         j.state = JobState::Failed;
-        j.attempts = 2;
         j.detail = "exit status 1: \"assertion\"\nline2".to_string();
         let json = j.status_json(Instant::now(), None);
         for needle in [
             "\"id\": 7",
             "\"state\": \"failed\"",
-            "\"attempts\": 2",
             "\"elapsed_ms\": 0",
             "\"trials\": 3",
             "\"trials_done\": 0",

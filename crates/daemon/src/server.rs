@@ -646,7 +646,6 @@ fn handle_submit(req: &Request, shared: &Arc<Shared>) -> Response {
                 runner: spec.runner.clone(),
                 spec_json: spec.to_canonical_json(),
                 state: JobState::Queued,
-                attempts: 0,
                 inject_trial_panic: inject,
                 cached: false,
                 detail: String::new(),
@@ -785,12 +784,11 @@ fn panic_detail(payload: Box<dyn std::any::Any + Send>) -> String {
 
 fn run_one(shared: &Arc<Shared>, id: u64) {
     let token = CancelToken::new();
-    let (spec_json, inject, key, slug, attempt, recorder) = {
+    let (spec_json, inject, key, slug, recorder) = {
         let mut st = lock(&shared.state);
         st.running += 1;
         let job = st.jobs.get_mut(&id).expect("queued job exists");
         job.state = JobState::Running;
-        job.attempts += 1;
         job.started_at = Some(Instant::now());
         job.token = Some(token.clone());
         job.deadline = Some(Instant::now() + shared.config.job_timeout);
@@ -799,11 +797,10 @@ fn run_one(shared: &Arc<Shared>, id: u64) {
             job.inject_trial_panic,
             job.key.clone(),
             job.slug.clone(),
-            job.attempts,
             Arc::clone(&job.recorder),
         )
     };
-    recorder.publish(ProgressEvent::new("job_started").with("attempt", attempt as u64));
+    recorder.publish(ProgressEvent::new("job_started"));
 
     let dir = job_dir(shared, id);
     let prev_dir = polite_wifi_harness::set_thread_results_dir(Some(dir.clone()));

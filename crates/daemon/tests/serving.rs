@@ -446,11 +446,17 @@ fn failed_job_runs_once_and_reports_failed() {
     let body = String::from_utf8(body).unwrap();
     assert_eq!(status, 500, "{body}");
     assert!(body.contains("\"state\": \"failed\""), "{body}");
-    assert!(
-        body.contains("\"attempts\": 1"),
-        "one run, no retry: {body}"
-    );
     assert!(body.contains("exit status 1"), "{body}");
+    // One run, no retry: the job's journal holds exactly one start.
+    assert!(body.contains("\"id\": 1,"), "{body}");
+    let (status, _, journal) = http::request(daemon.addr(), "GET", "/jobs/1/events", b"").unwrap();
+    assert_eq!(status, 200);
+    let journal = String::from_utf8(journal).unwrap();
+    assert_eq!(
+        journal.matches("\"kind\":\"job_started\"").count(),
+        1,
+        "{journal}"
+    );
     assert_eq!(daemon.counter(names::DAEMON_JOBS_FAILED), 1);
     // A deterministic failure is not cached — resubmitting runs again.
     assert_eq!(daemon.counter(names::DAEMON_CACHE_HIT), 0);

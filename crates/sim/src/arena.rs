@@ -1,5 +1,5 @@
-//! Hot per-node state in SoA layout, plus the spatial interference
-//! cell grid.
+//! Hot per-node state in SoA layout, plus the geometry of the
+//! interference cell grid.
 //!
 //! The simulator's inner loops (carrier sense, arrival fan-out,
 //! collision scans) touch a handful of per-node fields — position,
@@ -10,13 +10,9 @@
 //! state machine, queues, captures, ledgers) stays on
 //! [`Node`](crate::node::Node).
 //!
-//! [`CellGrid`] shards space into uniform cells of the medium's
-//! `max_range_m` keyed by `(tune, cell_x, cell_y)`: a transmission only
-//! consults co-channel receivers in the 3×3 cell neighbourhood around
-//! the transmitter, which covers every point within one cell edge of
-//! it. Moving nodes live on a separate always-scanned list so the
-//! static buckets never go stale. The medium's active set buckets
-//! transmissions on the same grid (`cell_edge_m`, `cell_of`, `CellMap`).
+//! The medium indexes both its receivers and its held transmissions on
+//! one grid of uniform cells of its `max_range_m`, keyed by
+//! `(tune, cell_x, cell_y)` (`cell_edge_m`, `cell_of`, `CellMap`).
 
 use crate::medium::Tune;
 use crate::node::{AckWait, NodeId};
@@ -191,138 +187,12 @@ impl Hasher for CellHasher {
 /// A map keyed by grid bucket.
 pub(crate) type CellMap<V> = HashMap<CellKey, V, BuildHasherDefault<CellHasher>>;
 
-/// The spatial interference cell grid over static nodes, plus the
-/// always-scanned list of moving nodes.
-#[derive(Debug, Default)]
-pub struct CellGrid {
-    /// Cell edge length in metres (= the medium's `max_range_m`).
-    cell_m: f64,
-    /// Static nodes bucketed by (tune, cell) — lookups only, never
-    /// iterated into a result, so the map costs nothing in determinism.
-    cells: CellMap<Vec<NodeId>>,
-    /// Nodes with nonzero velocity: checked exactly on every query.
-    mobile: Vec<NodeId>,
-}
-
-impl CellGrid {
-    /// An empty grid for a medium whose propagation cutoff is
-    /// `max_range_m` (the cell edge, floored at 1 m).
-    pub fn new(max_range_m: f64) -> CellGrid {
-        CellGrid {
-            cell_m: cell_edge_m(max_range_m),
-            cells: CellMap::default(),
-            mobile: Vec::new(),
-        }
-    }
-
-    fn key(&self, tune: Tune, p: (f64, f64)) -> CellKey {
-        CellKey {
-            tune,
-            cell: cell_of(self.cell_m, p),
-        }
-    }
-
-    /// Registers a node at its t = 0 position.
-    pub fn insert(&mut self, id: NodeId, tune: Tune, position: (f64, f64), moving: bool) {
-        if moving {
-            self.mobile.push(id);
-            return;
-        }
-        let key = self.key(tune, position);
-        self.cells.entry(key).or_default().push(id);
-    }
-
-    /// Moves a static node between tune buckets on retune; moving nodes
-    /// need nothing (their tune is checked per query).
-    pub fn retune(&mut self, id: NodeId, old: Tune, new: Tune, position: (f64, f64)) {
-        if old == new || self.mobile.contains(&id) {
-            return;
-        }
-        if let Some(bucket) = self.cells.get_mut(&self.key(old, position)) {
-            bucket.retain(|&n| n != id);
-        }
-        let bucket = self.cells.entry(self.key(new, position)).or_default();
-        let pos = bucket.partition_point(|&n| n < id);
-        bucket.insert(pos, id);
-    }
-
-    /// Promotes a node to the mobile list when it starts moving (a
-    /// moving node's cell changes continuously, so it is scanned
-    /// exactly rather than bucketed).
-    pub fn set_moving(&mut self, id: NodeId, tune: Tune, position: (f64, f64), moving: bool) {
-        let on_mobile = self.mobile.contains(&id);
-        if moving && !on_mobile {
-            if let Some(bucket) = self.cells.get_mut(&self.key(tune, position)) {
-                bucket.retain(|&n| n != id);
-            }
-            self.mobile.push(id);
-        } else if !moving && on_mobile {
-            self.mobile.retain(|&n| n != id);
-            let bucket = self.cells.entry(self.key(tune, position)).or_default();
-            let pos = bucket.partition_point(|&n| n < id);
-            bucket.insert(pos, id);
-        }
-    }
-
-    /// Number of non-empty static cells (an occupancy figure for the
-    /// progress heartbeat and city metrics).
-    pub fn occupied_cells(&self) -> usize {
-        self.cells.values().filter(|v| !v.is_empty()).count()
-    }
-
-    /// Collects every co-tune node within `max_range` of `center` into
-    /// `out`, ascending by `NodeId` — the same effectful order the
-    /// all-pairs oracle enumerates receivers in, which is what keeps
-    /// the two modes draw-for-draw identical. `exclude` (the
-    /// transmitter) is skipped.
-    #[allow(clippy::too_many_arguments)]
-    pub fn candidates(
-        &self,
-        center: (f64, f64),
-        tune: Tune,
-        exclude: NodeId,
-        max_range: f64,
-        now_us: u64,
-        arena: &NodeArena,
-        out: &mut Vec<NodeId>,
-    ) {
-        out.clear();
-        let (cx, cy) = cell_of(self.cell_m, center);
-        for dx in -1..=1 {
-            for dy in -1..=1 {
-                let key = CellKey {
-                    tune,
-                    cell: (cx + dx, cy + dy),
-                };
-                let Some(bucket) = self.cells.get(&key) else {
-                    continue;
-                };
-                for &id in bucket {
-                    if id != exclude && arena.distance_to_point(center, id, now_us) <= max_range {
-                        out.push(id);
-                    }
-                }
-            }
-        }
-        for &id in &self.mobile {
-            if id != exclude
-                && arena.tune(id) == tune
-                && arena.distance_to_point(center, id, now_us) <= max_range
-            {
-                out.push(id);
-            }
-        }
-        out.sort_unstable();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use polite_wifi_phy::band::Band;
 
     const CH6: Tune = (Band::Ghz2, 6);
-    const CH11: Tune = (Band::Ghz2, 11);
 
     fn arena_with(positions: &[(f64, f64)]) -> NodeArena {
         let mut a = NodeArena::new();
@@ -347,68 +217,5 @@ mod tests {
         let p = a.position_at(NodeId(0), 3_000_000);
         assert!((p.0 - 16.0).abs() < 1e-9);
         assert!((p.1 + 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn grid_finds_exactly_the_in_range_co_tune_nodes() {
-        let mut arena = NodeArena::new();
-        let mut grid = CellGrid::new(100.0);
-        // 0: transmitter at origin; 1: in range; 2: out of range;
-        // 3: in range but other channel; 4: mobile, in range.
-        let spots = [
-            (0.0, 0.0),
-            (40.0, 0.0),
-            (250.0, 0.0),
-            (10.0, 10.0),
-            (60.0, 0.0),
-        ];
-        let tunes = [CH6, CH6, CH6, CH11, CH6];
-        for (i, (&p, &t)) in spots.iter().zip(&tunes).enumerate() {
-            arena.push(p, t);
-            grid.insert(NodeId(i), t, p, i == 4);
-        }
-        let mut out = Vec::new();
-        grid.candidates((0.0, 0.0), CH6, NodeId(0), 100.0, 0, &arena, &mut out);
-        assert_eq!(out, vec![NodeId(1), NodeId(4)]);
-        assert_eq!(grid.occupied_cells(), 3);
-    }
-
-    #[test]
-    fn grid_neighbourhood_covers_cell_boundaries() {
-        let mut arena = NodeArena::new();
-        let mut grid = CellGrid::new(100.0);
-        // Receiver just across a cell boundary from the transmitter,
-        // and another a cell-diagonal away but still in range.
-        let spots = [(99.0, 99.0), (101.0, 99.0), (160.0, 160.0)];
-        for (i, &p) in spots.iter().enumerate() {
-            arena.push(p, CH6);
-            grid.insert(NodeId(i), CH6, p, false);
-        }
-        let mut out = Vec::new();
-        grid.candidates((99.0, 99.0), CH6, NodeId(0), 100.0, 0, &arena, &mut out);
-        assert_eq!(out, vec![NodeId(1), NodeId(2)]);
-    }
-
-    #[test]
-    fn retune_and_set_moving_keep_buckets_consistent() {
-        let mut arena = NodeArena::new();
-        let mut grid = CellGrid::new(100.0);
-        arena.push((5.0, 5.0), CH6);
-        arena.push((6.0, 5.0), CH6);
-        grid.insert(NodeId(0), CH6, (5.0, 5.0), false);
-        grid.insert(NodeId(1), CH6, (6.0, 5.0), false);
-
-        let mut out = Vec::new();
-        grid.retune(NodeId(1), CH6, CH11, (6.0, 5.0));
-        arena.set_tune(NodeId(1), CH11);
-        grid.candidates((5.0, 5.0), CH6, NodeId(0), 100.0, 0, &arena, &mut out);
-        assert!(out.is_empty());
-        grid.candidates((6.0, 5.0), CH11, NodeId(1), 100.0, 0, &arena, &mut out);
-        assert!(out.is_empty(), "node 0 stayed on CH6");
-
-        grid.set_moving(NodeId(1), CH11, (6.0, 5.0), true);
-        arena.set_velocity(NodeId(1), (1.0, 0.0));
-        grid.candidates((5.0, 5.0), CH11, NodeId(0), 100.0, 0, &arena, &mut out);
-        assert_eq!(out, vec![NodeId(1)]);
     }
 }

@@ -6,11 +6,11 @@
 //! through a shared [`medium::Medium`] with:
 //!
 //! * microsecond-resolution virtual time and a calendar-queue scheduler,
-//! * spatial interference cells that shard propagation by channel and
-//!   position ([`PropagationMode::CellGrid`]), with the all-pairs oracle
-//!   behind a config flag; in every mode the medium holds transmissions
-//!   in one cell-indexed active set and senses carrier in distances,
-//!   so a scan visits only the cells within reach,
+//! * one medium that decides who hears each transmission and what it
+//!   decodes: it indexes nodes and held transmissions on one grid of
+//!   interference cells keyed by channel and position, so a scan visits
+//!   only the cells within reach, and senses carrier in distances
+//!   ([`PropagationMode`] picks all-pairs or cell-grid enumeration),
 //! * log-distance path loss + Rician fading + the SNR→FER link model
 //!   deciding every FCS check,
 //! * half-duplex radios, carrier sensing, DCF backoff and a
@@ -51,12 +51,12 @@ pub mod medium;
 pub mod node;
 pub mod sim;
 
-pub use arena::{CellGrid, NodeArena};
+pub use arena::NodeArena;
 pub use faults::{FaultPlan, FaultProfile, GilbertElliott, SnrDegradation, StallSchedule};
 pub use ledger::{ActivityLedger, StateTotals};
-pub use medium::MediumConfig;
+pub use medium::{MediumConfig, PropagationMode};
 pub use node::NodeId;
-pub use sim::{PropagationMode, SimConfig, Simulator};
+pub use sim::{SimConfig, Simulator};
 
 // The parallel trial runner moves whole simulators across worker
 // threads; fail the build if any future field (an Rc, a raw pointer)

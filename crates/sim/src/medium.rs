@@ -1,13 +1,14 @@
-//! The shared radio medium: propagation, link quality, and collisions.
+//! The shared radio medium: who hears a transmission, what each
+//! receiver decodes, and collisions.
 
-use crate::arena::{cell_edge_m, cell_of, CellKey, CellMap};
+use crate::arena::{cell_edge_m, cell_of, CellKey, CellMap, NodeArena};
 use crate::faults::{GilbertElliott, SnrDegradation, FAULT_STREAM};
 use crate::node::NodeId;
 use polite_wifi_phy::fading::Fading;
 use polite_wifi_phy::link;
 use polite_wifi_phy::pathloss::{noise_floor_dbm, PathLoss};
 use polite_wifi_phy::rate::BitRate;
-use rand::Rng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// Radio-environment parameters.
@@ -30,7 +31,7 @@ pub struct MediumConfig {
     /// modes: receivers beyond this range are not evaluated at all
     /// (their mean rx power sits tens of dB below the energy-detect
     /// floor). In every mode it is also the cell edge of the medium's
-    /// active set and of the grid mode's receiver cells.
+    /// placement index and active set.
     pub max_range_m: f64,
 }
 
@@ -45,6 +46,33 @@ impl Default for MediumConfig {
             capture_threshold_db: 10.0,
             max_range_m: 400.0,
         }
+    }
+}
+
+/// How a transmission finds its receivers and how their receptions
+/// draw their randomness.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum PropagationMode {
+    /// Every node evaluates every transmission, with fading/FER draws
+    /// on the shared sequential propagation stream — the mode every
+    /// pinned result was produced under. The default.
+    #[default]
+    AllPairs,
+    /// A scan of every node for the co-tune ones within `max_range_m`,
+    /// with the per-reception keyed draw scheme and that cutoff — the
+    /// brute-force oracle the cell grid mode is tested against.
+    OracleAllPairs,
+    /// Spatial interference-cell enumeration with keyed draws: a
+    /// transmission only evaluates co-channel receivers in the 3×3
+    /// cell neighbourhood around the transmitter (city scale).
+    CellGrid,
+}
+
+impl PropagationMode {
+    /// Whether fading/FER draws are keyed per reception instead of
+    /// riding the shared sequential stream.
+    pub fn keyed_draws(self) -> bool {
+        self != PropagationMode::AllPairs
     }
 }
 
@@ -68,12 +96,16 @@ pub struct Transmission {
     pub tune: Tune,
 }
 
-/// Where a node's transmissions are held on the active set.
+/// Where a node sits on the medium's grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Site {
+    /// Never placed: its transmissions are held like a moving node's,
+    /// and the cell grid enumerates it as no one's receiver.
+    Unplaced,
     /// The cell of a static node's position.
     Cell((i64, i64)),
-    /// The always-scanned bucket: the node moves, so its cell changes.
+    /// The node moves, so its cell changes: it is checked exactly on
+    /// every scan.
     Mobile,
 }
 
@@ -82,19 +114,16 @@ enum Site {
 /// the receiver, never the whole list.
 ///
 /// A static transmitter's entries sit in the `(tune, cell)` bucket of
-/// its position, on the grid the receiver `CellGrid` uses; a moving
-/// transmitter's sit in one always-scanned mobile bucket. Both scans
-/// are "any entry matches" predicates, so the order buckets are
-/// visited in cannot change an outcome.
+/// its site; a moving or unplaced transmitter's sit in one
+/// always-scanned mobile bucket. Both scans are "any entry matches"
+/// predicates, so the order buckets are visited in cannot change an
+/// outcome.
 #[derive(Debug)]
 struct ActiveSet {
     /// Cell edge in metres.
     cell_m: f64,
     buckets: CellMap<Vec<Transmission>>,
     mobile: Vec<Transmission>,
-    /// Per node, the bucket its next transmission joins (an unplaced
-    /// node counts as mobile).
-    sites: Vec<Site>,
     /// Entries held across all buckets.
     held: usize,
 }
@@ -105,18 +134,14 @@ impl ActiveSet {
             cell_m,
             buckets: CellMap::default(),
             mobile: Vec::new(),
-            sites: Vec::new(),
             held: 0,
         }
     }
 
-    fn site(&self, id: NodeId) -> Site {
-        self.sites.get(id.0).copied().unwrap_or(Site::Mobile)
-    }
-
-    fn push(&mut self, tx: Transmission) {
+    /// Holds `tx`, sent from a node at `site`.
+    fn push(&mut self, tx: Transmission, site: Site) {
         self.held += 1;
-        match self.site(tx.from) {
+        match site {
             Site::Cell(cell) => {
                 let key = CellKey {
                     tune: tx.tune,
@@ -124,39 +149,24 @@ impl ActiveSet {
                 };
                 self.buckets.entry(key).or_default().push(tx);
             }
-            Site::Mobile => self.mobile.push(tx),
+            Site::Mobile | Site::Unplaced => self.mobile.push(tx),
         }
     }
 
-    /// Records where `id` transmits from. A node that starts moving
-    /// takes its held entries to the mobile bucket, since its cell no
-    /// longer describes where it is; one that stops leaves them there
-    /// (the mobile bucket is scanned from everywhere).
-    fn place(&mut self, id: NodeId, position: (f64, f64), moving: bool) {
-        if self.sites.len() <= id.0 {
-            self.sites.resize(id.0 + 1, Site::Mobile);
-        }
-        let was = std::mem::replace(
-            &mut self.sites[id.0],
-            if moving {
-                Site::Mobile
-            } else {
-                Site::Cell(cell_of(self.cell_m, position))
-            },
-        );
-        if moving && was != Site::Mobile {
-            let mobile = &mut self.mobile;
-            self.buckets.retain(|_, bucket| {
-                bucket.retain(|t| {
-                    let stays = t.from != id;
-                    if !stays {
-                        mobile.push(t.clone());
-                    }
-                    stays
-                });
-                !bucket.is_empty()
+    /// Takes `id`'s held entries to the mobile bucket: it started
+    /// moving, so its cell no longer describes where it is.
+    fn follow(&mut self, id: NodeId) {
+        let mobile = &mut self.mobile;
+        self.buckets.retain(|_, bucket| {
+            bucket.retain(|t| {
+                let stays = t.from != id;
+                if !stays {
+                    mobile.push(t.clone());
+                }
+                stays
             });
-        }
+            !bucket.is_empty()
+        });
     }
 
     /// Drops every entry `keep` rejects, and the buckets it empties.
@@ -224,13 +234,28 @@ impl ActiveSet {
     }
 }
 
-/// The shared medium. Owns the propagation RNG so link draws are
-/// reproducible.
+/// The shared medium: the one place that decides who hears a
+/// transmission and what each receiver decodes. It keeps where every
+/// node sits, the transmissions still on the air and the propagation
+/// RNG, so link draws are reproducible.
 #[derive(Debug)]
 pub struct Medium {
     config: MediumConfig,
+    propagation: PropagationMode,
     rng: ChaCha8Rng,
+    /// Per node, where it sits: the one placement record, for its
+    /// transmissions and its receptions alike.
+    sites: Vec<Site>,
+    /// Static nodes by `(tune, cell)` — the receivers a cell-grid
+    /// transmission looks up. Lookups only, never iterated into a
+    /// result, so the map costs nothing in determinism; an emptied
+    /// bucket is removed.
+    listeners: CellMap<Vec<NodeId>>,
+    /// Placed nodes that move.
+    moving: Vec<NodeId>,
     active: ActiveSet,
+    /// When the active set was last pruned.
+    last_prune_us: u64,
     /// Carrier-sense reach in cells for the loudest transmit power
     /// registered so far (`loudest_dbm`): no transmission on the set
     /// is sensed beyond it.
@@ -281,19 +306,21 @@ pub struct RxOutcome {
 }
 
 impl Medium {
-    /// A medium with the given config, seeded deterministically. Its
-    /// active set is indexed by interference cell, on the grid of
-    /// `max_range_m` cells the cell-grid propagation mode enumerates
-    /// receivers on. Call [`place`](Self::place) for every node so its
-    /// transmissions land in the right bucket (an unplaced node counts
-    /// as moving).
-    pub fn new(config: MediumConfig, seed: u64) -> Medium {
-        use rand::SeedableRng;
+    /// A medium with the given config and propagation mode, seeded
+    /// deterministically. Every mode indexes nodes and transmissions
+    /// on one grid of `max_range_m` cells. Call [`place`](Self::place)
+    /// for every node before it transmits or receives.
+    pub fn new(config: MediumConfig, propagation: PropagationMode, seed: u64) -> Medium {
         Medium {
             config,
+            propagation,
             rng: ChaCha8Rng::seed_from_u64(seed ^ 0x4d45_4449_554d), // "MEDIUM"
             noise_dbm: noise_floor_dbm(config.bandwidth_mhz, config.noise_figure_db),
+            sites: Vec::new(),
+            listeners: CellMap::default(),
+            moving: Vec::new(),
             active: ActiveSet::new(cell_edge_m(config.max_range_m)),
+            last_prune_us: 0,
             cs_reach: 0,
             loudest_dbm: f64::NEG_INFINITY,
             fault_rng: ChaCha8Rng::seed_from_u64(seed ^ FAULT_STREAM),
@@ -323,12 +350,127 @@ impl Medium {
         &self.config
     }
 
-    /// Records where node `id` transmits from: its fixed position, or
-    /// `moving` when it has a velocity. A node that starts moving takes
-    /// the transmissions it still holds to the always-scanned mobile
-    /// bucket.
-    pub fn place(&mut self, id: NodeId, position: (f64, f64), moving: bool) {
-        self.active.place(id, position, moving);
+    /// Records where node `id`, tuned to `tune`, sits: the cell of its
+    /// fixed position, or the moving list when it has a velocity. A
+    /// node that starts moving takes the transmissions it still holds
+    /// to the always-scanned mobile bucket; one that stops leaves them
+    /// there (that bucket is scanned from everywhere).
+    pub fn place(&mut self, id: NodeId, tune: Tune, position: (f64, f64), moving: bool) {
+        if self.sites.len() <= id.0 {
+            self.sites.resize(id.0 + 1, Site::Unplaced);
+        }
+        let site = if moving {
+            Site::Mobile
+        } else {
+            Site::Cell(cell_of(self.active.cell_m, position))
+        };
+        let was = std::mem::replace(&mut self.sites[id.0], site);
+        if was == site {
+            return;
+        }
+        match was {
+            Site::Cell(cell) => self.unlist(CellKey { tune, cell }, id),
+            Site::Mobile => self.moving.retain(|&n| n != id),
+            Site::Unplaced => {}
+        }
+        if let Site::Cell(cell) = site {
+            self.listeners
+                .entry(CellKey { tune, cell })
+                .or_default()
+                .push(id);
+        } else {
+            self.moving.push(id);
+            if matches!(was, Site::Cell(_)) {
+                self.active.follow(id);
+            }
+        }
+    }
+
+    /// Moves a static node between tune buckets when its radio retunes
+    /// from `old` to `new`; a moving node's tune is checked on every
+    /// enumeration instead.
+    pub fn retune(&mut self, id: NodeId, old: Tune, new: Tune) {
+        if let Some(&Site::Cell(cell)) = self.sites.get(id.0) {
+            self.unlist(CellKey { tune: old, cell }, id);
+            let key = CellKey { tune: new, cell };
+            self.listeners.entry(key).or_default().push(id);
+        }
+    }
+
+    fn unlist(&mut self, key: CellKey, id: NodeId) {
+        if let Some(bucket) = self.listeners.get_mut(&key) {
+            bucket.retain(|&n| n != id);
+            if bucket.is_empty() {
+                self.listeners.remove(&key);
+            }
+        }
+    }
+
+    /// Number of `(tune, cell)` buckets holding a static node (an
+    /// occupancy figure for the city metrics).
+    pub fn occupied_cells(&self) -> usize {
+        self.listeners.len()
+    }
+
+    /// Collects into `out`, ascending by `NodeId`, the nodes a
+    /// transmission by `from` on `tune`, ending at `end_us` with its
+    /// transmitter at `tx_pos`, arrives at:
+    ///
+    /// * `AllPairs`: every other node;
+    /// * `OracleAllPairs`: every other node on `tune` within
+    ///   `max_range_m` at `end_us`, by brute force;
+    /// * `CellGrid`: the same nodes, found in the 3×3 cell
+    ///   neighbourhood of `tx_pos` (which covers every point within one
+    ///   cell edge of it) and on the moving list.
+    ///
+    /// The oracle and the grid apply one predicate in one order, which
+    /// is what keeps the two keyed modes draw-for-draw identical.
+    pub fn receivers(
+        &self,
+        from: NodeId,
+        tune: Tune,
+        tx_pos: (f64, f64),
+        end_us: u64,
+        arena: &NodeArena,
+        out: &mut Vec<NodeId>,
+    ) {
+        out.clear();
+        let max_range = self.config.max_range_m;
+        let hears =
+            |id: NodeId| id != from && arena.distance_to_point(tx_pos, id, end_us) <= max_range;
+        let everyone = (0..arena.len()).map(NodeId);
+        match self.propagation {
+            PropagationMode::AllPairs => out.extend(everyone.filter(|&id| id != from)),
+            PropagationMode::OracleAllPairs => {
+                out.extend(everyone.filter(|&id| arena.tune(id) == tune && hears(id)))
+            }
+            PropagationMode::CellGrid => {
+                let (cx, cy) = cell_of(self.active.cell_m, tx_pos);
+                for dx in -1..=1 {
+                    for dy in -1..=1 {
+                        let key = CellKey {
+                            tune,
+                            cell: (cx + dx, cy + dy),
+                        };
+                        // Plain push loops: measured faster on the
+                        // city drive than `extend` over a filter.
+                        if let Some(bucket) = self.listeners.get(&key) {
+                            for &id in bucket {
+                                if hears(id) {
+                                    out.push(id);
+                                }
+                            }
+                        }
+                    }
+                }
+                for &id in &self.moving {
+                    if arena.tune(id) == tune && hears(id) {
+                        out.push(id);
+                    }
+                }
+                out.sort_unstable();
+            }
+        }
     }
 
     /// Registers a transmission on the air, in the bucket of its
@@ -341,12 +483,31 @@ impl Medium {
             let range = self.cs_range_m(tx.tx_power_dbm) * (1.0 + 1e-9);
             self.cs_reach = self.cs_reach.max(self.active.reach(range));
         }
-        self.active.push(tx);
+        let site = self.sites.get(tx.from.0).copied().unwrap_or(Site::Unplaced);
+        self.active.push(tx, site);
     }
 
-    /// Drops transmissions that ended before `now_us` (keeping a small
-    /// grace window so arrival processing can still see them).
-    pub fn prune(&mut self, now_us: u64) {
+    /// The medium's one prune policy; call it after every event. It
+    /// drops held transmissions that ended more than 1 ms before
+    /// `now_us` (a grace window that keeps any transmission an arrival
+    /// could still need) once 1 s of simulated time has passed since
+    /// the last prune. The keyed modes also prune on a 1 ms cadence
+    /// while more than 64 are held, to keep the scanned buckets short
+    /// at city scale. `AllPairs` keeps its exact 1 s cadence: prune
+    /// timing is observable through long-airtime overlaps, and pinned
+    /// results depend on it. Purely a function of simulated time and
+    /// the active set, so determinism is untouched.
+    pub fn prune_due(&mut self, now_us: u64) {
+        let since = now_us.saturating_sub(self.last_prune_us);
+        if since > 1_000_000
+            || (self.propagation.keyed_draws() && self.active.held > 64 && since > 1_000)
+        {
+            self.prune(now_us);
+            self.last_prune_us = now_us;
+        }
+    }
+
+    fn prune(&mut self, now_us: u64) {
         self.active.retain(|t| t.end_us + 1_000 >= now_us);
     }
 
@@ -405,19 +566,32 @@ impl Medium {
     }
 
     /// Evaluates the reception of a frame that occupied
-    /// `[start_us, end_us]` on the air, at receiver `to`, `d_m` metres
-    /// from the transmitter. `interferer_distance` maps other nodes to
-    /// their distance from this receiver.
-    /// `tune` is the band/channel the frame rode on; only co-channel
-    /// interferers corrupt it.
+    /// `[start_us, end_us]` on the air, at receiver `to`, standing at
+    /// `at`, `d_m` metres from the transmitter. `interferer_distance`
+    /// maps other nodes to their distance from this receiver. `tune` is
+    /// the band/channel the frame rode on; only co-channel interferers
+    /// corrupt it.
     ///
-    /// Draws ride the shared sequential propagation stream: every call
-    /// consumes exactly one fading draw (plus, lazily, one FER draw),
-    /// so results depend on the global evaluation order. This is the
-    /// legacy all-pairs contract every pinned result rests on. It has
-    /// no interference cutoff, so the collision scan visits every
-    /// co-tune cell bucket and the mobile bucket, wherever the
-    /// receiver is.
+    /// Where the draws come from depends on the propagation mode:
+    ///
+    /// * `AllPairs` rides the shared sequential propagation stream:
+    ///   every call consumes exactly one fading draw (plus, lazily, one
+    ///   FER draw), so results depend on the global evaluation order.
+    ///   This is the legacy contract every pinned result rests on. It
+    ///   has no interference cutoff, so the collision scan visits every
+    ///   co-tune bucket, wherever the receiver is.
+    /// * The keyed modes draw fading and FER from a per-reception
+    ///   stream keyed on `(seed, from, to, start_us)` — half-duplex
+    ///   radios start at most one transmission per microsecond, so the
+    ///   key is collision-free. Outcomes are independent of evaluation
+    ///   order, which is what lets the cell grid skip out-of-range
+    ///   receivers while staying draw-for-draw identical to the
+    ///   all-pairs oracle on the receptions both evaluate. Interferers
+    ///   past `max_range_m` do not exist, so the collision scan visits
+    ///   only the buckets within that cutoff of `at`.
+    ///
+    /// The burst-loss fault chain steps sequentially on the dedicated
+    /// fault stream in every mode.
     #[allow(clippy::too_many_arguments)]
     pub fn evaluate_rx(
         &mut self,
@@ -430,100 +604,23 @@ impl Medium {
         psdu_len: usize,
         rate: BitRate,
         tune: Tune,
-        interferer_distance: impl Fn(NodeId) -> f64,
-    ) -> RxOutcome {
-        let mut rng = self.rng.clone();
-        let out = self.evaluate_rx_with(
-            &mut rng,
-            from,
-            to,
-            start_us,
-            end_us,
-            tx_power_dbm,
-            d_m,
-            psdu_len,
-            rate,
-            tune,
-            (0.0, 0.0),
-            f64::INFINITY,
-            interferer_distance,
-        );
-        self.rng = rng;
-        out
-    }
-
-    /// Like [`evaluate_rx`](Self::evaluate_rx), but fading and FER
-    /// draws come from a per-reception stream keyed on
-    /// `(seed, from, to, start_us)` — half-duplex radios start at most
-    /// one transmission per microsecond, so the key is collision-free.
-    /// Reception outcomes become independent of evaluation order, which
-    /// is what lets the cell-sharded propagation mode skip out-of-range
-    /// receivers while staying draw-for-draw identical to the all-pairs
-    /// oracle on the receptions both evaluate. The burst-loss fault
-    /// chain still steps sequentially on the dedicated fault stream.
-    /// `at` is the receiver's position: the collision scan visits only
-    /// the buckets within the cutoff of it.
-    #[allow(clippy::too_many_arguments)]
-    pub fn evaluate_rx_keyed(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        start_us: u64,
-        end_us: u64,
-        tx_power_dbm: f64,
-        d_m: f64,
-        psdu_len: usize,
-        rate: BitRate,
-        tune: Tune,
         at: (f64, f64),
         interferer_distance: impl Fn(NodeId) -> f64,
     ) -> RxOutcome {
-        use rand::SeedableRng;
-        let mut key = splitmix64(self.keyed_seed ^ from.0 as u64);
-        key = splitmix64(key ^ to.0 as u64);
-        key = splitmix64(key ^ start_us);
-        let mut rng = ChaCha8Rng::seed_from_u64(key);
-        // In the spatially-sharded modes the medium simply does not
-        // exist beyond `max_range_m`, for interferers as for receivers:
-        // an interferer out there delivers mean power tens of dB under
-        // the energy-detect floor, and cutting it off lets the collision
-        // scan skip the path-loss `log10` for distant co-channel frames.
-        let cutoff = self.config.max_range_m;
-        self.evaluate_rx_with(
-            &mut rng,
-            from,
-            to,
-            start_us,
-            end_us,
-            tx_power_dbm,
-            d_m,
-            psdu_len,
-            rate,
-            tune,
-            at,
-            cutoff,
-            interferer_distance,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn evaluate_rx_with(
-        &mut self,
-        rng: &mut ChaCha8Rng,
-        from: NodeId,
-        to: NodeId,
-        start_us: u64,
-        end_us: u64,
-        tx_power_dbm: f64,
-        d_m: f64,
-        psdu_len: usize,
-        rate: BitRate,
-        tune: Tune,
-        at: (f64, f64),
-        interference_cutoff_m: f64,
-        interferer_distance: impl Fn(NodeId) -> f64,
-    ) -> RxOutcome {
-        let rx_power = self.rx_power_dbm(tx_power_dbm, d_m);
+        // The body reads `self`'s other fields directly, never through a
+        // method, so the sequential stream is borrowed in place.
+        let mut keyed_rng;
+        let (rng, cutoff) = if self.propagation.keyed_draws() {
+            let mut key = splitmix64(self.keyed_seed ^ from.0 as u64);
+            key = splitmix64(key ^ to.0 as u64);
+            key = splitmix64(key ^ start_us);
+            keyed_rng = ChaCha8Rng::seed_from_u64(key);
+            (&mut keyed_rng, self.config.max_range_m)
+        } else {
+            (&mut self.rng, f64::INFINITY)
+        };
+        let path_loss = self.config.path_loss;
+        let rx_power = path_loss.rx_power_dbm(tx_power_dbm, d_m);
         let mut faded = self.config.fading.faded_power_dbm(rx_power, rng);
         // Injected asymmetric link-budget penalty (0 under a clean plan).
         let penalty = self.snr_faults.penalty_db(from.0, to.0);
@@ -535,9 +632,8 @@ impl Medium {
 
         // Collision check: any other transmission overlapping this frame's
         // airtime whose power at the receiver is within the capture
-        // threshold corrupts the frame. Interferers past the cutoff do
-        // not exist, so only the buckets within it of `at` are visited.
-        let reach = self.active.reach(interference_cutoff_m);
+        // threshold corrupts the frame.
+        let reach = self.active.reach(cutoff);
         let collided = self.active.any_near(tune, at, reach, |t| {
             if t.from == from || t.tune != tune {
                 return false;
@@ -547,19 +643,19 @@ impl Medium {
                 return false;
             }
             let d_i = interferer_distance(t.from);
-            if d_i > interference_cutoff_m {
+            if d_i > cutoff {
                 return false;
             }
-            let interferer_power = self.rx_power_dbm(t.tx_power_dbm, d_i);
+            let interferer_power = path_loss.rx_power_dbm(t.tx_power_dbm, d_i);
             faded - interferer_power < self.config.capture_threshold_db
         });
 
         let fer = link::fer(psdu_len, rate, snr_db);
         // Lazy FER draw: only a frame that passed detection and
         // collision checks consumes a propagation draw. Undetectable or
-        // collided receptions must leave `rng` exactly where the
-        // pre-fault simulator left it, or clean runs stop being
-        // byte-identical to pinned results.
+        // collided receptions must leave the sequential stream exactly
+        // where the pre-fault simulator left it, or clean runs stop
+        // being byte-identical to pinned results.
         let clean_ok = detectable && !collided && rng.gen::<f64>() >= fer;
 
         // Burst loss steps its Markov chain on the dedicated fault
@@ -587,11 +683,12 @@ mod tests {
     use super::*;
 
     const CH6: Tune = (polite_wifi_phy::band::Band::Ghz2, 6);
+    const CH11: Tune = (polite_wifi_phy::band::Band::Ghz2, 11);
     const CH36: Tune = (polite_wifi_phy::band::Band::Ghz5, 36);
     const ORIGIN: (f64, f64) = (0.0, 0.0);
 
     fn medium() -> Medium {
-        Medium::new(MediumConfig::default(), 1)
+        Medium::new(MediumConfig::default(), PropagationMode::AllPairs, 1)
     }
 
     #[test]
@@ -609,6 +706,7 @@ mod tests {
                 28,
                 BitRate::Mbps1,
                 CH6,
+                ORIGIN,
                 |_| f64::INFINITY,
             );
             if out.fcs_ok {
@@ -631,6 +729,7 @@ mod tests {
             28,
             BitRate::Mbps54,
             CH6,
+            ORIGIN,
             |_| f64::INFINITY,
         );
         assert!(!out.fcs_ok);
@@ -658,6 +757,7 @@ mod tests {
             28,
             BitRate::Mbps1,
             CH6,
+            ORIGIN,
             |_| 5.0,
         );
         assert!(out.collided);
@@ -685,6 +785,7 @@ mod tests {
             28,
             BitRate::Mbps1,
             CH6,
+            ORIGIN,
             |_| 100.0,
         );
         assert!(!out.collided, "strong frame should capture");
@@ -710,6 +811,7 @@ mod tests {
             28,
             BitRate::Mbps1,
             CH6,
+            ORIGIN,
             |_| 5.0,
         );
         assert!(!out.collided, "cross-channel frames must not collide");
@@ -749,6 +851,7 @@ mod tests {
             28,
             BitRate::Mbps1,
             CH6,
+            ORIGIN,
             |_| 5.0,
         );
         assert!(!out.collided);
@@ -824,7 +927,7 @@ mod tests {
         // before the fault layer existed silently drifts.
         use rand::SeedableRng;
         let cfg = MediumConfig::default();
-        let mut m = Medium::new(cfg, 42);
+        let mut m = Medium::new(cfg, PropagationMode::AllPairs, 42);
         let far = m.evaluate_rx(
             NodeId(0),
             NodeId(1),
@@ -835,6 +938,7 @@ mod tests {
             28,
             BitRate::Mbps1,
             CH6,
+            ORIGIN,
             |_| f64::INFINITY,
         );
         assert!(!far.detectable);
@@ -848,6 +952,7 @@ mod tests {
             28,
             BitRate::Mbps1,
             CH6,
+            ORIGIN,
             |_| f64::INFINITY,
         );
 
@@ -874,7 +979,7 @@ mod tests {
     #[test]
     fn keyed_draws_are_order_independent() {
         let eval = |m: &mut Medium, start: u64| {
-            m.evaluate_rx_keyed(
+            m.evaluate_rx(
                 NodeId(0),
                 NodeId(1),
                 start,
@@ -889,9 +994,9 @@ mod tests {
             )
         };
         // Run A: evaluate receptions 0..20. Run B: only the even ones.
-        let mut a = Medium::new(MediumConfig::default(), 9);
+        let mut a = Medium::new(MediumConfig::default(), PropagationMode::CellGrid, 9);
         let full: Vec<RxOutcome> = (0..20).map(|i| eval(&mut a, i * 1_000)).collect();
-        let mut b = Medium::new(MediumConfig::default(), 9);
+        let mut b = Medium::new(MediumConfig::default(), PropagationMode::CellGrid, 9);
         let sparse: Vec<RxOutcome> = (0..20)
             .step_by(2)
             .map(|i| eval(&mut b, i * 1_000))
@@ -900,7 +1005,7 @@ mod tests {
             assert_eq!(*out, full[2 * k], "reception {k} drifted");
         }
         // ...and a different medium seed gives different realisations.
-        let mut c = Medium::new(MediumConfig::default(), 10);
+        let mut c = Medium::new(MediumConfig::default(), PropagationMode::CellGrid, 10);
         let other: Vec<RxOutcome> = (0..20).map(|i| eval(&mut c, i * 1_000)).collect();
         assert_ne!(full, other);
     }
@@ -915,7 +1020,7 @@ mod tests {
             max_range_m: cell,
             ..MediumConfig::default()
         };
-        (Medium::new(cfg, 1), cell)
+        (Medium::new(cfg, PropagationMode::CellGrid, 1), cell)
     }
 
     fn frame_from(id: usize, tx_power_dbm: f64) -> Transmission {
@@ -931,7 +1036,7 @@ mod tests {
     #[test]
     fn carrier_sense_reaches_past_the_adjacent_cells() {
         let (mut m, cell) = two_cell_reach_medium();
-        m.place(NodeId(3), (0.5 * cell, 0.5), false);
+        m.place(NodeId(3), CH6, (0.5 * cell, 0.5), false);
         m.begin_transmission(frame_from(3, 20.0));
         assert_eq!(m.cs_reach, 2);
         // 1.4 cells east of the transmitter: two cell columns over.
@@ -946,12 +1051,12 @@ mod tests {
     #[test]
     fn held_frames_follow_a_transmitter_that_starts_moving() {
         let (mut m, cell) = two_cell_reach_medium();
-        m.place(NodeId(3), (0.5, 0.5), false);
+        m.place(NodeId(3), CH6, (0.5, 0.5), false);
         m.begin_transmission(frame_from(3, 20.0));
         // Enough other buckets that a scan visits only its own
         // neighbourhood rather than every bucket.
         for i in 10..40 {
-            m.place(NodeId(i), (i as f64 * cell, -5.0 * cell), false);
+            m.place(NodeId(i), CH36, (i as f64 * cell, -5.0 * cell), false);
             m.begin_transmission(Transmission {
                 tune: CH36,
                 ..frame_from(i, 20.0)
@@ -959,10 +1064,10 @@ mod tests {
         }
         let far = (20.0 * cell, 0.5);
         assert!(!m.channel_busy(500, NodeId(0), CH6, far, |_| 25.0));
-        m.place(NodeId(3), (0.5, 0.5), true);
+        m.place(NodeId(3), CH6, (0.5, 0.5), true);
         assert_eq!(m.active_len(), 31);
         assert!(m.channel_busy(500, NodeId(0), CH6, far, |_| 25.0));
-        let out = m.evaluate_rx_keyed(
+        let out = m.evaluate_rx(
             NodeId(1),
             NodeId(0),
             100,
@@ -977,7 +1082,7 @@ mod tests {
         );
         assert!(out.collided);
         // Stopping again leaves them where every scan looks.
-        m.place(NodeId(3), (0.5, 0.5), false);
+        m.place(NodeId(3), CH6, (0.5, 0.5), false);
         assert!(m.channel_busy(500, NodeId(0), CH6, far, |_| 25.0));
         m.prune(10_000);
         assert_eq!(m.active_len(), 0);
@@ -1076,11 +1181,11 @@ mod tests {
                 let (mut indexed, cell) = two_cell_reach_medium();
                 // Never placed, so every node counts as moving and every
                 // entry sits in the always-scanned mobile bucket.
-                let mut unplaced = Medium::new(*indexed.config(), 1);
+                let mut unplaced = Medium::new(*indexed.config(), PropagationMode::CellGrid, 1);
                 let mut pos: Vec<(f64, f64)> =
                     start.iter().map(|&(x, y)| (x * cell, y * cell)).collect();
                 for (i, &p) in pos.iter().enumerate() {
-                    indexed.place(NodeId(i), p, i >= FIRST_MOBILE);
+                    indexed.place(NodeId(i), CH6, p, i >= FIRST_MOBILE);
                 }
                 let cutoff = indexed.config().max_range_m;
                 let mut flat: Vec<Transmission> = Vec::new();
@@ -1106,7 +1211,7 @@ mod tests {
                             flat.retain(|t| t.end_us + 1_000 >= now);
                         }
                         Op::Move { node, to } => {
-                            indexed.place(NodeId(node), pos[node], true);
+                            indexed.place(NodeId(node), CH6, pos[node], true);
                             pos[node] = (to.0 * cell, to.1 * cell);
                         }
                         Op::Query { rx, at, tune, from, back_us, dur_us } => {
@@ -1155,7 +1260,7 @@ mod tests {
                             let end_us = start_us + dur_us;
                             let d = dist(from);
                             let eval = |m: &mut Medium| {
-                                m.evaluate_rx_keyed(
+                                m.evaluate_rx(
                                     from, rx, start_us, end_us, 20.0, d, 100,
                                     BitRate::Mbps1, tune, at, dist,
                                 )
@@ -1197,7 +1302,7 @@ mod tests {
     #[test]
     fn determinism_under_seed() {
         let run = |seed: u64| {
-            let mut m = Medium::new(MediumConfig::default(), seed);
+            let mut m = Medium::new(MediumConfig::default(), PropagationMode::AllPairs, seed);
             (0..50)
                 .map(|i| {
                     m.evaluate_rx(
@@ -1210,6 +1315,7 @@ mod tests {
                         1500,
                         BitRate::Mbps54,
                         CH6,
+                        ORIGIN,
                         |_| f64::INFINITY,
                     )
                     .fcs_ok
@@ -1218,5 +1324,79 @@ mod tests {
         };
         assert_eq!(run(9), run(9));
         assert_ne!(run(9), run(10));
+    }
+
+    /// A cell-grid medium on 100 m cells.
+    fn grid_medium() -> Medium {
+        let cfg = MediumConfig {
+            max_range_m: 100.0,
+            ..MediumConfig::default()
+        };
+        Medium::new(cfg, PropagationMode::CellGrid, 1)
+    }
+
+    #[test]
+    fn grid_finds_exactly_the_in_range_co_tune_nodes() {
+        let mut arena = NodeArena::new();
+        let mut m = grid_medium();
+        // 0: transmitter at origin; 1: in range; 2: out of range;
+        // 3: in range but other channel; 4: moving, in range.
+        let spots = [
+            (0.0, 0.0),
+            (40.0, 0.0),
+            (250.0, 0.0),
+            (10.0, 10.0),
+            (60.0, 0.0),
+        ];
+        let tunes = [CH6, CH6, CH6, CH11, CH6];
+        for (i, (&p, &t)) in spots.iter().zip(&tunes).enumerate() {
+            arena.push(p, t);
+            m.place(NodeId(i), t, p, i == 4);
+        }
+        let mut out = Vec::new();
+        m.receivers(NodeId(0), CH6, ORIGIN, 0, &arena, &mut out);
+        assert_eq!(out, vec![NodeId(1), NodeId(4)]);
+        assert_eq!(m.occupied_cells(), 3);
+    }
+
+    #[test]
+    fn grid_neighbourhood_covers_cell_boundaries() {
+        let mut arena = NodeArena::new();
+        let mut m = grid_medium();
+        // Receiver just across a cell boundary from the transmitter,
+        // and another a cell-diagonal away but still in range.
+        let spots = [(99.0, 99.0), (101.0, 99.0), (160.0, 160.0)];
+        for (i, &p) in spots.iter().enumerate() {
+            arena.push(p, CH6);
+            m.place(NodeId(i), CH6, p, false);
+        }
+        let mut out = Vec::new();
+        m.receivers(NodeId(0), CH6, (99.0, 99.0), 0, &arena, &mut out);
+        assert_eq!(out, vec![NodeId(1), NodeId(2)]);
+    }
+
+    #[test]
+    fn retune_and_set_moving_keep_buckets_consistent() {
+        let mut arena = NodeArena::new();
+        let mut m = grid_medium();
+        for (i, p) in [(5.0, 5.0), (6.0, 5.0)].into_iter().enumerate() {
+            arena.push(p, CH6);
+            m.place(NodeId(i), CH6, p, false);
+        }
+
+        let mut out = Vec::new();
+        m.retune(NodeId(1), CH6, CH11);
+        arena.set_tune(NodeId(1), CH11);
+        assert_eq!(m.occupied_cells(), 2);
+        m.receivers(NodeId(0), CH6, (5.0, 5.0), 0, &arena, &mut out);
+        assert!(out.is_empty());
+        m.receivers(NodeId(1), CH11, (6.0, 5.0), 0, &arena, &mut out);
+        assert!(out.is_empty(), "node 0 stayed on CH6");
+
+        m.place(NodeId(1), CH11, (6.0, 5.0), true);
+        arena.set_velocity(NodeId(1), (1.0, 0.0));
+        assert_eq!(m.occupied_cells(), 1);
+        m.receivers(NodeId(0), CH11, (5.0, 5.0), 0, &arena, &mut out);
+        assert_eq!(out, vec![NodeId(1)]);
     }
 }

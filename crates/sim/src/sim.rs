@@ -1,9 +1,9 @@
 //! The simulator: event loop, transmissions, receptions, retries.
 
-use crate::arena::{CellGrid, NodeArena};
+use crate::arena::NodeArena;
 use crate::event::{Event, EventQueue};
 use crate::faults::{FaultPlan, StallSchedule};
-use crate::medium::{Medium, MediumConfig, RxOutcome, Transmission, Tune};
+use crate::medium::{Medium, MediumConfig, PropagationMode, RxOutcome, Transmission, Tune};
 use crate::node::{AckWait, Node, NodeId, QueuedFrame};
 use polite_wifi_frame::{ControlFrame, Frame};
 use polite_wifi_mac::{MacAction, RadioState, Station, StationConfig};
@@ -20,38 +20,12 @@ use std::sync::Arc;
 /// The transmit power of every radio, in dBm.
 const TX_POWER: f64 = 20.0;
 
-/// How a transmission finds its receivers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PropagationMode {
-    /// Every node evaluates every transmission, with fading/FER draws
-    /// on the shared sequential propagation stream — the mode every
-    /// pinned result was produced under. The default.
-    #[default]
-    AllPairs,
-    /// All-pairs enumeration with the per-reception keyed draw scheme
-    /// and the `max_range_m` cutoff — the brute-force oracle the cell
-    /// grid mode is tested against.
-    OracleAllPairs,
-    /// Spatial interference-cell enumeration with keyed draws: a
-    /// transmission only evaluates co-channel receivers in the 3×3
-    /// cell neighbourhood around the transmitter (city scale).
-    CellGrid,
-}
-
-impl PropagationMode {
-    /// Whether fading/FER draws are keyed per reception instead of
-    /// riding the shared sequential stream.
-    pub fn keyed_draws(self) -> bool {
-        self != PropagationMode::AllPairs
-    }
-}
-
 /// Simulator-wide configuration.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimConfig {
     /// Radio environment.
     pub medium: MediumConfig,
-    /// Receiver-enumeration strategy.
+    /// How the medium enumerates receivers and draws receptions.
     pub propagation: PropagationMode,
 }
 
@@ -82,16 +56,13 @@ pub struct Simulator {
     /// Hot per-node state (positions, tunes, timing guards, ACK waits)
     /// in SoA layout, indexed by `NodeId`.
     hot: NodeArena,
-    /// The spatial cell grid, present only in `CellGrid` mode.
-    grid: Option<CellGrid>,
-    /// Reusable receiver-candidate buffer for the grid fan-out.
+    /// Reusable receiver buffer for the arrival fan-out.
     scratch: Vec<NodeId>,
     current_tx: Vec<Option<CurrentTx>>,
     medium: Medium,
     rng: ChaCha8Rng,
     global_capture: Capture,
     next_token: u64,
-    last_prune_us: u64,
     obs: Obs,
     seed: u64,
     fault_plan: FaultPlan,
@@ -118,15 +89,12 @@ impl Simulator {
             queue: EventQueue::new(),
             nodes: Vec::new(),
             hot: NodeArena::new(),
-            grid: (config.propagation == PropagationMode::CellGrid)
-                .then(|| CellGrid::new(config.medium.max_range_m)),
             scratch: Vec::new(),
             current_tx: Vec::new(),
-            medium: Medium::new(config.medium, seed),
+            medium: Medium::new(config.medium, config.propagation, seed),
             rng: ChaCha8Rng::seed_from_u64(seed ^ 0x5349_4d55_4c41_544f), // "SIMULATO"
             global_capture: Capture::new(),
             next_token: 0,
-            last_prune_us: 0,
             obs: Obs::new(),
             seed,
             fault_plan: FaultPlan::clean(),
@@ -149,10 +117,9 @@ impl Simulator {
         self.events_dispatched
     }
 
-    /// Non-empty interference cells on the spatial grid (0 outside
-    /// `CellGrid` mode).
+    /// Interference cells (per tune) that hold a static node.
     pub fn occupied_cells(&self) -> usize {
-        self.grid.as_ref().map_or(0, |g| g.occupied_cells())
+        self.medium.occupied_cells()
     }
 
     /// The seed this simulator was built with.
@@ -221,14 +188,10 @@ impl Simulator {
         }
         self.nodes.push(node);
         self.hot.push(position, tune);
-        if self.config.propagation.keyed_draws() {
-            // Register the bootstrap chain with the poll dedup.
-            self.hot.poll_at[id.0] = poll_at.unwrap_or(u64::MAX);
-        }
-        if let Some(grid) = &mut self.grid {
-            grid.insert(id, tune, position, false);
-        }
-        self.medium.place(id, position, false);
+        // Register the bootstrap chain with the poll dedup (which only
+        // the keyed modes consult).
+        self.hot.poll_at[id.0] = poll_at.unwrap_or(u64::MAX);
+        self.medium.place(id, tune, position, false);
         self.current_tx.push(None);
         id
     }
@@ -282,10 +245,7 @@ impl Simulator {
         self.hot.set_velocity(id, velocity);
         let moving = velocity != (0.0, 0.0);
         let position = self.hot.base_position(id);
-        if let Some(grid) = &mut self.grid {
-            grid.set_moving(id, self.hot.tune(id), position, moving);
-        }
-        self.medium.place(id, position, moving);
+        self.medium.place(id, self.hot.tune(id), position, moving);
     }
 
     /// The ideal-observer capture of every completed transmission.
@@ -309,9 +269,7 @@ impl Simulator {
         self.nodes[id.0].station.retune(band, channel);
         let new = (band, channel);
         self.hot.set_tune(id, new);
-        if let Some(grid) = &mut self.grid {
-            grid.retune(id, old, new, self.hot.base_position(id));
-        }
+        self.medium.retune(id, old, new);
     }
 
     /// Kicks off a client's on-air join sequence (authentication →
@@ -351,25 +309,7 @@ impl Simulator {
             let wall_ns = t0.elapsed().as_nanos() as u64;
             self.prof[kind].record(virt_us, wall_ns);
             dispatched += 1;
-            if self.now_us.saturating_sub(self.last_prune_us) > 1_000_000 {
-                self.medium.prune(self.now_us);
-                self.last_prune_us = self.now_us;
-            } else if self.config.propagation.keyed_draws()
-                && self.medium.active_len() > 64
-                && self.now_us.saturating_sub(self.last_prune_us) > 1_000
-            {
-                // City scale: the keyed modes prune on a 1 ms cadence
-                // to keep the scanned buckets short (the grace window in
-                // `Medium::prune` keeps any transmission an arrival could
-                // still need).
-                // The legacy mode keeps its exact 1 s cadence — prune
-                // timing is observable through long-airtime overlaps,
-                // and pinned results depend on it. Purely a function of
-                // simulated time and the active list, so determinism is
-                // untouched.
-                self.medium.prune(self.now_us);
-                self.last_prune_us = self.now_us;
-            }
+            self.medium.prune_due(self.now_us);
         }
         for (kind, stat) in Event::KIND_NAMES.iter().zip(&mut self.prof) {
             if stat.count > 0 {
@@ -719,14 +659,13 @@ impl Simulator {
             tune,
         });
         self.queue.push(end, Event::TxEnd { node: id });
-        // Receiver fan-out. All modes enumerate effectful receivers in
-        // ascending NodeId order; the spatial modes drop receivers past
-        // the hard `max_range_m` cutoff (evaluated at arrival time,
-        // like the oracle), which in keyed-draw mode cannot perturb
-        // anyone else's randomness.
-        let start_us = self.now_us;
-        let push_arrival = |queue: &mut EventQueue, rx: NodeId| {
-            queue.push(
+        // Receiver fan-out, in the order the medium enumerates.
+        let mut receivers = std::mem::take(&mut self.scratch);
+        let tx_pos = self.hot.position_at(id, end);
+        self.medium
+            .receivers(id, tune, tx_pos, end, &self.hot, &mut receivers);
+        for &rx in &receivers {
+            self.queue.push(
                 end,
                 Event::Arrival {
                     node: rx,
@@ -734,44 +673,13 @@ impl Simulator {
                     frame: Arc::clone(&frame),
                     psdu_len,
                     rate,
-                    start_us,
+                    start_us: self.now_us,
                     tune,
                     trace,
                 },
             );
-        };
-        match self.config.propagation {
-            PropagationMode::AllPairs => {
-                for i in 0..self.nodes.len() {
-                    if i != id.0 {
-                        push_arrival(&mut self.queue, NodeId(i));
-                    }
-                }
-            }
-            PropagationMode::OracleAllPairs => {
-                let max_range = self.config.medium.max_range_m;
-                let tx_pos = self.hot.position_at(id, end);
-                for i in 0..self.nodes.len() {
-                    if i != id.0 && self.hot.distance_to_point(tx_pos, NodeId(i), end) <= max_range
-                    {
-                        push_arrival(&mut self.queue, NodeId(i));
-                    }
-                }
-            }
-            PropagationMode::CellGrid => {
-                let max_range = self.config.medium.max_range_m;
-                let tx_pos = self.hot.position_at(id, end);
-                let mut cands = std::mem::take(&mut self.scratch);
-                self.grid
-                    .as_ref()
-                    .expect("grid mode")
-                    .candidates(tx_pos, tune, id, max_range, end, &self.hot, &mut cands);
-                for &rx in &cands {
-                    push_arrival(&mut self.queue, rx);
-                }
-                self.scratch = cands;
-            }
         }
+        self.scratch = receivers;
     }
 
     fn do_tx_end(&mut self, id: NodeId) {
@@ -892,8 +800,7 @@ impl Simulator {
     }
 
     /// Evaluates one reception on the medium, with distances computed
-    /// on demand from the arena (no per-arrival allocation). Dispatches
-    /// to sequential-stream or keyed draws per the propagation mode.
+    /// on demand from the arena (no per-arrival allocation).
     fn eval_rx(
         &mut self,
         from: NodeId,
@@ -908,15 +815,9 @@ impl Simulator {
         let d = self.hot.distance_between(id, from, now);
         let hot = &self.hot;
         let dist = |other: NodeId| hot.distance_to_point(my_pos, other, now);
-        if self.config.propagation.keyed_draws() {
-            self.medium.evaluate_rx_keyed(
-                from, id, start_us, now, TX_POWER, d, psdu_len, rate, tune, my_pos, dist,
-            )
-        } else {
-            self.medium.evaluate_rx(
-                from, id, start_us, now, TX_POWER, d, psdu_len, rate, tune, dist,
-            )
-        }
+        self.medium.evaluate_rx(
+            from, id, start_us, now, TX_POWER, d, psdu_len, rate, tune, my_pos, dist,
+        )
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -932,10 +833,10 @@ impl Simulator {
         trace: Option<u64>,
     ) {
         let now = self.now_us;
-        // A radio tuned elsewhere hears nothing of this frame. This
-        // check precedes every draw and fault-chain step, so the
-        // all-pairs oracle delivering arrivals to off-tune nodes stays
-        // draw-for-draw identical to the grid never scheduling them.
+        // A radio tuned elsewhere (all-pairs delivers to every node,
+        // and a receiver may have retuned since the frame began) hears
+        // nothing of this frame. This check precedes every draw and
+        // fault-chain step.
         if self.hot.tune(id) != tune {
             return;
         }

@@ -3,6 +3,7 @@
 
 use polite_wifi_frame::{builder, MacAddr};
 use polite_wifi_mac::StationConfig;
+use polite_wifi_phy::band::Band;
 use polite_wifi_phy::rate::BitRate;
 use polite_wifi_sim::{FaultProfile, PropagationMode, SimConfig, Simulator};
 use proptest::prelude::*;
@@ -87,7 +88,10 @@ proptest! {
     /// the reception fates of the all-pairs oracle — under a clean
     /// medium and under the urban-drive fault profile alike. The
     /// attacker drives past the population so the grid's mobile list is
-    /// exercised, not just the static buckets.
+    /// exercised, not just the static buckets; mid-run, the attacker
+    /// and one static client hop to channel 11 and back, so the index's
+    /// retune path is exercised too. The index exists in every mode,
+    /// so both runs also report the same occupied cells.
     #[test]
     fn cell_grid_matches_all_pairs_oracle(
         positions in proptest::collection::vec((-600.0f64..600.0, -600.0f64..600.0), 2..20),
@@ -120,6 +124,13 @@ proptest! {
                     let rate = BitRate::ALL[r as usize % 12];
                     sim.inject(t, attacker, builder::fake_null_frame(mac, MacAddr::FAKE), rate);
                 }
+                let hopper = nodes[nodes.len() - 1];
+                for (until, channel) in [(1_000_000, 11), (2_500_000, 6)] {
+                    sim.run_until(until);
+                    for id in [hopper, attacker] {
+                        sim.retune(id, Band::Ghz2, channel);
+                    }
+                }
                 sim.run_until(4_000_000);
                 let stats: Vec<_> = nodes.iter().map(|&id| sim.station(id).stats).collect();
                 (
@@ -127,6 +138,7 @@ proptest! {
                     sim.node(attacker).acks_received,
                     sim.global_capture().len(),
                     sim.events_dispatched(),
+                    sim.occupied_cells(),
                     sim.obs().metrics_json(),
                 )
             };
