@@ -38,6 +38,7 @@
 //! live as the job it watches, of course.)
 
 use polite_wifi_daemon::{SseClient, SseEvent};
+use polite_wifi_harness::{FlagSpec, Flags};
 use polite_wifi_obs::json::{parse, JsonValue};
 use polite_wifi_obs::openmetrics;
 use std::collections::BTreeMap;
@@ -473,64 +474,36 @@ fn follow(url: &str) -> Result<(), String> {
     Ok(())
 }
 
-struct Args {
-    inputs: Vec<PathBuf>,
-    flame: Option<PathBuf>,
-    prom: Option<PathBuf>,
-    follow: Option<String>,
-}
-
 const USAGE: &str = "usage: trace_query ENVELOPE.json [MORE.json ...] \
 [--flame OUT.folded] [--prom OUT.prom]\n       \
 trace_query --follow http://HOST:PORT/watch/<id>";
 
-fn parse_args() -> Result<Args, String> {
-    let mut out = Args {
-        inputs: Vec::new(),
-        flame: None,
-        prom: None,
-        follow: None,
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--flame" => {
-                let raw = args.next().ok_or("--flame needs a value")?;
-                out.flame = Some(PathBuf::from(raw));
-            }
-            "--prom" => {
-                let raw = args.next().ok_or("--prom needs a value")?;
-                out.prom = Some(PathBuf::from(raw));
-            }
-            "--follow" => {
-                let raw = args.next().ok_or("--follow needs a URL")?;
-                out.follow = Some(raw);
-            }
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other if other.starts_with("--") => {
-                return Err(format!("unknown flag `{other}` (try --help)"))
-            }
-            other => out.inputs.push(PathBuf::from(other)),
-        }
-    }
-    if out.follow.is_some() && !out.inputs.is_empty() {
-        return Err("--follow is a live mode; don't mix it with envelope files".to_string());
-    }
-    if out.follow.is_none() && out.inputs.is_empty() {
-        return Err(USAGE.to_string());
-    }
-    Ok(out)
-}
+const FLAGS: FlagSpec = FlagSpec {
+    values: &[
+        ("--flame", "a file path"),
+        ("--prom", "a file path"),
+        ("--follow", "a URL"),
+    ],
+    switches: &[],
+    positionals: true,
+    usage: USAGE,
+};
 
 fn main() {
-    let args = match parse_args() {
-        Ok(args) => args,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
+    let mut flags = Flags::parse(&FLAGS, std::env::args().skip(1));
+    let inputs: Vec<PathBuf> = flags.positionals().iter().map(PathBuf::from).collect();
+    let flame: Option<PathBuf> = flags.value("--flame");
+    let prom: Option<PathBuf> = flags.value("--prom");
+    let watch: Option<String> = flags.value("--follow");
+    if watch.is_some() {
+        if !inputs.is_empty() || flame.is_some() || prom.is_some() {
+            flags.problem("--follow is a live mode; don't mix it with envelope files or exports");
         }
-    };
-    if let Some(url) = &args.follow {
+    } else if inputs.is_empty() {
+        flags.problem("give envelope files or --follow URL");
+    }
+    flags.finish_or_exit("trace_query");
+    if let Some(url) = &watch {
         if let Err(msg) = follow(url) {
             eprintln!("{msg}");
             std::process::exit(1);
@@ -538,7 +511,7 @@ fn main() {
         return;
     }
     let mut envelopes = Vec::new();
-    for path in &args.inputs {
+    for path in &inputs {
         match load(path) {
             Ok(env) => envelopes.push(env),
             Err(msg) => {
@@ -550,7 +523,7 @@ fn main() {
 
     print_report(&envelopes);
 
-    if let Some(path) = &args.flame {
+    if let Some(path) = &flame {
         let folded = render_flame(&envelopes);
         if folded.is_empty() {
             eprintln!(
@@ -564,7 +537,7 @@ fn main() {
         }
         println!("\n[collapsed stacks written to {}]", path.display());
     }
-    if let Some(path) = &args.prom {
+    if let Some(path) = &prom {
         if let Err(e) = std::fs::write(path, render_prom(&envelopes)) {
             eprintln!("cannot write {}: {e}", path.display());
             std::process::exit(1);

@@ -8,8 +8,11 @@
 //!
 //! Runs until `POST /shutdown` or SIGTERM/SIGINT, then drains: stops
 //! admitting, finishes in-flight jobs, persists the job table, exits 0.
+//! A usage error (unknown flag, stray argument, duplicate, missing or
+//! bad value) names every problem in one message and exits 2.
 
 use polite_wifi_daemon::{Daemon, DaemonConfig};
+use polite_wifi_harness::{FlagSpec, Flags};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
@@ -32,62 +35,51 @@ fn install_signal_handlers() {
 #[cfg(not(unix))]
 fn install_signal_handlers() {}
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: polite-wifi-d [--port N] [--bind ADDR] [--workers N] [--queue-depth N]\n       \
-         [--timeout-secs N] [--state-dir DIR]\n       \
-         [--journal-capacity N] [--history-window-ms N]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: polite-wifi-d [--port N | --bind ADDR] [--workers N] [--queue-depth N]
+       [--timeout-secs N] [--state-dir DIR] [--history-window-ms N]";
 
+const FLAGS: FlagSpec = FlagSpec {
+    values: &[
+        ("--port", "a port number"),
+        ("--bind", "an address like 127.0.0.1:7632"),
+        ("--workers", "a number"),
+        ("--queue-depth", "a number"),
+        ("--timeout-secs", "a number"),
+        ("--state-dir", "a directory"),
+        ("--history-window-ms", "a number"),
+    ],
+    switches: &[],
+    positionals: false,
+    usage: USAGE,
+};
+
+/// The daemon's configuration from its command line; a usage error
+/// names every problem and exits 2.
 fn parse_config() -> DaemonConfig {
-    let mut config = DaemonConfig {
-        bind: "127.0.0.1:7632".to_string(),
-        ..DaemonConfig::default()
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value = |name: &str| -> String {
-            args.next().unwrap_or_else(|| {
-                eprintln!("polite-wifi-d: {name} needs a value");
-                usage()
-            })
-        };
-        match flag.as_str() {
-            "--port" => {
-                let port: u16 = value("--port").parse().unwrap_or_else(|_| usage());
-                config.bind = format!("127.0.0.1:{port}");
-            }
-            "--bind" => config.bind = value("--bind"),
-            "--workers" => config.workers = value("--workers").parse().unwrap_or_else(|_| usage()),
-            "--queue-depth" => {
-                config.queue_depth = value("--queue-depth").parse().unwrap_or_else(|_| usage())
-            }
-            "--timeout-secs" => {
-                config.job_timeout =
-                    Duration::from_secs(value("--timeout-secs").parse().unwrap_or_else(|_| usage()))
-            }
-            "--state-dir" => config.state_dir = value("--state-dir").into(),
-            "--journal-capacity" => {
-                config.journal_capacity = value("--journal-capacity")
-                    .parse()
-                    .unwrap_or_else(|_| usage())
-            }
-            "--history-window-ms" => {
-                config.history_window = Duration::from_millis(
-                    value("--history-window-ms")
-                        .parse()
-                        .unwrap_or_else(|_| usage()),
-                )
-            }
-            "--help" => usage(),
-            other => {
-                eprintln!("polite-wifi-d: unknown flag `{other}`");
-                usage();
-            }
-        }
+    let mut flags = Flags::parse(&FLAGS, std::env::args().skip(1));
+    let defaults = DaemonConfig::default();
+    let port: Option<u16> = flags.value("--port");
+    let bind: Option<String> = flags.value("--bind");
+    if port.is_some() && bind.is_some() {
+        flags.problem("--port and --bind both set the address; give one");
     }
+    let config = DaemonConfig {
+        bind: match (port, bind) {
+            (Some(port), _) => format!("127.0.0.1:{port}"),
+            (None, Some(bind)) => bind,
+            (None, None) => "127.0.0.1:7632".to_string(),
+        },
+        workers: flags.value("--workers").unwrap_or(defaults.workers),
+        queue_depth: flags.value("--queue-depth").unwrap_or(defaults.queue_depth),
+        job_timeout: flags
+            .value("--timeout-secs")
+            .map_or(defaults.job_timeout, Duration::from_secs),
+        state_dir: flags.value("--state-dir").unwrap_or(defaults.state_dir),
+        history_window: flags
+            .value("--history-window-ms")
+            .map_or(defaults.history_window, Duration::from_millis),
+    };
+    flags.finish_or_exit("polite-wifi-d");
     config
 }
 

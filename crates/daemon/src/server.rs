@@ -48,9 +48,6 @@ pub struct DaemonConfig {
     pub job_timeout: Duration,
     /// Result store + per-job scratch directories live here.
     pub state_dir: PathBuf,
-    /// Per-job flight-recorder capacity (events). Overflow sheds the
-    /// oldest events, counted in `progress.events_shed`.
-    pub journal_capacity: usize,
     /// How often the supervisor samples daemon counters into the
     /// history ring.
     pub history_window: Duration,
@@ -64,7 +61,6 @@ impl Default for DaemonConfig {
             queue_depth: 16,
             job_timeout: Duration::from_secs(300),
             state_dir: PathBuf::from("daemon-state"),
-            journal_capacity: 4096,
             history_window: Duration::from_secs(1),
         }
     }
@@ -72,6 +68,10 @@ impl Default for DaemonConfig {
 
 /// `/metrics/history` ring capacity (windows).
 const HISTORY_CAPACITY: usize = 256;
+
+/// Per-job flight-recorder capacity (events). Overflow sheds the
+/// oldest events, counted in `progress.events_shed`.
+const JOURNAL_CAPACITY: usize = 4096;
 
 struct State {
     jobs: BTreeMap<u64, Job>,
@@ -629,7 +629,7 @@ fn handle_submit(req: &Request, shared: &Arc<Shared>) -> Response {
         let id = st.next_id;
         st.next_id += 1;
         let args = spec.run_args();
-        let recorder = Arc::new(ChannelProgress::new(shared.config.journal_capacity));
+        let recorder = Arc::new(ChannelProgress::new(JOURNAL_CAPACITY));
         recorder.publish(
             ProgressEvent::new("job_accepted")
                 .with("job", id)

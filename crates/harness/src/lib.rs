@@ -14,7 +14,11 @@
 //!   ([`derive_trial_seed`]); results merge in trial order, so 1-worker
 //!   and N-worker runs are byte-identical;
 //! * [`report`] — the [`Experiment`] facade and the unified JSON result
-//!   schema written under `results/`.
+//!   schema written under `results/`;
+//! * [`flags`] — the one command-line parser: each binary declares its
+//!   value flags, switches and positionals in a [`FlagSpec`], and every
+//!   usage problem comes back in one message (callers exit 2).
+//!   [`RunArgs`], the experiment flags, is one such declaration.
 //!
 //! ```
 //! use polite_wifi_harness::prelude::*;
@@ -39,6 +43,7 @@
 //! `--inject-trial-panic`, cancellation and progress reporting on top.
 
 pub mod cancel;
+pub mod flags;
 pub mod ledger;
 pub mod progress;
 pub mod report;
@@ -47,6 +52,7 @@ pub mod scenario;
 pub mod sink;
 
 pub use cancel::CancelToken;
+pub use flags::{FlagSpec, Flags};
 pub use ledger::{MetricSummary, MetricsLedger};
 pub use progress::{
     set_thread_progress_sink, ChannelProgress, ProgressSample, ProgressSink, StderrProgress,

@@ -10,6 +10,7 @@
 //! so a 1-worker run and an N-worker run of the same base seed produce
 //! byte-identical reports.
 
+use crate::flags::{FlagSpec, Flags};
 use polite_wifi_sim::FaultProfile;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -180,10 +181,9 @@ impl Runner {
 /// Recognised flags: `--trials N`, `--workers M`, `--seed S`, `--quick`,
 /// `--faults PROFILE`, `--max-trial-failures N`, `--allow-partial`,
 /// `--trace-out FILE`, `--inject-trial-panic N`, `--progress`,
-/// `--quiet`. Malformed invocations
-/// abort with a usage message rather than being silently accepted — and
+/// `--quiet`, declared over the shared [`crate::flags`] parser, so
 /// *all* problems (unknown flags, duplicates, bad values, out-of-range
-/// numbers) are reported in one aggregated message, so a typo'd
+/// numbers) are reported in one aggregated message, and a typo'd
 /// invocation is fixed in one round trip.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RunArgs {
@@ -236,139 +236,58 @@ const USAGE: &str = "usage: [--trials N] [--workers M] [--seed S] [--quick] \
 [--allow-partial] [--trace-out FILE] [--inject-trial-panic N] [--progress] \
 [--quiet]";
 
+const FLAGS: FlagSpec = FlagSpec {
+    values: &[
+        ("--trials", "a number"),
+        ("--workers", "a number"),
+        ("--seed", "a number"),
+        ("--faults", "a fault profile"),
+        ("--max-trial-failures", "a number"),
+        ("--trace-out", "a file path"),
+        ("--inject-trial-panic", "a number"),
+    ],
+    switches: &["--quick", "--allow-partial", "--progress", "--quiet"],
+    positionals: false,
+    usage: USAGE,
+};
+
 impl RunArgs {
-    /// Parses flags from an iterator (first element must already be
-    /// stripped of the program name). Returns one aggregated error
-    /// message covering every problem on malformed input.
+    /// Parses flags (program name already stripped) over `defaults`,
+    /// with one aggregated error message covering every problem.
     pub fn parse<I: Iterator<Item = String>>(
-        mut args: I,
+        args: I,
         defaults: RunArgs,
     ) -> Result<RunArgs, String> {
-        let mut out = defaults;
-        let mut unknown: Vec<String> = Vec::new();
-        let mut problems: Vec<String> = Vec::new();
-        let mut seen: Vec<&'static str> = Vec::new();
-        while let Some(arg) = args.next() {
-            // Flags are single-occurrence: a duplicate almost always
-            // means a mangled command line, so it is an error, not a
-            // silent last-one-wins.
-            let mut once = |flag: &'static str, problems: &mut Vec<String>| {
-                if seen.contains(&flag) {
-                    problems.push(format!("duplicate flag {flag}"));
-                } else {
-                    seen.push(flag);
-                }
-            };
-            match arg.as_str() {
-                "--trials" => {
-                    once("--trials", &mut problems);
-                    match next_value(&mut args, "--trials") {
-                        Ok(v) => out.trials = v,
-                        Err(e) => problems.push(e),
-                    }
-                }
-                "--workers" => {
-                    once("--workers", &mut problems);
-                    match next_value(&mut args, "--workers") {
-                        Ok(v) => out.workers = v,
-                        Err(e) => problems.push(e),
-                    }
-                }
-                "--seed" => {
-                    once("--seed", &mut problems);
-                    match next_value(&mut args, "--seed") {
-                        Ok(v) => out.seed = v,
-                        Err(e) => problems.push(e),
-                    }
-                }
-                "--quick" => {
-                    once("--quick", &mut problems);
-                    out.quick = true;
-                }
-                "--allow-partial" => {
-                    once("--allow-partial", &mut problems);
-                    out.allow_partial = true;
-                }
-                "--progress" => {
-                    once("--progress", &mut problems);
-                    out.progress = true;
-                }
-                "--quiet" => {
-                    once("--quiet", &mut problems);
-                    out.quiet = true;
-                }
-                "--faults" => {
-                    once("--faults", &mut problems);
-                    match next_value::<FaultProfile, _>(&mut args, "--faults") {
-                        Ok(v) => out.faults = v,
-                        Err(e) => problems.push(e),
-                    }
-                }
-                "--max-trial-failures" => {
-                    once("--max-trial-failures", &mut problems);
-                    match next_value(&mut args, "--max-trial-failures") {
-                        Ok(v) => out.max_trial_failures = Some(v),
-                        Err(e) => problems.push(e),
-                    }
-                }
-                "--inject-trial-panic" => {
-                    once("--inject-trial-panic", &mut problems);
-                    match next_value(&mut args, "--inject-trial-panic") {
-                        Ok(v) => out.inject_trial_panic = Some(v),
-                        Err(e) => problems.push(e),
-                    }
-                }
-                "--trace-out" => {
-                    once("--trace-out", &mut problems);
-                    match args.next() {
-                        Some(raw) => out.trace_out = Some(std::path::PathBuf::from(raw)),
-                        None => problems.push("--trace-out needs a value".to_string()),
-                    }
-                }
-                "--help" | "-h" => return Err(USAGE.to_string()),
-                other => unknown.push(format!("`{other}`")),
-            }
-        }
+        let mut flags = Flags::parse(&FLAGS, args);
+        let d = defaults;
+        let out = RunArgs {
+            trials: flags.value("--trials").unwrap_or(d.trials),
+            workers: flags.value("--workers").unwrap_or(d.workers),
+            seed: flags.value("--seed").unwrap_or(d.seed),
+            quick: d.quick || flags.switch("--quick"),
+            trace_out: flags.value("--trace-out").or(d.trace_out),
+            faults: flags.value("--faults").unwrap_or(d.faults),
+            max_trial_failures: flags.value("--max-trial-failures").or(d.max_trial_failures),
+            allow_partial: d.allow_partial || flags.switch("--allow-partial"),
+            inject_trial_panic: flags.value("--inject-trial-panic").or(d.inject_trial_panic),
+            progress: d.progress || flags.switch("--progress"),
+            quiet: d.quiet || flags.switch("--quiet"),
+        };
         if out.trials == 0 {
-            problems.push("--trials must be at least 1".to_string());
+            flags.problem("--trials must be at least 1");
         }
         if out.workers == 0 {
-            problems.push("--workers must be at least 1".to_string());
+            flags.problem("--workers must be at least 1");
         }
-        if let Some(n) = out.inject_trial_panic {
-            if n >= out.trials {
-                problems.push(format!(
-                    "--inject-trial-panic {n} is outside the run's 0..{} trial range",
-                    out.trials
-                ));
-            }
+        if let Some(n) = out.inject_trial_panic.filter(|&n| n >= out.trials) {
+            flags.problem(format!(
+                "--inject-trial-panic {n} is outside the run's 0..{} trial range",
+                out.trials
+            ));
         }
-        if unknown.is_empty() && problems.is_empty() {
-            return Ok(out);
-        }
-        let mut message = String::new();
-        if !unknown.is_empty() {
-            let plural = if unknown.len() == 1 { "" } else { "s" };
-            message = format!("unknown flag{plural} {}", unknown.join(", "));
-        }
-        for problem in problems {
-            if !message.is_empty() {
-                message.push_str("; ");
-            }
-            message.push_str(&problem);
-        }
-        message.push_str(" (try --help)");
-        Err(message)
+        flags.finish()?;
+        Ok(out)
     }
-}
-
-fn next_value<T: std::str::FromStr, I: Iterator<Item = String>>(
-    args: &mut I,
-    flag: &str,
-) -> Result<T, String> {
-    let raw = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
-    raw.parse()
-        .map_err(|_| format!("{flag}: invalid value `{raw}`"))
 }
 
 #[cfg(test)]

@@ -36,8 +36,6 @@ pub struct QueuedFrame {
 pub struct AckWait {
     /// Token matching the `AckTimeout` event.
     pub token: u64,
-    /// Set when the ACK arrived before the timeout.
-    pub satisfied: bool,
     /// When the soliciting frame's transmission began — the start of the
     /// `frame.exchange` span the response closes.
     pub started_us: u64,

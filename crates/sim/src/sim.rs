@@ -544,6 +544,12 @@ impl Simulator {
             .push(self.now_us + defer, Event::TxAttempt { node: id });
     }
 
+    /// Defers `id`'s transmit attempt to `at`.
+    fn retry_tx_attempt_at(&mut self, id: NodeId, at: u64) {
+        self.nodes[id.0].tx_attempt_pending = true;
+        self.queue.push(at, Event::TxAttempt { node: id });
+    }
+
     fn do_tx_attempt(&mut self, id: NodeId) {
         self.nodes[id.0].tx_attempt_pending = false;
         if self.nodes[id.0].tx_queue.is_empty() {
@@ -551,17 +557,11 @@ impl Simulator {
         }
         // A stalled device transmits nothing; try again on recovery.
         if self.is_stalled(id) {
-            let at = self.hot.stalled_until[id.0];
-            self.nodes[id.0].tx_attempt_pending = true;
-            self.queue.push(at, Event::TxAttempt { node: id });
-            return;
+            return self.retry_tx_attempt_at(id, self.hot.stalled_until[id.0]);
         }
         // Half-duplex: if mid-transmission, try again after it ends.
         if self.hot.tx_busy_until[id.0] > self.now_us {
-            let at = self.hot.tx_busy_until[id.0];
-            self.nodes[id.0].tx_attempt_pending = true;
-            self.queue.push(at, Event::TxAttempt { node: id });
-            return;
+            return self.retry_tx_attempt_at(id, self.hot.tx_busy_until[id.0]);
         }
         // An outstanding ACK wait means the head frame is in flight.
         if self.hot.ack_wait[id.0].is_some() {
@@ -570,10 +570,7 @@ impl Simulator {
         // Virtual carrier sense: the NAV set by overheard Duration fields
         // defers contended transmissions (SIFS responses are exempt).
         if self.hot.nav_until[id.0] > self.now_us {
-            let at = self.hot.nav_until[id.0];
-            self.nodes[id.0].tx_attempt_pending = true;
-            self.queue.push(at, Event::TxAttempt { node: id });
-            return;
+            return self.retry_tx_attempt_at(id, self.hot.nav_until[id.0]);
         }
         // Carrier sense over the transmissions within carrier-sense
         // reach, squared distances on demand (no `log10` or `sqrt` per
@@ -593,10 +590,7 @@ impl Simulator {
             let defer = self.nodes[id.0].csma.defer_us(draw) as u64;
             self.obs.incr("mac.csma_busy_backoffs");
             self.obs.observe("mac.csma_backoff_us", defer);
-            self.nodes[id.0].tx_attempt_pending = true;
-            self.queue
-                .push(self.now_us + defer, Event::TxAttempt { node: id });
-            return;
+            return self.retry_tx_attempt_at(id, self.now_us + defer);
         }
         let head = self.nodes[id.0].tx_queue.front().cloned().expect("checked");
         let mut frame = head.frame;
@@ -717,7 +711,6 @@ impl Simulator {
             self.next_token += 1;
             self.hot.ack_wait[id.0] = Some(AckWait {
                 token,
-                satisfied: false,
                 started_us: tx.start_us,
             });
             let band = self.nodes[id.0].station.config().band;
@@ -732,14 +725,10 @@ impl Simulator {
     }
 
     fn do_ack_timeout(&mut self, id: NodeId, token: u64) {
-        let wait = match &self.hot.ack_wait[id.0] {
-            Some(w) if w.token == token => w.clone(),
-            _ => return, // stale timeout
-        };
-        self.hot.ack_wait[id.0] = None;
-        if wait.satisfied {
-            return;
+        if !matches!(&self.hot.ack_wait[id.0], Some(w) if w.token == token) {
+            return; // stale timeout
         }
+        self.hot.ack_wait[id.0] = None;
         let node = &mut self.nodes[id.0];
         // No response: binary exponential backoff, retry or drop.
         let head_info = node.tx_queue.front().map(|f| (f.trace, f.attempts));
@@ -886,29 +875,7 @@ impl Simulator {
                 }
                 self.note_arrival_fate(id, &outcome, ftrace);
                 if outcome.fcs_ok {
-                    let mut completed_at = None;
-                    let depth = self.nodes[id.0]
-                        .tx_queue
-                        .front()
-                        .map(|f| f.attempts)
-                        .unwrap_or(0);
-                    if let Some(mut wait) = self.hot.ack_wait[id.0].take() {
-                        if !wait.satisfied {
-                            wait.satisfied = true;
-                            completed_at = Some(wait.started_us);
-                            let node = &mut self.nodes[id.0];
-                            node.acks_received += 1;
-                            node.csma.on_success();
-                            node.tx_queue.pop_front();
-                        } else {
-                            self.hot.ack_wait[id.0] = Some(wait);
-                        }
-                    }
-                    if let Some(started_us) = completed_at {
-                        self.obs.observe(names::SIM_RETRY_CHAIN_DEPTH, depth as u64);
-                        self.note_exchange_done(id, started_us, "sim.acks_received", ftrace);
-                        self.schedule_tx_attempt(id);
-                    }
+                    self.complete_wait(id, false, ftrace);
                 }
             } else if for_me {
                 self.obs.incr(names::FRAME_FATE_DOZING);
@@ -991,55 +958,23 @@ impl Simulator {
                 Frame::Ctrl(ControlFrame::Cts { ra, .. }) if *ra == my_mac
             );
             if is_response_to_me {
-                let mut completed_at = None;
-                let depth = self.nodes[id.0]
-                    .tx_queue
-                    .front()
-                    .map(|f| f.attempts)
-                    .unwrap_or(0);
-                if let Some(mut wait) = self.hot.ack_wait[id.0].take() {
-                    if !wait.satisfied {
-                        wait.satisfied = true;
-                        completed_at = Some(wait.started_us);
-                        let node = &mut self.nodes[id.0];
-                        match frame {
-                            Frame::Ctrl(ControlFrame::Ack { .. }) => node.acks_received += 1,
-                            Frame::Ctrl(ControlFrame::Cts { .. }) => node.cts_received += 1,
-                            _ => {}
-                        }
-                        node.csma.on_success();
-                        node.tx_queue.pop_front();
-                    } else {
-                        self.hot.ack_wait[id.0] = Some(wait);
-                    }
-                } else {
+                let cts = matches!(frame, Frame::Ctrl(ControlFrame::Cts { .. }));
+                if !self.complete_wait(id, cts, ftrace) {
                     // Fire-and-forget senders (retries off — the usual
                     // injection mode) still count their responses.
-                    match frame {
-                        Frame::Ctrl(ControlFrame::Ack { .. }) => {
-                            self.nodes[id.0].acks_received += 1;
-                            self.obs.incr("sim.acks_received");
-                        }
-                        Frame::Ctrl(ControlFrame::Cts { .. }) => {
-                            self.nodes[id.0].cts_received += 1;
-                            self.obs.incr("sim.cts_received");
-                        }
-                        _ => {}
+                    let node = &mut self.nodes[id.0];
+                    if cts {
+                        node.cts_received += 1;
+                        self.obs.incr("sim.cts_received");
+                    } else {
+                        node.acks_received += 1;
+                        self.obs.incr("sim.acks_received");
                     }
                     // The attacker-verify hop: the injector saw its
                     // forged frame answered (no wait, so no RTT arg).
                     if let Some(tid) = ftrace {
                         self.obs.trace_hop(tid, now, id.0 as u64, hop::ACK_RX, 0);
                     }
-                }
-                if let Some(started_us) = completed_at {
-                    let counter = match frame {
-                        Frame::Ctrl(ControlFrame::Cts { .. }) => "sim.cts_received",
-                        _ => "sim.acks_received",
-                    };
-                    self.obs.observe(names::SIM_RETRY_CHAIN_DEPTH, depth as u64);
-                    self.note_exchange_done(id, started_us, counter, ftrace);
-                    self.schedule_tx_attempt(id);
                 }
             }
         }
@@ -1052,6 +987,33 @@ impl Simulator {
             .on_receive(now, frame, outcome.fcs_ok, rate);
         self.apply_actions(id, actions, ftrace);
         self.reschedule_poll(id);
+    }
+
+    /// My ACK (or, with `cts`, my CTS) arrived: it satisfies the
+    /// outstanding wait, completing the exchange and freeing the head
+    /// frame. Returns whether a wait was outstanding.
+    fn complete_wait(&mut self, id: NodeId, cts: bool, trace: Option<u64>) -> bool {
+        let Some(wait) = self.hot.ack_wait[id.0].take() else {
+            return false;
+        };
+        let node = &mut self.nodes[id.0];
+        let depth = node.tx_queue.front().map_or(0, |f| f.attempts);
+        if cts {
+            node.cts_received += 1;
+        } else {
+            node.acks_received += 1;
+        }
+        node.csma.on_success();
+        node.tx_queue.pop_front();
+        let counter = if cts {
+            "sim.cts_received"
+        } else {
+            "sim.acks_received"
+        };
+        self.obs.observe(names::SIM_RETRY_CHAIN_DEPTH, depth as u64);
+        self.note_exchange_done(id, wait.started_us, counter, trace);
+        self.schedule_tx_attempt(id);
+        true
     }
 
     fn apply_actions(&mut self, id: NodeId, actions: Vec<MacAction>, trace: Option<u64>) {

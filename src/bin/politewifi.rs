@@ -2,75 +2,27 @@
 //!
 //! ```text
 //! politewifi quickstart [--seed N] [--out FILE.pcap|FILE.pcapng]
-//! politewifi drain --rate PPS [--seconds S] [--rts]
+//! politewifi drain [--rate PPS] [--seconds S] [--rts] [--seed N]
 //! politewifi keystroke [--seed N]
-//! politewifi survey [--devices N] [--seed N]
+//! politewifi survey [--devices N] [--seed N] [--randomize PCT]
 //! politewifi analyze FILE.pcap [--attacker MAC]
 //! politewifi sifs
 //! ```
 //!
-//! Argument parsing is hand-rolled (the workspace's dependency policy
-//! favours a small footprint over a CLI framework).
+//! Each command declares its flags for the harness's shared [`Flags`]
+//! parser: a usage error exits 2, a failure while running exits 1.
 
 use polite_wifi::core::{
     analysis, AckVerifier, BatteryDrainAttack, InjectionKind, KeystrokeAttack, WardriveScanner,
 };
 use polite_wifi::devices::{CityPopulation, DeviceSpec};
 use polite_wifi::frame::{builder, MacAddr};
-use polite_wifi::harness::ScenarioBuilder;
+use polite_wifi::harness::{FlagSpec, Flags, ScenarioBuilder};
 use polite_wifi::pcap::{capture, read_pcap, read_pcapng, trace, LinkType};
 use polite_wifi::phy::rate::BitRate;
 use std::process::ExitCode;
 
-/// Minimal flag parser: `--key value` pairs plus positional arguments.
-struct Args {
-    positional: Vec<String>,
-    flags: Vec<(String, Option<String>)>,
-}
-
-impl Args {
-    fn parse(raw: &[String]) -> Args {
-        let mut positional = Vec::new();
-        let mut flags = Vec::new();
-        let mut i = 0;
-        while i < raw.len() {
-            if let Some(name) = raw[i].strip_prefix("--") {
-                let value = raw.get(i + 1).filter(|v| !v.starts_with("--")).cloned();
-                if value.is_some() {
-                    i += 1;
-                }
-                flags.push((name.to_string(), value));
-            } else {
-                positional.push(raw[i].clone());
-            }
-            i += 1;
-        }
-        Args { positional, flags }
-    }
-
-    fn flag(&self, name: &str) -> Option<&str> {
-        self.flags
-            .iter()
-            .find(|(n, _)| n == name)
-            .and_then(|(_, v)| v.as_deref())
-    }
-
-    fn has(&self, name: &str) -> bool {
-        self.flags.iter().any(|(n, _)| n == name)
-    }
-
-    fn u64_flag(&self, name: &str, default: u64) -> Result<u64, String> {
-        match self.flag(name) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{name} expects a number, got '{v}'")),
-        }
-    }
-}
-
-fn usage() -> &'static str {
-    "politewifi — the Polite WiFi toolkit (simulation substrate)
+const USAGE: &str = "politewifi — the Polite WiFi toolkit (simulation substrate)
 
 USAGE:
     politewifi <command> [options]
@@ -79,47 +31,79 @@ COMMANDS:
     quickstart   One fake frame, one ACK: the paper's core observation.
                  [--seed N] [--out FILE.pcap|FILE.pcapng]
     drain        Battery-drain attack against an ESP8266-class victim.
-                 --rate PPS [--seconds S] [--rts]
+                 [--rate PPS] [--seconds S] [--rts] [--seed N]
     keystroke    The Figure 5 CSI activity/keystroke attack. [--seed N]
     survey       Wardrive a slice of the Table 2 city.
                  [--devices N] [--seed N] [--randomize PCT]
     analyze      Decode a capture and verify fake→ACK exchanges.
                  FILE.pcap|FILE.pcapng [--attacker MAC]
     sifs         Print the SIFS-vs-decryption feasibility analysis.
-"
+
+A usage error exits 2; a failure while running exits 1.
+";
+
+const NUM: &str = "a number";
+const SEED: (&str, &str) = ("--seed", NUM);
+
+/// One command's flags.
+const fn spec(
+    values: &'static [(&'static str, &'static str)],
+    switches: &'static [&'static str],
+) -> FlagSpec {
+    FlagSpec {
+        values,
+        switches,
+        positionals: false,
+        usage: USAGE,
+    }
 }
 
+const QUICKSTART: FlagSpec = spec(&[SEED, ("--out", "a file path")], &[]);
+const DRAIN: FlagSpec = spec(&[("--rate", NUM), ("--seconds", NUM), SEED], &["--rts"]);
+const KEYSTROKE: FlagSpec = spec(&[SEED], &[]);
+const SURVEY: FlagSpec = spec(&[("--devices", NUM), SEED, ("--randomize", NUM)], &[]);
+const ANALYZE: FlagSpec = FlagSpec {
+    positionals: true,
+    ..spec(&[("--attacker", "a MAC address")], &[])
+};
+const SIFS: FlagSpec = spec(&[], &[]);
+
 fn main() -> ExitCode {
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = raw.first().cloned() else {
-        eprint!("{}", usage());
-        return ExitCode::FAILURE;
+    let mut argv = std::env::args().skip(1);
+    let Some(command) = argv.next() else {
+        eprint!("{USAGE}");
+        return ExitCode::from(2);
     };
-    let args = Args::parse(&raw[1..]);
+    let flags = |declared| Flags::parse(declared, argv);
     let result = match command.as_str() {
-        "quickstart" => cmd_quickstart(&args),
-        "drain" => cmd_drain(&args),
-        "keystroke" => cmd_keystroke(&args),
-        "survey" => cmd_survey(&args),
-        "analyze" => cmd_analyze(&args),
-        "sifs" => cmd_sifs(),
+        "quickstart" => cmd_quickstart(flags(&QUICKSTART)),
+        "drain" => cmd_drain(flags(&DRAIN)),
+        "keystroke" => cmd_keystroke(flags(&KEYSTROKE)),
+        "survey" => cmd_survey(flags(&SURVEY)),
+        "analyze" => cmd_analyze(flags(&ANALYZE)),
+        "sifs" => cmd_sifs(flags(&SIFS)),
         "help" | "--help" | "-h" => {
-            print!("{}", usage());
+            print!("{USAGE}");
             Ok(())
         }
-        other => Err(format!("unknown command '{other}'\n\n{}", usage())),
+        other => {
+            eprintln!("politewifi: unknown command '{other}'\n\n{USAGE}");
+            return ExitCode::from(2);
+        }
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("error: {e}");
+            eprintln!("politewifi: {e}");
             ExitCode::FAILURE
         }
     }
 }
 
-fn cmd_quickstart(args: &Args) -> Result<(), String> {
-    let seed = args.u64_flag("seed", 2020)?;
+fn cmd_quickstart(mut flags: Flags) -> Result<(), String> {
+    let seed = flags.value("--seed").unwrap_or(2020);
+    let out: Option<String> = flags.value("--out");
+    flags.finish_or_exit("politewifi");
     let victim_mac: MacAddr = "f2:6e:0b:11:22:33".parse().unwrap();
     let mut sb = ScenarioBuilder::new();
     let victim = sb.client(victim_mac, (0.0, 0.0));
@@ -138,7 +122,7 @@ fn cmd_quickstart(args: &Args) -> Result<(), String> {
         "victim ACKs sent: {} (no keys, no association, no consent)",
         sim.station(victim).stats.acks_sent
     );
-    if let Some(path) = args.flag("out") {
+    if let Some(path) = &out {
         let cap = &sim.node(attacker).capture;
         if path.ends_with(".pcapng") {
             cap.write_pcapng_file(path, LinkType::Ieee80211Radiotap)
@@ -151,30 +135,29 @@ fn cmd_quickstart(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_drain(args: &Args) -> Result<(), String> {
-    let rate = args.u64_flag("rate", 900)? as u32;
-    let seconds = args.u64_flag("seconds", 10)?;
+fn cmd_drain(mut flags: Flags) -> Result<(), String> {
+    let rate = flags.value("--rate").unwrap_or(900);
+    let seconds: u64 = flags.value("--seconds").unwrap_or(10);
+    let seed = flags.value("--seed").unwrap_or(42);
+    let rts = flags.switch("--rts");
+    flags.finish_or_exit("politewifi");
     let attack = BatteryDrainAttack {
         rate_pps: rate,
-        kind: if args.has("rts") {
+        kind: if rts {
             InjectionKind::Rts { nav_us: 248 }
         } else {
             InjectionKind::NullData
         },
         warmup_us: 3_000_000,
         measure_us: seconds * 1_000_000,
-        seed: args.u64_flag("seed", 42)?,
+        seed,
         ..BatteryDrainAttack::default()
     };
     let m = attack.run();
     println!(
         "rate {:>4} pps ({}) → {:.1} mW average, slept {:.1}%, {} responses",
         m.rate_pps,
-        if args.has("rts") {
-            "RTS→CTS"
-        } else {
-            "null→ACK"
-        },
+        if rts { "RTS→CTS" } else { "null→ACK" },
         m.average_power_mw,
         m.sleep_fraction * 100.0,
         m.acks_sent
@@ -190,8 +173,9 @@ fn cmd_drain(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_keystroke(args: &Args) -> Result<(), String> {
-    let seed = args.u64_flag("seed", 2020)?;
+fn cmd_keystroke(mut flags: Flags) -> Result<(), String> {
+    let seed = flags.value("--seed").unwrap_or(2020);
+    flags.finish_or_exit("politewifi");
     let result = KeystrokeAttack::figure5(seed).run();
     println!(
         "measured {} ACKs at {:.1} Hz",
@@ -209,10 +193,11 @@ fn cmd_keystroke(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_survey(args: &Args) -> Result<(), String> {
-    let n = args.u64_flag("devices", 200)? as usize;
-    let seed = args.u64_flag("seed", 20)?;
-    let randomize_pct = args.u64_flag("randomize", 0)?;
+fn cmd_survey(mut flags: Flags) -> Result<(), String> {
+    let n: usize = flags.value("--devices").unwrap_or(200);
+    let seed = flags.value("--seed").unwrap_or(20);
+    let randomize_pct: u64 = flags.value("--randomize").unwrap_or(0);
+    flags.finish_or_exit("politewifi");
     let full = CityPopulation::table2(seed);
     let step = (full.devices.len() / n.max(1)).max(1);
     let devices: Vec<DeviceSpec> = full.devices.iter().step_by(step).take(n).cloned().collect();
@@ -254,17 +239,14 @@ fn cmd_survey(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_analyze(args: &Args) -> Result<(), String> {
-    let path = args
-        .positional
-        .first()
-        .ok_or("analyze needs a capture file path")?;
-    let attacker: MacAddr = args
-        .flag("attacker")
-        .unwrap_or("aa:bb:bb:bb:bb:bb")
-        .parse()
-        .map_err(|e| format!("bad --attacker address: {e}"))?;
-    let bytes = std::fs::read(path).map_err(|e| format!("reading {path}: {e}"))?;
+fn cmd_analyze(mut flags: Flags) -> Result<(), String> {
+    let attacker = flags.value("--attacker").unwrap_or(MacAddr::FAKE);
+    if flags.positionals().len() != 1 {
+        flags.problem("analyze needs one capture file path");
+    }
+    let path = flags.positionals().first().cloned().unwrap_or_default();
+    flags.finish_or_exit("politewifi");
+    let bytes = std::fs::read(&path).map_err(|e| format!("reading {path}: {e}"))?;
 
     // Try pcapng first, then classic pcap.
     let (link_type, records) = match read_pcapng(&bytes) {
@@ -312,7 +294,8 @@ fn cmd_analyze(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_sifs() -> Result<(), String> {
+fn cmd_sifs(flags: Flags) -> Result<(), String> {
+    flags.finish_or_exit("politewifi");
     let report = analysis::sifs_report();
     for (band, sifs) in &report.sifs_us {
         println!("{band}: SIFS = {sifs} µs");

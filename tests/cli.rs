@@ -98,3 +98,36 @@ fn bad_flag_value_is_an_error() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--rate expects a number"));
 }
+
+/// Asserts a usage error: exit status 2 and every `needle` on stderr.
+fn assert_usage_error(args: &[&str], needles: &[&str]) {
+    let out = politewifi(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    for needle in needles {
+        assert!(stderr.contains(needle), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn unknown_flag_is_a_usage_error() {
+    assert_usage_error(&["sifs", "--bogus"], &["unknown flag `--bogus`"]);
+    // A misspelled flag never runs the command at a default.
+    assert_usage_error(
+        &["drain", "--rat", "100"],
+        &["unknown flag `--rat`", "unexpected argument `100`"],
+    );
+}
+
+#[test]
+fn flag_without_value_is_a_usage_error() {
+    assert_usage_error(&["quickstart", "--out"], &["--out needs a value"]);
+}
+
+#[test]
+fn duplicate_flag_is_a_usage_error() {
+    assert_usage_error(
+        &["drain", "--rate", "5", "--rate", "6"],
+        &["duplicate flag --rate"],
+    );
+}
