@@ -12,10 +12,29 @@
 //!   already canonical, printing one line per file; non-canonical files
 //!   name the fields whose order drifted.
 
-use polite_wifi_harness::RunArgs;
+use polite_wifi_harness::{FlagSpec, Flags, RunArgs};
 use polite_wifi_obs::json::{self, Json, JsonValue};
 use polite_wifi_scenario::{run_spec, runner_names, ScenarioSpec};
 use std::process::exit;
+
+const USAGE: &str = "usage: exp_run SCENARIO.json [harness flags]\n       \
+    exp_run --list | --fmt FILE... | --check FILE...\n\n\
+    --trials N runs N trials on every runner, trial t under seed `S ^ t` (trial 0 \
+    under --seed S\nitself): metrics hold one sample per completed trial and the \
+    payload is the first completed\ntrial's. --workers M fans the trials over M \
+    threads, or a lone trial's independent parts.\n\n\
+    --quick changes results only through the `quick_*` overrides of a spec's \
+    `wardrive`\nsection (a smaller Table 2 population, a shorter city dwell), and \
+    such a run writes\n`<slug>_quick`; for every other spec it only labels the \
+    envelope `\"quick\": true`.";
+
+/// `--fmt` and `--check` take scenario paths and no flags.
+const FILES: FlagSpec = FlagSpec {
+    values: &[],
+    switches: &[],
+    positionals: true,
+    usage: USAGE,
+};
 
 fn fail(msg: &str) -> ! {
     eprintln!("exp_run: {msg}");
@@ -152,18 +171,7 @@ fn main() -> std::io::Result<()> {
     let mut argv = std::env::args().skip(1).peekable();
     let first = match argv.peek().map(String::as_str) {
         None | Some("--help") => {
-            println!(
-                "usage: exp_run SCENARIO.json [harness flags]\n       \
-                 exp_run --list | --fmt FILE... | --check FILE...\n\n\
-                 --trials N runs N trials on every runner, trial t under seed `S ^ t` (trial 0 \
-                 under --seed S\nitself): metrics hold one sample per completed trial and the \
-                 payload is the first completed\ntrial's. --workers M fans the trials over M \
-                 threads, or a lone trial's independent parts.\n\n\
-                 --quick changes results only through the `quick_*` overrides of a spec's \
-                 `wardrive`\nsection (a smaller Table 2 population, a shorter city dwell), and \
-                 such a run writes\n`<slug>_quick`; for every other spec it only labels the \
-                 envelope `\"quick\": true`."
-            );
+            println!("{USAGE}");
             return Ok(());
         }
         Some("--list") => {
@@ -175,10 +183,12 @@ fn main() -> std::io::Result<()> {
         Some(mode @ ("--fmt" | "--check")) => {
             let mode = mode.to_string();
             argv.next();
-            let paths: Vec<String> = argv.collect();
-            if paths.is_empty() {
-                fail(&format!("{mode} needs at least one scenario path"));
+            let mut flags = Flags::parse(&FILES, argv);
+            if flags.positionals().is_empty() {
+                flags.problem(format!("{mode} needs at least one scenario path"));
             }
+            let paths = flags.positionals().to_vec();
+            flags.finish_or_exit("exp_run");
             let failures = fmt_or_check(&mode, &paths)?;
             if failures > 0 {
                 exit(2);

@@ -6,15 +6,16 @@
 //! the 900 pps / idle `increase_factor` (35× in the paper) and the
 //! `slope_gap_mw_per_pps` between the 100–500 and 500–900 pps slopes.
 //! The spec's assertions bound them. One trial sweeps every rate at the
-//! trial's seed; with `--trials N` each metric is the mean of the N
-//! trials' values, and the payload is the first trial's sweep.
+//! trial's seed, fanned over the trial's workers; with `--trials N` each
+//! metric is the mean of the N trials' values, and the payload is the
+//! first trial's sweep.
 
 use super::run_trials;
 use crate::registry::Output;
 use crate::spec::ScenarioSpec;
 use crate::support::bar;
 use polite_wifi_core::{BatteryDrainAttack, DrainMeasurement};
-use polite_wifi_harness::{Experiment, MetricsLedger};
+use polite_wifi_harness::{Experiment, MetricsLedger, Runner};
 use polite_wifi_obs::Obs;
 use polite_wifi_power::observe;
 
@@ -39,21 +40,17 @@ pub fn run(_: &ScenarioSpec, exp: &mut Experiment) -> std::io::Result<Output> {
     Ok(run_trials(
         exp,
         |t| {
-            // The rates run one after another, not over the trial's
-            // workers: a drain at hundreds of pps holds hundreds of MB of
-            // pending poll events (the duplicate poll chains), so two at
-            // once would raise the run's peak memory by half.
-            let sweep: Vec<DrainMeasurement> = (RATES.iter())
-                .map(|&rate_pps| {
-                    BatteryDrainAttack {
-                        rate_pps,
-                        seed: t.seed,
-                        faults,
-                        ..BatteryDrainAttack::default()
-                    }
-                    .run()
-                })
-                .collect();
+            // The rates are independent, so they fan out; the sweep
+            // comes back in rate order whatever the worker count.
+            let sweep = Runner::new(t.workers).run_indexed(RATES.len(), |i| {
+                BatteryDrainAttack {
+                    rate_pps: RATES[i],
+                    seed: t.seed,
+                    faults,
+                    ..BatteryDrainAttack::default()
+                }
+                .run()
+            });
             let (mut ledger, mut obs) = (MetricsLedger::new(), Obs::new());
             for m in &sweep {
                 obs.add("sim.acks_received", m.acks_sent);
